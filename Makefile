@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race race chaos obs spec cluster whatif provision cover cover-spec bench bench-json bench-json-pr10 bench-compare fuzz fuzz-smoke vulncheck examples artifacts serve loadtest clean help
+.PHONY: all build vet test test-race race chaos obs spec cluster whatif provision cover cover-spec bench benchmark-check fuzz fuzz-smoke vulncheck examples artifacts serve loadtest clean help
 
 all: build vet test
 
@@ -37,12 +37,9 @@ help:
 	@echo "  cover      go test -cover ./... + the internal/spec coverage floor"
 	@echo "  cover-spec enforce the $(SPEC_COVER_FLOOR)% statement-coverage floor on internal/spec"
 	@echo "  bench      regenerate every table/figure + ablations (-bench=. -benchmem)"
-	@echo "  bench-json rerun the hot-path benchmarks and refresh BENCH_PR7.json"
-	@echo "             (trace-v2 codec + batched synthesis vs the frozen PR 2 baseline)"
-	@echo "  bench-json-pr10  rerun the provisioning-search benchmarks and refresh"
-	@echo "             BENCH_PR10.json (configs/sec + twin-vs-DES ratio, baseline"
-	@echo "             chained from BENCH_PR7.json)"
-	@echo "  bench-compare  quick benchstat-style table vs the frozen baseline (no file written)"
+	@echo "  benchmark-check  vet + smoke-test the perf record (benchmark/ is a module"
+	@echo "             of its own that go build/test ./... never compiles; the test"
+	@echo "             also fails when BENCHMARK.json drifts from the benchmark)"
 	@echo "  fuzz       run the codec, sharded-simulator and spec fuzz targets (30s each)"
 	@echo "  fuzz-smoke quick CI fuzz pass over the same targets (10s each)"
 	@echo "  vulncheck  govulncheck over the whole module (installed on demand)"
@@ -144,53 +141,12 @@ cover-spec:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The benchmark packages the BENCH_*.json records cover: the synthesis hot
-# paths (alias-method sampling, Markov stepping, DES, trace codec) plus the
-# end-to-end Table 2 pipeline in the root package.
-BENCH_JSON_PKGS = . ./internal/markov/ ./internal/stats/ ./internal/workload/ ./internal/queueing/ ./internal/trace/
-
-# Baseline-name mapping for BENCH_PR7.json: the trace-v2 codec and the
-# batch synthesis/stepping APIs replace the CSV codec and the scalar APIs
-# on the same hot paths, so each inherits the frozen baseline of the
-# measurement it supersedes (colon-separated: bench names contain '=').
-BENCH_RENAMES = \
-	-rename BenchmarkWriteCSV:BenchmarkWriteBinary \
-	-rename BenchmarkReadCSV:BenchmarkReadBinary \
-	-rename BenchmarkKoozaSynthesize:BenchmarkKoozaSynthesizeBatch \
-	-rename BenchmarkSynthTable2Scale:BenchmarkSynthTable2ScaleBatch \
-	-rename BenchmarkChainStep/states=8:BenchmarkChainStepN/states=8 \
-	-rename BenchmarkChainStep/states=32:BenchmarkChainStepN/states=32 \
-	-rename BenchmarkChainStep/states=128:BenchmarkChainStepN/states=128 \
-	-rename BenchmarkChainStep/states=1024:BenchmarkChainStepN/states=1024
-
-# Regenerates BENCH_PR7.json: "current" is remeasured, "baseline" is the
-# frozen pre-optimization section of BENCH_PR2.json (see cmd/bench2json),
-# and the benchstat-style comparison is printed.
-# -p 1 keeps the package test binaries from benchmarking concurrently
-# and contending for cores (go test parallelizes across packages).
-bench-json:
-	$(GO) test -p 1 -bench=. -benchmem -run=xxx -benchtime=2s $(BENCH_JSON_PKGS) > bench_raw.txt
-	$(GO) run ./cmd/bench2json -in bench_raw.txt -out BENCH_PR7.json -baseline-json BENCH_PR2.json \
-		-print $(BENCH_RENAMES) \
-		-note "Baseline imported from BENCH_PR2.json (frozen pre-optimization numbers); current regenerated by 'make bench-json' after the trace-v2 codec + batched-synthesis pass (PR 7)."
-	rm -f bench_raw.txt
-
-# Regenerates BENCH_PR10.json: the provisioning-search benchmarks
-# (configs/sec through the twin-first evaluator, twin-vs-DES run ratio),
-# with the baseline section chained from BENCH_PR7.json so every record
-# traces back to the original pre-optimization numbers.
-bench-json-pr10:
-	$(GO) test -bench=. -benchmem -run=xxx -benchtime=2s ./internal/optimize/ > bench_raw.txt
-	$(GO) run ./cmd/bench2json -in bench_raw.txt -out BENCH_PR10.json -baseline-json BENCH_PR7.json -print \
-		-note "Baseline chained from BENCH_PR7.json; current adds the closed-loop provisioning search benchmarks (PR 10): configs/sec is the twin-first evaluation rate, twin_per_des the twin-evals-per-DES-run ratio."
-	rm -f bench_raw.txt
-
-# Quick comparison against the frozen baseline without touching the
-# checked-in record — the CI log's benchstat-style table.
-bench-compare:
-	$(GO) test -p 1 -bench=. -benchmem -run=xxx -benchtime=0.3s $(BENCH_JSON_PKGS) > bench_raw.txt
-	$(GO) run ./cmd/bench2json -in bench_raw.txt -baseline-json BENCH_PR2.json -print $(BENCH_RENAMES)
-	rm -f bench_raw.txt
+# The perf record lives in benchmark/, a nested module tier-1 never builds:
+# this is what compiles the internal/ signatures it imports. A perf claim is
+# made with `go -C benchmark run . -compare` (see benchmark/README.md).
+benchmark-check:
+	$(GO) -C benchmark vet .
+	$(GO) -C benchmark test .
 
 FUZZTIME ?= 30s
 fuzz:

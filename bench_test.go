@@ -25,7 +25,10 @@ import (
 	"sync"
 	"testing"
 
+	"dcmodel/internal/crossexam"
 	"dcmodel/internal/hw"
+	"dcmodel/internal/inbreadth"
+	"dcmodel/internal/indepth"
 	"dcmodel/internal/kooza"
 	"dcmodel/internal/markov"
 	"dcmodel/internal/replay"
@@ -528,6 +531,73 @@ func BenchmarkKoozaTrain(b *testing.B) {
 	}
 }
 
+func BenchmarkInBreadthTrain(b *testing.B) {
+	tr := benchTrace()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := inbreadth.Train(tr, inbreadth.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkInDepthTrain(b *testing.B) {
+	tr := benchTrace()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := indepth.Train(tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFitBest times the arrival fit every trainer starts with, on the
+// gaps of a full daemon window (8192 requests).
+func BenchmarkFitBest(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	gaps := make([]float64, 8191)
+	for i := range gaps {
+		gaps[i] = r.ExpFloat64() / 20
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := stats.FitBest(gaps); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCrossexamEvaluate times the scorer alone, as /v1/characterize
+// runs it: warm models, 2000 synthetic requests per approach, one worker.
+func BenchmarkCrossexamEvaluate(b *testing.B) {
+	tr := benchTrace()
+	kz, err := kooza.Train(tr, kooza.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ib, err := inbreadth.Train(tr, inbreadth.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	id, err := indepth.Train(tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	approaches := []crossexam.Approach{
+		{Name: "in-breadth", Knobs: 3, Synthesize: ib.SynthesizeBatch, NumParams: ib.NumParams()},
+		{Name: "in-depth", Knobs: 1, SelfTimed: true, Synthesize: id.SynthesizeBatch, NumParams: id.NumParams()},
+		{Name: "KOOZA", Knobs: 5, Synthesize: kz.SynthesizeBatch, NumParams: kz.NumParams()},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := crossexam.Evaluate(tr, approaches, 2000, DefaultPlatform(), crossexam.Options{Seed: 1, Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkKoozaSynthesize(b *testing.B) {
 	tr := benchTrace()
 	m, err := kooza.Train(tr, kooza.Options{})
@@ -545,8 +615,8 @@ func BenchmarkKoozaSynthesize(b *testing.B) {
 }
 
 // BenchmarkKoozaSynthesizeBatch is the slab-reserving batch flavor of
-// BenchmarkKoozaSynthesize (same seed, byte-identical output) — the number
-// BENCH_PR7.json tracks against the scalar PR 2 baseline.
+// BenchmarkKoozaSynthesize (same seed, byte-identical output); the perf
+// record (benchmark/README.md) times it as kooza.synth_ns_per_req.
 func BenchmarkKoozaSynthesizeBatch(b *testing.B) {
 	tr := benchTrace()
 	m, err := kooza.Train(tr, kooza.Options{})
@@ -564,8 +634,8 @@ func BenchmarkKoozaSynthesizeBatch(b *testing.B) {
 }
 
 // BenchmarkSynthTable2Scale times pure KOOZA synthesis at the scale of the
-// Table 2 validation run (the full 4000-request training-trace length) —
-// the number BENCH_PR2.json tracks for the O(1)-sampler speedup.
+// Table 2 validation run (the full 4000-request training-trace length),
+// where the O(1) samplers pay off (EXPERIMENTS.md, Performance).
 func BenchmarkSynthTable2Scale(b *testing.B) {
 	tr := benchTrace()
 	m, err := kooza.Train(tr, kooza.Options{})

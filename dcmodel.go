@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"dcmodel/internal/crossexam"
 	"dcmodel/internal/fault"
@@ -302,9 +303,12 @@ func CrossExamine(tr *Trace, p Platform, opts CrossExamOptions) ([]Scores, error
 	if opts.Requests <= 0 {
 		return nil, fmt.Errorf("dcmodel: cross-examination needs a positive Requests count: %w", ErrBadConfig)
 	}
+	// The three chains train on one prepared input; whichever worker gets
+	// there first prepares it.
+	prepare := sync.OnceValues(func() (*trace.Prepared, error) { return trace.Prepare(tr) })
 	approaches := make([]crossexam.Approach, 0, 3)
 	for _, a := range []Approach{InBreadth, InDepth, Kooza} {
-		approaches = append(approaches, crossexamApproach(tr, a, p))
+		approaches = append(approaches, crossexamApproach(prepare, a, p))
 	}
 	return crossexam.Evaluate(tr, approaches, opts.Requests, p, crossexam.Options{
 		Seed:           opts.Seed,
@@ -313,21 +317,21 @@ func CrossExamine(tr *Trace, p Platform, opts CrossExamOptions) ([]Scores, error
 	})
 }
 
-// crossexamApproach wraps one modeling approach — trained through the same
-// Train facade users call — as a cross-examination entrant. Knobs counts
-// the user-tunable training knobs of each approach (the paper's
+// crossexamApproach wraps one modeling approach — trained by the trainers
+// the Train facade dispatches to — as a cross-examination entrant. Knobs
+// counts the user-tunable training knobs of each approach (the paper's
 // "flexibility" axis); the in-depth model times its own arrivals. Setup
 // also lowers the trained model to its analytical twin on the same
 // platform, so the scorecard carries the twin-vs-simulation deviation
 // column next to the simulated fidelity proxies.
-func crossexamApproach(tr *Trace, a Approach, p Platform) crossexam.Approach {
+func crossexamApproach(prepare func() (*trace.Prepared, error), a Approach, p Platform) crossexam.Approach {
 	knobs := map[Approach]int{InBreadth: 3, InDepth: 1, Kooza: 5}[a]
 	return crossexam.Approach{
 		Name:      a.String(),
 		Knobs:     knobs,
 		SelfTimed: a == InDepth,
 		Setup: func(ca *crossexam.Approach) error {
-			m, err := Train(tr, a)
+			m, err := trainApproach(prepare, a, trainSettings{})
 			if err != nil {
 				return fmt.Errorf("dcmodel: %s: %w", a, err)
 			}

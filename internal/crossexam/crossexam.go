@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"time"
 
@@ -68,8 +69,8 @@ type Options struct {
 
 // Scores is the measured scorecard of one approach. The JSON field tags
 // are a stable wire contract: the dcmodeld /v1/characterize response, the
-// crossexam -json output and any recorded scorecard artifacts (in the
-// snake_case style of the bench2json records) all share this one encoding.
+// crossexam -json output and any recorded scorecard artifacts all share
+// this one snake_case encoding.
 type Scores struct {
 	Name string `json:"name"`
 	// RequestFeatures is 1 - mean two-sample-KS distance over the
@@ -118,7 +119,7 @@ func Evaluate(orig *trace.Trace, approaches []Approach, n int, platform replay.P
 	if n < 1 {
 		return nil, fmt.Errorf("crossexam: n must be positive, got %d", n)
 	}
-	modal := modalPhasesByClass(orig)
+	ref := newReference(orig)
 	out := make([]Scores, len(approaches))
 	err := par.Do(len(approaches), opts.Workers, func(i int) error {
 		a := approaches[i]
@@ -145,9 +146,10 @@ func Evaluate(orig *trace.Trace, approaches []Approach, n int, platform replay.P
 		if elapsed > 0 && !opts.SkipThroughput {
 			s.Scalability = float64(n) / elapsed
 		}
-		s.RequestFeatures = featureScore(orig, synth)
-		s.TimeDependencies = timeDepScore(synth, modal)
-		s.FineGranularity = granularityScore(orig, synth)
+		feat := extractFeatures(synth)
+		s.RequestFeatures = featureScore(ref.features, feat)
+		s.TimeDependencies = timeDepScore(synth, ref.modal)
+		s.FineGranularity = granularityScore(ref, feat)
 		timed := synth
 		if !a.SelfTimed {
 			timed, err = replay.Run(synth, platform)
@@ -155,9 +157,10 @@ func Evaluate(orig *trace.Trace, approaches []Approach, n int, platform replay.P
 				return fmt.Errorf("crossexam: %s replay: %w", a.Name, err)
 			}
 		}
-		s.LatencyFidelity = latencyScore(orig, timed)
+		latency := meanLatencies(timed)
+		s.LatencyFidelity = latencyScore(ref, latency)
 		s.Completeness = geoMean3(s.RequestFeatures, s.TimeDependencies, s.LatencyFidelity)
-		s.TwinDeviation = twinDeviation(a.Twin, timed)
+		s.TwinDeviation = twinDeviation(a.Twin, latency.all)
 		out[i] = s
 		return nil
 	})
@@ -167,23 +170,135 @@ func Evaluate(orig *trace.Trace, approaches []Approach, n int, platform replay.P
 	return out, nil
 }
 
+// reference is the original trace's side of every score. It is a pure
+// function of the trace, so Evaluate computes it once and the approach
+// workers share it read-only.
+type reference struct {
+	// modal is each class's most common phase sequence.
+	modal map[string][]trace.Subsystem
+	// classes lists the classes in first-seen order.
+	classes  []string
+	features features
+	latency  latencies
+}
+
+func newReference(orig *trace.Trace) *reference {
+	return &reference{
+		modal:    modalPhasesByClass(orig),
+		classes:  orig.Classes(),
+		features: extractFeatures(orig),
+		latency:  meanLatencies(orig),
+	}
+}
+
+// The pooled subsystem features featureScore compares.
+const (
+	storageBytes = iota
+	storageLBN
+	memoryBytes
+	cpuUtil
+	networkBytes
+	numFeatures
+)
+
+// features holds the feature samples of one trace, each in ascending
+// order, ready for the two-sample KS test.
+type features struct {
+	pooled [numFeatures][]float64
+	// classStorage holds the storage I/O sizes per class, with an entry
+	// (possibly empty) for every class that has requests.
+	classStorage map[string][]float64
+}
+
+// extractFeatures reads every feature sample out of tr in one pass over
+// its spans.
+func extractFeatures(tr *trace.Trace) features {
+	var perSub [4]int
+	for i := range tr.Requests {
+		for _, s := range tr.Requests[i].Spans {
+			if s.Subsystem >= 0 && int(s.Subsystem) < len(perSub) {
+				perSub[s.Subsystem]++
+			}
+		}
+	}
+	f := features{classStorage: make(map[string][]float64)}
+	f.pooled[storageBytes] = make([]float64, 0, perSub[trace.Storage])
+	f.pooled[storageLBN] = make([]float64, 0, perSub[trace.Storage])
+	f.pooled[memoryBytes] = make([]float64, 0, perSub[trace.Memory])
+	f.pooled[cpuUtil] = make([]float64, 0, perSub[trace.CPU])
+	f.pooled[networkBytes] = make([]float64, 0, perSub[trace.Network])
+	for i := range tr.Requests {
+		r := &tr.Requests[i]
+		sizes := f.classStorage[r.Class]
+		for j := range r.Spans {
+			s := &r.Spans[j]
+			switch s.Subsystem {
+			case trace.Storage:
+				f.pooled[storageBytes] = append(f.pooled[storageBytes], float64(s.Bytes))
+				f.pooled[storageLBN] = append(f.pooled[storageLBN], float64(s.LBN))
+				sizes = append(sizes, float64(s.Bytes))
+			case trace.Memory:
+				f.pooled[memoryBytes] = append(f.pooled[memoryBytes], float64(s.Bytes))
+			case trace.CPU:
+				f.pooled[cpuUtil] = append(f.pooled[cpuUtil], s.Util)
+			case trace.Network:
+				f.pooled[networkBytes] = append(f.pooled[networkBytes], float64(s.Bytes))
+			}
+		}
+		f.classStorage[r.Class] = sizes
+	}
+	for _, xs := range f.pooled {
+		sort.Float64s(xs)
+	}
+	for _, xs := range f.classStorage {
+		sort.Float64s(xs)
+	}
+	return f
+}
+
+// latencies holds the mean end-to-end latency of one trace, overall and
+// per class.
+type latencies struct {
+	all     float64
+	byClass map[string]float64
+}
+
+func meanLatencies(tr *trace.Trace) latencies {
+	type acc struct {
+		sum float64
+		n   int
+	}
+	var all acc
+	byClass := make(map[string]*acc)
+	for i := range tr.Requests {
+		r := &tr.Requests[i]
+		a := byClass[r.Class]
+		if a == nil {
+			a = new(acc)
+			byClass[r.Class] = a
+		}
+		l := r.Latency()
+		a.sum += l
+		a.n++
+		all.sum += l
+		all.n++
+	}
+	out := latencies{byClass: make(map[string]float64, len(byClass))}
+	if all.n > 0 {
+		out.all = all.sum / float64(all.n)
+	}
+	for class, a := range byClass {
+		out.byClass[class] = a.sum / float64(a.n)
+	}
+	return out
+}
+
 // featureScore is 1 - mean KS over the pooled subsystem feature
 // distributions.
-func featureScore(orig, synth *trace.Trace) float64 {
-	features := []struct {
-		sub trace.Subsystem
-		f   func(trace.Span) float64
-	}{
-		{trace.Storage, func(s trace.Span) float64 { return float64(s.Bytes) }},
-		{trace.Storage, func(s trace.Span) float64 { return float64(s.LBN) }},
-		{trace.Memory, func(s trace.Span) float64 { return float64(s.Bytes) }},
-		{trace.CPU, func(s trace.Span) float64 { return s.Util }},
-		{trace.Network, func(s trace.Span) float64 { return float64(s.Bytes) }},
-	}
+func featureScore(orig, synth features) float64 {
 	var total float64
-	for _, ft := range features {
-		o := orig.SpanFeature(ft.sub, ft.f)
-		sy := synth.SpanFeature(ft.sub, ft.f)
+	for k, o := range orig.pooled {
+		sy := synth.pooled[k]
 		if len(o) == 0 {
 			continue
 		}
@@ -191,34 +306,26 @@ func featureScore(orig, synth *trace.Trace) float64 {
 			total += 1 // feature entirely missing
 			continue
 		}
-		total += stats.KSTest2(o, sy).Statistic
+		total += stats.KSTest2Sorted(o, sy).Statistic
 	}
-	return clamp01(1 - total/float64(5))
+	return clamp01(1 - total/float64(numFeatures))
 }
 
 // modalPhasesByClass returns each class's most common phase sequence.
 func modalPhasesByClass(tr *trace.Trace) map[string][]trace.Subsystem {
-	out := make(map[string][]trace.Subsystem)
-	counts := make(map[string]map[string]int)
-	seqs := make(map[string]map[string][]trace.Subsystem)
-	for _, r := range tr.Requests {
-		p := r.Phases()
-		key := fmt.Sprint(p)
-		if counts[r.Class] == nil {
-			counts[r.Class] = make(map[string]int)
-			seqs[r.Class] = make(map[string][]trace.Subsystem)
+	paths := make(map[string]*trace.PhasePaths)
+	for i := range tr.Requests {
+		r := &tr.Requests[i]
+		p := paths[r.Class]
+		if p == nil {
+			p = new(trace.PhasePaths)
+			paths[r.Class] = p
 		}
-		counts[r.Class][key]++
-		seqs[r.Class][key] = p
+		p.Add(r.Spans)
 	}
-	for class, m := range counts {
-		bestKey, bestN := "", -1
-		for k, n := range m {
-			if n > bestN || (n == bestN && k < bestKey) {
-				bestKey, bestN = k, n
-			}
-		}
-		out[class] = seqs[class][bestKey]
+	out := make(map[string][]trace.Subsystem, len(paths))
+	for class, p := range paths {
+		out[class] = p.Ranked()[0].Phases
 	}
 	return out
 }
@@ -238,7 +345,7 @@ func timeDepScore(synth *trace.Trace, modal map[string][]trace.Subsystem) float6
 			// original class orders (they must agree for credit).
 			allMatch := len(modal) > 0
 			for _, w := range modal {
-				if !phasesEqual(r.Phases(), w) {
+				if !trace.PhasesMatch(r.Spans, w) {
 					allMatch = false
 					break
 				}
@@ -248,43 +355,27 @@ func timeDepScore(synth *trace.Trace, modal map[string][]trace.Subsystem) float6
 			}
 			continue
 		}
-		if phasesEqual(r.Phases(), want) {
+		if trace.PhasesMatch(r.Spans, want) {
 			matches++
 		}
 	}
 	return matches / float64(synth.Len())
 }
 
-func phasesEqual(a, b []trace.Subsystem) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // granularityScore is 1 - mean per-class KS on storage I/O sizes: can the
 // model reproduce a *specific* class's subsystem behavior (fine-tuning a
 // model to a part of the system)?
-func granularityScore(orig, synth *trace.Trace) float64 {
-	classes := orig.Classes()
-	if len(classes) == 0 {
+func granularityScore(ref *reference, synth features) float64 {
+	if len(ref.classes) == 0 {
 		return 0
 	}
 	var total float64
-	for _, class := range classes {
-		o := orig.ByClass(class).SpanFeature(trace.Storage, func(s trace.Span) float64 { return float64(s.Bytes) })
-		sClass := synth.ByClass(class)
-		var sy []float64
-		if sClass.Len() > 0 {
-			sy = sClass.SpanFeature(trace.Storage, func(s trace.Span) float64 { return float64(s.Bytes) })
-		} else {
+	for _, class := range ref.classes {
+		o := ref.features.classStorage[class]
+		sy, ok := synth.classStorage[class]
+		if !ok {
 			// Class-blind model: only its pooled stream is available.
-			sy = synth.SpanFeature(trace.Storage, func(s trace.Span) float64 { return float64(s.Bytes) })
+			sy = synth.pooled[storageBytes]
 		}
 		if len(o) == 0 {
 			continue
@@ -293,24 +384,20 @@ func granularityScore(orig, synth *trace.Trace) float64 {
 			total += 1
 			continue
 		}
-		total += stats.KSTest2(o, sy).Statistic
+		total += stats.KSTest2Sorted(o, sy).Statistic
 	}
-	return clamp01(1 - total/float64(len(classes)))
+	return clamp01(1 - total/float64(len(ref.classes)))
 }
 
 // latencyScore is 1 - mean per-class relative error of mean latency.
-func latencyScore(orig, timed *trace.Trace) float64 {
-	classes := orig.Classes()
+func latencyScore(ref *reference, timed latencies) float64 {
 	var total float64
 	var counted int
-	for _, class := range classes {
-		o := stats.Mean(orig.ByClass(class).Latencies())
-		sClass := timed.ByClass(class)
-		var s float64
-		if sClass.Len() > 0 {
-			s = stats.Mean(sClass.Latencies())
-		} else {
-			s = stats.Mean(timed.Latencies())
+	for _, class := range ref.classes {
+		o := ref.latency.byClass[class]
+		s, ok := timed.byClass[class]
+		if !ok {
+			s = timed.all
 		}
 		if o == 0 {
 			continue
@@ -326,11 +413,11 @@ func latencyScore(orig, timed *trace.Trace) float64 {
 
 // twinDeviation cross-examines the closed-form path against the
 // discrete-event one: the twin answers its baseline what-if (trained load,
-// trained layout — the zero Query) and the relative gap to the mean latency
-// the simulator actually produced is the score. -1 marks "no twin to
+// trained layout — the zero Query) and the relative gap to des, the mean
+// latency the simulator actually produced, is the score. -1 marks "no twin to
 // compare" (nil twin, saturated operating point, or a degenerate
 // discrete-event result) and renders as n/a.
-func twinDeviation(tw *twin.Twin, timed *trace.Trace) float64 {
+func twinDeviation(tw *twin.Twin, des float64) float64 {
 	if tw == nil {
 		return -1
 	}
@@ -338,7 +425,6 @@ func twinDeviation(tw *twin.Twin, timed *trace.Trace) float64 {
 	if err != nil || !ans.Stable {
 		return -1
 	}
-	des := stats.Mean(timed.Latencies())
 	if des <= 0 {
 		return -1
 	}

@@ -61,56 +61,62 @@ type Model struct {
 
 // Train fits the four subsystem models independently from the trace.
 func Train(tr *trace.Trace, opts Options) (*Model, error) {
-	if tr == nil || tr.Len() == 0 {
-		return nil, trace.ErrEmptyTrace
+	p, err := trace.Prepare(tr)
+	if err != nil {
+		return nil, fmt.Errorf("inbreadth: %w", err)
 	}
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("inbreadth: invalid training trace: %w", err)
+	return TrainPrepared(p, opts)
+}
+
+// TrainPrepared is Train on an input prepared once and shared with the
+// other trainers. The in-breadth model is exactly KOOZA's three Markov
+// subsystem models trained on the whole arrival-ordered trace, with the
+// class structure and phase queues left out.
+func TrainPrepared(p *trace.Prepared, opts Options) (*Model, error) {
+	m := &Model{
+		Interarrival:    p.Arrival.Dist,
+		SpansPerRequest: make(map[trace.Subsystem]float64),
+		TrainedOn:       len(p.Requests),
+		opts:            opts,
 	}
-	kopts := kooza.Options{
+	nCPU := p.SpanCount(trace.CPU)
+	samples := kooza.NewSubsystemSamples(p.SpanCount(trace.Storage), nCPU, p.SpanCount(trace.Memory))
+	netBytes := make([]float64, 0, p.SpanCount(trace.Network))
+	cpuBytes := make([]float64, 0, nCPU)
+	var perRequest [4]float64
+	for i := range p.Requests {
+		spans := p.Requests[i].Spans
+		for j := range spans {
+			sp := &spans[j]
+			switch sp.Subsystem {
+			case trace.Network:
+				netBytes = append(netBytes, float64(sp.Bytes))
+			case trace.CPU:
+				cpuBytes = append(cpuBytes, float64(sp.Bytes))
+			}
+			perRequest[sp.Subsystem] += 1 / float64(len(p.Requests))
+			samples.Add(sp)
+		}
+	}
+	for sub, v := range perRequest {
+		if v > 0 {
+			m.SpansPerRequest[trace.Subsystem(sub)] = v
+		}
+	}
+	var err error
+	m.Storage, m.CPU, m.Memory, err = samples.Train(kooza.Options{
 		StorageRegions: opts.StorageRegions,
 		CPUStates:      opts.CPUStates,
 		Smoothing:      opts.Smoothing,
 		DiskBlocks:     opts.DiskBlocks,
-	}
-	// Train via a single-class KOOZA pass over a class-erased copy: the
-	// in-breadth model is exactly KOOZA's subsystem models with the class
-	// structure and phase queue discarded.
-	erased := &trace.Trace{Requests: make([]trace.Request, tr.Len())}
-	copy(erased.Requests, tr.Requests)
-	for i := range erased.Requests {
-		erased.Requests[i].Class = "all"
-	}
-	km, err := kooza.Train(erased, kopts)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("inbreadth: %w", err)
 	}
-	cm := km.Classes[0]
-	m := &Model{
-		Storage:         cm.Storage,
-		CPU:             cm.CPU,
-		Memory:          cm.Memory,
-		Interarrival:    km.Network.Interarrival,
-		SpansPerRequest: make(map[trace.Subsystem]float64),
-		TrainedOn:       tr.Len(),
-		opts:            opts,
-	}
-	var netBytes, cpuBytes []float64
-	for _, r := range tr.Requests {
-		for _, s := range r.Spans {
-			switch s.Subsystem {
-			case trace.Network:
-				netBytes = append(netBytes, float64(s.Bytes))
-			case trace.CPU:
-				cpuBytes = append(cpuBytes, float64(s.Bytes))
-			}
-			m.SpansPerRequest[s.Subsystem] += 1 / float64(tr.Len())
-		}
-	}
-	if m.NetBytes, err = stats.NewEmpirical(netBytes); err != nil {
+	if m.NetBytes, err = stats.NewEmpiricalOwning(netBytes); err != nil {
 		return nil, fmt.Errorf("inbreadth: network sizes: %w", err)
 	}
-	if m.CPUBytes, err = stats.NewEmpirical(cpuBytes); err != nil {
+	if m.CPUBytes, err = stats.NewEmpiricalOwning(cpuBytes); err != nil {
 		return nil, fmt.Errorf("inbreadth: cpu sizes: %w", err)
 	}
 	return m, nil

@@ -15,7 +15,6 @@ package indepth
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"dcmodel/internal/stats"
 	"dcmodel/internal/trace"
@@ -49,90 +48,57 @@ type Model struct {
 // Train fits the in-depth model: the arrival process plus, per class, the
 // modal phase path and per-phase service times.
 func Train(tr *trace.Trace) (*Model, error) {
-	if tr == nil || tr.Len() == 0 {
-		return nil, trace.ErrEmptyTrace
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("indepth: invalid training trace: %w", err)
-	}
-	sorted := &trace.Trace{Requests: append([]trace.Request(nil), tr.Requests...)}
-	sorted.SortByArrival()
-	gaps := sorted.Interarrivals()
-	if len(gaps) < 2 {
-		return nil, fmt.Errorf("indepth: need >= 3 requests, got %d", tr.Len())
-	}
-	best, err := stats.FitBest(gaps)
+	p, err := trace.Prepare(tr)
 	if err != nil {
-		return nil, fmt.Errorf("indepth: arrival fit: %w", err)
+		return nil, fmt.Errorf("indepth: %w", err)
 	}
-	m := &Model{Interarrival: best.Dist, FitKS: best.KS, TrainedOn: tr.Len()}
-	for _, name := range sorted.Classes() {
-		sub := sorted.ByClass(name)
-		cm, err := trainClass(name, sub, float64(sub.Len())/float64(sorted.Len()))
+	return TrainPrepared(p)
+}
+
+// TrainPrepared is Train on an input prepared once and shared with the
+// other trainers.
+func TrainPrepared(p *trace.Prepared) (*Model, error) {
+	m := &Model{Interarrival: p.Arrival.Dist, FitKS: p.Arrival.KS, TrainedOn: len(p.Requests)}
+	for i := range p.Classes {
+		pc := &p.Classes[i]
+		cm, err := trainClass(pc, float64(len(pc.Requests))/float64(len(p.Requests)))
 		if err != nil {
-			return nil, fmt.Errorf("indepth: class %q: %w", name, err)
+			return nil, fmt.Errorf("indepth: class %q: %w", pc.Name, err)
 		}
 		m.Classes = append(m.Classes, cm)
 	}
 	return m, nil
 }
 
-func trainClass(name string, tr *trace.Trace, weight float64) (*ClassModel, error) {
-	// Modal phase sequence.
-	counts := make(map[string]int)
-	seqs := make(map[string][]trace.Subsystem)
-	for _, r := range tr.Requests {
-		p := r.Phases()
-		if len(p) == 0 {
-			continue
-		}
-		key := fmt.Sprint(p)
-		counts[key]++
-		seqs[key] = p
-	}
-	if len(counts) == 0 {
+func trainClass(pc *trace.PreparedClass, weight float64) (*ClassModel, error) {
+	paths := pc.Paths.Ranked()
+	if len(paths) == 0 {
 		return nil, fmt.Errorf("no spans")
 	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if counts[keys[i]] != counts[keys[j]] {
-			return counts[keys[i]] > counts[keys[j]]
-		}
-		return keys[i] < keys[j]
-	})
-	phases := seqs[keys[0]]
-	cm := &ClassModel{Name: name, Weight: weight, Phases: phases}
+	// Modal phase sequence (copied: the prepared input is shared).
+	modal := paths[0]
+	phases := append([]trace.Subsystem(nil), modal.Phases...)
+	cm := &ClassModel{Name: pc.Name, Weight: weight, Phases: phases}
 	// Per-phase service times from the requests matching the modal path.
+	backing := make([]float64, len(phases)*modal.Count)
 	perPhase := make([][]float64, len(phases))
-	for _, r := range tr.Requests {
-		if len(r.Spans) != len(phases) {
+	for i := range perPhase {
+		perPhase[i] = backing[i*modal.Count : i*modal.Count : (i+1)*modal.Count]
+	}
+	for i := range pc.Requests {
+		spans := pc.Requests[i].Spans
+		if !trace.PhasesMatch(spans, phases) {
 			continue
 		}
-		match := true
-		for i, s := range r.Spans {
-			if s.Subsystem != phases[i] {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		for i, s := range r.Spans {
-			perPhase[i] = append(perPhase[i], s.Duration)
+		for j := range spans {
+			perPhase[j] = append(perPhase[j], spans[j].Duration)
 		}
 	}
 	cm.Service = make([]*stats.Empirical, len(phases))
 	for i, vals := range perPhase {
-		if len(vals) == 0 {
-			return nil, fmt.Errorf("phase %d has no service samples", i)
-		}
-		emp, err := stats.NewEmpirical(vals)
+		emp, err := stats.NewEmpiricalOwning(vals)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("phase %d has no service samples", i)
 		}
 		cm.Service[i] = emp
 	}

@@ -19,46 +19,39 @@ import (
 // subsystem"); the time-dependency queue is extracted from the complete
 // round trip of the requests.
 func Train(tr *trace.Trace, opts Options) (*Model, error) {
-	if tr == nil || tr.Len() == 0 {
-		return nil, trace.ErrEmptyTrace
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("kooza: invalid training trace: %w", err)
-	}
-	opts = opts.withDefaults()
-	sorted := &trace.Trace{Requests: append([]trace.Request(nil), tr.Requests...)}
-	sorted.SortByArrival()
-
-	// Network model: fit the interarrival distribution by KS selection.
-	gaps := sorted.Interarrivals()
-	if len(gaps) < 2 {
-		return nil, fmt.Errorf("kooza: need >= 3 requests to fit the arrival process, got %d", tr.Len())
-	}
-	best, err := stats.FitBest(gaps)
+	p, err := trace.Prepare(tr)
 	if err != nil {
-		return nil, fmt.Errorf("kooza: arrival fit: %w", err)
+		return nil, fmt.Errorf("kooza: %w", err)
 	}
-	meanGap := stats.Mean(gaps)
+	return TrainPrepared(p, opts)
+}
+
+// TrainPrepared is Train on an input prepared once and shared with the
+// other trainers.
+func TrainPrepared(p *trace.Prepared, opts Options) (*Model, error) {
+	opts = opts.withDefaults()
+	// Network model: the interarrival distribution selected by KS distance.
+	meanGap := stats.Mean(p.Gaps)
 	rate := 0.0
 	if meanGap > 0 {
 		rate = 1 / meanGap
 	}
 	model := &Model{
-		Network:   &NetworkModel{Interarrival: best.Dist, FitKS: best.KS, Rate: rate},
+		Network:   &NetworkModel{Interarrival: p.Arrival.Dist, FitKS: p.Arrival.KS, Rate: rate},
 		Opts:      opts,
-		TrainedOn: tr.Len(),
+		TrainedOn: len(p.Requests),
 	}
 	if opts.ArrivalStates > 1 {
-		if err := trainGapChain(model.Network, gaps, opts); err != nil {
+		if err := trainGapChain(model.Network, p.Gaps, opts); err != nil {
 			return nil, fmt.Errorf("kooza: arrival gap chain: %w", err)
 		}
 	}
 
-	for _, name := range sorted.Classes() {
-		sub := sorted.ByClass(name)
-		cm, err := trainClass(name, sub, float64(sub.Len())/float64(sorted.Len()), opts)
+	for i := range p.Classes {
+		pc := &p.Classes[i]
+		cm, err := trainClass(pc, float64(len(pc.Requests))/float64(len(p.Requests)), opts)
 		if err != nil {
-			return nil, fmt.Errorf("kooza: class %q: %w", name, err)
+			return nil, fmt.Errorf("kooza: class %q: %w", pc.Name, err)
 		}
 		model.Classes = append(model.Classes, cm)
 	}
@@ -114,12 +107,14 @@ func trainGapChain(nm *NetworkModel, gaps []float64, opts Options) error {
 	return nil
 }
 
-func trainClass(name string, tr *trace.Trace, weight float64, opts Options) (*ClassModel, error) {
-	cm := &ClassModel{Name: name, Weight: weight}
+func trainClass(pc *trace.PreparedClass, weight float64, opts Options) (*ClassModel, error) {
+	cm := &ClassModel{Name: pc.Name, Weight: weight}
+	reqs := pc.Requests
 
 	// Time-dependency queues: every retained control-flow path of the
 	// class, modal first.
-	queues, err := phaseQueues(tr)
+	paths := pc.Paths.Ranked()
+	queues, err := phaseQueues(paths)
 	if err != nil {
 		return nil, err
 	}
@@ -128,80 +123,71 @@ func trainClass(name string, tr *trace.Trace, weight float64, opts Options) (*Cl
 
 	// Server instancing weights.
 	cm.ServerWeights = make(map[int]float64)
-	for _, r := range tr.Requests {
-		cm.ServerWeights[r.Server] += 1 / float64(tr.Len())
+	for i := range reqs {
+		cm.ServerWeights[reqs[i].Server] += 1 / float64(len(reqs))
 	}
 
-	var trainErr error
-	must := func(e error, what string) {
-		if e != nil && trainErr == nil {
-			trainErr = fmt.Errorf("%s: %w", what, e)
-		}
-	}
-
-	cm.Storage, trainErr = trainStorage(tr, opts)
-	if trainErr != nil {
-		return nil, trainErr
-	}
-	cm.CPU, trainErr = trainCPU(tr, opts)
-	if trainErr != nil {
-		return nil, trainErr
-	}
-	cm.Memory, trainErr = trainMemory(tr, opts)
-	if trainErr != nil {
-		return nil, trainErr
-	}
-
-	// Network transfer sizes: first and last network span of each request.
-	var inBytes, outBytes []float64
-	// CPU processing amounts per queue, per CPU phase position.
-	queueIdx := make(map[string]int, len(queues))
-	for qi, q := range queues {
-		queueIdx[fmt.Sprint(q.Phases)] = qi
-	}
+	// One pass over the spans feeds the three Markov models, the network
+	// transfer sizes (first and last network span of each request) and the
+	// CPU processing amounts per queue, per CPU phase position. The sample
+	// slices are sized exactly from the path counts: the model keeps them.
+	samples := NewSubsystemSamples(pc.Paths.SpanCount(trace.Storage), pc.Paths.SpanCount(trace.CPU), pc.Paths.SpanCount(trace.Memory))
+	inBytes := make([]float64, 0, len(reqs))
+	outBytes := make([]float64, 0, len(reqs))
 	cpuBytes := make([][][]float64, len(queues))
 	for qi, q := range queues {
-		numCPU := 0
 		for _, p := range q.Phases {
 			if p == trace.CPU {
-				numCPU++
-			}
-		}
-		cpuBytes[qi] = make([][]float64, numCPU)
-	}
-	for _, r := range tr.Requests {
-		nets := r.SpansIn(trace.Network)
-		if len(nets) > 0 {
-			inBytes = append(inBytes, float64(nets[0].Bytes))
-			outBytes = append(outBytes, float64(nets[len(nets)-1].Bytes))
-		}
-		qi, ok := queueIdx[fmt.Sprint(r.Phases())]
-		if !ok {
-			continue // below-threshold path; not modeled
-		}
-		for i, s := range r.SpansIn(trace.CPU) {
-			if i < len(cpuBytes[qi]) {
-				cpuBytes[qi][i] = append(cpuBytes[qi][i], float64(s.Bytes))
+				cpuBytes[qi] = append(cpuBytes[qi], make([]float64, 0, paths[qi].Count))
 			}
 		}
 	}
-	var e error
-	cm.NetIn, e = stats.NewEmpirical(inBytes)
-	must(e, "network-in sizes")
-	cm.NetOut, e = stats.NewEmpirical(outBytes)
-	must(e, "network-out sizes")
+	for i := range reqs {
+		spans := reqs[i].Spans
+		// The retained queues are a prefix of the ranked paths; a request on
+		// a below-threshold path is not modeled.
+		qi, ok := pc.Paths.Rank(spans)
+		modeled := ok && qi < len(queues)
+		var netIn, netOut int64
+		var hasNet bool
+		cpuPos := 0
+		for j := range spans {
+			sp := &spans[j]
+			switch sp.Subsystem {
+			case trace.Network:
+				if !hasNet {
+					netIn, hasNet = sp.Bytes, true
+				}
+				netOut = sp.Bytes
+			case trace.CPU:
+				if modeled {
+					cpuBytes[qi][cpuPos] = append(cpuBytes[qi][cpuPos], float64(sp.Bytes))
+					cpuPos++
+				}
+			}
+			samples.Add(sp)
+		}
+		if hasNet {
+			inBytes = append(inBytes, float64(netIn))
+			outBytes = append(outBytes, float64(netOut))
+		}
+	}
+	if cm.Storage, cm.CPU, cm.Memory, err = samples.Train(opts); err != nil {
+		return nil, err
+	}
+	if cm.NetIn, err = stats.NewEmpiricalOwning(inBytes); err != nil {
+		return nil, fmt.Errorf("network-in sizes: %w", err)
+	}
+	if cm.NetOut, err = stats.NewEmpiricalOwning(outBytes); err != nil {
+		return nil, fmt.Errorf("network-out sizes: %w", err)
+	}
 	for qi := range queues {
 		cm.Queues[qi].CPUBytes = make([]*stats.Empirical, len(cpuBytes[qi]))
 		for i, vals := range cpuBytes[qi] {
-			if len(vals) == 0 {
-				continue
+			if cm.Queues[qi].CPUBytes[i], err = stats.NewEmpiricalOwning(vals); err != nil {
+				return nil, fmt.Errorf("cpu processing sizes: %w", err)
 			}
-			cm.Queues[qi].CPUBytes[i], e = stats.NewEmpirical(vals)
-			must(e, "cpu processing sizes")
 		}
-	}
-	if trainErr != nil {
-		return nil, trainErr
 	}
 	return cm, nil
 }
@@ -210,43 +196,25 @@ func trainClass(name string, tr *trace.Trace, weight float64, opts Options) (*Cl
 // needs to be retained as its own time-dependency queue.
 const phaseQueueMinShare = 0.005
 
-// phaseQueues returns the class's retained phase sequences with weights,
-// most frequent first.
-func phaseQueues(tr *trace.Trace) ([]PhaseQueue, error) {
-	counts := make(map[string]int)
-	seqs := make(map[string][]trace.Subsystem)
+// phaseQueues turns the class's ranked phase paths into the retained
+// time-dependency queues with weights, most frequent first.
+func phaseQueues(paths []trace.PhasePath) ([]PhaseQueue, error) {
 	total := 0
-	for _, r := range tr.Requests {
-		p := r.Phases()
-		if len(p) == 0 {
-			continue
-		}
-		key := fmt.Sprint(p)
-		counts[key]++
-		seqs[key] = p
-		total++
+	for _, p := range paths {
+		total += p.Count
 	}
 	if total == 0 {
 		return nil, fmt.Errorf("time-dependency queue: no spans in class")
 	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if counts[keys[i]] != counts[keys[j]] {
-			return counts[keys[i]] > counts[keys[j]]
-		}
-		return keys[i] < keys[j]
-	})
 	var queues []PhaseQueue
 	var kept float64
-	for i, k := range keys {
-		share := float64(counts[k]) / float64(total)
+	for i, p := range paths {
+		share := float64(p.Count) / float64(total)
 		if i > 0 && share < phaseQueueMinShare {
 			break
 		}
-		queues = append(queues, PhaseQueue{Phases: seqs[k], Weight: share})
+		// The path belongs to the prepared input, which other trainers read.
+		queues = append(queues, PhaseQueue{Phases: append([]trace.Subsystem(nil), p.Phases...), Weight: share})
 		kept += share
 	}
 	// Renormalize over the retained paths.
@@ -256,23 +224,83 @@ func phaseQueues(tr *trace.Trace) ([]PhaseQueue, error) {
 	return queues, nil
 }
 
-func trainStorage(tr *trace.Trace, opts Options) (*StorageModel, error) {
-	// Collect the storage span stream in time order.
-	type io struct {
-		start float64
-		lbn   int64
-		bytes int64
-		op    trace.Op
+// storageIO and memAccess are what the storage and memory models keep of a
+// span.
+type storageIO struct {
+	start float64
+	lbn   int64
+	bytes int64
+	op    trace.Op
+}
+
+type memAccess struct {
+	start float64
+	bank  int
+	bytes int64
+	op    trace.Op
+}
+
+// SubsystemSamples collects, span by span, what the three Markov subsystem
+// models train on. KOOZA fills one per class and in-breadth one for the
+// whole trace, each inside its own single pass over the spans.
+type SubsystemSamples struct {
+	ios     []storageIO
+	utils   []float64
+	accs    []memAccess
+	maxBank int
+}
+
+// NewSubsystemSamples returns a collector with room for the given numbers
+// of storage, CPU and memory spans.
+func NewSubsystemSamples(storage, cpu, memory int) *SubsystemSamples {
+	return &SubsystemSamples{
+		ios:   make([]storageIO, 0, storage),
+		utils: make([]float64, 0, cpu),
+		accs:  make([]memAccess, 0, memory),
 	}
-	var ios []io
-	for _, r := range tr.Requests {
-		for _, s := range r.SpansIn(trace.Storage) {
-			ios = append(ios, io{start: s.Start, lbn: s.LBN, bytes: s.Bytes, op: s.Op})
+}
+
+// Add collects one span. Spans must arrive in the order the requests
+// arrived (and in span order within a request): the storage and memory
+// streams are put in time order by an unstable sort, whose outcome among
+// equal start times depends on the order it is given.
+func (c *SubsystemSamples) Add(s *trace.Span) {
+	switch s.Subsystem {
+	case trace.Storage:
+		c.ios = append(c.ios, storageIO{start: s.Start, lbn: s.LBN, bytes: s.Bytes, op: s.Op})
+	case trace.CPU:
+		c.utils = append(c.utils, s.Util)
+	case trace.Memory:
+		c.accs = append(c.accs, memAccess{start: s.Start, bank: s.Bank, bytes: s.Bytes, op: s.Op})
+		if s.Bank > c.maxBank {
+			c.maxBank = s.Bank
 		}
 	}
+}
+
+// Train fits the storage, CPU and memory models to the collected spans.
+func (c *SubsystemSamples) Train(opts Options) (*StorageModel, *CPUModel, *MemoryModel, error) {
+	opts = opts.withDefaults()
+	storage, err := trainStorage(c.ios, opts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	cpu, err := trainCPU(c.utils, opts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	memory, err := trainMemory(c.accs, c.maxBank, opts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return storage, cpu, memory, nil
+}
+
+func trainStorage(ios []storageIO, opts Options) (*StorageModel, error) {
 	if len(ios) == 0 {
 		return nil, fmt.Errorf("storage model: no storage spans")
 	}
+	// Put the storage span stream in time order.
 	sort.Slice(ios, func(i, j int) bool { return ios[i].start < ios[j].start })
 
 	diskBlocks := opts.DiskBlocks
@@ -305,14 +333,15 @@ func trainStorage(tr *trace.Trace, opts Options) (*StorageModel, error) {
 		return s
 	}
 	seq := make([]int, len(ios))
-	perState := make([][]float64, opts.StorageRegions)
+	for i := range ios {
+		seq[i] = stateOf(ios[i].lbn)
+	}
+	perState := carveByState(seq, opts.StorageRegions)
 	sizes := make([]float64, len(ios))
 	var reads, seqRuns int
 	var prevEnd int64 = -1
 	for i, x := range ios {
-		st := stateOf(x.lbn)
-		seq[i] = st
-		perState[st] = append(perState[st], float64(x.lbn))
+		perState[seq[i]] = append(perState[seq[i]], float64(x.lbn))
 		sizes[i] = float64(x.bytes)
 		if x.op == trace.OpRead {
 			reads++
@@ -352,27 +381,37 @@ func trainStorage(tr *trace.Trace, opts Options) (*StorageModel, error) {
 	}
 	for st, vals := range perState {
 		if len(vals) > 0 {
-			emp, err := stats.NewEmpirical(vals)
+			emp, err := stats.NewEmpiricalOwning(vals)
 			if err != nil {
 				return nil, err
 			}
 			m.StateLBNs[st] = emp
 		}
 	}
-	m.Sizes, err = stats.NewEmpirical(sizes)
+	m.Sizes, err = stats.NewEmpiricalOwning(sizes)
 	if err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-func trainCPU(tr *trace.Trace, opts Options) (*CPUModel, error) {
-	var utils []float64
-	for _, r := range tr.Requests {
-		for _, s := range r.SpansIn(trace.CPU) {
-			utils = append(utils, s.Util)
-		}
+// carveByState returns one empty slice per state, each with exactly the
+// capacity seq assigns that state, all carved from a single array.
+func carveByState(seq []int, states int) [][]float64 {
+	counts := make([]int, states)
+	for _, s := range seq {
+		counts[s]++
 	}
+	backing := make([]float64, len(seq))
+	perState := make([][]float64, states)
+	for s, n := range counts {
+		perState[s] = backing[:0:n]
+		backing = backing[n:]
+	}
+	return perState
+}
+
+func trainCPU(utils []float64, opts Options) (*CPUModel, error) {
 	if len(utils) == 0 {
 		return nil, fmt.Errorf("cpu model: no cpu spans")
 	}
@@ -394,11 +433,12 @@ func trainCPU(tr *trace.Trace, opts Options) (*CPUModel, error) {
 		return s
 	}
 	seq := make([]int, len(utils))
-	perState := make([][]float64, n)
 	for i, u := range utils {
-		s := stateOf(u)
-		seq[i] = s
-		perState[s] = append(perState[s], u)
+		seq[i] = stateOf(u)
+	}
+	perState := carveByState(seq, n)
+	for i, u := range utils {
+		perState[seq[i]] = append(perState[seq[i]], u)
 	}
 	chain, err := markov.Train([][]int{seq}, n, opts.Smoothing)
 	if err != nil {
@@ -407,7 +447,7 @@ func trainCPU(tr *trace.Trace, opts Options) (*CPUModel, error) {
 	m.Chain = chain
 	for s, vals := range perState {
 		if len(vals) > 0 {
-			emp, err := stats.NewEmpirical(vals)
+			emp, err := stats.NewEmpiricalOwning(vals)
 			if err != nil {
 				return nil, err
 			}
@@ -417,23 +457,7 @@ func trainCPU(tr *trace.Trace, opts Options) (*CPUModel, error) {
 	return m, nil
 }
 
-func trainMemory(tr *trace.Trace, opts Options) (*MemoryModel, error) {
-	type access struct {
-		start float64
-		bank  int
-		bytes int64
-		op    trace.Op
-	}
-	var accs []access
-	maxBank := 0
-	for _, r := range tr.Requests {
-		for _, s := range r.SpansIn(trace.Memory) {
-			accs = append(accs, access{start: s.Start, bank: s.Bank, bytes: s.Bytes, op: s.Op})
-			if s.Bank > maxBank {
-				maxBank = s.Bank
-			}
-		}
-	}
+func trainMemory(accs []memAccess, maxBank int, opts Options) (*MemoryModel, error) {
 	if len(accs) == 0 {
 		return nil, fmt.Errorf("memory model: no memory spans")
 	}
@@ -460,7 +484,7 @@ func trainMemory(tr *trace.Trace, opts Options) (*MemoryModel, error) {
 		return nil, fmt.Errorf("memory chain: %w", err)
 	}
 	m.Chain = chain
-	m.Sizes, err = stats.NewEmpirical(sizes)
+	m.Sizes, err = stats.NewEmpiricalOwning(sizes)
 	if err != nil {
 		return nil, err
 	}

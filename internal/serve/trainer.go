@@ -120,18 +120,24 @@ func (s *Server) retrainLocked(reason string, span *obs.LiveSpan) (bool, string,
 		}
 		return false, reason, fmt.Errorf("serve: retrain (%s): %w", reason, err)
 	}
+	// The three trainers share one prepared input; preparing it is part of
+	// the first trainer's stage.
 	stop := s.stage(trainSpan, "train.kooza")
-	kz, err := kooza.Train(snap, kooza.Options{
-		StorageRegions: s.cfg.StorageRegions,
-		DiskBlocks:     s.cfg.DiskBlocks,
-		Smoothing:      s.cfg.Smoothing,
-	})
+	var kz *kooza.Model
+	prep, err := trace.Prepare(snap)
+	if err == nil {
+		kz, err = kooza.TrainPrepared(prep, kooza.Options{
+			StorageRegions: s.cfg.StorageRegions,
+			DiskBlocks:     s.cfg.DiskBlocks,
+			Smoothing:      s.cfg.Smoothing,
+		})
+	}
 	stop()
 	if err != nil {
 		return fail(err)
 	}
 	stop = s.stage(trainSpan, "train.inbreadth")
-	ib, err := inbreadth.Train(snap, inbreadth.Options{
+	ib, err := inbreadth.TrainPrepared(prep, inbreadth.Options{
 		StorageRegions: s.cfg.StorageRegions,
 		DiskBlocks:     s.cfg.DiskBlocks,
 		Smoothing:      s.cfg.Smoothing,
@@ -141,7 +147,7 @@ func (s *Server) retrainLocked(reason string, span *obs.LiveSpan) (bool, string,
 		return fail(err)
 	}
 	stop = s.stage(trainSpan, "train.indepth")
-	id, err := indepth.Train(snap)
+	id, err := indepth.TrainPrepared(prep)
 	stop()
 	if err != nil {
 		return fail(err)

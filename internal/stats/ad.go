@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // The Anderson-Darling goodness-of-fit test: like Kolmogorov-Smirnov but
 // weighted toward the distribution tails, where heavy-tailed workload
@@ -26,9 +23,7 @@ func ADTest(xs []float64, d Dist) ADResult {
 	if n == 0 {
 		return ADResult{P: 1}
 	}
-	sorted := make([]float64, n)
-	copy(sorted, xs)
-	sort.Float64s(sorted)
+	sorted := sortedCopy(xs)
 	const eps = 1e-12
 	var sum float64
 	for i := 0; i < n; i++ {

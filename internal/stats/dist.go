@@ -693,13 +693,17 @@ func (e *Empirical) freeze() {
 
 // NewEmpirical returns the empirical distribution of xs. It copies xs.
 func NewEmpirical(xs []float64) (*Empirical, error) {
+	return NewEmpiricalOwning(append([]float64(nil), xs...))
+}
+
+// NewEmpiricalOwning is NewEmpirical for a sample the caller built for this
+// purpose and gives up: xs is sorted in place and kept.
+func NewEmpiricalOwning(xs []float64) (*Empirical, error) {
 	if len(xs) == 0 {
 		return nil, ErrEmpty
 	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	e := &Empirical{sorted: s}
+	sort.Float64s(xs)
+	e := &Empirical{sorted: xs}
 	e.freeze()
 	return e, nil
 }
@@ -775,10 +779,7 @@ func (e *Empirical) UnmarshalJSON(data []byte) error {
 	if len(raw.Sample) == 0 {
 		return ErrEmpty
 	}
-	s := make([]float64, len(raw.Sample))
-	copy(s, raw.Sample)
-	sort.Float64s(s)
-	e.sorted = s
+	e.sorted = sortedCopy(raw.Sample)
 	e.freeze()
 	return nil
 }

@@ -208,6 +208,31 @@ func TestEmpirical(t *testing.T) {
 	approx(t, Mean(xs), 2, 0.05, "empirical resample mean")
 }
 
+func TestNewEmpiricalOwning(t *testing.T) {
+	xs := []float64{3, 1, 2, 2}
+	e, err := NewEmpiricalOwning(xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{1, 2, 2, 3}; !reflect.DeepEqual(xs, want) || &e.sorted[0] != &xs[0] {
+		t.Errorf("owning form must sort and keep its argument: %v", xs)
+	}
+	c, err := NewEmpirical([]float64{3, 1, 2, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(e, c) {
+		t.Errorf("owning and copying forms differ: %+v vs %+v", e, c)
+	}
+	if _, err := NewEmpiricalOwning(nil); err == nil {
+		t.Error("NewEmpiricalOwning(nil) should fail")
+	}
+	ys := []float64{3, 1, 2}
+	if _, err := NewEmpirical(ys); err != nil || !reflect.DeepEqual(ys, []float64{3, 1, 2}) {
+		t.Errorf("copying form changed its argument: %v (%v)", ys, err)
+	}
+}
+
 func TestGammaRandSmallShape(t *testing.T) {
 	// Shape < 1 exercises the boost path of Marsaglia-Tsang.
 	r := rand.New(rand.NewSource(9))

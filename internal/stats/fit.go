@@ -217,6 +217,9 @@ func FitAll(xs []float64) []FitResult {
 		{"gamma", func(v []float64) (Dist, error) { return firstErr(FitGamma(v)) }},
 		{"uniform", func(v []float64) (Dist, error) { return firstErr(FitUniform(v)) }},
 	}
+	// The families are fitted to xs as given (the estimators sum in sample
+	// order) and all tested against one sorted copy.
+	sorted := sortedCopy(xs)
 	results := make([]FitResult, 0, len(fitters))
 	for _, f := range fitters {
 		d, err := f.fit(xs)
@@ -224,7 +227,7 @@ func FitAll(xs []float64) []FitResult {
 			results = append(results, FitResult{Err: fmt.Errorf("%s: %w", f.name, err), KS: math.Inf(1)})
 			continue
 		}
-		ks := KSTest(xs, d)
+		ks := KSTestSorted(sorted, d)
 		results = append(results, FitResult{Dist: d, KS: ks.Statistic, P: ks.P})
 	}
 	sort.SliceStable(results, func(i, j int) bool { return results[i].KS < results[j].KS })

@@ -142,6 +142,24 @@ func TestFitAllOrdering(t *testing.T) {
 	}
 }
 
+// TestFitAllAllocs: FitAll sorts the sample once for all seven families, so
+// its allocation count is a small constant — not one copy per family, and
+// not a function of the sample size.
+func TestFitAllAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	xs := Sample(Exponential{Rate: 20}, 8191, r)
+	small := testing.AllocsPerRun(10, func() { FitAll(xs[:200]) })
+	large := testing.AllocsPerRun(10, func() { FitAll(xs) })
+	if small != large {
+		t.Errorf("FitAll allocations depend on the sample size: %v at 200, %v at 8191", small, large)
+	}
+	// 7 boxed distributions, the result slice, the stable sort's swapper,
+	// the log samples of two estimators, and one sorted copy.
+	if large > 16 {
+		t.Errorf("FitAll made %v allocations, want <= 16 (one sorted copy, not one per family)", large)
+	}
+}
+
 func TestFitAllWithNegativeData(t *testing.T) {
 	// Positive-support families must fail gracefully; normal/uniform fit.
 	r := rand.New(rand.NewSource(18))

@@ -175,10 +175,7 @@ func NewECDF(xs []float64) (*ECDF, error) {
 	if len(xs) == 0 {
 		return nil, ErrEmpty
 	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}, nil
+	return &ECDF{sorted: sortedCopy(xs)}, nil
 }
 
 // At returns the ECDF evaluated at x.

@@ -24,13 +24,15 @@ type KSResult struct {
 // KSTest performs a one-sample Kolmogorov-Smirnov test of xs against the
 // distribution d. An empty sample yields a zero-valued result with P = 1.
 func KSTest(xs []float64, d Dist) KSResult {
-	n := len(xs)
+	return KSTestSorted(sortedCopy(xs), d)
+}
+
+// KSTestSorted is KSTest for a sample already in ascending order.
+func KSTestSorted(sorted []float64, d Dist) KSResult {
+	n := len(sorted)
 	if n == 0 {
 		return KSResult{P: 1}
 	}
-	sorted := make([]float64, n)
-	copy(sorted, xs)
-	sort.Float64s(sorted)
 	var dn float64
 	for i, x := range sorted {
 		f := d.CDF(x)
@@ -51,16 +53,15 @@ func KSTest(xs []float64, d Dist) KSResult {
 // KSTest2 performs a two-sample Kolmogorov-Smirnov test between samples
 // xs and ys. Empty samples yield P = 1.
 func KSTest2(xs, ys []float64) KSResult {
-	n1, n2 := len(xs), len(ys)
+	return KSTest2Sorted(sortedCopy(xs), sortedCopy(ys))
+}
+
+// KSTest2Sorted is KSTest2 for samples already in ascending order.
+func KSTest2Sorted(a, b []float64) KSResult {
+	n1, n2 := len(a), len(b)
 	if n1 == 0 || n2 == 0 {
 		return KSResult{P: 1}
 	}
-	a := make([]float64, n1)
-	copy(a, xs)
-	sort.Float64s(a)
-	b := make([]float64, n2)
-	copy(b, ys)
-	sort.Float64s(b)
 	var (
 		i, j int
 		dn   float64

@@ -83,6 +83,28 @@ func TestKSTest2ExactSmall(t *testing.T) {
 	approx(t, res.Statistic, 0, 1e-12, "identical D")
 }
 
+// TestKSSortedForms: the sorted-input forms give the results of the
+// copying forms to the last bit, and leave their input alone.
+func TestKSSortedForms(t *testing.T) {
+	r := rand.New(rand.NewSource(24))
+	xs := Sample(LogNormal{Mu: 0, Sigma: 1}, 700, r)
+	ys := Sample(Gamma{Shape: 2, Rate: 3}, 400, r)
+	sx, sy := sortedCopy(xs), sortedCopy(ys)
+	d := Weibull{K: 1.3, Lambda: 0.9}
+	if got, want := KSTestSorted(sx, d), KSTest(xs, d); got != want {
+		t.Errorf("KSTestSorted = %+v, KSTest = %+v", got, want)
+	}
+	if got, want := KSTest2Sorted(sx, sy), KSTest2(xs, ys); got != want {
+		t.Errorf("KSTest2Sorted = %+v, KSTest2 = %+v", got, want)
+	}
+	if res := KSTestSorted(nil, d); res.P != 1 || res.Statistic != 0 {
+		t.Errorf("empty sorted KS = %+v", res)
+	}
+	if res := KSTest2Sorted(sx, nil); res.P != 1 {
+		t.Errorf("empty sorted two-sample KS = %+v", res)
+	}
+}
+
 func TestChiSquareTest(t *testing.T) {
 	r := rand.New(rand.NewSource(24))
 	d := Gamma{Shape: 2, Rate: 1}

@@ -111,10 +111,15 @@ func Quantile(xs []float64, p float64) float64 {
 	if n == 0 {
 		return math.NaN()
 	}
-	sorted := make([]float64, n)
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, p)
+	return quantileSorted(sortedCopy(xs), p)
+}
+
+// sortedCopy returns xs in ascending order, leaving xs as it is.
+func sortedCopy(xs []float64) []float64 {
+	s := make([]float64, len(xs))
+	copy(s, xs)
+	sort.Float64s(s)
+	return s
 }
 
 // QuantileSorted is Quantile for data already in ascending order; it avoids
@@ -273,9 +278,7 @@ func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
+	sorted := sortedCopy(xs)
 	return Summary{
 		N:        len(xs),
 		Mean:     Mean(xs),

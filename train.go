@@ -8,6 +8,7 @@ import (
 	"dcmodel/internal/inbreadth"
 	"dcmodel/internal/indepth"
 	"dcmodel/internal/kooza"
+	"dcmodel/internal/trace"
 )
 
 // Approach names one of the paper's three modeling approaches. It selects
@@ -174,7 +175,7 @@ func Train(tr *Trace, a Approach, opts ...TrainOption) (Model, error) {
 	}
 	span := s.obs.StartSpan("train:" + a.String())
 	stop := s.obs.Stage(span, "fit."+lowerASCII(a.String()))
-	m, err := trainApproach(tr, a, s)
+	m, err := trainApproach(func() (*trace.Prepared, error) { return trace.Prepare(tr) }, a, s)
 	stop()
 	if err != nil {
 		span.Annotate("error: %v", err)
@@ -185,29 +186,36 @@ func Train(tr *Trace, a Approach, opts ...TrainOption) (Model, error) {
 	return m, err
 }
 
-// trainApproach dispatches to the selected trainer.
-func trainApproach(tr *Trace, a Approach, s trainSettings) (Model, error) {
+// trainApproach trains the selected approach on the prepared form of a
+// trace. prepare is called at most once here; a caller that trains several
+// approaches on one trace passes a function that prepares it once for all.
+func trainApproach(prepare func() (*trace.Prepared, error), a Approach, s trainSettings) (Model, error) {
+	if a != Kooza && a != InBreadth && a != InDepth {
+		return nil, fmt.Errorf("dcmodel: unknown approach %d: %w", int(a), ErrBadConfig)
+	}
+	p, err := prepare()
+	if err != nil {
+		return nil, fmt.Errorf("dcmodel: %w", err)
+	}
 	switch a {
 	case Kooza:
-		m, err := kooza.Train(tr, s.kooza)
+		m, err := kooza.TrainPrepared(p, s.kooza)
 		if err != nil {
 			return nil, err
 		}
 		return koozaTrained{m}, nil
 	case InBreadth:
-		m, err := inbreadth.Train(tr, s.inbreadth)
+		m, err := inbreadth.TrainPrepared(p, s.inbreadth)
 		if err != nil {
 			return nil, err
 		}
 		return inBreadthTrained{m}, nil
-	case InDepth:
-		m, err := indepth.Train(tr)
+	default:
+		m, err := indepth.TrainPrepared(p)
 		if err != nil {
 			return nil, err
 		}
 		return inDepthTrained{m}, nil
-	default:
-		return nil, fmt.Errorf("dcmodel: unknown approach %d: %w", int(a), ErrBadConfig)
 	}
 }
 
