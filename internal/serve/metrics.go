@@ -36,6 +36,9 @@ type metrics struct {
 	autoProvisions  *obs.Counter // drift-triggered auto-reprovision runs published
 	provisionErrors *obs.Counter // auto-reprovision runs that failed
 
+	twinCompiles *obs.Counter // analytical twins compiled (once per generation, platform and model)
+	charMemoHits *obs.Counter // characterize requests answered by an earlier, identical evaluation
+
 	driftStat      *obs.Gauge
 	driftP         *obs.Gauge
 	modelTrainedOn *obs.Gauge
@@ -77,6 +80,10 @@ func newMetrics() *metrics {
 			"Drift-triggered auto-reprovision runs that published a plan."),
 		provisionErrors: reg.Counter("dcmodeld_provision_errors_total",
 			"Auto-reprovision runs that failed (last published plan kept)."),
+		twinCompiles: reg.Counter("dcmodeld_twin_compiles_total",
+			"Analytical twins compiled: one per model generation, platform and model."),
+		charMemoHits: reg.Counter("dcmodeld_characterize_memo_hits_total",
+			"Characterize requests answered from an identical evaluation (same generation, window, n, seed and fault scenario)."),
 		driftStat: reg.Gauge("dcmodeld_drift_stat",
 			"Chi-square statistic of the last drift check."),
 		driftP: reg.Gauge("dcmodeld_drift_p",
