@@ -402,8 +402,22 @@ func TestFaultArmedDrainNoDrops(t *testing.T) {
 		}(i)
 	}
 
-	// SIGTERM while the armed requests are in flight.
-	time.Sleep(20 * time.Millisecond)
+	// SIGTERM once every request is in the daemon's hands — a client still
+	// connecting when the listener closes is refused, not dropped by the
+	// drain. Each request is one admitted job, and an admitted job is
+	// finished, running or queued; read in that order (a job only moves
+	// the other way) the sum never counts one twice.
+	admitted := func() int {
+		n := int(s.pool.Completed())
+		n += s.pool.Running()
+		return n + s.pool.Depth()
+	}
+	for deadline := time.Now().Add(10 * time.Second); admitted() < clients; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d requests admitted after 10s", admitted(), clients)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 	cancel()
 
 	totalRetried := 0

@@ -10,11 +10,13 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"dcmodel/internal/crossexam"
 	"dcmodel/internal/errs"
 	"dcmodel/internal/fault"
+	"dcmodel/internal/hw"
 	"dcmodel/internal/obs"
 	"dcmodel/internal/replay"
 	"dcmodel/internal/trace"
@@ -362,34 +364,59 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 		}
-		stop = s.stage(span, "encode")
-		var buf bytes.Buffer
-		switch format {
-		case "json":
-			err = trace.WriteJSON(&buf, synth)
-		case "binary":
-			err = trace.WriteBinary(&buf, synth)
-		default:
-			err = trace.WriteCSV(&buf, synth)
-		}
-		stop()
-		if err != nil {
-			return func(w http.ResponseWriter) {
-				httpError(w, http.StatusInternalServerError, "encode: %v", err)
-			}
-		}
-		return func(w http.ResponseWriter) {
-			switch format {
-			case "json":
-				w.Header().Set("Content-Type", "application/json")
-			case "binary":
-				w.Header().Set("Content-Type", trace.ContentTypeV2)
-			default:
-				w.Header().Set("Content-Type", "text/csv")
-			}
-			w.Write(buf.Bytes())
-		}
+		return s.encodeTrace(span, synth, format)
 	})
+}
+
+// encoded recycles response bodies between requests, so a warm daemon
+// formats into memory it already owns instead of growing a fresh buffer
+// per answer.
+var encoded = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody is the largest response body kept for reuse; a
+// MaxSynth-sized answer must not stay pinned in the pool.
+const maxPooledBody = 4 << 20
+
+// encodeTrace is the one encode step of the trace-returning handlers: it
+// encodes tr as "csv", "json" or "binary" (trace-v2) into a pooled slice
+// inside the encode stage and returns the response writer, which hands the
+// slice back once the body is written. The body is built before anything is
+// sent because enqueue decides the status only after the job ran.
+func (s *Server) encodeTrace(span *obs.LiveSpan, tr *trace.Trace, format string) func(http.ResponseWriter) {
+	stop := s.stage(span, "encode")
+	pooled := encoded.Get().(*[]byte)
+	body, contentType := (*pooled)[:0], "text/csv"
+	var err error
+	switch format {
+	case "json":
+		contentType = "application/json"
+		body, err = trace.AppendJSON(body, tr)
+	case "binary":
+		contentType = trace.ContentTypeV2
+		buf := bytes.NewBuffer(body)
+		err = trace.WriteBinary(buf, tr)
+		body = buf.Bytes()
+	default:
+		body = trace.AppendCSV(body, tr)
+	}
+	stop()
+	release := func() {
+		if cap(body) <= maxPooledBody {
+			*pooled = body
+			encoded.Put(pooled)
+		}
+	}
+	if err != nil {
+		release()
+		return func(w http.ResponseWriter) {
+			httpError(w, http.StatusInternalServerError, "encode: %v", err)
+		}
+	}
+	return func(w http.ResponseWriter) {
+		w.Header().Set("Content-Type", contentType)
+		w.Write(body)
+		release()
+	}
 }
 
 // characterizeResponse is the JSON shape of /v1/characterize; the Scores
@@ -414,8 +441,7 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ms := s.model.Load()
-	if ms == nil {
+	if s.model.Load() == nil {
 		httpError(w, http.StatusServiceUnavailable, "%v: ingest a trace first", errs.ErrModelNotTrained)
 		return
 	}
@@ -434,7 +460,41 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 	s.enqueue(w, r, func(ctx context.Context) func(http.ResponseWriter) {
 		waitStop()
 		stop := s.stage(span, "crossexam")
-		defer stop()
+		resp, err := s.characterize(n, seed)
+		stop()
+		if err != nil {
+			return func(w http.ResponseWriter) {
+				httpError(w, http.StatusInternalServerError, "characterize: %v", err)
+			}
+		}
+		return func(w http.ResponseWriter) {
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(resp)
+		}
+	})
+}
+
+// characterize scores the served generation against the current window, at
+// most once per input: the answer is a pure function of the generation and
+// of charKey, so a request that finds the last answer under its own key
+// takes it (waiting, if that evaluation is still running) instead of
+// re-running the cross-examination. An ingest moves the window total, a
+// retrain brings a new modelSet and /v1/faults a new scenario pointer, so
+// each of them misses without anyone invalidating anything.
+//
+// The generation, the window position and the scenario are all read here,
+// inside the job: read before the queue, a retrain landing in between would
+// have generation g scored against — and reported as trained on — a window
+// g+1 was trained on. The snapshot is taken after the total that keys it; a
+// request ingested in between makes the answer fresher than its key, which
+// no later request can observe, because the total only grows.
+func (s *Server) characterize(n int, seed int64) (characterizeResponse, error) {
+	ms := s.model.Load()
+	p := s.replayPlatform()
+	_, _, total, _ := s.win.stats()
+	hit := true
+	resp, err := ms.characterize(charKey{total: total, n: n, seed: seed, faults: p.Faults}, func() (characterizeResponse, error) {
+		hit = false
 		snap := s.win.snapshot()
 		approaches := []crossexam.Approach{
 			{Name: "in-breadth", Knobs: 3, Synthesize: ms.InBreadth.SynthesizeBatch, NumParams: ms.InBreadth.NumParams()},
@@ -443,26 +503,19 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 		}
 		// Workers=1: the daemon's parallelism budget belongs to the pool,
 		// not to nested fan-outs inside one job.
-		scores, err := crossexam.Evaluate(snap, approaches, n, s.replayPlatform(), crossexam.Options{
-			Seed: seed, Workers: 1,
-		})
-		if err != nil {
-			return func(w http.ResponseWriter) {
-				httpError(w, http.StatusInternalServerError, "characterize: %v", err)
-			}
-		}
-		resp := characterizeResponse{
+		scores, err := crossexam.Evaluate(snap, approaches, n, p, crossexam.Options{Seed: seed, Workers: 1})
+		return characterizeResponse{
 			TrainedOn: ms.TrainedOn,
 			Window:    snap.Len(),
 			N:         n,
 			Seed:      seed,
 			Scores:    scores,
-		}
-		return func(w http.ResponseWriter) {
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(resp)
-		}
+		}, err
 	})
+	if hit {
+		s.metrics.charMemoHits.Add(1)
+	}
+	return resp, err
 }
 
 // handleReplay replays a streamed trace on the simulated platform and
@@ -507,27 +560,11 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 				httpError(w, http.StatusInternalServerError, "replay: %v", err)
 			}
 		}
-		stop = s.stage(span, "encode")
-		var buf bytes.Buffer
+		format := "csv"
 		if binary {
-			err = trace.WriteBinary(&buf, timed)
-		} else {
-			err = trace.WriteCSV(&buf, timed)
+			format = "binary"
 		}
-		stop()
-		if err != nil {
-			return func(w http.ResponseWriter) {
-				httpError(w, http.StatusInternalServerError, "encode: %v", err)
-			}
-		}
-		return func(w http.ResponseWriter) {
-			if binary {
-				w.Header().Set("Content-Type", trace.ContentTypeV2)
-			} else {
-				w.Header().Set("Content-Type", "text/csv")
-			}
-			w.Write(buf.Bytes())
-		}
+		return s.encodeTrace(span, timed, format)
 	})
 }
 
@@ -554,20 +591,36 @@ type whatifResponse struct {
 // the replay platform, so the twin always answers about healthy hardware —
 // what-if exploration stays meaningful while a degraded regime is armed.
 func (s *Server) compileTwin(ms *modelSet, model string) (*twin.Twin, error) {
-	srv := s.cfg.Platform.NewServer()
-	if srv == nil {
-		return nil, fmt.Errorf("platform NewServer returned nil: %w", errs.ErrBadConfig)
-	}
+	return s.twinOn(ms, ownPlatform, s.cfg.Platform.NewServer, model)
+}
+
+// twinOn returns ms's model lowered onto one platform's hardware. A twin is
+// a pure function of the generation, the model and the hardware, and
+// queries only read it, so each (platform, model) is compiled once per
+// generation, by whichever request asks first, and shared from then on.
+func (s *Server) twinOn(ms *modelSet, platform string, newServer func() *hw.Server, model string) (*twin.Twin, error) {
 	switch model {
-	case "kooza":
-		return twin.CompileKooza(ms.Kooza, srv, s.cfg.Platform.Servers)
-	case "inbreadth":
-		return twin.CompileInBreadth(ms.InBreadth, srv, s.cfg.Platform.Servers)
-	case "indepth":
-		return twin.CompileInDepth(ms.InDepth)
+	case "kooza", "inbreadth", "indepth":
 	default:
-		return nil, fmt.Errorf("model must be kooza, inbreadth or indepth, got %q: %w", model, errs.ErrBadConfig)
+		// Refused before the table is touched: a name nobody compiles must
+		// not become a key.
+		return nil, badRequestf("model must be kooza, inbreadth or indepth, got %q", model)
 	}
+	return ms.twin(twinKey{platform, model}, func() (*twin.Twin, error) {
+		s.metrics.twinCompiles.Add(1)
+		srv := newServer()
+		if srv == nil {
+			return nil, fmt.Errorf("platform NewServer returned nil: %w", errs.ErrBadConfig)
+		}
+		switch model {
+		case "kooza":
+			return twin.CompileKooza(ms.Kooza, srv, s.cfg.Platform.Servers)
+		case "inbreadth":
+			return twin.CompileInBreadth(ms.InBreadth, srv, s.cfg.Platform.Servers)
+		default:
+			return twin.CompileInDepth(ms.InDepth)
+		}
+	})
 }
 
 // handleWhatIf answers a closed-form what-if query against a warm model's

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dcmodel/internal/obs"
 )
@@ -186,25 +188,36 @@ func TestTracesDeterministicSampling(t *testing.T) {
 		defer ts.Close()
 
 		body := traceCSV(t, gfsTrace(t, 200, 7))
-		resp, err := http.Post(ts.URL+"/v1/ingest", "text/csv", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		for i := 0; i < 8; i++ {
-			resp, err := http.Get(fmt.Sprintf("%s/v1/synthesize?n=50&seed=%d", ts.URL, i+1))
+		// Every body is read to its end: the last chunk leaves the server
+		// only after the handler — and with it the sampled span — has
+		// finished, so the requests reach the tracer strictly in order. A
+		// body closed unread lets the next request overtake that Finish.
+		drain := func(resp *http.Response, err error) int {
+			t.Helper()
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("synthesize %d = %d", i, resp.StatusCode)
+			defer resp.Body.Close()
+			if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+				t.Fatal(err)
+			}
+			return resp.StatusCode
+		}
+		drain(http.Post(ts.URL+"/v1/ingest", "text/csv", bytes.NewReader(body)))
+		for i := 0; i < 8; i++ {
+			if code := drain(http.Get(fmt.Sprintf("%s/v1/synthesize?n=50&seed=%d", ts.URL, i+1))); code != http.StatusOK {
+				t.Fatalf("synthesize %d = %d", i, code)
 			}
 		}
+		// 1 ingest + 8 synthesize; head sampling keeps 1, 4, 7. The ring is
+		// polled until it holds all three rather than read once.
 		dump := getTraces(t, ts.URL)
-		if dump.Started != 9 || dump.Sampled != 3 {
-			// 1 ingest + 8 synthesize; head sampling keeps 1, 4, 7.
-			t.Fatalf("started=%d sampled=%d, want 9 and 3", dump.Started, dump.Sampled)
+		for deadline := time.Now().Add(5 * time.Second); len(dump.Traces) < 3 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+			dump = getTraces(t, ts.URL)
+		}
+		if dump.Started != 9 || dump.Sampled != 3 || len(dump.Traces) != 3 {
+			t.Fatalf("started=%d sampled=%d held=%d, want 9, 3 and 3", dump.Started, dump.Sampled, len(dump.Traces))
 		}
 		var shapes []string
 		for _, tree := range dump.Traces {

@@ -37,7 +37,7 @@ type provisionResponse struct {
 // compileProvisionTwins lowers one warm model onto every platform of the
 // search space. Unlike compileTwin — which answers about the daemon's own
 // configured hardware — the provisioning search explores the optimizer's
-// platform catalog.
+// platform catalog. Both draw on the generation's compile-once table.
 func (s *Server) compileProvisionTwins(ms *modelSet, model string, space optimize.Space) (map[string]*twin.Twin, error) {
 	space = optimize.SpaceDefaults(space)
 	twins := make(map[string]*twin.Twin, len(space.Platforms))
@@ -46,19 +46,7 @@ func (s *Server) compileProvisionTwins(ms *modelSet, model string, space optimiz
 		if !ok {
 			return nil, badRequestf("unknown platform %q", name)
 		}
-		srv := pspec.NewServer()
-		var tw *twin.Twin
-		var err error
-		switch model {
-		case "kooza":
-			tw, err = twin.CompileKooza(ms.Kooza, srv, s.cfg.Platform.Servers)
-		case "inbreadth":
-			tw, err = twin.CompileInBreadth(ms.InBreadth, srv, s.cfg.Platform.Servers)
-		case "indepth":
-			tw, err = twin.CompileInDepth(ms.InDepth)
-		default:
-			return nil, badRequestf("model must be kooza, inbreadth or indepth, got %q", model)
-		}
+		tw, err := s.twinOn(ms, name, pspec.NewServer, model)
 		if err != nil {
 			return nil, err
 		}

@@ -16,7 +16,10 @@
 //	GET  /v1/characterize cross-examination scorecard of the warm models
 //	POST /v1/replay       replay a streamed trace on the simulated platform
 //	POST /v1/whatif       closed-form what-if query against a warm model's analytical twin
+//	*    /v1/provision    POST runs the provisioning search on the warm models and the
+//	                      window; GET returns the last auto-reprovision plan
 //	*    /v1/faults       fault-scenario admin: GET reports, POST arms, DELETE disarms
+//	GET  /v1/traces       sampled request span trees held by the trace ring
 //	GET  /metrics         plain-text counters, gauges and latency histograms
 //	GET  /healthz         liveness + model warmth + breaker/fault state
 //
@@ -46,6 +49,7 @@ import (
 	"dcmodel/internal/par"
 	"dcmodel/internal/replay"
 	"dcmodel/internal/trace"
+	"dcmodel/internal/twin"
 )
 
 // Config tunes the daemon. DefaultConfig returns the production defaults;
@@ -193,7 +197,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// modelSet is one atomically swapped generation of warm models.
+// modelSet is one atomically swapped generation of warm models, together
+// with what the read path derives from it. The derived artefacts are pure
+// functions of the generation, so they live and die with it: a retrain
+// stores a fresh modelSet and nothing is ever invalidated by hand.
 type modelSet struct {
 	Kooza     *kooza.Model
 	InBreadth *inbreadth.Model
@@ -204,6 +211,67 @@ type modelSet struct {
 	TrainedAt  time.Time
 	TrainedOn  int   // window requests trained on
 	TotalAt    int64 // window.total at training time
+
+	// derivedMu guards the two fields below, never the work behind them:
+	// each entry is a sync.OnceValues, so concurrent requests for the same
+	// entry wait for one evaluation and requests for different entries do
+	// not wait for each other.
+	derivedMu sync.Mutex
+	// twins holds the analytical twins compiled from this generation.
+	twins map[twinKey]func() (*twin.Twin, error)
+	// char is the last /v1/characterize answer of this generation.
+	char    func() (characterizeResponse, error)
+	charKey charKey
+}
+
+// twinKey names one compiled twin of a generation: a catalog platform (or
+// ownPlatform for the daemon's configured hardware) and a model.
+type twinKey struct{ platform, model string }
+
+// ownPlatform keys the twins of the daemon's own hardware. No catalog
+// platform is named by the empty string (optimize.PlatformByName refuses
+// it), so the two cannot collide.
+const ownPlatform = ""
+
+// twin returns the generation's twin for key, compiled by the first caller
+// to ask for it and by nobody after.
+func (ms *modelSet) twin(key twinKey, compile func() (*twin.Twin, error)) (*twin.Twin, error) {
+	ms.derivedMu.Lock()
+	get := ms.twins[key]
+	if get == nil {
+		if ms.twins == nil {
+			ms.twins = make(map[twinKey]func() (*twin.Twin, error))
+		}
+		get = sync.OnceValues(compile)
+		ms.twins[key] = get
+	}
+	ms.derivedMu.Unlock()
+	return get()
+}
+
+// charKey is everything a characterize answer depends on besides the
+// generation: the window position (its monotone total), the synthetic
+// sample size, the seed and the armed fault scenario (by identity — every
+// POST /v1/faults stores a fresh one, and the key keeps it reachable, so
+// its address cannot come back as another scenario).
+type charKey struct {
+	total  int64
+	n      int
+	seed   int64
+	faults *fault.Config
+}
+
+// characterize returns the generation's answer for key: the kept one when
+// the last request had the same key (waiting for it if it is still being
+// evaluated), else evaluate's, which replaces it.
+func (ms *modelSet) characterize(key charKey, evaluate func() (characterizeResponse, error)) (characterizeResponse, error) {
+	ms.derivedMu.Lock()
+	if ms.char == nil || ms.charKey != key {
+		ms.char, ms.charKey = sync.OnceValues(evaluate), key
+	}
+	get := ms.char
+	ms.derivedMu.Unlock()
+	return get()
 }
 
 // Server is the daemon: sliding window, warm models, bounded work queue.

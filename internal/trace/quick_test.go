@@ -82,6 +82,26 @@ func TestJSONRoundTripProperty(t *testing.T) {
 	}
 }
 
+// The append forms round-trip through the readers as the Write forms do.
+func TestAppendRoundTripProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		tr := randomTrace(rand.New(rand.NewSource(seed)))
+		fromCSV, err := ReadCSV(bytes.NewReader(AppendCSV(nil, tr)))
+		if err != nil || !reflect.DeepEqual(fromCSV, tr) {
+			return false
+		}
+		js, err := AppendJSON(nil, tr)
+		if err != nil {
+			return false
+		}
+		fromJSON, err := ReadJSON(bytes.NewReader(js))
+		return err == nil && reflect.DeepEqual(fromJSON, tr)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestRandomTracesValidateProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
