@@ -11,7 +11,9 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // The encoding/csv and encoding/json writers WriteCSV and WriteJSON were
@@ -336,5 +338,285 @@ func TestWriteReportsWriterError(t *testing.T) {
 	}
 	if err := WriteJSON(failingWriter{}, sampleTrace()); !errors.Is(err, io.ErrClosedPipe) {
 		t.Errorf("WriteJSON err = %v, want the writer's", err)
+	}
+}
+
+// oracleSpanReader is the encoding/csv-based SpanReader as it stood before
+// the byte-level reader replaced its inside, moved here verbatim (names
+// apart). It stays, test-only, as the reference the byte-level reader is
+// held to by checkSpanReaderMatchesOracle.
+//
+// It incrementally decodes the flat span-per-row CSV trace format.
+// Rows sharing a req_id are folded into one Request (rows must be grouped
+// by request, as WriteCSV emits them); each completed request is handed to
+// the caller as soon as its last row has been read. It never
+// panics on malformed input and spawns no goroutines; every defect is
+// reported as an error from Next, after which the reader is exhausted.
+type oracleSpanReader struct {
+	cr      *csv.Reader
+	line    int
+	started bool
+	// legacy is true when the stream uses the pre-fault 12-column header
+	// (no retries/failover annotations); such requests decode with zero
+	// annotations.
+	legacy bool
+	cur    Request
+	curSet bool
+	err    error
+}
+
+// newOracleSpanReader returns a streaming decoder reading from r. The header row
+// is consumed and checked on the first call to Next.
+func newOracleSpanReader(r io.Reader) *oracleSpanReader {
+	cr := csv.NewReader(r)
+	// Reuse the record slice across rows. Safe even though the class field
+	// is retained: encoding/csv backs each record's fields with a fresh
+	// string per row, ReuseRecord only recycles the []string header.
+	cr.ReuseRecord = true
+	return &oracleSpanReader{cr: cr}
+}
+
+// fail records the first error and makes it sticky.
+func (d *oracleSpanReader) fail(err error) (Request, error) {
+	d.err = err
+	d.curSet = false
+	return Request{}, err
+}
+
+// readHeader consumes and validates the header row. Both the current
+// layout and the legacy 12-column layout (without the retries/failover
+// annotation columns) are accepted.
+func (d *oracleSpanReader) readHeader() error {
+	header, err := d.cr.Read()
+	if err != nil {
+		return fmt.Errorf("trace: read csv header: %w", err)
+	}
+	switch len(header) {
+	case len(csvHeader):
+	case numLegacyCSVColumns:
+		d.legacy = true
+	default:
+		return fmt.Errorf("trace: csv header has %d columns, want %d (or the legacy %d)", len(header), len(csvHeader), numLegacyCSVColumns)
+	}
+	for i, h := range header {
+		if h != csvHeader[i] {
+			return fmt.Errorf("trace: csv column %d is %q, want %q", i, h, csvHeader[i])
+		}
+	}
+	d.line = 1
+	d.started = true
+	// csv.Reader pins the field count to the first row; with two accepted
+	// layouts that already does the per-row column check for us.
+	return nil
+}
+
+// Next returns the next complete request, or io.EOF when the stream ends
+// cleanly. Any other error is sticky: the reader returns it on every
+// subsequent call.
+func (d *oracleSpanReader) Next() (Request, error) {
+	if d.err != nil {
+		return Request{}, d.err
+	}
+	if !d.started {
+		if err := d.readHeader(); err != nil {
+			return d.fail(err)
+		}
+	}
+	for {
+		row, err := d.cr.Read()
+		if err == io.EOF {
+			if d.curSet {
+				out := d.cur
+				d.cur, d.curSet = Request{}, false
+				d.err = io.EOF
+				return out, nil
+			}
+			return d.fail(io.EOF)
+		}
+		d.line++
+		if err != nil {
+			return d.fail(fmt.Errorf("trace: read csv line %d: %w", d.line, err))
+		}
+		for i, f := range row {
+			if len(f) > maxCSVFieldBytes {
+				return d.fail(fmt.Errorf("trace: csv line %d field %d: %d bytes exceeds the %d-byte field limit", d.line, i, len(f), maxCSVFieldBytes))
+			}
+		}
+		id, err := strconv.ParseInt(row[0], 10, 64)
+		if err != nil {
+			return d.fail(fmt.Errorf("trace: csv line %d req_id: %w", d.line, err))
+		}
+		var done Request
+		var emit bool
+		if !d.curSet || d.cur.ID != id {
+			if d.curSet {
+				done, emit = d.cur, true
+			}
+			server, err := strconv.Atoi(row[2])
+			if err != nil {
+				return d.fail(fmt.Errorf("trace: csv line %d server: %w", d.line, err))
+			}
+			arrival, err := strconv.ParseFloat(row[3], 64)
+			if err != nil {
+				return d.fail(fmt.Errorf("trace: csv line %d arrival: %w", d.line, err))
+			}
+			d.cur = Request{ID: id, Class: row[1], Server: server, Arrival: arrival}
+			if !d.legacy {
+				if row[12] != "" {
+					if d.cur.Retries, err = strconv.Atoi(row[12]); err != nil {
+						return d.fail(fmt.Errorf("trace: csv line %d retries: %w", d.line, err))
+					}
+				}
+				if row[13] != "" && row[13] != "0" {
+					if d.cur.FailedOver, err = strconv.ParseBool(row[13]); err != nil {
+						return d.fail(fmt.Errorf("trace: csv line %d failover: %w", d.line, err))
+					}
+				}
+			}
+			d.curSet = true
+		}
+		if row[4] != "" { // non-empty subsystem: the row carries a span
+			span, err := oracleParseSpanColumns(row, d.line)
+			if err != nil {
+				return d.fail(err)
+			}
+			if len(d.cur.Spans) >= maxSpansPerRequest {
+				return d.fail(fmt.Errorf("trace: csv line %d: request %d exceeds %d spans", d.line, id, maxSpansPerRequest))
+			}
+			d.cur.Spans = append(d.cur.Spans, span)
+		}
+		if emit {
+			return done, nil
+		}
+	}
+}
+
+// oracleParseSpanColumns decodes columns 4..11 of a data row into a Span.
+func oracleParseSpanColumns(row []string, line int) (Span, error) {
+	var span Span
+	sub, err := ParseSubsystem(row[4])
+	if err != nil {
+		return span, fmt.Errorf("trace: csv line %d: %w", line, err)
+	}
+	op, err := ParseOp(row[7])
+	if err != nil {
+		return span, fmt.Errorf("trace: csv line %d: %w", line, err)
+	}
+	span.Subsystem = sub
+	span.Op = op
+	if span.Start, err = strconv.ParseFloat(row[5], 64); err != nil {
+		return span, fmt.Errorf("trace: csv line %d start: %w", line, err)
+	}
+	if span.Duration, err = strconv.ParseFloat(row[6], 64); err != nil {
+		return span, fmt.Errorf("trace: csv line %d duration: %w", line, err)
+	}
+	if span.Bytes, err = strconv.ParseInt(row[8], 10, 64); err != nil {
+		return span, fmt.Errorf("trace: csv line %d bytes: %w", line, err)
+	}
+	if span.LBN, err = strconv.ParseInt(row[9], 10, 64); err != nil {
+		return span, fmt.Errorf("trace: csv line %d lbn: %w", line, err)
+	}
+	if span.Bank, err = strconv.Atoi(row[10]); err != nil {
+		return span, fmt.Errorf("trace: csv line %d bank: %w", line, err)
+	}
+	if span.Util, err = strconv.ParseFloat(row[11], 64); err != nil {
+		return span, fmt.Errorf("trace: csv line %d util: %w", line, err)
+	}
+	return span, nil
+}
+
+// decodeAll drains a streaming reader: the requests it hands out before its
+// first error, and that error (io.EOF for a stream accepted to the end). It
+// stops at limit requests, reporting a nil error, so that a fuzz input cannot
+// buy unbounded work.
+func decodeAll(next func() (Request, error), limit int) ([]Request, error) {
+	var out []Request
+	for len(out) < limit {
+		req, err := next()
+		if err != nil {
+			return out, err
+		}
+		out = append(out, req)
+	}
+	return out, nil
+}
+
+// sameRequest is equality of two decoded requests down to the bits of every
+// float, so that NaN equals itself and -0 differs from +0.
+func sameRequest(a, b *Request) bool {
+	if a.ID != b.ID || a.Class != b.Class || a.Server != b.Server || a.Retries != b.Retries ||
+		a.FailedOver != b.FailedOver || math.Float64bits(a.Arrival) != math.Float64bits(b.Arrival) ||
+		len(a.Spans) != len(b.Spans) || (a.Spans == nil) != (b.Spans == nil) {
+		return false
+	}
+	for i := range a.Spans {
+		x, y := a.Spans[i], b.Spans[i]
+		if x.Subsystem != y.Subsystem || x.Op != y.Op || x.Bytes != y.Bytes || x.LBN != y.LBN || x.Bank != y.Bank ||
+			math.Float64bits(x.Start) != math.Float64bits(y.Start) ||
+			math.Float64bits(x.Duration) != math.Float64bits(y.Duration) ||
+			math.Float64bits(x.Util) != math.Float64bits(y.Util) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameDecodeError is the error half of the reader's contract. Every error
+// our own code words must read the same, strconv's text included. A syntax
+// error of encoding/csv must come back as a *csv.ParseError under the same
+// "trace: read csv ..." wording, with the same record and line numbers and
+// the same sentinel (csv.ErrBareQuote, csv.ErrQuote, csv.ErrFieldCount);
+// its column is the one thing not held equal.
+func sameDecodeError(got, want error) bool {
+	if got == nil || want == nil {
+		return got == want
+	}
+	if got.Error() == want.Error() {
+		return true
+	}
+	var gp, wp *csv.ParseError
+	if !errors.As(got, &gp) || !errors.As(want, &wp) {
+		return false
+	}
+	return gp.StartLine == wp.StartLine && gp.Line == wp.Line && gp.Err == wp.Err &&
+		strings.TrimSuffix(got.Error(), gp.Error()) == strings.TrimSuffix(want.Error(), wp.Error())
+}
+
+// maxOracleRequests bounds the requests compared per input.
+const maxOracleRequests = 1 << 16
+
+// checkSpanReaderMatchesOracle holds SpanReader to oracleSpanReader on one
+// input: the same requests in the same order, the same number of them before
+// the first error, the same error by sameDecodeError, and that error sticky.
+// SpanReader is run three times — on the bytes as they are, one byte per
+// Read, and with the last bytes arriving together with io.EOF — and has to
+// give the one answer each time.
+func checkSpanReaderMatchesOracle(t *testing.T, input string) {
+	t.Helper()
+	want, wantErr := decodeAll(newOracleSpanReader(strings.NewReader(input)).Next, maxOracleRequests)
+	wrappers := map[string]func(io.Reader) io.Reader{
+		"plain":    func(r io.Reader) io.Reader { return r },
+		"one-byte": iotest.OneByteReader,
+		"data-err": iotest.DataErrReader,
+	}
+	for name, wrap := range wrappers {
+		d := NewSpanReader(wrap(strings.NewReader(input)))
+		got, gotErr := decodeAll(d.Next, maxOracleRequests)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d requests before %v, oracle %d before %v", name, len(got), gotErr, len(want), wantErr)
+		}
+		for i := range got {
+			if !sameRequest(&got[i], &want[i]) {
+				t.Fatalf("%s: request %d differs\n got: %+v\nwant: %+v", name, i, got[i], want[i])
+			}
+		}
+		if !sameDecodeError(gotErr, wantErr) {
+			t.Fatalf("%s: after %d requests err = %v, oracle %v", name, len(got), gotErr, wantErr)
+		}
+		if gotErr != nil {
+			if _, again := d.Next(); again != gotErr {
+				t.Fatalf("%s: error not sticky: %v then %v", name, gotErr, again)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -138,55 +139,63 @@ func TestSpanReaderSpanCap(t *testing.T) {
 	}
 }
 
-// FuzzSpanReader exercises the streaming decoder on arbitrary input: it
-// must never panic, any stream it fully accepts must agree with the batch
-// reader, and errors must be sticky.
-func FuzzSpanReader(f *testing.F) {
-	var seed bytes.Buffer
-	if err := WriteCSV(&seed, sampleTrace()); err != nil {
-		f.Fatal(err)
+// spanReaderSeeds are inputs on either side of everything the CSV reader
+// branches on; FuzzSpanReader starts from them and from the preset goldens.
+func spanReaderSeeds() []string {
+	var sample bytes.Buffer
+	if err := WriteCSV(&sample, oracleTrace()); err != nil {
+		panic(err)
 	}
-	header := "req_id,class,server,arrival,subsystem,start,duration,op,bytes,lbn,bank,util\n"
-	f.Add(seed.String())
-	f.Add("")
-	f.Add(header)
-	f.Add(header + "1,c,0,0,network,0,0,none,0,0,0,0\n")
-	f.Add(header + "1,c,0,0,network,0,0,none,0,0,0,0\n2,c,0,1,cpu,1,0,none,0,0,0,0.25\n")
-	f.Add(header + "1,c,0,0,,,,,,,,\n")
-	f.Add(header + "1,c,0,0,network,0,0,none,0,0")
-	f.Add(header + "9223372036854775807,c,0,1e308,storage,0,0,write,1,1,1,1\n")
-	f.Add("garbage\nmore garbage")
-	f.Fuzz(func(t *testing.T, input string) {
-		d := NewSpanReader(strings.NewReader(input))
-		var streamed Trace
-		var streamErr error
-		for {
-			req, err := d.Next()
-			if err != nil {
-				streamErr = err
-				break
-			}
-			if len(streamed.Requests) > 1<<16 {
-				return // bounded fuzz effort; large valid streams are fine
-			}
-			streamed.Requests = append(streamed.Requests, req)
-		}
-		// Errors are sticky.
-		if _, again := d.Next(); again != streamErr {
-			t.Fatalf("error not sticky: %v then %v", streamErr, again)
-		}
-		if streamErr != io.EOF {
-			return // rejected input is fine; panics are not
-		}
-		batch, err := ReadCSV(strings.NewReader(input))
+	legacy := "req_id,class,server,arrival,subsystem,start,duration,op,bytes,lbn,bank,util\n"
+	header := csvHeaderLine
+	row := "1,c,0,0,network,0,0,none,0,0,0,0,0,0\n"
+	long := strings.Repeat("0", 60_000)
+	return []string{
+		sample.String(),
+		"",
+		legacy,
+		legacy + "1,c,0,0,network,0,0,none,0,0,0,0\n",
+		legacy + "1,c,0,0,network,0,0,none,0,0,0,0\n2,c,0,1,cpu,1,0,none,0,0,0,0.25\n",
+		legacy + "1,c,0,0,,,,,,,,\n",
+		legacy + "1,c,0,0,network,0,0,none,0,0",
+		legacy + "9223372036854775807,c,0,1e308,storage,0,0,write,1,1,1,1\n",
+		"garbage\nmore garbage",
+		// A class quoted for its comma, its quote and its line break, then a
+		// request whose rows differ in everything but the id.
+		header + "1,\"a,b \"\"c\"\"\nd\",0,0.5,network,0.5,0,none,64,0,0,0,2,1\n1,\"a,b \"\"c\"\"\nd\",0,0.5,cpu,0.6,0,none,0,0,0,0.5,2,1\n" +
+			"2,x,1,1.5,storage,1.5,0.25,read,4096,77,3,0,0,0\n02,y,9,nope,memory,1.75,1e-3,write,64,0,5,0.5,,\n",
+		"\"req_id\",class,server,arrival,subsystem,start,duration,op,bytes,lbn,bank,util,retries,\"failover\"\n" + row,
+		strings.ReplaceAll(header+row+"2,d,1,1,cpu,1,0.5,none,0,0,0,0.75,1,true\n", "\n", "\r\n"),
+		header + row + "2,d,1,1,cpu,1,0.5,none,0,0,0,0.75,0,0\r",
+		"\n\r\n" + header + "\n\n" + row + "\r\n\n" + "2,d,1,1,,,,,,,,,0,0\n\n",
+		header + row + "2,d,1,1,cpu,1\n",
+		header + row + "2,d,1,1,cpu,1,0.5,none,0,0,0,0.75,0,0,extra\n",
+		header + row + "2,d\"e,1,1,cpu,1,0.5,none,0,0,0,0.75,0,0\n",
+		header + row + "2,\"d\"e,1,1,cpu,1,0.5,none,0,0,0,0.75,0,0\n",
+		header + row + "2,\"d,1,1,cpu,1,0.5,none,0,0,0,0.75,0,0\n",
+		header + row + "2,d,1,1,cpu,1,0.5,none,0,0,0,0.75,x,0\n",
+		header + row + "2,d,1,1,cpu,1,0.5,none,0,0,0,0.75,0,maybe\n",
+		header + row + "2,d,1,1,cpu,+1,.5,none,-0,0_0,0,0x1p-2,0,T\n",
+		header + row + "2," + strings.Repeat("z", 70_000) + ",1,1,cpu,1,0.5,none,0,0,0,0.75,0,0\n",
+		header + row + "2,\"" + strings.Repeat("z\n", 35_000) + "\",1,1,cpu,1,0.5,none,0,0,0,0.75,0,0\n",
+		// A row longer than the read buffer, every field within the limit.
+		header + row + long + "2," + long + ",1,1,cpu,1,0.5,none,0,0,0,0.75,0,0\n3,e,0,2,,,,,,,,,0,0\n",
+	}
+}
+
+// FuzzSpanReader is the differential target of the CSV reader: whatever the
+// bytes, SpanReader and the encoding/csv-based reader it replaced agree (see
+// checkSpanReaderMatchesOracle), and neither panics.
+func FuzzSpanReader(f *testing.F) {
+	for _, seed := range spanReaderSeeds() {
+		f.Add(seed)
+	}
+	for _, name := range presetGoldens(f) {
+		data, err := os.ReadFile(name)
 		if err != nil {
-			t.Fatalf("stream accepted what batch rejects: %v", err)
+			f.Fatal(err)
 		}
-		if len(batch.Requests) == 0 {
-			batch.Requests = nil
-		}
-		if !reflect.DeepEqual(batch.Requests, streamed.Requests) && batch.Validate() == nil {
-			t.Fatal("stream and batch decode diverge")
-		}
-	})
+		f.Add(string(data))
+	}
+	f.Fuzz(checkSpanReaderMatchesOracle)
 }
