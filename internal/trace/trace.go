@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"dcmodel/internal/stats"
 )
@@ -62,7 +63,9 @@ func ParseSubsystem(s string) (Subsystem, error) {
 	case "storage":
 		return Storage, nil
 	default:
-		return 0, fmt.Errorf("trace: unknown subsystem %q", s)
+		// The clone keeps s from escaping, so that a caller parsing out of a
+		// byte slice converts without allocating.
+		return 0, fmt.Errorf("trace: unknown subsystem %q", strings.Clone(s))
 	}
 }
 
@@ -100,7 +103,7 @@ func ParseOp(s string) (Op, error) {
 	case "none", "":
 		return OpNone, nil
 	default:
-		return 0, fmt.Errorf("trace: unknown op %q", s)
+		return 0, fmt.Errorf("trace: unknown op %q", strings.Clone(s)) // as in ParseSubsystem
 	}
 }
 
