@@ -16,7 +16,7 @@ package inbreadth
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"dcmodel/internal/kooza"
 	"dcmodel/internal/markov"
@@ -375,7 +375,7 @@ func IOStreamFromTrace(tr *trace.Trace) []IOEvent {
 			tmp = append(tmp, tio{s.Start, IOEvent{LBN: s.LBN, Bytes: s.Bytes, Op: s.Op}})
 		}
 	}
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i].start < tmp[j].start })
+	slices.SortFunc(tmp, func(a, b tio) int { return stats.CompareLess(a.start, b.start) })
 	out := make([]IOEvent, len(tmp))
 	for i, x := range tmp {
 		out[i] = x.ev

@@ -2,7 +2,7 @@ package kooza
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"dcmodel/internal/stats"
@@ -100,7 +100,7 @@ func FeatureAnalysis(tr *trace.Trace) (*FeatureReport, error) {
 				ls = append(ls, loading{name: name, abs: v})
 			}
 		}
-		sort.Slice(ls, func(i, j int) bool { return ls[i].abs > ls[j].abs })
+		slices.SortFunc(ls, func(a, b loading) int { return stats.CompareLess(b.abs, a.abs) })
 		names := make([]string, len(ls))
 		for i, l := range ls {
 			names[i] = l.name

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"dcmodel/internal/markov"
 	"dcmodel/internal/stats"
@@ -301,7 +301,7 @@ func trainStorage(ios []storageIO, opts Options) (*StorageModel, error) {
 		return nil, fmt.Errorf("storage model: no storage spans")
 	}
 	// Put the storage span stream in time order.
-	sort.Slice(ios, func(i, j int) bool { return ios[i].start < ios[j].start })
+	slices.SortFunc(ios, func(a, b storageIO) int { return stats.CompareLess(a.start, b.start) })
 
 	diskBlocks := opts.DiskBlocks
 	if diskBlocks <= 0 {
@@ -461,7 +461,7 @@ func trainMemory(accs []memAccess, maxBank int, opts Options) (*MemoryModel, err
 	if len(accs) == 0 {
 		return nil, fmt.Errorf("memory model: no memory spans")
 	}
-	sort.Slice(accs, func(i, j int) bool { return accs[i].start < accs[j].start })
+	slices.SortFunc(accs, func(a, b memAccess) int { return stats.CompareLess(a.start, b.start) })
 	banks := maxBank + 1
 	m := &MemoryModel{Banks: banks}
 	seq := make([]int, len(accs))

@@ -3,7 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Maximum-likelihood fitting for the distribution families, plus the
@@ -230,7 +230,7 @@ func FitAll(xs []float64) []FitResult {
 		ks := KSTestSorted(sorted, d)
 		results = append(results, FitResult{Dist: d, KS: ks.Statistic, P: ks.P})
 	}
-	sort.SliceStable(results, func(i, j int) bool { return results[i].KS < results[j].KS })
+	slices.SortStableFunc(results, func(a, b FitResult) int { return CompareLess(a.KS, b.KS) })
 	return results
 }
 

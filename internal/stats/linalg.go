@@ -3,7 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Minimal dense linear algebra needed by PCA, regression and the queueing
@@ -177,7 +177,7 @@ func EigenSym(a *Matrix) (Eigen, error) {
 	for i := 0; i < n; i++ {
 		pairs[i] = pair{w.At(i, i), i}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].val > pairs[j].val })
+	slices.SortFunc(pairs, func(a, b pair) int { return CompareLess(b.val, a.val) })
 	values := make([]float64, n)
 	vectors := NewMatrix(n, n)
 	for k, p := range pairs {

@@ -114,6 +114,22 @@ func Quantile(xs []float64, p float64) float64 {
 	return quantileSorted(sortedCopy(xs), p)
 }
 
+// CompareLess is the three-way form of a < b for slices.SortFunc: negative
+// when a < b, positive when b < a, else zero. A NaN is neither, so it
+// compares equal to everything, exactly as under sort.Slice with a < b as
+// the less function; a typed sort built on CompareLess therefore makes the
+// decisions the reflection-based one made, and leaves the same order.
+// (cmp.Compare orders NaN first, which a sample holding one would show.)
+func CompareLess(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
+	}
+	return 0
+}
+
 // sortedCopy returns xs in ascending order, leaving xs as it is.
 func sortedCopy(xs []float64) []float64 {
 	s := make([]float64, len(xs))

@@ -1,8 +1,9 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -80,12 +81,11 @@ func (p *PhasePaths) Ranked() []PhasePath {
 		printed[i] = printPhases(path.Phases)
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ca, cb := p.paths[order[a]].Count, p.paths[order[b]].Count
-		if ca != cb {
-			return ca > cb
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(p.paths[b].Count, p.paths[a].Count); c != 0 {
+			return c
 		}
-		return printed[order[a]] < printed[order[b]]
+		return strings.Compare(printed[a], printed[b])
 	})
 	p.ranked = make([]PhasePath, len(order))
 	p.rank = make([]int, len(order))

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -202,8 +203,8 @@ func (t *Trace) Len() int { return len(t.Requests) }
 
 // SortByArrival sorts requests by arrival time (stable).
 func (t *Trace) SortByArrival() {
-	sort.SliceStable(t.Requests, func(i, j int) bool {
-		return t.Requests[i].Arrival < t.Requests[j].Arrival
+	slices.SortStableFunc(t.Requests, func(a, b Request) int {
+		return stats.CompareLess(a.Arrival, b.Arrival)
 	})
 }
 
