@@ -229,9 +229,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.ingestMu.Lock()
-		for i := range batch {
-			s.ingestOne(batch[i])
-		}
+		s.ingestLocked(batch)
 		s.ingestMu.Unlock()
 		ingested += len(batch)
 		batch = batch[:0]
@@ -257,9 +255,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	span.Annotate("ingested=%d", ingested)
 	retrained, reason, trainErr := false, "", error(nil)
 	if ingested > 0 {
-		s.ingestMu.Lock()
-		retrained, reason, trainErr = s.maybeRetrainLocked(span)
-		s.ingestMu.Unlock()
+		retrained, reason, trainErr = s.maybeRetrain(span)
 	}
 
 	n, capacity, total, _ := s.win.stats()

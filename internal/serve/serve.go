@@ -9,6 +9,15 @@
 // explicit backpressure: a full queue is a 429 with Retry-After, never an
 // unbounded buffer.
 //
+// One lock, ingestMu, orders the writes: it guards the window, the drift
+// accumulator and the retrain circuit breaker, not training. A retrain
+// holds it twice and briefly — to copy the window out and detach the
+// accumulator, and later to install the generation (or give the
+// transitions back) — and fits the three models in between with no lock
+// held, side by side; ingestion, /healthz and /metrics carry on beside it.
+// One retrain runs at a time, and the request that triggered it waits for
+// it and reports how it went.
+//
 // Endpoints:
 //
 //	POST /v1/ingest       stream trace spans (WriteCSV format) into the window
@@ -284,13 +293,30 @@ type Server struct {
 	metrics *metrics
 	model   atomic.Pointer[modelSet]
 
-	// ingestMu serializes ingestion and retraining, keeping the drift
-	// accumulator consistent with the window contents. It also guards the
-	// retrain circuit breaker state below.
-	ingestMu     sync.Mutex
-	drift        *markov.Accumulator
-	retrainFails int       // consecutive automatic retrain failures
+	// ingestMu serializes every change to the window and to the drift
+	// accumulator, keeping the two consistent with each other, and guards
+	// the retrain bookkeeping below: the circuit breaker and the one
+	// training slot. It is held for a batch of requests or for the two short
+	// ends of a retrain — the snapshot and the install — and never while
+	// models are fitted.
+	ingestMu sync.Mutex
+	// drift counts the storage transitions ingested since the snapshot of
+	// the last retrain. A retrain takes it along and leaves spareDrift,
+	// empty, in its place; when the retrain ends the two have swapped roles.
+	drift, spareDrift *markov.Accumulator
+	// regionSeq is the scratch ingestLocked quantizes one request's storage
+	// spans into.
+	regionSeq    []int
+	retrainFails int       // consecutive retrain failures
 	breakerUntil time.Time // automatic retrains suppressed until then
+	// retraining is the training slot: true from a retrain's snapshot to
+	// its install. retrainIdle (on ingestMu) wakes Retrain callers waiting
+	// for it.
+	retraining  bool
+	retrainIdle *sync.Cond
+	// parkTrainer, when set (tests only, under ingestMu), is called by each
+	// retrain after its snapshot and before it trains, with no lock held.
+	parkTrainer func()
 
 	// faults is the armed fault scenario for degraded replay (nil =
 	// healthy). Swapped atomically by the /v1/faults admin endpoint.
@@ -335,6 +361,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: drift accumulator: %w", err)
 	}
+	spare, _ := markov.NewAccumulator(cfg.StorageRegions, cfg.Smoothing) // same arguments
 	s := &Server{
 		cfg:             cfg,
 		blocksPerRegion: bpr,
@@ -342,8 +369,10 @@ func New(cfg Config) (*Server, error) {
 		pool:            par.NewPool(cfg.Workers, cfg.QueueDepth),
 		metrics:         newMetrics(),
 		drift:           acc,
+		spareDrift:      spare,
 		stopPoll:        make(chan struct{}),
 	}
+	s.retrainIdle = sync.NewCond(&s.ingestMu)
 	if cfg.Platform.Faults != nil {
 		// A scenario armed on the configured platform seeds the admin
 		// state, so /v1/faults reports and can disarm it.
@@ -411,9 +440,7 @@ func (s *Server) pollLoop() {
 		case <-s.stopPoll:
 			return
 		case <-t.C:
-			s.ingestMu.Lock()
-			s.maybeRetrainLocked(nil)
-			s.ingestMu.Unlock()
+			s.maybeRetrain(nil)
 		}
 	}
 }
@@ -452,21 +479,18 @@ func (s *Server) regionOf(lbn int64) int {
 	return st
 }
 
-// ingestOne folds one decoded request into the window and the drift
-// accumulator. Callers hold ingestMu.
-func (s *Server) ingestOne(req trace.Request) {
-	var seq []int
-	for _, sp := range req.Spans {
-		if sp.Subsystem == trace.Storage {
-			seq = append(seq, s.regionOf(sp.LBN))
+// ingestLocked folds decoded requests into the drift accumulator and the
+// window. Callers hold ingestMu.
+func (s *Server) ingestLocked(reqs []trace.Request) {
+	for i := range reqs {
+		s.regionSeq = s.storageRegions(s.regionSeq[:0], reqs[i].Spans)
+		if len(s.regionSeq) > 0 {
+			// States are in range by construction, so Observe cannot fail.
+			_ = s.drift.Observe(s.regionSeq)
 		}
 	}
-	if len(seq) > 0 {
-		// States are in range by construction, so Observe cannot fail.
-		_ = s.drift.Observe(seq)
-	}
-	s.win.add(req)
-	s.metrics.ingested.Add(1)
+	s.win.addBatch(reqs)
+	s.metrics.ingested.Add(int64(len(reqs)))
 }
 
 // Ingest folds a whole trace into the window (the programmatic sibling of
@@ -477,9 +501,7 @@ func (s *Server) Ingest(tr *trace.Trace) (retrained bool, reason string, err err
 		return false, "", trace.ErrEmptyTrace
 	}
 	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	for _, r := range tr.Requests {
-		s.ingestOne(r)
-	}
-	return s.maybeRetrainLocked(nil)
+	s.ingestLocked(tr.Requests)
+	s.ingestMu.Unlock()
+	return s.maybeRetrain(nil)
 }

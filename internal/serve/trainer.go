@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 
 	"dcmodel/internal/inbreadth"
@@ -31,32 +32,58 @@ const (
 	ReasonForce = "force" // explicit Retrain() call
 )
 
-// maybeRetrainLocked runs the online-training decision. Callers hold
-// ingestMu. It returns whether a retrain happened and why. span is the
-// caller's sampled trace span (nil outside a sampled request — the poll
-// loop and programmatic callers pass nil, which also keeps sampled trace
-// shapes deterministic for a fixed request sequence).
-func (s *Server) maybeRetrainLocked(span *obs.LiveSpan) (bool, string, error) {
+// maybeRetrain runs the online-training decision and, when it asks for one,
+// the retrain. It returns whether a retrain happened and why; the caller
+// waits for the training it triggered, so that its reply can say how it
+// went. A retrain already in flight is left to finish: the call returns at
+// once with nothing done. span is the caller's sampled trace span (nil
+// outside a sampled request — the poll loop and programmatic callers pass
+// nil, which also keeps sampled trace shapes deterministic for a fixed
+// request sequence). Callers do not hold ingestMu.
+func (s *Server) maybeRetrain(span *obs.LiveSpan) (bool, string, error) {
+	s.ingestMu.Lock()
+	var job *retrainJob
+	if !s.retraining {
+		if reason := s.retrainReasonLocked(span); reason != "" {
+			job = s.beginRetrainLocked(reason, span)
+		}
+	}
+	s.ingestMu.Unlock()
+	if job == nil {
+		return false, "", nil
+	}
+	ok, err := s.retrain(job)
+	if ok && job.reason == ReasonDrift {
+		// Closed loop: the workload changed enough to swap the model, so
+		// the provisioning answer may have too.
+		s.maybeAutoProvision()
+	}
+	return ok, job.reason, err
+}
+
+// retrainReasonLocked is the online-training decision: the reason to retrain
+// now, or "" for none. Callers hold ingestMu.
+func (s *Server) retrainReasonLocked(span *obs.LiveSpan) string {
 	n, _, total, _ := s.win.stats()
 	if n < minTrainRequests {
-		return false, "", nil
+		return ""
 	}
 	if time.Now().Before(s.breakerUntil) {
 		// Breaker open: a run of failed retrains (e.g. a poisoned window)
 		// must not wedge the poll loop into retraining — and failing —
 		// once a second. The last good generation keeps serving; the
 		// first trigger past the cooldown is the half-open probe.
-		return false, "", nil
+		return ""
 	}
 	ms := s.model.Load()
 	if ms == nil {
 		// Cold start: become warm at the first trainable window rather
 		// than waiting out RetrainMin.
-		return s.retrainLocked(ReasonCold, span)
+		return ReasonCold
 	}
 	newSince := total - ms.TotalAt
 	if newSince < int64(s.cfg.RetrainMin) {
-		return false, "", nil
+		return ""
 	}
 	// Drift trigger: compare the transitions observed since the last
 	// retrain against the served pooled storage chain.
@@ -67,30 +94,29 @@ func (s *Server) maybeRetrainLocked(span *obs.LiveSpan) (bool, string, error) {
 			if res.P < s.cfg.DriftP {
 				s.metrics.driftRetrains.Add(1)
 				span.Annotate("drift: stat=%g p=%g", res.Statistic, res.P)
-				ok, reason, err := s.retrainLocked(ReasonDrift, span)
-				if ok {
-					// Closed loop: the workload changed enough to swap the
-					// model, so the provisioning answer may have too.
-					s.maybeAutoProvision()
-				}
-				return ok, reason, err
+				return ReasonDrift
 			}
 		}
 	}
 	// Staleness trigger: enough fresh data and an old model.
 	if time.Since(ms.TrainedAt) >= s.cfg.RetrainInterval {
 		s.metrics.staleRetrains.Add(1)
-		return s.retrainLocked(ReasonStale, span)
+		return ReasonStale
 	}
-	return false, "", nil
+	return ""
 }
 
 // Retrain forces a retrain from the current window regardless of drift,
-// staleness or an open circuit breaker (the manual probe path).
+// staleness or an open circuit breaker (the manual probe path). It waits
+// for a retrain in flight to finish and then runs its own.
 func (s *Server) Retrain() error {
 	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	_, _, err := s.retrainLocked(ReasonForce, nil)
+	for s.retraining {
+		s.retrainIdle.Wait()
+	}
+	job := s.beginRetrainLocked(ReasonForce, nil)
+	s.ingestMu.Unlock()
+	_, err := s.retrain(job)
 	return err
 }
 
@@ -103,14 +129,127 @@ func (s *Server) BreakerOpen() (bool, time.Time) {
 	return time.Now().Before(until), until
 }
 
-// retrainLocked trains a fresh model generation from the window snapshot
-// and swaps it in. On failure the previous generation keeps serving and
-// the failure counts toward the circuit breaker. Callers hold ingestMu.
-func (s *Server) retrainLocked(reason string, span *obs.LiveSpan) (bool, string, error) {
-	trainSpan := span.Child("train:" + reason)
-	defer trainSpan.End()
-	snap := s.win.snapshot()
-	fail := func(err error) (bool, string, error) {
+// retrainJob is one retrain between its two holds of ingestMu: what the
+// first hold took from the daemon's state, for training to read with no
+// lock held.
+type retrainJob struct {
+	reason string
+	span   *obs.LiveSpan // the train:<reason> span
+	// snap and total are the window and its monotone total as of one
+	// instant: the generation is trained on the one and dated by the other.
+	snap  *trace.Trace
+	total int64
+	// drift holds the transitions observed up to the snapshot. A retrain
+	// that succeeds drops them (the fresh reference has seen them); one
+	// that fails gives them back.
+	drift *markov.Accumulator
+	// park is the test seam of Server.parkTrainer, read under the lock.
+	park func()
+}
+
+// beginRetrainLocked is the first step of a retrain: it claims the one
+// training slot, copies the window out and detaches the drift accumulator,
+// leaving an empty one for the transitions that arrive while the models are
+// fitted. Callers hold ingestMu and have seen s.retraining false.
+func (s *Server) beginRetrainLocked(reason string, span *obs.LiveSpan) *retrainJob {
+	s.retraining = true
+	_, _, total, _ := s.win.stats()
+	job := &retrainJob{
+		reason: reason,
+		span:   span.Child("train:" + reason),
+		snap:   s.win.snapshot(),
+		total:  total,
+		drift:  s.drift,
+		park:   s.parkTrainer,
+	}
+	s.drift, s.spareDrift = s.spareDrift, nil
+	return job
+}
+
+// train is the second step: it fits a model generation to the job's
+// snapshot with no lock held, so ingestion, /healthz and /metrics go on
+// beside it. The three models and the drift reference read one prepared
+// input and nothing of each other, so they are fitted side by side, on
+// goroutines of their own rather than on the work queue, whose bounded
+// depth belongs to the readers. Their stage spans are opened here, in a
+// fixed order, before any of them starts: a sampled retrain has the same
+// tree whichever finishes first.
+func (s *Server) train(job *retrainJob) (*modelSet, error) {
+	defer job.span.End()
+	if job.park != nil {
+		job.park()
+	}
+	// Preparing the shared input is part of the first trainer's stage.
+	stopKooza := s.stage(job.span, "train.kooza")
+	prep, err := trace.Prepare(job.snap)
+	if err != nil {
+		stopKooza()
+		return nil, err
+	}
+	stopInBreadth := s.stage(job.span, "train.inbreadth")
+	stopInDepth := s.stage(job.span, "train.indepth")
+	stopRef := s.stage(job.span, "train.ref")
+	ms := &modelSet{TrainedOn: job.snap.Len(), TotalAt: job.total}
+	var errKooza, errInBreadth, errInDepth, errRef error
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		defer stopInBreadth()
+		ms.InBreadth, errInBreadth = inbreadth.TrainPrepared(prep, inbreadth.Options{
+			StorageRegions: s.cfg.StorageRegions,
+			DiskBlocks:     s.cfg.DiskBlocks,
+			Smoothing:      s.cfg.Smoothing,
+		})
+	}()
+	go func() {
+		defer wg.Done()
+		defer stopInDepth()
+		ms.InDepth, errInDepth = indepth.TrainPrepared(prep)
+	}()
+	go func() {
+		defer wg.Done()
+		defer stopRef()
+		ms.RefStorage, errRef = s.pooledStorageChain(job.snap)
+	}()
+	ms.Kooza, errKooza = kooza.TrainPrepared(prep, kooza.Options{
+		StorageRegions: s.cfg.StorageRegions,
+		DiskBlocks:     s.cfg.DiskBlocks,
+		Smoothing:      s.cfg.Smoothing,
+	})
+	stopKooza()
+	wg.Wait()
+	// The first failure in the order the trainers used to run in, so that a
+	// window several of them refuse is reported as it always was.
+	for _, err := range []error{errKooza, errInBreadth, errInDepth, errRef} {
+		if err != nil {
+			return nil, err
+		}
+	}
+	// The refreeze hook: trained chains arrive frozen, but freezing again
+	// here guarantees the invariant for model generations assembled any
+	// other way (e.g. loaded from disk in a future snapshot-restore path).
+	stop := s.stage(job.span, "refreeze")
+	ms.Kooza.Refreeze()
+	stop()
+	return ms, nil
+}
+
+// retrain runs a begun job to its end. The third step, under ingestMu
+// again: install the generation train fitted, or on failure leave the
+// previous one serving, give the detached transitions back and count toward
+// the circuit breaker. Either way the training slot is freed.
+func (s *Server) retrain(job *retrainJob) (bool, error) {
+	ms, err := s.train(job)
+	s.ingestMu.Lock()
+	defer s.ingestMu.Unlock()
+	s.retraining = false
+	s.retrainIdle.Broadcast()
+	if err != nil {
+		// Same state count and smoothing: Merge cannot fail.
+		_ = s.drift.Merge(job.drift)
+		job.drift.Reset()
+		s.spareDrift = job.drift
 		s.metrics.retrainErrors.Add(1)
 		s.retrainFails++
 		if s.retrainFails >= s.cfg.BreakerThreshold {
@@ -118,70 +257,30 @@ func (s *Server) retrainLocked(reason string, span *obs.LiveSpan) (bool, string,
 			s.retrainFails = 0
 			s.metrics.breakerTrips.Add(1)
 		}
-		return false, reason, fmt.Errorf("serve: retrain (%s): %w", reason, err)
+		return false, fmt.Errorf("serve: retrain (%s): %w", job.reason, err)
 	}
-	// The three trainers share one prepared input; preparing it is part of
-	// the first trainer's stage.
-	stop := s.stage(trainSpan, "train.kooza")
-	var kz *kooza.Model
-	prep, err := trace.Prepare(snap)
-	if err == nil {
-		kz, err = kooza.TrainPrepared(prep, kooza.Options{
-			StorageRegions: s.cfg.StorageRegions,
-			DiskBlocks:     s.cfg.DiskBlocks,
-			Smoothing:      s.cfg.Smoothing,
-		})
-	}
-	stop()
-	if err != nil {
-		return fail(err)
-	}
-	stop = s.stage(trainSpan, "train.inbreadth")
-	ib, err := inbreadth.TrainPrepared(prep, inbreadth.Options{
-		StorageRegions: s.cfg.StorageRegions,
-		DiskBlocks:     s.cfg.DiskBlocks,
-		Smoothing:      s.cfg.Smoothing,
-	})
-	stop()
-	if err != nil {
-		return fail(err)
-	}
-	stop = s.stage(trainSpan, "train.indepth")
-	id, err := indepth.TrainPrepared(prep)
-	stop()
-	if err != nil {
-		return fail(err)
-	}
-	stop = s.stage(trainSpan, "train.ref")
-	ref, err := s.pooledStorageChain(snap)
-	stop()
-	if err != nil {
-		return fail(err)
-	}
-	// The refreeze hook: trained chains arrive frozen, but freezing again
-	// here guarantees the invariant for model generations assembled any
-	// other way (e.g. loaded from disk in a future snapshot-restore path).
-	stop = s.stage(trainSpan, "refreeze")
-	kz.Refreeze()
-	stop()
-	_, _, total, _ := s.win.stats()
-	s.model.Store(&modelSet{
-		Kooza:      kz,
-		InBreadth:  ib,
-		InDepth:    id,
-		RefStorage: ref,
-		TrainedAt:  time.Now(),
-		TrainedOn:  snap.Len(),
-		TotalAt:    total,
-	})
-	// Fresh drift window against the fresh reference; a success closes
-	// the breaker.
-	s.drift.Reset()
+	// The drift window restarted at the snapshot, against the fresh
+	// reference; a success closes the breaker.
+	job.drift.Reset()
+	s.spareDrift = job.drift
+	ms.TrainedAt = time.Now()
+	s.model.Store(ms)
 	s.retrainFails = 0
 	s.breakerUntil = time.Time{}
 	s.metrics.retrains.Add(1)
-	s.metrics.modelTrainedOn.Set(float64(snap.Len()))
-	return true, reason, nil
+	s.metrics.modelTrainedOn.Set(float64(ms.TrainedOn))
+	return true, nil
+}
+
+// storageRegions appends the storage-region sequence of one request to dst:
+// the LBN of each storage span under the daemon's fixed quantization.
+func (s *Server) storageRegions(dst []int, spans []trace.Span) []int {
+	for i := range spans {
+		if spans[i].Subsystem == trace.Storage {
+			dst = append(dst, s.regionOf(spans[i].LBN))
+		}
+	}
+	return dst
 }
 
 // pooledStorageChain trains the class-blind storage-region chain the
@@ -193,13 +292,8 @@ func (s *Server) pooledStorageChain(tr *trace.Trace) (*markov.Chain, error) {
 		return nil, err
 	}
 	seq := make([]int, 0, 8)
-	for _, r := range tr.Requests {
-		seq = seq[:0]
-		for _, sp := range r.Spans {
-			if sp.Subsystem == trace.Storage {
-				seq = append(seq, s.regionOf(sp.LBN))
-			}
-		}
+	for i := range tr.Requests {
+		seq = s.storageRegions(seq[:0], tr.Requests[i].Spans)
 		if len(seq) > 0 {
 			if err := acc.Observe(seq); err != nil {
 				return nil, err

@@ -31,6 +31,20 @@ func newWindow(capacity int) *window {
 func (w *window) add(r trace.Request) int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.addLocked(r)
+}
+
+// addBatch is add for a run of requests, in order, under one acquisition of
+// the lock.
+func (w *window) addBatch(rs []trace.Request) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for i := range rs {
+		w.addLocked(rs[i])
+	}
+}
+
+func (w *window) addLocked(r trace.Request) int64 {
 	r.ID = w.nextID
 	w.nextID++
 	w.total++

@@ -91,3 +91,49 @@ func TestWindowIDsMonotonicAcrossEviction(t *testing.T) {
 		}
 	}
 }
+
+// TestWindowAddBatchAcrossWrap: a batch that crosses the end of the ring —
+// and one longer than the ring — leaves the window as the same requests
+// added one by one do: the IDs, the total, the span gauges and which
+// requests were evicted.
+func TestWindowAddBatchAcrossWrap(t *testing.T) {
+	subsystems := []trace.Subsystem{trace.Network, trace.CPU, trace.Memory, trace.Storage}
+	reqs := make([]trace.Request, 23)
+	for i := range reqs {
+		// Request i carries i%4+1 spans, so that an eviction miscounted
+		// shows in the gauges.
+		reqs[i] = windowReq("r", subsystems[:i%4+1]...)
+	}
+	const capacity = 5
+	for _, batches := range [][]int{{3, 4, 2}, {5, 5, 1}, {2, 11, 3}, {23}} {
+		one, batched := newWindow(capacity), newWindow(capacity)
+		next := 0
+		for _, n := range batches {
+			for _, r := range reqs[next : next+n] {
+				one.add(r)
+			}
+			batched.addBatch(reqs[next : next+n])
+			next += n
+
+			n1, c1, total1, spans1 := one.stats()
+			n2, c2, total2, spans2 := batched.stats()
+			if n1 != n2 || c1 != c2 || total1 != total2 || spans1 != spans2 {
+				t.Fatalf("batches %v after %d requests: stats (%d %d %d %v), one by one (%d %d %d %v)",
+					batches, next, n2, c2, total2, spans2, n1, c1, total1, spans1)
+			}
+			want, got := one.snapshot().Requests, batched.snapshot().Requests
+			if len(got) != len(want) {
+				t.Fatalf("batches %v after %d requests: window holds %d, one by one %d", batches, next, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].ID != want[i].ID || len(got[i].Spans) != len(want[i].Spans) {
+					t.Fatalf("batches %v after %d requests: slot %d is request %d with %d spans, one by one %d with %d",
+						batches, next, i, got[i].ID, len(got[i].Spans), want[i].ID, len(want[i].Spans))
+				}
+			}
+			if oldest := int64(max(next-capacity, 0)); got[0].ID != oldest {
+				t.Fatalf("batches %v after %d requests: oldest is request %d, want %d", batches, next, got[0].ID, oldest)
+			}
+		}
+	}
+}
