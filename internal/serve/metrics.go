@@ -39,6 +39,8 @@ type metrics struct {
 	twinCompiles *obs.Counter // analytical twins compiled (once per generation, platform and model)
 	charMemoHits *obs.Counter // characterize requests answered by an earlier, identical evaluation
 
+	retrainBusySkips *obs.Counter // automatic triggers that found a retrain in flight
+
 	driftStat      *obs.Gauge
 	driftP         *obs.Gauge
 	modelTrainedOn *obs.Gauge
@@ -84,6 +86,8 @@ func newMetrics() *metrics {
 			"Analytical twins compiled: one per model generation, platform and model."),
 		charMemoHits: reg.Counter("dcmodeld_characterize_memo_hits_total",
 			"Characterize requests answered from an identical evaluation (same generation, window, n, seed and fault scenario)."),
+		retrainBusySkips: reg.Counter("dcmodeld_retrain_busy_skips_total",
+			"Automatic retrain triggers that found a retrain in flight and left it to finish."),
 		driftStat: reg.Gauge("dcmodeld_drift_stat",
 			"Chi-square statistic of the last drift check."),
 		driftP: reg.Gauge("dcmodeld_drift_p",

@@ -102,6 +102,9 @@ func TestRetrainOffTheLock(t *testing.T) {
 	if second != (ingestResult{}) {
 		t.Fatalf("automatic trigger beside a retrain in flight = %+v, want (false, \"\", nil)", second)
 	}
+	if got := s.metrics.retrainBusySkips.Value(); got != 1 {
+		t.Fatalf("busy skips = %d, want 1", got)
+	}
 	returns(t, "BreakerOpen", func() { s.BreakerOpen() })
 	var health, scrape *httptest.ResponseRecorder
 	returns(t, "/healthz", func() {

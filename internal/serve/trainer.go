@@ -43,10 +43,10 @@ const (
 func (s *Server) maybeRetrain(span *obs.LiveSpan) (bool, string, error) {
 	s.ingestMu.Lock()
 	var job *retrainJob
-	if !s.retraining {
-		if reason := s.retrainReasonLocked(span); reason != "" {
-			job = s.beginRetrainLocked(reason, span)
-		}
+	if s.retraining {
+		s.metrics.retrainBusySkips.Add(1)
+	} else if reason := s.retrainReasonLocked(span); reason != "" {
+		job = s.beginRetrainLocked(reason, span)
 	}
 	s.ingestMu.Unlock()
 	if job == nil {
