@@ -154,9 +154,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadJSON -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -fuzz=FuzzBinaryCodec -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -fuzz=FuzzShardedCodecRoundTrip -fuzztime=$(FUZZTIME) ./internal/trace/
-	$(GO) test -fuzz=FuzzSpanReader -fuzztime=$(FUZZTIME) ./internal/trace/
 # The oracle targets take whole encoded traces as input; left at its 60s
 # default, minimizing one interesting 4 KB input eats the whole budget.
+	$(GO) test -fuzz=FuzzSpanReader -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run '^$$' ./internal/trace/
 	$(GO) test -fuzz=FuzzAppendCSVMatchesOracle -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run '^$$' ./internal/trace/
 	$(GO) test -fuzz=FuzzAppendJSONMatchesOracle -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run '^$$' ./internal/trace/
 	$(GO) test -fuzz=FuzzSpecParse -fuzztime=$(FUZZTIME) -run '^$$' ./internal/spec/

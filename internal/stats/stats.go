@@ -13,7 +13,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by estimators that require at least one observation.
@@ -134,7 +133,7 @@ func CompareLess(a, b float64) int {
 func sortedCopy(xs []float64) []float64 {
 	s := make([]float64, len(xs))
 	copy(s, xs)
-	sort.Float64s(s)
+	sortFloats(s)
 	return s
 }
 
