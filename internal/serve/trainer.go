@@ -248,8 +248,10 @@ func (s *Server) retrain(job *retrainJob) (bool, error) {
 	if err != nil {
 		// Same state count and smoothing: Merge cannot fail.
 		_ = s.drift.Merge(job.drift)
-		job.drift.Reset()
-		s.spareDrift = job.drift
+	}
+	job.drift.Reset()
+	s.spareDrift = job.drift
+	if err != nil {
 		s.metrics.retrainErrors.Add(1)
 		s.retrainFails++
 		if s.retrainFails >= s.cfg.BreakerThreshold {
@@ -261,8 +263,6 @@ func (s *Server) retrain(job *retrainJob) (bool, error) {
 	}
 	// The drift window restarted at the snapshot, against the fresh
 	// reference; a success closes the breaker.
-	job.drift.Reset()
-	s.spareDrift = job.drift
 	ms.TrainedAt = time.Now()
 	s.model.Store(ms)
 	s.retrainFails = 0

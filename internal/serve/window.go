@@ -26,41 +26,29 @@ func newWindow(capacity int) *window {
 	return &window{buf: make([]trace.Request, capacity)}
 }
 
-// add folds one request into the window, evicting the oldest when full,
-// and returns the ID it was assigned.
-func (w *window) add(r trace.Request) int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.addLocked(r)
-}
-
-// addBatch is add for a run of requests, in order, under one acquisition of
-// the lock.
+// addBatch folds requests into the window in order, under one acquisition
+// of the lock, evicting the oldest for each one past capacity. A request is
+// given the next ID as it enters.
 func (w *window) addBatch(rs []trace.Request) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for i := range rs {
-		w.addLocked(rs[i])
-	}
-}
-
-func (w *window) addLocked(r trace.Request) int64 {
-	r.ID = w.nextID
-	w.nextID++
-	w.total++
-	if w.n == len(w.buf) {
-		for _, s := range w.buf[w.head].Spans {
-			w.spans[spanBucket(s.Subsystem)]--
+	for _, r := range rs {
+		r.ID = w.nextID
+		w.nextID++
+		w.total++
+		if w.n == len(w.buf) {
+			for _, s := range w.buf[w.head].Spans {
+				w.spans[spanBucket(s.Subsystem)]--
+			}
+		} else {
+			w.n++
 		}
-	} else {
-		w.n++
+		for _, s := range r.Spans {
+			w.spans[spanBucket(s.Subsystem)]++
+		}
+		w.buf[w.head] = r
+		w.head = (w.head + 1) % len(w.buf)
 	}
-	for _, s := range r.Spans {
-		w.spans[spanBucket(s.Subsystem)]++
-	}
-	w.buf[w.head] = r
-	w.head = (w.head + 1) % len(w.buf)
-	return r.ID
 }
 
 // spanBucket clamps a subsystem into the four counted buckets (defensive:

@@ -16,6 +16,12 @@ func windowReq(class string, subs ...trace.Subsystem) trace.Request {
 	return r
 }
 
+// add folds one request into the window and returns the ID it was given.
+func (w *window) add(r trace.Request) int64 {
+	w.addBatch([]trace.Request{r})
+	return w.nextID - 1
+}
+
 // TestWindowEvictionBoundary pins the behavior at exactly cap: filling a
 // window to capacity evicts nothing, and the very next add evicts exactly
 // the oldest request.
