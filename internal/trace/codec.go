@@ -17,8 +17,8 @@ import (
 // Both are written with strconv.Append* straight into a byte slice, and
 // both are held, byte for byte, to what encoding/csv and encoding/json
 // produce for the same trace (oracle_test.go keeps those writers as the
-// reference). encoding/csv is used only to read, encoding/json only to read
-// and to escape a class name that is not plain ASCII.
+// reference). The CSV reader is SpanReader (stream.go); encoding/json is
+// used only to read and to escape a class name that is not plain ASCII.
 
 // csvHeader is the column layout of the CSV codec. The trailing retries and
 // failover columns carry the per-request failure-recovery annotations; they
