@@ -5,7 +5,8 @@ package trace
 // An arena belongs to one synthesis call (it is not safe for concurrent
 // use); the requests it backed stay valid after the arena is dropped, since
 // chunks are never recycled — a full chunk is simply abandoned to its
-// requests and a fresh one started.
+// requests and a fresh one started. Reset is the one exception, for an owner
+// that knows the requests it backed are dead.
 type SpanArena struct {
 	chunk []Span
 }
@@ -15,10 +16,10 @@ type SpanArena struct {
 // (~100 KB) that an abandoned tail wastes little.
 const arenaChunkSpans = 1024
 
-// Take returns an empty span slice with capacity exactly n, carved from
-// the arena. The capacity is capped with a three-index slice, so a caller
-// that appends beyond n gets a private reallocated slice instead of
-// clobbering the next request's spans.
+// Reset makes the current chunk available again from its start: the spans
+// carved from it so far are overwritten by the Takes that follow.
+func (a *SpanArena) Reset() { a.chunk = a.chunk[:0] }
+
 // Reserve sizes the arena so the next n spans' worth of Take calls carve
 // from one contiguous chunk with no further allocation. Batch producers
 // (SynthesizeBatch, the trace-v2 block decoder) call it once per batch.
@@ -28,6 +29,10 @@ func (a *SpanArena) Reserve(n int) {
 	}
 }
 
+// Take returns an empty span slice with capacity exactly n, carved from
+// the arena. The capacity is capped with a three-index slice, so a caller
+// that appends beyond n gets a private reallocated slice instead of
+// clobbering the next request's spans.
 func (a *SpanArena) Take(n int) []Span {
 	if n <= 0 {
 		return nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // trace-v2: the compact binary columnar span codec. CSV stays the
@@ -65,19 +66,30 @@ const (
 	maxBinaryClassBytes    = maxCSVFieldBytes // same class-label bound as CSV
 )
 
-// WriteBinary writes the trace as one trace-v2 stream. It is the binary
-// sibling of WriteCSV: same span schema, block-columnar layout.
+// WriteBinary writes the trace as one trace-v2 stream, block by block. It
+// is the binary sibling of WriteCSV: same span schema, block-columnar layout.
 func WriteBinary(w io.Writer, t *Trace) error {
-	bw := newBinaryBlockWriter(w)
-	if err := bw.writeHeader(); err != nil {
-		return err
+	bw := blockWriters.Get().(*binaryBlockWriter)
+	defer bw.release()
+	out, err := bw.stream(bw.out[:0], t.Requests, w)
+	bw.out = out[:0]
+	return err
+}
+
+// AppendBinary appends reqs as one complete trace-v2 stream to dst and
+// returns the extended slice: the bytes WriteBinary writes for a trace of
+// those requests. It is the append-style sibling of AppendCSV and AppendJSON,
+// for a caller that keeps the encoded body. A request the format cannot
+// carry (negative retries, a subsystem or op outside its enum, an oversized
+// class label) is an error, and dst comes back as it went in.
+func AppendBinary(dst []byte, reqs []Request) ([]byte, error) {
+	bw := blockWriters.Get().(*binaryBlockWriter)
+	defer bw.release()
+	out, err := bw.stream(dst, reqs, nil)
+	if err != nil {
+		return dst, err
 	}
-	for i := range t.Requests {
-		if err := bw.add(&t.Requests[i]); err != nil {
-			return err
-		}
-	}
-	return bw.close()
+	return out, nil
 }
 
 // ReadBinary reads a trace written by WriteBinary. It is the batch wrapper
@@ -97,55 +109,71 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 	}
 }
 
-// binaryBlockWriter accumulates requests and flushes them as columnar
-// blocks. All scratch buffers are reused across blocks, so encoding a large
-// trace allocates a handful of buffers total.
+// binaryBlockWriter holds the scratch of the trace-v2 encoder: the
+// block-local class dictionary, the payload of the block being assembled and,
+// for WriteBinary, the bytes not yet handed to the writer. Writers are
+// recycled through blockWriters, so encoding allocates nothing once the
+// scratch has grown to the blocks at hand.
 type binaryBlockWriter struct {
-	w io.Writer
-
-	reqs  []*Request
-	spans int
-
-	// classIdx and classes are the block-local dictionary.
+	// classIdx and classes are the block-local dictionary; classOf is the
+	// dictionary index of each request of the block.
 	classIdx map[string]int
 	classes  []string
+	classOf  []int
 
-	// payload assembles one block; head assembles the marker+length prefix.
+	// payload assembles one block; its length is known only once it is
+	// complete, and the length goes first on the wire.
 	payload []byte
-	head    []byte
+	out     []byte
 }
 
-func newBinaryBlockWriter(w io.Writer) *binaryBlockWriter {
-	return &binaryBlockWriter{
-		w:        w,
-		classIdx: make(map[string]int),
-	}
+var blockWriters = sync.Pool{New: func() any {
+	return &binaryBlockWriter{classIdx: make(map[string]int)}
+}}
+
+// release returns the writer to the pool, holding on to no class label.
+func (bw *binaryBlockWriter) release() {
+	clear(bw.classIdx)
+	clear(bw.classes)
+	blockWriters.Put(bw)
 }
 
-func (bw *binaryBlockWriter) writeHeader() error {
-	if _, err := io.WriteString(bw.w, binaryMagic+string(rune(binaryVersion))); err != nil {
-		return fmt.Errorf("trace: write binary header: %w", err)
+// stream appends the whole stream for reqs to dst: header, blocks, end
+// marker. With a writer it hands dst over and starts again after every
+// block (WriteBinary); without one it only appends (AppendBinary).
+func (bw *binaryBlockWriter) stream(dst []byte, reqs []Request, w io.Writer) ([]byte, error) {
+	flush := func() error {
+		if w == nil {
+			return nil
+		}
+		_, err := w.Write(dst)
+		dst = dst[:0]
+		if err != nil {
+			return fmt.Errorf("trace: write binary: %w", err)
+		}
+		return nil
 	}
-	return nil
-}
-
-func (bw *binaryBlockWriter) add(r *Request) error {
-	bw.reqs = append(bw.reqs, r)
-	bw.spans += len(r.Spans)
-	if len(bw.reqs) >= binaryBlockRequests || bw.spans >= binaryBlockSpans {
-		return bw.flush()
+	dst = append(dst, binaryMagic...)
+	dst = append(dst, binaryVersion)
+	for len(reqs) > 0 {
+		// A block closes on the request that takes it to either threshold.
+		n, spans := 0, 0
+		for n < len(reqs) && n < binaryBlockRequests && spans < binaryBlockSpans {
+			spans += len(reqs[n].Spans)
+			n++
+		}
+		var err error
+		if dst, err = bw.appendBlock(dst, reqs[:n], spans); err != nil {
+			return dst, err
+		}
+		if reqs = reqs[n:]; len(reqs) > 0 {
+			if err := flush(); err != nil {
+				return dst, err
+			}
+		}
 	}
-	return nil
-}
-
-func (bw *binaryBlockWriter) close() error {
-	if err := bw.flush(); err != nil {
-		return err
-	}
-	if _, err := bw.w.Write([]byte{markerEnd}); err != nil {
-		return fmt.Errorf("trace: write binary end marker: %w", err)
-	}
-	return nil
+	dst = append(dst, markerEnd)
+	return dst, flush()
 }
 
 // uv/sv/fbits append one uvarint / zigzag varint / XOR-delta float.
@@ -159,131 +187,127 @@ func fbits(b []byte, v float64, prev *uint64) []byte {
 	return b
 }
 
-// flush encodes the buffered requests as one block.
-func (bw *binaryBlockWriter) flush() error {
-	if len(bw.reqs) == 0 {
-		return nil
-	}
+// appendBlock encodes reqs, which hold spans spans, as one block onto dst.
+func (bw *binaryBlockWriter) appendBlock(dst []byte, reqs []Request, spans int) ([]byte, error) {
 	p := bw.payload[:0]
-	p = uv(p, uint64(len(bw.reqs)))
-	p = uv(p, uint64(bw.spans))
+	p = uv(p, uint64(len(reqs)))
+	p = uv(p, uint64(spans))
 
 	// Block-local class dictionary, first-seen order (deterministic).
 	bw.classes = bw.classes[:0]
+	bw.classOf = bw.classOf[:0]
 	clear(bw.classIdx)
-	for _, r := range bw.reqs {
-		if _, ok := bw.classIdx[r.Class]; !ok {
-			bw.classIdx[r.Class] = len(bw.classes)
-			bw.classes = append(bw.classes, r.Class)
+	for i := range reqs {
+		class := reqs[i].Class
+		idx, ok := 0, false
+		if i > 0 && class == reqs[i-1].Class {
+			idx, ok = bw.classOf[i-1], true // runs of one class are the common case
+		} else {
+			idx, ok = bw.classIdx[class]
 		}
+		if !ok {
+			if len(class) > maxBinaryClassBytes {
+				return dst, fmt.Errorf("trace: class label of %d bytes exceeds the %d-byte limit", len(class), maxBinaryClassBytes)
+			}
+			idx = len(bw.classes)
+			bw.classIdx[class] = idx
+			bw.classes = append(bw.classes, class)
+		}
+		bw.classOf = append(bw.classOf, idx)
 	}
 	p = uv(p, uint64(len(bw.classes)))
 	for _, c := range bw.classes {
-		if len(c) > maxBinaryClassBytes {
-			return fmt.Errorf("trace: class label of %d bytes exceeds the %d-byte limit", len(c), maxBinaryClassBytes)
-		}
 		p = uv(p, uint64(len(c)))
 		p = append(p, c...)
 	}
 
 	// Request columns.
 	var prevID int64
-	for i, r := range bw.reqs {
-		if i == 0 {
-			p = sv(p, r.ID)
-		} else {
-			p = sv(p, r.ID-prevID)
-		}
-		prevID = r.ID
+	for i := range reqs {
+		p = sv(p, reqs[i].ID-prevID)
+		prevID = reqs[i].ID
 	}
-	for _, r := range bw.reqs {
-		p = uv(p, uint64(bw.classIdx[r.Class]))
+	for _, idx := range bw.classOf {
+		p = uv(p, uint64(idx))
 	}
-	for _, r := range bw.reqs {
-		p = sv(p, int64(r.Server))
+	for i := range reqs {
+		p = sv(p, int64(reqs[i].Server))
 	}
 	var prevF uint64
-	for _, r := range bw.reqs {
-		p = fbits(p, r.Arrival, &prevF)
+	for i := range reqs {
+		p = fbits(p, reqs[i].Arrival, &prevF)
 	}
-	for _, r := range bw.reqs {
+	for i := range reqs {
+		r := &reqs[i]
 		if r.Retries < 0 {
-			return fmt.Errorf("trace: request %d has negative retries %d", r.ID, r.Retries)
+			return dst, fmt.Errorf("trace: request %d has negative retries %d", r.ID, r.Retries)
 		}
 		p = uv(p, uint64(r.Retries))
 	}
-	p = appendBitmap(p, len(bw.reqs), func(i int) bool { return bw.reqs[i].FailedOver })
-	for _, r := range bw.reqs {
-		p = uv(p, uint64(len(r.Spans)))
+	p = appendBitmap(p, len(reqs), func(i int) bool { return reqs[i].FailedOver })
+	for i := range reqs {
+		p = uv(p, uint64(len(reqs[i].Spans)))
 	}
 
 	// Span columns. The 2-bit enums are validated here: like the CSV codec
 	// (whose String/Parse pair rejects them on the way back in), unknown
 	// subsystems or ops cannot be represented.
 	var err error
-	p, err = appendPacked2(p, bw.reqs, func(s *Span) (uint8, error) {
+	p, err = appendPacked2(p, reqs, func(s *Span) (uint8, error) {
 		if s.Subsystem < 0 || s.Subsystem >= numSubsystems {
 			return 0, fmt.Errorf("trace: span has invalid subsystem %d", s.Subsystem)
 		}
 		return uint8(s.Subsystem), nil
 	})
 	if err != nil {
-		return err
+		return dst, err
 	}
-	p, err = appendPacked2(p, bw.reqs, func(s *Span) (uint8, error) {
+	p, err = appendPacked2(p, reqs, func(s *Span) (uint8, error) {
 		if s.Op < OpNone || s.Op > OpWrite {
 			return 0, fmt.Errorf("trace: span has invalid op %d", s.Op)
 		}
 		return uint8(s.Op), nil
 	})
 	if err != nil {
-		return err
+		return dst, err
 	}
 	prevF = 0
-	for _, r := range bw.reqs {
-		for i := range r.Spans {
-			p = fbits(p, r.Spans[i].Start, &prevF)
-		}
-	}
-	prevF = 0
-	for _, r := range bw.reqs {
-		for i := range r.Spans {
-			p = fbits(p, r.Spans[i].Duration, &prevF)
-		}
-	}
-	for _, r := range bw.reqs {
-		for i := range r.Spans {
-			p = sv(p, r.Spans[i].Bytes)
-		}
-	}
-	for _, r := range bw.reqs {
-		for i := range r.Spans {
-			p = sv(p, r.Spans[i].LBN)
-		}
-	}
-	for _, r := range bw.reqs {
-		for i := range r.Spans {
-			p = sv(p, int64(r.Spans[i].Bank))
+	for i := range reqs {
+		for j := range reqs[i].Spans {
+			p = fbits(p, reqs[i].Spans[j].Start, &prevF)
 		}
 	}
 	prevF = 0
-	for _, r := range bw.reqs {
-		for i := range r.Spans {
-			p = fbits(p, r.Spans[i].Util, &prevF)
+	for i := range reqs {
+		for j := range reqs[i].Spans {
+			p = fbits(p, reqs[i].Spans[j].Duration, &prevF)
+		}
+	}
+	for i := range reqs {
+		for j := range reqs[i].Spans {
+			p = sv(p, reqs[i].Spans[j].Bytes)
+		}
+	}
+	for i := range reqs {
+		for j := range reqs[i].Spans {
+			p = sv(p, reqs[i].Spans[j].LBN)
+		}
+	}
+	for i := range reqs {
+		for j := range reqs[i].Spans {
+			p = sv(p, int64(reqs[i].Spans[j].Bank))
+		}
+	}
+	prevF = 0
+	for i := range reqs {
+		for j := range reqs[i].Spans {
+			p = fbits(p, reqs[i].Spans[j].Util, &prevF)
 		}
 	}
 
 	bw.payload = p
-	bw.head = uv(append(bw.head[:0], markerBlock), uint64(len(p)))
-	if _, err := bw.w.Write(bw.head); err != nil {
-		return fmt.Errorf("trace: write binary block: %w", err)
-	}
-	if _, err := bw.w.Write(p); err != nil {
-		return fmt.Errorf("trace: write binary block: %w", err)
-	}
-	bw.reqs = bw.reqs[:0]
-	bw.spans = 0
-	return nil
+	dst = uv(append(dst, markerBlock), uint64(len(p)))
+	return append(dst, p...), nil
 }
 
 // appendBitmap packs n booleans LSB-first into ceil(n/8) bytes.
@@ -305,10 +329,11 @@ func appendBitmap(p []byte, n int, bit func(i int) bool) []byte {
 }
 
 // appendPacked2 packs one 2-bit value per span, four to a byte, LSB-first.
-func appendPacked2(p []byte, reqs []*Request, val func(*Span) (uint8, error)) ([]byte, error) {
+func appendPacked2(p []byte, reqs []Request, val func(*Span) (uint8, error)) ([]byte, error) {
 	var cur byte
 	var i int
-	for _, r := range reqs {
+	for k := range reqs {
+		r := &reqs[k]
 		for j := range r.Spans {
 			v, err := val(&r.Spans[j])
 			if err != nil {
@@ -352,7 +377,7 @@ type BinarySpanReader struct {
 type blockScratch struct {
 	classes  []string
 	spanCnt  []int
-	one      [1]byte
+	head     [5]byte // the stream header, then one byte at a time
 	spans    []Span // set per block to the arena reservation
 	spanNext int
 }
@@ -361,6 +386,19 @@ type blockScratch struct {
 // The header is consumed and checked on the first call to Next.
 func NewBinarySpanReader(r io.Reader) *BinarySpanReader {
 	return &BinarySpanReader{r: r}
+}
+
+// Reuse re-arms the reader on a new stream and keeps its block buffer,
+// request slice and span arena, so a reader that decodes body after body
+// settles to allocating the class labels of each block and nothing else.
+// Every request handed out before the call dies with it: its spans are
+// overwritten by the next stream. Only an owner that has let go of all of
+// them may call Reuse; a reader whose requests are kept needs no Reuse.
+func (d *BinarySpanReader) Reuse(r io.Reader) {
+	d.r = r
+	d.started, d.err = false, nil
+	d.pending, d.next = d.pending[:0], 0
+	d.arena.Reset()
 }
 
 func (d *BinarySpanReader) fail(err error) (Request, error) {
@@ -392,7 +430,7 @@ func (d *BinarySpanReader) Next() (Request, error) {
 }
 
 func (d *BinarySpanReader) readHeader() error {
-	var hdr [5]byte
+	hdr := &d.scratch.head
 	if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
 		return fmt.Errorf("trace: read binary header: %w", err)
 	}
@@ -408,20 +446,21 @@ func (d *BinarySpanReader) readHeader() error {
 // readBlock reads and decodes the next block into d.pending, or returns
 // io.EOF at the end marker.
 func (d *BinarySpanReader) readBlock() error {
-	if _, err := io.ReadFull(d.r, d.scratch.one[:]); err != nil {
+	one := d.scratch.head[:1]
+	if _, err := io.ReadFull(d.r, one); err != nil {
 		if err == io.EOF {
 			return fmt.Errorf("trace: binary stream truncated before end marker: %w", io.ErrUnexpectedEOF)
 		}
 		return fmt.Errorf("trace: read block marker: %w", err)
 	}
-	switch d.scratch.one[0] {
+	switch one[0] {
 	case markerEnd:
 		return io.EOF
 	case markerBlock:
 	default:
-		return fmt.Errorf("trace: bad block marker 0x%02x", d.scratch.one[0])
+		return fmt.Errorf("trace: bad block marker 0x%02x", one[0])
 	}
-	size, err := readUvarint(d.r)
+	size, err := readUvarint(d.r, one)
 	if err != nil {
 		return fmt.Errorf("trace: read block length: %w", err)
 	}
@@ -691,14 +730,14 @@ func (d *BinarySpanReader) decodeBlock(p []byte) error {
 	return nil
 }
 
-// readUvarint reads one uvarint directly from r (used only for the block
-// length prefix; everything else decodes from the in-memory payload).
-func readUvarint(r io.Reader) (uint64, error) {
+// readUvarint reads one uvarint directly from r, a byte at a time through
+// b (used only for the block length prefix; everything else decodes from the
+// in-memory payload).
+func readUvarint(r io.Reader, b []byte) (uint64, error) {
 	var x uint64
 	var s uint
-	var b [1]byte
 	for i := 0; i < binary.MaxVarintLen64; i++ {
-		if _, err := io.ReadFull(r, b[:]); err != nil {
+		if _, err := io.ReadFull(r, b[:1]); err != nil {
 			return 0, err
 		}
 		if b[0] < 0x80 {

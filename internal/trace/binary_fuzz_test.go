@@ -51,6 +51,9 @@ func FuzzBinaryCodec(f *testing.F) {
 	f.Add(binaryMagic + "\x01\x01\xff\xff\xff\xff\x7f")
 	f.Add(binaryMagic + "\x01\x01\x02\xff\x7f\x00")
 	f.Add("TCD2\x01\x00")
+	// A crasher this target found: the CSV reader used to accept a negative
+	// retry count, which trace-v2 cannot carry.
+	f.Add(csvHeaderLine + "0,,0,00000,network,00000,00,,00,0,0,0,-1,")
 
 	f.Fuzz(func(t *testing.T, input string) {
 		// Direction 1: input as a binary stream. Accept or reject, never

@@ -268,3 +268,83 @@ func BenchmarkReadBinary(b *testing.B) {
 		}
 	}
 }
+
+// encodeBinary is AppendBinary on a trace, failing the test on a refusal.
+func encodeBinary(tb testing.TB, tr *Trace) []byte {
+	tb.Helper()
+	out, err := AppendBinary(nil, tr.Requests)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// TestBinaryReaderReuse: one reader taken through stream after stream by
+// Reuse decodes each as a fresh reader does, whether the stream before it
+// was short, long (several blocks), or broke off in the middle.
+func TestBinaryReaderReuse(t *testing.T) {
+	long := benchCodecTrace()
+	for len(long.Requests) < 2*binaryBlockRequests+5 {
+		long.Requests = append(long.Requests, long.Requests...)
+	}
+	a, b, multi := encodeBinary(t, binaryTestTrace()), encodeBinary(t, benchCodecTrace()), encodeBinary(t, long)
+	streams := []struct {
+		name string
+		data []byte
+	}{
+		{"A", a}, {"B", b}, {"multi-block", multi}, {"A again", a},
+		{"truncated", multi[:len(multi)/2]}, {"B after an error", b},
+		{"bad magic", []byte("TCD2\x01\x00")}, {"multi-block after an error", multi}, {"empty", encodeBinary(t, &Trace{})}, {"B last", b},
+	}
+	d := NewBinarySpanReader(bytes.NewReader(nil))
+	for _, s := range streams {
+		want, wantErr := decodeAll(NewBinarySpanReader(bytes.NewReader(s.data)).Next, 1<<20)
+		d.Reuse(bytes.NewReader(s.data))
+		// Compared as they come: the next Reuse takes the spans back.
+		for i := 0; ; i++ {
+			got, err := d.Next()
+			if err != nil {
+				if i != len(want) {
+					t.Fatalf("%s: %d requests before %v, a fresh reader %d before %v", s.name, i, err, len(want), wantErr)
+				}
+				if err != io.EOF && (wantErr == nil || err.Error() != wantErr.Error()) {
+					t.Fatalf("%s: err = %v, a fresh reader %v", s.name, err, wantErr)
+				}
+				if _, again := d.Next(); again != err {
+					t.Fatalf("%s: error not sticky: %v then %v", s.name, err, again)
+				}
+				break
+			}
+			if i >= len(want) || !sameRequest(&got, &want[i]) {
+				t.Fatalf("%s: request %d differs from a fresh reader's", s.name, i)
+			}
+		}
+	}
+}
+
+// TestBinaryReaderReuseAllocs: a reused reader decoding one 500-request body
+// over and over allocates the class labels of the block and nothing that
+// grows with the requests or their spans.
+func TestBinaryReaderReuseAllocs(t *testing.T) {
+	perBody := func(requests, spans int) float64 {
+		tr := &Trace{}
+		for i := 0; i < requests; i++ {
+			tr.Requests = append(tr.Requests, Request{ID: int64(i), Class: [...]string{"get", "put", "scan"}[i%3], Arrival: float64(i), Spans: make([]Span, spans)})
+		}
+		data := encodeBinary(t, tr)
+		d, rd := NewBinarySpanReader(nil), bytes.NewReader(nil)
+		decode := func() {
+			rd.Reset(data)
+			d.Reuse(rd)
+			if n := drainRequests(t, d.Next); n != requests {
+				t.Fatalf("decoded %d of %d requests", n, requests)
+			}
+		}
+		decode() // grows the scratch
+		return testing.AllocsPerRun(20, decode)
+	}
+	small, large := perBody(50, 2), perBody(500, 9)
+	if small != large || large > 3 {
+		t.Errorf("allocations per body: %.0f for 50 requests of 2 spans, %.0f for 500 of 9; want the 3 class labels on both", small, large)
+	}
+}

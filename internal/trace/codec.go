@@ -391,12 +391,19 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// ReadJSON reads a trace written by WriteJSON.
+// ReadJSON reads a trace written by WriteJSON. Like the CSV reader it
+// refuses a negative retry count, which no codec writes and trace-v2 cannot
+// carry.
 func ReadJSON(r io.Reader) (*Trace, error) {
 	var t Trace
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("trace: decode json: %w", err)
+	}
+	for i := range t.Requests {
+		if r := &t.Requests[i]; r.Retries < 0 {
+			return nil, fmt.Errorf("trace: decode json: request %d (index %d) has negative retries %d", r.ID, i, r.Retries)
+		}
 	}
 	return &t, nil
 }

@@ -466,6 +466,9 @@ func (d *oracleSpanReader) Next() (Request, error) {
 					if d.cur.Retries, err = strconv.Atoi(row[12]); err != nil {
 						return d.fail(fmt.Errorf("trace: csv line %d retries: %w", d.line, err))
 					}
+					if d.cur.Retries < 0 {
+						return d.fail(fmt.Errorf("trace: csv line %d retries: negative count %d", d.line, d.cur.Retries))
+					}
 				}
 				if row[13] != "" && row[13] != "0" {
 					if d.cur.FailedOver, err = strconv.ParseBool(row[13]); err != nil {
@@ -618,5 +621,369 @@ func checkSpanReaderMatchesOracle(t *testing.T, input string) {
 				t.Fatalf("%s: error not sticky: %v then %v", name, gotErr, again)
 			}
 		}
+	}
+}
+
+// oracleWriteBinary is WriteBinary as it stood before the encoder became an
+// append encoder with recycled scratch, moved here verbatim (names apart):
+// a writer built from nothing for every trace, gathering request pointers
+// and writing header, blocks and end marker one by one. It stays, test-only,
+// as the reference AppendBinary and WriteBinary are held to byte for byte.
+func oracleWriteBinary(w io.Writer, t *Trace) error {
+	bw := newOracleBlockWriter(w)
+	if err := bw.writeHeader(); err != nil {
+		return err
+	}
+	for i := range t.Requests {
+		if err := bw.add(&t.Requests[i]); err != nil {
+			return err
+		}
+	}
+	return bw.close()
+}
+
+// oracleBlockWriter accumulates requests and flushes them as columnar
+// blocks. All scratch buffers are reused across blocks, so encoding a large
+// trace allocates a handful of buffers total.
+type oracleBlockWriter struct {
+	w io.Writer
+
+	reqs  []*Request
+	spans int
+
+	// classIdx and classes are the block-local dictionary.
+	classIdx map[string]int
+	classes  []string
+
+	// payload assembles one block; head assembles the marker+length prefix.
+	payload []byte
+	head    []byte
+}
+
+func newOracleBlockWriter(w io.Writer) *oracleBlockWriter {
+	return &oracleBlockWriter{
+		w:        w,
+		classIdx: make(map[string]int),
+	}
+}
+
+func (bw *oracleBlockWriter) writeHeader() error {
+	if _, err := io.WriteString(bw.w, binaryMagic+string(rune(binaryVersion))); err != nil {
+		return fmt.Errorf("trace: write binary header: %w", err)
+	}
+	return nil
+}
+
+func (bw *oracleBlockWriter) add(r *Request) error {
+	bw.reqs = append(bw.reqs, r)
+	bw.spans += len(r.Spans)
+	if len(bw.reqs) >= binaryBlockRequests || bw.spans >= binaryBlockSpans {
+		return bw.flush()
+	}
+	return nil
+}
+
+func (bw *oracleBlockWriter) close() error {
+	if err := bw.flush(); err != nil {
+		return err
+	}
+	if _, err := bw.w.Write([]byte{markerEnd}); err != nil {
+		return fmt.Errorf("trace: write binary end marker: %w", err)
+	}
+	return nil
+}
+
+// flush encodes the buffered requests as one block.
+func (bw *oracleBlockWriter) flush() error {
+	if len(bw.reqs) == 0 {
+		return nil
+	}
+	p := bw.payload[:0]
+	p = uv(p, uint64(len(bw.reqs)))
+	p = uv(p, uint64(bw.spans))
+
+	// Block-local class dictionary, first-seen order (deterministic).
+	bw.classes = bw.classes[:0]
+	clear(bw.classIdx)
+	for _, r := range bw.reqs {
+		if _, ok := bw.classIdx[r.Class]; !ok {
+			bw.classIdx[r.Class] = len(bw.classes)
+			bw.classes = append(bw.classes, r.Class)
+		}
+	}
+	p = uv(p, uint64(len(bw.classes)))
+	for _, c := range bw.classes {
+		if len(c) > maxBinaryClassBytes {
+			return fmt.Errorf("trace: class label of %d bytes exceeds the %d-byte limit", len(c), maxBinaryClassBytes)
+		}
+		p = uv(p, uint64(len(c)))
+		p = append(p, c...)
+	}
+
+	// Request columns.
+	var prevID int64
+	for i, r := range bw.reqs {
+		if i == 0 {
+			p = sv(p, r.ID)
+		} else {
+			p = sv(p, r.ID-prevID)
+		}
+		prevID = r.ID
+	}
+	for _, r := range bw.reqs {
+		p = uv(p, uint64(bw.classIdx[r.Class]))
+	}
+	for _, r := range bw.reqs {
+		p = sv(p, int64(r.Server))
+	}
+	var prevF uint64
+	for _, r := range bw.reqs {
+		p = fbits(p, r.Arrival, &prevF)
+	}
+	for _, r := range bw.reqs {
+		if r.Retries < 0 {
+			return fmt.Errorf("trace: request %d has negative retries %d", r.ID, r.Retries)
+		}
+		p = uv(p, uint64(r.Retries))
+	}
+	p = appendBitmap(p, len(bw.reqs), func(i int) bool { return bw.reqs[i].FailedOver })
+	for _, r := range bw.reqs {
+		p = uv(p, uint64(len(r.Spans)))
+	}
+
+	// Span columns. The 2-bit enums are validated here: like the CSV codec
+	// (whose String/Parse pair rejects them on the way back in), unknown
+	// subsystems or ops cannot be represented.
+	var err error
+	p, err = oracleAppendPacked2(p, bw.reqs, func(s *Span) (uint8, error) {
+		if s.Subsystem < 0 || s.Subsystem >= numSubsystems {
+			return 0, fmt.Errorf("trace: span has invalid subsystem %d", s.Subsystem)
+		}
+		return uint8(s.Subsystem), nil
+	})
+	if err != nil {
+		return err
+	}
+	p, err = oracleAppendPacked2(p, bw.reqs, func(s *Span) (uint8, error) {
+		if s.Op < OpNone || s.Op > OpWrite {
+			return 0, fmt.Errorf("trace: span has invalid op %d", s.Op)
+		}
+		return uint8(s.Op), nil
+	})
+	if err != nil {
+		return err
+	}
+	prevF = 0
+	for _, r := range bw.reqs {
+		for i := range r.Spans {
+			p = fbits(p, r.Spans[i].Start, &prevF)
+		}
+	}
+	prevF = 0
+	for _, r := range bw.reqs {
+		for i := range r.Spans {
+			p = fbits(p, r.Spans[i].Duration, &prevF)
+		}
+	}
+	for _, r := range bw.reqs {
+		for i := range r.Spans {
+			p = sv(p, r.Spans[i].Bytes)
+		}
+	}
+	for _, r := range bw.reqs {
+		for i := range r.Spans {
+			p = sv(p, r.Spans[i].LBN)
+		}
+	}
+	for _, r := range bw.reqs {
+		for i := range r.Spans {
+			p = sv(p, int64(r.Spans[i].Bank))
+		}
+	}
+	prevF = 0
+	for _, r := range bw.reqs {
+		for i := range r.Spans {
+			p = fbits(p, r.Spans[i].Util, &prevF)
+		}
+	}
+
+	bw.payload = p
+	bw.head = uv(append(bw.head[:0], markerBlock), uint64(len(p)))
+	if _, err := bw.w.Write(bw.head); err != nil {
+		return fmt.Errorf("trace: write binary block: %w", err)
+	}
+	if _, err := bw.w.Write(p); err != nil {
+		return fmt.Errorf("trace: write binary block: %w", err)
+	}
+	bw.reqs = bw.reqs[:0]
+	bw.spans = 0
+	return nil
+}
+
+// oracleAppendPacked2 packs one 2-bit value per span, four to a byte, LSB-first.
+func oracleAppendPacked2(p []byte, reqs []*Request, val func(*Span) (uint8, error)) ([]byte, error) {
+	var cur byte
+	var i int
+	for _, r := range reqs {
+		for j := range r.Spans {
+			v, err := val(&r.Spans[j])
+			if err != nil {
+				return nil, err
+			}
+			cur |= v << ((i % 4) * 2)
+			if i%4 == 3 {
+				p = append(p, cur)
+				cur = 0
+			}
+			i++
+		}
+	}
+	if i%4 != 0 {
+		p = append(p, cur)
+	}
+	return p, nil
+}
+
+// checkBinaryMatchesOracle holds AppendBinary and WriteBinary to the
+// pre-change writer on one trace: the same verdict and, for a trace the
+// format carries, the same bytes; a refused trace leaves dst as it was.
+func checkBinaryMatchesOracle(t *testing.T, tr *Trace) {
+	t.Helper()
+	var want bytes.Buffer
+	wantErr := oracleWriteBinary(&want, tr)
+	got, err := AppendBinary([]byte("prefix"), tr.Requests)
+	var buf bytes.Buffer
+	werr := WriteBinary(&buf, tr)
+	if wantErr != nil {
+		if err == nil || werr == nil {
+			t.Fatalf("the old writer refuses the trace (%v), AppendBinary err = %v, WriteBinary err = %v", wantErr, err, werr)
+		}
+		if err.Error() != wantErr.Error() || werr.Error() != wantErr.Error() {
+			t.Fatalf("refusal worded differently: old %q, AppendBinary %q, WriteBinary %q", wantErr, err, werr)
+		}
+		if string(got) != "prefix" {
+			t.Fatalf("a refused trace changed dst: %q", got)
+		}
+		return
+	}
+	if err != nil || werr != nil {
+		t.Fatalf("the old writer accepts the trace, AppendBinary err = %v, WriteBinary err = %v", err, werr)
+	}
+	if !bytes.Equal(got, append([]byte("prefix"), want.Bytes()...)) {
+		t.Fatalf("AppendBinary differs from the old writer (%d bytes against %d)", len(got)-len("prefix"), want.Len())
+	}
+	if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+		t.Fatalf("WriteBinary differs from the old writer (%d bytes against %d)", buf.Len(), want.Len())
+	}
+}
+
+// TestAppendBinaryMatchesWrite: the six preset goldens, their .dct fixtures
+// and the hand-built traces re-encode to the same bytes through
+// AppendBinary, WriteBinary and the old writer; a .dct fixture re-encodes to
+// itself.
+func TestAppendBinaryMatchesWrite(t *testing.T) {
+	long := benchCodecTrace()
+	for len(long.Requests) < 3*binaryBlockRequests+7 { // several blocks
+		long.Requests = append(long.Requests, long.Requests...)
+	}
+	traces := map[string]*Trace{
+		"nil requests":   {},
+		"empty requests": {Requests: []Request{}},
+		"sample":         sampleTrace(),
+		"corners":        binaryTestTrace(),
+		"oracle":         oracleTrace(), // refused: enums outside the 2-bit columns
+		"bench":          benchCodecTrace(),
+		"several blocks": long,
+		"span-cut block": {Requests: []Request{{ID: 1, Spans: make([]Span, binaryBlockSpans+1)}, {ID: 2}, {ID: 3, Spans: make([]Span, 3)}}},
+	}
+	for _, name := range presetGoldens(t) {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := ReadCSV(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		traces[filepath.Base(name)] = tr
+	}
+	fixtures, err := filepath.Glob("../spec/testdata/*.golden.dct")
+	if err != nil || len(fixtures) != 6 {
+		t.Fatalf(".dct fixtures: got %d (%v), want 6", len(fixtures), err)
+	}
+	for _, name := range fixtures {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := ReadBinary(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		traces[filepath.Base(name)] = tr
+		if got, err := AppendBinary(nil, tr.Requests); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("%s: AppendBinary(ReadBinary(fixture)) != fixture (err %v)", name, err)
+		}
+	}
+	for name, tr := range traces {
+		t.Run(name, func(t *testing.T) { checkBinaryMatchesOracle(t, tr) })
+	}
+	for _, class := range append([]string{strings.Repeat("c", maxBinaryClassBytes), strings.Repeat("c", maxBinaryClassBytes+1)}, oracleClasses...) {
+		for _, v := range oracleFloats {
+			tr := binaryTestTrace()
+			perturb(tr, class, v)
+			checkBinaryMatchesOracle(t, tr)
+		}
+	}
+}
+
+// FuzzAppendBinaryMatchesOracle: whatever trace a reader accepts (trace-v2,
+// CSV, or JSON with the enum values only it can carry), with a fuzzed class
+// and float planted in it, encodes to the bytes the old writer wrote, or is
+// refused in the same words.
+func FuzzAppendBinaryMatchesOracle(f *testing.F) {
+	addOracleSeeds(f, func(tr *Trace) []byte {
+		if out, err := AppendBinary(nil, tr.Requests); err == nil {
+			return out
+		}
+		out, err := oracleJSON(tr) // oracleTrace: what trace-v2 refuses
+		if err != nil {
+			f.Fatal(err)
+		}
+		return out
+	})
+	f.Fuzz(func(t *testing.T, input []byte, class string, bits uint64) {
+		tr, err := ReadBinary(bytes.NewReader(input))
+		if err != nil {
+			tr, err = ReadCSV(bytes.NewReader(input))
+		}
+		if err != nil {
+			tr, err = ReadJSON(bytes.NewReader(input))
+		}
+		if err != nil {
+			tr = binaryTestTrace()
+		}
+		perturb(tr, class, math.Float64frombits(bits))
+		checkBinaryMatchesOracle(t, tr)
+	})
+}
+
+// TestReadersRefuseNegativeRetries: a retry count below zero is refused on
+// the way in, by every reader, with the place it stands at. trace-v2 cannot
+// carry one, so a reader that let it through handed the cluster coordinator
+// a request it could not forward.
+func TestReadersRefuseNegativeRetries(t *testing.T) {
+	row := strings.Join(csvHeader, ",") + "\n1,c,0,0,cpu,0,0,none,0,0,0,0,0,0\n2,c,0,0,cpu,0,0,none,0,0,0,0,-1,0\n"
+	const want = "trace: csv line 3 retries: negative count -1"
+	if _, err := ReadCSV(strings.NewReader(row)); err == nil || err.Error() != want {
+		t.Errorf("ReadCSV err = %v, want %q", err, want)
+	}
+	if _, err := decodeAll(newOracleSpanReader(strings.NewReader(row)).Next, 10); err == nil || err.Error() != want {
+		t.Errorf("oracle reader err = %v, want %q", err, want)
+	}
+	checkSpanReaderMatchesOracle(t, row)
+	_, err := ReadJSON(strings.NewReader(`{"Requests":[{"ID":4},{"ID":5,"Retries":-2}]}`))
+	if err == nil || !strings.Contains(err.Error(), "request 5 (index 1) has negative retries -2") {
+		t.Errorf("ReadJSON err = %v, want request 5 at index 1 refused", err)
 	}
 }

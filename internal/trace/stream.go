@@ -462,6 +462,9 @@ func (d *SpanReader) openRequest(id int64, row [][]byte) error {
 			if d.cur.Retries, err = parseCSVInt(row[12]); err != nil {
 				return fmt.Errorf("trace: csv line %d retries: %w", d.line, err)
 			}
+			if d.cur.Retries < 0 {
+				return fmt.Errorf("trace: csv line %d retries: negative count %d", d.line, d.cur.Retries)
+			}
 		}
 		switch string(row[13]) {
 		case "", "0":
