@@ -22,11 +22,13 @@ import (
 // without extra RPCs.
 const QueueDepthHeader = "X-Dcmodel-Queue-Depth"
 
-// routeBatchSize bounds how many decoded requests are routed under one
-// lock acquisition, so concurrent ingest bodies interleave at batch
-// granularity (the determinism contract makes the interleaving
-// unobservable in the merged model).
-const routeBatchSize = 256
+// routeBatchSize is the chunk an ingest body is routed in: the most requests
+// one routeMu acquisition partitions, encodes once per owner and sends as one
+// POST per owner, so concurrent ingest bodies interleave at chunk granularity
+// (the determinism contract makes the interleaving unobservable in the merged
+// model). It also bounds what the merge cadence, checked once a chunk, can be
+// overrun by, and is the default MergeEvery for that reason.
+const routeBatchSize = 4096
 
 // CoordinatorConfig configures the cluster coordinator (the master
 // role).
@@ -93,19 +95,46 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 // by Coordinator.routeMu.
 type member struct {
 	url string
+	// spanName names the child span of a delivery: route:worker-N.
+	spanName string
 	// up reports the transport view: false after a failed delivery
 	// until a successful half-open probe.
 	up bool
 	// downUntil is the elapsed time before which no probe is attempted.
 	downUntil float64
-	// log holds every request delivered to this worker since its shard
-	// was last (re)set — the re-replication source when it dies. This
-	// is the GFS master's chunk-location log, at request granularity.
-	log []trace.Request
+	// log holds the bodies delivered to this worker since its checkpoint,
+	// as the trace-v2 bytes that were sent, and logged counts the requests
+	// in them. It is the re-replication source when the worker dies (the
+	// GFS master's operation log): a body is appended before it is sent and
+	// decoded again only when a death makes its requests orphans.
+	log    [][]byte
+	logged int
+	// checkpoint is the worker's shard as the last completed merge pulled
+	// it: every request delivered up to that merge, as counts. The merge
+	// cut the log there, so checkpoint plus log is everything the worker
+	// holds. Nil until the first merge after a (re)set.
+	checkpoint *Model
 	// generation is the merge generation last installed on the worker.
 	generation int64
 	// queueDepth is the worker's last piggybacked in-flight load.
 	queueDepth int64
+}
+
+// share is one owner's part of a routing round. The shares are scratch of
+// the coordinator, reused from round to round under routeMu.
+type share struct {
+	// reqs are the requests the round assigns to the owner: first the mine
+	// of them that belong to the body being ingested, then orphans of dead
+	// workers.
+	reqs []trace.Request
+	mine int
+	// body is reqs as the trace-v2 stream that is logged and sent.
+	body []byte
+	span *obs.LiveSpan
+	// depth and err are the outcome of the delivery, written on the owner's
+	// goroutine and read after the join.
+	depth int64
+	err   error
 }
 
 // Coordinator fronts the cluster: it consistent-hash-routes ingested
@@ -131,6 +160,15 @@ type Coordinator struct {
 	generation  int64
 	sinceMerge  int
 
+	// Scratch of one routing round, guarded by routeMu: a share per member
+	// and a last one for the coordinator's own shard, which members are
+	// usable, and the buffer a share is encoded in before its exact copy is
+	// logged.
+	shares   []share
+	usableAt []bool
+	excluded func(worker int) bool
+	enc      []byte
+
 	reg           *obs.Registry
 	routed        *obs.LabeledCounter
 	deaths        *obs.LabeledCounter
@@ -138,6 +176,7 @@ type Coordinator struct {
 	redistributed *obs.Counter
 	degraded      *obs.Counter
 	merges        *obs.Counter
+	folds         *obs.Counter
 	spanner       *obs.Spanner
 	traces        *obs.TraceRing
 
@@ -171,9 +210,12 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			return nil, err
 		}
 	}
-	for _, u := range cfg.Workers {
-		c.members = append(c.members, &member{url: u, up: true})
+	for i, u := range cfg.Workers {
+		c.members = append(c.members, &member{url: u, spanName: fmt.Sprintf("route:worker-%d", i), up: true})
 	}
+	c.shares = make([]share, len(c.members)+1)
+	c.usableAt = make([]bool, len(c.members))
+	c.excluded = func(worker int) bool { return !c.usableAt[worker] }
 
 	c.reg = obs.NewRegistry()
 	c.routed = c.reg.LabeledCounter("dcmodel_cluster_routed_total", "Requests routed to each worker shard.", "worker")
@@ -182,18 +224,25 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.redistributed = c.reg.Counter("dcmodel_cluster_redistributed_total", "Requests re-replicated from a dead worker's routing log.")
 	c.degraded = c.reg.Counter("dcmodel_cluster_degraded_total", "Requests absorbed by the coordinator itself with no worker up.")
 	c.merges = c.reg.Counter("dcmodel_cluster_merges_total", "Merge+replicate cycles completed.")
+	c.folds = c.reg.Counter("dcmodel_cluster_checkpoint_folds_total", "Dead workers' checkpoints folded into the coordinator's own shard.")
 	c.reg.OnScrape(func(set func(name string, v float64)) {
 		c.routeMu.Lock()
-		up := 0
+		up, logged, logBytes := 0, 0, 0
 		for _, m := range c.members {
 			if m.up {
 				up++
+			}
+			logged += m.logged
+			for _, body := range m.log {
+				logBytes += len(body)
 			}
 		}
 		gen := c.generation
 		c.routeMu.Unlock()
 		set("dcmodel_cluster_workers_up", float64(up))
 		set("dcmodel_cluster_generation", float64(gen))
+		set("dcmodel_cluster_log_requests", float64(logged))
+		set("dcmodel_cluster_log_bytes", float64(logBytes))
 	})
 	if cfg.Obs != nil {
 		o := cfg.Obs.WithDefaults()
@@ -278,35 +327,31 @@ func (c *Coordinator) usable(i int, t float64) bool {
 		return false
 	}
 	m.up = true
-	m.log = nil
+	m.log, m.logged, m.checkpoint = nil, 0, nil
 	m.generation = 0
 	m.queueDepth = 0
 	return true
 }
 
 // reapLocked executes the armed fault schedule: every up worker the
-// schedule holds down at elapsed t is killed and its routing log
-// re-replicated to the survivors. Callers hold routeMu and must call
-// this before trusting membership on a write path (routing or merging).
-func (c *Coordinator) reapLocked(t float64) {
+// schedule holds down at elapsed t is killed, and what it leaves to re-route
+// is returned. Callers hold routeMu and must call this, and re-route, before
+// trusting membership on a write path (routing or merging).
+func (c *Coordinator) reapLocked(t float64) (orphans []trace.Request) {
 	if c.sched == nil {
-		return
+		return nil
 	}
-	var orphans []trace.Request
 	for i, m := range c.members {
 		if m.up && c.faultDown(i, t) {
 			c.kill(i, c.sched.NextUp(i, t))
-			orphans = append(orphans, c.takeLog(i)...)
+			orphans = append(orphans, c.orphansLocked(i)...)
 		}
 	}
-	if len(orphans) > 0 {
-		c.redistributed.Add(int64(len(orphans)))
-		c.redistributeLocked(orphans)
-	}
+	return orphans
 }
 
-// kill marks worker i down until downUntil and returns nothing; the
-// caller redistributes its log. Callers hold routeMu.
+// kill marks worker i down until downUntil; the caller re-routes what
+// orphansLocked returns for it. Callers hold routeMu.
 func (c *Coordinator) kill(i int, downUntil float64) {
 	m := c.members[i]
 	if !m.up {
@@ -317,98 +362,220 @@ func (c *Coordinator) kill(i int, downUntil float64) {
 	c.deaths.Add(1, strconv.Itoa(i))
 }
 
-// takeLog detaches and returns worker i's routing log. Callers hold
-// routeMu.
-func (c *Coordinator) takeLog(i int) []trace.Request {
+// orphansLocked takes everything a dead worker held out of it. Its
+// checkpoint, the requests delivered up to the last merge, is folded into
+// the coordinator's own shard: a model is integer counts, so the fold is
+// exact, and every later generation counts those requests there. Its log,
+// the bodies delivered since, is decoded back into the requests the caller
+// re-routes. Callers hold routeMu.
+func (c *Coordinator) orphansLocked(i int) (orphans []trace.Request) {
 	m := c.members[i]
-	log := m.log
-	m.log = nil
-	return log
+	if m.checkpoint != nil {
+		// The checkpoint went through global.Merge when it was taken, so
+		// its quantization is the coordinator's.
+		if err := c.local.Merge(m.checkpoint); err != nil {
+			panic(fmt.Sprintf("cluster: checkpoint of worker %d does not fold: %v", i, err))
+		}
+		m.checkpoint = nil
+		c.folds.Inc()
+	}
+	for _, body := range m.log {
+		tr, err := trace.ReadBinary(bytes.NewReader(body))
+		if err != nil { // bytes AppendBinary wrote and nobody else touched
+			panic(fmt.Sprintf("cluster: routing log of worker %d does not decode: %v", i, err))
+		}
+		orphans = append(orphans, tr.Requests...)
+	}
+	m.log, m.logged = nil, 0
+	c.redistributed.Add(int64(len(orphans)))
+	return orphans
 }
 
-// routeBatch routes a decoded request batch: owner assignment by
-// consistent hash over usable workers, log append BEFORE delivery, and
-// on a failed delivery the dead worker's whole log is redistributed to
-// the survivors (or absorbed locally when none remain). It returns how
-// many of the batch's requests were absorbed by the coordinator itself.
-func (c *Coordinator) routeBatch(batch []trace.Request, span *obs.LiveSpan) int {
-	c.routeMu.Lock()
-	defer c.routeMu.Unlock()
+// absorbLocked trains the coordinator's own shard on requests no worker can
+// take (breaker-style degradation). Callers hold routeMu.
+func (c *Coordinator) absorbLocked(reqs []trace.Request) {
+	for i := range reqs {
+		c.local.Observe(reqs[i])
+	}
+	c.degraded.Add(int64(len(reqs)))
+}
 
-	degraded := 0
-	pending := batch
-	for len(pending) > 0 {
-		t := c.elapsed()
-		c.reapLocked(t)
-		// Partition the pending requests by ring owner among usable
-		// workers; unroutable requests train the coordinator's own
-		// shard (breaker-style degradation).
-		buckets := make(map[int][]trace.Request)
-		for _, req := range pending {
-			owner := c.ring.OwnerExcluding(Key(req.ID, req.Class), func(w int) bool { return !c.usable(w, t) })
-			if owner < 0 {
-				c.local.Observe(req)
-				c.degraded.Inc()
-				degraded++
-				continue
-			}
-			buckets[owner] = append(buckets[owner], req)
-		}
-		pending = nil
-		for owner, reqs := range buckets {
-			m := c.members[owner]
-			// Log append precedes delivery: if the POST fails (or times
-			// out ambiguously) the worker is marked down and the log —
-			// including this batch — is re-replicated, so an
-			// acknowledged-but-unrecorded delivery cannot happen.
-			m.log = append(m.log, reqs...)
-			child := span.Child(fmt.Sprintf("route:worker-%d", owner))
-			err := c.deliver(m, reqs)
-			if err != nil {
-				child.Annotate("dead: %v", err)
-				child.End()
-				c.kill(owner, c.elapsed()+c.cfg.Cooldown)
-				orphans := c.takeLog(owner)
-				c.redistributed.Add(int64(len(orphans)))
-				pending = append(pending, orphans...)
-				continue
-			}
-			child.Annotate("n=%d", len(reqs))
-			child.End()
-			c.routed.Add(int64(len(reqs)), strconv.Itoa(owner))
-			c.sinceMerge += len(reqs)
+// fanOut runs do(i) for every listed member side by side and returns once
+// all have returned: the last on the calling goroutine, each other on one of
+// its own.
+func fanOut(members []int, do func(i int)) {
+	if len(members) == 0 {
+		return
+	}
+	var wg sync.WaitGroup
+	for _, i := range members[:len(members)-1] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			do(i)
+		}()
+	}
+	do(members[len(members)-1])
+	wg.Wait()
+}
+
+// liveLocked lists the workers usable at elapsed t, in member order (a
+// transport-dead one whose cooldown has passed is probed here), and leaves
+// the same answer in c.usableAt for the ring walk. Callers hold routeMu.
+func (c *Coordinator) liveLocked(t float64) (live []int) {
+	for i := range c.members {
+		if c.usableAt[i] = c.usable(i, t); c.usableAt[i] {
+			live = append(live, i)
 		}
 	}
+	return live
+}
+
+// routeBatch routes one chunk of an ingest body and runs the merge the
+// cadence asks for. It returns how many of the chunk's requests a worker
+// took and how many the coordinator absorbed itself.
+func (c *Coordinator) routeBatch(batch []trace.Request, span *obs.LiveSpan) (routed, absorbed int, err error) {
+	c.routeMu.Lock()
+	defer c.routeMu.Unlock()
+	routed, absorbed, err = c.routeLocked(batch, nil, span)
 	if c.cfg.MergeEvery > 0 && c.sinceMerge >= c.cfg.MergeEvery {
 		// Best-effort: a failed merge leaves the previous generation
 		// serving and the next cycle retries.
 		_ = c.mergeLocked()
 	}
-	return degraded
+	return routed, absorbed, err
 }
 
-// deliver POSTs one request batch to a worker in trace-v2 binary form.
-// Callers hold routeMu.
-func (c *Coordinator) deliver(m *member, reqs []trace.Request) error {
-	var buf bytes.Buffer
-	if err := trace.WriteBinary(&buf, &trace.Trace{Requests: reqs}); err != nil {
-		return err
+// routeLocked is the one routing loop, for a chunk of an ingest body (mine)
+// and for the orphans of dead workers (older) alike. A round reaps the fault
+// schedule, assigns every pending request to its ring owner among the usable
+// workers, encodes each owner's share once, appends those bytes to the
+// owner's log BEFORE sending them, sends all shares side by side and joins.
+// Then, in member order, an owner whose delivery failed (transport error or
+// a non-200) is killed and everything it held goes into the next round;
+// requests with no usable owner train the coordinator's own shard. It
+// returns how many of mine a worker took and how many were absorbed.
+//
+// The only error is a share that does not encode, which nothing a reader
+// accepts produces: it is reported before the round has logged or sent
+// anything and blames no worker, the round's orphans are absorbed, and what
+// is left of mine is dropped with the error. Callers hold routeMu.
+func (c *Coordinator) routeLocked(mine, older []trace.Request, span *obs.LiveSpan) (routed, absorbed int, err error) {
+	own := &c.shares[len(c.members)]
+	defer func() {
+		for i := range c.shares { // keep no request alive between calls
+			sh := &c.shares[i]
+			clear(sh.reqs)
+			sh.reqs, sh.body, sh.span = sh.reqs[:0], nil, nil
+		}
+	}()
+	for {
+		t := c.elapsed()
+		older = append(older, c.reapLocked(t)...)
+		if len(mine)+len(older) == 0 {
+			return routed, absorbed, nil
+		}
+		live := c.liveLocked(t)
+		for i := range c.shares {
+			sh := &c.shares[i]
+			sh.reqs, sh.mine = sh.reqs[:0], 0
+		}
+		assign := func(reqs []trace.Request) {
+			for i := range reqs {
+				owner := c.ring.OwnerExcluding(Key(reqs[i].ID, reqs[i].Class), c.excluded)
+				if owner < 0 {
+					owner = len(c.members)
+				}
+				c.shares[owner].reqs = append(c.shares[owner].reqs, reqs[i])
+			}
+		}
+		assign(mine)
+		for i := range c.shares {
+			c.shares[i].mine = len(c.shares[i].reqs)
+		}
+		assign(older)
+
+		// Encode every share before any is logged: the log holds exactly
+		// what is sent.
+		owners := live[:0]
+		for _, i := range live {
+			sh := &c.shares[i]
+			if len(sh.reqs) == 0 {
+				continue
+			}
+			if c.enc, err = trace.AppendBinary(c.enc[:0], sh.reqs); err != nil {
+				c.absorbLocked(older)
+				return routed, absorbed, err
+			}
+			sh.body = bytes.Clone(c.enc)
+			owners = append(owners, i)
+		}
+		c.absorbLocked(own.reqs)
+		absorbed += own.mine
+
+		// Log append precedes delivery: if the POST fails (or times out
+		// ambiguously) the worker is marked down and the log, this body
+		// included, is re-replicated, so an acknowledged-but-unrecorded
+		// delivery cannot happen. The child spans open here, in member
+		// order, so a sampled tree does not depend on which POST wins.
+		for _, i := range owners {
+			m, sh := c.members[i], &c.shares[i]
+			m.log = append(m.log, sh.body)
+			m.logged += len(sh.reqs)
+			sh.span = span.Child(m.spanName)
+		}
+		fanOut(owners, func(i int) {
+			sh := &c.shares[i]
+			sh.depth, sh.err = c.deliver(c.members[i].url, sh.body)
+			sh.span.End()
+		})
+
+		mine, older = nil, nil
+		for _, i := range owners {
+			m, sh := c.members[i], &c.shares[i]
+			if sh.err != nil {
+				sh.span.Annotate("dead: %v", sh.err)
+				c.kill(i, c.elapsed()+c.cfg.Cooldown)
+				// The body just logged is at hand as requests, which tells
+				// mine from the rest; the log before it is not.
+				m.log, m.logged = m.log[:len(m.log)-1], m.logged-len(sh.reqs)
+				c.redistributed.Add(int64(len(sh.reqs)))
+				mine = append(mine, sh.reqs[:sh.mine]...)
+				older = append(older, sh.reqs[sh.mine:]...)
+				older = append(older, c.orphansLocked(i)...)
+				continue
+			}
+			sh.span.Annotate("n=%d", len(sh.reqs))
+			if sh.depth >= 0 {
+				m.queueDepth = sh.depth
+			}
+			c.routed.Add(int64(len(sh.reqs)), strconv.Itoa(i))
+			c.sinceMerge += len(sh.reqs)
+			routed += sh.mine
+		}
 	}
-	resp, err := c.client.Post(m.url+"/v1/ingest", trace.ContentTypeV2, &buf)
+}
+
+// deliver POSTs one logged body to a worker and returns the queue depth the
+// worker piggybacks on its answer, or -1 without one. It is the one way
+// requests reach a worker, for routing and re-replication alike, and touches
+// no coordinator state, so the deliveries of a round run side by side.
+func (c *Coordinator) deliver(url string, body []byte) (depth int64, err error) {
+	resp, err := c.client.Post(url+"/v1/ingest", trace.ContentTypeV2, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return -1, err
 	}
 	defer resp.Body.Close()
 	io.Copy(io.Discard, resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("worker returned %d", resp.StatusCode)
+		return -1, fmt.Errorf("worker returned %d", resp.StatusCode)
 	}
 	if qd := resp.Header.Get(QueueDepthHeader); qd != "" {
 		if v, err := strconv.ParseInt(qd, 10, 64); err == nil {
-			m.queueDepth = v
+			return v, nil
 		}
 	}
-	return nil
+	return -1, nil
 }
 
 // post is a bodyless-or-blob POST helper returning an error on any
@@ -428,13 +595,43 @@ func (c *Coordinator) post(url, contentType string, body []byte) error {
 
 // mergeLocked assembles the global model from the coordinator's own
 // shard plus every usable worker's shard, bumps the generation, and
-// replicates the merged model to the workers. A worker dying mid-merge
-// restarts the assembly after its log is redistributed, so every
-// generation counts every request exactly once. Callers hold routeMu.
+// replicates the merged model to the workers; the shards are pulled side by
+// side, and so are the replicas pushed. A worker dying mid-merge restarts the
+// assembly after what it held is re-routed, so every generation counts every
+// request exactly once.
+//
+// A completed merge is a checkpoint: no delivery is in flight under routeMu,
+// so a pulled shard is everything delivered to that worker so far. It is kept
+// as the member's checkpoint and the member's log is cut. Callers hold
+// routeMu.
 func (c *Coordinator) mergeLocked() error {
+	var orphans []trace.Request
 	for {
+		// Reap, and re-route what the dead leave, before trusting
+		// membership: the workers live at t are those not reaped at t.
 		t := c.elapsed()
-		c.reapLocked(t)
+		if orphans = append(orphans, c.reapLocked(t)...); len(orphans) > 0 {
+			if _, _, err := c.routeLocked(nil, orphans, nil); err != nil {
+				return err
+			}
+			orphans = nil
+			continue
+		}
+		live := c.liveLocked(t)
+		shards := make([]*Model, len(c.members))
+		errs := make([]error, len(c.members))
+		fanOut(live, func(i int) { shards[i], errs[i] = c.pullModel(c.members[i].url) })
+		died := false
+		for _, i := range live {
+			if errs[i] != nil {
+				c.kill(i, c.elapsed()+c.cfg.Cooldown)
+				orphans = append(orphans, c.orphansLocked(i)...)
+				died = true
+			}
+		}
+		if died {
+			continue
+		}
 		global, err := NewModel(c.cfg.Model)
 		if err != nil {
 			return err
@@ -442,24 +639,10 @@ func (c *Coordinator) mergeLocked() error {
 		if err := global.Merge(c.local); err != nil {
 			return err
 		}
-		died := false
-		for i := range c.members {
-			if !c.usable(i, t) {
-				continue
-			}
-			shard, err := c.pullModel(c.members[i].url)
-			if err != nil {
-				c.kill(i, c.elapsed()+c.cfg.Cooldown)
-				c.redeliverLocked(i)
-				died = true
-				break
-			}
-			if err := global.Merge(shard); err != nil {
+		for _, i := range live {
+			if err := global.Merge(shards[i]); err != nil {
 				return err
 			}
-		}
-		if died {
-			continue
 		}
 		blob, err := global.MarshalBinary()
 		if err != nil {
@@ -469,64 +652,24 @@ func (c *Coordinator) mergeLocked() error {
 		c.global, c.globalBytes = global, blob
 		c.sinceMerge = 0
 		c.merges.Inc()
-		for i, m := range c.members {
-			if !c.usable(i, t) {
-				continue
-			}
-			if err := c.postModel(m.url, blob, c.generation); err != nil {
-				// Its shard is already inside this generation; the
-				// redistribution only affects the NEXT one, which is
-				// rebuilt from scratch — still exactly once.
+		for _, i := range live {
+			m := c.members[i]
+			m.checkpoint, m.log, m.logged = shards[i], nil, 0
+		}
+		fanOut(live, func(i int) { errs[i] = c.postModel(c.members[i].url, blob, c.generation) })
+		for _, i := range live {
+			if errs[i] != nil {
+				// Its shard is already inside this generation, and is now
+				// its checkpoint: folded into the coordinator's own shard,
+				// it is inside the next one too, once.
 				c.kill(i, c.elapsed()+c.cfg.Cooldown)
-				c.redeliverLocked(i)
+				orphans = append(orphans, c.orphansLocked(i)...)
 				continue
 			}
-			m.generation = c.generation
+			c.members[i].generation = c.generation
 		}
-		return nil
-	}
-}
-
-// redeliverLocked re-replicates a dead worker's routing log to the
-// survivors. Callers hold routeMu.
-func (c *Coordinator) redeliverLocked(dead int) {
-	orphans := c.takeLog(dead)
-	if len(orphans) == 0 {
-		return
-	}
-	c.redistributed.Add(int64(len(orphans)))
-	c.redistributeLocked(orphans)
-}
-
-// redistributeLocked routes orphaned requests to the surviving workers,
-// absorbing them locally when none remain. Callers hold routeMu.
-func (c *Coordinator) redistributeLocked(orphans []trace.Request) {
-	pending := orphans
-	for len(pending) > 0 {
-		t := c.elapsed()
-		buckets := make(map[int][]trace.Request)
-		for _, req := range pending {
-			owner := c.ring.OwnerExcluding(Key(req.ID, req.Class), func(w int) bool { return !c.usable(w, t) })
-			if owner < 0 {
-				c.local.Observe(req)
-				c.degraded.Inc()
-				continue
-			}
-			buckets[owner] = append(buckets[owner], req)
-		}
-		pending = nil
-		for owner, reqs := range buckets {
-			m := c.members[owner]
-			m.log = append(m.log, reqs...)
-			if err := c.deliver(m, reqs); err != nil {
-				c.kill(owner, c.elapsed()+c.cfg.Cooldown)
-				next := c.takeLog(owner)
-				c.redistributed.Add(int64(len(next)))
-				pending = append(pending, next...)
-				continue
-			}
-			c.routed.Add(int64(len(reqs)), strconv.Itoa(owner))
-		}
+		_, _, err = c.routeLocked(nil, orphans, nil)
+		return err
 	}
 }
 
@@ -572,47 +715,53 @@ func (c *Coordinator) postModel(url string, blob []byte, generation int64) error
 }
 
 // handleIngest decodes a CSV or trace-v2 body and routes it across the
-// worker shards.
+// worker shards, a chunk of routeBatchSize requests at a time. The answer
+// counts this body's requests: routed to a worker, or absorbed by the
+// coordinator itself with no worker up. A body that stops decoding is
+// refused with 400 from there on; the chunks before it stay ingested.
 func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	span := c.spanner.StartRequest("cluster:ingest", 0)
-	dec := trace.NewRequestReader(io.LimitReader(r.Body, maxIngestBytes), r.Header.Get("Content-Type"))
-	total, degraded := 0, 0
-	batch := make([]trace.Request, 0, routeBatchSize)
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		degraded += c.routeBatch(batch, span)
-		total += len(batch)
-		batch = batch[:0]
-	}
-	for {
+	sc := ingestScratches.Get().(*ingestScratch)
+	defer sc.release()
+	dec := sc.reader(io.LimitReader(r.Body, maxIngestBytes), r.Header.Get("Content-Type"))
+	total, routed, absorbed := 0, 0, 0
+	for eof := false; !eof; {
 		req, err := dec.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
+		switch {
+		case errors.Is(err, io.EOF):
+			eof = true
+		case err != nil:
 			span.Annotate("decode error: %v", err)
 			span.Finish()
 			httpError(w, http.StatusBadRequest, "decode: %v", err)
 			return
+		default:
+			sc.batch = append(sc.batch, req)
 		}
-		batch = append(batch, req)
-		if len(batch) == routeBatchSize {
-			flush()
+		if len(sc.batch) == routeBatchSize || (eof && len(sc.batch) > 0) {
+			// The requests die with the call: the workers' logs keep the
+			// bytes sent, not these.
+			nr, na, err := c.routeBatch(sc.batch, span)
+			if err != nil {
+				span.Annotate("encode error: %v", err)
+				span.Finish()
+				httpError(w, http.StatusBadRequest, "encode: %v", err)
+				return
+			}
+			total, routed, absorbed = total+len(sc.batch), routed+nr, absorbed+na
+			sc.batch = sc.batch[:0]
 		}
 	}
-	flush()
-	span.Annotate("requests=%d degraded=%d", total, degraded)
+	span.Annotate("requests=%d degraded=%d", total, absorbed)
 	span.Finish()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"ingested":         total,
-		"routed":           total - degraded,
-		"absorbed_locally": degraded,
+		"routed":           routed,
+		"absorbed_locally": absorbed,
 	})
 }
 
@@ -799,7 +948,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 			Up:         m.up,
 			Generation: m.generation,
 			QueueDepth: m.queueDepth,
-			Logged:     len(m.log),
+			Logged:     m.logged,
 		})
 	}
 	c.routeMu.Unlock()

@@ -147,6 +147,40 @@ func (w *Worker) Generation() int64 {
 // signal the queue-depth routing scorer consumes.
 func (w *Worker) QueueDepth() int64 { return w.inflight.Load() }
 
+// ingestScratch is what decoding one ingest body needs and nothing outlives:
+// a trace-v2 reader and the slice the requests are gathered in. Neither
+// ingest handler keeps a request past its answer (a worker folds them into
+// counts, the coordinator logs and forwards bytes), so both are recycled.
+type ingestScratch struct {
+	v2    *trace.BinarySpanReader
+	batch []trace.Request
+}
+
+var ingestScratches = sync.Pool{New: func() any {
+	return &ingestScratch{v2: trace.NewBinarySpanReader(nil)}
+}}
+
+// reader returns the decoder for a body: the recycled reader for trace-v2,
+// a reader of its own for CSV.
+func (s *ingestScratch) reader(body io.Reader, contentType string) trace.RequestReader {
+	if trace.IsBinaryMediaType(contentType) {
+		s.v2.Reuse(body)
+		return s.v2
+	}
+	return trace.NewSpanReader(body)
+}
+
+// release returns the scratch to the pool, holding on to no body and no
+// request, and to no slice grown by a body far past a routing chunk.
+func (s *ingestScratch) release() {
+	s.v2.Reuse(nil)
+	clear(s.batch)
+	if s.batch = s.batch[:0]; cap(s.batch) > 4*routeBatchSize {
+		s.batch = nil
+	}
+	ingestScratches.Put(s)
+}
+
 // handleIngest absorbs a CSV or trace-v2 body into the shard model.
 func (w *Worker) handleIngest(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -162,8 +196,9 @@ func (w *Worker) handleIngest(rw http.ResponseWriter, r *http.Request) {
 	}
 	defer w.inflight.Add(-1)
 
-	dec := trace.NewRequestReader(io.LimitReader(r.Body, maxIngestBytes), r.Header.Get("Content-Type"))
-	var batch []trace.Request
+	sc := ingestScratches.Get().(*ingestScratch)
+	defer sc.release()
+	dec := sc.reader(io.LimitReader(r.Body, maxIngestBytes), r.Header.Get("Content-Type"))
 	for {
 		req, err := dec.Next()
 		if errors.Is(err, io.EOF) {
@@ -173,16 +208,16 @@ func (w *Worker) handleIngest(rw http.ResponseWriter, r *http.Request) {
 			httpError(rw, http.StatusBadRequest, "decode: %v", err)
 			return
 		}
-		batch = append(batch, req)
+		sc.batch = append(sc.batch, req)
 	}
 	w.mu.Lock()
-	for i := range batch {
-		w.shard.Observe(batch[i])
+	for i := range sc.batch {
+		w.shard.Observe(sc.batch[i])
 	}
 	total := w.shard.Requests()
 	w.mu.Unlock()
-	w.ingested.Add(int64(len(batch)))
-	writeJSON(rw, http.StatusOK, map[string]any{"ingested": len(batch), "shard_requests": total})
+	w.ingested.Add(int64(len(sc.batch)))
+	writeJSON(rw, http.StatusOK, map[string]any{"ingested": len(sc.batch), "shard_requests": total})
 }
 
 // handleModel serves the shard model (GET, coordinator merge pull) and
