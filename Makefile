@@ -23,7 +23,8 @@ help:
 	@echo "  spec       workload-spec gate: vet + the internal/spec suite"
 	@echo "             (parser, golden presets, worker-count determinism) under -race"
 	@echo "  cluster    distributed-cluster gate: the coordinator/worker suite"
-	@echo "             under -race (hash-ring routing, exact-merge byte-identity,"
+	@echo "             under -race (hash-ring routing, exact-merge byte-identity"
+	@echo "             over the worker x cadence x codec x kill-schedule matrix,"
 	@echo "             mid-run kill with zero dropped requests)"
 	@echo "  whatif     analytical-twin gate under -race: twin compilers +"
 	@echo "             solvers, the facade BuildTwin/WhatIf surface, the"
@@ -101,7 +102,8 @@ spec:
 # race detector — consistent-hash routing, the exact-merge determinism
 # contract (merged model byte-identical to single-node training for any
 # worker count and interleaving), and fault-scheduled mid-run kills with
-# zero dropped requests.
+# zero dropped requests. TestClusterModelMatrix is most of its minute: worker
+# count x merge cadence x body codec x kill schedule, every cell byte-compared.
 cluster:
 	$(GO) test -race -count=1 ./internal/cluster/
 
@@ -159,6 +161,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSpanReader -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run '^$$' ./internal/trace/
 	$(GO) test -fuzz=FuzzAppendCSVMatchesOracle -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run '^$$' ./internal/trace/
 	$(GO) test -fuzz=FuzzAppendJSONMatchesOracle -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run '^$$' ./internal/trace/
+	$(GO) test -fuzz=FuzzAppendBinaryMatchesOracle -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run '^$$' ./internal/trace/
 	$(GO) test -fuzz=FuzzSpecParse -fuzztime=$(FUZZTIME) -run '^$$' ./internal/spec/
 	$(GO) test -fuzz=FuzzSpecRoundTrip -fuzztime=$(FUZZTIME) -run '^$$' ./internal/spec/
 

@@ -10,7 +10,7 @@ import (
 )
 
 // testTrace generates a deterministic preset workload trace.
-func testTrace(t *testing.T, requests int, seed int64) *trace.Trace {
+func testTrace(t testing.TB, requests int, seed int64) *trace.Trace {
 	t.Helper()
 	sp, err := spec.Resolve("webtier")
 	if err != nil {
