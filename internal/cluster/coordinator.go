@@ -477,8 +477,7 @@ func (c *Coordinator) routeLocked(mine, older []trace.Request, span *obs.LiveSpa
 		}
 		live := c.liveLocked(t)
 		for i := range c.shares {
-			sh := &c.shares[i]
-			sh.reqs, sh.mine = sh.reqs[:0], 0
+			c.shares[i].reqs = c.shares[i].reqs[:0]
 		}
 		assign := func(reqs []trace.Request) {
 			for i := range reqs {

@@ -161,13 +161,13 @@ var ingestScratches = sync.Pool{New: func() any {
 }}
 
 // reader returns the decoder for a body: the recycled reader for trace-v2,
-// a reader of its own for CSV.
+// whatever trace.NewRequestReader picks (a CSV reader of its own) otherwise.
 func (s *ingestScratch) reader(body io.Reader, contentType string) trace.RequestReader {
 	if trace.IsBinaryMediaType(contentType) {
 		s.v2.Reuse(body)
 		return s.v2
 	}
-	return trace.NewSpanReader(body)
+	return trace.NewRequestReader(body, contentType)
 }
 
 // release returns the scratch to the pool, holding on to no body and no

@@ -378,7 +378,7 @@ type blockScratch struct {
 	classes  []string
 	spanCnt  []int
 	head     [5]byte // the stream header, then one byte at a time
-	spans    []Span // set per block to the arena reservation
+	spans    []Span  // set per block to the arena reservation
 	spanNext int
 }
 
