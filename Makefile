@@ -102,8 +102,9 @@ spec:
 # race detector — consistent-hash routing, the exact-merge determinism
 # contract (merged model byte-identical to single-node training for any
 # worker count and interleaving), and fault-scheduled mid-run kills with
-# zero dropped requests. TestClusterModelMatrix is most of its minute: worker
-# count x merge cadence x body codec x kill schedule, every cell byte-compared.
+# zero dropped requests. TestClusterModelMatrix is most of its 40 seconds:
+# worker count x merge cadence x body codec x kill schedule, every cell
+# byte-compared.
 cluster:
 	$(GO) test -race -count=1 ./internal/cluster/
 
