@@ -19,12 +19,15 @@ import (
 	"dcmodel/internal/dapper"
 	"dcmodel/internal/fault"
 	"dcmodel/internal/hw"
+	"dcmodel/internal/par"
 	"dcmodel/internal/trace"
 )
 
 // Platform describes the simulated hardware the workload runs on.
 type Platform struct {
-	// NewServer builds one server's hardware models. Required.
+	// NewServer builds one server's hardware models. Required. It is called
+	// once per server and must not hand out shared state: without Faults,
+	// the servers replay side by side.
 	NewServer func() *hw.Server
 	// Servers is the number of servers; 0 infers max(Server)+1 from the
 	// trace.
@@ -96,35 +99,98 @@ func Run(tr *trace.Trace, p Platform) (*trace.Trace, error) {
 	sort.SliceStable(order, func(a, b int) bool {
 		return tr.Requests[order[a]].Arrival < tr.Requests[order[b]].Arrival
 	})
+	// Servers share no hardware state, so each server's requests replay in
+	// arrival order on a lane of their own. An armed fault schedule is
+	// shared: a rack's failure process is extended lazily, under its lock,
+	// by every server in the rack. Faulted replay keeps the whole trace on
+	// one lane.
+	lanes := [][]int{order}
+	if sched == nil {
+		lanes = byServer(tr, order, nServers)
+	}
+	rank := make([]int, len(order)) // a request's position in arrival order
+	for pos, idx := range order {
+		rank[idx] = pos
+	}
 	out := &trace.Trace{Requests: make([]trace.Request, tr.Len())}
-	for _, idx := range order {
-		req, err := replayRequest(tr.Requests[idx], servers, sched)
-		if err != nil {
-			return nil, err
+	failAt := make([]int, len(lanes))
+	errs := make([]error, len(lanes))
+	par.Do(len(lanes), 0, func(l int) error {
+		failAt[l] = len(order)
+		// The lane's output spans are carved from one array.
+		var n int
+		for _, idx := range lanes[l] {
+			n += len(tr.Requests[idx].Spans)
 		}
-		out.Requests[idx] = req
-		if p.Recorder != nil {
-			p.Recorder.Record(dapper.FromRequest(req))
+		spans := make([]trace.Span, n)
+		for _, idx := range lanes[l] {
+			in := tr.Requests[idx]
+			req, err := replayRequest(in, spans[:0:len(in.Spans)], servers, sched)
+			if err != nil {
+				failAt[l], errs[l] = rank[idx], err
+				return nil
+			}
+			spans = spans[len(in.Spans):]
+			out.Requests[idx] = req
+		}
+		return nil
+	})
+	// The error is the one of the earliest request to fail in arrival order,
+	// and the recorder sees exactly the requests before it: what a serial
+	// replay would have done.
+	first := len(order)
+	var err error
+	for l := range lanes {
+		if failAt[l] < first {
+			first, err = failAt[l], errs[l]
 		}
 	}
+	if p.Recorder != nil {
+		for _, idx := range order[:first] {
+			p.Recorder.Record(dapper.FromRequest(out.Requests[idx]))
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// byServer splits the arrival order into one lane per server, each in
+// arrival order, carved from one array.
+func byServer(tr *trace.Trace, order []int, servers int) [][]int {
+	counts := make([]int, servers)
+	for _, idx := range order {
+		counts[tr.Requests[idx].Server]++
+	}
+	backing := make([]int, len(order))
+	lanes := make([][]int, servers)
+	for s, n := range counts {
+		lanes[s] = backing[:0:n]
+		backing = backing[n:]
+	}
+	for _, idx := range order {
+		s := tr.Requests[idx].Server
+		lanes[s] = append(lanes[s], idx)
+	}
+	return lanes
 }
 
 // maxReplayAttempts bounds one request's requeue loop; past it the replay
 // proceeds on the current slot regardless — a termination backstop.
 const maxReplayAttempts = 256
 
-// replayRequest executes one request's spans in order on its server. With
+// replayRequest executes one request's spans in order on its server,
+// writing them into spans (empty, with room for every span of r). With
 // a fault schedule armed, a slot that is down at issue time — or dies
 // before the request's spans complete — costs the attempt: the in-flight
 // work is rolled back and requeued to re-execute once the server has
 // recovered and the client's timeout-plus-backoff has elapsed.
-func replayRequest(r trace.Request, servers []*serverState, sched *fault.Schedule) (trace.Request, error) {
+func replayRequest(r trace.Request, spans []trace.Span, servers []*serverState, sched *fault.Schedule) (trace.Request, error) {
 	srv := servers[r.Server]
 	out := trace.Request{
 		ID: r.ID, Class: r.Class, Server: r.Server, Arrival: r.Arrival,
-		Retries: r.Retries, FailedOver: r.FailedOver,
-		Spans: make([]trace.Span, 0, len(r.Spans)),
+		Retries: r.Retries, FailedOver: r.FailedOver, Spans: spans,
 	}
 	// The memory row is derived from the request's storage target (buffer
 	// and checksum pages are tied to the accessed blocks), matching the

@@ -1,12 +1,19 @@
 package replay
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
+	"dcmodel/internal/dapper"
+	"dcmodel/internal/fault"
 	"dcmodel/internal/gfs"
 	"dcmodel/internal/hw"
+	"dcmodel/internal/kooza"
+	"dcmodel/internal/spec"
 	"dcmodel/internal/trace"
 	"dcmodel/internal/workload"
 )
@@ -178,4 +185,185 @@ func TestReplayExplicitServerCount(t *testing.T) {
 	if re.Len() != 50 {
 		t.Errorf("replayed %d", re.Len())
 	}
+}
+
+// serialRun is Run as it was before the servers replayed side by side:
+// every request in arrival order on the calling goroutine, each with spans
+// of its own. TestRunParallelMatchesSerial holds Run to it.
+func serialRun(tr *trace.Trace, p Platform) (*trace.Trace, error) {
+	nServers := p.Servers
+	for _, r := range tr.Requests {
+		nServers = max(nServers, r.Server+1)
+	}
+	servers := make([]*serverState, nServers)
+	for i := range servers {
+		servers[i] = &serverState{hw: p.NewServer()}
+	}
+	var sched *fault.Schedule
+	if p.Faults != nil {
+		var err error
+		if sched, err = fault.NewSchedule(*p.Faults, nServers, p.FaultStream); err != nil {
+			return nil, err
+		}
+	}
+	order := make([]int, tr.Len())
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return tr.Requests[order[a]].Arrival < tr.Requests[order[b]].Arrival
+	})
+	out := &trace.Trace{Requests: make([]trace.Request, tr.Len())}
+	for _, idx := range order {
+		in := tr.Requests[idx]
+		req, err := replayRequest(in, make([]trace.Span, 0, len(in.Spans)), servers, sched)
+		if err != nil {
+			return nil, err
+		}
+		out.Requests[idx] = req
+		if p.Recorder != nil {
+			p.Recorder.Record(dapper.FromRequest(req))
+		}
+	}
+	return out, nil
+}
+
+func presetTrace(t testing.TB, name string, n int, seed int64) *trace.Trace {
+	t.Helper()
+	s, err := spec.Preset(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.Compile(spec.Options{Requests: n, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := c.Generate(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// matchSerial replays tr through Run and the serial oracle, each with a
+// recorder, and demands the same trace, the same error and the same trees
+// in the same order.
+func matchSerial(t *testing.T, name string, tr *trace.Trace, p Platform) {
+	t.Helper()
+	var gotTrees, wantTrees dapper.Collector
+	p.Recorder = &gotTrees
+	got, gotErr := Run(tr, p)
+	p.Recorder = &wantTrees
+	want, wantErr := serialRun(tr, p)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("%s: error %v, serial replay says %v", name, gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: replay differs from the serial replay", name)
+	}
+	if !reflect.DeepEqual(gotTrees.Trees(), wantTrees.Trees()) {
+		t.Fatalf("%s: recorder got %d trees, serial replay records %d, or in another order", name, gotTrees.Len(), wantTrees.Len())
+	}
+}
+
+// TestRunParallelMatchesSerial: replaying each server's requests on a
+// goroutine of its own changes no bit of the output, no recorded tree and
+// no tree order, whatever the server count and however the trace is
+// ordered.
+func TestRunParallelMatchesSerial(t *testing.T) {
+	p := Platform{NewServer: gfs.DefaultServerHW}
+	for _, name := range spec.Names() {
+		matchSerial(t, name, presetTrace(t, name, 2000, 3), p)
+	}
+
+	src := gfsTrace(t, 4, 1500, 31)
+	m, err := kooza.Train(src, kooza.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	synth, err := m.Synthesize(2000, rand.New(rand.NewSource(32)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	matchSerial(t, "synthesized", synth, p)
+	matchSerial(t, "one server", gfsTrace(t, 1, 800, 33), p)
+	matchSerial(t, "idle servers", gfsTrace(t, 2, 400, 34), Platform{NewServer: gfs.DefaultServerHW, Servers: 16})
+
+	wide := presetTrace(t, "webtier", 3000, 35)
+	for i := range wide.Requests {
+		wide.Requests[i].Server = i % 64
+	}
+	matchSerial(t, "64 servers", wide, p)
+
+	shuffled := presetTrace(t, "mapreduce", 2000, 36)
+	rand.New(rand.NewSource(37)).Shuffle(shuffled.Len(), func(i, j int) {
+		shuffled.Requests[i], shuffled.Requests[j] = shuffled.Requests[j], shuffled.Requests[i]
+	})
+	matchSerial(t, "out of arrival order", shuffled, p)
+}
+
+// TestRunReportsEarliestFailure: two servers each hold a request with an
+// invalid subsystem. The error names the one that arrives first, wherever
+// it sits in the trace and whichever server finishes first, and the
+// recorder sees exactly the requests that arrive before it.
+func TestRunReportsEarliestFailure(t *testing.T) {
+	tr := gfsTrace(t, 4, 400, 38)
+	byArrival := append([]trace.Request(nil), tr.Requests...)
+	sort.SliceStable(byArrival, func(a, b int) bool { return byArrival[a].Arrival < byArrival[b].Arrival })
+	early, late := byArrival[100], byArrival[300]
+	for _, r := range byArrival[101:] {
+		if r.Server != early.Server {
+			late = r
+			break
+		}
+	}
+	for i := range tr.Requests {
+		if id := tr.Requests[i].ID; id == early.ID || id == late.ID {
+			spans := append([]trace.Span(nil), tr.Requests[i].Spans...)
+			spans[len(spans)-1].Subsystem = trace.Subsystem(9)
+			tr.Requests[i].Spans = spans
+		}
+	}
+	// The later request comes first in the slice.
+	for i := range tr.Requests {
+		if tr.Requests[i].ID == late.ID {
+			tr.Requests[0], tr.Requests[i] = tr.Requests[i], tr.Requests[0]
+		}
+	}
+	matchSerial(t, "two failing servers", tr, Platform{NewServer: gfs.DefaultServerHW})
+	var col dapper.Collector
+	_, err := Run(tr, Platform{NewServer: gfs.DefaultServerHW, Recorder: &col})
+	if want := fmt.Sprintf("replay: request %d has invalid subsystem 9", early.ID); err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+	if col.Len() != 100 {
+		t.Fatalf("recorder got %d trees, want the 100 requests arriving before the failure", col.Len())
+	}
+}
+
+// TestRunFaultedMatchesSerial: with a fault schedule armed, whose rack
+// failure processes the servers of a rack share, replay equals the serial
+// replay.
+func TestRunFaultedMatchesSerial(t *testing.T) {
+	tr := gfsTrace(t, 4, 600, 39)
+	matchSerial(t, "faulted", tr, Platform{
+		NewServer:   gfs.DefaultServerHW,
+		Faults:      &fault.Config{MTBF: 1.5, MTTR: 0.4, RackSize: 2, Seed: 4},
+		FaultStream: 3,
+	})
+}
+
+// BenchmarkReplayRun replays 5000 mapreduce requests; run it with -cpu 1,2
+// to see what replaying the servers side by side buys.
+func BenchmarkReplayRun(b *testing.B) {
+	tr := presetTrace(b, "mapreduce", 5000, 1)
+	p := Platform{NewServer: gfs.DefaultServerHW}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(tr, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tr.Len()), "ns/req")
 }
