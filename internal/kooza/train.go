@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"dcmodel/internal/markov"
+	"dcmodel/internal/par"
 	"dcmodel/internal/stats"
 	"dcmodel/internal/trace"
 )
@@ -47,13 +48,20 @@ func TrainPrepared(p *trace.Prepared, opts Options) (*Model, error) {
 		}
 	}
 
-	for i := range p.Classes {
+	// The classes train side by side, each into its own slot; a failure
+	// reports the lowest-index failing class, as a loop over them would.
+	model.Classes = make([]*ClassModel, len(p.Classes))
+	err := par.Do(len(p.Classes), 0, func(i int) error {
 		pc := &p.Classes[i]
 		cm, err := trainClass(pc, float64(len(pc.Requests))/float64(len(p.Requests)), opts)
 		if err != nil {
-			return nil, fmt.Errorf("kooza: class %q: %w", pc.Name, err)
+			return fmt.Errorf("kooza: class %q: %w", pc.Name, err)
 		}
-		model.Classes = append(model.Classes, cm)
+		model.Classes[i] = cm
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return model, nil
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"dcmodel/internal/par"
 )
 
 // Maximum-likelihood fitting for the distribution families, plus the
@@ -204,34 +206,42 @@ type FitResult struct {
 // results sorted by ascending KS distance (best fit first). Families that
 // fail to fit appear last with Err set.
 func FitAll(xs []float64) []FitResult {
-	type fitter struct {
-		name string
-		fit  func([]float64) (Dist, error)
-	}
-	fitters := []fitter{
-		{"exponential", func(v []float64) (Dist, error) { return firstErr(FitExponential(v)) }},
-		{"normal", func(v []float64) (Dist, error) { return firstErr(FitNormal(v)) }},
-		{"lognormal", func(v []float64) (Dist, error) { return firstErr(FitLogNormal(v)) }},
-		{"pareto", func(v []float64) (Dist, error) { return firstErr(FitPareto(v)) }},
-		{"weibull", func(v []float64) (Dist, error) { return firstErr(FitWeibull(v)) }},
-		{"gamma", func(v []float64) (Dist, error) { return firstErr(FitGamma(v)) }},
-		{"uniform", func(v []float64) (Dist, error) { return firstErr(FitUniform(v)) }},
-	}
 	// The families are fitted to xs as given (the estimators sum in sample
-	// order) and all tested against one sorted copy.
+	// order) side by side, each into its own slot, and all tested against
+	// one sorted copy.
 	sorted := sortedCopy(xs)
-	results := make([]FitResult, 0, len(fitters))
-	for _, f := range fitters {
+	results := make([]FitResult, len(fitters))
+	par.Do(len(fitters), 0, func(i int) error {
+		f := fitters[i]
 		d, err := f.fit(xs)
 		if err != nil {
-			results = append(results, FitResult{Err: fmt.Errorf("%s: %w", f.name, err), KS: math.Inf(1)})
-			continue
+			results[i] = FitResult{Err: fmt.Errorf("%s: %w", f.name, err), KS: math.Inf(1)}
+			return nil
 		}
 		ks := KSTestSorted(sorted, d)
-		results = append(results, FitResult{Dist: d, KS: ks.Statistic, P: ks.P})
-	}
+		results[i] = FitResult{Dist: d, KS: ks.Statistic, P: ks.P}
+		return nil
+	})
 	slices.SortStableFunc(results, func(a, b FitResult) int { return CompareLess(a.KS, b.KS) })
 	return results
+}
+
+// fitter is one candidate family of FitAll.
+type fitter struct {
+	name string
+	fit  func([]float64) (Dist, error)
+}
+
+// fitters lists FitAll's families; the stable sort breaks KS ties in this
+// order.
+var fitters = [...]fitter{
+	{"exponential", func(v []float64) (Dist, error) { return firstErr(FitExponential(v)) }},
+	{"normal", func(v []float64) (Dist, error) { return firstErr(FitNormal(v)) }},
+	{"lognormal", func(v []float64) (Dist, error) { return firstErr(FitLogNormal(v)) }},
+	{"pareto", func(v []float64) (Dist, error) { return firstErr(FitPareto(v)) }},
+	{"weibull", func(v []float64) (Dist, error) { return firstErr(FitWeibull(v)) }},
+	{"gamma", func(v []float64) (Dist, error) { return firstErr(FitGamma(v)) }},
+	{"uniform", func(v []float64) (Dist, error) { return firstErr(FitUniform(v)) }},
 }
 
 // FitBest fits all candidate families and returns the best by KS distance.

@@ -1,8 +1,11 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -158,6 +161,47 @@ func TestFitAllAllocs(t *testing.T) {
 	// estimators, one sorted copy and the scratch it was sorted through.
 	if large > 16 {
 		t.Errorf("FitAll made %v allocations, want <= 16 (one sorted copy, not one per family)", large)
+	}
+}
+
+// serialFitAll is FitAll as it was before the families were fitted side
+// by side: one family after another, appended in order.
+func serialFitAll(xs []float64) []FitResult {
+	sorted := sortedCopy(xs)
+	var results []FitResult
+	for _, f := range fitters {
+		d, err := f.fit(xs)
+		if err != nil {
+			results = append(results, FitResult{Err: fmt.Errorf("%s: %w", f.name, err), KS: math.Inf(1)})
+			continue
+		}
+		ks := KSTestSorted(sorted, d)
+		results = append(results, FitResult{Dist: d, KS: ks.Statistic, P: ks.P})
+	}
+	slices.SortStableFunc(results, func(a, b FitResult) int { return CompareLess(a.KS, b.KS) })
+	return results
+}
+
+// TestFitAllMatchesSerial: fitting the families side by side returns what
+// fitting them one after another did — the same fits, KS values and
+// order, and on a sample some families cannot fit, the same errors with
+// +Inf KS in the same stable order.
+func TestFitAllMatchesSerial(t *testing.T) {
+	r := rand.New(rand.NewSource(20))
+	samples := map[string][]float64{
+		"exponential": Sample(Exponential{Rate: 20}, 5000, r),
+		"lognormal":   Sample(LogNormal{Mu: 1, Sigma: 0.5}, 3000, r),
+		"negative":    Sample(Normal{Mu: 0, Sigma: 1}, 1000, r),
+		"tiny":        {0.5, 1.5},
+	}
+	for name, xs := range samples {
+		got, want := FitAll(xs), serialFitAll(xs)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: FitAll differs from the serial fit:\n got %v\nwant %v", name, got, want)
+		}
+		if name == "negative" && (want[len(want)-1].Err == nil || !math.IsInf(want[len(want)-1].KS, 1)) {
+			t.Errorf("negative: expected positive-support families to fail last with +Inf KS")
+		}
 	}
 }
 

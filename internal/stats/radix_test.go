@@ -83,21 +83,38 @@ func TestSortFloatsMatchesSortFloat64s(t *testing.T) {
 	}
 }
 
+// BenchmarkSortFloats prices the radix sort against sort.Float64s on three
+// shapes of sample: continuous (interarrival gaps), integer-valued (span
+// byte counts and LBNs, as float64) and low-cardinality (a few distinct
+// sizes, as a preset's storage requests have).
 func BenchmarkSortFloats(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
-	for _, n := range []int{1024, 8192, 32768} {
-		sample := make([]float64, n)
-		for i := range sample {
-			sample[i] = r.ExpFloat64() * 1e-3
-		}
-		xs := make([]float64, n)
-		for name, sortFn := range map[string]func([]float64){"radix": sortFloats, "sort.Float64s": sort.Float64s} {
-			b.Run(fmt.Sprintf("%s/%d", name, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					copy(xs, sample)
-					sortFn(xs)
-				}
-			})
+	shapes := []struct {
+		name string
+		draw func() float64
+	}{
+		{"continuous", func() float64 { return r.ExpFloat64() * 1e-3 }},
+		{"integer", func() float64 { return float64(r.Int63n(1 << 30)) }},
+		{"lowcard", func() float64 { return float64(int64(4096) << r.Intn(6)) }},
+	}
+	for _, shape := range shapes {
+		for _, n := range []int{1024, 8192, 32768} {
+			sample := make([]float64, n)
+			for i := range sample {
+				sample[i] = shape.draw()
+			}
+			xs := make([]float64, n)
+			for _, sorter := range []struct {
+				name string
+				sort func([]float64)
+			}{{"radix", sortFloats}, {"sort.Float64s", sort.Float64s}} {
+				b.Run(fmt.Sprintf("%s/%s/%d", shape.name, sorter.name, n), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						copy(xs, sample)
+						sorter.sort(xs)
+					}
+				})
+			}
 		}
 	}
 }
