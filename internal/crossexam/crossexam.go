@@ -58,8 +58,10 @@ type Options struct {
 	// scorecard is a fixed function of (trace, approaches, n, Seed) —
 	// independent of Workers and of goroutine scheduling.
 	Seed int64
-	// Workers bounds how many approach chains run concurrently: <= 0
-	// selects runtime.GOMAXPROCS(0), 1 is the serial fallback.
+	// Workers bounds the goroutines Evaluate runs on. The original trace's
+	// reference side is one more task beside the approach chains and
+	// holds a worker until it is done: <= 0 gives the reference and every
+	// chain a goroutine of its own, 1 is the serial fallback.
 	Workers int
 	// SkipThroughput zeroes the wall-clock Scalability measurement (the
 	// only non-deterministic scorecard entry), making the returned Scores
@@ -111,7 +113,9 @@ type Scores struct {
 // with its own SplitMix64-derived rand stream, and results are merged in
 // approach order — so every Scores field except the wall-clock Scalability
 // measurement is independent of the worker count (set opts.SkipThroughput
-// for fully bit-identical scorecards).
+// for fully bit-identical scorecards). The original trace's reference is
+// the pool's first task, and a chain waits for it only once it has
+// synthesized and read its own features.
 func Evaluate(orig *trace.Trace, approaches []Approach, n int, platform replay.Platform, opts Options) ([]Scores, error) {
 	if orig == nil || orig.Len() == 0 {
 		return nil, trace.ErrEmptyTrace
@@ -119,9 +123,22 @@ func Evaluate(orig *trace.Trace, approaches []Approach, n int, platform replay.P
 	if n < 1 {
 		return nil, fmt.Errorf("crossexam: n must be positive, got %d", n)
 	}
-	ref := newReference(orig)
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = len(approaches) + 1
+	}
+	// Task 0 is claimed before any chain, so a chain waiting on refDone
+	// never holds the only worker the reference could run on.
+	var ref *reference
+	refDone := make(chan struct{})
 	out := make([]Scores, len(approaches))
-	err := par.Do(len(approaches), opts.Workers, func(i int) error {
+	err := par.Do(len(approaches)+1, workers, func(task int) error {
+		if task == 0 {
+			ref = newReference(orig)
+			close(refDone)
+			return nil
+		}
+		i := task - 1
 		a := approaches[i]
 		if a.Setup != nil {
 			if err := a.Setup(&a); err != nil {
@@ -147,6 +164,7 @@ func Evaluate(orig *trace.Trace, approaches []Approach, n int, platform replay.P
 			s.Scalability = float64(n) / elapsed
 		}
 		feat := extractFeatures(synth)
+		<-refDone
 		s.RequestFeatures = featureScore(ref.features, feat)
 		s.TimeDependencies = timeDepScore(synth, ref.modal)
 		s.FineGranularity = granularityScore(ref, feat)

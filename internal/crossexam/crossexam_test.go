@@ -138,7 +138,7 @@ func TestEvaluateErrors(t *testing.T) {
 	failing := []Approach{{Name: "boom", Setup: func(*Approach) error {
 		return errors.New("train exploded")
 	}}}
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{0, 1, 2, 4} {
 		if _, err := Evaluate(tr, failing, 10, platform, Options{Seed: 1, Workers: workers}); err == nil || !strings.Contains(err.Error(), "train exploded") {
 			t.Errorf("workers=%d: setup error not propagated: %v", workers, err)
 		}
@@ -146,8 +146,9 @@ func TestEvaluateErrors(t *testing.T) {
 }
 
 // TestEvaluateDeterministicAcrossWorkers is the determinism regression of
-// the parallel engine: serial (workers=1) and parallel (workers=8) runs of
-// the same seed must return bit-identical Scores.
+// the parallel engine: serial (workers=1) and parallel runs of the same
+// seed must return bit-identical Scores — with the reference sharing a
+// worker (2), with a goroutine each (0) and with workers to spare (8).
 func TestEvaluateDeterministicAcrossWorkers(t *testing.T) {
 	tr := gfsTrace(t, 1200, 907)
 	platform := replay.Platform{NewServer: gfs.DefaultServerHW}
@@ -161,15 +162,17 @@ func TestEvaluateDeterministicAcrossWorkers(t *testing.T) {
 		return scores
 	}
 	serial := run(1)
-	parallel := run(8)
-	if len(serial) != len(parallel) {
-		t.Fatalf("score counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		// Scores contains only comparable scalar fields, so == is a
-		// bit-identity check.
-		if serial[i] != parallel[i] {
-			t.Errorf("%s: serial %+v != parallel %+v", serial[i].Name, serial[i], parallel[i])
+	for _, workers := range []int{0, 2, 8} {
+		parallel := run(workers)
+		if len(serial) != len(parallel) {
+			t.Fatalf("workers=%d: score counts differ: %d vs %d", workers, len(serial), len(parallel))
+		}
+		for i := range serial {
+			// Scores contains only comparable scalar fields, so == is a
+			// bit-identity check.
+			if serial[i] != parallel[i] {
+				t.Errorf("workers=%d: %s: serial %+v != parallel %+v", workers, serial[i].Name, serial[i], parallel[i])
+			}
 		}
 	}
 }
