@@ -41,7 +41,7 @@ func main() {
 		rate     = flag.Float64("rate", 20, "arrival rate for simulation")
 		n        = flag.Int("n", 0, "synthetic requests per approach (0 = trace size)")
 		seed     = flag.Int64("seed", 1, "random seed")
-		workers  = flag.Int("workers", 0, "concurrent approach chains (0 = GOMAXPROCS, 1 = serial)")
+		workers  = flag.Int("workers", 0, "goroutines for the approach chains and the reference (0 = one each, 1 = serial)")
 		asJSON   = flag.Bool("json", false, "emit the scorecard as JSON instead of the rendered table")
 		faults   = flag.String("faults", "", "fault scenario JSON (e.g. '{\"mtbf\":2,\"mttr\":0.5}'); adds a degraded-regime cross-examination")
 	)

@@ -285,10 +285,11 @@ type CrossExamOptions struct {
 	// Seed makes the run reproducible; each approach chain gets its own
 	// SplitMix64-derived rand stream.
 	Seed int64
-	// Workers bounds how many approach chains (train → synthesize →
-	// replay → score) run concurrently: 0 selects runtime.GOMAXPROCS(0),
-	// 1 is the serial fallback. Every scorecard field except the
-	// wall-clock Scalability throughput is independent of Workers.
+	// Workers bounds how many goroutines the approach chains (train →
+	// synthesize → replay → score) and the original trace's reference side
+	// share: 0 gives each its own, 1 is the serial fallback. Every
+	// scorecard field except the wall-clock Scalability throughput is
+	// independent of Workers.
 	Workers int
 	// SkipThroughput zeroes the wall-clock Scalability measurement so the
 	// returned Scores are bit-identical across runs and worker counts.
