@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
@@ -986,4 +987,519 @@ func TestReadersRefuseNegativeRetries(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "request 5 (index 1) has negative retries -2") {
 		t.Errorf("ReadJSON err = %v, want request 5 at index 1 refused", err)
 	}
+}
+
+// oracleBinaryReader is BinarySpanReader as it stood before its decoder
+// went column at a time, moved here verbatim (names apart): one non-inlined
+// varint call per value, spans carved request by request, block buffers
+// owned by the reader. It stays, test-only, as the reference the reader is
+// held to by checkBinaryReaderMatchesOracle: the same requests and the same
+// errors, word for word, at the same place.
+type oracleBinaryReader struct {
+	r       io.Reader
+	started bool
+	err     error
+
+	// pending holds the decoded requests of the current block.
+	pending []Request
+	next    int
+
+	// payload is the reused block read buffer; arena carves span slices.
+	payload []byte
+	scratch oracleBlockScratch
+	arena   SpanArena
+}
+
+// oracleBlockScratch holds the reusable per-block column slices.
+type oracleBlockScratch struct {
+	classes  []string
+	spanCnt  []int
+	head     [5]byte // the stream header, then one byte at a time
+	spans    []Span  // set per block to the arena reservation
+	spanNext int
+}
+
+func newOracleBinaryReader(r io.Reader) *oracleBinaryReader {
+	return &oracleBinaryReader{r: r}
+}
+
+func (d *oracleBinaryReader) fail(err error) (Request, error) {
+	d.err = err
+	return Request{}, err
+}
+
+// Next returns the next decoded request, or io.EOF when the stream ends
+// cleanly (after the end marker). Errors are sticky.
+func (d *oracleBinaryReader) Next() (Request, error) {
+	if d.err != nil {
+		return Request{}, d.err
+	}
+	if !d.started {
+		if err := d.readHeader(); err != nil {
+			return d.fail(err)
+		}
+		d.started = true
+	}
+	for d.next >= len(d.pending) {
+		if err := d.readBlock(); err != nil {
+			return d.fail(err)
+		}
+	}
+	req := d.pending[d.next]
+	d.pending[d.next] = Request{} // drop the reference early
+	d.next++
+	return req, nil
+}
+
+func (d *oracleBinaryReader) readHeader() error {
+	hdr := &d.scratch.head
+	if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
+		return fmt.Errorf("trace: read binary header: %w", err)
+	}
+	if string(hdr[:4]) != binaryMagic {
+		return fmt.Errorf("trace: bad magic %q, want %q", hdr[:4], binaryMagic)
+	}
+	if hdr[4] != binaryVersion {
+		return fmt.Errorf("trace: unsupported trace-v2 version %d (want %d)", hdr[4], binaryVersion)
+	}
+	return nil
+}
+
+// readBlock reads and decodes the next block into d.pending, or returns
+// io.EOF at the end marker.
+func (d *oracleBinaryReader) readBlock() error {
+	one := d.scratch.head[:1]
+	if _, err := io.ReadFull(d.r, one); err != nil {
+		if err == io.EOF {
+			return fmt.Errorf("trace: binary stream truncated before end marker: %w", io.ErrUnexpectedEOF)
+		}
+		return fmt.Errorf("trace: read block marker: %w", err)
+	}
+	switch one[0] {
+	case markerEnd:
+		return io.EOF
+	case markerBlock:
+	default:
+		return fmt.Errorf("trace: bad block marker 0x%02x", one[0])
+	}
+	size, err := oracleReadUvarint(d.r, one)
+	if err != nil {
+		return fmt.Errorf("trace: read block length: %w", err)
+	}
+	if size == 0 || size > maxBinaryBlockBytes {
+		return fmt.Errorf("trace: block length %d outside (0, %d]", size, maxBinaryBlockBytes)
+	}
+	if cap(d.payload) < int(size) {
+		d.payload = make([]byte, size)
+	}
+	p := d.payload[:size]
+	if _, err := io.ReadFull(d.r, p); err != nil {
+		return fmt.Errorf("trace: read block payload: %w", err)
+	}
+	return d.decodeBlock(p)
+}
+
+// oracleCursor walks a block payload.
+type oracleCursor struct {
+	p   []byte
+	off int
+}
+
+func (c *oracleCursor) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(c.p[c.off:])
+	if n <= 0 {
+		return 0, fmt.Errorf("trace: block offset %d: bad uvarint", c.off)
+	}
+	c.off += n
+	return v, nil
+}
+
+func (c *oracleCursor) varint() (int64, error) {
+	v, n := binary.Varint(c.p[c.off:])
+	if n <= 0 {
+		return 0, fmt.Errorf("trace: block offset %d: bad varint", c.off)
+	}
+	c.off += n
+	return v, nil
+}
+
+func (c *oracleCursor) float(prev *uint64) (float64, error) {
+	x, err := c.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	*prev ^= x
+	return math.Float64frombits(*prev), nil
+}
+
+func (c *oracleCursor) bytes(n int) ([]byte, error) {
+	if n < 0 || c.off+n > len(c.p) {
+		return nil, fmt.Errorf("trace: block offset %d: %d bytes past payload end", c.off, n)
+	}
+	b := c.p[c.off : c.off+n]
+	c.off += n
+	return b, nil
+}
+
+func (d *oracleBinaryReader) decodeBlock(p []byte) error {
+	c := oracleCursor{p: p}
+	nReq64, err := c.uvarint()
+	if err != nil {
+		return err
+	}
+	// Every request consumes at least one byte per request column, so the
+	// payload length itself bounds a plausible count; the hard cap stops
+	// one lying block from forcing a giant allocation.
+	if nReq64 == 0 || nReq64 > maxBinaryBlockRequests || nReq64 > uint64(len(p)) {
+		return fmt.Errorf("trace: block claims %d requests in %d payload bytes", nReq64, len(p))
+	}
+	nReq := int(nReq64)
+	nSpan64, err := c.uvarint()
+	if err != nil {
+		return err
+	}
+	if nSpan64 > uint64(len(p)) {
+		return fmt.Errorf("trace: block claims %d spans in %d payload bytes", nSpan64, len(p))
+	}
+	nSpan := int(nSpan64)
+
+	// Class dictionary.
+	nClass64, err := c.uvarint()
+	if err != nil {
+		return err
+	}
+	if nClass64 == 0 || nClass64 > nReq64 {
+		return fmt.Errorf("trace: block claims %d classes for %d requests", nClass64, nReq64)
+	}
+	classes := d.scratch.classes[:0]
+	for i := 0; i < int(nClass64); i++ {
+		l, err := c.uvarint()
+		if err != nil {
+			return err
+		}
+		if l > maxBinaryClassBytes {
+			return fmt.Errorf("trace: class label of %d bytes exceeds the %d-byte limit", l, maxBinaryClassBytes)
+		}
+		b, err := c.bytes(int(l))
+		if err != nil {
+			return err
+		}
+		classes = append(classes, string(b))
+	}
+	d.scratch.classes = classes
+
+	if cap(d.pending) < nReq {
+		d.pending = make([]Request, nReq)
+	}
+	reqs := d.pending[:nReq]
+	for i := range reqs {
+		reqs[i] = Request{}
+	}
+
+	// Request columns.
+	var prevID int64
+	for i := range reqs {
+		delta, err := c.varint()
+		if err != nil {
+			return err
+		}
+		prevID += delta
+		reqs[i].ID = prevID
+	}
+	for i := range reqs {
+		ci, err := c.uvarint()
+		if err != nil {
+			return err
+		}
+		if ci >= uint64(len(classes)) {
+			return fmt.Errorf("trace: class index %d outside dictionary of %d", ci, len(classes))
+		}
+		reqs[i].Class = classes[ci]
+	}
+	for i := range reqs {
+		s, err := c.varint()
+		if err != nil {
+			return err
+		}
+		reqs[i].Server = int(s)
+	}
+	var prevF uint64
+	for i := range reqs {
+		if reqs[i].Arrival, err = c.float(&prevF); err != nil {
+			return err
+		}
+	}
+	for i := range reqs {
+		rt, err := c.uvarint()
+		if err != nil {
+			return err
+		}
+		if rt > math.MaxInt32 {
+			return fmt.Errorf("trace: retries %d out of range", rt)
+		}
+		reqs[i].Retries = int(rt)
+	}
+	fo, err := c.bytes((nReq + 7) / 8)
+	if err != nil {
+		return err
+	}
+	for i := range reqs {
+		reqs[i].FailedOver = fo[i/8]&(1<<(i%8)) != 0
+	}
+	spanCnt := d.scratch.spanCnt[:0]
+	var total int
+	for range reqs {
+		n, err := c.uvarint()
+		if err != nil {
+			return err
+		}
+		if n > maxSpansPerRequest {
+			return fmt.Errorf("trace: request exceeds %d spans", maxSpansPerRequest)
+		}
+		total += int(n)
+		if total > nSpan {
+			return fmt.Errorf("trace: span counts exceed the block's %d spans", nSpan)
+		}
+		spanCnt = append(spanCnt, int(n))
+	}
+	d.scratch.spanCnt = spanCnt
+	if total != nSpan {
+		return fmt.Errorf("trace: span counts sum to %d, block claims %d", total, nSpan)
+	}
+
+	// One arena reservation covers the whole block's spans; each request's
+	// slice is carved from it below.
+	d.arena.Reserve(nSpan)
+	for i := range reqs {
+		reqs[i].Spans = d.arena.Take(spanCnt[i])
+		reqs[i].Spans = reqs[i].Spans[:spanCnt[i]]
+	}
+
+	// Span columns.
+	subs, err := c.bytes((nSpan + 3) / 4)
+	if err != nil {
+		return err
+	}
+	ops, err := c.bytes((nSpan + 3) / 4)
+	if err != nil {
+		return err
+	}
+	k := 0
+	for i := range reqs {
+		for j := range reqs[i].Spans {
+			sub := Subsystem(subs[k/4] >> ((k % 4) * 2) & 3)
+			op := Op(ops[k/4] >> ((k % 4) * 2) & 3)
+			if op > OpWrite {
+				return fmt.Errorf("trace: span %d has invalid op %d", k, op)
+			}
+			reqs[i].Spans[j].Subsystem = sub
+			reqs[i].Spans[j].Op = op
+			k++
+		}
+	}
+	prevF = 0
+	for i := range reqs {
+		for j := range reqs[i].Spans {
+			if reqs[i].Spans[j].Start, err = c.float(&prevF); err != nil {
+				return err
+			}
+		}
+	}
+	prevF = 0
+	for i := range reqs {
+		for j := range reqs[i].Spans {
+			if reqs[i].Spans[j].Duration, err = c.float(&prevF); err != nil {
+				return err
+			}
+		}
+	}
+	for i := range reqs {
+		for j := range reqs[i].Spans {
+			if reqs[i].Spans[j].Bytes, err = c.varint(); err != nil {
+				return err
+			}
+		}
+	}
+	for i := range reqs {
+		for j := range reqs[i].Spans {
+			if reqs[i].Spans[j].LBN, err = c.varint(); err != nil {
+				return err
+			}
+		}
+	}
+	for i := range reqs {
+		for j := range reqs[i].Spans {
+			b, err := c.varint()
+			if err != nil {
+				return err
+			}
+			reqs[i].Spans[j].Bank = int(b)
+		}
+	}
+	prevF = 0
+	for i := range reqs {
+		for j := range reqs[i].Spans {
+			if reqs[i].Spans[j].Util, err = c.float(&prevF); err != nil {
+				return err
+			}
+		}
+	}
+	if c.off != len(p) {
+		return fmt.Errorf("trace: %d trailing bytes in block", len(p)-c.off)
+	}
+	d.pending = reqs
+	d.next = 0
+	return nil
+}
+
+// oracleReadUvarint reads one uvarint directly from r, a byte at a time
+// through b (used only for the block length prefix; everything else decodes
+// from the in-memory payload).
+func oracleReadUvarint(r io.Reader, b []byte) (uint64, error) {
+	var x uint64
+	var s uint
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		if _, err := io.ReadFull(r, b[:1]); err != nil {
+			return 0, err
+		}
+		if b[0] < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b[0] > 1 {
+				return 0, fmt.Errorf("uvarint overflows 64 bits")
+			}
+			return x | uint64(b[0])<<s, nil
+		}
+		x |= uint64(b[0]&0x7f) << s
+		s += 7
+	}
+	return 0, fmt.Errorf("uvarint overflows 64 bits")
+}
+
+// checkBinaryReaderMatchesOracle holds BinarySpanReader to oracleBinaryReader
+// on one stream: the same requests in the same order, the same number of them
+// before the first error, the same error text, and that error sticky. A fresh
+// reader is run on the bytes as they are and, for a stream of up to 4 KiB,
+// one byte per Read; reused, a
+// reader already taken through other streams, is re-armed on it with Reuse.
+func checkBinaryReaderMatchesOracle(t *testing.T, data []byte, reused *BinarySpanReader) {
+	t.Helper()
+	want, wantErr := decodeAll(newOracleBinaryReader(bytes.NewReader(data)).Next, maxOracleRequests)
+	check := func(name string, d *BinarySpanReader) {
+		t.Helper()
+		got, gotErr := decodeAll(d.Next, maxOracleRequests)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d requests before %v, oracle %d before %v", name, len(got), gotErr, len(want), wantErr)
+		}
+		for i := range got {
+			if !sameRequest(&got[i], &want[i]) {
+				t.Fatalf("%s: request %d differs\n got: %+v\nwant: %+v", name, i, got[i], want[i])
+			}
+		}
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("%s: after %d requests err = %v, oracle %v", name, len(got), gotErr, wantErr)
+		}
+		if gotErr != nil {
+			if _, again := d.Next(); again != gotErr {
+				t.Fatalf("%s: error not sticky: %v then %v", name, gotErr, again)
+			}
+		}
+	}
+	check("fresh", NewBinarySpanReader(bytes.NewReader(data)))
+	if len(data) <= 4<<10 {
+		check("fresh one-byte", NewBinarySpanReader(iotest.OneByteReader(bytes.NewReader(data))))
+	}
+	// Compared before the next Reuse takes the spans back.
+	reused.Reuse(bytes.NewReader(data))
+	check("reused", reused)
+}
+
+// binaryOracleStreams are the valid streams the reader is held to the
+// oracle on, whole and mutated: the six .dct fixtures, the six preset
+// goldens, the corner-case trace and a trace of several blocks.
+func binaryOracleStreams(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	streams := map[string][]byte{}
+	fixtures, err := filepath.Glob("../spec/testdata/*.golden.dct")
+	if err != nil || len(fixtures) != 6 {
+		tb.Fatalf(".dct fixtures: got %d (%v), want 6", len(fixtures), err)
+	}
+	for _, name := range fixtures {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		streams[filepath.Base(name)] = data
+	}
+	for _, name := range presetGoldens(tb) {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tr, err := ReadCSV(bytes.NewReader(data))
+		if err != nil {
+			tb.Fatalf("%s: %v", name, err)
+		}
+		streams[filepath.Base(name)] = encodeBinary(tb, tr)
+	}
+	long := &Trace{Requests: make([]Request, 2*binaryBlockRequests+5)}
+	for i := range long.Requests {
+		long.Requests[i] = Request{ID: int64(i), Class: [...]string{"get", "put"}[i%2], Arrival: float64(i) / 100,
+			Spans: []Span{{Subsystem: Subsystem(i % 4), Start: float64(i) / 100, Op: Op(i % 3), Bytes: int64(i), LBN: int64(-i)}}}
+	}
+	streams["corners"] = encodeBinary(tb, binaryTestTrace())
+	streams["several blocks"] = encodeBinary(tb, long)
+	streams["empty"] = encodeBinary(tb, &Trace{})
+	return streams
+}
+
+// TestBinaryReaderMatchesOracle: on every valid stream above, on every
+// prefix and every single-byte change of the corner-case stream and on a
+// spread of byte changes to the others, the reader gives the oracle's
+// requests or the oracle's error at the oracle's request, fresh and reused.
+func TestBinaryReaderMatchesOracle(t *testing.T) {
+	streams := binaryOracleStreams(t)
+	reused := NewBinarySpanReader(nil)
+	for name, data := range streams {
+		t.Run(name, func(t *testing.T) {
+			checkBinaryReaderMatchesOracle(t, data, reused)
+			// Every byte of a small stream, 64 spread over a large one.
+			step := max(1, len(data)/64)
+			for i := 0; i < len(data); i += step {
+				for _, x := range []byte{0x01, 0x40, 0x7f, 0x80, 0xfe, 0xff} {
+					b := append([]byte(nil), data...)
+					b[i] ^= x
+					checkBinaryReaderMatchesOracle(t, b, reused)
+				}
+			}
+		})
+	}
+	corners := streams["corners"]
+	for i := 0; i <= len(corners); i++ {
+		checkBinaryReaderMatchesOracle(t, corners[:i], reused)
+	}
+	for i := range corners {
+		for x := 1; x < 256; x++ {
+			b := append([]byte(nil), corners...)
+			b[i] ^= byte(x)
+			checkBinaryReaderMatchesOracle(t, b, reused)
+		}
+	}
+}
+
+// FuzzBinaryReaderMatchesOracle: on any bytes at all, the reader gives the
+// oracle's requests and the oracle's error, fresh and reused.
+func FuzzBinaryReaderMatchesOracle(f *testing.F) {
+	for _, data := range binaryOracleStreams(f) {
+		f.Add(data)
+	}
+	for _, s := range []string{
+		"", "DCT2", binaryMagic + "\x00", binaryMagic + "\x01", binaryMagic + "\x01\x00",
+		binaryMagic + "\x01\x02\x05hello", binaryMagic + "\x01\x01\xff\xff\xff\xff\x7f",
+		binaryMagic + "\x01\x01\x02\xff\x7f\x00", "TCD2\x01\x00",
+	} {
+		f.Add([]byte(s))
+	}
+	reused := NewBinarySpanReader(nil)
+	f.Fuzz(func(t *testing.T, input []byte) {
+		checkBinaryReaderMatchesOracle(t, input, reused)
+	})
 }
