@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -362,24 +363,56 @@ type BinarySpanReader struct {
 	r       io.Reader
 	started bool
 	err     error
+	head    [5]byte // the stream header, then one byte at a time
 
-	// pending holds the decoded requests of the current block.
-	pending []Request
-	next    int
+	// bufs holds the block buffers, drawn from blockBufPool at the first
+	// block. A reader made per stream hands them back at the end marker or
+	// its first error; one armed with Reuse (own) keeps them for good.
+	bufs *blockBufs
+	own  bool
+	next int // the next request of bufs.pending to hand out
 
-	// payload is the reused block read buffer; arena carves span slices.
-	payload []byte
-	scratch blockScratch
-	arena   SpanArena
+	// arena carves the spans; they outlive the reader (and, unless Reuse is
+	// called, the buffers), since the requests handed out keep them.
+	arena SpanArena
 }
 
-// blockScratch holds the reusable per-block column slices.
-type blockScratch struct {
-	classes  []string
-	spanCnt  []int
-	head     [5]byte // the stream header, then one byte at a time
-	spans    []Span  // set per block to the arena reservation
-	spanNext int
+// blockBufs are the buffers decoding a block needs and no request it hands
+// out keeps.
+type blockBufs struct {
+	payload []byte    // the block read buffer
+	pending []Request // the decoded requests of the current block
+	vals    []uint64  // one column's varints, before zigzag, delta and checks
+	classes []string  // the block's class dictionary
+}
+
+var blockBufPool = sync.Pool{New: func() any { return new(blockBufs) }}
+
+// Past these capacities a buffer is dropped rather than pooled: a writer's
+// block never needs more, and one outsized stream must not pin its buffers.
+const (
+	maxPooledPayloadBytes = 1 << 20
+	maxPooledBlockValues  = 2 * binaryBlockSpans
+)
+
+// release hands the buffers back to the pool, holding no class label and,
+// after a block that failed half-way, no request.
+func (b *blockBufs) release(dirty bool) {
+	if dirty {
+		clear(b.pending[:cap(b.pending)])
+	}
+	clear(b.classes[:cap(b.classes)])
+	b.pending, b.classes = b.pending[:0], b.classes[:0]
+	if cap(b.payload) > maxPooledPayloadBytes {
+		b.payload = nil
+	}
+	if cap(b.pending) > binaryBlockRequests {
+		b.pending = nil
+	}
+	if cap(b.vals) > maxPooledBlockValues {
+		b.vals = nil
+	}
+	blockBufPool.Put(b)
 }
 
 // NewBinarySpanReader returns a streaming trace-v2 decoder reading from r.
@@ -397,12 +430,22 @@ func NewBinarySpanReader(r io.Reader) *BinarySpanReader {
 func (d *BinarySpanReader) Reuse(r io.Reader) {
 	d.r = r
 	d.started, d.err = false, nil
-	d.pending, d.next = d.pending[:0], 0
+	d.own = true
+	if d.bufs != nil {
+		d.bufs.pending = d.bufs.pending[:0]
+	}
+	d.next = 0
 	d.arena.Reset()
 }
 
+// fail makes err sticky and, unless the reader owns its buffers, hands them
+// back: nothing reads them again.
 func (d *BinarySpanReader) fail(err error) (Request, error) {
 	d.err = err
+	if b := d.bufs; b != nil && !d.own {
+		d.bufs = nil
+		b.release(err != io.EOF)
+	}
 	return Request{}, err
 }
 
@@ -418,19 +461,20 @@ func (d *BinarySpanReader) Next() (Request, error) {
 		}
 		d.started = true
 	}
-	for d.next >= len(d.pending) {
+	for d.bufs == nil || d.next >= len(d.bufs.pending) {
 		if err := d.readBlock(); err != nil {
 			return d.fail(err)
 		}
 	}
-	req := d.pending[d.next]
-	d.pending[d.next] = Request{} // drop the reference early
+	pending := d.bufs.pending
+	req := pending[d.next]
+	pending[d.next] = Request{} // drop the reference early
 	d.next++
 	return req, nil
 }
 
 func (d *BinarySpanReader) readHeader() error {
-	hdr := &d.scratch.head
+	hdr := &d.head
 	if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
 		return fmt.Errorf("trace: read binary header: %w", err)
 	}
@@ -443,10 +487,10 @@ func (d *BinarySpanReader) readHeader() error {
 	return nil
 }
 
-// readBlock reads and decodes the next block into d.pending, or returns
-// io.EOF at the end marker.
+// readBlock reads and decodes the next block into d.bufs.pending, or
+// returns io.EOF at the end marker.
 func (d *BinarySpanReader) readBlock() error {
-	one := d.scratch.head[:1]
+	one := d.head[:1]
 	if _, err := io.ReadFull(d.r, one); err != nil {
 		if err == io.EOF {
 			return fmt.Errorf("trace: binary stream truncated before end marker: %w", io.ErrUnexpectedEOF)
@@ -467,14 +511,18 @@ func (d *BinarySpanReader) readBlock() error {
 	if size == 0 || size > maxBinaryBlockBytes {
 		return fmt.Errorf("trace: block length %d outside (0, %d]", size, maxBinaryBlockBytes)
 	}
-	if cap(d.payload) < int(size) {
-		d.payload = make([]byte, size)
+	if d.bufs == nil {
+		d.bufs = blockBufPool.Get().(*blockBufs)
 	}
-	p := d.payload[:size]
+	b := d.bufs
+	if cap(b.payload) < int(size) {
+		b.payload = make([]byte, size)
+	}
+	p := b.payload[:size]
 	if _, err := io.ReadFull(d.r, p); err != nil {
 		return fmt.Errorf("trace: read block payload: %w", err)
 	}
-	return d.decodeBlock(p)
+	return d.decodeBlock(b, p)
 }
 
 // cursor walks a block payload.
@@ -492,24 +540,6 @@ func (c *cursor) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (c *cursor) varint() (int64, error) {
-	v, n := binary.Varint(c.p[c.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("trace: block offset %d: bad varint", c.off)
-	}
-	c.off += n
-	return v, nil
-}
-
-func (c *cursor) float(prev *uint64) (float64, error) {
-	x, err := c.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	*prev ^= x
-	return math.Float64frombits(*prev), nil
-}
-
 func (c *cursor) bytes(n int) ([]byte, error) {
 	if n < 0 || c.off+n > len(c.p) {
 		return nil, fmt.Errorf("trace: block offset %d: %d bytes past payload end", c.off, n)
@@ -519,7 +549,77 @@ func (c *cursor) bytes(n int) ([]byte, error) {
 	return b, nil
 }
 
-func (d *BinarySpanReader) decodeBlock(p []byte) error {
+// column decodes len(vals) varints at the cursor into vals, still zigzagged
+// or XORed. It returns how many it decoded: all of them, or those before a
+// bad varint, which it returns the error of (worded for a signed column when
+// signed is set) with the cursor left at its first byte. A caller checks the
+// values decoded before it reports that error, so the first defect in stream
+// order is the one that wins.
+//
+// A one-byte value takes one compare. Further than binary.MaxVarintLen64
+// bytes from the payload end, a longer one is read as one little-endian
+// word: the first byte without a continuation bit ends it, and three
+// mask-and-shift steps close the gaps the continuation bits leave. Only near
+// the end does binary.Uvarint read byte by byte.
+func (c *cursor) column(vals []uint64, signed bool) (int, error) {
+	p, off := c.p, c.off
+	for i := range vals {
+		if off < len(p) && p[off] < 0x80 {
+			vals[i] = uint64(p[off])
+			off++
+			continue
+		}
+		if len(p)-off >= binary.MaxVarintLen64 {
+			w, b8 := binary.LittleEndian.Uint64(p[off:]), p[off+8]
+			stop := ^w & 0x8080808080808080 // zero when all eight continue
+			if stop != 0 || b8 < 0x80 {
+				// Up to nine bytes: the eight of w, cut past the first
+				// that ends, then the ninth (bits 56-62) when none did.
+				low := stop & -stop
+				ninth := uint64(int64((stop-1)&^stop) >> 63) // all ones iff stop == 0
+				off += bits.TrailingZeros64(stop)/8 + 1
+				vals[i] = compact7(w&(low<<1-1)) | uint64(b8)<<56&ninth
+				continue
+			}
+			// Ten bytes: the tenth holds bit 63 and nothing else.
+			if b9 := p[off+9]; b9 <= 1 {
+				vals[i] = compact7(w) | uint64(b8&0x7f)<<56 | uint64(b9)<<63
+				off += 10
+				continue
+			}
+		} else if v, n := binary.Uvarint(p[off:]); n > 0 {
+			vals[i] = v
+			off += n
+			continue
+		}
+		return c.bad(i, off, signed)
+	}
+	c.off = off
+	return len(vals), nil
+}
+
+// bad leaves the cursor at the bad varint that stopped column after i values
+// and returns column's answer.
+func (c *cursor) bad(i, off int, signed bool) (int, error) {
+	c.off = off
+	if signed {
+		return i, fmt.Errorf("trace: block offset %d: bad varint", off)
+	}
+	return i, fmt.Errorf("trace: block offset %d: bad uvarint", off)
+}
+
+// compact7 packs the 7-bit groups of up to eight little-endian varint bytes
+// into one value, dropping their continuation bits.
+func compact7(x uint64) uint64 {
+	x = x&0x007f007f007f007f | (x&0x7f007f007f007f00)>>1
+	x = x&0x00003fff00003fff | (x&0x3fff00003fff0000)>>2
+	return x&0x000000000fffffff | (x&0x0fffffff00000000)>>4
+}
+
+// unzigzag undoes the zigzag step of binary.AppendVarint.
+func unzigzag(v uint64) int64 { return int64(v>>1) ^ -int64(v&1) }
+
+func (d *BinarySpanReader) decodeBlock(b *blockBufs, p []byte) error {
 	c := cursor{p: p}
 	nReq64, err := c.uvarint()
 	if err != nil {
@@ -549,7 +649,7 @@ func (d *BinarySpanReader) decodeBlock(p []byte) error {
 	if nClass64 == 0 || nClass64 > nReq64 {
 		return fmt.Errorf("trace: block claims %d classes for %d requests", nClass64, nReq64)
 	}
-	classes := d.scratch.classes[:0]
+	classes := b.classes[:0]
 	for i := 0; i < int(nClass64); i++ {
 		l, err := c.uvarint()
 		if err != nil {
@@ -558,64 +658,67 @@ func (d *BinarySpanReader) decodeBlock(p []byte) error {
 		if l > maxBinaryClassBytes {
 			return fmt.Errorf("trace: class label of %d bytes exceeds the %d-byte limit", l, maxBinaryClassBytes)
 		}
-		b, err := c.bytes(int(l))
+		label, err := c.bytes(int(l))
 		if err != nil {
 			return err
 		}
-		classes = append(classes, string(b))
+		classes = append(classes, string(label))
 	}
-	d.scratch.classes = classes
+	b.classes = classes
 
-	if cap(d.pending) < nReq {
-		d.pending = make([]Request, nReq)
+	// Every field of every request is written below, so the slots need no
+	// clearing first.
+	if cap(b.pending) < nReq {
+		b.pending = make([]Request, nReq)
 	}
-	reqs := d.pending[:nReq]
-	for i := range reqs {
-		reqs[i] = Request{}
+	reqs := b.pending[:nReq]
+	if cap(b.vals) < max(nReq, nSpan) {
+		b.vals = make([]uint64, max(nReq, nSpan))
 	}
+	vals := b.vals[:nReq]
 
 	// Request columns.
-	var prevID int64
-	for i := range reqs {
-		delta, err := c.varint()
-		if err != nil {
-			return err
-		}
-		prevID += delta
-		reqs[i].ID = prevID
+	if _, err := c.column(vals, true); err != nil {
+		return err
 	}
-	for i := range reqs {
-		ci, err := c.uvarint()
-		if err != nil {
-			return err
-		}
+	var id int64
+	for i, v := range vals {
+		id += unzigzag(v)
+		reqs[i].ID = id
+	}
+	n, bad := c.column(vals, false)
+	for i, ci := range vals[:n] {
 		if ci >= uint64(len(classes)) {
 			return fmt.Errorf("trace: class index %d outside dictionary of %d", ci, len(classes))
 		}
 		reqs[i].Class = classes[ci]
 	}
-	for i := range reqs {
-		s, err := c.varint()
-		if err != nil {
-			return err
-		}
-		reqs[i].Server = int(s)
+	if bad != nil {
+		return bad
+	}
+	if _, err := c.column(vals, true); err != nil {
+		return err
+	}
+	for i, v := range vals {
+		reqs[i].Server = int(unzigzag(v))
+	}
+	if _, err := c.column(vals, false); err != nil {
+		return err
 	}
 	var prevF uint64
-	for i := range reqs {
-		if reqs[i].Arrival, err = c.float(&prevF); err != nil {
-			return err
-		}
+	for i, v := range vals {
+		prevF ^= v
+		reqs[i].Arrival = math.Float64frombits(prevF)
 	}
-	for i := range reqs {
-		rt, err := c.uvarint()
-		if err != nil {
-			return err
-		}
+	n, bad = c.column(vals, false)
+	for i, rt := range vals[:n] {
 		if rt > math.MaxInt32 {
 			return fmt.Errorf("trace: retries %d out of range", rt)
 		}
 		reqs[i].Retries = int(rt)
+	}
+	if bad != nil {
+		return bad
 	}
 	fo, err := c.bytes((nReq + 7) / 8)
 	if err != nil {
@@ -624,33 +727,37 @@ func (d *BinarySpanReader) decodeBlock(p []byte) error {
 	for i := range reqs {
 		reqs[i].FailedOver = fo[i/8]&(1<<(i%8)) != 0
 	}
-	spanCnt := d.scratch.spanCnt[:0]
-	var total int
-	for range reqs {
-		n, err := c.uvarint()
-		if err != nil {
-			return err
-		}
-		if n > maxSpansPerRequest {
+	n, bad = c.column(vals, false)
+	var total uint64
+	for _, cnt := range vals[:n] {
+		if cnt > maxSpansPerRequest {
 			return fmt.Errorf("trace: request exceeds %d spans", maxSpansPerRequest)
 		}
-		total += int(n)
-		if total > nSpan {
+		if total += cnt; total > nSpan64 {
 			return fmt.Errorf("trace: span counts exceed the block's %d spans", nSpan)
 		}
-		spanCnt = append(spanCnt, int(n))
 	}
-	d.scratch.spanCnt = spanCnt
-	if total != nSpan {
+	if bad != nil {
+		return bad
+	}
+	if total != nSpan64 {
 		return fmt.Errorf("trace: span counts sum to %d, block claims %d", total, nSpan)
 	}
 
-	// One arena reservation covers the whole block's spans; each request's
-	// slice is carved from it below.
+	// The block's spans are one run of the arena; each request's slice is
+	// cut from it, capacity capped like a Take of its own. The span columns
+	// below walk the run by its index k.
 	d.arena.Reserve(nSpan)
-	for i := range reqs {
-		reqs[i].Spans = d.arena.Take(spanCnt[i])
-		reqs[i].Spans = reqs[i].Spans[:spanCnt[i]]
+	spans := d.arena.Take(nSpan)[:nSpan]
+	k := 0
+	for i, cnt := range vals {
+		if cnt == 0 {
+			reqs[i].Spans = nil
+			continue
+		}
+		end := k + int(cnt)
+		reqs[i].Spans = spans[k:end:end]
+		k = end
 	}
 
 	// Span columns.
@@ -662,70 +769,62 @@ func (d *BinarySpanReader) decodeBlock(p []byte) error {
 	if err != nil {
 		return err
 	}
-	k := 0
-	for i := range reqs {
-		for j := range reqs[i].Spans {
-			sub := Subsystem(subs[k/4] >> ((k % 4) * 2) & 3)
-			op := Op(ops[k/4] >> ((k % 4) * 2) & 3)
-			if op > OpWrite {
-				return fmt.Errorf("trace: span %d has invalid op %d", k, op)
-			}
-			reqs[i].Spans[j].Subsystem = sub
-			reqs[i].Spans[j].Op = op
-			k++
+	for k := range spans {
+		shift := uint(k%4) * 2
+		op := Op(ops[k/4] >> shift & 3)
+		if op > OpWrite {
+			return fmt.Errorf("trace: span %d has invalid op %d", k, op)
 		}
+		spans[k].Subsystem = Subsystem(subs[k/4] >> shift & 3)
+		spans[k].Op = op
+	}
+	vals = b.vals[:nSpan]
+	if _, err := c.column(vals, false); err != nil {
+		return err
 	}
 	prevF = 0
-	for i := range reqs {
-		for j := range reqs[i].Spans {
-			if reqs[i].Spans[j].Start, err = c.float(&prevF); err != nil {
-				return err
-			}
-		}
+	for k, v := range vals {
+		prevF ^= v
+		spans[k].Start = math.Float64frombits(prevF)
+	}
+	if _, err := c.column(vals, false); err != nil {
+		return err
 	}
 	prevF = 0
-	for i := range reqs {
-		for j := range reqs[i].Spans {
-			if reqs[i].Spans[j].Duration, err = c.float(&prevF); err != nil {
-				return err
-			}
-		}
+	for k, v := range vals {
+		prevF ^= v
+		spans[k].Duration = math.Float64frombits(prevF)
 	}
-	for i := range reqs {
-		for j := range reqs[i].Spans {
-			if reqs[i].Spans[j].Bytes, err = c.varint(); err != nil {
-				return err
-			}
-		}
+	if _, err := c.column(vals, true); err != nil {
+		return err
 	}
-	for i := range reqs {
-		for j := range reqs[i].Spans {
-			if reqs[i].Spans[j].LBN, err = c.varint(); err != nil {
-				return err
-			}
-		}
+	for k, v := range vals {
+		spans[k].Bytes = unzigzag(v)
 	}
-	for i := range reqs {
-		for j := range reqs[i].Spans {
-			b, err := c.varint()
-			if err != nil {
-				return err
-			}
-			reqs[i].Spans[j].Bank = int(b)
-		}
+	if _, err := c.column(vals, true); err != nil {
+		return err
+	}
+	for k, v := range vals {
+		spans[k].LBN = unzigzag(v)
+	}
+	if _, err := c.column(vals, true); err != nil {
+		return err
+	}
+	for k, v := range vals {
+		spans[k].Bank = int(unzigzag(v))
+	}
+	if _, err := c.column(vals, false); err != nil {
+		return err
 	}
 	prevF = 0
-	for i := range reqs {
-		for j := range reqs[i].Spans {
-			if reqs[i].Spans[j].Util, err = c.float(&prevF); err != nil {
-				return err
-			}
-		}
+	for k, v := range vals {
+		prevF ^= v
+		spans[k].Util = math.Float64frombits(prevF)
 	}
 	if c.off != len(p) {
 		return fmt.Errorf("trace: %d trailing bytes in block", len(p)-c.off)
 	}
-	d.pending = reqs
+	b.pending = reqs
 	d.next = 0
 	return nil
 }

@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -253,6 +255,10 @@ func BenchmarkWriteBinary(b *testing.B) {
 	}
 }
 
+// BenchmarkReadBinary decodes the 1000-request codec trace with ReadBinary,
+// and a body shaped like an ingest POST (500 requests of 6 spans) with a
+// reader made for it (fresh, the daemon's path) and with one reader re-armed
+// by Reuse (reuse, the cluster's path).
 func BenchmarkReadBinary(b *testing.B) {
 	tr := benchCodecTrace()
 	var buf bytes.Buffer
@@ -260,12 +266,37 @@ func BenchmarkReadBinary(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadBinary(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
+	b.Run("trace", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ReadBinary(bytes.NewReader(data)); err != nil {
+				b.Fatal(err)
+			}
 		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tr.Requests)), "ns/req")
+	})
+
+	const bodyRequests = 500
+	body := encodeBinary(b, &Trace{Requests: tr.Requests[:bodyRequests]})
+	rd := bytes.NewReader(nil)
+	reused := NewBinarySpanReader(nil)
+	for _, c := range []struct {
+		name   string
+		reader func() *BinarySpanReader
+	}{
+		{"fresh", func() *BinarySpanReader { return NewBinarySpanReader(rd) }},
+		{"reuse", func() *BinarySpanReader { reused.Reuse(rd); return reused }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(body)
+				if n := drainRequests(b, c.reader().Next); n != bodyRequests {
+					b.Fatalf("decoded %d of %d requests", n, bodyRequests)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bodyRequests), "ns/req")
+		})
 	}
 }
 
@@ -346,5 +377,104 @@ func TestBinaryReaderReuseAllocs(t *testing.T) {
 	small, large := perBody(50, 2), perBody(500, 9)
 	if small != large || large > 3 {
 		t.Errorf("allocations per body: %.0f for 50 requests of 2 spans, %.0f for 500 of 9; want the 3 class labels on both", small, large)
+	}
+}
+
+// TestBinarySpanReaderAllocs: a reader made for each 500-request body, as
+// the daemon's ingest makes one, allocates itself, the block's class labels
+// and the block's span arena; its block buffers come back from the pool.
+// Nothing else grows with the payload or the requests.
+func TestBinarySpanReaderAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers at random")
+	}
+	// A collection between runs may empty the pool; none is needed here.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	classes := [...]string{"get", "put", "scan"}
+	perBody := func(requests, spans int) float64 {
+		tr := &Trace{}
+		for i := 0; i < requests; i++ {
+			tr.Requests = append(tr.Requests, Request{ID: int64(i), Class: classes[i%3], Arrival: float64(i), Spans: make([]Span, spans)})
+		}
+		data := encodeBinary(t, tr)
+		rd := bytes.NewReader(nil)
+		decode := func() {
+			rd.Reset(data)
+			if n := drainRequests(t, NewBinarySpanReader(rd).Next); n != requests {
+				t.Fatalf("decoded %d of %d requests", n, requests)
+			}
+		}
+		decode() // grows the pooled buffers
+		return testing.AllocsPerRun(20, decode)
+	}
+	small, large := perBody(50, 2), perBody(500, 6)
+	if want := float64(1 + len(classes) + 1); small != large || large > want {
+		t.Errorf("allocations per body: %.0f for 50 requests of 2 spans, %.0f for 500 of 6; want at most %.0f (reader, %d class labels, span arena) on both",
+			small, large, want, len(classes))
+	}
+}
+
+// errorOrderStream wraps one hand-built block payload in a stream.
+func errorOrderStream(payload ...[]byte) []byte {
+	p := bytes.Join(payload, nil)
+	out := append([]byte(binaryMagic), binaryVersion, markerBlock)
+	out = binary.AppendUvarint(out, uint64(len(p)))
+	return append(append(out, p...), markerEnd)
+}
+
+// TestBinaryDecodeErrorOrder: a column is decoded whole before it is
+// checked, yet the first defect in stream order is the one reported, in the
+// words and at the offset the request-at-a-time reader gave, and it sticks.
+func TestBinaryDecodeErrorOrder(t *testing.T) {
+	var (
+		// Two requests of no spans, one class "a", IDs 0 and 1.
+		head   = []byte{2, 0, 1, 1, 'a', 0, 2}
+		zeros2 = []byte{0, 0}
+		over   = bytes.Repeat([]byte{0xff}, 9) // nine continuation bytes
+	)
+	retriesOver := binary.AppendUvarint(nil, math.MaxInt32+1)
+	// One request of one span; its counts, enums, start and duration.
+	oneSpan := []byte{1, 1, 1, 1, 'a', 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0}
+	cases := []struct {
+		name, data, want string
+	}{
+		{"class index before a truncated varint",
+			string(errorOrderStream(head, []byte{5, 0x80})),
+			"trace: class index 5 outside dictionary of 1"},
+		{"retries out of range before a bad varint",
+			string(errorOrderStream(head, zeros2, zeros2, zeros2, retriesOver, over, []byte{2}, zeros2, zeros2, zeros2)),
+			"trace: retries 2147483648 out of range"},
+		{"ten-byte varint ending above 1, mid payload",
+			string(errorOrderStream(head, zeros2, zeros2, over, []byte{2}, zeros2, zeros2, zeros2, zeros2)),
+			"trace: block offset 11: bad uvarint"},
+		{"continuation bytes up to the payload end",
+			string(errorOrderStream(head, zeros2, zeros2, over)),
+			"trace: block offset 11: bad uvarint"},
+		{"ten-byte varint ending in 1",
+			string(errorOrderStream(head, zeros2, zeros2, []byte{0}, over, []byte{1}, zeros2, []byte{0}, zeros2)),
+			""},
+		{"bad varint in a signed span column",
+			string(errorOrderStream(oneSpan, over, []byte{0x7f}, []byte{0, 0, 0})),
+			"trace: block offset 16: bad varint"},
+		{"truncated varint in a signed span column",
+			string(errorOrderStream(oneSpan, []byte{0, 0x80, 0x80})),
+			"trace: block offset 17: bad varint"},
+	}
+	reused := NewBinarySpanReader(nil)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			data := []byte(c.data)
+			checkBinaryReaderMatchesOracle(t, data, reused)
+			_, err := decodeAll(NewBinarySpanReader(bytes.NewReader(data)).Next, 10)
+			if c.want == "" {
+				if err != io.EOF {
+					t.Fatalf("err = %v, want the stream accepted", err)
+				}
+				return
+			}
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("err = %v, want %q", err, c.want)
+			}
+		})
 	}
 }
