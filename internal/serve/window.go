@@ -32,23 +32,26 @@ func newWindow(capacity int) *window {
 func (w *window) addBatch(rs []trace.Request) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for _, r := range rs {
-		r.ID = w.nextID
-		w.nextID++
-		w.total++
+	for i := range rs {
+		slot := &w.buf[w.head]
 		if w.n == len(w.buf) {
-			for _, s := range w.buf[w.head].Spans {
+			for _, s := range slot.Spans {
 				w.spans[spanBucket(s.Subsystem)]--
 			}
 		} else {
 			w.n++
 		}
-		for _, s := range r.Spans {
+		*slot = rs[i]
+		slot.ID = w.nextID
+		w.nextID++
+		for _, s := range slot.Spans {
 			w.spans[spanBucket(s.Subsystem)]++
 		}
-		w.buf[w.head] = r
-		w.head = (w.head + 1) % len(w.buf)
+		if w.head++; w.head == len(w.buf) {
+			w.head = 0
+		}
 	}
+	w.total += int64(len(rs))
 }
 
 // spanBucket clamps a subsystem into the four counted buckets (defensive:
