@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race race chaos obs spec cluster whatif provision cover cover-spec bench benchmark-check fuzz fuzz-smoke vulncheck examples artifacts serve loadtest clean help
+.PHONY: all build vet test test-race cover cover-spec bench benchmark-check fuzz fuzz-smoke vulncheck examples artifacts serve loadtest clean help
 
 all: build vet test
 
@@ -14,27 +14,6 @@ help:
 	@echo "  test       go test ./..."
 	@echo "  test-race  go test -race ./... — the concurrency gate for the"
 	@echo "             parallel cross-examination engine and sharded simulator"
-	@echo "  race       alias for test-race"
-	@echo "  chaos      fault-armed acceptance run under -race: fault engine,"
-	@echo "             degraded simulation/replay, breaker + armed-drain daemon"
-	@echo "  obs        observability gate: vet, the pprof-import guard, and"
-	@echo "             the obs/serve/dapper suites under -race (metrics golden,"
-	@echo "             trace determinism, 96-client scrape lifecycle)"
-	@echo "  spec       workload-spec gate: vet + the internal/spec suite"
-	@echo "             (parser, golden presets, worker-count determinism) under -race"
-	@echo "  cluster    distributed-cluster gate: the coordinator/worker suite"
-	@echo "             under -race (hash-ring routing, exact-merge byte-identity"
-	@echo "             over the worker x cadence x codec x kill-schedule matrix,"
-	@echo "             mid-run kill with zero dropped requests)"
-	@echo "  whatif     analytical-twin gate under -race: twin compilers +"
-	@echo "             solvers, the facade BuildTwin/WhatIf surface, the"
-	@echo "             /v1/whatif byte-stability + no-DES contract, and the"
-	@echo "             six-preset twin-vs-DES deviation bounds"
-	@echo "  provision  closed-loop optimizer gate under -race: the"
-	@echo "             internal/optimize suite (byte-identical plans for any"
-	@echo "             worker count, strategy determinism), the facade's"
-	@echo "             mapreduce reproduction, and the daemon's /v1/provision"
-	@echo "             + drift-triggered auto-reprovision lifecycle"
 	@echo "  cover      go test -cover ./... + the internal/spec coverage floor"
 	@echo "  cover-spec enforce the $(SPEC_COVER_FLOOR)% statement-coverage floor on internal/spec"
 	@echo "  bench      regenerate every table/figure + ablations (-bench=. -benchmem)"
@@ -65,65 +44,6 @@ test: vet
 # simulation and concurrent synthesis all run under it in CI.
 test-race:
 	$(GO) test -race ./...
-
-race: test-race
-
-# Chaos gate: every fault-injection and failure-recovery test under the
-# race detector — the deterministic fault engine, degraded GFS simulation
-# and replay, the facade's faulty sharded run, and the daemon's breaker +
-# fault-armed drain lifecycle (zero dropped in-flight requests).
-chaos:
-	$(GO) test -race -count=1 ./internal/fault/
-	$(GO) test -race -count=1 -run 'Fault|Degraded|Breaker|Faulty|HealthyReplay' \
-		. ./internal/gfs/ ./internal/replay/ ./internal/serve/ ./internal/crossexam/
-
-# Observability gate: the profiling surface stays confined to
-# internal/obs (one deliberate, flag-gated mount point), the /metrics
-# exposition stays byte-identical to its golden file, and the tracing
-# substrate stays race-clean under the 96-client scrape lifecycle.
-obs:
-	$(GO) vet ./...
-	@bad=$$($(GO) list -f '{{.ImportPath}} {{join .Imports ","}},{{join .TestImports ","}}' ./... \
-		| grep 'net/http/pprof' | grep -v '^dcmodel/internal/obs ' || true); \
-	if [ -n "$$bad" ]; then \
-		echo "net/http/pprof imported outside internal/obs (mount via obs.RegisterPprof):"; \
-		echo "$$bad"; exit 1; \
-	fi
-	$(GO) test -race -count=1 ./internal/obs/ ./internal/serve/ ./internal/dapper/
-
-# Spec gate: the declarative workload-spec engine's whole suite — parser
-# precision, preset goldens, phase math and the worker-count determinism
-# contract — under the race detector.
-spec:
-	$(GO) vet ./internal/spec/ ./presets/
-	$(GO) test -race -count=1 -run TestSpec ./internal/spec/
-
-# Cluster gate: the distributed coordinator/worker subsystem under the
-# race detector — consistent-hash routing, the exact-merge determinism
-# contract (merged model byte-identical to single-node training for any
-# worker count and interleaving), and fault-scheduled mid-run kills with
-# zero dropped requests. TestClusterModelMatrix is most of its 40 seconds:
-# worker count x merge cadence x body codec x kill schedule, every cell
-# byte-compared.
-cluster:
-	$(GO) test -race -count=1 ./internal/cluster/
-
-# Analytical-twin gate: the closed-form fast path's whole contract under
-# the race detector — the twin compilers and queueing solvers, the facade
-# surface, the daemon's /v1/whatif (byte-stable responses, no DES, no work
-# queue), and the pinned twin-vs-DES deviation bounds on all six presets.
-whatif:
-	$(GO) test -race -count=1 ./internal/twin/ ./internal/queueing/
-	$(GO) test -race -count=1 -run 'Twin|WhatIf' . ./internal/serve/ ./internal/crossexam/
-
-# Closed-loop provisioning gate: the optimizer's determinism contract
-# (plans byte-identical for any worker count and population order), the
-# facade's mapreduce 21-server reproduction, and the daemon's /v1/provision
-# endpoint + drift-triggered auto-reprovision with zero dropped requests —
-# all under the race detector.
-provision:
-	$(GO) test -race -count=1 ./internal/optimize/
-	$(GO) test -race -count=1 -run 'Provision|QueryEnvelope|AutoReprovision' . ./internal/serve/
 
 cover: cover-spec
 	$(GO) test -cover ./...

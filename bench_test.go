@@ -156,15 +156,15 @@ func renderRequestFlow(tr *Trace) string {
 
 func BenchmarkFigure2ModelStructure(b *testing.B) {
 	tr := benchTrace()
-	var m *KoozaModel
+	var m Model
 	for i := 0; i < b.N; i++ {
 		var err error
-		m, err = TrainKooza(tr, KoozaOptions{})
+		m, err = Train(tr, Kooza)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	printExperiment("Figure 2 — the trained KOOZA model (four models + time-dependency queue)", m.Describe())
+	printExperiment("Figure 2 — the trained KOOZA model (four models + time-dependency queue)", m.Characterize())
 	b.ReportMetric(float64(m.NumParams()), "params")
 }
 
@@ -174,7 +174,7 @@ func BenchmarkFigure2ModelStructure(b *testing.B) {
 // options and returns the worst per-class mean-latency deviation.
 func latencyDeviation(b *testing.B, tr *Trace, opts KoozaOptions, seed int64) float64 {
 	b.Helper()
-	m, err := TrainKooza(tr, opts)
+	m, err := Train(tr, Kooza, WithKoozaOptions(opts))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func BenchmarkAblationStorageRegions(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := KoozaOptions{StorageRegions: regions}
 				dev = latencyDeviation(b, tr, opts, int64(400+i))
-				m, err := TrainKooza(tr, opts)
+				m, err := Train(tr, Kooza, WithKoozaOptions(opts))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -231,7 +231,7 @@ func BenchmarkAblationHierarchicalStorage(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := KoozaOptions{StorageRegions: 64, Hierarchical: hier}
 				dev = latencyDeviation(b, tr, opts, int64(500+i))
-				m, err := TrainKooza(tr, opts)
+				m, err := Train(tr, Kooza, WithKoozaOptions(opts))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -249,7 +249,7 @@ func BenchmarkAblationCPUStates(b *testing.B) {
 		b.Run(fmt.Sprintf("states=%d", states), func(b *testing.B) {
 			var utilDev float64
 			for i := 0; i < b.N; i++ {
-				m, err := TrainKooza(tr, KoozaOptions{CPUStates: states})
+				m, err := Train(tr, Kooza, WithCPUStates(states))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -286,7 +286,7 @@ func BenchmarkAblationPhaseQueue(b *testing.B) {
 	b.Run("without-queue-inbreadth", func(b *testing.B) {
 		var dev float64
 		for i := 0; i < b.N; i++ {
-			m, err := TrainInBreadth(tr, InBreadthOptions{})
+			m, err := Train(tr, InBreadth)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -339,7 +339,7 @@ func BenchmarkAblationArrivalProcess(b *testing.B) {
 				origIDC := stats.IndexOfDispersion(tr.Arrivals(), 1)
 				var rateErr, idcErr float64
 				for i := 0; i < b.N; i++ {
-					m, err := TrainKooza(tr, KoozaOptions{ArrivalStates: arrivalStates})
+					m, err := Train(tr, Kooza, WithKoozaOptions(KoozaOptions{ArrivalStates: arrivalStates}))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -429,7 +429,7 @@ func BenchmarkAblationPlatformTransfer(b *testing.B) {
 	b.Run("kooza", func(b *testing.B) {
 		var devSum float64
 		for i := 0; i < b.N; i++ {
-			m, err := TrainKooza(tr, KoozaOptions{})
+			m, err := Train(tr, Kooza)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -448,7 +448,7 @@ func BenchmarkAblationPlatformTransfer(b *testing.B) {
 	b.Run("indepth", func(b *testing.B) {
 		var devSum float64
 		for i := 0; i < b.N; i++ {
-			m, err := TrainInDepth(tr)
+			m, err := Train(tr, InDepth)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -482,7 +482,7 @@ func BenchmarkScalingServers(b *testing.B) {
 			}
 			var dev float64
 			for i := 0; i < b.N; i++ {
-				m, err := TrainKooza(tr, KoozaOptions{})
+				m, err := Train(tr, Kooza)
 				if err != nil {
 					b.Fatal(err)
 				}

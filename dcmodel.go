@@ -5,7 +5,7 @@
 //
 // The toolkit provides:
 //
-//   - A GFS-like application simulator (SimulateGFS) that generates
+//   - A GFS-like application simulator (Simulate) that generates
 //     ground-truth workload traces with the paper's Figure 1 request
 //     structure: network -> CPU -> memory -> storage -> CPU -> network.
 //   - Three trainable workload models: the in-breadth approach (four
@@ -47,7 +47,6 @@ import (
 	"dcmodel/internal/gfs"
 	"dcmodel/internal/hw"
 	"dcmodel/internal/inbreadth"
-	"dcmodel/internal/indepth"
 	"dcmodel/internal/kooza"
 	"dcmodel/internal/par"
 	"dcmodel/internal/prand"
@@ -89,12 +88,8 @@ type (
 	KoozaModel = kooza.Model
 	// KoozaOptions configures KOOZA training.
 	KoozaOptions = kooza.Options
-	// InBreadthModel is the per-subsystem baseline.
-	InBreadthModel = inbreadth.Model
 	// InBreadthOptions configures in-breadth training.
 	InBreadthOptions = inbreadth.Options
-	// InDepthModel is the request-flow baseline.
-	InDepthModel = indepth.Model
 )
 
 // Workload re-exports.
@@ -115,13 +110,8 @@ type (
 	Platform = replay.Platform
 )
 
-// GFS simulator re-exports.
-type (
-	// GFSConfig describes the simulated GFS cluster.
-	GFSConfig = gfs.Config
-	// GFSCluster is a constructed cluster (advanced use).
-	GFSCluster = gfs.Cluster
-)
+// GFSConfig describes the simulated GFS cluster.
+type GFSConfig = gfs.Config
 
 // Cross-examination re-exports.
 type (

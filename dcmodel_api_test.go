@@ -100,75 +100,6 @@ func TestTrainOptionsReachTrainers(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersStillWork: the pre-redesign entry points keep
-// their exact behavior (same seed, same output as the new spellings).
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	run := GFSRun{
-		RunConfig: RunConfig{Mix: Table2Mix(), Requests: 300},
-		Rate:      20,
-	}
-	oldTr, err := SimulateGFS(DefaultGFSConfig(), run, 66)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run.Seed = 66
-	newTr, err := Simulate(DefaultGFSConfig(), run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldTr, newTr) {
-		t.Error("SimulateGFS(run, seed) != Simulate(run{Seed})")
-	}
-
-	crun := GFSClosedRun{
-		RunConfig: RunConfig{Mix: Table2Mix(), Requests: 200},
-		Users:     4, MeanThink: 0.02,
-	}
-	oldC, err := SimulateGFSClosed(DefaultGFSConfig(), crun, 67)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crun.Seed = 67
-	newC, err := SimulateClosed(DefaultGFSConfig(), crun)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldC, newC) {
-		t.Error("SimulateGFSClosed(run, seed) != SimulateClosed(run{Seed})")
-	}
-
-	if _, err := TrainKooza(oldTr, KoozaOptions{}); err != nil {
-		t.Error(err)
-	}
-	if _, err := TrainInBreadth(oldTr, InBreadthOptions{}); err != nil {
-		t.Error(err)
-	}
-	if _, err := TrainInDepth(oldTr); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestCrossExamineOptsWrapperMatches: the deprecated positional spelling
-// and the options-struct spelling agree bit for bit (throughput skipped so
-// the scorecards are deterministic).
-func TestCrossExamineOptsWrapperMatches(t *testing.T) {
-	tr := simulate(t, 1200, 20, 68)
-	oldScores, err := CrossExamineOpts(tr, 400, DefaultPlatform(), 69,
-		CrossExamOptions{SkipThroughput: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newScores, err := CrossExamine(tr, DefaultPlatform(), CrossExamOptions{
-		Requests: 400, Seed: 69, SkipThroughput: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldScores, newScores) {
-		t.Error("CrossExamineOpts and CrossExamine disagree")
-	}
-}
-
 func TestParseApproach(t *testing.T) {
 	cases := map[string]Approach{
 		"kooza": Kooza, "KOOZA": Kooza,

@@ -107,15 +107,15 @@ func TestSameSeedEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ibm, err := TrainInBreadth(tr, InBreadthOptions{})
+		ibm, err := Train(tr, InBreadth)
 		if err != nil {
 			t.Fatal(err)
 		}
-		idm, err := TrainInDepth(tr)
+		idm, err := Train(tr, InDepth)
 		if err != nil {
 			t.Fatal(err)
 		}
-		kzm, err := TrainKooza(tr, KoozaOptions{})
+		kzm, err := Train(tr, Kooza)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestSameSeedEndToEnd(t *testing.T) {
 
 func TestSynthesizeShardedInvariants(t *testing.T) {
 	tr := simulate(t, 1000, 20, 29)
-	m, err := TrainKooza(tr, KoozaOptions{})
+	m, err := Train(tr, Kooza)
 	if err != nil {
 		t.Fatal(err)
 	}

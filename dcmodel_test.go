@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"dcmodel/internal/core"
 )
 
 // End-to-end integration tests of the public API: the full pipelines the
@@ -142,28 +140,29 @@ func TestCrossExaminePipeline(t *testing.T) {
 	}
 }
 
+// TestTrainAllApproaches: Train puts each approach's own trainer behind
+// the Model interface, fitted on every request of the trace.
 func TestTrainAllApproaches(t *testing.T) {
 	tr := simulate(t, 1500, 20, 6)
-	if _, err := TrainKooza(tr, KoozaOptions{}); err != nil {
-		t.Error(err)
-	}
-	if _, err := TrainInBreadth(tr, InBreadthOptions{}); err != nil {
-		t.Error(err)
-	}
-	if _, err := TrainInDepth(tr); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCorePackageAliasesKooza(t *testing.T) {
-	tr := simulate(t, 800, 20, 7)
-	m, err := core.Train(tr, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var km *KoozaModel = m // the alias must be the same type
-	if km.TrainedOn != 800 {
-		t.Errorf("core model TrainedOn = %d", km.TrainedOn)
+	for _, a := range []Approach{Kooza, InBreadth, InDepth} {
+		m, err := Train(tr, a)
+		if err != nil {
+			t.Fatalf("%s: %v", a, err)
+		}
+		var trainedOn int
+		switch c := m.(type) {
+		case koozaTrained:
+			trainedOn = c.TrainedOn
+		case inBreadthTrained:
+			trainedOn = c.TrainedOn
+		case inDepthTrained:
+			trainedOn = c.TrainedOn
+		default:
+			t.Fatalf("%s: Train returned %T", a, m)
+		}
+		if trainedOn != tr.Len() {
+			t.Errorf("%s: trained on %d requests, want %d", a, trainedOn, tr.Len())
+		}
 	}
 }
 
@@ -205,7 +204,7 @@ func TestReplayFacade(t *testing.T) {
 
 func TestSynthesizeViaFacadeDeterministic(t *testing.T) {
 	tr := simulate(t, 1000, 20, 10)
-	m, err := TrainKooza(tr, KoozaOptions{})
+	m, err := Train(tr, Kooza)
 	if err != nil {
 		t.Fatal(err)
 	}

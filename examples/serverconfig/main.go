@@ -87,7 +87,7 @@ func main() {
 	}
 
 	// Model it and generate the synthetic stand-in workload.
-	model, err := dcmodel.TrainKooza(orig, dcmodel.KoozaOptions{})
+	model, err := dcmodel.Train(orig, dcmodel.Kooza)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -129,7 +129,7 @@ func main() {
 	}
 
 	// Model the storage behavior without the application.
-	model, err := dcmodel.TrainInBreadth(tr, dcmodel.InBreadthOptions{StorageRegions: 64})
+	model, err := inbreadth.Train(tr, inbreadth.Options{StorageRegions: 64})
 	if err != nil {
 		log.Fatal(err)
 	}

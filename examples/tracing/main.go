@@ -69,14 +69,11 @@ func main() {
 			c.Class, c.Requests, c.MeanBytes, 1000*c.MeanLatency, 100*c.MeanUtil)
 	}
 	// ---- Pinpoint-style anomaly detection on densely sampled traces ----
-	dense, err := dapper.TraceWorkload(tr, 1) // full capture for the study
-	if err != nil {
+	var dense dapper.Collector
+	if _, _, err := dapper.RecordWorkload(tr, 1, &dense); err != nil { // full capture for the study
 		log.Fatal(err)
 	}
-	allTrees, err := dense.Trees()
-	if err != nil {
-		log.Fatal(err)
-	}
+	allTrees := dense.Trees()
 	anomalies, err := dapper.Detect(allTrees, dapper.DetectorOptions{})
 	if err != nil {
 		log.Fatal(err)

@@ -25,7 +25,7 @@ func heavyTrace(t *testing.T, mix *Mix, n int, seed int64) *Trace {
 
 func TestKoozaOnWebMixDistributions(t *testing.T) {
 	tr := heavyTrace(t, WebMix(), 4000, 30)
-	m, err := TrainKooza(tr, KoozaOptions{})
+	m, err := Train(tr, Kooza)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,31 +114,3 @@ func RecordWorkload(tr *trace.Trace, sampleEvery int, rec Recorder) (started, sa
 	}
 	return started, sampled, nil
 }
-
-// TraceWorkload replays a whole workload trace through a sampling tracer
-// and returns the tracer. sampleEvery keeps 1 of every N requests.
-//
-// Deprecated: use RecordWorkload with a Recorder (e.g. a *Collector) —
-// the tracer-shaped spelling is kept behavior-identical for existing
-// callers, but new instrumentation should target the Recorder seam so
-// collectors, ring buffers and samplers compose.
-func TraceWorkload(tr *trace.Trace, sampleEvery int) (*Tracer, error) {
-	t, err := NewTracer(sampleEvery)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range tr.Requests {
-		root, sampled := t.StartTrace("request:"+r.Class, r.Arrival, r.Server)
-		if sampled {
-			for _, s := range r.Spans {
-				child := root.Child(phasePrefix+s.Subsystem.String(), s.Start, r.Server)
-				for _, a := range featureAnnotations(s) {
-					child.Annotate(a.Time, a.Message)
-				}
-				child.Finish(s.End())
-			}
-		}
-		root.Finish(r.Arrival + r.Latency())
-	}
-	return t, nil
-}

@@ -6,15 +6,14 @@
 // nodes) and annotations", with 1-out-of-N sampling for low overhead and a
 // unique global identifier tying every message to its originating request.
 //
-// The tracer here provides exactly those mechanisms — trace trees of
-// nested spans with annotations, deterministic 1/N head sampling, and
-// overhead accounting — plus a bridge to the flat per-subsystem trace
-// schema the modeling packages consume.
+// The package provides exactly those mechanisms — trace trees of nested
+// spans with annotations delivered to a Recorder, deterministic 1/N head
+// sampling and overhead accounting (RecordWorkload) — plus a bridge to the
+// flat per-subsystem trace schema the modeling packages consume.
 package dapper
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -50,104 +49,6 @@ type Span struct {
 
 // Duration returns the span length.
 func (s *Span) Duration() float64 { return s.End - s.Start }
-
-// Tracer collects sampled trace trees. It applies deterministic head
-// sampling: every SampleEvery-th trace is recorded, the rest are counted
-// but dropped (Dapper records 1 in 1024 by default; the paper quotes
-// sampling 1 out of 1000 requests for <1.5% overhead).
-type Tracer struct {
-	// SampleEvery keeps 1 of every SampleEvery traces (1 = keep all).
-	SampleEvery int
-
-	nextTrace TraceID
-	nextSpan  SpanID
-	started   int64
-	sampled   int64
-	spans     map[TraceID][]*Span
-	open      map[SpanID]*Span
-}
-
-// NewTracer returns a tracer keeping 1 of every sampleEvery traces.
-func NewTracer(sampleEvery int) (*Tracer, error) {
-	if sampleEvery < 1 {
-		return nil, fmt.Errorf("dapper: sampleEvery must be >= 1, got %d", sampleEvery)
-	}
-	return &Tracer{
-		SampleEvery: sampleEvery,
-		spans:       make(map[TraceID][]*Span),
-		open:        make(map[SpanID]*Span),
-	}, nil
-}
-
-// ActiveSpan is a started, not-yet-finished span.
-type ActiveSpan struct {
-	t    *Tracer
-	span *Span
-	// sampled indicates whether this trace is being recorded; unsampled
-	// spans are no-ops, mirroring Dapper's negligible-overhead path.
-	sampled bool
-}
-
-// StartTrace begins a new trace with a root span. The boolean reports
-// whether the trace was sampled; unsampled traces return a no-op span.
-func (t *Tracer) StartTrace(name string, at float64, server int) (*ActiveSpan, bool) {
-	t.started++
-	t.nextTrace++
-	sampled := (t.started-1)%int64(t.SampleEvery) == 0
-	if !sampled {
-		return &ActiveSpan{t: t}, false
-	}
-	t.sampled++
-	t.nextSpan++
-	s := &Span{Trace: t.nextTrace, ID: t.nextSpan, Name: name, Server: server, Start: at, End: at}
-	t.spans[s.Trace] = append(t.spans[s.Trace], s)
-	t.open[s.ID] = s
-	return &ActiveSpan{t: t, span: s, sampled: true}, true
-}
-
-// Child starts a nested span (an outgoing RPC or a local phase).
-func (a *ActiveSpan) Child(name string, at float64, server int) *ActiveSpan {
-	if !a.sampled {
-		return &ActiveSpan{t: a.t}
-	}
-	t := a.t
-	t.nextSpan++
-	s := &Span{
-		Trace: a.span.Trace, ID: t.nextSpan, Parent: a.span.ID,
-		Name: name, Server: server, Start: at, End: at,
-	}
-	t.spans[s.Trace] = append(t.spans[s.Trace], s)
-	t.open[s.ID] = s
-	return &ActiveSpan{t: t, span: s, sampled: true}
-}
-
-// Annotate attaches a timestamped message to the span.
-func (a *ActiveSpan) Annotate(at float64, message string) {
-	if !a.sampled {
-		return
-	}
-	a.span.Annotations = append(a.span.Annotations, Annotation{Time: at, Message: message})
-}
-
-// Finish closes the span at the given time. Finishing before the start
-// time clamps to the start.
-func (a *ActiveSpan) Finish(at float64) {
-	if !a.sampled {
-		return
-	}
-	if at < a.span.Start {
-		at = a.span.Start
-	}
-	a.span.End = at
-	delete(a.t.open, a.span.ID)
-}
-
-// Sampled reports whether this span's trace is being recorded.
-func (a *ActiveSpan) Sampled() bool { return a.sampled }
-
-// SamplingStats reports traces started vs recorded — the tracer's
-// effective overhead proxy.
-func (t *Tracer) SamplingStats() (started, sampled int64) { return t.started, t.sampled }
 
 // Recorder consumes assembled trace trees. It is the single
 // instrumentation seam shared by everything that emits Dapper-style
@@ -230,58 +131,6 @@ func (t *Tree) Latency() float64 {
 		return 0
 	}
 	return t.Root.Span.Duration()
-}
-
-// Trees assembles every recorded trace into a tree, ordered by root start
-// time. Traces with open spans or a missing root are skipped with an
-// error.
-func (t *Tracer) Trees() ([]*Tree, error) {
-	if len(t.open) > 0 {
-		return nil, fmt.Errorf("dapper: %d spans still open", len(t.open))
-	}
-	var out []*Tree
-	for _, spans := range t.spans {
-		byID := make(map[SpanID]*Node, len(spans))
-		for _, s := range spans {
-			byID[s.ID] = &Node{Span: s}
-		}
-		var root *Node
-		for _, s := range spans {
-			n := byID[s.ID]
-			if s.Parent == 0 {
-				if root != nil {
-					return nil, fmt.Errorf("dapper: trace %d has multiple roots", s.Trace)
-				}
-				root = n
-				continue
-			}
-			parent, ok := byID[s.Parent]
-			if !ok {
-				return nil, fmt.Errorf("dapper: trace %d span %d has unknown parent %d", s.Trace, s.ID, s.Parent)
-			}
-			parent.Children = append(parent.Children, n)
-		}
-		if root == nil {
-			return nil, fmt.Errorf("dapper: trace with no root span")
-		}
-		sortChildren(root)
-		out = append(out, &Tree{Root: root, Count: len(spans)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Root.Span.Start < out[j].Root.Span.Start })
-	return out, nil
-}
-
-func sortChildren(n *Node) {
-	sort.Slice(n.Children, func(i, j int) bool {
-		a, b := n.Children[i].Span, n.Children[j].Span
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.ID < b.ID
-	})
-	for _, c := range n.Children {
-		sortChildren(c)
-	}
 }
 
 // Render formats a tree as an indented span listing (the Dapper UI's

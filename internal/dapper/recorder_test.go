@@ -32,18 +32,15 @@ func gfsWorkload(t *testing.T, requests int, seed int64) *trace.Trace {
 
 func TestTraceWorkloadOnGFS(t *testing.T) {
 	tr := gfsWorkload(t, 1000, 1)
-	tracer, err := dapper.TraceWorkload(tr, 100) // Dapper-style sparse sampling
+	var c dapper.Collector
+	started, sampled, err := dapper.RecordWorkload(tr, 100, &c) // Dapper-style sparse sampling
 	if err != nil {
 		t.Fatal(err)
 	}
-	started, sampled := tracer.SamplingStats()
 	if started != 1000 || sampled != 10 {
 		t.Fatalf("sampling stats %d/%d", started, sampled)
 	}
-	trees, err := tracer.Trees()
-	if err != nil {
-		t.Fatal(err)
-	}
+	trees := c.Trees()
 	if len(trees) != 10 {
 		t.Fatalf("trees = %d", len(trees))
 	}
@@ -57,48 +54,6 @@ func TestTraceWorkloadOnGFS(t *testing.T) {
 		}
 		if len(back.Spans) != 6 {
 			t.Errorf("reconstructed %d spans", len(back.Spans))
-		}
-	}
-}
-
-// TestRecordWorkloadMatchesTraceWorkload pins the deprecated wrapper's
-// contract: RecordWorkload into a Collector samples the same requests
-// and produces the same trees as TraceWorkload.
-func TestRecordWorkloadMatchesTraceWorkload(t *testing.T) {
-	tr := gfsWorkload(t, 500, 2)
-
-	var c dapper.Collector
-	started, sampled, err := dapper.RecordWorkload(tr, 100, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if started != 500 || sampled != 5 {
-		t.Fatalf("RecordWorkload stats %d/%d, want 500/5", started, sampled)
-	}
-	if c.Len() != 5 {
-		t.Fatalf("collector holds %d trees", c.Len())
-	}
-
-	tracer, err := dapper.TraceWorkload(tr, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := tracer.Trees()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(old) != c.Len() {
-		t.Fatalf("tree counts diverge: %d vs %d", len(old), c.Len())
-	}
-	for i, tree := range c.Trees() {
-		if tree.Root.Span.Trace != old[i].Root.Span.Trace {
-			t.Fatalf("tree %d: trace %d vs %d", i, tree.Root.Span.Trace, old[i].Root.Span.Trace)
-		}
-		if tree.Count != old[i].Count {
-			t.Fatalf("tree %d: %d spans vs %d", i, tree.Count, old[i].Count)
-		}
-		if got, want := tree.Render(), old[i].Render(); got != want {
-			t.Fatalf("tree %d renders differently:\n%s\nvs\n%s", i, got, want)
 		}
 	}
 }

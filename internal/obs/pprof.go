@@ -5,8 +5,8 @@ import (
 	"net/http/pprof"
 )
 
-// This file is the module's only permitted import of net/http/pprof (a
-// guard test and `make obs` enforce it). The package registers handlers
+// This file is the module's only permitted import of net/http/pprof
+// (TestPprofConfinedToObs enforces it). The package registers handlers
 // on http.DefaultServeMux as an import side effect, which a daemon with
 // its own mux neither wants nor serves; mounting explicitly keeps the
 // profiling surface behind one deliberate, flag-gated call.

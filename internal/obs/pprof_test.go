@@ -34,7 +34,7 @@ func TestRegisterPprof(t *testing.T) {
 // handlers on http.DefaultServeMux as an import side effect; one
 // deliberate, flag-gated mount point (RegisterPprof) is the whole
 // contract, and a second import anywhere would silently widen the
-// daemon's profiling surface. `make obs` runs the same check via go list.
+// daemon's profiling surface. Test files are walked too.
 func TestPprofConfinedToObs(t *testing.T) {
 	root, err := moduleRoot()
 	if err != nil {

@@ -171,36 +171,3 @@ func merge(ivs []interval) []interval {
 	}
 	return out
 }
-
-// ClusterEnergy sums Energy over all servers appearing in the trace.
-func ClusterEnergy(tr *trace.Trace, sp ServerPower) (Breakdown, error) {
-	if tr == nil || tr.Len() == 0 {
-		return Breakdown{}, trace.ErrEmptyTrace
-	}
-	maxServer := 0
-	for _, r := range tr.Requests {
-		if r.Server > maxServer {
-			maxServer = r.Server
-		}
-	}
-	total := Breakdown{EnergyJ: make(map[trace.Subsystem]float64)}
-	for s := 0; s <= maxServer; s++ {
-		b, err := Energy(tr, s, sp)
-		if err != nil {
-			return Breakdown{}, err
-		}
-		total.Duration = b.Duration
-		total.Requests += b.Requests
-		total.TotalJ += b.TotalJ
-		for sub, e := range b.EnergyJ {
-			total.EnergyJ[sub] += e
-		}
-	}
-	if total.Duration > 0 {
-		total.MeanPowerW = total.TotalJ / total.Duration
-	}
-	if total.Requests > 0 {
-		total.JoulesPerRequest = total.TotalJ / float64(total.Requests)
-	}
-	return total, nil
-}

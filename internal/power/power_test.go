@@ -120,38 +120,3 @@ func TestSmallCoreDrawsLessPower(t *testing.T) {
 		t.Error("small-core J/request should be lower")
 	}
 }
-
-func TestClusterEnergy(t *testing.T) {
-	cfg := gfs.DefaultConfig()
-	cfg.Chunkservers = 3
-	c, err := gfs.NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := c.Run(gfs.RunConfig{
-		Mix:      workload.Table2Mix(),
-		Arrivals: workload.Poisson{Rate: 30},
-		Requests: 1500,
-	}, rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	total, err := ClusterEnergy(tr, BigCoreServer())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total.Requests != 1500 {
-		t.Errorf("cluster requests = %d", total.Requests)
-	}
-	// Cluster energy exceeds any single server's.
-	one, err := Energy(tr, 0, BigCoreServer())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total.TotalJ <= one.TotalJ {
-		t.Error("cluster energy should exceed one server's")
-	}
-	if _, err := ClusterEnergy(&trace.Trace{}, BigCoreServer()); err == nil {
-		t.Error("empty cluster energy should fail")
-	}
-}

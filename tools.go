@@ -1,24 +1,13 @@
 package dcmodel
 
 import (
-	"math/rand"
-
 	"dcmodel/internal/dapper"
-	"dcmodel/internal/gwp"
-	"dcmodel/internal/kooza"
 	"dcmodel/internal/obs"
-	"dcmodel/internal/power"
-	"dcmodel/internal/sqs"
 )
 
-// Facade over the observation and applicability tooling: Dapper-style
-// request tracing, GWP-style cluster profiling, SQS-style datacenter
-// sizing, and the power/energy models of the paper's §5.
-
-// Tracing (Dapper) re-exports.
+// Facade over the observation tooling: Dapper-style request tracing and
+// the metrics and trace sinks of the serving daemon's observability layer.
 type (
-	// Tracer collects sampled request trace trees.
-	Tracer = dapper.Tracer
 	// TraceTree is one request's assembled span tree.
 	TraceTree = dapper.Tree
 	// TraceRecorder receives finished span trees — the single tracing seam
@@ -64,72 +53,4 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 //	started, sampled, err := dcmodel.RecordRequests(tr, 1000, &c)
 func RecordRequests(tr *Trace, sampleEvery int, rec TraceRecorder) (started, sampled int64, err error) {
 	return dapper.RecordWorkload(tr, sampleEvery, rec)
-}
-
-// Profiling (GWP) re-exports.
-type (
-	// Profile is a cluster-wide sampled profile.
-	Profile = gwp.Profile
-	// ProfileOptions configures profile collection.
-	ProfileOptions = gwp.Options
-)
-
-// CollectProfile samples a workload trace across machines.
-func CollectProfile(tr *Trace, opts ProfileOptions) (*Profile, error) {
-	return gwp.Collect(tr, opts)
-}
-
-// Sizing (SQS) re-exports.
-type (
-	// SQSModel is an empirical workload model for farm sizing.
-	SQSModel = sqs.Model
-	// SQSResult is one evaluated farm configuration.
-	SQSResult = sqs.Result
-)
-
-// CharacterizeSQS builds an SQS empirical model from a trace with the
-// given bounded sample budget.
-func CharacterizeSQS(tr *Trace, maxSamples int, seed int64) (*SQSModel, error) {
-	r := rand.New(rand.NewSource(seed))
-	c, err := sqs.NewCharacterizer(maxSamples, r)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.ObserveTrace(tr); err != nil {
-		return nil, err
-	}
-	return c.Model()
-}
-
-// Power re-exports.
-type (
-	// ServerPowerModel is a per-subsystem linear power model.
-	ServerPowerModel = power.ServerPower
-	// EnergyBreakdown is a per-subsystem energy accounting.
-	EnergyBreakdown = power.Breakdown
-)
-
-// BigCorePower and SmallCorePower return the two reference server power
-// models used by the server-configuration study.
-func BigCorePower() ServerPowerModel   { return power.BigCoreServer() }
-func SmallCorePower() ServerPowerModel { return power.SmallCoreServer() }
-
-// ServerEnergy accounts one server's energy over a trace.
-func ServerEnergy(tr *Trace, server int, sp ServerPowerModel) (EnergyBreakdown, error) {
-	return power.Energy(tr, server, sp)
-}
-
-// ClusterEnergy accounts the whole cluster's energy over a trace.
-func ClusterEnergy(tr *Trace, sp ServerPowerModel) (EnergyBreakdown, error) {
-	return power.ClusterEnergy(tr, sp)
-}
-
-// FeatureReport is the PCA feature-space analysis of a trace (§4).
-type FeatureReport = kooza.FeatureReport
-
-// AnalyzeFeatures runs the standardized-PCA feature-space analysis,
-// reporting the workload's effective dimensionality and what loads on the
-// leading components.
-func AnalyzeFeatures(tr *Trace) (*FeatureReport, error) {
-	return kooza.FeatureAnalysis(tr)
 }

@@ -68,9 +68,7 @@ func lowerASCII(s string) string {
 
 // Model is a trained workload model, whatever the approach. Every model
 // synthesizes traces, characterizes its own structure, reports its size
-// and serializes itself; the concrete *KoozaModel, *InBreadthModel and
-// *InDepthModel remain reachable through the deprecated TrainX functions
-// for callers that need approach-specific surface.
+// and serializes itself; BuildTwin lowers it to its analytical twin.
 type Model interface {
 	// Approach identifies which modeling approach produced this model.
 	Approach() Approach
@@ -165,9 +163,6 @@ func WithObserver(o *Observer) TrainOption {
 //
 //	m, err := dcmodel.Train(tr, dcmodel.Kooza)
 //	synth, err := m.Synthesize(4000, rand.New(rand.NewSource(2)))
-//
-// It replaces TrainKooza, TrainInBreadth and TrainInDepth, which remain as
-// deprecated wrappers returning the concrete model types.
 func Train(tr *Trace, a Approach, opts ...TrainOption) (Model, error) {
 	var s trainSettings
 	for _, opt := range opts {

@@ -30,7 +30,7 @@ func slowDiskPlatform() Platform {
 func TestKoozaTransfersAcrossPlatforms(t *testing.T) {
 	// Train on platform A.
 	orig := simulate(t, 4000, 20, 40)
-	m, err := TrainKooza(orig, KoozaOptions{})
+	m, err := Train(orig, Kooza)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestInDepthCannotTransfer(t *testing.T) {
 	// A and no features; its platform-B "prediction" (its own recorded
 	// timings) misses the platform change entirely.
 	orig := simulate(t, 3000, 20, 42)
-	id, err := TrainInDepth(orig)
+	id, err := Train(orig, InDepth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestInDepthCannotTransfer(t *testing.T) {
 		t.Fatalf("in-depth unexpectedly transferred: error %g", inDepthErr)
 	}
 	// KOOZA's transfer error on the same setup is far smaller.
-	kz, err := TrainKooza(orig, KoozaOptions{})
+	kz, err := Train(orig, Kooza)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,28 +41,39 @@ func TestBuildTwinAllApproaches(t *testing.T) {
 	}
 }
 
-// TestWhatIfOneShot: the convenience wrapper equals BuildTwin + WhatIf.
+// TestWhatIfOneShot: a twin built for one query answers it exactly as a
+// long-lived twin that has already answered others — WhatIf leaves the
+// compiled twin untouched, so building once and reusing it is safe.
 func TestWhatIfOneShot(t *testing.T) {
 	tr := simulate(t, 1200, 20, 62)
 	m, err := Train(tr, Kooza)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reused, err := BuildTwin(m, DefaultPlatform())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, other := range []WhatIfQuery{{}, {LoadFactor: 0.5}, {Users: 8, ThinkSeconds: 0.1}} {
+		if _, err := reused.WhatIf(other); err != nil {
+			t.Fatal(err)
+		}
+	}
 	q := WhatIfQuery{LoadFactor: 2}
-	direct, err := WhatIf(m, DefaultPlatform(), q)
+	viaReused, err := reused.WhatIf(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tw, err := BuildTwin(m, DefaultPlatform())
+	oneShot, err := BuildTwin(m, DefaultPlatform())
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaTwin, err := tw.WhatIf(q)
+	direct, err := oneShot.WhatIf(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(direct, viaTwin) {
-		t.Fatalf("one-shot diverged: %+v vs %+v", direct, viaTwin)
+	if !reflect.DeepEqual(direct, viaReused) {
+		t.Fatalf("one-shot diverged: %+v vs %+v", direct, viaReused)
 	}
 }
 
@@ -88,36 +99,5 @@ func TestBuildTwinUnsupported(t *testing.T) {
 	}
 	if _, err := BuildTwin(nil, DefaultPlatform()); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("nil model: want ErrBadConfig, got %v", err)
-	}
-}
-
-// TestDeprecatedTrainShims: the deprecated concrete-type trainers remain
-// behavior-identical to the Train facade.
-func TestDeprecatedTrainShims(t *testing.T) {
-	tr := simulate(t, 800, 20, 63)
-	km, err := TrainKooza(tr, KoozaOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fm, err := Train(tr, Kooza)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if km.NumParams() != fm.NumParams() {
-		t.Errorf("TrainKooza params %d != Train params %d", km.NumParams(), fm.NumParams())
-	}
-	bm, err := TrainInBreadth(tr, InBreadthOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bm.TrainedOn != tr.Len() {
-		t.Errorf("TrainInBreadth trained on %d, want %d", bm.TrainedOn, tr.Len())
-	}
-	dm, err := TrainInDepth(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dm.TrainedOn != tr.Len() {
-		t.Errorf("TrainInDepth trained on %d, want %d", dm.TrainedOn, tr.Len())
 	}
 }
