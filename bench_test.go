@@ -32,6 +32,7 @@ import (
 	"dcmodel/internal/kooza"
 	"dcmodel/internal/markov"
 	"dcmodel/internal/replay"
+	"dcmodel/internal/spec"
 	"dcmodel/internal/stats"
 	"dcmodel/internal/trace"
 	"dcmodel/internal/workload"
@@ -551,20 +552,34 @@ func BenchmarkInDepthTrain(b *testing.B) {
 	}
 }
 
-// BenchmarkFitBest times the arrival fit every trainer starts with, on the
-// gaps of a full daemon window (8192 requests).
+// BenchmarkFitBest times the arrival fit every trainer starts with, on two
+// shapes of gaps: exponential ones of a full daemon window (8192 requests),
+// and the gaps of the six presets at seed 1 (5000 requests each, one fit
+// per preset and iteration), as the offline pipeline fits them.
 func BenchmarkFitBest(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
-	gaps := make([]float64, 8191)
-	for i := range gaps {
-		gaps[i] = r.ExpFloat64() / 20
+	exp := make([]float64, 8191)
+	for i := range exp {
+		exp[i] = r.ExpFloat64() / 20
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := stats.FitBest(gaps); err != nil {
-			b.Fatal(err)
-		}
+	var presets [][]float64
+	for _, name := range spec.Names() {
+		presets = append(presets, presetTrace(b, name, 5000, 1).Interarrivals())
+	}
+	for _, shape := range []struct {
+		name string
+		gaps [][]float64
+	}{{"exponential", [][]float64{exp}}, {"presets", presets}} {
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, gaps := range shape.gaps {
+					if _, err := stats.FitBest(gaps); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 
