@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 	"time"
 
@@ -266,10 +265,10 @@ func extractFeatures(tr *trace.Trace) features {
 		f.classStorage[r.Class] = sizes
 	}
 	for _, xs := range f.pooled {
-		sort.Float64s(xs)
+		stats.SortFloats(xs)
 	}
 	for _, xs := range f.classStorage {
-		sort.Float64s(xs)
+		stats.SortFloats(xs)
 	}
 	return f
 }

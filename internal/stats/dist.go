@@ -702,7 +702,7 @@ func NewEmpiricalOwning(xs []float64) (*Empirical, error) {
 	if len(xs) == 0 {
 		return nil, ErrEmpty
 	}
-	sortFloats(xs)
+	SortFloats(xs)
 	e := &Empirical{sorted: xs}
 	e.freeze()
 	return e, nil

@@ -1,9 +1,11 @@
 package stats
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"dcmodel/internal/par"
 )
@@ -206,9 +208,21 @@ type FitResult struct {
 // results sorted by ascending KS distance (best fit first). Families that
 // fail to fit appear last with Err set.
 func FitAll(xs []float64) []FitResult {
-	// The families are fitted to xs as given (the estimators sum in sample
-	// order) side by side, each into its own slot, and all tested against
-	// one sorted copy.
+	results := fitFamilies(xs, nil)
+	slices.SortStableFunc(results, func(a, b FitResult) int { return CompareLess(a.KS, b.KS) })
+	return results
+}
+
+// errOutscored marks a family whose KS scan FitBest stopped.
+var errOutscored = errors.New("stats: outscored by a finished family")
+
+// fitFamilies fits every family to xs side by side, each into its own slot,
+// in fitters' order. The families are fitted to xs as given (the estimators
+// sum in sample order) and all tested against one sorted copy. With a
+// bound, a family's scan stops once its distance exceeds the bound, which
+// every finished family lowers to its own distance; such a slot holds
+// errOutscored.
+func fitFamilies(xs []float64, bound *ksBound) []FitResult {
 	sorted := sortedCopy(xs)
 	results := make([]FitResult, len(fitters))
 	par.Do(len(fitters), 0, func(i int) error {
@@ -218,12 +232,44 @@ func FitAll(xs []float64) []FitResult {
 			results[i] = FitResult{Err: fmt.Errorf("%s: %w", f.name, err), KS: math.Inf(1)}
 			return nil
 		}
-		ks := KSTestSorted(sorted, d)
+		ks, ok := ksTestSorted(sorted, d, bound)
+		if !ok {
+			results[i] = FitResult{Err: errOutscored, KS: math.Inf(1)}
+			return nil
+		}
+		bound.lower(ks.Statistic)
 		results[i] = FitResult{Dist: d, KS: ks.Statistic, P: ks.P}
 		return nil
 	})
-	slices.SortStableFunc(results, func(a, b FitResult) int { return CompareLess(a.KS, b.KS) })
 	return results
+}
+
+// ksBound is the smallest KS distance of the families that finished
+// scoring, shared by the scans of one FitBest. A nil bound bounds nothing.
+type ksBound struct{ bits atomic.Uint64 }
+
+func newKSBound() *ksBound {
+	b := new(ksBound)
+	b.bits.Store(math.Float64bits(math.Inf(1)))
+	return b
+}
+
+// exceeded reports whether d is above the bound.
+func (b *ksBound) exceeded(d float64) bool {
+	return b != nil && d > math.Float64frombits(b.bits.Load())
+}
+
+// lower lowers the bound to d if d is below it.
+func (b *ksBound) lower(d float64) {
+	if b == nil {
+		return
+	}
+	for {
+		old := b.bits.Load()
+		if !(d < math.Float64frombits(old)) || b.bits.CompareAndSwap(old, math.Float64bits(d)) {
+			return
+		}
+	}
 }
 
 // fitter is one candidate family of FitAll.
@@ -247,12 +293,24 @@ var fitters = [...]fitter{
 // FitBest fits all candidate families and returns the best by KS distance.
 // This is the "distribution fitting through the Kolmogorov-Smirnov test"
 // procedure Feitelson proposes for arrival processes.
+//
+// It returns exactly FitAll's head, for less work: a family's scan stops
+// once its distance exceeds that of a family that finished, which is at
+// least the winner's, so a stopped family is strictly worse than the
+// winner. Ties are never stopped and go to the family listed first, as
+// under FitAll's stable sort.
 func FitBest(xs []float64) (FitResult, error) {
-	results := FitAll(xs)
-	if len(results) == 0 || results[0].Err != nil {
+	results := fitFamilies(xs, newKSBound())
+	best := -1
+	for i, r := range results {
+		if r.Err == nil && (best < 0 || r.KS < results[best].KS) {
+			best = i
+		}
+	}
+	if best < 0 {
 		return FitResult{}, fmt.Errorf("stats: no distribution family fits the sample")
 	}
-	return results[0], nil
+	return results[best], nil
 }
 
 func firstErr[D Dist](d D, err error) (Dist, error) {

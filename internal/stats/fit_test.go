@@ -145,22 +145,30 @@ func TestFitAllOrdering(t *testing.T) {
 	}
 }
 
-// TestFitAllAllocs: FitAll sorts the sample once for all seven families, so
-// its allocation count is a small constant — not one copy per family, and
-// not a function of the sample size. (Both sizes are past radixMinLen: a
-// shorter sample is sorted without the radix pass's one scratch slice.)
+// TestFitAllAllocs: FitAll and FitBest sort the sample once for all seven
+// families, so their allocation counts are a small constant — not one copy
+// per family, and not a function of the sample size. (Both sizes are past
+// radixMinLen, so both sorts run through the radix pass's recycled scratch.)
 func TestFitAllAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	xs := Sample(Exponential{Rate: 20}, 8191, r)
-	small := testing.AllocsPerRun(10, func() { FitAll(xs[:2*radixMinLen]) })
-	large := testing.AllocsPerRun(10, func() { FitAll(xs) })
-	if small != large {
-		t.Errorf("FitAll allocations depend on the sample size: %v at %d, %v at 8191", small, 2*radixMinLen, large)
-	}
-	// 7 boxed distributions, the result slice, the log samples of two
-	// estimators, one sorted copy and the scratch it was sorted through.
-	if large > 16 {
-		t.Errorf("FitAll made %v allocations, want <= 16 (one sorted copy, not one per family)", large)
+	for _, fit := range []struct {
+		name string
+		fit  func([]float64)
+	}{
+		{"FitAll", func(xs []float64) { FitAll(xs) }},
+		{"FitBest", func(xs []float64) { FitBest(xs) }},
+	} {
+		small := testing.AllocsPerRun(10, func() { fit.fit(xs[:2*radixMinLen]) })
+		large := testing.AllocsPerRun(10, func() { fit.fit(xs) })
+		if small != large {
+			t.Errorf("%s allocations depend on the sample size: %v at %d, %v at 8191", fit.name, small, 2*radixMinLen, large)
+		}
+		// 7 boxed distributions, the result slice, the log samples of two
+		// estimators, one sorted copy and, for FitBest, the shared bound.
+		if large > 16 {
+			t.Errorf("%s made %v allocations, want <= 16 (one sorted copy, not one per family)", fit.name, large)
+		}
 	}
 }
 

@@ -29,25 +29,43 @@ func KSTest(xs []float64, d Dist) KSResult {
 
 // KSTestSorted is KSTest for a sample already in ascending order.
 func KSTestSorted(sorted []float64, d Dist) KSResult {
+	r, _ := ksTestSorted(sorted, d, nil)
+	return r
+}
+
+// ksStride is the step of ksTestSorted's first sweep.
+const ksStride = 16
+
+// ksTestSorted is KSTestSorted under a bound: it stops, reporting false,
+// once the running distance exceeds the bound.
+func ksTestSorted(sorted []float64, d Dist, bound *ksBound) (KSResult, bool) {
 	n := len(sorted)
 	if n == 0 {
-		return KSResult{P: 1}
+		return KSResult{P: 1}, true
 	}
+	// The scan visits every ksStride-th point, then the points after those,
+	// and so on: a family a bound will stop meets its large deviations
+	// early. The distance is a maximum, the same in any order.
 	var dn float64
-	for i, x := range sorted {
-		f := d.CDF(x)
-		upper := float64(i+1)/float64(n) - f
-		lower := f - float64(i)/float64(n)
-		if upper > dn {
-			dn = upper
-		}
-		if lower > dn {
-			dn = lower
+	for first := 0; first < ksStride; first++ {
+		for i := first; i < n; i += ksStride {
+			f := d.CDF(sorted[i])
+			upper := float64(i+1)/float64(n) - f
+			lower := f - float64(i)/float64(n)
+			if upper > dn {
+				dn = upper
+			}
+			if lower > dn {
+				dn = lower
+			}
+			if bound.exceeded(dn) {
+				return KSResult{}, false
+			}
 		}
 	}
 	en := float64(n)
 	lambda := (math.Sqrt(en) + 0.12 + 0.11/math.Sqrt(en)) * dn
-	return KSResult{Statistic: dn, P: KolmogorovQ(lambda), N: en}
+	return KSResult{Statistic: dn, P: KolmogorovQ(lambda), N: en}, true
 }
 
 // KSTest2 performs a two-sample Kolmogorov-Smirnov test between samples

@@ -133,7 +133,7 @@ func CompareLess(a, b float64) int {
 func sortedCopy(xs []float64) []float64 {
 	s := make([]float64, len(xs))
 	copy(s, xs)
-	sortFloats(s)
+	SortFloats(s)
 	return s
 }
 

@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -306,5 +307,58 @@ func TestNoReflectionSorts(t *testing.T) {
 				return true
 			})
 		}
+	}
+}
+
+// TestNoFloatSortsOutsideStats is a source-level guard: no non-test file of
+// the module outside internal/stats sorts floats through sort.Float64s or
+// sort.Float64Slice. stats.SortFloats leaves exactly the slice sort.Float64s
+// leaves and sorts a long sample by radix in a few linear passes, so it is
+// the one entry point; inside internal/stats it falls back to sort.Float64s.
+// Nested modules (benchmark/) are not part of this one and are skipped.
+func TestNoFloatSortsOutsideStats(t *testing.T) {
+	banned := map[string]bool{"Float64s": true, "Float64Slice": true}
+	root := filepath.Join("..", "..")
+	stats := filepath.Join(root, "internal", "stats")
+	fset := token.NewFileSet()
+	files := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == stats || d.Name() == "testdata" || (path != root && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); path != root && err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		files++
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "sort" && banned[sel.Sel.Name] {
+				t.Errorf("%s: sort.%s; use stats.SortFloats", fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 100 {
+		t.Fatalf("walked %d non-test files; the module root is not %s", files, root)
 	}
 }

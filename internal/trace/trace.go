@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"dcmodel/internal/stats"
@@ -272,7 +271,7 @@ func (t *Trace) Interarrivals() []float64 {
 		return nil
 	}
 	arr := t.Arrivals()
-	sort.Float64s(arr)
+	stats.SortFloats(arr)
 	out := make([]float64, len(arr)-1)
 	for i := 1; i < len(arr); i++ {
 		out[i-1] = arr[i] - arr[i-1]

@@ -3,6 +3,7 @@ package twin
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"dcmodel/internal/hw"
@@ -489,7 +490,8 @@ func sharesOf(weights map[int]float64) []float64 {
 	for _, id := range ids {
 		out = append(out, weights[id]/sum)
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
+	stats.SortFloats(out)
+	slices.Reverse(out)
 	return out
 }
 

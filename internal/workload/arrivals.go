@@ -8,7 +8,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"dcmodel/internal/stats"
 )
@@ -199,7 +198,7 @@ func (s SelfSimilar) Times(n int, r *rand.Rand) []float64 {
 			}
 		}
 		if len(all) >= n {
-			sort.Float64s(all)
+			stats.SortFloats(all)
 			return all[:n]
 		}
 		horizon *= 2
