@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"sort"
 
 	"dcmodel/internal/stats"
@@ -27,26 +26,13 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("characterize: ")
 	var (
-		in     = flag.String("in", "-", "input trace (CSV; '-' for stdin)")
+		in     = flag.String("in", "-", "input trace (CSV, or binary trace-v2 for .dct paths; '-' for stdin)")
 		window = flag.Float64("window", 0.5, "counting window for burstiness analysis (seconds)")
 	)
 	flag.Parse()
 	cliflag.Check(cliflag.PositiveFloat("window", *window))
 
-	var (
-		tr  *dcmodel.Trace
-		err error
-	)
-	if *in == "-" {
-		tr, err = dcmodel.ReadTraceCSV(os.Stdin)
-	} else {
-		var f *os.File
-		f, err = os.Open(*in)
-		if err == nil {
-			defer f.Close()
-			tr, err = dcmodel.ReadTraceCSV(f)
-		}
-	}
+	tr, err := cliflag.ReadTrace(*in)
 	if err != nil {
 		log.Fatal(err)
 	}

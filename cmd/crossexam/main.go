@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"dcmodel"
 	"dcmodel/internal/cliflag"
@@ -35,7 +34,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("crossexam: ")
 	var (
-		in       = flag.String("in", "", "input trace (CSV, or binary trace-v2 for .dct paths; empty = simulate)")
+		in       = flag.String("in", "", "input trace (CSV, or binary trace-v2 for .dct paths; '-' for stdin; empty = simulate)")
 		specRef  = flag.String("spec", "", "cross-examine a workload spec (preset name or JSON/YAML file) instead of the default simulation")
 		requests = flag.Int("requests", 3000, "requests to simulate when -in is empty")
 		rate     = flag.Float64("rate", 20, "arrival rate for simulation")
@@ -98,16 +97,7 @@ func main() {
 			Rate: *rate,
 		})
 	default:
-		var f *os.File
-		f, err = os.Open(*in)
-		if err == nil {
-			defer f.Close()
-			if strings.HasSuffix(*in, ".dct") {
-				tr, err = dcmodel.ReadTraceBinary(f)
-			} else {
-				tr, err = dcmodel.ReadTraceCSV(f)
-			}
-		}
+		tr, err = cliflag.ReadTrace(*in)
 	}
 	if err != nil {
 		log.Fatal(err)

@@ -101,7 +101,7 @@ func main() {
 		}
 	})
 	if *specRef == "" {
-		tr, err := readTrace(*in)
+		tr, err := cliflag.ReadTrace(*in)
 		if err != nil {
 			cliflag.Fatal(err)
 		}
@@ -199,19 +199,4 @@ func quantileName(q float64) string {
 	default:
 		return "p95"
 	}
-}
-
-func readTrace(path string) (*dcmodel.Trace, error) {
-	if path == "-" {
-		return dcmodel.ReadTraceCSV(os.Stdin)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".dct") {
-		return dcmodel.ReadTraceBinary(f)
-	}
-	return dcmodel.ReadTraceCSV(f)
 }

@@ -66,7 +66,7 @@ func main() {
 		if *specRef != "" {
 			tr, err = traceFromSpec(*specRef, *seed, *workers)
 		} else {
-			tr, err = readTrace(*in)
+			tr, err = cliflag.ReadTrace(*in)
 		}
 		if err != nil {
 			cliflag.Fatal(err)
@@ -144,19 +144,4 @@ func traceFromSpec(ref string, seed int64, workers int) (*dcmodel.Trace, error) 
 		return nil, err
 	}
 	return c.Generate(workers)
-}
-
-func readTrace(path string) (*dcmodel.Trace, error) {
-	if path == "-" {
-		return dcmodel.ReadTraceCSV(os.Stdin)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".dct") {
-		return dcmodel.ReadTraceBinary(f)
-	}
-	return dcmodel.ReadTraceCSV(f)
 }

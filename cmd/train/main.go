@@ -25,7 +25,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("train: ")
 	var (
-		in        = flag.String("in", "-", "input trace (CSV; '-' for stdin)")
+		in        = flag.String("in", "-", "input trace (CSV, or binary trace-v2 for .dct paths; '-' for stdin)")
 		modelName = flag.String("model", "kooza", "model: kooza, in-breadth or in-depth")
 		regions   = flag.Int("regions", 32, "storage LBN-region states (kooza/in-breadth)")
 		cpuStates = flag.Int("cpustates", 8, "CPU utilization-level states (kooza/in-breadth)")
@@ -43,7 +43,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	tr, err := readTrace(*in)
+	tr, err := cliflag.ReadTrace(*in)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,16 +83,4 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "train: saved %s model to %s\n", m.Approach(), *out)
 	}
-}
-
-func readTrace(path string) (*dcmodel.Trace, error) {
-	if path == "-" {
-		return dcmodel.ReadTraceCSV(os.Stdin)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return dcmodel.ReadTraceCSV(f)
 }

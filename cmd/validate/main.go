@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"dcmodel"
 	"dcmodel/internal/cliflag"
@@ -24,7 +23,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("validate: ")
 	var (
-		in       = flag.String("in", "", "input trace CSV (empty = simulate)")
+		in       = flag.String("in", "", "input trace (CSV, or binary trace-v2 for .dct paths; '-' for stdin; empty = simulate)")
 		requests = flag.Int("requests", 4000, "requests to simulate when -in is empty")
 		rate     = flag.Float64("rate", 20, "arrival rate for simulation")
 		n        = flag.Int("n", 0, "synthetic requests (0 = same as training trace)")
@@ -53,12 +52,7 @@ func main() {
 			Rate: *rate,
 		})
 	} else {
-		var f *os.File
-		f, err = os.Open(*in)
-		if err == nil {
-			defer f.Close()
-			tr, err = dcmodel.ReadTraceCSV(f)
-		}
+		tr, err = cliflag.ReadTrace(*in)
 	}
 	if err != nil {
 		log.Fatal(err)

@@ -179,9 +179,6 @@ func (g *gapDist) Name() string      { return "trace" }
 func (g *gapDist) Params() []float64 { return []float64{float64(len(g.gaps))} }
 func (g *gapDist) Mean() float64     { return stats.Mean(g.gaps) }
 func (g *gapDist) Var() float64      { return stats.Variance(g.gaps) }
-func (g *gapDist) PDF(float64) float64 {
-	return 0
-}
 func (g *gapDist) CDF(x float64) float64 {
 	var n float64
 	for _, v := range g.gaps {
@@ -191,7 +188,6 @@ func (g *gapDist) CDF(x float64) float64 {
 	}
 	return n / float64(len(g.gaps))
 }
-func (g *gapDist) Quantile(p float64) float64 { return stats.Quantile(g.gaps, p) }
 func (g *gapDist) Rand(*rand.Rand) float64 {
 	v := g.gaps[g.i%len(g.gaps)]
 	g.i++

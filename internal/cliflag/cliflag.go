@@ -1,8 +1,8 @@
-// Package cliflag is the shared post-flag.Parse validation layer of the
-// cmd/* tools. Every command rejects nonsensical flag values — negative
-// worker counts, zero shards, non-positive seeds — with a non-zero exit
-// and a one-line usage hint, instead of silently clamping or failing deep
-// inside an engine with an unrelated error.
+// Package cliflag is the shared post-flag.Parse layer of the cmd/* tools.
+// Every command rejects nonsensical flag values — negative worker counts,
+// zero shards, non-positive seeds — with a non-zero exit and a one-line
+// usage hint, instead of silently clamping or failing deep inside an
+// engine with an unrelated error, and loads its -in trace the same way.
 package cliflag
 
 import (
@@ -10,8 +10,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"dcmodel/internal/errs"
+	"dcmodel/internal/trace"
 )
 
 // Problem describes one invalid flag value; an empty string means valid.
@@ -95,4 +97,21 @@ func Fatal(err error) {
 		exit(2)
 	}
 	exit(1)
+}
+
+// ReadTrace loads the trace an -in flag names: "-" reads CSV from stdin, a
+// .dct path reads the binary trace-v2 format, any other path reads CSV.
+func ReadTrace(path string) (*trace.Trace, error) {
+	if path == "-" {
+		return trace.ReadCSV(os.Stdin)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if strings.HasSuffix(path, ".dct") {
+		return trace.ReadBinary(f)
+	}
+	return trace.ReadCSV(f)
 }

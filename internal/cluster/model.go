@@ -131,9 +131,6 @@ func NewModel(cfg ModelConfig) (*Model, error) {
 	}, nil
 }
 
-// Config returns the model's (defaulted) quantization config.
-func (m *Model) Config() ModelConfig { return m.cfg }
-
 // Requests returns how many requests the model has absorbed.
 func (m *Model) Requests() int64 { return m.requests }
 

@@ -85,9 +85,6 @@ func NewRing(workers, vnodes int) (*Ring, error) {
 	return r, nil
 }
 
-// Workers returns the worker count the ring was built over.
-func (r *Ring) Workers() int { return r.workers }
-
 // Owner returns the worker owning key: the worker of the first vnode at
 // or clockwise after the key's position.
 func (r *Ring) Owner(key uint64) int {

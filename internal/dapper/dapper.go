@@ -55,7 +55,7 @@ func (s *Span) Duration() float64 { return s.End - s.Start }
 // traces: the GFS simulator (gfs.RunConfig.Recorder), the replay engine
 // (replay.Platform.Recorder) and the serving daemon's live pipeline
 // tracer all deliver finished trees to a Recorder, and collectors —
-// in-memory lists, ring buffers, sampling or teeing decorators — compose
+// in-memory lists, ring buffers, tees — compose
 // behind it.
 //
 // A Recorder wired into a concurrent producer (the sharded simulator, the

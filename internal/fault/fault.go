@@ -213,21 +213,6 @@ func (p *process) nextDown(t float64) float64 {
 	return t
 }
 
-// intervals returns a copy of the downtime prefix generated up to horizon.
-func (p *process) intervals(horizon float64) []Interval {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.extend(horizon)
-	out := make([]Interval, 0, len(p.downs))
-	for _, iv := range p.downs {
-		if iv.Start >= horizon {
-			break
-		}
-		out = append(out, iv)
-	}
-	return out
-}
-
 // Schedule is the materialized failure history of a set of servers under
 // one scenario. It is safe for concurrent use; all answers are a fixed
 // function of (Config, stream, server index, time).
@@ -341,14 +326,4 @@ func (s *Schedule) NextFailure(server int, t float64) float64 {
 		}
 	}
 	return next
-}
-
-// Downtime returns the server's own downtime intervals starting before the
-// horizon (rack failures excluded) — the raw material for availability
-// reports and tests.
-func (s *Schedule) Downtime(server int, horizon float64) []Interval {
-	if server < 0 || server >= len(s.servers) {
-		return nil
-	}
-	return s.servers[server].intervals(horizon)
 }

@@ -13,6 +13,20 @@ func scenario() Config {
 	return Config{MTBF: 10, MTTR: 0.5, Seed: 7}
 }
 
+// downtime lists a rackless server's down windows that start before
+// horizon, read through NextFailure and NextUp.
+func downtime(s *Schedule, server int, horizon float64) []Interval {
+	var out []Interval
+	for t := 0.0; ; {
+		start := s.NextFailure(server, t)
+		if start >= horizon {
+			return out
+		}
+		t = s.NextUp(server, start)
+		out = append(out, Interval{Start: start, End: t})
+	}
+}
+
 // TestScheduleDeterministic: two schedules from the same (cfg, stream) give
 // identical histories, regardless of query order or concurrency.
 func TestScheduleDeterministic(t *testing.T) {
@@ -42,8 +56,8 @@ func TestScheduleDeterministic(t *testing.T) {
 	}
 	wg.Wait()
 	for srv := 0; srv < servers; srv++ {
-		ia := a.Downtime(srv, horizon)
-		ib := b.Downtime(srv, horizon)
+		ia := downtime(a, srv, horizon)
+		ib := downtime(b, srv, horizon)
 		if len(ia) != len(ib) {
 			t.Fatalf("server %d: %d vs %d intervals", srv, len(ia), len(ib))
 		}
@@ -60,7 +74,7 @@ func TestScheduleDeterministic(t *testing.T) {
 func TestStreamsIndependent(t *testing.T) {
 	a, _ := NewSchedule(scenario(), 1, 0)
 	b, _ := NewSchedule(scenario(), 1, 1)
-	ia, ib := a.Downtime(0, 1000), b.Downtime(0, 1000)
+	ia, ib := downtime(a, 0, 1000), downtime(b, 0, 1000)
 	if len(ia) == 0 || len(ib) == 0 {
 		t.Fatal("expected downtime in 1000s at MTBF 10s")
 	}
@@ -79,7 +93,7 @@ func TestAvailabilityBallpark(t *testing.T) {
 	}
 	const horizon = 200000.0
 	var down float64
-	for _, iv := range s.Downtime(0, horizon) {
+	for _, iv := range downtime(s, 0, horizon) {
 		end := math.Min(iv.End, horizon)
 		down += end - iv.Start
 	}

@@ -104,21 +104,6 @@ type Master struct {
 	chunks    []chunk
 }
 
-// Lookup resolves (file, offset) to the chunk's primary server and the LBN
-// of the offset on that server.
-func (m *Master) Lookup(file int, offset int64) (server int, lbn int64, err error) {
-	if file < 0 || file >= len(m.files) {
-		return 0, 0, fmt.Errorf("gfs: file %d out of range", file)
-	}
-	ci := offset / m.chunkSize
-	if ci < 0 || int(ci) >= len(m.files[file]) {
-		return 0, 0, fmt.Errorf("gfs: offset %d beyond file %d", offset, file)
-	}
-	ch := m.chunks[m.files[file][ci]]
-	blockOff := (offset % m.chunkSize) / 4096
-	return ch.servers[0], ch.lbn[0] + blockOff, nil
-}
-
 // Replicas returns the replica servers of the chunk containing (file,
 // offset), including the primary first.
 func (m *Master) Replicas(file int, offset int64) ([]int, []int64, error) {
@@ -137,9 +122,6 @@ func (m *Master) Replicas(file int, offset int64) ([]int, []int64, error) {
 	}
 	return ch.servers, lbns, nil
 }
-
-// Chunks returns the number of placed chunks.
-func (m *Master) Chunks() int { return len(m.chunks) }
 
 // Cluster is a simulated GFS deployment.
 type Cluster struct {
@@ -253,12 +235,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Master exposes the cluster's master (read-only use).
-func (c *Cluster) Master() *Master { return c.master }
-
-// Servers returns the number of chunkservers.
-func (c *Cluster) Servers() int { return len(c.servers) }
-
 // RunConfig drives a simulation run.
 type RunConfig struct {
 	// Mix is the request-class mix.
@@ -282,7 +258,7 @@ type RunConfig struct {
 	// request, in execution order — the shared tracing seam (see
 	// dapper.Recorder). Recording reads finished requests only and draws
 	// nothing from the workload rand stream, so arming it perturbs no
-	// simulation draws; wrap it with obs.SampleEvery to keep a fraction.
+	// simulation draws.
 	Recorder dapper.Recorder
 }
 
@@ -769,14 +745,6 @@ func (h userHeap) down(i int) {
 		}
 		h[i], h[child] = h[child], h[i]
 		i = child
-	}
-}
-
-// Reset rewinds all chunkserver hardware and availability state.
-func (c *Cluster) Reset() {
-	for _, s := range c.servers {
-		s.hw.Reset()
-		s.freeAt = [4]float64{}
 	}
 }
 

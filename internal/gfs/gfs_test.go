@@ -71,30 +71,31 @@ func TestMasterLookup(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Chunkservers = 4
 	c := testCluster(t, cfg)
-	m := c.Master()
-	if m.Chunks() != cfg.Files*int(cfg.FileSize/cfg.ChunkSize) {
-		t.Errorf("chunks = %d", m.Chunks())
+	m := c.master
+	if len(m.chunks) != cfg.Files*int(cfg.FileSize/cfg.ChunkSize) {
+		t.Errorf("chunks = %d", len(m.chunks))
 	}
-	srv, lbn, err := m.Lookup(0, 0)
+	srvs, lbns, err := m.Replicas(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv, lbn := srvs[0], lbns[0]
 	if srv < 0 || srv >= 4 || lbn < 0 {
 		t.Errorf("lookup = %d, %d", srv, lbn)
 	}
 	// Offsets inside the same chunk resolve to the same server and
 	// consecutive LBNs.
-	srv2, lbn2, err := m.Lookup(0, 8192)
+	srvs, lbns, err = m.Replicas(0, 8192)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv2 != srv || lbn2 != lbn+2 {
-		t.Errorf("intra-chunk lookup: (%d,%d) vs (%d,%d)", srv2, lbn2, srv, lbn)
+	if srvs[0] != srv || lbns[0] != lbn+2 {
+		t.Errorf("intra-chunk lookup: (%d,%d) vs (%d,%d)", srvs[0], lbns[0], srv, lbn)
 	}
-	if _, _, err := m.Lookup(-1, 0); err == nil {
+	if _, _, err := m.Replicas(-1, 0); err == nil {
 		t.Error("bad file should fail")
 	}
-	if _, _, err := m.Lookup(0, cfg.FileSize*2); err == nil {
+	if _, _, err := m.Replicas(0, cfg.FileSize*2); err == nil {
 		t.Error("bad offset should fail")
 	}
 	if _, _, err := m.Replicas(99999, 0); err == nil {
@@ -263,16 +264,6 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, err := c.Run(RunConfig{Mix: workload.Table2Mix(), Arrivals: workload.Poisson{Rate: 1}}, r); err == nil {
 		t.Error("zero requests should fail")
-	}
-}
-
-func TestResetRewindsState(t *testing.T) {
-	c := testCluster(t, DefaultConfig())
-	tr1 := runTrace(t, c, 100, 406)
-	c.Reset()
-	tr2 := runTrace(t, c, 100, 406)
-	if !reflect.DeepEqual(tr1, tr2) {
-		t.Error("reset + same seed should reproduce the trace")
 	}
 }
 

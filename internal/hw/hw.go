@@ -110,9 +110,6 @@ func (d *Disk) Access(lbn, bytes int64) float64 {
 // Head returns the current head position (for tests and introspection).
 func (d *Disk) Head() int64 { return d.head }
 
-// Reset returns the head to block 0.
-func (d *Disk) Reset() { d.head = 0 }
-
 // Memory models banked DRAM with per-bank open rows: an access to the open
 // row of a bank is a row hit, anything else pays the row-miss penalty.
 type Memory struct {
@@ -178,9 +175,6 @@ func (m *Memory) Access(bank int, row int64, bytes int64) float64 {
 	}
 	return lat + float64(bytes)/m.Bandwidth
 }
-
-// Reset closes all rows.
-func (m *Memory) Reset() { m.openRows = nil }
 
 // CPU models a core with a fixed frequency and a cycles cost model: each
 // request phase costs a base cycle count plus cycles per byte processed.
@@ -285,10 +279,4 @@ func (s *Server) Validate() error {
 		return err
 	}
 	return s.Net.Validate()
-}
-
-// Reset clears all stateful components (disk head, open rows).
-func (s *Server) Reset() {
-	s.Disk.Reset()
-	s.Mem.Reset()
 }

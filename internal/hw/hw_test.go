@@ -19,8 +19,8 @@ func TestDiskSequentialVsRandom(t *testing.T) {
 	}
 	// First access from head 0 to far LBN pays seek + rotation.
 	far := d.Access(d.NumBlocks/2, 4096)
-	d.Reset()
-	// Access at the head position is pure transfer.
+	// Access at the head position of a fresh disk is pure transfer.
+	d = DefaultDisk()
 	seq := d.Access(0, 4096)
 	if far <= seq {
 		t.Errorf("random access %g not slower than sequential %g", far, seq)
@@ -111,9 +111,6 @@ func TestMemoryBanksIndependent(t *testing.T) {
 	// Bank wrap-around and negatives are clamped.
 	m.Access(m.Banks+3, 1, 64)
 	m.Access(-1, 1, -64)
-	m.Reset()
-	cold := m.Access(0, 7, 64)
-	approx(t, cold, m.MissLatency+64/m.Bandwidth, 1e-15, "reset closes rows")
 }
 
 func TestMemoryValidate(t *testing.T) {
@@ -172,16 +169,10 @@ func TestNetworkTransferTime(t *testing.T) {
 	}
 }
 
-func TestServerValidateAndReset(t *testing.T) {
+func TestServerValidate(t *testing.T) {
 	s := DefaultServer()
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	s.Disk.Access(1000, 4096)
-	s.Mem.Access(0, 3, 64)
-	s.Reset()
-	if s.Disk.Head() != 0 {
-		t.Error("reset should rewind the disk head")
 	}
 	missing := &Server{}
 	if err := missing.Validate(); err == nil {

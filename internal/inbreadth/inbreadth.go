@@ -351,17 +351,6 @@ func (m *Model) GenerateIOStream(n int, r *rand.Rand) []IOEvent {
 	return out
 }
 
-// GenerateUtilSeries emits a standalone CPU-utilization series (Abrahao-
-// style synthetic utilization patterns).
-func (m *Model) GenerateUtilSeries(n int, r *rand.Rand) []float64 {
-	w := newWalker(m, r)
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = w.nextUtil(r)
-	}
-	return out
-}
-
 // IOStreamFromTrace extracts the original storage stream in time order,
 // for like-for-like comparison with GenerateIOStream.
 func IOStreamFromTrace(tr *trace.Trace) []IOEvent {

@@ -209,24 +209,3 @@ func TestGenerateIOStream(t *testing.T) {
 		t.Errorf("sequential fraction differs by %g", d)
 	}
 }
-
-func TestGenerateUtilSeries(t *testing.T) {
-	tr := gfsTrace(t, 2000, 706)
-	m, err := Train(tr, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	series := m.GenerateUtilSeries(4000, rand.New(rand.NewSource(707)))
-	if len(series) != 4000 {
-		t.Fatalf("series length %d", len(series))
-	}
-	orig := tr.SpanFeature(trace.CPU, func(s trace.Span) float64 { return s.Util })
-	if dev := stats.RelError(stats.Mean(orig), stats.Mean(series)); dev > 0.2 {
-		t.Errorf("util series mean deviation %g", dev)
-	}
-	for _, u := range series {
-		if u < 0 || u > 1 {
-			t.Fatalf("utilization %g outside [0,1]", u)
-		}
-	}
-}

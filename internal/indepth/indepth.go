@@ -254,20 +254,3 @@ func (m *Model) SynthesizeBatch(n int, r *rand.Rand) (*trace.Trace, error) {
 	}
 	return tr, nil
 }
-
-// PredictMeanLatency returns the model's analytic latency prediction for a
-// class: the sum of its mean per-phase service times (no-contention
-// approximation).
-func (m *Model) PredictMeanLatency(class string) (float64, error) {
-	for _, c := range m.Classes {
-		if c.Name != class {
-			continue
-		}
-		var sum float64
-		for _, s := range c.Service {
-			sum += s.Mean()
-		}
-		return sum, nil
-	}
-	return 0, fmt.Errorf("indepth: unknown class %q", class)
-}

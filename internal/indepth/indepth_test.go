@@ -113,42 +113,6 @@ func TestSynthesizeLatencyGoodFeaturesMissing(t *testing.T) {
 	}
 }
 
-func TestPredictMeanLatency(t *testing.T) {
-	// Use a lightly loaded trace: the analytic prediction ignores
-	// queueing, so it is only accurate when contention is negligible.
-	c, err := gfs.NewCluster(gfs.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := c.Run(gfs.RunConfig{
-		Mix:      workload.Table2Mix(),
-		Arrivals: workload.Poisson{Rate: 2},
-		Requests: 2000,
-	}, rand.New(rand.NewSource(803)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Train(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, class := range tr.Classes() {
-		pred, err := m.PredictMeanLatency(class)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// At low load (no queueing) the sum of phase services is close to
-		// the true latency.
-		o := stats.Mean(tr.ByClass(class).Latencies())
-		if dev := stats.RelError(o, pred); dev > 0.2 {
-			t.Errorf("class %s predicted %g vs %g (dev %g)", class, pred, o, dev)
-		}
-	}
-	if _, err := m.PredictMeanLatency("nope"); err == nil {
-		t.Error("unknown class should fail")
-	}
-}
-
 func TestSynthesizeErrors(t *testing.T) {
 	tr := gfsTrace(t, 500, 804)
 	m, err := Train(tr)

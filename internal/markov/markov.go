@@ -225,37 +225,6 @@ func (c *Chain) LogLikelihood(seq []int) float64 {
 // model-complexity measure used by the cross-examination scorecard.
 func (c *Chain) NumParams() int { return c.N*(c.N-1) + (c.N - 1) }
 
-// TotalVariation returns the total-variation distance between the
-// transition rows of c and other, averaged over rows weighted by c's visit
-// counts. It quantifies how far apart two trained chains are and is used to
-// verify that a chain re-trained on synthetic output matches the original.
-func (c *Chain) TotalVariation(other *Chain) (float64, error) {
-	if other.N != c.N {
-		return 0, fmt.Errorf("markov: state-count mismatch %d vs %d", c.N, other.N)
-	}
-	var totalVisits float64
-	for _, v := range c.Visits {
-		totalVisits += float64(v)
-	}
-	if totalVisits == 0 {
-		return 0, ErrNoData
-	}
-	var tv float64
-	for i := 0; i < c.N; i++ {
-		w := float64(c.Visits[i]) / totalVisits
-		if w == 0 {
-			continue
-		}
-		var rowTV float64
-		a, b := c.Trans.Row(i), other.Trans.Row(i)
-		for j := range a {
-			rowTV += math.Abs(a[j] - b[j])
-		}
-		tv += w * rowTV / 2
-	}
-	return tv, nil
-}
-
 // sampleIndex draws an index from the (normalized) weights.
 func sampleIndex(weights []float64, r *rand.Rand) int {
 	u := r.Float64()

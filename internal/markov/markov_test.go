@@ -236,20 +236,19 @@ func TestRetrainRecoversChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tv, err := c1.TotalVariation(c2)
-	if err != nil {
-		t.Fatal(err)
+	// Total-variation distance of the transition rows, weighted by c1's
+	// visit counts.
+	var tv, visits float64
+	for i := 0; i < c1.N; i++ {
+		var row float64
+		for j, p := range c1.Trans.Row(i) {
+			row += math.Abs(p - c2.Trans.Row(i)[j])
+		}
+		tv += float64(c1.Visits[i]) * row / 2
+		visits += float64(c1.Visits[i])
 	}
-	if tv > 0.02 {
+	if tv /= visits; tv > 0.02 {
 		t.Errorf("retrained chain TV distance = %g, want < 0.02", tv)
-	}
-}
-
-func TestTotalVariationErrors(t *testing.T) {
-	a, _ := Train([][]int{{0, 1}}, 2, 0.1)
-	b, _ := Train([][]int{{0, 1, 2}}, 3, 0.1)
-	if _, err := a.TotalVariation(b); err == nil {
-		t.Error("state-count mismatch should fail")
 	}
 }
 

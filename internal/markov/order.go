@@ -1,9 +1,6 @@
 package markov
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Higher-order Markov chains via state-space expansion: an order-k chain
 // over n states is a first-order chain over n^k composite states. This is
@@ -61,33 +58,6 @@ func TrainOrderK(seqs [][]int, n, k int, smoothing float64) (*OrderK, error) {
 		return nil, err
 	}
 	return &OrderK{N: n, K: k, Chain: chain}, nil
-}
-
-// Simulate generates a base-state sequence of the given length.
-func (o *OrderK) Simulate(length int, r *rand.Rand) []int {
-	if length <= 0 {
-		return nil
-	}
-	out := make([]int, 0, length)
-	comp := o.Chain.Start(r)
-	// Decode the initial composite state into its k base states.
-	prefix := make([]int, o.K)
-	c := comp
-	for i := o.K - 1; i >= 0; i-- {
-		prefix[i] = c % o.N
-		c /= o.N
-	}
-	for _, s := range prefix {
-		out = append(out, s)
-		if len(out) == length {
-			return out
-		}
-	}
-	for len(out) < length {
-		comp = o.Chain.Step(comp, r)
-		out = append(out, comp%o.N)
-	}
-	return out
 }
 
 // NumParams returns the expanded chain's parameter count.

@@ -22,7 +22,7 @@
 //     head-samples 1 of every N requests, builds each sampled request's
 //     dapper span tree, and delivers finished trees to any
 //     dapper.Recorder; TraceRing keeps the most recent trees for
-//     GET /v1/traces, and SampleEvery / Tee compose recorders.
+//     GET /v1/traces, and Tee composes recorders.
 //   - Stage / RegisterPprof: per-stage wall-clock and allocation
 //     accounting surfaced as histograms, and the /debug/pprof/ mount.
 package obs

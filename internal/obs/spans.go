@@ -296,30 +296,3 @@ func (t teeRecorder) Record(tree *dapper.Tree) {
 		r.Record(tree)
 	}
 }
-
-// SampleEvery decorates rec with deterministic 1-in-every head sampling:
-// trees 1, every+1, 2·every+1, … pass through, the rest are counted and
-// dropped. Use it to hang a sampling tap on a full-rate producer (the
-// GFS simulator's or replay engine's Recorder seam).
-func SampleEvery(every int, rec dapper.Recorder) (dapper.Recorder, error) {
-	if every < 1 {
-		return nil, fmt.Errorf("obs: sample every must be >= 1, got %d", every)
-	}
-	if rec == nil {
-		return nil, fmt.Errorf("obs: sampler needs a recorder")
-	}
-	return &sampledRecorder{every: int64(every), next: rec}, nil
-}
-
-type sampledRecorder struct {
-	every int64
-	seen  atomic.Int64
-	next  dapper.Recorder
-}
-
-func (s *sampledRecorder) Record(t *dapper.Tree) {
-	if (s.seen.Add(1)-1)%s.every != 0 {
-		return
-	}
-	s.next.Record(t)
-}

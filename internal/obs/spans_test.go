@@ -214,27 +214,6 @@ func TestTeeSkipsNil(t *testing.T) {
 	}
 }
 
-func TestSampleEveryDecorator(t *testing.T) {
-	var c dapper.Collector
-	rec, err := SampleEvery(4, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		rec.Record(&dapper.Tree{Root: &dapper.Node{Span: &dapper.Span{}}, Count: 1})
-	}
-	// Trees 1, 5, 9 pass.
-	if c.Len() != 3 {
-		t.Fatalf("decorator kept %d trees, want 3", c.Len())
-	}
-	if _, err := SampleEvery(0, &c); err == nil {
-		t.Fatal("every=0 accepted")
-	}
-	if _, err := SampleEvery(1, nil); err == nil {
-		t.Fatal("nil recorder accepted")
-	}
-}
-
 func TestDumpTreeWellFormed(t *testing.T) {
 	var c dapper.Collector
 	sp, _ := NewSpanner(1, &c)

@@ -2,9 +2,8 @@ package power
 
 import "fmt"
 
-// DVFS P-state catalog for the provisioning optimizer. Where DVFSPolicy
-// (dvfs.go) evaluates a dynamic downshift policy against a recorded trace,
-// a DVFSState is a static operating point for closed-form what-if math:
+// DVFS P-state catalog for the provisioning optimizer. A DVFSState is a
+// static operating point for closed-form what-if math:
 // the CPU runs FreqScale times its nominal clock (service demands stretch
 // by 1/FreqScale) and draws PowerScale times its nominal active power.
 // PowerScale follows the classic near-cubic P ~ f*V^2 scaling with voltage

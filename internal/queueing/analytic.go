@@ -1,10 +1,10 @@
 // Package queueing is the queueing-theory substrate for dcmodel.
 //
-// It provides the analytic models (M/M/1, M/M/c, M/G/1, open Jackson
-// networks) and the discrete-event multi-station simulator that the
-// in-depth modeling literature builds on (Liu et al.'s 3-tier model,
-// Meisner et al.'s SQS), a simplified layered-queueing-network solver
-// (Franks et al.), and a PI admission controller (Kamra et al.'s Yaksha).
+// It provides the analytic models (M/M/1, M/M/c, Kingman's G/G/1, open
+// Jackson networks, closed-network MVA) and the discrete-event
+// multi-station simulator that the in-depth modeling literature builds on
+// (Liu et al.'s 3-tier model, Meisner et al.'s SQS), and a PI admission
+// controller (Kamra et al.'s Yaksha).
 // KOOZA's network model reuses the same machinery for its arrival-rate
 // queue.
 package queueing
@@ -74,27 +74,6 @@ func (q MM1) MeanResponse() float64 { return 1 / (q.Mu - q.Lambda) }
 // MeanWait returns the mean waiting time in queue, rho/(Mu-Lambda).
 func (q MM1) MeanWait() float64 { return q.Utilization() / (q.Mu - q.Lambda) }
 
-// ProbN returns the steady-state probability of n jobs in the system.
-func (q MM1) ProbN(n int) float64 {
-	if n < 0 {
-		return 0
-	}
-	rho := q.Utilization()
-	return (1 - rho) * math.Pow(rho, float64(n))
-}
-
-// ResponseQuantile returns the p-quantile of the (exponential) response
-// time distribution.
-func (q MM1) ResponseQuantile(p float64) float64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	return -math.Log(1-p) * q.MeanResponse()
-}
-
 // MMc is the M/M/c queue: Poisson arrivals, exponential service, c servers.
 type MMc struct {
 	Lambda, Mu float64
@@ -143,40 +122,6 @@ func (q MMc) MeanResponse() float64 { return q.MeanWait() + 1/q.Mu }
 
 // MeanJobs returns the mean number of jobs in the system (Little's law).
 func (q MMc) MeanJobs() float64 { return q.Lambda * q.MeanResponse() }
-
-// MG1 is the M/G/1 queue: Poisson arrivals at rate Lambda and a general
-// service distribution with the given mean and variance
-// (Pollaczek-Khinchine).
-type MG1 struct {
-	Lambda, MeanService, VarService float64
-}
-
-// NewMG1 validates and returns an M/G/1 queue.
-func NewMG1(lambda, meanService, varService float64) (MG1, error) {
-	if !validNum(lambda, meanService, varService) || lambda <= 0 || meanService <= 0 || varService < 0 {
-		return MG1{}, badConfig("invalid M/G/1 parameters lambda=%g mean=%g var=%g", lambda, meanService, varService)
-	}
-	if lambda*meanService >= 1 {
-		return MG1{}, ErrUnstable
-	}
-	return MG1{Lambda: lambda, MeanService: meanService, VarService: varService}, nil
-}
-
-// Utilization returns rho = Lambda * E[S].
-func (q MG1) Utilization() float64 { return q.Lambda * q.MeanService }
-
-// MeanWait returns the Pollaczek-Khinchine mean waiting time
-// lambda * E[S^2] / (2 (1 - rho)).
-func (q MG1) MeanWait() float64 {
-	es2 := q.VarService + q.MeanService*q.MeanService
-	return q.Lambda * es2 / (2 * (1 - q.Utilization()))
-}
-
-// MeanResponse returns the mean response time.
-func (q MG1) MeanResponse() float64 { return q.MeanWait() + q.MeanService }
-
-// MeanJobs returns the mean number of jobs in the system (Little's law).
-func (q MG1) MeanJobs() float64 { return q.Lambda * q.MeanResponse() }
 
 // GG1 is the G/G/1 queue approximated by Kingman's formula: general
 // interarrival and service distributions summarized by their means and

@@ -55,9 +55,3 @@ func (c *PIController) Observe(measuredResponse float64) float64 {
 	}
 	return c.admission
 }
-
-// Reset returns the controller to its initial state.
-func (c *PIController) Reset() {
-	c.prevErr = 0
-	c.admission = 1
-}

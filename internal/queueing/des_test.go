@@ -52,7 +52,7 @@ func TestSimulateMatchesMD1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, _ := NewMG1(0.6, 1, 0)
+	q, _ := NewGG1(0.6, 1, 1, 0) // Kingman is exact for Poisson arrivals
 	approx(t, stats.Mean(res.Responses()), q.MeanResponse(), 0.08, "M/D/1 response")
 }
 

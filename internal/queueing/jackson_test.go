@@ -111,90 +111,6 @@ func TestTandemNetworkErrors(t *testing.T) {
 	}
 }
 
-func TestLQNSingleTaskIsMM1(t *testing.T) {
-	l := &LQN{
-		Tasks:  []LQNTask{{Name: "t", Demand: 1, Servers: 1}},
-		Lambda: 0.5,
-	}
-	res, err := l.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, _ := NewMM1(0.5, 1)
-	approx(t, res[0].Response, q.MeanResponse(), 1e-12, "single-task LQN")
-	approx(t, res[0].Utilization, 0.5, 1e-12, "utilization")
-}
-
-func TestLQNLayered(t *testing.T) {
-	// Top task calls the bottom task twice per invocation; the bottom
-	// response is folded into the top's effective service time (nested
-	// possession).
-	l := &LQN{
-		Tasks: []LQNTask{
-			{Name: "web", Demand: 0.01, Servers: 4, Calls: map[int]float64{1: 2}},
-			{Name: "db", Demand: 0.02, Servers: 1},
-		},
-		Lambda: 5,
-	}
-	res, err := l.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// db throughput = 5 * 2 = 10; db is M/M/1 with mu = 50.
-	approx(t, res[1].Throughput, 10, 1e-12, "db throughput")
-	qdb, _ := NewMM1(10, 50)
-	approx(t, res[1].Response, qdb.MeanResponse(), 1e-12, "db response")
-	wantService := 0.01 + 2*res[1].Response
-	approx(t, res[0].ServiceTime, wantService, 1e-12, "web effective service")
-	if res[0].Response <= res[0].ServiceTime {
-		t.Error("web response should include queueing above service time")
-	}
-}
-
-func TestLQNErrors(t *testing.T) {
-	if _, err := (&LQN{}).Solve(); err == nil {
-		t.Error("empty LQN should fail")
-	}
-	if _, err := (&LQN{Tasks: []LQNTask{{Demand: 1, Servers: 1}}, Lambda: 0}).Solve(); err == nil {
-		t.Error("zero lambda should fail")
-	}
-	if _, err := (&LQN{Tasks: []LQNTask{{Demand: 1, Servers: 0}}, Lambda: 1}).Solve(); err == nil {
-		t.Error("zero servers should fail")
-	}
-	if _, err := (&LQN{Tasks: []LQNTask{{Demand: -1, Servers: 1}}, Lambda: 1}).Solve(); err == nil {
-		t.Error("negative demand should fail")
-	}
-	// Upward call violates top-down layering.
-	if _, err := (&LQN{
-		Tasks: []LQNTask{
-			{Demand: 0.1, Servers: 1, Calls: map[int]float64{0: 1}},
-		},
-		Lambda: 1,
-	}).Solve(); err == nil {
-		t.Error("self/upward call should fail")
-	}
-	// Saturated bottom layer.
-	if _, err := (&LQN{
-		Tasks:  []LQNTask{{Name: "t", Demand: 1, Servers: 1}},
-		Lambda: 2,
-	}).Solve(); err == nil {
-		t.Error("saturated LQN should fail")
-	}
-}
-
-func TestLQNNumParams(t *testing.T) {
-	l := &LQN{
-		Tasks: []LQNTask{
-			{Demand: 1, Servers: 1, Calls: map[int]float64{1: 1}},
-			{Demand: 1, Servers: 1},
-		},
-		Lambda: 0.1,
-	}
-	if got := l.NumParams(); got != 1+3+2 {
-		t.Errorf("NumParams = %d, want 6", got)
-	}
-}
-
 func TestPIControllerConverges(t *testing.T) {
 	// Closed loop against an analytic M/M/1: offered load 2.0 saturates
 	// the mu=1 server, so the controller must shed load until response
@@ -237,10 +153,6 @@ func TestPIControllerBounds(t *testing.T) {
 	}
 	if a := ctl.Admission(); a != 0.01 {
 		t.Errorf("admission floor = %g, want 0.01", a)
-	}
-	ctl.Reset()
-	if ctl.Admission() != 1 {
-		t.Error("reset should restore full admission")
 	}
 }
 

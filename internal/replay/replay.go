@@ -45,8 +45,7 @@ type Platform struct {
 	// Recorder, when non-nil, receives one dapper span tree per replayed
 	// request, in replay (arrival) order — the shared tracing seam (see
 	// dapper.Recorder). Recording reads the finished request only and
-	// perturbs no timing; wrap the recorder with obs.SampleEvery to keep a
-	// fraction.
+	// perturbs no timing.
 	Recorder dapper.Recorder
 }
 

@@ -209,13 +209,3 @@ func (s *Server) maybeAutoProvision() {
 		})
 	}()
 }
-
-// LastAutoPlan returns the most recent auto-reprovision plan, or false when
-// the hook has not produced one (programmatic sibling of GET /v1/provision).
-func (s *Server) LastAutoPlan() (optimize.Plan, bool) {
-	last := s.autoPlan.Load()
-	if last == nil {
-		return optimize.Plan{}, false
-	}
-	return last.Plan, true
-}

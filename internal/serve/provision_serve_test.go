@@ -356,7 +356,7 @@ func TestAutoReprovisionOnDrift(t *testing.T) {
 	if _, _, err := s.Ingest(regimeTrace(64, regimeA, 128)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.LastAutoPlan(); ok {
+	if s.autoPlan.Load() != nil {
 		t.Fatal("auto plan published before any drift retrain")
 	}
 
@@ -403,8 +403,8 @@ func TestAutoReprovisionOnDrift(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	var plan optimize.Plan
 	for {
-		var ok bool
-		if plan, ok = s.LastAutoPlan(); ok {
+		if last := s.autoPlan.Load(); last != nil {
+			plan = last.Plan
 			break
 		}
 		if time.Now().After(deadline) {

@@ -402,10 +402,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Faults returns the armed fault scenario for degraded replay, or nil when
-// the daemon replays on healthy hardware.
-func (s *Server) Faults() *fault.Config { return s.faults.Load() }
-
 // ArmFaults validates and arms a fault scenario: subsequent /v1/replay
 // work runs on the degraded platform. It is the programmatic sibling of
 // POST /v1/faults.

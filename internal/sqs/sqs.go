@@ -161,24 +161,3 @@ func (m *Model) Evaluate(servers, tasks int, r *rand.Rand) (Result, error) {
 		Throughput:   res.Throughput,
 	}, nil
 }
-
-// SizeFor finds the smallest server count in [1, maxServers] whose
-// simulated p95 response time meets the target, evaluating each candidate
-// with the given task count. It returns an error when even maxServers
-// misses the target.
-func (m *Model) SizeFor(targetP95 float64, maxServers, tasks int, r *rand.Rand) (Result, error) {
-	if targetP95 <= 0 {
-		return Result{}, fmt.Errorf("sqs: target must be positive, got %g", targetP95)
-	}
-	minServers := int(m.Rate*m.MeanService) + 1
-	for k := minServers; k <= maxServers; k++ {
-		res, err := m.Evaluate(k, tasks, r)
-		if err != nil {
-			continue // unstable at this k; try more servers
-		}
-		if res.P95 <= targetP95 {
-			return res, nil
-		}
-	}
-	return Result{}, fmt.Errorf("sqs: no configuration up to %d servers meets p95 <= %g", maxServers, targetP95)
-}

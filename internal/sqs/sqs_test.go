@@ -182,36 +182,3 @@ func TestSQSOnGFSTrace(t *testing.T) {
 		t.Error("1 server should be slower than 100")
 	}
 }
-
-func TestSizeFor(t *testing.T) {
-	r := rand.New(rand.NewSource(1206))
-	c, _ := NewCharacterizer(100000, r)
-	var now float64
-	for i := 0; i < 50000; i++ {
-		now += r.ExpFloat64() / 50 // 50 tasks/s
-		_ = c.Observe(now, r.ExpFloat64()*0.1)
-	}
-	m, err := c.Model()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// rho = 5 total demand: need >= 6 servers; p95 target forces a few
-	// more.
-	res, err := m.SizeFor(0.3, 50, 20000, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Servers < 6 {
-		t.Errorf("sized %d servers, must exceed the stability minimum 5", res.Servers)
-	}
-	if res.P95 > 0.3 {
-		t.Errorf("sized configuration misses target: p95 = %g", res.P95)
-	}
-	// Impossible target.
-	if _, err := m.SizeFor(1e-9, 10, 5000, r); err == nil {
-		t.Error("impossible target should fail")
-	}
-	if _, err := m.SizeFor(0, 10, 5000, r); err == nil {
-		t.Error("zero target should fail")
-	}
-}

@@ -9,64 +9,6 @@ import (
 // same seed, byte-identical output. These pins are what let the synthesis
 // batch path claim equivalence with the goldens recorded under Draw.
 
-func TestAliasSampleNMatchesScalar(t *testing.T) {
-	for _, n := range []int{1, 2, 7, 64} {
-		w := make([]float64, n)
-		for i := range w {
-			w[i] = float64(i%5) + 0.25
-		}
-		a, err := NewAlias(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const draws = 4097
-		r1 := rand.New(rand.NewSource(42))
-		want := make([]int, draws)
-		for i := range want {
-			want[i] = a.Draw(r1)
-		}
-		r2 := rand.New(rand.NewSource(42))
-		got := make([]int, draws)
-		a.SampleN(r2, got)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d draw %d: SampleN %d, scalar %d", n, i, got[i], want[i])
-			}
-		}
-		// The RNG streams must be in lockstep afterwards too.
-		if r1.Float64() != r2.Float64() {
-			t.Fatalf("n=%d: RNG streams diverged after the batch", n)
-		}
-	}
-}
-
-func TestAliasMatrixSampleRowNMatchesScalar(t *testing.T) {
-	const rows, cols = 6, 9
-	data := make([]float64, rows*cols)
-	for i := range data {
-		data[i] = float64(i%4) + 0.5
-	}
-	m, err := NewAliasMatrix(data, rows, cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for row := 0; row < rows; row++ {
-		r1 := rand.New(rand.NewSource(int64(row)))
-		want := make([]int, 513)
-		for i := range want {
-			want[i] = m.Draw(row, r1)
-		}
-		r2 := rand.New(rand.NewSource(int64(row)))
-		got := make([]int, 513)
-		m.SampleRowN(row, r2, got)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("row %d draw %d: SampleRowN %d, scalar %d", row, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestAliasMatrixWalkNMatchesScalar(t *testing.T) {
 	const n = 11
 	data := make([]float64, n*n)

@@ -6,11 +6,9 @@ import (
 	"math/rand"
 )
 
-// Clustering: k-means and diagonal-covariance Gaussian-mixture EM. Li's
-// grid-workload model uses "Model-Based Clustering in order to perform the
-// distribution fitting" as its first phase; Abrahao et al. categorize CPU
-// utilization patterns similarly. KOOZA uses clustering to discretize
-// continuous features (e.g. CPU utilization levels) into Markov states.
+// Clustering: k-means. Abrahao et al. categorize CPU utilization patterns
+// by clustering; KOOZA uses it to cluster log interarrival gaps into the
+// states of its semi-Markov arrival model.
 
 // KMeansResult is the outcome of a k-means run.
 type KMeansResult struct {
@@ -142,182 +140,4 @@ func sqDist(a, b []float64) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// GMM is a diagonal-covariance Gaussian mixture model fitted by EM.
-type GMM struct {
-	// Weights are the mixture weights (sum to 1).
-	Weights []float64
-	// Means has one row per component.
-	Means *Matrix
-	// Vars has one row of per-feature variances per component.
-	Vars *Matrix
-	// LogLik is the final per-observation average log-likelihood.
-	LogLik float64
-	// Iters is the number of EM iterations performed.
-	Iters int
-}
-
-// FitGMM fits a k-component diagonal GMM to the rows of data with EM,
-// initialized from k-means.
-func FitGMM(data *Matrix, k int, r *rand.Rand, maxIter int) (*GMM, error) {
-	n, d := data.Rows, data.Cols
-	km, err := KMeans(data, k, r, 50)
-	if err != nil {
-		return nil, err
-	}
-	if maxIter < 1 {
-		maxIter = 100
-	}
-	g := &GMM{
-		Weights: make([]float64, k),
-		Means:   km.Centroids.Clone(),
-		Vars:    NewMatrix(k, d),
-	}
-	counts := make([]int, k)
-	for i, c := range km.Assign {
-		counts[c]++
-		row := data.Row(i)
-		vr := g.Vars.Row(c)
-		mr := g.Means.Row(c)
-		for j, x := range row {
-			dv := x - mr[j]
-			vr[j] += dv * dv
-		}
-	}
-	const varFloor = 1e-9
-	for c := 0; c < k; c++ {
-		g.Weights[c] = float64(counts[c]) / float64(n)
-		vr := g.Vars.Row(c)
-		for j := range vr {
-			if counts[c] > 0 {
-				vr[j] /= float64(counts[c])
-			}
-			if vr[j] < varFloor {
-				vr[j] = varFloor
-			}
-		}
-	}
-	resp := NewMatrix(n, k)
-	prevLL := math.Inf(-1)
-	for iter := 0; iter < maxIter; iter++ {
-		g.Iters = iter + 1
-		// E step.
-		var ll float64
-		for i := 0; i < n; i++ {
-			row := data.Row(i)
-			logs := make([]float64, k)
-			for c := 0; c < k; c++ {
-				logs[c] = math.Log(g.Weights[c]+1e-300) + g.logGaussian(c, row)
-			}
-			lse := logSumExp(logs)
-			ll += lse
-			rrow := resp.Row(i)
-			for c := 0; c < k; c++ {
-				rrow[c] = math.Exp(logs[c] - lse)
-			}
-		}
-		g.LogLik = ll / float64(n)
-		// M step.
-		for c := 0; c < k; c++ {
-			var nc float64
-			mr := g.Means.Row(c)
-			vr := g.Vars.Row(c)
-			for j := range mr {
-				mr[j], vr[j] = 0, 0
-			}
-			for i := 0; i < n; i++ {
-				w := resp.At(i, c)
-				nc += w
-				row := data.Row(i)
-				for j, x := range row {
-					mr[j] += w * x
-				}
-			}
-			if nc < 1e-12 {
-				nc = 1e-12
-			}
-			for j := range mr {
-				mr[j] /= nc
-			}
-			for i := 0; i < n; i++ {
-				w := resp.At(i, c)
-				row := data.Row(i)
-				for j, x := range row {
-					dv := x - mr[j]
-					vr[j] += w * dv * dv
-				}
-			}
-			for j := range vr {
-				vr[j] /= nc
-				if vr[j] < varFloor {
-					vr[j] = varFloor
-				}
-			}
-			g.Weights[c] = nc / float64(n)
-		}
-		if g.LogLik-prevLL < 1e-8 && iter > 0 {
-			break
-		}
-		prevLL = g.LogLik
-	}
-	return g, nil
-}
-
-// logGaussian returns the log density of component c at x.
-func (g *GMM) logGaussian(c int, x []float64) float64 {
-	mr := g.Means.Row(c)
-	vr := g.Vars.Row(c)
-	s := -0.5 * float64(len(x)) * math.Log(2*math.Pi)
-	for j, xj := range x {
-		s -= 0.5 * math.Log(vr[j])
-		d := xj - mr[j]
-		s -= d * d / (2 * vr[j])
-	}
-	return s
-}
-
-// Predict returns the most likely component for the observation x.
-func (g *GMM) Predict(x []float64) int {
-	best, bestL := 0, math.Inf(-1)
-	for c := range g.Weights {
-		l := math.Log(g.Weights[c]+1e-300) + g.logGaussian(c, x)
-		if l > bestL {
-			best, bestL = c, l
-		}
-	}
-	return best
-}
-
-// Sample draws one observation from the mixture.
-func (g *GMM) Sample(r *rand.Rand) []float64 {
-	u := r.Float64()
-	var cum float64
-	c := len(g.Weights) - 1
-	for i, w := range g.Weights {
-		cum += w
-		if u <= cum {
-			c = i
-			break
-		}
-	}
-	mr := g.Means.Row(c)
-	vr := g.Vars.Row(c)
-	x := make([]float64, len(mr))
-	for j := range x {
-		x[j] = mr[j] + math.Sqrt(vr[j])*r.NormFloat64()
-	}
-	return x
-}
-
-func logSumExp(xs []float64) float64 {
-	m := Max(xs)
-	if math.IsInf(m, -1) {
-		return m
-	}
-	var s float64
-	for _, x := range xs {
-		s += math.Exp(x - m)
-	}
-	return m + math.Log(s)
 }

@@ -21,12 +21,8 @@ type Dist interface {
 	Mean() float64
 	// Var returns the distribution variance (possibly +Inf).
 	Var() float64
-	// PDF returns the density (or mass, for discrete families) at x.
-	PDF(x float64) float64
 	// CDF returns P(X <= x).
 	CDF(x float64) float64
-	// Quantile returns the p-quantile, the inverse of CDF.
-	Quantile(p float64) float64
 	// Rand draws a variate using the supplied source.
 	Rand(r *rand.Rand) float64
 }
@@ -48,14 +44,6 @@ func (u Uniform) Mean() float64 { return (u.A + u.B) / 2 }
 // Var implements Dist.
 func (u Uniform) Var() float64 { d := u.B - u.A; return d * d / 12 }
 
-// PDF implements Dist.
-func (u Uniform) PDF(x float64) float64 {
-	if x < u.A || x > u.B || u.B <= u.A {
-		return 0
-	}
-	return 1 / (u.B - u.A)
-}
-
 // CDF implements Dist.
 func (u Uniform) CDF(x float64) float64 {
 	switch {
@@ -67,9 +55,6 @@ func (u Uniform) CDF(x float64) float64 {
 		return (x - u.A) / (u.B - u.A)
 	}
 }
-
-// Quantile implements Dist.
-func (u Uniform) Quantile(p float64) float64 { return u.A + clamp01(p)*(u.B-u.A) }
 
 // Rand implements Dist.
 func (u Uniform) Rand(r *rand.Rand) float64 { return u.A + r.Float64()*(u.B-u.A) }
@@ -92,29 +77,12 @@ func (e Exponential) Mean() float64 { return 1 / e.Rate }
 // Var implements Dist.
 func (e Exponential) Var() float64 { return 1 / (e.Rate * e.Rate) }
 
-// PDF implements Dist.
-func (e Exponential) PDF(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	return e.Rate * math.Exp(-e.Rate*x)
-}
-
 // CDF implements Dist.
 func (e Exponential) CDF(x float64) float64 {
 	if x <= 0 {
 		return 0
 	}
 	return 1 - math.Exp(-e.Rate*x)
-}
-
-// Quantile implements Dist.
-func (e Exponential) Quantile(p float64) float64 {
-	p = clamp01(p)
-	if p == 1 {
-		return math.Inf(1)
-	}
-	return -math.Log(1-p) / e.Rate
 }
 
 // Rand implements Dist.
@@ -138,19 +106,10 @@ func (n Normal) Mean() float64 { return n.Mu }
 // Var implements Dist.
 func (n Normal) Var() float64 { return n.Sigma * n.Sigma }
 
-// PDF implements Dist.
-func (n Normal) PDF(x float64) float64 {
-	z := (x - n.Mu) / n.Sigma
-	return math.Exp(-z*z/2) / (n.Sigma * math.Sqrt(2*math.Pi))
-}
-
 // CDF implements Dist.
 func (n Normal) CDF(x float64) float64 {
 	return 0.5 * math.Erfc(-(x-n.Mu)/(n.Sigma*math.Sqrt2))
 }
-
-// Quantile implements Dist.
-func (n Normal) Quantile(p float64) float64 { return n.Mu + n.Sigma*NormQuantile(clamp01(p)) }
 
 // Rand implements Dist.
 func (n Normal) Rand(r *rand.Rand) float64 { return n.Mu + n.Sigma*r.NormFloat64() }
@@ -176,26 +135,12 @@ func (l LogNormal) Var() float64 {
 	return (math.Exp(s2) - 1) * math.Exp(2*l.Mu+s2)
 }
 
-// PDF implements Dist.
-func (l LogNormal) PDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	z := (math.Log(x) - l.Mu) / l.Sigma
-	return math.Exp(-z*z/2) / (x * l.Sigma * math.Sqrt(2*math.Pi))
-}
-
 // CDF implements Dist.
 func (l LogNormal) CDF(x float64) float64 {
 	if x <= 0 {
 		return 0
 	}
 	return 0.5 * math.Erfc(-(math.Log(x)-l.Mu)/(l.Sigma*math.Sqrt2))
-}
-
-// Quantile implements Dist.
-func (l LogNormal) Quantile(p float64) float64 {
-	return math.Exp(l.Mu + l.Sigma*NormQuantile(clamp01(p)))
 }
 
 // Rand implements Dist.
@@ -232,29 +177,12 @@ func (p Pareto) Var() float64 {
 	return p.Xm * p.Xm * a / ((a - 1) * (a - 1) * (a - 2))
 }
 
-// PDF implements Dist.
-func (p Pareto) PDF(x float64) float64 {
-	if x < p.Xm {
-		return 0
-	}
-	return p.Alpha * math.Pow(p.Xm, p.Alpha) / math.Pow(x, p.Alpha+1)
-}
-
 // CDF implements Dist.
 func (p Pareto) CDF(x float64) float64 {
 	if x < p.Xm {
 		return 0
 	}
 	return 1 - math.Pow(p.Xm/x, p.Alpha)
-}
-
-// Quantile implements Dist.
-func (p Pareto) Quantile(q float64) float64 {
-	q = clamp01(q)
-	if q == 1 {
-		return math.Inf(1)
-	}
-	return p.Xm / math.Pow(1-q, 1/p.Alpha)
 }
 
 // Rand implements Dist.
@@ -285,30 +213,12 @@ func (w Weibull) Var() float64 {
 	return w.Lambda * w.Lambda * (g2 - g1*g1)
 }
 
-// PDF implements Dist.
-func (w Weibull) PDF(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	z := x / w.Lambda
-	return (w.K / w.Lambda) * math.Pow(z, w.K-1) * math.Exp(-math.Pow(z, w.K))
-}
-
 // CDF implements Dist.
 func (w Weibull) CDF(x float64) float64 {
 	if x <= 0 {
 		return 0
 	}
 	return 1 - math.Exp(-math.Pow(x/w.Lambda, w.K))
-}
-
-// Quantile implements Dist.
-func (w Weibull) Quantile(p float64) float64 {
-	p = clamp01(p)
-	if p == 1 {
-		return math.Inf(1)
-	}
-	return w.Lambda * math.Pow(-math.Log(1-p), 1/w.K)
 }
 
 // Rand implements Dist.
@@ -334,47 +244,12 @@ func (g Gamma) Mean() float64 { return g.Shape / g.Rate }
 // Var implements Dist.
 func (g Gamma) Var() float64 { return g.Shape / (g.Rate * g.Rate) }
 
-// PDF implements Dist.
-func (g Gamma) PDF(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x == 0 {
-		if g.Shape == 1 {
-			return g.Rate
-		}
-		if g.Shape < 1 {
-			return math.Inf(1)
-		}
-		return 0
-	}
-	lg, _ := math.Lgamma(g.Shape)
-	return math.Exp(g.Shape*math.Log(g.Rate) + (g.Shape-1)*math.Log(x) - g.Rate*x - lg)
-}
-
 // CDF implements Dist.
 func (g Gamma) CDF(x float64) float64 {
 	if x <= 0 {
 		return 0
 	}
 	return GammaIncP(g.Shape, g.Rate*x)
-}
-
-// Quantile implements Dist, via bisection on the CDF.
-func (g Gamma) Quantile(p float64) float64 {
-	p = clamp01(p)
-	if p == 0 {
-		return 0
-	}
-	if p == 1 {
-		return math.Inf(1)
-	}
-	// Bracket: mean + enough standard deviations.
-	hi := g.Mean() + 20*math.Sqrt(g.Var())
-	for g.CDF(hi) < p {
-		hi *= 2
-	}
-	return bisectCDF(g.CDF, 0, hi, p)
 }
 
 // Rand implements Dist using the Marsaglia-Tsang method.
@@ -424,14 +299,6 @@ func (d Deterministic) Mean() float64 { return d.Value }
 // Var implements Dist.
 func (Deterministic) Var() float64 { return 0 }
 
-// PDF implements Dist; it reports the point mass at Value.
-func (d Deterministic) PDF(x float64) float64 {
-	if x == d.Value {
-		return 1
-	}
-	return 0
-}
-
 // CDF implements Dist.
 func (d Deterministic) CDF(x float64) float64 {
 	if x < d.Value {
@@ -440,14 +307,11 @@ func (d Deterministic) CDF(x float64) float64 {
 	return 1
 }
 
-// Quantile implements Dist.
-func (d Deterministic) Quantile(float64) float64 { return d.Value }
-
 // Rand implements Dist.
 func (d Deterministic) Rand(*rand.Rand) float64 { return d.Value }
 
-// Poisson is the Poisson distribution with mean Lambda (a discrete
-// distribution over counts; PDF is the probability mass function).
+// Poisson is the Poisson distribution with mean Lambda, a discrete
+// distribution over counts.
 type Poisson struct {
 	Lambda float64
 }
@@ -464,37 +328,12 @@ func (p Poisson) Mean() float64 { return p.Lambda }
 // Var implements Dist.
 func (p Poisson) Var() float64 { return p.Lambda }
 
-// PDF implements Dist; x is truncated to an integer count.
-func (p Poisson) PDF(x float64) float64 {
-	if x < 0 || x != math.Trunc(x) {
-		return 0
-	}
-	k := x
-	lg, _ := math.Lgamma(k + 1)
-	return math.Exp(k*math.Log(p.Lambda) - p.Lambda - lg)
-}
-
 // CDF implements Dist: P(X <= x) = Q(floor(x)+1, lambda).
 func (p Poisson) CDF(x float64) float64 {
 	if x < 0 {
 		return 0
 	}
 	return GammaIncQ(math.Floor(x)+1, p.Lambda)
-}
-
-// Quantile implements Dist by stepping the CDF.
-func (p Poisson) Quantile(q float64) float64 {
-	q = clamp01(q)
-	if q == 1 {
-		return math.Inf(1)
-	}
-	var k float64
-	cdf := p.CDF(0)
-	for cdf < q && k < 1e9 {
-		k++
-		cdf = p.CDF(k)
-	}
-	return k
 }
 
 // Rand implements Dist. For small Lambda it uses Knuth's product method;
@@ -601,19 +440,6 @@ func (z *Zipf) Var() float64 {
 	return v
 }
 
-// PDF implements Dist (probability mass at rank x in 1..N).
-func (z *Zipf) PDF(x float64) float64 {
-	k := int(x)
-	if float64(k) != x || k < 1 || k > z.N {
-		return 0
-	}
-	cdf := z.table()
-	if k == 1 {
-		return cdf[0]
-	}
-	return cdf[k-1] - cdf[k-2]
-}
-
 // CDF implements Dist.
 func (z *Zipf) CDF(x float64) float64 {
 	k := int(math.Floor(x))
@@ -624,17 +450,6 @@ func (z *Zipf) CDF(x float64) float64 {
 		return 1
 	}
 	return z.table()[k-1]
-}
-
-// Quantile implements Dist.
-func (z *Zipf) Quantile(p float64) float64 {
-	p = clamp01(p)
-	cdf := z.table()
-	i := sort.SearchFloat64s(cdf, p)
-	if i >= len(cdf) {
-		i = len(cdf) - 1
-	}
-	return float64(i + 1)
 }
 
 // Rand implements Dist: an O(1) alias draw when the table was frozen by
@@ -720,26 +535,12 @@ func (e *Empirical) Mean() float64 { return Mean(e.sorted) }
 // Var implements Dist.
 func (e *Empirical) Var() float64 { return Variance(e.sorted) }
 
-// PDF implements Dist; for the empirical distribution it reports the
-// fraction of observations exactly equal to x.
-func (e *Empirical) PDF(x float64) float64 {
-	lo := sort.SearchFloat64s(e.sorted, x)
-	hi := lo
-	for hi < len(e.sorted) && e.sorted[hi] == x {
-		hi++
-	}
-	return float64(hi-lo) / float64(len(e.sorted))
-}
-
 // CDF implements Dist (the ECDF).
 func (e *Empirical) CDF(x float64) float64 {
 	// Number of observations <= x.
 	n := sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > x })
 	return float64(n) / float64(len(e.sorted))
 }
-
-// Quantile implements Dist with linear interpolation.
-func (e *Empirical) Quantile(p float64) float64 { return quantileSorted(e.sorted, clamp01(p)) }
 
 // Rand implements Dist by inverse-transform sampling of the frozen
 // inverse-CDF grid (the interpolated ECDF itself for small samples; see
@@ -863,32 +664,4 @@ func Sample(d Dist, n int, r *rand.Rand) []float64 {
 // "pareto(xm=1.0, alpha=1.5)".
 func DescribeDist(d Dist) string {
 	return fmt.Sprintf("%s%v", d.Name(), d.Params())
-}
-
-func clamp01(p float64) float64 {
-	switch {
-	case p < 0 || math.IsNaN(p):
-		return 0
-	case p > 1:
-		return 1
-	default:
-		return p
-	}
-}
-
-// bisectCDF finds x in [lo, hi] with cdf(x) = p to within 1e-12 relative
-// tolerance.
-func bisectCDF(cdf func(float64) float64, lo, hi, p float64) float64 {
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if cdf(mid) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-		if hi-lo <= 1e-12*(1+math.Abs(hi)) {
-			break
-		}
-	}
-	return (lo + hi) / 2
 }

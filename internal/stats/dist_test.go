@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 // allDists returns one representative of each distribution family with
@@ -41,41 +40,6 @@ func TestDistCDFMonotone(t *testing.T) {
 				prev = c
 			}
 		})
-	}
-}
-
-func TestDistQuantileCDFRoundTrip(t *testing.T) {
-	// For continuous distributions, CDF(Quantile(p)) == p.
-	continuous := []Dist{
-		Uniform{A: 2, B: 10},
-		Exponential{Rate: 0.5},
-		Normal{Mu: 3, Sigma: 2},
-		LogNormal{Mu: 1, Sigma: 0.5},
-		Pareto{Xm: 1, Alpha: 2.5},
-		Weibull{K: 1.5, Lambda: 2},
-		Gamma{Shape: 3, Rate: 2},
-	}
-	for _, d := range continuous {
-		t.Run(d.Name(), func(t *testing.T) {
-			for _, p := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
-				q := d.Quantile(p)
-				approx(t, d.CDF(q), p, 1e-8, "CDF(Quantile(p))")
-			}
-		})
-	}
-}
-
-func TestDistQuantileCDFProperty(t *testing.T) {
-	d := Gamma{Shape: 2.3, Rate: 1.7}
-	f := func(raw float64) bool {
-		p := math.Abs(math.Mod(raw, 1))
-		if p < 0.001 || p > 0.999 {
-			return true
-		}
-		return math.Abs(d.CDF(d.Quantile(p))-p) < 1e-7
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -122,14 +86,6 @@ func TestDistSampleAgainstCDF(t *testing.T) {
 	}
 }
 
-func TestExponentialQuantile(t *testing.T) {
-	e := Exponential{Rate: 2}
-	approx(t, e.Quantile(0.5), math.Ln2/2, 1e-12, "exponential median")
-	if !math.IsInf(e.Quantile(1), 1) {
-		t.Error("Quantile(1) should be +Inf")
-	}
-}
-
 func TestParetoMoments(t *testing.T) {
 	p := Pareto{Xm: 2, Alpha: 3}
 	approx(t, p.Mean(), 3, 1e-12, "pareto mean")
@@ -145,13 +101,9 @@ func TestParetoMoments(t *testing.T) {
 
 func TestPoissonPMFSums(t *testing.T) {
 	p := Poisson{Lambda: 3}
-	var sum float64
-	for k := 0.0; k <= 60; k++ {
-		sum += p.PDF(k)
-	}
-	approx(t, sum, 1, 1e-9, "poisson pmf total mass")
-	approx(t, p.CDF(60), 1, 1e-9, "poisson cdf tail")
-	if p.PDF(1.5) != 0 {
+	approx(t, p.CDF(0), math.Exp(-3), 1e-12, "poisson mass at 0")
+	approx(t, p.CDF(60), 1, 1e-9, "poisson pmf total mass")
+	if p.CDF(1.5) != p.CDF(1) {
 		t.Error("poisson PMF at non-integer should be 0")
 	}
 }
@@ -171,10 +123,10 @@ func TestZipf(t *testing.T) {
 	for k := 1; k <= 10; k++ {
 		h += 1 / float64(k)
 	}
-	approx(t, z.PDF(1), 1/h, 1e-12, "zipf pmf rank 1")
-	approx(t, z.PDF(10), 1/(10*h), 1e-12, "zipf pmf rank 10")
+	approx(t, z.CDF(1), 1/h, 1e-12, "zipf pmf rank 1")
+	approx(t, z.CDF(10)-z.CDF(9), 1/(10*h), 1e-12, "zipf pmf rank 10")
 	approx(t, z.CDF(10), 1, 1e-12, "zipf cdf at N")
-	if z.PDF(0) != 0 || z.PDF(11) != 0 {
+	if z.CDF(0.5) != 0 || z.CDF(11) != 1 {
 		t.Error("zipf PMF outside 1..N should be 0")
 	}
 	r := rand.New(rand.NewSource(6))
@@ -187,8 +139,8 @@ func TestDeterministic(t *testing.T) {
 	if d.CDF(3.999) != 0 || d.CDF(4) != 1 {
 		t.Error("deterministic CDF step is wrong")
 	}
-	if d.Quantile(0.3) != 4 || d.Rand(nil) != 4 {
-		t.Error("deterministic quantile/rand should be the value")
+	if d.Rand(nil) != 4 {
+		t.Error("deterministic rand should be the value")
 	}
 }
 
@@ -198,7 +150,7 @@ func TestEmpirical(t *testing.T) {
 		t.Fatal(err)
 	}
 	approx(t, e.CDF(2), 0.75, 1e-12, "empirical CDF")
-	approx(t, e.PDF(2), 0.5, 1e-12, "empirical point mass")
+	approx(t, e.CDF(2)-e.CDF(1), 0.5, 1e-12, "empirical point mass")
 	approx(t, e.Mean(), 2, 1e-12, "empirical mean")
 	if _, err := NewEmpirical(nil); err == nil {
 		t.Error("NewEmpirical(nil) should fail")
@@ -247,11 +199,11 @@ func TestGammaRandSmallShape(t *testing.T) {
 
 func TestUniformEdges(t *testing.T) {
 	u := Uniform{A: 1, B: 3}
-	if u.PDF(0.5) != 0 || u.PDF(3.5) != 0 {
-		t.Error("uniform PDF outside support should be 0")
+	if u.CDF(0.5) != 0 || u.CDF(3.5) != 1 {
+		t.Error("uniform CDF outside support should be 0 or 1")
 	}
-	approx(t, u.PDF(2), 0.5, 1e-12, "uniform density")
-	approx(t, u.Quantile(0.25), 1.5, 1e-12, "uniform quantile")
+	approx(t, u.CDF(2), 0.5, 1e-12, "uniform midpoint")
+	approx(t, u.CDF(1.5), 0.25, 1e-12, "uniform quarter")
 }
 
 func TestDistFromSpecRoundTrip(t *testing.T) {

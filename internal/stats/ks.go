@@ -1,13 +1,10 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
-// Goodness-of-fit tests: one- and two-sample Kolmogorov-Smirnov and the
-// chi-square test, the two tests the distribution-fitting literature uses
-// to accept or reject a candidate arrival-process model.
+// Goodness-of-fit tests: one- and two-sample Kolmogorov-Smirnov, the test
+// the distribution-fitting literature uses to accept or reject a candidate
+// arrival-process model, and the chi-square tail behind markov.Drift.
 
 // KSResult is the outcome of a Kolmogorov-Smirnov test.
 type KSResult struct {
@@ -111,40 +108,6 @@ type ChiSquareResult struct {
 	DF int
 	// P is the p-value P(X^2_df >= Statistic).
 	P float64
-}
-
-// ChiSquareTest bins xs into nbins equal-probability bins under d and tests
-// the observed counts against the expected. nparams is the number of
-// parameters estimated from the data (reduces the degrees of freedom).
-func ChiSquareTest(xs []float64, d Dist, nbins, nparams int) ChiSquareResult {
-	n := len(xs)
-	if n == 0 || nbins < 2 {
-		return ChiSquareResult{P: 1}
-	}
-	edges := make([]float64, nbins-1)
-	for i := 1; i < nbins; i++ {
-		edges[i-1] = d.Quantile(float64(i) / float64(nbins))
-	}
-	counts := make([]int, nbins)
-	for _, x := range xs {
-		idx := sort.SearchFloat64s(edges, x)
-		counts[idx]++
-	}
-	expected := float64(n) / float64(nbins)
-	var stat float64
-	for _, c := range counts {
-		diff := float64(c) - expected
-		stat += diff * diff / expected
-	}
-	df := nbins - 1 - nparams
-	if df < 1 {
-		df = 1
-	}
-	return ChiSquareResult{
-		Statistic: stat,
-		DF:        df,
-		P:         ChiSquareSF(stat, float64(df)),
-	}
 }
 
 // ChiSquareSF returns the survival function P(X^2_df >= x) of the

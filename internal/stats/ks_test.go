@@ -105,23 +105,6 @@ func TestKSSortedForms(t *testing.T) {
 	}
 }
 
-func TestChiSquareTest(t *testing.T) {
-	r := rand.New(rand.NewSource(24))
-	d := Gamma{Shape: 2, Rate: 1}
-	xs := Sample(d, 5000, r)
-	res := ChiSquareTest(xs, d, 20, 2)
-	if res.P < 0.01 {
-		t.Errorf("chi-square rejected true distribution: p=%g (stat=%g)", res.P, res.Statistic)
-	}
-	bad := ChiSquareTest(xs, Exponential{Rate: 0.5}, 20, 1)
-	if bad.P > 0.01 {
-		t.Errorf("chi-square failed to reject wrong distribution: p=%g", bad.P)
-	}
-	if e := ChiSquareTest(nil, d, 10, 0); e.P != 1 {
-		t.Error("empty chi-square should have p=1")
-	}
-}
-
 func TestChiSquareSF(t *testing.T) {
 	// Known value: P(X^2_1 >= 3.841) ~ 0.05.
 	approx(t, ChiSquareSF(3.841, 1), 0.05, 0.001, "chi2 critical 1df")
@@ -166,34 +149,5 @@ func TestDigammaTrigamma(t *testing.T) {
 	approx(t, Trigamma(1), math.Pi*math.Pi/6, 1e-10, "psi'(1)")
 	if !math.IsNaN(Digamma(-1)) || !math.IsNaN(Trigamma(0)) {
 		t.Error("digamma/trigamma outside domain should be NaN")
-	}
-}
-
-func TestNormQuantile(t *testing.T) {
-	tests := []struct {
-		p, want float64
-	}{
-		{0.5, 0},
-		{0.975, 1.959964},
-		{0.025, -1.959964},
-		{0.8413447, 1},
-	}
-	for _, tt := range tests {
-		approx(t, NormQuantile(tt.p), tt.want, 1e-5, "NormQuantile")
-	}
-	if !math.IsInf(NormQuantile(0), -1) || !math.IsInf(NormQuantile(1), 1) {
-		t.Error("NormQuantile endpoint behavior wrong")
-	}
-}
-
-func TestErfInvRoundTrip(t *testing.T) {
-	for x := -0.999; x <= 0.999; x += 0.037 {
-		approx(t, math.Erf(ErfInv(x)), x, 1e-12, "erf(erfinv)")
-	}
-	if ErfInv(0) != 0 {
-		t.Error("ErfInv(0) != 0")
-	}
-	if !math.IsInf(ErfInv(1), 1) || !math.IsInf(ErfInv(-1), -1) {
-		t.Error("ErfInv at +-1 should be +-Inf")
 	}
 }

@@ -6,10 +6,10 @@ import (
 	"slices"
 )
 
-// Minimal dense linear algebra needed by PCA, regression and the queueing
-// solvers: a row-major matrix, multiplication, a symmetric eigen-solver
-// (cyclic Jacobi) and a linear-system solver (Gaussian elimination with
-// partial pivoting).
+// Minimal dense linear algebra needed by PCA, k-means and the queueing
+// solvers: a row-major matrix, a symmetric eigen-solver (cyclic Jacobi)
+// and a linear-system solver (Gaussian elimination with partial
+// pivoting).
 
 // Matrix is a dense row-major matrix.
 type Matrix struct {
@@ -26,21 +26,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// MatrixFrom builds a matrix from row slices, which must be rectangular.
-func MatrixFrom(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, ErrEmpty
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			return nil, fmt.Errorf("stats: ragged matrix row %d: %d cols, want %d", i, len(r), m.Cols)
-		}
-		copy(m.Data[i*m.Cols:], r)
-	}
-	return m, nil
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -55,57 +40,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// T returns the transpose of m.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// Mul returns m * other. The inner dimensions must agree.
-func (m *Matrix) Mul(other *Matrix) (*Matrix, error) {
-	if m.Cols != other.Rows {
-		return nil, fmt.Errorf("stats: matmul dimension mismatch %dx%d * %dx%d", m.Rows, m.Cols, other.Rows, other.Cols)
-	}
-	out := NewMatrix(m.Rows, other.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mi := m.Row(i)
-		oi := out.Row(i)
-		for k := 0; k < m.Cols; k++ {
-			a := mi[k]
-			if a == 0 {
-				continue
-			}
-			ok := other.Row(k)
-			for j := range oi {
-				oi[j] += a * ok[j]
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns m * v for a vector v of length m.Cols.
-func (m *Matrix) MulVec(v []float64) ([]float64, error) {
-	if m.Cols != len(v) {
-		return nil, fmt.Errorf("stats: matvec dimension mismatch %dx%d * %d", m.Rows, m.Cols, len(v))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, x := range v {
-			s += row[j] * x
-		}
-		out[i] = s
-	}
-	return out, nil
 }
 
 // Eigen holds the result of a symmetric eigendecomposition: Values sorted

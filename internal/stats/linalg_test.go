@@ -23,65 +23,20 @@ func TestMatrixBasics(t *testing.T) {
 	if m.At(0, 0) == 100 {
 		t.Error("Clone should be independent")
 	}
-	tr := m.T()
-	if tr.Rows != 3 || tr.Cols != 2 || tr.At(1, 0) != 5 {
-		t.Error("transpose wrong")
-	}
 }
 
-func TestMatrixFrom(t *testing.T) {
-	m, err := MatrixFrom([][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
+// matrixOf builds a matrix from equal-length rows.
+func matrixOf(rows [][]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, row := range rows {
+		copy(m.Row(i), row)
 	}
-	if m.At(1, 0) != 3 {
-		t.Error("MatrixFrom content wrong")
-	}
-	if _, err := MatrixFrom([][]float64{{1, 2}, {3}}); err == nil {
-		t.Error("ragged input should fail")
-	}
-	if _, err := MatrixFrom(nil); err == nil {
-		t.Error("empty input should fail")
-	}
-}
-
-func TestMatrixMul(t *testing.T) {
-	a, _ := MatrixFrom([][]float64{{1, 2}, {3, 4}})
-	b, _ := MatrixFrom([][]float64{{5, 6}, {7, 8}})
-	c, err := a.Mul(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]float64{{19, 22}, {43, 50}}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if c.At(i, j) != want[i][j] {
-				t.Errorf("c[%d][%d] = %g, want %g", i, j, c.At(i, j), want[i][j])
-			}
-		}
-	}
-	if _, err := a.Mul(NewMatrix(3, 3)); err == nil {
-		t.Error("dimension mismatch should fail")
-	}
-}
-
-func TestMatrixMulVec(t *testing.T) {
-	a, _ := MatrixFrom([][]float64{{1, 2}, {3, 4}})
-	v, err := a.MulVec([]float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v[0] != 3 || v[1] != 7 {
-		t.Errorf("MulVec = %v, want [3 7]", v)
-	}
-	if _, err := a.MulVec([]float64{1}); err == nil {
-		t.Error("dimension mismatch should fail")
-	}
+	return m
 }
 
 func TestEigenSymKnown(t *testing.T) {
 	// [[2,1],[1,2]] has eigenvalues 3 and 1.
-	a, _ := MatrixFrom([][]float64{{2, 1}, {1, 2}})
+	a := matrixOf([][]float64{{2, 1}, {1, 2}})
 	eig, err := EigenSym(a)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +102,7 @@ func TestEigenSymNonSquare(t *testing.T) {
 }
 
 func TestSolveLinear(t *testing.T) {
-	a, _ := MatrixFrom([][]float64{{2, 1, -1}, {-3, -1, 2}, {-2, 1, 2}})
+	a := matrixOf([][]float64{{2, 1, -1}, {-3, -1, 2}, {-2, 1, 2}})
 	x, err := SolveLinear(a, []float64{8, -11, -3})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +114,7 @@ func TestSolveLinear(t *testing.T) {
 }
 
 func TestSolveLinearErrors(t *testing.T) {
-	sing, _ := MatrixFrom([][]float64{{1, 2}, {2, 4}})
+	sing := matrixOf([][]float64{{1, 2}, {2, 4}})
 	if _, err := SolveLinear(sing, []float64{1, 2}); err == nil {
 		t.Error("singular solve should fail")
 	}
@@ -184,9 +139,11 @@ func TestSolveLinearRandomRoundTrip(t *testing.T) {
 		for i := range xWant {
 			xWant[i] = r.NormFloat64()
 		}
-		b, err := a.MulVec(xWant)
-		if err != nil {
-			t.Fatal(err)
+		b := make([]float64, n)
+		for i := range b {
+			for j, x := range xWant {
+				b[i] += a.At(i, j) * x
+			}
 		}
 		x, err := SolveLinear(a, b)
 		if err != nil {

@@ -126,50 +126,3 @@ func (p *PCA) ComponentsFor(fraction float64) int {
 	}
 	return len(ratios)
 }
-
-// Transform projects data (rows = observations) onto the first k principal
-// components.
-func (p *PCA) Transform(data *Matrix, k int) (*Matrix, error) {
-	d := len(p.Mean)
-	if data.Cols != d {
-		return nil, fmt.Errorf("stats: pca transform feature mismatch %d, want %d", data.Cols, d)
-	}
-	if k < 1 || k > d {
-		return nil, fmt.Errorf("stats: pca transform k=%d out of range 1..%d", k, d)
-	}
-	out := NewMatrix(data.Rows, k)
-	for i := 0; i < data.Rows; i++ {
-		row := data.Row(i)
-		for c := 0; c < k; c++ {
-			var s float64
-			for j := 0; j < d; j++ {
-				s += ((row[j] - p.Mean[j]) / p.Scale[j]) * p.Components.At(j, c)
-			}
-			out.Set(i, c, s)
-		}
-	}
-	return out, nil
-}
-
-// InverseTransform reconstructs approximate original features from a
-// k-component projection.
-func (p *PCA) InverseTransform(proj *Matrix) (*Matrix, error) {
-	d := len(p.Mean)
-	k := proj.Cols
-	if k > d {
-		return nil, fmt.Errorf("stats: pca inverse with %d components, max %d", k, d)
-	}
-	out := NewMatrix(proj.Rows, d)
-	for i := 0; i < proj.Rows; i++ {
-		prow := proj.Row(i)
-		orow := out.Row(i)
-		for j := 0; j < d; j++ {
-			var s float64
-			for c := 0; c < k; c++ {
-				s += p.Components.At(j, c) * prow[c]
-			}
-			orow[j] = s*p.Scale[j] + p.Mean[j]
-		}
-	}
-	return out, nil
-}

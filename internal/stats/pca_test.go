@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -42,51 +41,6 @@ func TestFitPCAExplainsVariance(t *testing.T) {
 	}
 }
 
-func TestPCATransformInverse(t *testing.T) {
-	r := rand.New(rand.NewSource(61))
-	data := corrData(500, 4, r)
-	p, err := FitPCA(data, PCAOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Full-rank round trip must reconstruct exactly.
-	proj, err := p.Transform(data, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := p.InverseTransform(proj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < data.Rows; i++ {
-		for j := 0; j < data.Cols; j++ {
-			if math.Abs(rec.At(i, j)-data.At(i, j)) > 1e-8 {
-				t.Fatalf("full-rank reconstruction error at (%d,%d)", i, j)
-			}
-		}
-	}
-	// Rank-1 reconstruction should still be close (data is ~rank 1).
-	proj1, err := p.Transform(data, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec1, err := p.InverseTransform(proj1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var num, den float64
-	for i := 0; i < data.Rows; i++ {
-		for j := 0; j < data.Cols; j++ {
-			d := rec1.At(i, j) - data.At(i, j)
-			num += d * d
-			den += data.At(i, j) * data.At(i, j)
-		}
-	}
-	if num/den > 0.01 {
-		t.Errorf("rank-1 reconstruction relative error %g, want < 0.01", num/den)
-	}
-}
-
 func TestPCAStandardize(t *testing.T) {
 	// With standardization, a feature with huge units should not dominate.
 	r := rand.New(rand.NewSource(62))
@@ -110,93 +64,5 @@ func TestPCAStandardize(t *testing.T) {
 func TestPCAErrors(t *testing.T) {
 	if _, err := FitPCA(NewMatrix(1, 3), PCAOptions{}); err == nil {
 		t.Error("single-row PCA should fail")
-	}
-	r := rand.New(rand.NewSource(63))
-	data := corrData(50, 3, r)
-	p, err := FitPCA(data, PCAOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Transform(NewMatrix(5, 2), 1); err == nil {
-		t.Error("feature mismatch should fail")
-	}
-	if _, err := p.Transform(data, 0); err == nil {
-		t.Error("k=0 should fail")
-	}
-	if _, err := p.Transform(data, 4); err == nil {
-		t.Error("k>d should fail")
-	}
-	if _, err := p.InverseTransform(NewMatrix(5, 4)); err == nil {
-		t.Error("too many components in inverse should fail")
-	}
-}
-
-func TestFitLinear(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{3, 5, 7, 9, 11} // y = 1 + 2x
-	fit, err := FitLinear(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, fit.Slope, 2, 1e-10, "slope")
-	approx(t, fit.Intercept, 1, 1e-10, "intercept")
-	approx(t, fit.R2, 1, 1e-10, "R2")
-	approx(t, fit.Predict(10), 21, 1e-10, "predict")
-	if _, err := FitLinear(x, y[:3]); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	if _, err := FitLinear([]float64{1}, []float64{2}); err == nil {
-		t.Error("short fit should fail")
-	}
-}
-
-func TestFitLinearNoisy(t *testing.T) {
-	r := rand.New(rand.NewSource(64))
-	n := 5000
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = r.Float64() * 10
-		y[i] = 4 - 3*x[i] + r.NormFloat64()
-	}
-	fit, err := FitLinear(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, fit.Slope, -3, 0.05, "noisy slope")
-	approx(t, fit.Intercept, 4, 0.1, "noisy intercept")
-	if fit.R2 < 0.9 {
-		t.Errorf("R2 = %g, want > 0.9", fit.R2)
-	}
-}
-
-func TestFitMultiLinear(t *testing.T) {
-	r := rand.New(rand.NewSource(65))
-	n := 2000
-	x := NewMatrix(n, 3)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		row := x.Row(i)
-		for j := range row {
-			row[j] = r.NormFloat64()
-		}
-		y[i] = 2 + 1*row[0] - 2*row[1] + 0.5*row[2] + r.NormFloat64()*0.1
-	}
-	fit, err := FitMultiLinear(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 1, -2, 0.5}
-	for i, w := range want {
-		approx(t, fit.Coef[i], w, 0.02, "multi coef")
-	}
-	if fit.R2 < 0.99 {
-		t.Errorf("R2 = %g, want > 0.99", fit.R2)
-	}
-	if _, err := FitMultiLinear(x, y[:5]); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	if _, err := FitMultiLinear(NewMatrix(2, 3), []float64{1, 2}); err == nil {
-		t.Error("underdetermined fit should fail")
 	}
 }

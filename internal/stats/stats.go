@@ -2,12 +2,12 @@
 //
 // It provides, from scratch and on top of the standard library only, the
 // statistical machinery that the datacenter workload-modeling literature
-// reviewed by the paper relies on: descriptive statistics, histograms and
-// empirical CDFs, a family of parametric distributions with maximum-
-// likelihood fitting, goodness-of-fit tests (Kolmogorov-Smirnov,
-// chi-square), time-series analysis (autocorrelation, burstiness,
-// self-similarity via Hurst-exponent estimation), dimensionality reduction
-// (PCA), regression, and clustering (k-means and Gaussian-mixture EM).
+// reviewed by the paper relies on: descriptive statistics, a family of
+// parametric and empirical distributions with maximum-likelihood fitting,
+// Kolmogorov-Smirnov goodness-of-fit tests, time-series analysis
+// (burstiness, self-similarity via Hurst-exponent estimation),
+// dimensionality reduction (PCA), k-means clustering, alias tables,
+// reservoirs and the float-sample sort.
 package stats
 
 import (
@@ -164,54 +164,6 @@ func quantileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Skewness returns the adjusted Fisher-Pearson sample skewness of xs.
-// It returns 0 for samples with fewer than three observations or zero
-// variance.
-func Skewness(xs []float64) float64 {
-	n := float64(len(xs))
-	if n < 3 {
-		return 0
-	}
-	m := Mean(xs)
-	var m2, m3 float64
-	for _, x := range xs {
-		d := x - m
-		m2 += d * d
-		m3 += d * d * d
-	}
-	m2 /= n
-	m3 /= n
-	if m2 == 0 {
-		return 0
-	}
-	g1 := m3 / math.Pow(m2, 1.5)
-	return g1 * math.Sqrt(n*(n-1)) / (n - 2)
-}
-
-// Kurtosis returns the excess sample kurtosis of xs (0 for a Gaussian).
-// It returns 0 for samples with fewer than four observations or zero
-// variance.
-func Kurtosis(xs []float64) float64 {
-	n := float64(len(xs))
-	if n < 4 {
-		return 0
-	}
-	m := Mean(xs)
-	var m2, m4 float64
-	for _, x := range xs {
-		d := x - m
-		d2 := d * d
-		m2 += d2
-		m4 += d2 * d2
-	}
-	m2 /= n
-	m4 /= n
-	if m2 == 0 {
-		return 0
-	}
-	return m4/(m2*m2) - 3
-}
-
 // CoefVar returns the coefficient of variation (std/mean) of xs, a standard
 // burstiness indicator for service and interarrival times. It returns NaN
 // when the mean is zero.
@@ -228,86 +180,6 @@ func CoefVar(xs []float64) float64 {
 func SquaredCoefVar(xs []float64) float64 {
 	cv := CoefVar(xs)
 	return cv * cv
-}
-
-// Covariance returns the unbiased sample covariance of paired samples
-// xs and ys, which must have equal length.
-func Covariance(xs, ys []float64) float64 {
-	n := len(xs)
-	if n != len(ys) || n < 2 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var s float64
-	for i := range xs {
-		s += (xs[i] - mx) * (ys[i] - my)
-	}
-	return s / float64(n-1)
-}
-
-// Correlation returns the Pearson correlation coefficient of xs and ys.
-// It returns 0 when either sample has zero variance.
-func Correlation(xs, ys []float64) float64 {
-	sx, sy := StdDev(xs), StdDev(ys)
-	if sx == 0 || sy == 0 {
-		return 0
-	}
-	return Covariance(xs, ys) / (sx * sy)
-}
-
-// GeometricMean returns the geometric mean of xs; all observations must be
-// positive, otherwise NaN is returned.
-func GeometricMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
-// Summary aggregates the descriptive statistics most commonly reported for
-// workload features (sizes, interarrival times, utilizations).
-type Summary struct {
-	N        int
-	Mean     float64
-	StdDev   float64
-	Min      float64
-	P25      float64
-	Median   float64
-	P75      float64
-	P95      float64
-	P99      float64
-	Max      float64
-	Skewness float64
-	Kurtosis float64
-}
-
-// Summarize computes a Summary of xs. An empty sample yields a zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	sorted := sortedCopy(xs)
-	return Summary{
-		N:        len(xs),
-		Mean:     Mean(xs),
-		StdDev:   StdDev(xs),
-		Min:      sorted[0],
-		P25:      quantileSorted(sorted, 0.25),
-		Median:   quantileSorted(sorted, 0.5),
-		P75:      quantileSorted(sorted, 0.75),
-		P95:      quantileSorted(sorted, 0.95),
-		P99:      quantileSorted(sorted, 0.99),
-		Max:      sorted[len(sorted)-1],
-		Skewness: Skewness(xs),
-		Kurtosis: Kurtosis(xs),
-	}
 }
 
 // RelError returns the relative deviation |got-want| / |want|, the metric the

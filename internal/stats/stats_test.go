@@ -126,25 +126,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestSkewnessKurtosis(t *testing.T) {
-	// A large symmetric Gaussian sample has ~0 skewness and ~0 excess
-	// kurtosis.
-	r := rand.New(rand.NewSource(2))
-	xs := make([]float64, 20000)
-	for i := range xs {
-		xs[i] = r.NormFloat64()
-	}
-	approx(t, Skewness(xs), 0, 0.08, "gaussian skewness")
-	approx(t, Kurtosis(xs), 0, 0.15, "gaussian kurtosis")
-
-	// Exponential: skewness 2, excess kurtosis 6.
-	for i := range xs {
-		xs[i] = r.ExpFloat64()
-	}
-	approx(t, Skewness(xs), 2, 0.25, "exponential skewness")
-	approx(t, Kurtosis(xs), 6, 1.5, "exponential kurtosis")
-}
-
 func TestCoefVar(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	xs := make([]float64, 30000)
@@ -155,42 +136,6 @@ func TestCoefVar(t *testing.T) {
 	approx(t, SquaredCoefVar(xs), 1, 0.06, "exponential SCV")
 	if !math.IsNaN(CoefVar([]float64{0, 0})) {
 		t.Error("CoefVar of zero-mean sample should be NaN")
-	}
-}
-
-func TestCovarianceCorrelation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	approx(t, Correlation(xs, ys), 1, 1e-12, "perfect positive correlation")
-	zs := []float64{10, 8, 6, 4, 2}
-	approx(t, Correlation(xs, zs), -1, 1e-12, "perfect negative correlation")
-	if got := Correlation(xs, []float64{1, 1, 1, 1, 1}); got != 0 {
-		t.Errorf("correlation with constant = %g, want 0", got)
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	approx(t, GeometricMean([]float64{1, 4, 16}), 4, 1e-12, "geometric mean")
-	if !math.IsNaN(GeometricMean([]float64{1, -1})) {
-		t.Error("geometric mean with nonpositive data should be NaN")
-	}
-	if !math.IsNaN(GeometricMean(nil)) {
-		t.Error("geometric mean of empty sample should be NaN")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	s := Summarize(xs)
-	if s.N != 5 {
-		t.Errorf("N = %d, want 5", s.N)
-	}
-	approx(t, s.Mean, 3, 1e-12, "summary mean")
-	approx(t, s.Min, 1, 1e-12, "summary min")
-	approx(t, s.Max, 5, 1e-12, "summary max")
-	approx(t, s.Median, 3, 1e-12, "summary median")
-	if got := Summarize(nil); got.N != 0 {
-		t.Errorf("empty summary N = %d, want 0", got.N)
 	}
 }
 

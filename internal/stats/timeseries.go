@@ -10,56 +10,6 @@ import (
 // Li and Sengupta apply: stationarity, self-similarity, burstiness and
 // short/long-range dependence.
 
-// ACF returns the sample autocorrelation function of xs at lags 0..maxLag.
-// The lag-0 value is always 1 for a non-degenerate series. Lags beyond
-// len(xs)-1 are reported as 0.
-func ACF(xs []float64, maxLag int) []float64 {
-	n := len(xs)
-	out := make([]float64, maxLag+1)
-	if n == 0 {
-		return out
-	}
-	m := Mean(xs)
-	var c0 float64
-	for _, x := range xs {
-		d := x - m
-		c0 += d * d
-	}
-	if c0 == 0 {
-		out[0] = 1
-		return out
-	}
-	out[0] = 1
-	for lag := 1; lag <= maxLag && lag < n; lag++ {
-		var c float64
-		for i := 0; i+lag < n; i++ {
-			c += (xs[i] - m) * (xs[i+lag] - m)
-		}
-		out[lag] = c / c0
-	}
-	return out
-}
-
-// LjungBox computes the Ljung-Box portmanteau statistic over lags 1..maxLag
-// and its p-value under the chi-square(maxLag) null of no autocorrelation
-// (white noise). Small p rejects independence — evidence of short-range
-// dependence in the arrival stream.
-func LjungBox(xs []float64, maxLag int) (stat, p float64) {
-	n := float64(len(xs))
-	if n < 3 || maxLag < 1 {
-		return 0, 1
-	}
-	acf := ACF(xs, maxLag)
-	for k := 1; k <= maxLag; k++ {
-		if n-float64(k) <= 0 {
-			break
-		}
-		stat += acf[k] * acf[k] / (n - float64(k))
-	}
-	stat *= n * (n + 2)
-	return stat, ChiSquareSF(stat, float64(maxLag))
-}
-
 // IndexOfDispersion returns the index of dispersion for counts (IDC) of an
 // event time series: the variance-to-mean ratio of event counts in windows
 // of the given length. IDC = 1 for a Poisson process; growing IDC with

@@ -232,29 +232,6 @@ func (t *Trace) ByClass(class string) *Trace {
 	return out
 }
 
-// Filter returns the sub-trace of requests for which keep returns true.
-func (t *Trace) Filter(keep func(Request) bool) *Trace {
-	out := &Trace{}
-	for _, r := range t.Requests {
-		if keep(r) {
-			out.Requests = append(out.Requests, r)
-		}
-	}
-	return out
-}
-
-// Merge combines traces into one, re-sorted by arrival. Request IDs are
-// preserved; callers merging traces from different servers should have
-// distinct Server fields set.
-func Merge(traces ...*Trace) *Trace {
-	out := &Trace{}
-	for _, tr := range traces {
-		out.Requests = append(out.Requests, tr.Requests...)
-	}
-	out.SortByArrival()
-	return out
-}
-
 // Arrivals returns the request arrival times in trace order.
 func (t *Trace) Arrivals() []float64 {
 	out := make([]float64, len(t.Requests))

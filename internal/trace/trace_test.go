@@ -103,21 +103,14 @@ func TestTraceClassesAndByClass(t *testing.T) {
 	}
 }
 
-func TestTraceFilterMergeSort(t *testing.T) {
+func TestTraceSortByArrival(t *testing.T) {
 	tr := sampleTrace()
-	late := tr.Filter(func(r Request) bool { return r.Arrival > 0.4 })
-	if late.Len() != 2 {
-		t.Errorf("filter len = %d, want 2", late.Len())
+	for i, j := 0, tr.Len()-1; i < j; i, j = i+1, j-1 {
+		tr.Requests[i], tr.Requests[j] = tr.Requests[j], tr.Requests[i]
 	}
-	early := tr.Filter(func(r Request) bool { return r.Arrival <= 0.4 })
-	merged := Merge(late, early)
-	if merged.Len() != 3 {
-		t.Errorf("merged len = %d", merged.Len())
-	}
-	for i := 1; i < merged.Len(); i++ {
-		if merged.Requests[i].Arrival < merged.Requests[i-1].Arrival {
-			t.Error("merge did not sort by arrival")
-		}
+	tr.SortByArrival()
+	if !reflect.DeepEqual(tr.Arrivals(), sampleTrace().Arrivals()) {
+		t.Errorf("sorted arrivals = %v", tr.Arrivals())
 	}
 }
 

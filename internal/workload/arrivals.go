@@ -1,8 +1,6 @@
 // Package workload generates synthetic request streams: arrival processes
-// (Poisson, Markov-modulated Poisson, self-similar ON/OFF superposition),
-// request-class mixes, and the session-based web (SURGE-like, Barford &
-// Crovella) and streaming-media (MediSyn-like, Tang et al.) generators the
-// network-modeling literature compares against.
+// (Poisson, Markov-modulated Poisson, self-similar ON/OFF superposition)
+// and request-class mixes.
 package workload
 
 import (
@@ -206,28 +204,6 @@ func (s SelfSimilar) Times(n int, r *rand.Rand) []float64 {
 	// Degenerate parameters: fall back to Poisson at the mean rate so the
 	// caller always gets n arrivals.
 	return Poisson{Rate: s.MeanRate()}.Times(n, r)
-}
-
-// FromTimes wraps precomputed arrival times as an Arrivals source (e.g. a
-// trace's arrivals replayed verbatim).
-type FromTimes []float64
-
-// Times implements Arrivals; it fails soft by repeating the final gap when
-// more arrivals are requested than provided.
-func (f FromTimes) Times(n int, r *rand.Rand) []float64 {
-	out := make([]float64, n)
-	copied := copy(out, f)
-	if copied == 0 {
-		return out
-	}
-	var gap float64
-	if copied >= 2 {
-		gap = out[copied-1] - out[copied-2]
-	}
-	for i := copied; i < n; i++ {
-		out[i] = out[i-1] + gap
-	}
-	return out
 }
 
 // Interarrivals converts arrival times to gaps.

@@ -80,22 +80,6 @@ func (m *Mix) Pick(r *rand.Rand) int {
 	return len(m.cum) - 1
 }
 
-// ReadWriteRatio returns the weight fraction of read classes, one of the
-// I/O features Gulati et al. model.
-func (m *Mix) ReadWriteRatio() float64 {
-	var reads, total float64
-	for _, c := range m.Classes {
-		total += c.Weight
-		if c.Op == trace.OpRead {
-			reads += c.Weight
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return reads / total
-}
-
 // Table2Mix returns the two request classes of the paper's Table 2
 // validation: a 64 KB read and a 4 MB write, in equal proportion.
 func Table2Mix() *Mix {

@@ -3,7 +3,6 @@ package workload
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"dcmodel/internal/stats"
@@ -133,24 +132,6 @@ func TestSelfSimilarValidate(t *testing.T) {
 	}
 }
 
-func TestFromTimes(t *testing.T) {
-	r := rand.New(rand.NewSource(304))
-	f := FromTimes{1, 2, 4}
-	got := f.Times(5, r)
-	want := []float64{1, 2, 4, 6, 8}
-	for i := range want {
-		approx(t, got[i], want[i], 1e-12, "from-times extension")
-	}
-	short := f.Times(2, r)
-	if short[0] != 1 || short[1] != 2 {
-		t.Error("truncation wrong")
-	}
-	empty := FromTimes{}.Times(3, r)
-	if empty[0] != 0 || empty[2] != 0 {
-		t.Error("empty FromTimes should produce zeros")
-	}
-}
-
 func TestInterarrivals(t *testing.T) {
 	if Interarrivals([]float64{1}) != nil {
 		t.Error("single time should give nil")
@@ -206,7 +187,7 @@ func TestMixPickProportions(t *testing.T) {
 		}
 	}
 	approx(t, float64(a)/n, 0.75, 0.01, "mix proportions")
-	approx(t, m.ReadWriteRatio(), 0.75, 1e-12, "read:write ratio")
+	approx(t, readShare(m), 0.75, 1e-12, "read share")
 }
 
 func TestBuiltinMixes(t *testing.T) {
@@ -218,135 +199,17 @@ func TestBuiltinMixes(t *testing.T) {
 		t.Error("table2 sizes wrong")
 	}
 	web := WebMix()
-	approx(t, web.ReadWriteRatio(), 0.8, 1e-12, "web mix read ratio")
+	approx(t, readShare(web), 0.8, 1e-12, "web mix read share")
 }
 
-func TestSurgeGenerate(t *testing.T) {
-	r := rand.New(rand.NewSource(306))
-	s := DefaultSurge(300)
-	reqs, err := s.Generate(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reqs) < 300 {
-		t.Fatalf("generated %d requests, want >= sessions", len(reqs))
-	}
-	if !sort.SliceIsSorted(reqs, func(i, j int) bool { return reqs[i].Time < reqs[j].Time }) {
-		t.Error("requests not time-sorted")
-	}
-	sizes := RequestSizes(reqs)
-	// Heavy-tailed object sizes: max far above median.
-	if stats.Max(sizes) < 20*stats.Median(sizes) {
-		t.Errorf("sizes not heavy-tailed: max %g median %g", stats.Max(sizes), stats.Median(sizes))
-	}
-	for _, q := range reqs {
-		if q.Bytes < 1 || q.Time < 0 {
-			t.Fatalf("bad request %+v", q)
+// readShare is the weight share of a mix's read classes.
+func readShare(m *Mix) float64 {
+	var read, total float64
+	for _, c := range m.Classes {
+		total += c.Weight
+		if c.Op == trace.OpRead {
+			read += c.Weight
 		}
 	}
-}
-
-func TestSurgeBurstierThanInfiniteSource(t *testing.T) {
-	r := rand.New(rand.NewSource(307))
-	s := DefaultSurge(2000)
-	reqs, err := s.Generate(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	times := RequestTimes(reqs)
-	surgeIDC := stats.IndexOfDispersion(times, 1)
-	inf := InfiniteSource{Rate: 10, Bytes: 10000}.Generate(5000)
-	infIDC := stats.IndexOfDispersion(RequestTimes(inf), 1)
-	if surgeIDC <= infIDC {
-		t.Errorf("SURGE IDC %g not above infinite-source IDC %g", surgeIDC, infIDC)
-	}
-	if infIDC > 0.1 {
-		t.Errorf("infinite source should be near-deterministic, IDC = %g", infIDC)
-	}
-}
-
-func TestSurgeValidate(t *testing.T) {
-	s := DefaultSurge(0)
-	if _, err := s.Generate(rand.New(rand.NewSource(1))); err == nil {
-		t.Error("zero sessions should fail")
-	}
-	s = DefaultSurge(10)
-	s.ObjectBytes = nil
-	if err := s.Validate(); err == nil {
-		t.Error("nil distribution should fail")
-	}
-	s = DefaultSurge(10)
-	s.SessionRate = 0
-	if err := s.Validate(); err == nil {
-		t.Error("zero session rate should fail")
-	}
-}
-
-func TestMediSynGenerate(t *testing.T) {
-	r := rand.New(rand.NewSource(308))
-	m := DefaultMediSyn()
-	streams, err := m.Generate(5000, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(streams) != 5000 {
-		t.Fatalf("generated %d streams", len(streams))
-	}
-	if !sort.SliceIsSorted(streams, func(i, j int) bool { return streams[i].Start < streams[j].Start }) {
-		t.Error("streams not sorted")
-	}
-	// Zipf popularity: rank 1 must dominate.
-	counts := make(map[int]int)
-	for _, s := range streams {
-		counts[s.Object]++
-		if s.Object < 1 || s.Object > m.Objects {
-			t.Fatalf("object rank %d out of range", s.Object)
-		}
-		if s.Duration <= 0 || s.Bitrate <= 0 {
-			t.Fatalf("bad stream %+v", s)
-		}
-	}
-	if counts[1] < counts[100] {
-		t.Errorf("rank 1 count %d not above rank 100 count %d", counts[1], counts[100])
-	}
-	// Non-stationarity: arrival counts in peak vs trough windows differ.
-	starts := StreamStarts(streams)
-	counts2 := stats.CountsInWindows(starts, m.Period/4)
-	if len(counts2) >= 4 {
-		if stats.Max(counts2) < 1.2*stats.Mean(counts2) {
-			t.Errorf("diurnal modulation not visible: counts %v", counts2[:4])
-		}
-	}
-}
-
-func TestMediSynValidate(t *testing.T) {
-	tests := []func(*MediSyn){
-		func(m *MediSyn) { m.Objects = 0 },
-		func(m *MediSyn) { m.ZipfSkew = -1 },
-		func(m *MediSyn) { m.BaseRate = 0 },
-		func(m *MediSyn) { m.DiurnalAmplitude = 1 },
-		func(m *MediSyn) { m.Period = 0 },
-		func(m *MediSyn) { m.FullDuration = nil },
-	}
-	for i, mutate := range tests {
-		m := DefaultMediSyn()
-		mutate(&m)
-		if err := m.Validate(); err == nil {
-			t.Errorf("case %d should fail", i)
-		}
-	}
-}
-
-func TestConcurrentStreams(t *testing.T) {
-	streams := []Stream{
-		{Start: 0, Duration: 10},
-		{Start: 5, Duration: 10},
-		{Start: 20, Duration: 1},
-	}
-	if got := ConcurrentStreams(streams, 7); got != 2 {
-		t.Errorf("concurrent at 7 = %d, want 2", got)
-	}
-	if got := ConcurrentStreams(streams, 50); got != 0 {
-		t.Errorf("concurrent at 50 = %d, want 0", got)
-	}
+	return read / total
 }

@@ -13,8 +13,8 @@ type (
 	// TraceRecorder receives finished span trees — the single tracing seam
 	// shared by the GFS simulator (RunConfig.Recorder), the replay engine
 	// (Platform.Recorder), the serving daemon (ServeConfig.Obs) and
-	// RecordRequests. Collectors, bounded rings and sampling decorators all
-	// implement or wrap it.
+	// RecordRequests. Collectors, bounded rings and tees all implement or
+	// wrap it.
 	TraceRecorder = dapper.Recorder
 	// TraceCollector is the simplest TraceRecorder: it keeps every
 	// recorded tree in memory (Trees returns them in record order).
