@@ -328,6 +328,34 @@ func TestIngestRefusesNegativeRetries(t *testing.T) {
 	}
 }
 
+// TestIngestRefusesOutOfRangeRetries: a CSV row with retries = 2200000000
+// used to pass the CSV reader and the trace-v2 writer, and the workers'
+// reader refused it, so one row answered 200 and marked every worker down.
+// It is refused at the door, as a negative count is.
+func TestIngestRefusesOutOfRangeRetries(t *testing.T) {
+	tc := startCluster(t, 3, nil)
+	if code, got := ingestV2(t, tc.front.URL, testTrace(t, 300, 53).Requests); code != 200 || got.Routed != 300 {
+		t.Fatalf("first body: status %d, %+v", code, got)
+	}
+	row := "req_id,class,server,arrival,subsystem,start,duration,op,bytes,lbn,bank,util,retries,failover\n" +
+		"0,,0,00000,network,00000,00,,00,0,0,0,2200000000,\n"
+	if code, _ := ingestRaw(t, tc.front.URL, "text/csv", []byte(row)); code != http.StatusBadRequest {
+		t.Fatalf("status %d for a retry count above MaxInt32, want 400", code)
+	}
+	stats := clusterStats(t, tc.front.URL)
+	for i, w := range stats.Workers {
+		if !w.Up {
+			t.Errorf("worker %d marked down", i)
+		}
+	}
+	if stats.Redistributed != 0 || stats.Degraded != 0 {
+		t.Errorf("redistributed_total = %d, degraded_total = %d, want 0 and 0", stats.Redistributed, stats.Degraded)
+	}
+	if up := tc.coord.WorkersUp(); up != 3 {
+		t.Errorf("workers up = %d, want 3", up)
+	}
+}
+
 // TestUnencodableChunkBlamesNoWorker reaches the coordinator's own guard
 // behind the readers': a chunk that does not encode is an error before
 // anything is logged or sent, and no worker is killed for it.

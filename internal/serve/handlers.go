@@ -111,9 +111,27 @@ func (s *Server) stage(span *obs.LiveSpan, name string) func() {
 
 // httpError writes a JSON error body.
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
+	errorAnswer(code, format, args...).write(w)
+}
+
+// answer is an encoded JSON response: the status and the body that goes
+// with it, kept where a response outlives the request that computed it.
+type answer struct {
+	code int
+	body []byte
+}
+
+func (a answer) write(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+	w.WriteHeader(a.code)
+	w.Write(a.body)
+}
+
+// errorAnswer is the answer httpError writes.
+func errorAnswer(code int, format string, args ...any) answer {
+	var b bytes.Buffer
+	json.NewEncoder(&b).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+	return answer{code: code, body: b.Bytes()}
 }
 
 // queryInt parses an integer query parameter with a default.

@@ -198,6 +198,94 @@ func TestCharacterizeSingleFlight(t *testing.T) {
 	}
 }
 
+// TestProvisionMemo: POST /v1/provision searches once per input. An
+// identical request is answered from the memo with the same bytes and no
+// search, while nothing it depends on changed; an ingest, a retrain, arming
+// or disarming a fault scenario, another model and another request each
+// search again. A refused request is an answer too, kept like a plan.
+func TestProvisionMemo(t *testing.T) {
+	s := newTestServer(t, quietConfig())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if _, _, err := s.Ingest(whatifTrace(t, 400)); err != nil {
+		t.Fatal(err)
+	}
+	body, wantCode := provisionBody, http.StatusOK
+	faults := func(method, body string) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+"/v1/faults", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if b, _ := io.ReadAll(resp.Body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s /v1/faults = %d (%s)", method, resp.StatusCode, b)
+		}
+	}
+	steps := []struct {
+		name   string
+		change func()
+		search bool // whether the first request runs a search to the end
+	}{
+		{"first request", func() {}, true},
+		{"ingest", func() {
+			if retrained, _, err := s.Ingest(gfsTrace(t, 10, 2)); err != nil || retrained {
+				t.Fatalf("ingest: retrained=%t err=%v", retrained, err)
+			}
+		}, true},
+		{"retrain", func() {
+			if err := s.Retrain(); err != nil {
+				t.Fatal(err)
+			}
+		}, true},
+		{"faults armed", func() { faults(http.MethodPost, `{"mtbf": 2, "mttr": 0.5, "rack_size": 2, "seed": 9}`) }, true},
+		{"faults disarmed", func() { faults(http.MethodDelete, "") }, true},
+		{"another model", func() {
+			body = `{"model":"indepth","request":{"objective":{"target_seconds":0.5},"space":{"max_servers":8},"validate_tasks":2000,"validate_samples":2000}}`
+		}, true},
+		{"another request", func() {
+			body = `{"request":{"objective":{"target_seconds":0.5},"space":{"max_servers":9},"validate_tasks":2000,"validate_samples":2000}}`
+		}, true},
+		{"refused request", func() {
+			body, wantCode = `{"request":{"objective":{"target_seconds":1},"space":{"platforms":["vax"]}}}`, http.StatusBadRequest
+		}, false},
+	}
+	ask := func() []byte {
+		t.Helper()
+		resp, b := postProvision(t, ts, body)
+		if resp.StatusCode != wantCode {
+			t.Fatalf("provision %s = %d (%s), want %d", body, resp.StatusCode, b, wantCode)
+		}
+		return b
+	}
+	for _, step := range steps {
+		step.change()
+		hits, searches := s.metrics.provMemoHits.Value(), s.metrics.provisions.Value()
+		first := ask()
+		if got := s.metrics.provMemoHits.Value(); got != hits {
+			t.Fatalf("%s: answered from the memo, want a fresh search", step.name)
+		}
+		if step.search && s.metrics.provisions.Value() != searches+1 {
+			t.Fatalf("%s: %d searches completed, want 1", step.name, s.metrics.provisions.Value()-searches)
+		}
+		searches = s.metrics.provisions.Value()
+		again := ask()
+		if got := s.metrics.provMemoHits.Value(); got != hits+1 {
+			t.Fatalf("%s: the repeat was searched again (memo hits %d, want %d)", step.name, got, hits+1)
+		}
+		if got := s.metrics.provisions.Value(); got != searches {
+			t.Fatalf("%s: the repeat ran a search", step.name)
+		}
+		if !bytes.Equal(first, again) {
+			t.Fatalf("%s: the repeat differs from the answer it repeats:\n%s\n%s", step.name, first, again)
+		}
+	}
+}
+
 // TestPooledBodiesNotShared: response bodies come from a pool, so
 // concurrent answers of different sizes and formats must each arrive whole
 // and equal to the answer the same query gets on its own.

@@ -38,6 +38,7 @@ type metrics struct {
 
 	twinCompiles *obs.Counter // analytical twins compiled (once per generation, platform and model)
 	charMemoHits *obs.Counter // characterize requests answered by an earlier, identical evaluation
+	provMemoHits *obs.Counter // provision requests answered by an earlier, identical search
 
 	retrainBusySkips *obs.Counter // automatic triggers that found a retrain in flight
 
@@ -86,6 +87,8 @@ func newMetrics() *metrics {
 			"Analytical twins compiled: one per model generation, platform and model."),
 		charMemoHits: reg.Counter("dcmodeld_characterize_memo_hits_total",
 			"Characterize requests answered from an identical evaluation (same generation, window, n, seed and fault scenario)."),
+		provMemoHits: reg.Counter("dcmodeld_provision_memo_hits_total",
+			"Provision requests answered from an identical search (same generation, window, model, request and fault scenario)."),
 		retrainBusySkips: reg.Counter("dcmodeld_retrain_busy_skips_total",
 			"Automatic retrain triggers that found a retrain in flight and left it to finish."),
 		driftStat: reg.Gauge("dcmodeld_drift_stat",

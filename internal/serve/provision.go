@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -144,27 +145,49 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 	waitStop := s.stage(span, "queue.wait")
 	s.enqueue(w, r, func(ctx context.Context) func(http.ResponseWriter) {
 		waitStop()
-		plan, err := s.runProvision(ctx, span, ms, req.Model, req.Request)
-		if err != nil && !errors.Is(err, errs.ErrNoFeasibleConfig) {
-			return func(w http.ResponseWriter) {
-				code := http.StatusInternalServerError
-				if errors.Is(err, errs.ErrBadConfig) {
-					code = http.StatusBadRequest
-				}
-				httpError(w, code, "provision: %v", err)
-			}
-		}
-		resp := provisionResponse{
-			Model:     req.Model,
-			TrainedOn: ms.TrainedOn,
-			Request:   req.Request.WithDefaults(),
-			Plan:      plan,
-		}
-		return func(w http.ResponseWriter) {
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(resp)
-		}
+		return s.provision(ctx, span, ms, req).write
 	})
+}
+
+// provision answers req on generation ms at most once per input: the
+// answer, plan or refusal, is a pure function of the generation and of
+// provKey, so a request that finds the last answer under its own key takes
+// its bytes (waiting, if that search is still running) instead of searching
+// again. As in characterize, an ingest, a retrain or a /v1/faults POST
+// misses without anyone invalidating anything, and the window position and
+// the scenario are read inside the job. A search cut off by its request's
+// context, or failing inside the daemon, is answered once and not kept.
+func (s *Server) provision(ctx context.Context, span *obs.LiveSpan, ms *modelSet, req provisionRequest) answer {
+	defaulted := req.Request.WithDefaults()
+	canonical, err := json.Marshal(defaulted)
+	if err != nil {
+		return errorAnswer(http.StatusBadRequest, "provision: %v", err)
+	}
+	_, _, total, _ := s.win.stats()
+	key := provKey{total: total, model: req.Model, request: string(canonical), faults: s.faults.Load()}
+	hit := true
+	ans := ms.provision(key, func() (answer, bool) {
+		hit = false
+		plan, err := s.runProvision(ctx, span, ms, req.Model, req.Request)
+		switch {
+		case err == nil || errors.Is(err, errs.ErrNoFeasibleConfig):
+			var b bytes.Buffer
+			json.NewEncoder(&b).Encode(provisionResponse{
+				Model:     req.Model,
+				TrainedOn: ms.TrainedOn,
+				Request:   defaulted,
+				Plan:      plan,
+			})
+			return answer{code: http.StatusOK, body: b.Bytes()}, true
+		case errors.Is(err, errs.ErrBadConfig):
+			return errorAnswer(http.StatusBadRequest, "provision: %v", err), true
+		}
+		return errorAnswer(http.StatusInternalServerError, "provision: %v", err), false
+	})
+	if hit {
+		s.metrics.provMemoHits.Add(1)
+	}
+	return ans
 }
 
 // maybeAutoProvision fires the closed-loop reprovisioning hook: when the

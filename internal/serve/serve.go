@@ -231,6 +231,8 @@ type modelSet struct {
 	// char is the last /v1/characterize answer of this generation.
 	char    func() (characterizeResponse, error)
 	charKey charKey
+	// prov is the last encoded /v1/provision answer of this generation.
+	prov *provEntry
 }
 
 // twinKey names one compiled twin of a generation: a catalog platform (or
@@ -281,6 +283,47 @@ func (ms *modelSet) characterize(key charKey, evaluate func() (characterizeRespo
 	get := ms.char
 	ms.derivedMu.Unlock()
 	return get()
+}
+
+// provKey is everything a provision answer depends on besides the
+// generation: the window position, the model, the defaulted request as
+// canonical JSON, and the armed fault scenario (by identity, as in
+// charKey).
+type provKey struct {
+	total   int64
+	model   string
+	request string
+	faults  *fault.Config
+}
+
+// provEntry is one memoized provision answer; keep reports whether it may
+// answer the next request with its key (a cancelled search may not).
+type provEntry struct {
+	key provKey
+	get func() (ans answer, keep bool)
+}
+
+// provision returns the generation's answer for key, as characterize does:
+// the kept one when the last request had the same key, else search's. An
+// answer search marks as not to keep goes to the requests already waiting
+// on it and to no later one.
+func (ms *modelSet) provision(key provKey, search func() (answer, bool)) answer {
+	ms.derivedMu.Lock()
+	e := ms.prov
+	if e == nil || e.key != key {
+		e = &provEntry{key: key, get: sync.OnceValues(search)}
+		ms.prov = e
+	}
+	ms.derivedMu.Unlock()
+	ans, keep := e.get()
+	if !keep {
+		ms.derivedMu.Lock()
+		if ms.prov == e {
+			ms.prov = nil
+		}
+		ms.derivedMu.Unlock()
+	}
+	return ans
 }
 
 // Server is the daemon: sliding window, warm models, bounded work queue.

@@ -243,6 +243,9 @@ func (bw *binaryBlockWriter) appendBlock(dst []byte, reqs []Request, spans int) 
 		if r.Retries < 0 {
 			return dst, fmt.Errorf("trace: request %d has negative retries %d", r.ID, r.Retries)
 		}
+		if r.Retries > maxRetries {
+			return dst, fmt.Errorf("trace: request %d has retries %d above %d", r.ID, r.Retries, maxRetries)
+		}
 		p = uv(p, uint64(r.Retries))
 	}
 	p = appendBitmap(p, len(reqs), func(i int) bool { return reqs[i].FailedOver })
@@ -712,7 +715,7 @@ func (d *BinarySpanReader) decodeBlock(b *blockBufs, p []byte) error {
 	}
 	n, bad = c.column(vals, false)
 	for i, rt := range vals[:n] {
-		if rt > math.MaxInt32 {
+		if rt > maxRetries {
 			return fmt.Errorf("trace: retries %d out of range", rt)
 		}
 		reqs[i].Retries = int(rt)

@@ -54,6 +54,9 @@ func FuzzBinaryCodec(f *testing.F) {
 	// A crasher this target found: the CSV reader used to accept a negative
 	// retry count, which trace-v2 cannot carry.
 	f.Add(csvHeaderLine + "0,,0,00000,network,00000,00,,00,0,0,0,-1,")
+	// And one above MaxInt32, which the CSV reader and the trace-v2
+	// writer took and the trace-v2 reader refused.
+	f.Add(csvHeaderLine + "0,,0,00000,network,00000,00,,00,0,0,0,2200000000,")
 
 	f.Fuzz(func(t *testing.T, input string) {
 		// Direction 1: input as a binary stream. Accept or reject, never

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -14,11 +13,12 @@ import (
 // Trace codecs: a flat CSV span format (one row per span, with request
 // fields repeated — convenient for external tools) and JSON (lossless).
 //
-// Both are written with strconv.Append* straight into a byte slice, and
-// both are held, byte for byte, to what encoding/csv and encoding/json
-// produce for the same trace (oracle_test.go keeps those writers as the
-// reference). The CSV reader is SpanReader (stream.go); encoding/json is
-// used only to read and to escape a class name that is not plain ASCII.
+// Both are written straight into a byte slice, every number by the kernel
+// in fnum.go, and both are held, byte for byte, to what encoding/csv and
+// encoding/json produce for the same trace (oracle_test.go keeps those
+// writers as the reference). The CSV reader is SpanReader (stream.go);
+// encoding/json is used only to read and to escape a class name that is
+// not plain ASCII.
 
 // csvHeader is the column layout of the CSV codec. The trailing retries and
 // failover columns carry the per-request failure-recovery annotations; they
@@ -46,8 +46,9 @@ const flushBytes = 64 << 10
 // over and starts again whenever buf passes flushBytes (WriteCSV,
 // WriteJSON); without one it only appends (AppendCSV, AppendJSON).
 type encoder struct {
-	buf []byte
-	w   io.Writer
+	buf   []byte
+	w     io.Writer
+	texts floatTexts
 }
 
 // newEncoder returns a writing encoder whose scratch slice is sized for the
@@ -95,7 +96,7 @@ func WriteCSV(w io.Writer, t *Trace) error {
 func (e *encoder) csv(t *Trace) error {
 	e.buf = append(e.buf, csvHeaderLine...)
 	for i := range t.Requests {
-		e.buf = appendCSVRequest(e.buf, &t.Requests[i])
+		e.buf = appendCSVRequest(e.buf, &t.Requests[i], &e.texts)
 		if err := e.spill(); err != nil {
 			return err
 		}
@@ -106,17 +107,18 @@ func (e *encoder) csv(t *Trace) error {
 // appendCSVRequest appends the rows of one request. The req_id..arrival
 // prefix and the retries,failover suffix repeat on every row of a request,
 // so they are formatted once and copied for each further span, and so is
-// the arrival for every span that starts at it.
-func appendCSVRequest(dst []byte, r *Request) []byte {
+// the arrival for every span that starts at it. Durations and utilizations
+// go through texts.
+func appendCSVRequest(dst []byte, r *Request, texts *floatTexts) []byte {
 	p0 := len(dst)
-	dst = strconv.AppendInt(dst, r.ID, 10)
+	dst = appendInt(dst, r.ID)
 	dst = append(dst, ',')
 	dst = appendCSVField(dst, r.Class)
 	dst = append(dst, ',')
-	dst = strconv.AppendInt(dst, int64(r.Server), 10)
+	dst = appendInt(dst, int64(r.Server))
 	dst = append(dst, ',')
 	a0 := len(dst)
-	dst = appendCSVFloat(dst, r.Arrival)
+	dst = appendFloatG(dst, r.Arrival)
 	a1 := len(dst)
 	dst = append(dst, ',')
 	p1 := len(dst)
@@ -124,7 +126,7 @@ func appendCSVRequest(dst []byte, r *Request) []byte {
 
 	var sufBuf [24]byte
 	suffix := append(sufBuf[:0], ',')
-	suffix = strconv.AppendInt(suffix, int64(r.Retries), 10)
+	suffix = appendInt(suffix, int64(r.Retries))
 	if r.FailedOver {
 		suffix = append(suffix, ",1\n"...)
 	} else {
@@ -149,30 +151,61 @@ func appendCSVRequest(dst []byte, r *Request) []byte {
 			// replayed every span does: the same bits print the same.
 			dst = append(dst, dst[a0:a1]...)
 		} else {
-			dst = appendCSVFloat(dst, s.Start)
+			dst = appendFloatG(dst, s.Start)
 		}
 		dst = append(dst, ',')
-		dst = appendCSVFloat(dst, s.Duration)
+		dst = texts.duration.append(dst, s.Duration, appendFloatG)
 		dst = append(dst, ',')
 		dst = append(dst, s.Op.String()...)
 		dst = append(dst, ',')
-		dst = strconv.AppendInt(dst, s.Bytes, 10)
+		dst = appendInt(dst, s.Bytes)
 		dst = append(dst, ',')
-		dst = strconv.AppendInt(dst, s.LBN, 10)
+		dst = appendInt(dst, s.LBN)
 		dst = append(dst, ',')
-		dst = strconv.AppendInt(dst, int64(s.Bank), 10)
+		dst = appendInt(dst, int64(s.Bank))
 		dst = append(dst, ',')
-		dst = appendCSVFloat(dst, s.Util)
+		dst = texts.util.append(dst, s.Util, appendFloatG)
 		dst = append(dst, suffix...)
 	}
 	return dst
 }
 
-func appendCSVFloat(dst []byte, v float64) []byte {
-	if math.Float64bits(v) == 0 {
-		return append(dst, '0') // +0: most columns of most rows
+// floatTexts are the text caches of the two float columns whose values
+// recur: the service time every span of one kind and size takes, the
+// utilization KOOZA gives all CPU spans of a request. An encoder keeps them
+// for one trace in one format.
+type floatTexts struct{ duration, util textCache }
+
+// textCache holds the text of floats one column printed, direct-mapped by
+// their bits, so that a value met again is copied instead of formatted:
+// the same bits print the same. +0, most columns of most rows, is written
+// directly and never enters.
+type textCache [16]struct {
+	bits uint64
+	n    uint8
+	text [maxFloatText]byte
+}
+
+// maxFloatText is the longest text either layout prints for a float64:
+// "-0.0000012345678901234567" in JSON's.
+const maxFloatText = 25
+
+// append appends v as format prints it.
+func (c *textCache) append(dst []byte, v float64, format func([]byte, float64) []byte) []byte {
+	b := math.Float64bits(v)
+	if b == 0 {
+		return append(dst, '0')
 	}
-	return strconv.AppendFloat(dst, v, 'g', -1, 64)
+	e := &c[b*0x9e3779b97f4a7c15>>60]
+	if e.bits == b {
+		return append(dst, e.text[:e.n]...)
+	}
+	lo := len(dst)
+	dst = format(dst, v)
+	if n := len(dst) - lo; n <= maxFloatText {
+		e.bits, e.n = b, uint8(copy(e.text[:], dst[lo:]))
+	}
+	return dst
 }
 
 // appendCSVField appends a free-form field, quoted by exactly the rule of
@@ -251,10 +284,13 @@ func WriteJSON(w io.Writer, t *Trace) error {
 }
 
 func (e *encoder) json(t *Trace) error {
-	// Checked up front, so that a refused trace produces no output at all
-	// even when it is long enough to have been flushed in part.
-	if err := checkJSONFloats(t); err != nil {
-		return err
+	if e.w != nil {
+		// A writer may have been handed part of the text by the time a
+		// refused float turns up, so WriteJSON checks every float first;
+		// AppendJSON refuses in the write itself and hands dst back.
+		if err := checkJSONFloats(t); err != nil {
+			return err
+		}
 	}
 	if t.Requests == nil {
 		e.buf = append(e.buf, "{\"Requests\":null}\n"...)
@@ -265,7 +301,10 @@ func (e *encoder) json(t *Trace) error {
 		if i > 0 {
 			e.buf = append(e.buf, ',')
 		}
-		e.buf = appendJSONRequest(e.buf, &t.Requests[i])
+		var err error
+		if e.buf, err = appendJSONRequest(e.buf, &t.Requests[i], &e.texts); err != nil {
+			return err
+		}
 		if err := e.spill(); err != nil {
 			return err
 		}
@@ -278,100 +317,96 @@ func (e *encoder) json(t *Trace) error {
 func checkJSONFloats(t *Trace) error {
 	for i := range t.Requests {
 		r := &t.Requests[i]
-		if err := checkJSONFloat(r.Arrival); err != nil {
-			return err
+		if !finite(r.Arrival) {
+			return unsupportedFloat(r.Arrival)
 		}
 		for j := range r.Spans {
-			s := &r.Spans[j]
-			for _, v := range [...]float64{s.Start, s.Duration, s.Util} {
-				if err := checkJSONFloat(v); err != nil {
-					return err
-				}
+			if err := checkSpanFloats(&r.Spans[j]); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
 }
 
-func checkJSONFloat(v float64) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Errorf("unsupported value: %s", strconv.FormatFloat(v, 'g', -1, 64))
+// checkSpanFloats reports the first float of s JSON cannot carry.
+func checkSpanFloats(s *Span) error {
+	for _, v := range [...]float64{s.Start, s.Duration, s.Util} {
+		if !finite(v) {
+			return unsupportedFloat(v)
+		}
 	}
 	return nil
 }
 
+func finite(v float64) bool { return math.Float64bits(v)>>52&0x7ff != 0x7ff }
+
+// unsupportedFloat is encoding/json's complaint about NaN or ±Inf.
+func unsupportedFloat(v float64) error {
+	return fmt.Errorf("unsupported value: %s", appendFloatG(nil, v))
+}
+
 // appendJSONRequest appends one request object: the fields in declaration
-// order, Retries and FailedOver omitted when zero, a nil Spans as null.
-func appendJSONRequest(dst []byte, r *Request) []byte {
+// order, Retries and FailedOver omitted when zero, a nil Spans as null. Its
+// floats are written as appendCSVRequest writes them; the first one JSON
+// cannot carry is an error.
+func appendJSONRequest(dst []byte, r *Request, texts *floatTexts) ([]byte, error) {
 	dst = append(dst, `{"ID":`...)
-	dst = strconv.AppendInt(dst, r.ID, 10)
+	dst = appendInt(dst, r.ID)
 	dst = append(dst, `,"Class":`...)
 	dst = appendJSONString(dst, r.Class)
 	dst = append(dst, `,"Server":`...)
-	dst = strconv.AppendInt(dst, int64(r.Server), 10)
+	dst = appendInt(dst, int64(r.Server))
 	dst = append(dst, `,"Arrival":`...)
+	if !finite(r.Arrival) {
+		return dst, unsupportedFloat(r.Arrival)
+	}
 	a0 := len(dst)
-	dst = appendJSONFloat(dst, r.Arrival)
+	dst = appendFloatJSON(dst, r.Arrival)
 	a1 := len(dst)
 	arrival := math.Float64bits(r.Arrival)
 	if r.Retries != 0 {
 		dst = append(dst, `,"Retries":`...)
-		dst = strconv.AppendInt(dst, int64(r.Retries), 10)
+		dst = appendInt(dst, int64(r.Retries))
 	}
 	if r.FailedOver {
 		dst = append(dst, `,"FailedOver":true`...)
 	}
 	if r.Spans == nil {
-		return append(dst, `,"Spans":null}`...)
+		return append(dst, `,"Spans":null}`...), nil
 	}
 	dst = append(dst, `,"Spans":[`...)
 	for i := range r.Spans {
 		s := &r.Spans[i]
+		if err := checkSpanFloats(s); err != nil {
+			return dst, err
+		}
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, `{"Subsystem":`...)
-		dst = strconv.AppendInt(dst, int64(s.Subsystem), 10)
+		dst = appendInt(dst, int64(s.Subsystem))
 		dst = append(dst, `,"Start":`...)
 		if math.Float64bits(s.Start) == arrival {
 			dst = append(dst, dst[a0:a1]...) // as in appendCSVRequest
 		} else {
-			dst = appendJSONFloat(dst, s.Start)
+			dst = appendFloatJSON(dst, s.Start)
 		}
 		dst = append(dst, `,"Duration":`...)
-		dst = appendJSONFloat(dst, s.Duration)
+		dst = texts.duration.append(dst, s.Duration, appendFloatJSON)
 		dst = append(dst, `,"Op":`...)
-		dst = strconv.AppendInt(dst, int64(s.Op), 10)
+		dst = appendInt(dst, int64(s.Op))
 		dst = append(dst, `,"Bytes":`...)
-		dst = strconv.AppendInt(dst, s.Bytes, 10)
+		dst = appendInt(dst, s.Bytes)
 		dst = append(dst, `,"LBN":`...)
-		dst = strconv.AppendInt(dst, s.LBN, 10)
+		dst = appendInt(dst, s.LBN)
 		dst = append(dst, `,"Bank":`...)
-		dst = strconv.AppendInt(dst, int64(s.Bank), 10)
+		dst = appendInt(dst, int64(s.Bank))
 		dst = append(dst, `,"Util":`...)
-		dst = appendJSONFloat(dst, s.Util)
+		dst = texts.util.append(dst, s.Util, appendFloatJSON)
 		dst = append(dst, '}')
 	}
-	return append(dst, "]}"...)
-}
-
-// appendJSONFloat appends a finite float in encoding/json's form, the ES6
-// number-to-string conversion: 'f', except that very small and very large
-// magnitudes take 'e' with a one-digit negative exponent left unpadded.
-func appendJSONFloat(dst []byte, v float64) []byte {
-	if math.Float64bits(v) == 0 {
-		return append(dst, '0')
-	}
-	abs := math.Abs(v)
-	if abs == 0 || (abs >= 1e-6 && abs < 1e21) {
-		return strconv.AppendFloat(dst, v, 'f', -1, 64)
-	}
-	dst = strconv.AppendFloat(dst, v, 'e', -1, 64)
-	if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-		dst[n-2] = dst[n-1]
-		dst = dst[:n-1]
-	}
-	return dst
+	return append(dst, "]}"...), nil
 }
 
 // appendJSONString appends a JSON string. Printable ASCII that needs no
@@ -392,8 +427,7 @@ func appendJSONString(dst []byte, s string) []byte {
 }
 
 // ReadJSON reads a trace written by WriteJSON. Like the CSV reader it
-// refuses a negative retry count, which no codec writes and trace-v2 cannot
-// carry.
+// refuses a retry count outside [0, MaxInt32], which trace-v2 cannot carry.
 func ReadJSON(r io.Reader) (*Trace, error) {
 	var t Trace
 	dec := json.NewDecoder(r)
@@ -401,8 +435,11 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: decode json: %w", err)
 	}
 	for i := range t.Requests {
-		if r := &t.Requests[i]; r.Retries < 0 {
+		switch r := &t.Requests[i]; {
+		case r.Retries < 0:
 			return nil, fmt.Errorf("trace: decode json: request %d (index %d) has negative retries %d", r.ID, i, r.Retries)
+		case r.Retries > maxRetries:
+			return nil, fmt.Errorf("trace: decode json: request %d (index %d) has retries %d above %d", r.ID, i, r.Retries, maxRetries)
 		}
 	}
 	return &t, nil

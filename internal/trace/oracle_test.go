@@ -470,6 +470,9 @@ func (d *oracleSpanReader) Next() (Request, error) {
 					if d.cur.Retries < 0 {
 						return d.fail(fmt.Errorf("trace: csv line %d retries: negative count %d", d.line, d.cur.Retries))
 					}
+					if d.cur.Retries > maxRetries {
+						return d.fail(fmt.Errorf("trace: csv line %d retries: count %d above %d", d.line, d.cur.Retries, maxRetries))
+					}
 				}
 				if row[13] != "" && row[13] != "0" {
 					if d.cur.FailedOver, err = strconv.ParseBool(row[13]); err != nil {
@@ -745,6 +748,9 @@ func (bw *oracleBlockWriter) flush() error {
 		if r.Retries < 0 {
 			return fmt.Errorf("trace: request %d has negative retries %d", r.ID, r.Retries)
 		}
+		if r.Retries > maxRetries {
+			return fmt.Errorf("trace: request %d has retries %d above %d", r.ID, r.Retries, maxRetries)
+		}
 		p = uv(p, uint64(r.Retries))
 	}
 	p = appendBitmap(p, len(bw.reqs), func(i int) bool { return bw.reqs[i].FailedOver })
@@ -986,6 +992,47 @@ func TestReadersRefuseNegativeRetries(t *testing.T) {
 	_, err := ReadJSON(strings.NewReader(`{"Requests":[{"ID":4},{"ID":5,"Retries":-2}]}`))
 	if err == nil || !strings.Contains(err.Error(), "request 5 (index 1) has negative retries -2") {
 		t.Errorf("ReadJSON err = %v, want request 5 at index 1 refused", err)
+	}
+}
+
+// TestReadersRefuseOutOfRangeRetries: a retry count above MaxInt32 is
+// refused by every reader, by Validate and by the trace-v2 writer, as a
+// negative one is. trace-v2's reader refuses it, so a count that got past
+// the CSV reader reached a cluster worker and had it taken for dead.
+func TestReadersRefuseOutOfRangeRetries(t *testing.T) {
+	head := strings.Join(csvHeader, ",") + "\n"
+	row := head + "1,c,0,0,cpu,0,0,none,0,0,0,0,2147483647,0\n2,c,0,0,cpu,0,0,none,0,0,0,0,2200000000,0\n"
+	const want = "trace: csv line 3 retries: count 2200000000 above 2147483647"
+	if _, err := ReadCSV(strings.NewReader(row)); err == nil || err.Error() != want {
+		t.Errorf("ReadCSV err = %v, want %q", err, want)
+	}
+	if _, err := decodeAll(newOracleSpanReader(strings.NewReader(row)).Next, 10); err == nil || err.Error() != want {
+		t.Errorf("oracle reader err = %v, want %q", err, want)
+	}
+	checkSpanReaderMatchesOracle(t, row)
+	_, err := ReadJSON(strings.NewReader(`{"Requests":[{"ID":4,"Retries":2147483647},{"ID":5,"Retries":2200000000}]}`))
+	if err == nil || !strings.Contains(err.Error(), "request 5 (index 1) has retries 2200000000 above 2147483647") {
+		t.Errorf("ReadJSON err = %v, want request 5 at index 1 refused", err)
+	}
+
+	// The top of the range is carried by every codec.
+	top := &Trace{Requests: []Request{{ID: 1, Retries: maxRetries}}}
+	if err := top.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	bin, err := AppendBinary(nil, top.Requests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err := ReadBinary(bytes.NewReader(bin)); err != nil || back.Requests[0].Retries != maxRetries {
+		t.Fatalf("trace-v2 round trip of MaxInt32 retries: %v", err)
+	}
+	over := &Trace{Requests: []Request{{ID: 1, Retries: maxRetries + 1}}}
+	if err := over.Validate(); err == nil {
+		t.Error("Validate accepted a retry count above MaxInt32")
+	}
+	if out, err := AppendBinary([]byte("x"), over.Requests); err == nil || string(out) != "x" {
+		t.Errorf("AppendBinary = %q, %v; want dst back and an error", out, err)
 	}
 }
 

@@ -362,3 +362,41 @@ func TestNoFloatSortsOutsideStats(t *testing.T) {
 		t.Fatalf("walked %d non-test files; the module root is not %s", files, root)
 	}
 }
+
+// TestOneFloatPathInCodec is a source-level guard: no non-test file of this
+// package but the kernel's own, fnum.go, prints a float through
+// strconv.AppendFloat or strconv.FormatFloat. The kernel is held to strconv
+// byte for byte on every float64 and costs a fraction of it, so a second
+// path would be slower and could only drift.
+func TestOneFloatPathInCodec(t *testing.T) {
+	banned := map[string]bool{"AppendFloat": true, "FormatFloat": true}
+	paths, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	files := 0
+	for _, path := range paths {
+		if path == "fnum.go" || strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		files++
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "strconv" && banned[sel.Sel.Name] {
+				t.Errorf("%s: strconv.%s; use appendFloatG or appendFloatJSON (fnum.go)", fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+	}
+	if files < 5 {
+		t.Fatalf("parsed %d non-test files; not the package directory", files)
+	}
+}

@@ -465,6 +465,9 @@ func (d *SpanReader) openRequest(id int64, row [][]byte) error {
 			if d.cur.Retries < 0 {
 				return fmt.Errorf("trace: csv line %d retries: negative count %d", d.line, d.cur.Retries)
 			}
+			if d.cur.Retries > maxRetries {
+				return fmt.Errorf("trace: csv line %d retries: count %d above %d", d.line, d.cur.Retries, maxRetries)
+			}
 		}
 		switch string(row[13]) {
 		case "", "0":

@@ -189,6 +189,12 @@ func (r Request) Phases() []Subsystem {
 	return out
 }
 
+// maxRetries is the largest retry count a request carries. trace-v2's
+// reader holds the count to int32, so every reader, Validate and the
+// trace-v2 writer hold it to [0, maxRetries] too: a count one codec took and
+// another refused reached a cluster worker and had it taken for dead.
+const maxRetries = math.MaxInt32
+
 // Trace is an ordered collection of requests.
 type Trace struct {
 	Requests []Request
@@ -280,7 +286,8 @@ func (t *Trace) SpanFeature(sub Subsystem, f func(Span) float64) []float64 {
 }
 
 // Validate checks trace invariants: non-negative times and durations, spans
-// not starting before their request's arrival, and unique request IDs.
+// not starting before their request's arrival, retry counts in [0,
+// MaxInt32], and unique request IDs.
 func (t *Trace) Validate() error {
 	ids := make(map[int64]bool, len(t.Requests))
 	for i, r := range t.Requests {
@@ -293,6 +300,9 @@ func (t *Trace) Validate() error {
 		ids[r.ID] = true
 		if r.Retries < 0 {
 			return fmt.Errorf("trace: request %d has negative retries %d", r.ID, r.Retries)
+		}
+		if r.Retries > maxRetries {
+			return fmt.Errorf("trace: request %d has retries %d above %d", r.ID, r.Retries, maxRetries)
 		}
 		for j, s := range r.Spans {
 			if s.Duration < 0 || math.IsNaN(s.Duration) || math.IsInf(s.Duration, 0) {
