@@ -20,7 +20,7 @@ help:
 	@echo "  benchmark-check  vet + smoke-test the perf record (benchmark/ is a module"
 	@echo "             of its own that go build/test ./... never compiles; the test"
 	@echo "             also fails when BENCHMARK.json drifts from the benchmark)"
-	@echo "  fuzz       run the codec, float-print, sharded-simulator, float-sort and spec fuzz targets (30s each)"
+	@echo "  fuzz       run the codec, float-print, float-parse, sharded-simulator, float-sort and spec fuzz targets (30s each)"
 	@echo "  fuzz-smoke quick CI fuzz pass over the same targets (10s each)"
 	@echo "  vulncheck  govulncheck over the whole module (installed on demand)"
 	@echo "  examples   run every example program"
@@ -85,6 +85,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzAppendBinaryMatchesOracle -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run '^$$' ./internal/trace/
 	$(GO) test -fuzz=FuzzBinaryReaderMatchesOracle -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run '^$$' ./internal/trace/
 	$(GO) test -fuzz=FuzzAppendFloatMatchesStrconv -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run '^$$' ./internal/trace/
+	$(GO) test -fuzz=FuzzParseFloatMatchesStrconv -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run '^$$' ./internal/trace/
 	$(GO) test -fuzz=FuzzSortFloatsMatchesSort -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run '^$$' ./internal/stats/
 	$(GO) test -fuzz=FuzzSpecParse -fuzztime=$(FUZZTIME) -run '^$$' ./internal/spec/
 	$(GO) test -fuzz=FuzzSpecRoundTrip -fuzztime=$(FUZZTIME) -run '^$$' ./internal/spec/

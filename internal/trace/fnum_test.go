@@ -294,3 +294,67 @@ func BenchmarkAppendFloat(b *testing.B) {
 		}
 	})
 }
+
+// parseFloatCases are the float fields a decimal parser gets wrong: ties
+// between two floats, 17, 19 and 20 significant digits, leading zeros,
+// exponents at the edges of the power-of-ten table and of float64,
+// subnormals, both zeros, and the spellings strconv alone accepts or
+// refuses.
+var parseFloatCases = []string{
+	"0", "-0", "0.0", "-0.000", "00", "0e0", "-0e-999", "0.000e400",
+	"1", "-1", "0.1", "0.2", "0.3", "1.5", "2.5", "123456.789", "1E5", "1e+5", "1e-5",
+	// halfway between two floats: 2^53+1, 2^52+½, 1+2^−53 (rounded
+	// and exact), the smallest-normal boundary
+	"9007199254740993", "9007199254740995", "-9007199254740993", "4503599627370496.5",
+	"1.00000000000000011102230246251565404236316680908203125",
+	"1.0000000000000001110223024625156540424", "2.2250738585072011e-308",
+	// 17, 19 and 20 significant digits
+	"1.2345678901234567", "0.12345678901234567", "12345678901234567",
+	"1.234567890123456789", "9999999999999999999", "1844674407370955161",
+	"12345678901234567890", "0.12345678901234567890", "1.8446744073709551616",
+	"18446744073709551615", "99999999999999999999",
+	// leading zeros
+	"0.000000000000000000000000001234", "000123", "-00.00012", "0.0000000000000000000001234567890123456789",
+	// exponents at ±292, ±308 and ±324
+	"1e-292", "1e292", "9.999999999999999e-293", "1e-293", "1e-308", "1e308", "-1e308",
+	"1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308",
+	"1e-324", "1e324", "1e-325", "2e-324", "3e-324", "2.4703282292062328e-324",
+	"2.4703282292062327e-324", "1e-400", "1e400", "-1e400", "1e99999", "0.1e-99999",
+	// subnormals
+	"5e-324", "4.9406564584124654e-324", "2.225073858507201e-308", "1.5e-323", "-4e-320",
+	// strconv's own spellings, and defects
+	".5", "5.", "-.5", "1e", "1e+", "1e-", "+1", "+0", "1_0", "0x1p3", "0X1P-2", "0x_1p0",
+	"Inf", "-Inf", "+Inf", "inf", "infinity", "nan", "NaN",
+	"", "-", ".", "-.", "e5", "--1", "1..2", "1e5.5", "1.2.3", " 1", "1 ", "1e 5", "0.1x", "١",
+}
+
+// checkParseCSVFloat holds parseCSVFloat to strconv.ParseFloat on one
+// field: the same bits and the same error text.
+func checkParseCSVFloat(t *testing.T, s string) {
+	t.Helper()
+	got, gotErr := parseCSVFloat([]byte(s))
+	want, wantErr := strconv.ParseFloat(s, 64)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("parseCSVFloat(%q) = %v (%#016x), strconv %v (%#016x)", s, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+		t.Errorf("parseCSVFloat(%q) error %v, strconv %v", s, gotErr, wantErr)
+	}
+}
+
+// TestParseCSVFloatMatchesStrconv holds the CSV reader's float parser to
+// strconv on parseFloatCases.
+func TestParseCSVFloatMatchesStrconv(t *testing.T) {
+	for _, s := range parseFloatCases {
+		checkParseCSVFloat(t, s)
+	}
+}
+
+// FuzzParseFloatMatchesStrconv holds the CSV reader's float parser to
+// strconv on arbitrary text.
+func FuzzParseFloatMatchesStrconv(f *testing.F) {
+	for _, s := range parseFloatCases {
+		f.Add(s)
+	}
+	f.Fuzz(checkParseCSVFloat)
+}
