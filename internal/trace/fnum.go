@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"strconv"
 )
 
 // The text codecs' number printer. Every float of a CSV or JSON answer
@@ -21,6 +22,11 @@ import (
 // closest to the float among several, so the two agree byte for byte on
 // every float64 (fnum_test.go holds them to strconv and encoding/json).
 // Integers go through the same digit writer as the float digits.
+//
+// The CSV reader's float parser, parseCSVFloat, runs the other way over
+// the same pow10Table: parseFloat reads a plain decimal of at most 19
+// significant digits eight digits at a time and rounds it with
+// Eisel–Lemire, and everything else goes to strconv.ParseFloat.
 
 // pow10s holds 10^0 through 10^19.
 var pow10s = [20]uint64{
@@ -342,4 +348,193 @@ func trimZeros(m uint64, e int) (uint64, int) {
 		e++
 	}
 	return m, e
+}
+
+// parseCSVFloat is strconv.ParseFloat(string(b), 64): the value, and the
+// error with strconv's wording. parseFloat takes the fields WriteCSV
+// writes; strconv gets the rest.
+func parseCSVFloat(b []byte) (float64, error) {
+	if v, ok := parseFloat(b); ok {
+		return v, nil
+	}
+	return strconv.ParseFloat(string(b), 64)
+}
+
+// parseFloat reads b of the form [-]digits[.digits][(e|E)[+-]digits], with
+// at least one mantissa digit, at most 19 of them significant, and an
+// exponent the table covers, as the float64 nearest to it (of two as near,
+// the one with the even mantissa). It reports false for any other input
+// and where Eisel–Lemire cannot decide, and then b is strconv's to read:
+// a plus sign, hex, underscores, Inf and NaN, longer mantissas, overflow,
+// subnormals and defects.
+func parseFloat(b []byte) (float64, bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	// Leading zeros are no digit of the mantissa.
+	i := 0
+	for i < len(b) && b[i] == '0' {
+		i++
+	}
+	man, j := readDigits(b, i, 0)
+	nd := j - i // significant digits in man
+	saw := j > 0
+	exp := 0
+	if i = j; i < len(b) && b[i] == '.' {
+		i++
+		k := i
+		if nd == 0 {
+			for k < len(b) && b[k] == '0' {
+				k++
+			}
+		}
+		man, j = readDigits(b, k, man)
+		nd += j - k
+		exp = i - j
+		saw = saw || j > i
+		i = j
+	}
+	if !saw || nd > 19 {
+		return 0, false
+	}
+	if i < len(b) && b[i]|0x20 == 'e' {
+		i++
+		eneg := false
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			eneg = b[i] == '-'
+			i++
+		}
+		start, e := i, 0
+		for ; i < len(b) && b[i]-'0' < 10; i++ {
+			if e = e*10 + int(b[i]-'0'); e >= 10000 {
+				return 0, false
+			}
+		}
+		if i == start {
+			return 0, false
+		}
+		if eneg {
+			e = -e
+		}
+		exp += e
+	}
+	if i != len(b) {
+		return 0, false
+	}
+	return nearestFloat(man, exp, neg)
+}
+
+// readDigits appends the decimal digits that start b[i:] to m and returns
+// it with the index past them. It reads eight digits per step while eight
+// bytes remain; past 19 digits m wraps, which the caller, counting the
+// digits, refuses.
+func readDigits(b []byte, i int, m uint64) (uint64, int) {
+	for len(b)-i >= 8 {
+		w := binary.LittleEndian.Uint64(b[i:])
+		if !eightDigits(w) {
+			break
+		}
+		m = m*1e8 + parse8(w)
+		i += 8
+	}
+	for ; i < len(b) && b[i]-'0' < 10; i++ {
+		m = m*10 + uint64(b[i]-'0')
+	}
+	return m, i
+}
+
+// eightDigits reports whether the eight bytes of w, little-endian, are all
+// ASCII digits: every byte and every byte plus 6 has high nibble 3.
+func eightDigits(w uint64) bool {
+	return w&0xf0f0f0f0f0f0f0f0|(w+0x0606060606060606)&0xf0f0f0f0f0f0f0f0>>4 == 0x3333333333333333
+}
+
+// parse8 is the value of eight ASCII digits packed first digit lowest,
+// the inverse of digits8: pairs of digits are joined into bytes by one
+// multiply-shift, and two multiplies join the four pairs.
+func parse8(w uint64) uint64 {
+	w -= 0x3030303030303030
+	w = w*10 + w>>8 // byte 2i is digits 2i and 2i+1
+	w = (w&0x000000ff000000ff*(100+1000000<<32) + w>>16&0x000000ff000000ff*(1+10000<<32)) >> 32
+	return w & 0xffffffff
+}
+
+// nearestFloat returns the float64 nearest to man × 10^exp10 (sign neg),
+// or false where it cannot tell for certain: a tie between two floats, a
+// result outside the normal range, or an exponent the table does not
+// cover. Where man and 10^|exp10| are both floats, one correctly rounded
+// multiply or divide is the answer (Clinger's fast path, which strconv
+// takes first too); elsewhere it is Eisel–Lemire (D. Lemire, "Number
+// parsing at a gigabyte per second", 2021), as in strconv. That needs
+// ⌊10^e · 2^k⌋, and each pow10Table entry is exactly that plus one
+// (fnum_test.go checks all of them), so the product runs against the entry
+// minus one.
+func nearestFloat(man uint64, exp10 int, neg bool) (float64, bool) {
+	var sign uint64
+	if neg {
+		sign = 1 << 63
+	}
+	if man == 0 {
+		return math.Float64frombits(sign), true
+	}
+	if man>>53 == 0 && exp10 > -len(pow10s) && exp10 < len(pow10s) {
+		f := float64(man)
+		if exp10 < 0 {
+			f /= float64(pow10s[-exp10])
+		} else {
+			f *= float64(pow10s[exp10])
+		}
+		if neg {
+			f = -f
+		}
+		return f, true
+	}
+	if exp10 < pow10TableMin || exp10 >= pow10TableMin+len(pow10Table) {
+		return 0, false
+	}
+	g := &pow10Table[exp10-pow10TableMin]
+	lo, borrow := bits.Sub64(g[1], 1, 0)
+	hi := g[0] - borrow
+
+	// man normalized to bit 63 times the 128-bit 10^exp10: the float's
+	// 53 bits and a rounding bit are at the top of the upper product.
+	clz := bits.LeadingZeros64(man)
+	man <<= uint(clz)
+	retExp2 := uint64(floorLog2Pow10(exp10)+64+1023) - uint64(clz)
+	xHi, xLo := bits.Mul64(man, hi)
+	if xHi&0x1ff == 0x1ff && xLo+man < man {
+		// The lower half of 10^exp10 may carry into the bits kept: take it
+		// in, and give up if it still could.
+		yHi, yLo := bits.Mul64(man, lo)
+		mergedHi, mergedLo := xHi, xLo+yHi
+		if mergedLo < xLo {
+			mergedHi++
+		}
+		if mergedHi&0x1ff == 0x1ff && mergedLo+1 == 0 && yLo+man < man {
+			return 0, false
+		}
+		xHi, xLo = mergedHi, mergedLo
+	}
+	msb := xHi >> 63
+	retMantissa := xHi >> (msb + 9)
+	retExp2 -= 1 ^ msb
+	if xLo == 0 && xHi&(1<<(msb+9)-1) == 0 && retMantissa&3 == 1 {
+		// Halfway between two floats as far as the product, which is at
+		// most the exact one, can tell. (strconv tests 9 dropped bits of
+		// the 9 or 10 and so gives up on a few more.)
+		return 0, false
+	}
+	// Round the 54 bits to 53, to even on a tie.
+	retMantissa += retMantissa & 1
+	retMantissa >>= 1
+	if retMantissa>>53 > 0 {
+		retMantissa >>= 1
+		retExp2++
+	}
+	if retExp2-1 >= 0x7ff-1 {
+		// Subnormal, zero or infinite.
+		return 0, false
+	}
+	return math.Float64frombits(sign | retExp2<<52 | retMantissa&(1<<52-1)), true
 }

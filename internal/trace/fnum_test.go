@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -357,4 +358,160 @@ func FuzzParseFloatMatchesStrconv(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(checkParseCSVFloat)
+}
+
+// TestPow10TableFloorsForParse is the fact parseFloat rests on: every
+// entry of pow10Table less one is exactly ⌊10^e · 2^k⌋ with k = 127 −
+// ⌊log₂ 10^e⌋, the truncated power of ten Eisel–Lemire multiplies by.
+func TestPow10TableFloorsForParse(t *testing.T) {
+	one := big.NewInt(1)
+	for i, g := range pow10Table {
+		e := i + pow10TableMin
+		x := new(big.Rat).Mul(ratPow10(e), ratPow2(127-floorLog2Pow10(e)))
+		want := new(big.Int).Quo(x.Num(), x.Denom())
+		got := new(big.Int).Lsh(new(big.Int).SetUint64(g[0]), 64)
+		got.Or(got, new(big.Int).SetUint64(g[1]))
+		got.Sub(got, one)
+		if got.Cmp(want) != 0 {
+			t.Errorf("10^%d: entry − 1 = %#x, ⌊10^e·2^k⌋ = %#x", e, got, want)
+		}
+	}
+}
+
+// TestParseFloatRandom holds parseCSVFloat to strconv on random float64
+// bits as the CSV writer prints them and in %e at every precision the
+// kernel reads, on the writer's typical values, and on random digit
+// strings of up to 21 digits. parseFloat must take every printed normal
+// float whose digits the table covers, not leave it to strconv, unless the
+// digits are the float exactly or halfway to a neighbour: there the
+// truncated product cannot tell which side it is on, and strconv's own
+// Eisel–Lemire gives up too.
+func TestParseFloatRandom(t *testing.T) {
+	n := 100000
+	if testing.Short() || raceEnabled {
+		n = 10000
+	}
+	r := rand.New(rand.NewSource(5))
+	digits := make([]byte, 0, 32)
+	for i := 0; i < n; i++ {
+		for _, v := range []float64{math.Float64frombits(r.Uint64()), r.ExpFloat64() / 1000, float64(r.Int63n(1e6)) / 1e3} {
+			s := appendFloatG(nil, v)
+			checkParseCSVFloat(t, string(s))
+			if _, ok := parseFloat(s); !ok && kernelReads(v) && !exactOrTie(s, v) {
+				t.Errorf("parseFloat(%q) left to strconv", s)
+			}
+			checkParseCSVFloat(t, strconv.FormatFloat(v, 'e', r.Intn(19), 64))
+		}
+		digits = digits[:0]
+		if r.Intn(2) == 0 {
+			digits = append(digits, '-')
+		}
+		nd, dot := 1+r.Intn(21), r.Intn(23)
+		for j := 0; j < nd; j++ {
+			if j == dot {
+				digits = append(digits, '.')
+			}
+			digits = append(digits, byte('0'+r.Intn(10)))
+		}
+		if r.Intn(2) == 0 {
+			digits = append(append(digits, 'e'), strconv.Itoa(r.Intn(700)-350)...)
+		}
+		checkParseCSVFloat(t, string(digits))
+	}
+}
+
+// kernelReads reports whether v is normal and the last of its shortest
+// digits has an exponent in the table.
+func kernelReads(v float64) bool {
+	u := math.Float64bits(v)
+	if exp := u >> 52 & 0x7ff; exp == 0 || exp == 0x7ff {
+		return false
+	}
+	_, e := shortestDecimal(u)
+	return e >= pow10TableMin
+}
+
+// exactOrTie reports whether the decimal s is the finite v exactly or lies
+// halfway between v and a neighbour.
+func exactOrTie(s []byte, v float64) bool {
+	x, ok := new(big.Rat).SetString(string(s))
+	if !ok {
+		panic(string(s))
+	}
+	fv := new(big.Rat).SetFloat64(v)
+	d := new(big.Rat).Sub(x, fv)
+	if d.Sign() == 0 {
+		return true
+	}
+	n := math.Nextafter(v, math.Inf(d.Sign()))
+	if math.IsInf(n, 0) {
+		return false
+	}
+	next := new(big.Rat).SetFloat64(n)
+	half := next.Sub(next, fv)
+	half.Quo(half, big.NewRat(2, 1))
+	return d.Cmp(half) == 0
+}
+
+// goldenFloatFields returns the float fields (arrival, start, duration,
+// util) of a preset's golden trace.
+func goldenFloatFields(tb testing.TB, preset string) [][]byte {
+	tb.Helper()
+	data, err := os.ReadFile("../spec/testdata/" + preset + ".golden.csv")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rows, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var fields [][]byte
+	for _, row := range rows[1:] {
+		for _, c := range []int{3, 5, 6, 11} {
+			fields = append(fields, []byte(row[c]))
+		}
+	}
+	return fields
+}
+
+// TestParseFloatTakesPresetFields: every float field of every preset's
+// golden trace is read by the kernel, none by the strconv fallback.
+func TestParseFloatTakesPresetFields(t *testing.T) {
+	for _, preset := range []string{"analytics", "chat", "incast", "mapreduce", "rag", "webtier"} {
+		fields := goldenFloatFields(t, preset)
+		for _, f := range fields {
+			if _, ok := parseFloat(f); !ok {
+				t.Errorf("%s: parseFloat(%q) left to strconv", preset, f)
+			}
+			checkParseCSVFloat(t, string(f))
+		}
+		if len(fields) == 0 {
+			t.Errorf("%s: no float fields", preset)
+		}
+	}
+}
+
+// BenchmarkParseFloat prices the float fields of the mapreduce golden
+// trace through the kernel and through strconv, in ns/field.
+func BenchmarkParseFloat(b *testing.B) {
+	fields := goldenFloatFields(b, "mapreduce")
+	parsers := []struct {
+		name  string
+		parse func([]byte) (float64, error)
+	}{
+		{"kernel", parseCSVFloat},
+		{"strconv", func(f []byte) (float64, error) { return strconv.ParseFloat(string(f), 64) }},
+	}
+	for _, p := range parsers {
+		b.Run(p.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, f := range fields {
+					if _, err := p.parse(f); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(fields)), "ns/field")
+		})
+	}
 }

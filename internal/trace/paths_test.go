@@ -363,21 +363,22 @@ func TestNoFloatSortsOutsideStats(t *testing.T) {
 	}
 }
 
-// TestOneFloatPathInCodec is a source-level guard: no non-test file of this
-// package but the kernel's own, fnum.go, prints a float through
-// strconv.AppendFloat or strconv.FormatFloat. The kernel is held to strconv
-// byte for byte on every float64 and costs a fraction of it, so a second
-// path would be slower and could only drift.
+// TestOneFloatPathInCodec is a source-level guard on the number kernel
+// (fnum.go). No non-test file of this package but the kernel's own prints
+// a float through strconv.AppendFloat or strconv.FormatFloat, and
+// strconv.ParseFloat appears only in parseCSVFloat, as the fallback behind
+// parseFloat. The kernel is held to strconv bit for bit and costs a
+// fraction of it, so a second path would be slower and could only drift.
 func TestOneFloatPathInCodec(t *testing.T) {
-	banned := map[string]bool{"AppendFloat": true, "FormatFloat": true}
+	printers := map[string]bool{"AppendFloat": true, "FormatFloat": true}
 	paths, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
-	files := 0
+	files, fallbacks := 0, 0
 	for _, path := range paths {
-		if path == "fnum.go" || strings.HasSuffix(path, "_test.go") {
+		if strings.HasSuffix(path, "_test.go") {
 			continue
 		}
 		files++
@@ -385,16 +386,30 @@ func TestOneFloatPathInCodec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
+		for _, decl := range file.Decls {
+			fn, _ := decl.(*ast.FuncDecl)
+			ast.Inspect(decl, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "strconv" {
+					return true
+				}
+				switch {
+				case printers[sel.Sel.Name] && path != "fnum.go":
+					t.Errorf("%s: strconv.%s; use appendFloatG or appendFloatJSON (fnum.go)", fset.Position(sel.Pos()), sel.Sel.Name)
+				case sel.Sel.Name == "ParseFloat" && path == "fnum.go" && fn != nil && fn.Name.Name == "parseCSVFloat":
+					fallbacks++
+				case sel.Sel.Name == "ParseFloat":
+					t.Errorf("%s: strconv.ParseFloat; use parseCSVFloat (fnum.go)", fset.Position(sel.Pos()))
+				}
 				return true
-			}
-			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "strconv" && banned[sel.Sel.Name] {
-				t.Errorf("%s: strconv.%s; use appendFloatG or appendFloatJSON (fnum.go)", fset.Position(sel.Pos()), sel.Sel.Name)
-			}
-			return true
-		})
+			})
+		}
+	}
+	if fallbacks != 1 {
+		t.Errorf("parseCSVFloat calls strconv.ParseFloat %d times, want once", fallbacks)
 	}
 	if files < 5 {
 		t.Fatalf("parsed %d non-test files; not the package directory", files)

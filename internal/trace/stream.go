@@ -3,9 +3,11 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -91,28 +93,30 @@ type SpanReader struct {
 	numFields int
 	err       error
 
-	// fields are the fields of the record being decoded. They point into
-	// br's buffer, long, unquoted or prefix, and hold until the next record
-	// is read. plain reports that the record had no quote in it, so that its
-	// fields are the bytes of the line as they stood.
-	fields [][]byte
+	// rec and bounds are the record being decoded: field i is
+	// rec[bounds[i][0]:bounds[i][1]]. rec is the line as read, in br's
+	// buffer or long, or unquoted for a record with a quote in it, and holds
+	// until the next record is read. Offsets rather than slices: splitting a
+	// record stores no pointer. plain reports that the record had no quote
+	// in it, so that its fields are the bytes of the line as they stood.
+	rec    []byte
+	bounds [][2]int
 	plain  bool
 	// long gathers a line that does not fit br's buffer.
 	long []byte
 	// unquoted holds, one after another, the fields of a record that has a
-	// quote in it, the quoting undone; field i ends at ends[i].
+	// quote in it, the quoting undone.
 	unquoted []byte
-	ends     []int
 
 	cur    Request
 	curSet bool
 	// prefix is "req_id,class,server,arrival," as the first row of cur
-	// spelled it (prefixFields are the four fields in it), or empty when
+	// spelled it (prefixBounds are the four fields in it), or empty when
 	// that row held a quote. WriteCSV copies these bytes onto every further
 	// row of a request, so a row that starts with them continues cur and
 	// needs none of the four split or parsed again.
 	prefix       []byte
-	prefixFields [4][]byte
+	prefixBounds [4][2]int
 	// spans gathers the spans of cur; the request leaves with an exact-sized
 	// copy carved from arena.
 	spans []Span
@@ -163,6 +167,15 @@ func (d *SpanReader) readLine() ([]byte, error) {
 	return line, err
 }
 
+// byteMask has the top bit of byte i set where byte i of w is c, and no
+// other bit: a byte of w^c below 0x80 gains its top bit from the add only
+// when it is not zero, and no add carries out of its byte.
+func byteMask(w uint64, c byte) uint64 {
+	const lo7, hi = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
+	x := w ^ uint64(c)*0x0101010101010101
+	return ^(x&lo7 + lo7 | x) & hi
+}
+
 // lengthNL is the length of the line break that ends b.
 func lengthNL(b []byte) int {
 	if len(b) > 0 && b[len(b)-1] == '\n' {
@@ -171,12 +184,18 @@ func lengthNL(b []byte) int {
 	return 0
 }
 
-// readRecord reads the next record into d.fields, skipping blank lines. Its
+// field is field i of the record read last.
+func (d *SpanReader) field(i int) []byte {
+	b := d.bounds[i]
+	return d.rec[b[0]:b[1]]
+}
+
+// readRecord reads the next record into d.rec, skipping blank lines. Its
 // error is the one encoding/csv's Reader.Read returns on the same input, the
 // column of a *csv.ParseError apart: io.EOF at the end, a syntax error, a
 // field count other than the header's, or the error of the underlying
 // reader. continues reports that the record opens with d.prefix, so that it
-// belongs to d.cur and its first four fields are d.prefixFields.
+// belongs to d.cur and its first four fields are the ones of d.prefix.
 func (d *SpanReader) readRecord() (continues bool, err error) {
 	var line []byte
 	var errRead error
@@ -190,39 +209,54 @@ func (d *SpanReader) readRecord() (continues bool, err error) {
 		return false, io.EOF
 	}
 	recLine := d.physLine
-	d.fields = d.fields[:0]
+	bounds := d.bounds[:0]
 	// One pass finds the commas and whether there is a quote at all.
 	start := 0
 	if d.curSet && len(d.prefix) > 0 && bytes.HasPrefix(line, d.prefix) {
 		// d.prefix has no quote in it, or it would be empty.
 		continues = true
-		d.fields = append(d.fields, d.prefixFields[:]...)
+		bounds = append(bounds, d.prefixBounds[:]...)
 		start = len(d.prefix)
 	}
-	d.plain = true
+	plain := true
 	end := len(line) - lengthNL(line)
+	// Eight bytes a step: every comma of the word is a set bit of its mask.
+	i := start
+	for ; end-i >= 8; i += 8 {
+		w := binary.LittleEndian.Uint64(line[i:])
+		if byteMask(w, '"') != 0 {
+			plain = false
+			break
+		}
+		for m := byteMask(w, ','); m != 0; m &= m - 1 {
+			j := i + bits.TrailingZeros64(m)>>3
+			bounds = append(bounds, [2]int{start, j})
+			start = j + 1
+		}
+	}
 scan:
-	for i := start; i < end; i++ {
+	for ; plain && i < end; i++ {
 		switch line[i] {
 		case ',':
-			d.fields = append(d.fields, line[start:i])
+			bounds = append(bounds, [2]int{start, i})
 			start = i + 1
 		case '"':
-			d.plain = false
+			plain = false
 			break scan
 		}
 	}
-	if d.plain {
-		d.fields = append(d.fields, line[start:end])
+	d.plain = plain
+	if plain {
+		d.rec, d.bounds = line, append(bounds, [2]int{start, end})
 		err = errRead
 	} else {
 		continues = false
-		d.fields = d.fields[:0]
+		d.bounds = bounds[:0]
 		err = d.splitQuoted(line, errRead)
 	}
 	if d.numFields == 0 {
-		d.numFields = len(d.fields)
-	} else if len(d.fields) != d.numFields && err == nil {
+		d.numFields = len(d.bounds)
+	} else if len(d.bounds) != d.numFields && err == nil {
 		err = &csv.ParseError{StartLine: recLine, Line: recLine, Column: 1, Err: csv.ErrFieldCount}
 	}
 	return continues, err
@@ -235,7 +269,7 @@ scan:
 // readRecord with that Reader's options at their defaults.
 func (d *SpanReader) splitQuoted(line []byte, errRead error) error {
 	recLine := d.physLine
-	d.unquoted, d.ends = d.unquoted[:0], d.ends[:0]
+	d.unquoted = d.unquoted[:0]
 	var err error
 	// line[0] is byte col of line posLine, both counted from zero.
 	posLine, col := d.physLine, 0
@@ -255,7 +289,7 @@ parseField:
 				break parseField
 			}
 			d.unquoted = append(d.unquoted, field...)
-			d.ends = append(d.ends, len(d.unquoted))
+			d.endField()
 			if i < 0 {
 				break parseField
 			}
@@ -279,10 +313,10 @@ parseField:
 				case len(line) > 0 && line[0] == ',': // the field ends
 					line = line[1:]
 					col++
-					d.ends = append(d.ends, len(d.unquoted))
+					d.endField()
 					continue parseField
 				case lengthNL(line) == len(line): // the record ends
-					d.ends = append(d.ends, len(d.unquoted))
+					d.endField()
 					break parseField
 				default:
 					err = &csv.ParseError{StartLine: recLine, Line: d.physLine, Column: col, Err: csv.ErrQuote}
@@ -309,7 +343,7 @@ parseField:
 					err = &csv.ParseError{StartLine: recLine, Line: posLine, Column: col + 1, Err: csv.ErrQuote}
 					break parseField
 				}
-				d.ends = append(d.ends, len(d.unquoted))
+				d.endField()
 				break parseField
 			}
 		}
@@ -317,13 +351,17 @@ parseField:
 	if err == nil {
 		err = errRead
 	}
-	// Cut only now: d.unquoted moved while it grew.
-	start := 0
-	for _, end := range d.ends {
-		d.fields = append(d.fields, d.unquoted[start:end])
-		start = end
-	}
+	d.rec = d.unquoted
 	return err
+}
+
+// endField ends the field of a quoted record at the end of d.unquoted.
+func (d *SpanReader) endField() {
+	start := 0
+	if n := len(d.bounds); n > 0 {
+		start = d.bounds[n-1][1]
+	}
+	d.bounds = append(d.bounds, [2]int{start, len(d.unquoted)})
 }
 
 // readHeader consumes and validates the header row. Both the current
@@ -333,16 +371,15 @@ func (d *SpanReader) readHeader() error {
 	if _, err := d.readRecord(); err != nil {
 		return fmt.Errorf("trace: read csv header: %w", err)
 	}
-	header := d.fields
-	switch len(header) {
+	switch len(d.bounds) {
 	case len(csvHeader):
 	case numLegacyCSVColumns:
 		d.legacy = true
 	default:
-		return fmt.Errorf("trace: csv header has %d columns, want %d (or the legacy %d)", len(header), len(csvHeader), numLegacyCSVColumns)
+		return fmt.Errorf("trace: csv header has %d columns, want %d (or the legacy %d)", len(d.bounds), len(csvHeader), numLegacyCSVColumns)
 	}
-	for i, h := range header {
-		if string(h) != csvHeader[i] {
+	for i := range d.bounds {
+		if h := d.field(i); string(h) != csvHeader[i] {
 			return fmt.Errorf("trace: csv column %d is %q, want %q", i, h, csvHeader[i])
 		}
 	}
@@ -403,20 +440,19 @@ func (d *SpanReader) Next() (Request, error) {
 		if err != nil {
 			return d.fail(fmt.Errorf("trace: read csv line %d: %w", d.line, err))
 		}
-		row := d.fields
-		for i, f := range row {
-			if len(f) > maxCSVFieldBytes {
-				return d.fail(fmt.Errorf("trace: csv line %d field %d: %d bytes exceeds the %d-byte field limit", d.line, i, len(f), maxCSVFieldBytes))
+		for i, b := range d.bounds {
+			if n := b[1] - b[0]; n > maxCSVFieldBytes {
+				return d.fail(fmt.Errorf("trace: csv line %d field %d: %d bytes exceeds the %d-byte field limit", d.line, i, n, maxCSVFieldBytes))
 			}
 		}
-		// arrivalText: row[3] is the text d.cur.Arrival was parsed from. It
+		// arrivalText: field 3 is the text d.cur.Arrival was parsed from. It
 		// is not on a row that continues d.cur by its id alone, whose other
 		// request fields go unread.
 		arrivalText := continues
 		var done Request
 		var emit bool
 		if !continues {
-			id, err := parseCSVInt64(row[0])
+			id, err := parseCSVInt64(d.field(0))
 			if err != nil {
 				return d.fail(fmt.Errorf("trace: csv line %d req_id: %w", d.line, err))
 			}
@@ -424,14 +460,14 @@ func (d *SpanReader) Next() (Request, error) {
 				if d.curSet {
 					done, emit = d.take(), true
 				}
-				if err := d.openRequest(id, row); err != nil {
+				if err := d.openRequest(id); err != nil {
 					return d.fail(err)
 				}
 				arrivalText = true
 			}
 		}
-		if len(row[4]) != 0 { // non-empty subsystem: the row carries a span
-			span, err := d.parseSpanColumns(row, arrivalText)
+		if len(d.field(4)) != 0 { // non-empty subsystem: the row carries a span
+			span, err := d.parseSpanColumns(arrivalText)
 			if err != nil {
 				return d.fail(err)
 			}
@@ -446,20 +482,21 @@ func (d *SpanReader) Next() (Request, error) {
 	}
 }
 
-// openRequest starts gathering the request whose first row is row.
-func (d *SpanReader) openRequest(id int64, row [][]byte) error {
-	server, err := parseCSVInt(row[2])
+// openRequest starts gathering the request whose first row is the record
+// read last.
+func (d *SpanReader) openRequest(id int64) error {
+	server, err := parseCSVInt(d.field(2))
 	if err != nil {
 		return fmt.Errorf("trace: csv line %d server: %w", d.line, err)
 	}
-	arrival, err := parseCSVFloat(row[3])
+	arrival, err := parseCSVFloat(d.field(3))
 	if err != nil {
 		return fmt.Errorf("trace: csv line %d arrival: %w", d.line, err)
 	}
-	d.cur = Request{ID: id, Class: d.intern(row[1]), Server: server, Arrival: arrival}
+	d.cur = Request{ID: id, Class: d.intern(d.field(1)), Server: server, Arrival: arrival}
 	if !d.legacy {
-		if len(row[12]) != 0 {
-			if d.cur.Retries, err = parseCSVInt(row[12]); err != nil {
+		if f := d.field(12); len(f) != 0 {
+			if d.cur.Retries, err = parseCSVInt(f); err != nil {
 				return fmt.Errorf("trace: csv line %d retries: %w", d.line, err)
 			}
 			if d.cur.Retries < 0 {
@@ -469,12 +506,12 @@ func (d *SpanReader) openRequest(id int64, row [][]byte) error {
 				return fmt.Errorf("trace: csv line %d retries: count %d above %d", d.line, d.cur.Retries, maxRetries)
 			}
 		}
-		switch string(row[13]) {
+		switch f := d.field(13); string(f) {
 		case "", "0":
 		case "1":
 			d.cur.FailedOver = true
 		default:
-			if d.cur.FailedOver, err = strconv.ParseBool(string(row[13])); err != nil {
+			if d.cur.FailedOver, err = strconv.ParseBool(string(f)); err != nil {
 				return fmt.Errorf("trace: csv line %d failover: %w", d.line, err)
 			}
 		}
@@ -483,15 +520,10 @@ func (d *SpanReader) openRequest(id int64, row [][]byte) error {
 	d.spans = d.spans[:0]
 	d.prefix = d.prefix[:0]
 	if d.plain {
-		for _, f := range row[:4] {
-			d.prefix = append(append(d.prefix, f...), ',')
-		}
-		// Cut only now: d.prefix moved while it grew.
-		start := 0
-		for i, f := range row[:4] {
-			d.prefixFields[i] = d.prefix[start : start+len(f)]
-			start += len(f) + 1
-		}
+		// The line itself, up to the comma after field 3: the four fields
+		// sit at the same offsets in every row that starts with it.
+		d.prefix = append(d.prefix, d.rec[:d.bounds[3][1]+1]...)
+		copy(d.prefixBounds[:], d.bounds[:4])
 	}
 	return nil
 }
@@ -536,48 +568,40 @@ func parseCSVInt(b []byte) (int, error) {
 	return strconv.Atoi(string(b))
 }
 
-// parseCSVFloat parses a float column. "0" is most columns of most rows.
-func parseCSVFloat(b []byte) (float64, error) {
-	if len(b) == 1 && b[0] == '0' {
-		return 0, nil
-	}
-	return strconv.ParseFloat(string(b), 64)
-}
-
-// parseSpanColumns decodes columns 4..11 of a data row into a Span.
-// arrivalText reports that row[3] is the text of d.cur.Arrival: a span that
-// starts at the arrival says so in the same characters (WriteCSV copies
-// them), and the same characters parse to the same bits.
-func (d *SpanReader) parseSpanColumns(row [][]byte, arrivalText bool) (Span, error) {
+// parseSpanColumns decodes columns 4..11 of the record read last into a
+// Span. arrivalText reports that field 3 is the text of d.cur.Arrival: a
+// span that starts at the arrival says so in the same characters (WriteCSV
+// copies them), and the same characters parse to the same bits.
+func (d *SpanReader) parseSpanColumns(arrivalText bool) (Span, error) {
 	var span Span
-	sub, err := ParseSubsystem(string(row[4]))
+	sub, err := ParseSubsystem(string(d.field(4)))
 	if err != nil {
 		return span, fmt.Errorf("trace: csv line %d: %w", d.line, err)
 	}
-	op, err := ParseOp(string(row[7]))
+	op, err := ParseOp(string(d.field(7)))
 	if err != nil {
 		return span, fmt.Errorf("trace: csv line %d: %w", d.line, err)
 	}
 	span.Subsystem = sub
 	span.Op = op
-	if arrivalText && bytes.Equal(row[5], row[3]) {
+	if start := d.field(5); arrivalText && bytes.Equal(start, d.field(3)) {
 		span.Start = d.cur.Arrival
-	} else if span.Start, err = parseCSVFloat(row[5]); err != nil {
+	} else if span.Start, err = parseCSVFloat(start); err != nil {
 		return span, fmt.Errorf("trace: csv line %d start: %w", d.line, err)
 	}
-	if span.Duration, err = parseCSVFloat(row[6]); err != nil {
+	if span.Duration, err = parseCSVFloat(d.field(6)); err != nil {
 		return span, fmt.Errorf("trace: csv line %d duration: %w", d.line, err)
 	}
-	if span.Bytes, err = parseCSVInt64(row[8]); err != nil {
+	if span.Bytes, err = parseCSVInt64(d.field(8)); err != nil {
 		return span, fmt.Errorf("trace: csv line %d bytes: %w", d.line, err)
 	}
-	if span.LBN, err = parseCSVInt64(row[9]); err != nil {
+	if span.LBN, err = parseCSVInt64(d.field(9)); err != nil {
 		return span, fmt.Errorf("trace: csv line %d lbn: %w", d.line, err)
 	}
-	if span.Bank, err = parseCSVInt(row[10]); err != nil {
+	if span.Bank, err = parseCSVInt(d.field(10)); err != nil {
 		return span, fmt.Errorf("trace: csv line %d bank: %w", d.line, err)
 	}
-	if span.Util, err = parseCSVFloat(row[11]); err != nil {
+	if span.Util, err = parseCSVFloat(d.field(11)); err != nil {
 		return span, fmt.Errorf("trace: csv line %d util: %w", d.line, err)
 	}
 	return span, nil
