@@ -257,6 +257,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if err == io.EOF {
 			break
 		}
+		if err == nil {
+			// A request no trainer would take is refused like a defect of
+			// the encoding: kept in the window, it would fail every retrain
+			// until it aged out.
+			err = req.Validate()
+		}
 		if err != nil {
 			decodeErr = err
 			break

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -597,6 +598,58 @@ func TestIngestRejectsMalformed(t *testing.T) {
 	}
 	if ing.Ingested == 0 {
 		t.Fatal("rows decoded before the defect were discarded")
+	}
+}
+
+// TestIngestRefusesInvalidRequest: a request that decodes but that no
+// trainer would take (here a NaN span duration) is refused like a decode
+// error — a 400 naming it, the requests before it kept — instead of
+// entering the window, where it used to fail every retrain until it aged
+// out. A clean body after it trains.
+func TestIngestRefusesInvalidRequest(t *testing.T) {
+	s := newTestServer(t, quietConfig())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	type answer struct {
+		Ingested   int    `json:"ingested"`
+		Retrained  bool   `json:"retrained"`
+		Error      string `json:"error"`
+		TrainError string `json:"train_error"`
+	}
+	post := func(tr *trace.Trace) (int, answer) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/ingest", "text/csv", bytes.NewReader(traceCSV(t, tr)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var a answer
+		if err := json.NewDecoder(resp.Body).Decode(&a); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, a
+	}
+
+	bad := gfsTrace(t, 200, 1)
+	bad.Requests[120].Spans[1].Duration = math.NaN()
+	code, a := post(bad)
+	if code != http.StatusBadRequest || a.Ingested != 120 || a.TrainError != "" ||
+		!strings.Contains(a.Error, fmt.Sprintf("request %d span 1 has invalid duration NaN", bad.Requests[120].ID)) {
+		t.Fatalf("body with a NaN duration = %d %+v, want 400 naming it, 120 ingested, no train error", code, a)
+	}
+	if !a.Retrained {
+		t.Fatal("the requests before the refused one did not train")
+	}
+
+	clean := gfsTrace(t, 300, 2)
+	for i := range clean.Requests {
+		clean.Requests[i].ID += 1000
+	}
+	if code, a := post(clean); code != http.StatusOK || a.Ingested != 300 || a.Error != "" || a.TrainError != "" {
+		t.Fatalf("clean body after the refusal = %d %+v, want 200 and no error", code, a)
+	}
+	if err := s.Retrain(); err != nil {
+		t.Fatalf("retrain over the window: %v", err)
 	}
 }
 

@@ -285,41 +285,52 @@ func (t *Trace) SpanFeature(sub Subsystem, f func(Span) float64) []float64 {
 	return out
 }
 
-// Validate checks trace invariants: non-negative times and durations, spans
-// not starting before their request's arrival, retry counts in [0,
-// MaxInt32], and unique request IDs.
+// Validate checks trace invariants: every request valid on its own
+// (Request.Validate) and unique request IDs.
 func (t *Trace) Validate() error {
 	ids := make(map[int64]bool, len(t.Requests))
-	for i, r := range t.Requests {
-		if r.Arrival < 0 || math.IsNaN(r.Arrival) || math.IsInf(r.Arrival, 0) {
-			return fmt.Errorf("trace: request %d has invalid arrival %g", r.ID, r.Arrival)
+	for i := range t.Requests {
+		r := &t.Requests[i]
+		if err := r.Validate(); err != nil {
+			return err
 		}
 		if ids[r.ID] {
 			return fmt.Errorf("trace: duplicate request ID %d (index %d)", r.ID, i)
 		}
 		ids[r.ID] = true
-		if r.Retries < 0 {
-			return fmt.Errorf("trace: request %d has negative retries %d", r.ID, r.Retries)
+	}
+	return nil
+}
+
+// Validate checks the invariants of one request: a finite, non-negative
+// arrival, a retry count in [0, MaxInt32], and spans with a known
+// subsystem, finite non-negative durations, non-negative bytes,
+// utilization in [0, 1] and a finite start not before the arrival.
+func (r *Request) Validate() error {
+	if r.Arrival < 0 || math.IsNaN(r.Arrival) || math.IsInf(r.Arrival, 0) {
+		return fmt.Errorf("trace: request %d has invalid arrival %g", r.ID, r.Arrival)
+	}
+	if r.Retries < 0 {
+		return fmt.Errorf("trace: request %d has negative retries %d", r.ID, r.Retries)
+	}
+	if r.Retries > maxRetries {
+		return fmt.Errorf("trace: request %d has retries %d above %d", r.ID, r.Retries, maxRetries)
+	}
+	for j, s := range r.Spans {
+		if s.Duration < 0 || math.IsNaN(s.Duration) || math.IsInf(s.Duration, 0) {
+			return fmt.Errorf("trace: request %d span %d has invalid duration %g", r.ID, j, s.Duration)
 		}
-		if r.Retries > maxRetries {
-			return fmt.Errorf("trace: request %d has retries %d above %d", r.ID, r.Retries, maxRetries)
+		if s.Start+1e-12 < r.Arrival || math.IsNaN(s.Start) || math.IsInf(s.Start, 0) {
+			return fmt.Errorf("trace: request %d span %d start %g invalid for arrival %g", r.ID, j, s.Start, r.Arrival)
 		}
-		for j, s := range r.Spans {
-			if s.Duration < 0 || math.IsNaN(s.Duration) || math.IsInf(s.Duration, 0) {
-				return fmt.Errorf("trace: request %d span %d has invalid duration %g", r.ID, j, s.Duration)
-			}
-			if s.Start+1e-12 < r.Arrival || math.IsNaN(s.Start) || math.IsInf(s.Start, 0) {
-				return fmt.Errorf("trace: request %d span %d start %g invalid for arrival %g", r.ID, j, s.Start, r.Arrival)
-			}
-			if s.Subsystem < 0 || s.Subsystem >= numSubsystems {
-				return fmt.Errorf("trace: request %d span %d has invalid subsystem %d", r.ID, j, s.Subsystem)
-			}
-			if s.Bytes < 0 {
-				return fmt.Errorf("trace: request %d span %d has negative bytes", r.ID, j)
-			}
-			if s.Util < 0 || s.Util > 1 || math.IsNaN(s.Util) {
-				return fmt.Errorf("trace: request %d span %d has utilization %g outside [0,1]", r.ID, j, s.Util)
-			}
+		if s.Subsystem < 0 || s.Subsystem >= numSubsystems {
+			return fmt.Errorf("trace: request %d span %d has invalid subsystem %d", r.ID, j, s.Subsystem)
+		}
+		if s.Bytes < 0 {
+			return fmt.Errorf("trace: request %d span %d has negative bytes", r.ID, j)
+		}
+		if s.Util < 0 || s.Util > 1 || math.IsNaN(s.Util) {
+			return fmt.Errorf("trace: request %d span %d has utilization %g outside [0,1]", r.ID, j, s.Util)
 		}
 	}
 	return nil
