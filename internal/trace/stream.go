@@ -93,30 +93,31 @@ type SpanReader struct {
 	numFields int
 	err       error
 
-	// rec and bounds are the record being decoded: field i is
-	// rec[bounds[i][0]:bounds[i][1]]. rec is the line as read, in br's
-	// buffer or long, or unquoted for a record with a quote in it, and holds
-	// until the next record is read. Offsets rather than slices: splitting a
-	// record stores no pointer. plain reports that the record had no quote
-	// in it, so that its fields are the bytes of the line as they stood.
-	rec    []byte
-	bounds [][2]int
-	plain  bool
+	// rec and cuts are the record being decoded: field i is
+	// rec[cuts[i]+1:cuts[i+1]], cuts[0] being -1. rec is the line as read,
+	// in br's buffer or long, and cuts are its commas and its end; or, for a
+	// record with a quote in it, rec is unquoted. It holds until the next
+	// record is read. Offsets rather than slices: splitting a record stores
+	// no pointer. plain reports that the record had no quote in it, so that
+	// its fields are the bytes of the line as they stood.
+	rec   []byte
+	cuts  []int
+	plain bool
 	// long gathers a line that does not fit br's buffer.
 	long []byte
-	// unquoted holds, one after another, the fields of a record that has a
-	// quote in it, the quoting undone.
+	// unquoted holds the fields of a record that has a quote in it, the
+	// quoting undone, each followed by one separator byte.
 	unquoted []byte
 
 	cur    Request
 	curSet bool
 	// prefix is "req_id,class,server,arrival," as the first row of cur
-	// spelled it (prefixBounds are the four fields in it), or empty when
-	// that row held a quote. WriteCSV copies these bytes onto every further
-	// row of a request, so a row that starts with them continues cur and
-	// needs none of the four split or parsed again.
-	prefix       []byte
-	prefixBounds [4][2]int
+	// spelled it (prefixCuts are the cuts of the four fields in it), or
+	// empty when that row held a quote. WriteCSV copies these bytes onto
+	// every further row of a request, so a row that starts with them
+	// continues cur and needs none of the four split or parsed again.
+	prefix     []byte
+	prefixCuts [5]int
 	// spans gathers the spans of cur; the request leaves with an exact-sized
 	// copy carved from arena.
 	spans []Span
@@ -186,8 +187,12 @@ func lengthNL(b []byte) int {
 
 // field is field i of the record read last.
 func (d *SpanReader) field(i int) []byte {
-	b := d.bounds[i]
-	return d.rec[b[0]:b[1]]
+	return d.rec[d.cuts[i]+1 : d.cuts[i+1]]
+}
+
+// fieldCount is the number of fields of the record read last.
+func (d *SpanReader) fieldCount() int {
+	return len(d.cuts) - 1
 }
 
 // readRecord reads the next record into d.rec, skipping blank lines. Its
@@ -209,19 +214,19 @@ func (d *SpanReader) readRecord() (continues bool, err error) {
 		return false, io.EOF
 	}
 	recLine := d.physLine
-	bounds := d.bounds[:0]
 	// One pass finds the commas and whether there is a quote at all.
-	start := 0
+	cuts := append(d.cuts[:0], -1)
+	i := 0
 	if d.curSet && len(d.prefix) > 0 && bytes.HasPrefix(line, d.prefix) {
 		// d.prefix has no quote in it, or it would be empty.
 		continues = true
-		bounds = append(bounds, d.prefixBounds[:]...)
-		start = len(d.prefix)
+		cuts = append(cuts[:0], d.prefixCuts[:]...)
+		i = len(d.prefix)
 	}
 	plain := true
 	end := len(line) - lengthNL(line)
-	// Eight bytes a step: every comma of the word is a set bit of its mask.
-	i := start
+	// Eight bytes a step: the commas of a word are the set bits of its
+	// mask.
 	for ; end-i >= 8; i += 8 {
 		w := binary.LittleEndian.Uint64(line[i:])
 		if byteMask(w, '"') != 0 {
@@ -229,17 +234,14 @@ func (d *SpanReader) readRecord() (continues bool, err error) {
 			break
 		}
 		for m := byteMask(w, ','); m != 0; m &= m - 1 {
-			j := i + bits.TrailingZeros64(m)>>3
-			bounds = append(bounds, [2]int{start, j})
-			start = j + 1
+			cuts = append(cuts, i+bits.TrailingZeros64(m)>>3)
 		}
 	}
 scan:
 	for ; plain && i < end; i++ {
 		switch line[i] {
 		case ',':
-			bounds = append(bounds, [2]int{start, i})
-			start = i + 1
+			cuts = append(cuts, i)
 		case '"':
 			plain = false
 			break scan
@@ -247,16 +249,16 @@ scan:
 	}
 	d.plain = plain
 	if plain {
-		d.rec, d.bounds = line, append(bounds, [2]int{start, end})
+		d.rec, d.cuts = line, append(cuts, end)
 		err = errRead
 	} else {
 		continues = false
-		d.bounds = bounds[:0]
+		d.cuts = append(cuts[:0], -1)
 		err = d.splitQuoted(line, errRead)
 	}
 	if d.numFields == 0 {
-		d.numFields = len(d.bounds)
-	} else if len(d.bounds) != d.numFields && err == nil {
+		d.numFields = d.fieldCount()
+	} else if d.fieldCount() != d.numFields && err == nil {
 		err = &csv.ParseError{StartLine: recLine, Line: recLine, Column: 1, Err: csv.ErrFieldCount}
 	}
 	return continues, err
@@ -357,11 +359,8 @@ parseField:
 
 // endField ends the field of a quoted record at the end of d.unquoted.
 func (d *SpanReader) endField() {
-	start := 0
-	if n := len(d.bounds); n > 0 {
-		start = d.bounds[n-1][1]
-	}
-	d.bounds = append(d.bounds, [2]int{start, len(d.unquoted)})
+	d.cuts = append(d.cuts, len(d.unquoted))
+	d.unquoted = append(d.unquoted, ',')
 }
 
 // readHeader consumes and validates the header row. Both the current
@@ -371,14 +370,14 @@ func (d *SpanReader) readHeader() error {
 	if _, err := d.readRecord(); err != nil {
 		return fmt.Errorf("trace: read csv header: %w", err)
 	}
-	switch len(d.bounds) {
+	switch d.fieldCount() {
 	case len(csvHeader):
 	case numLegacyCSVColumns:
 		d.legacy = true
 	default:
-		return fmt.Errorf("trace: csv header has %d columns, want %d (or the legacy %d)", len(d.bounds), len(csvHeader), numLegacyCSVColumns)
+		return fmt.Errorf("trace: csv header has %d columns, want %d (or the legacy %d)", d.fieldCount(), len(csvHeader), numLegacyCSVColumns)
 	}
-	for i := range d.bounds {
+	for i := range d.fieldCount() {
 		if h := d.field(i); string(h) != csvHeader[i] {
 			return fmt.Errorf("trace: csv column %d is %q, want %q", i, h, csvHeader[i])
 		}
@@ -440,9 +439,11 @@ func (d *SpanReader) Next() (Request, error) {
 		if err != nil {
 			return d.fail(fmt.Errorf("trace: read csv line %d: %w", d.line, err))
 		}
-		for i, b := range d.bounds {
-			if n := b[1] - b[0]; n > maxCSVFieldBytes {
-				return d.fail(fmt.Errorf("trace: csv line %d field %d: %d bytes exceeds the %d-byte field limit", d.line, i, n, maxCSVFieldBytes))
+		if len(d.rec) > maxCSVFieldBytes { // else no field can be
+			for i := range d.fieldCount() {
+				if n := d.cuts[i+1] - d.cuts[i] - 1; n > maxCSVFieldBytes {
+					return d.fail(fmt.Errorf("trace: csv line %d field %d: %d bytes exceeds the %d-byte field limit", d.line, i, n, maxCSVFieldBytes))
+				}
 			}
 		}
 		// arrivalText: field 3 is the text d.cur.Arrival was parsed from. It
@@ -522,8 +523,8 @@ func (d *SpanReader) openRequest(id int64) error {
 	if d.plain {
 		// The line itself, up to the comma after field 3: the four fields
 		// sit at the same offsets in every row that starts with it.
-		d.prefix = append(d.prefix, d.rec[:d.bounds[3][1]+1]...)
-		copy(d.prefixBounds[:], d.bounds[:4])
+		d.prefix = append(d.prefix, d.rec[:d.cuts[4]+1]...)
+		copy(d.prefixCuts[:], d.cuts)
 	}
 	return nil
 }

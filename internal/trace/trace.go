@@ -305,9 +305,10 @@ func (t *Trace) Validate() error {
 // Validate checks the invariants of one request: a finite, non-negative
 // arrival, a retry count in [0, MaxInt32], and spans with a known
 // subsystem, finite non-negative durations, non-negative bytes,
-// utilization in [0, 1] and a finite start not before the arrival.
+// utilization in [0, 1] and a finite start not before the arrival. Each
+// range is one pair of comparisons, which a NaN fails.
 func (r *Request) Validate() error {
-	if r.Arrival < 0 || math.IsNaN(r.Arrival) || math.IsInf(r.Arrival, 0) {
+	if !(r.Arrival >= 0 && r.Arrival <= math.MaxFloat64) {
 		return fmt.Errorf("trace: request %d has invalid arrival %g", r.ID, r.Arrival)
 	}
 	if r.Retries < 0 {
@@ -316,11 +317,12 @@ func (r *Request) Validate() error {
 	if r.Retries > maxRetries {
 		return fmt.Errorf("trace: request %d has retries %d above %d", r.ID, r.Retries, maxRetries)
 	}
-	for j, s := range r.Spans {
-		if s.Duration < 0 || math.IsNaN(s.Duration) || math.IsInf(s.Duration, 0) {
+	for j := range r.Spans {
+		s := &r.Spans[j]
+		if !(s.Duration >= 0 && s.Duration <= math.MaxFloat64) {
 			return fmt.Errorf("trace: request %d span %d has invalid duration %g", r.ID, j, s.Duration)
 		}
-		if s.Start+1e-12 < r.Arrival || math.IsNaN(s.Start) || math.IsInf(s.Start, 0) {
+		if !(s.Start+1e-12 >= r.Arrival && s.Start <= math.MaxFloat64) {
 			return fmt.Errorf("trace: request %d span %d start %g invalid for arrival %g", r.ID, j, s.Start, r.Arrival)
 		}
 		if s.Subsystem < 0 || s.Subsystem >= numSubsystems {
@@ -329,7 +331,7 @@ func (r *Request) Validate() error {
 		if s.Bytes < 0 {
 			return fmt.Errorf("trace: request %d span %d has negative bytes", r.ID, j)
 		}
-		if s.Util < 0 || s.Util > 1 || math.IsNaN(s.Util) {
+		if !(s.Util >= 0 && s.Util <= 1) {
 			return fmt.Errorf("trace: request %d span %d has utilization %g outside [0,1]", r.ID, j, s.Util)
 		}
 	}
