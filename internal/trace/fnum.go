@@ -25,8 +25,9 @@ import (
 //
 // The CSV reader's float parser, parseCSVFloat, runs the other way over
 // the same pow10Table: parseFloat reads a plain decimal of at most 19
-// significant digits eight digits at a time and rounds it with
-// Eisel–Lemire, and everything else goes to strconv.ParseFloat.
+// significant digits eight digits at a time and rounds it with Clinger's
+// fast path or Eisel–Lemire, and everything else goes to
+// strconv.ParseFloat.
 
 // pow10s holds 10^0 through 10^19.
 var pow10s = [20]uint64{
