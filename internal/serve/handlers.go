@@ -346,16 +346,8 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "%v: ingest a trace first", errs.ErrModelNotTrained)
 		return
 	}
-	// The daemon serves bulk traces, so it rides the batch synthesis path
-	// (byte-identical to the scalar one at the same seed).
-	var synthesize func(int, *rand.Rand) (*trace.Trace, error)
 	switch modelName {
-	case "kooza":
-		synthesize = ms.Kooza.SynthesizeBatch
-	case "inbreadth":
-		synthesize = ms.InBreadth.SynthesizeBatch
-	case "indepth":
-		synthesize = ms.InDepth.SynthesizeBatch
+	case "kooza", "inbreadth", "indepth":
 	default:
 		httpError(w, http.StatusBadRequest, "model must be kooza, inbreadth or indepth, got %q", modelName)
 		return
@@ -366,6 +358,12 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	waitStop := s.stage(span, "queue.wait")
 	s.enqueue(w, r, func(ctx context.Context) func(http.ResponseWriter) {
 		waitStop()
+		synthesize, err := s.synthesizer(ms, span, modelName)
+		if err != nil {
+			return func(w http.ResponseWriter) {
+				httpError(w, http.StatusInternalServerError, "train %s: %v", modelName, err)
+			}
+		}
 		stop := s.stage(span, "synthesize")
 		synth, err := synthesize(n, rand.New(rand.NewSource(seed)))
 		stop()
@@ -386,6 +384,28 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		}
 		return s.encodeTrace(span, synth, format)
 	})
+}
+
+// synthesizer returns the batch synthesis of ms's named model, training a
+// comparison model if this is the first request of the generation to ask
+// for it. The daemon serves bulk traces, so it rides the batch synthesis
+// path (byte-identical to the scalar one at the same seed).
+func (s *Server) synthesizer(ms *modelSet, span *obs.LiveSpan, model string) (func(int, *rand.Rand) (*trace.Trace, error), error) {
+	switch model {
+	case "inbreadth":
+		ib, err := s.inBreadth(ms, span)
+		if err != nil {
+			return nil, err
+		}
+		return ib.SynthesizeBatch, nil
+	case "indepth":
+		id, err := s.inDepth(ms, span)
+		if err != nil {
+			return nil, err
+		}
+		return id.SynthesizeBatch, nil
+	}
+	return ms.Kooza.SynthesizeBatch, nil
 }
 
 // encoded recycles response bodies between requests, so a warm daemon
@@ -479,9 +499,7 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 	waitStop := s.stage(span, "queue.wait")
 	s.enqueue(w, r, func(ctx context.Context) func(http.ResponseWriter) {
 		waitStop()
-		stop := s.stage(span, "crossexam")
-		resp, err := s.characterize(n, seed)
-		stop()
+		resp, err := s.characterize(span, n, seed)
 		if err != nil {
 			return func(w http.ResponseWriter) {
 				httpError(w, http.StatusInternalServerError, "characterize: %v", err)
@@ -507,9 +525,20 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 // have generation g scored against — and reported as trained on — a window
 // g+1 was trained on. The snapshot is taken after the total that keys it; a
 // request ingested in between makes the answer fresher than its key, which
-// no later request can observe, because the total only grows.
-func (s *Server) characterize(n int, seed int64) (characterizeResponse, error) {
+// no later request can observe, because the total only grows. The
+// generation's comparison models are trained first, if nobody has yet, in
+// stages of their own ahead of the crossexam stage.
+func (s *Server) characterize(span *obs.LiveSpan, n int, seed int64) (characterizeResponse, error) {
 	ms := s.model.Load()
+	ib, err := s.inBreadth(ms, span)
+	if err != nil {
+		return characterizeResponse{}, fmt.Errorf("train inbreadth: %w", err)
+	}
+	id, err := s.inDepth(ms, span)
+	if err != nil {
+		return characterizeResponse{}, fmt.Errorf("train indepth: %w", err)
+	}
+	defer s.stage(span, "crossexam")()
 	p := s.replayPlatform()
 	_, _, total, _ := s.win.stats()
 	hit := true
@@ -517,8 +546,8 @@ func (s *Server) characterize(n int, seed int64) (characterizeResponse, error) {
 		hit = false
 		snap := s.win.snapshot()
 		approaches := []crossexam.Approach{
-			{Name: "in-breadth", Knobs: 3, Synthesize: ms.InBreadth.SynthesizeBatch, NumParams: ms.InBreadth.NumParams()},
-			{Name: "in-depth", Knobs: 1, SelfTimed: true, Synthesize: ms.InDepth.SynthesizeBatch, NumParams: ms.InDepth.NumParams()},
+			{Name: "in-breadth", Knobs: 3, Synthesize: ib.SynthesizeBatch, NumParams: ib.NumParams()},
+			{Name: "in-depth", Knobs: 1, SelfTimed: true, Synthesize: id.SynthesizeBatch, NumParams: id.NumParams()},
 			{Name: "KOOZA", Knobs: 5, Synthesize: ms.Kooza.SynthesizeBatch, NumParams: ms.Kooza.NumParams()},
 		}
 		// Workers=1: the daemon's parallelism budget belongs to the pool,
@@ -636,9 +665,17 @@ func (s *Server) twinOn(ms *modelSet, platform string, newServer func() *hw.Serv
 		case "kooza":
 			return twin.CompileKooza(ms.Kooza, srv, s.cfg.Platform.Servers)
 		case "inbreadth":
-			return twin.CompileInBreadth(ms.InBreadth, srv, s.cfg.Platform.Servers)
+			ib, err := s.inBreadth(ms, nil)
+			if err != nil {
+				return nil, fmt.Errorf("train inbreadth: %w", err)
+			}
+			return twin.CompileInBreadth(ib, srv, s.cfg.Platform.Servers)
 		default:
-			return twin.CompileInDepth(ms.InDepth)
+			id, err := s.inDepth(ms, nil)
+			if err != nil {
+				return nil, fmt.Errorf("train indepth: %w", err)
+			}
+			return twin.CompileInDepth(id)
 		}
 	})
 }
@@ -675,6 +712,12 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	span := obs.SpanFrom(r.Context())
+	// A comparison model nobody asked for yet is trained here, outside the
+	// work queue like the rest of a what-if, in its own stage.
+	if err := s.trainComparison(ms, span, req.Model); err != nil {
+		httpError(w, http.StatusInternalServerError, "train %s: %v", req.Model, err)
+		return
+	}
 	stop := s.stage(span, "whatif.compile")
 	tw, err := s.compileTwin(ms, req.Model)
 	stop()

@@ -64,9 +64,13 @@ func badRequestf(format string, args ...any) error {
 // auto-reprovision hook: compile the per-platform twins, characterize the
 // current window into the DES farm model, and run the twin-first search.
 // Stage spans provision.compile / provision.characterize /
-// provision.search hang under span.
+// provision.search hang under span, after the comparison model's training
+// stage if the search is the generation's first use of it.
 func (s *Server) runProvision(ctx context.Context, span *obs.LiveSpan, ms *modelSet, model string, req optimize.Request) (optimize.Plan, error) {
 	req = req.WithDefaults()
+	if err := s.trainComparison(ms, span, model); err != nil {
+		return optimize.Plan{}, fmt.Errorf("train %s: %w", model, err)
+	}
 	stop := s.stage(span, "provision.compile")
 	twins, err := s.compileProvisionTwins(ms, model, req.Space)
 	stop()

@@ -200,9 +200,10 @@ func modelDigests(t *testing.T, kz *kooza.Model, ib *inbreadth.Model, id *indept
 	return out
 }
 
-// TestRetrainFanOutMatchesSerial: the generation a retrain fits side by side
-// is the one the three trainers fit one after another on the same snapshot,
-// on every preset at a full default window.
+// TestRetrainFanOutMatchesSerial: the models a generation serves — KOOZA
+// fitted by the retrain beside the drift reference, the comparison models on
+// first use — are the ones the three trainers fit one after another on the
+// same snapshot, on every preset at a full default window.
 func TestRetrainFanOutMatchesSerial(t *testing.T) {
 	for _, name := range spec.Names() {
 		t.Run(name, func(t *testing.T) {

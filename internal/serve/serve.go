@@ -1,10 +1,11 @@
 // Package serve is the model-serving daemon behind cmd/dcmodeld: a
 // stdlib-only HTTP service that keeps the paper's workload models warm
 // under live traffic. It ingests trace spans over a streaming POST
-// endpoint into a sliding window, maintains the KOOZA / in-breadth /
-// in-depth models with an online-training loop (incremental Markov
-// transition counts, periodic alias-table refreeze, and a chi-square
-// drift trigger that forces retrains), and answers synthesis,
+// endpoint into a sliding window, maintains the KOOZA model with an
+// online-training loop (incremental Markov transition counts, periodic
+// alias-table refreeze, and a chi-square drift trigger that forces
+// retrains) and the in-breadth / in-depth comparison models of each
+// generation on first use, and answers synthesis,
 // characterization and replay queries from a bounded work queue with
 // explicit backpressure: a full queue is a 429 with Retry-After, never an
 // unbounded buffer.
@@ -13,8 +14,9 @@
 // accumulator and the retrain circuit breaker, not training. A retrain
 // holds it twice and briefly — to copy the window out and detach the
 // accumulator, and later to install the generation (or give the
-// transitions back) — and fits the three models in between with no lock
-// held, side by side; ingestion, /healthz and /metrics carry on beside it.
+// transitions back) — and fits KOOZA and the drift reference in between
+// with no lock held, side by side; ingestion, /healthz and /metrics carry on
+// beside it.
 // One retrain runs at a time, and the request that triggered it waits for
 // it and reports how it went.
 //
@@ -210,10 +212,14 @@ func (c Config) withDefaults() Config {
 // with what the read path derives from it. The derived artefacts are pure
 // functions of the generation, so they live and die with it: a retrain
 // stores a fresh modelSet and nothing is ever invalidated by hand.
+//
+// The in-breadth and in-depth models are derived artefacts too. They are
+// the paper's comparison baselines: nothing the daemon decides by itself
+// reads them, so a retrain fits only KOOZA and the drift reference, and
+// each comparison model is trained from the generation's own prepared
+// window by the first request that asks for it.
 type modelSet struct {
-	Kooza     *kooza.Model
-	InBreadth *inbreadth.Model
-	InDepth   *indepth.Model
+	Kooza *kooza.Model
 	// RefStorage is the pooled storage-region chain the drift test
 	// compares freshly ingested transitions against.
 	RefStorage *markov.Chain
@@ -221,11 +227,18 @@ type modelSet struct {
 	TrainedOn  int   // window requests trained on
 	TotalAt    int64 // window.total at training time
 
-	// derivedMu guards the two fields below, never the work behind them:
-	// each entry is a sync.OnceValues, so concurrent requests for the same
-	// entry wait for one evaluation and requests for different entries do
-	// not wait for each other.
+	// derivedMu guards the fields below, never the work behind them: each
+	// entry is a sync.OnceValues, so concurrent requests for the same entry
+	// wait for one evaluation and requests for different entries do not
+	// wait for each other.
 	derivedMu sync.Mutex
+	// prep is the window the generation was trained on, prepared, kept for
+	// the comparison models; untrained counts those not trained yet, and
+	// the last of them to be trained drops prep.
+	prep      *trace.Prepared
+	untrained int
+	inBreadth func() (*inbreadth.Model, error)
+	inDepth   func() (*indepth.Model, error)
 	// twins holds the analytical twins compiled from this generation.
 	twins map[twinKey]func() (*twin.Twin, error)
 	// char is the last /v1/characterize answer of this generation.
@@ -233,6 +246,31 @@ type modelSet struct {
 	charKey charKey
 	// prov is the last encoded /v1/provision answer of this generation.
 	prov *provEntry
+}
+
+// trainOnce returns the comparison model behind *get, trained from the
+// generation's prepared window by train, which the first caller to ask
+// supplies, and by nobody after. A failure is kept like a model: it answers
+// every request for that model of this generation.
+func trainOnce[M any](ms *modelSet, get *func() (M, error), train func(*trace.Prepared) (M, error)) (M, error) {
+	ms.derivedMu.Lock()
+	if *get == nil {
+		*get = sync.OnceValues(func() (M, error) {
+			ms.derivedMu.Lock()
+			prep := ms.prep
+			ms.derivedMu.Unlock()
+			m, err := train(prep)
+			ms.derivedMu.Lock()
+			if ms.untrained--; ms.untrained == 0 {
+				ms.prep = nil
+			}
+			ms.derivedMu.Unlock()
+			return m, err
+		})
+	}
+	g := *get
+	ms.derivedMu.Unlock()
+	return g()
 }
 
 // twinKey names one compiled twin of a generation: a catalog platform (or
@@ -497,13 +535,17 @@ func (s *Server) Close() {
 	s.pool.Close()
 }
 
-// Models returns the currently served model generation (nil while cold).
+// Models returns the currently served model generation (nil while cold),
+// training its comparison models if nobody has asked for them yet; one
+// whose training failed is nil.
 func (s *Server) Models() (kz *kooza.Model, ib *inbreadth.Model, id *indepth.Model, trainedOn int) {
 	ms := s.model.Load()
 	if ms == nil {
 		return nil, nil, nil, 0
 	}
-	return ms.Kooza, ms.InBreadth, ms.InDepth, ms.TrainedOn
+	ib, _ = s.inBreadth(ms, nil)
+	id, _ = s.inDepth(ms, nil)
+	return ms.Kooza, ib, id, ms.TrainedOn
 }
 
 // regionOf maps an LBN into the fixed drift/storage quantization.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sync"
 	"time"
 
 	"dcmodel/internal/inbreadth"
@@ -168,47 +167,32 @@ func (s *Server) beginRetrainLocked(reason string, span *obs.LiveSpan) *retrainJ
 
 // train is the second step: it fits a model generation to the job's
 // snapshot with no lock held, so ingestion, /healthz and /metrics go on
-// beside it. The three models and the drift reference read one prepared
-// input and nothing of each other, so they are fitted side by side, on
-// goroutines of their own rather than on the work queue, whose bounded
-// depth belongs to the readers. Their stage spans are opened here, in a
-// fixed order, before any of them starts: a sampled retrain has the same
-// tree whichever finishes first.
+// beside it. KOOZA and the drift reference read nothing of each other, so
+// they are fitted side by side, the reference on a goroutine of its own
+// rather than on the work queue, whose bounded depth belongs to the
+// readers. Their stage spans are opened here, in a fixed order, before
+// either starts: a sampled retrain has the same tree whichever finishes
+// first. The comparison models are not trained here: the generation keeps
+// the prepared window, and the first request that asks for one trains it
+// (inBreadth, inDepth).
 func (s *Server) train(job *retrainJob) (*modelSet, error) {
 	defer job.span.End()
 	if job.park != nil {
 		job.park()
 	}
-	// Preparing the shared input is part of the first trainer's stage.
+	// Preparing the input is part of KOOZA's stage.
 	stopKooza := s.stage(job.span, "train.kooza")
 	prep, err := trace.Prepare(job.snap)
 	if err != nil {
 		stopKooza()
 		return nil, err
 	}
-	stopInBreadth := s.stage(job.span, "train.inbreadth")
-	stopInDepth := s.stage(job.span, "train.indepth")
 	stopRef := s.stage(job.span, "train.ref")
-	ms := &modelSet{TrainedOn: job.snap.Len(), TotalAt: job.total}
-	var errKooza, errInBreadth, errInDepth, errRef error
-	var wg sync.WaitGroup
-	wg.Add(3)
+	ms := &modelSet{TrainedOn: job.snap.Len(), TotalAt: job.total, prep: prep, untrained: 2}
+	var errKooza, errRef error
+	done := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		defer stopInBreadth()
-		ms.InBreadth, errInBreadth = inbreadth.TrainPrepared(prep, inbreadth.Options{
-			StorageRegions: s.cfg.StorageRegions,
-			DiskBlocks:     s.cfg.DiskBlocks,
-			Smoothing:      s.cfg.Smoothing,
-		})
-	}()
-	go func() {
-		defer wg.Done()
-		defer stopInDepth()
-		ms.InDepth, errInDepth = indepth.TrainPrepared(prep)
-	}()
-	go func() {
-		defer wg.Done()
+		defer close(done)
 		defer stopRef()
 		ms.RefStorage, errRef = s.pooledStorageChain(job.snap)
 	}()
@@ -218,13 +202,12 @@ func (s *Server) train(job *retrainJob) (*modelSet, error) {
 		Smoothing:      s.cfg.Smoothing,
 	})
 	stopKooza()
-	wg.Wait()
-	// The first failure in the order the trainers used to run in, so that a
-	// window several of them refuse is reported as it always was.
-	for _, err := range []error{errKooza, errInBreadth, errInDepth, errRef} {
-		if err != nil {
-			return nil, err
-		}
+	<-done
+	if errKooza != nil {
+		return nil, errKooza
+	}
+	if errRef != nil {
+		return nil, errRef
 	}
 	// The refreeze hook: trained chains arrive frozen, but freezing again
 	// here guarantees the invariant for model generations assembled any
@@ -233,6 +216,44 @@ func (s *Server) train(job *retrainJob) (*modelSet, error) {
 	ms.Kooza.Refreeze()
 	stop()
 	return ms, nil
+}
+
+// inBreadth returns ms's in-breadth model, trained on the generation's
+// prepared window by the first caller, whose span (nil for none) the
+// train.inbreadth stage hangs under. Every refusal of the trainer is one
+// KOOZA makes first, so an installed generation trains it
+// (TestComparisonTrainsWheneverKoozaDoes).
+func (s *Server) inBreadth(ms *modelSet, span *obs.LiveSpan) (*inbreadth.Model, error) {
+	return trainOnce(ms, &ms.inBreadth, func(prep *trace.Prepared) (*inbreadth.Model, error) {
+		defer s.stage(span, "train.inbreadth")()
+		return inbreadth.TrainPrepared(prep, inbreadth.Options{
+			StorageRegions: s.cfg.StorageRegions,
+			DiskBlocks:     s.cfg.DiskBlocks,
+			Smoothing:      s.cfg.Smoothing,
+		})
+	})
+}
+
+// inDepth is inBreadth for the in-depth model, under stage train.indepth.
+func (s *Server) inDepth(ms *modelSet, span *obs.LiveSpan) (*indepth.Model, error) {
+	return trainOnce(ms, &ms.inDepth, func(prep *trace.Prepared) (*indepth.Model, error) {
+		defer s.stage(span, "train.indepth")()
+		return indepth.TrainPrepared(prep)
+	})
+}
+
+// trainComparison trains the named model of ms if it is a comparison model
+// nobody has trained yet, so that a handler can time the training as a
+// stage of its own before the stages that use the model.
+func (s *Server) trainComparison(ms *modelSet, span *obs.LiveSpan, model string) error {
+	var err error
+	switch model {
+	case "inbreadth":
+		_, err = s.inBreadth(ms, span)
+	case "indepth":
+		_, err = s.inDepth(ms, span)
+	}
+	return err
 }
 
 // retrain runs a begun job to its end. The third step, under ingestMu
