@@ -716,8 +716,9 @@ func (c *Coordinator) postModel(url string, blob []byte, generation int64) error
 // handleIngest decodes a CSV or trace-v2 body and routes it across the
 // worker shards, a chunk of routeBatchSize requests at a time. The answer
 // counts this body's requests: routed to a worker, or absorbed by the
-// coordinator itself with no worker up. A body that stops decoding is
-// refused with 400 from there on; the chunks before it stay ingested.
+// coordinator itself with no worker up. A body that stops decoding, or
+// holds a request that fails Request.Validate, is refused with 400 from
+// there on; the chunks before it stay ingested.
 func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
@@ -730,6 +731,13 @@ func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	total, routed, absorbed := 0, 0, 0
 	for eof := false; !eof; {
 		req, err := dec.Next()
+		if err == nil {
+			// A request the shard models cannot take (a NaN utilization
+			// indexes past their histograms) is refused before the hop:
+			// sent on, it would take down every worker it reached and then
+			// the coordinator absorbing it.
+			err = req.Validate()
+		}
 		switch {
 		case errors.Is(err, io.EOF):
 			eof = true

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -353,6 +355,66 @@ func TestIngestRefusesOutOfRangeRetries(t *testing.T) {
 	}
 	if up := tc.coord.WorkersUp(); up != 3 {
 		t.Errorf("workers up = %d, want 3", up)
+	}
+}
+
+// nanBody is a trace-v2 body of 50 requests whose 21st carries a NaN in the
+// field set sets of each of its spans: it decodes, but no model can take it.
+func nanBody(t testing.TB, set func(*trace.Span)) []byte {
+	t.Helper()
+	reqs := append([]trace.Request{}, testTrace(t, 50, 71).Requests...)
+	spans := append([]trace.Span{}, reqs[20].Spans...)
+	for i := range spans {
+		set(&spans[i])
+	}
+	reqs[20].Spans = spans
+	body, err := trace.AppendBinary(nil, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestIngestRefusesNaN: a span with a NaN utilization used to index the
+// shard model's utilization histogram out of range on every worker it was
+// sent to, then on the coordinator absorbing it, and the client saw the
+// connection drop. Such a body, or one with a NaN duration, is refused with
+// 400 at the coordinator and at a worker alike, and nothing moves.
+func TestIngestRefusesNaN(t *testing.T) {
+	tc := startCluster(t, 3, nil)
+	if code, got := ingestV2(t, tc.front.URL, testTrace(t, 300, 53).Requests); code != 200 || got.Routed != 300 {
+		t.Fatalf("first body: status %d, %+v", code, got)
+	}
+	shards := func() (out []int64) {
+		for _, w := range tc.workers {
+			out = append(out, shardRequests(t, w.URL))
+		}
+		return out
+	}
+	before := shards()
+	for name, set := range map[string]func(*trace.Span){
+		"util":     func(sp *trace.Span) { sp.Util = math.NaN() },
+		"duration": func(sp *trace.Span) { sp.Duration = math.NaN() },
+	} {
+		body := nanBody(t, set)
+		for _, url := range []string{tc.front.URL, tc.workers[0].URL} {
+			if code, _ := ingestRaw(t, url, trace.ContentTypeV2, body); code != http.StatusBadRequest {
+				t.Errorf("NaN %s at %s: status %d, want 400", name, url, code)
+			}
+		}
+	}
+	stats := clusterStats(t, tc.front.URL)
+	for i, w := range stats.Workers {
+		if !w.Up {
+			t.Errorf("worker %d marked down", i)
+		}
+	}
+	if stats.Redistributed != 0 || stats.Degraded != 0 || stats.LocalRequests != 0 {
+		t.Errorf("redistributed_total = %d, degraded_total = %d, local_requests = %d, want 0, 0 and 0",
+			stats.Redistributed, stats.Degraded, stats.LocalRequests)
+	}
+	if after := shards(); !slices.Equal(after, before) {
+		t.Errorf("shard requests %v after the refused bodies, %v before", after, before)
 	}
 }
 

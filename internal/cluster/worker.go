@@ -181,7 +181,8 @@ func (s *ingestScratch) release() {
 	ingestScratches.Put(s)
 }
 
-// handleIngest absorbs a CSV or trace-v2 body into the shard model.
+// handleIngest absorbs a CSV or trace-v2 body into the shard model. A body
+// with a request that fails Request.Validate is refused whole with 400.
 func (w *Worker) handleIngest(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(rw, http.StatusMethodNotAllowed, "POST only")
@@ -203,6 +204,9 @@ func (w *Worker) handleIngest(rw http.ResponseWriter, r *http.Request) {
 		req, err := dec.Next()
 		if errors.Is(err, io.EOF) {
 			break
+		}
+		if err == nil {
+			err = req.Validate()
 		}
 		if err != nil {
 			httpError(rw, http.StatusBadRequest, "decode: %v", err)
