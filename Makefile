@@ -20,7 +20,8 @@ help:
 	@echo "  benchmark-check  vet + smoke-test the perf record (benchmark/ is a module"
 	@echo "             of its own that go build/test ./... never compiles; the test"
 	@echo "             also fails when BENCHMARK.json drifts from the benchmark)"
-	@echo "  fuzz       run the codec, float-print, float-parse, sharded-simulator, float-sort and spec fuzz targets (30s each)"
+	@echo "  fuzz       run the codec, float-print, float-parse, sharded-simulator, float-sort, spec and"
+	@echo "             cluster-ingest fuzz targets (30s each)"
 	@echo "  fuzz-smoke quick CI fuzz pass over the same targets (10s each)"
 	@echo "  vulncheck  govulncheck over the whole module (installed on demand)"
 	@echo "  examples   run every example program"
@@ -89,6 +90,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzSortFloatsMatchesSort -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run '^$$' ./internal/stats/
 	$(GO) test -fuzz=FuzzSpecParse -fuzztime=$(FUZZTIME) -run '^$$' ./internal/spec/
 	$(GO) test -fuzz=FuzzSpecRoundTrip -fuzztime=$(FUZZTIME) -run '^$$' ./internal/spec/
+# Arbitrary bodies through the cluster coordinator's ingest, workers in process.
+	$(GO) test -fuzz=FuzzCoordinatorIngest -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run '^$$' ./internal/cluster/
 
 # The CI smoke pass: same targets, 10 seconds each.
 fuzz-smoke:
