@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
-	"time"
 
 	"dcmodel/internal/kooza"
 	"dcmodel/internal/replay"
@@ -121,8 +119,9 @@ func TestValidateMatchesOracle(t *testing.T) {
 }
 
 // TestValidateErrorJoins: when training fails, or a class never reaches
-// the synthetic trace, Validate returns today's error, and the goroutine
-// that read the original trace has exited by then.
+// the synthetic trace, Validate returns today's error. The goroutine that
+// read the original trace must not outlive it: the package's TestMain
+// (leak_test.go) fails the run on a goroutine left behind.
 func TestValidateErrorJoins(t *testing.T) {
 	tr := presetTrace(t, "webtier", 3000, 7)
 	rare := 0
@@ -146,17 +145,9 @@ func TestValidateErrorJoins(t *testing.T) {
 		{"training fails", short, 100, trainErr.Error()},
 		{"class never synthesized", tr, 30, fmt.Sprintf("dcmodel: class %q missing from synthetic trace", "rare")},
 	} {
-		before := runtime.NumGoroutine()
 		_, err := Validate(tt.tr, tt.n, DefaultPlatform(), KoozaOptions{}, 8)
 		if err == nil || err.Error() != tt.want {
 			t.Errorf("%s: error %v, want %q", tt.name, err, tt.want)
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if n := runtime.NumGoroutine(); n > before {
-			t.Errorf("%s: %d goroutines after Validate returned, %d before", tt.name, n, before)
 		}
 	}
 }
