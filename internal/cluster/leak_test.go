@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"flag"
 	"fmt"
 	"net/http"
 	"os"
@@ -12,11 +13,12 @@ import (
 
 // TestMain fails a passing run whose tests leave goroutines behind: the
 // goroutine count gets a few seconds to settle back to what it was before
-// the tests, and past that every stack is dumped.
+// the tests, and past that every stack is dumped. A fuzzing run is not
+// checked: the fuzzing engine keeps a signal-handling goroutine of its own.
 func TestMain(m *testing.M) {
 	before := runtime.NumGoroutine()
 	code := m.Run()
-	if code == 0 && leaked(before) {
+	if code == 0 && flag.Lookup("test.fuzz").Value.String() == "" && leaked(before) {
 		code = 1
 	}
 	os.Exit(code)
