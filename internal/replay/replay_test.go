@@ -37,32 +37,67 @@ func gfsTrace(t *testing.T, servers, n int, seed int64) *trace.Trace {
 	return tr
 }
 
+// TestReplayReproducesOriginalExactly is the engine's core invariant:
+// replaying a GFS trace on an identical platform reproduces every request
+// bit for bit — span times, durations and CPU utilization — for the
+// Table 2 mix and every preset. The one exception is the replicated write
+// (mapreduce, replication 2): the spans do not record the write to the
+// other replica, so exactly the requests with a storage write replay
+// faster than they ran. ROADMAP item 2(a) records that write as spans;
+// it turns the mapreduce branch into plain equality.
 func TestReplayReproducesOriginalExactly(t *testing.T) {
-	// The engine's core invariant: replaying a GFS trace on an identical
-	// platform reproduces every span time and thus every latency.
-	tr := gfsTrace(t, 1, 500, 500)
-	re, err := Run(tr, Platform{NewServer: gfs.DefaultServerHW})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Len() != tr.Len() {
-		t.Fatalf("replayed %d requests, want %d", re.Len(), tr.Len())
-	}
-	for i, orig := range tr.Requests {
-		got := re.Requests[i]
-		if got.ID != orig.ID || got.Class != orig.Class {
-			t.Fatalf("request %d identity changed", i)
+	check := func(name string, tr *trace.Trace, replicated bool) {
+		t.Helper()
+		re, err := Run(tr, Platform{NewServer: gfs.DefaultServerHW})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if math.Abs(got.Latency()-orig.Latency()) > 1e-9 {
-			t.Fatalf("request %d latency %g != original %g", i, got.Latency(), orig.Latency())
+		if re.Len() != tr.Len() {
+			t.Fatalf("%s: replayed %d requests, want %d", name, re.Len(), tr.Len())
 		}
-		for j := range orig.Spans {
-			if math.Abs(got.Spans[j].Start-orig.Spans[j].Start) > 1e-9 ||
-				math.Abs(got.Spans[j].Duration-orig.Spans[j].Duration) > 1e-9 {
-				t.Fatalf("request %d span %d timing mismatch: %+v vs %+v", i, j, got.Spans[j], orig.Spans[j])
+		writes := 0
+		for i, orig := range tr.Requests {
+			got := re.Requests[i]
+			if replicated && hasStorageWrite(orig) {
+				writes++
+				if got.Latency() >= orig.Latency() {
+					t.Fatalf("%s: request %d with a replicated write replays in %g, not faster than its %g", name, orig.ID, got.Latency(), orig.Latency())
+				}
+				continue
+			}
+			if !reflect.DeepEqual(got, orig) {
+				t.Fatalf("%s: request %d replays as\n%+v\nnot\n%+v", name, orig.ID, got, orig)
 			}
 		}
+		if replicated && writes == 0 {
+			t.Fatalf("%s: no replicated write to check", name)
+		}
 	}
+	check("table2", gfsTrace(t, 1, 500, 500), false)
+	for _, name := range spec.Names() {
+		s, err := spec.Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := s.Compile(spec.Options{Requests: 3000, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := c.Generate(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name, tr, c.Cluster.Replication > 1)
+	}
+}
+
+func hasStorageWrite(r trace.Request) bool {
+	for _, s := range r.Spans {
+		if s.Subsystem == trace.Storage && s.Op == trace.OpWrite {
+			return true
+		}
+	}
+	return false
 }
 
 func TestReplayReproducesCacheHitTrace(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -95,7 +96,7 @@ func multiExtentTrace(t testing.TB) *Trace {
 
 // TestTrainedModelDigests pins "same model": the sha256 of every trainer's
 // saved model on the six presets and on a multi-extent trace with tied
-// phase paths. The golden file was generated before the trainers were
+// phase paths, and of what each preset model synthesizes. The golden file was generated before the trainers were
 // rebuilt around one prepared input; a trainer change that moves one digest
 // changed a model.
 func TestTrainedModelDigests(t *testing.T) {
@@ -107,7 +108,7 @@ func TestTrainedModelDigests(t *testing.T) {
 	entrants := []entrant{{"kooza", Kooza, nil}, {"inbreadth", InBreadth, nil}, {"indepth", InDepth, nil}}
 	daemon := []TrainOption{WithStorageRegions(32), WithDiskBlocks(128 << 20), WithSmoothing(0.01)}
 	var b strings.Builder
-	digest := func(traceName string, tr *Trace, e entrant) {
+	digest := func(traceName string, tr *Trace, e entrant) Model {
 		m, err := Train(tr, e.a, e.opts...)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", traceName, e.name, err)
@@ -117,11 +118,23 @@ func TestTrainedModelDigests(t *testing.T) {
 			t.Fatalf("%s/%s: %v", traceName, e.name, err)
 		}
 		fmt.Fprintf(&b, "%s/%s %x\n", traceName, e.name, sha256.Sum256(buf.Bytes()))
+		return m
 	}
+	// A synth line pins the synthesized trace and the draw that follows it
+	// on the same rand, at a length that ends inside a partial slab of the
+	// span arena.
+	const synthN = 2*4096 + 1234
 	for _, name := range spec.Names() {
 		tr := presetTrace(t, name, 2000, 1)
 		for _, e := range entrants {
-			digest(name, tr, e)
+			m := digest(name, tr, e)
+			r := rand.New(rand.NewSource(5))
+			syn, err := m.Synthesize(synthN, r)
+			if err != nil {
+				t.Fatalf("%s/%s/synth: %v", name, e.name, err)
+			}
+			buf := fmt.Appendf(trace.AppendCSV(nil, syn), "next draw %d\n", r.Int63())
+			fmt.Fprintf(&b, "%s/%s/synth %x\n", name, e.name, sha256.Sum256(buf))
 		}
 	}
 	multi := multiExtentTrace(t)
