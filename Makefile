@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race cover cover-spec bench benchmark-check fuzz fuzz-smoke vulncheck examples artifacts serve loadtest clean help
+.PHONY: all build fmt-check vet test test-race cover cover-spec bench benchmark-check fuzz fuzz-smoke vulncheck examples artifacts serve loadtest clean help
 
 all: build vet test
 
@@ -10,6 +10,7 @@ help:
 	@echo "dcmodel targets:"
 	@echo "  all        build + vet + test"
 	@echo "  build      go build ./..."
+	@echo "  fmt-check  fail when gofmt would rewrite any file"
 	@echo "  vet        go vet ./..."
 	@echo "  test       go test ./..."
 	@echo "  test-race  go test -race ./... — the concurrency gate for the"
@@ -33,6 +34,10 @@ help:
 
 build:
 	$(GO) build ./...
+
+# gofmt -l lists the files it would rewrite; any at all fails the target.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt would rewrite:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

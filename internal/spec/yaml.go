@@ -282,7 +282,7 @@ func scalarOrFlow(s string, num int) (any, error) {
 
 // unquote strips matching single or double quotes, reporting whether the
 // string was quoted. Double quotes honor Go escape sequences; single
-// quotes honor the YAML '' escape.
+// quotes honor the YAML escape of a doubled single quote.
 func unquote(s string) (string, bool) {
 	if len(s) >= 2 && s[0] == '"' && s[len(s)-1] == '"' {
 		if u, err := strconv.Unquote(s); err == nil {
