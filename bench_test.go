@@ -600,9 +600,9 @@ func BenchmarkCrossexamEvaluate(b *testing.B) {
 		b.Fatal(err)
 	}
 	approaches := []crossexam.Approach{
-		{Name: "in-breadth", Knobs: 3, Synthesize: ib.SynthesizeBatch, NumParams: ib.NumParams()},
-		{Name: "in-depth", Knobs: 1, SelfTimed: true, Synthesize: id.SynthesizeBatch, NumParams: id.NumParams()},
-		{Name: "KOOZA", Knobs: 5, Synthesize: kz.SynthesizeBatch, NumParams: kz.NumParams()},
+		{Name: "in-breadth", Knobs: 3, Synthesize: ib.Synthesize, NumParams: ib.NumParams()},
+		{Name: "in-depth", Knobs: 1, SelfTimed: true, Synthesize: id.Synthesize, NumParams: id.NumParams()},
+		{Name: "KOOZA", Knobs: 5, Synthesize: kz.Synthesize, NumParams: kz.NumParams()},
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -613,6 +613,8 @@ func BenchmarkCrossexamEvaluate(b *testing.B) {
 	}
 }
 
+// BenchmarkKoozaSynthesize times 1000-request KOOZA synthesis, the call the
+// perf record (benchmark/README.md) times as kooza.synth_ns_per_req.
 func BenchmarkKoozaSynthesize(b *testing.B) {
 	tr := benchTrace()
 	m, err := kooza.Train(tr, kooza.Options{})
@@ -624,25 +626,6 @@ func BenchmarkKoozaSynthesize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Synthesize(1000, r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKoozaSynthesizeBatch is the slab-reserving batch flavor of
-// BenchmarkKoozaSynthesize (same seed, byte-identical output); the perf
-// record (benchmark/README.md) times it as kooza.synth_ns_per_req.
-func BenchmarkKoozaSynthesizeBatch(b *testing.B) {
-	tr := benchTrace()
-	m, err := kooza.Train(tr, kooza.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.SynthesizeBatch(1000, r); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -662,25 +645,6 @@ func BenchmarkSynthTable2Scale(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Synthesize(tr.Len(), r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSynthTable2ScaleBatch is the batch flavor of
-// BenchmarkSynthTable2Scale: the path the daemon, the sharded facade and
-// cmd/synth actually run since trace-v2 landed.
-func BenchmarkSynthTable2ScaleBatch(b *testing.B) {
-	tr := benchTrace()
-	m, err := kooza.Train(tr, kooza.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.SynthesizeBatch(tr.Len(), r); err != nil {
 			b.Fatal(err)
 		}
 	}

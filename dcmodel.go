@@ -326,9 +326,7 @@ func crossexamApproach(prepare func() (*trace.Prepared, error), a Approach, p Pl
 			if err != nil {
 				return fmt.Errorf("dcmodel: %s: %w", a, err)
 			}
-			// Cross-examination synthesizes whole traces, so it rides the
-			// batch path (byte-identical to scalar at the same seed).
-			ca.Synthesize, ca.NumParams = m.SynthesizeBatch, m.NumParams()
+			ca.Synthesize, ca.NumParams = m.Synthesize, m.NumParams()
 			tw, err := BuildTwin(m, p)
 			if err != nil {
 				return fmt.Errorf("dcmodel: %s twin: %w", a, err)

@@ -2,8 +2,10 @@ package dcmodel
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -222,6 +224,35 @@ func TestSynthesizeViaFacadeDeterministic(t *testing.T) {
 	for i := range a.Requests {
 		if a.Requests[i].Arrival != b.Requests[i].Arrival {
 			t.Fatal("same seed should reproduce synthesis")
+		}
+	}
+}
+
+// TestSynthesizeConcurrent drives concurrent syntheses on one shared model
+// of each family under -race: a trained model stays read-only while it
+// synthesizes.
+func TestSynthesizeConcurrent(t *testing.T) {
+	tr := simulate(t, 1000, 20, 12)
+	for _, a := range []Approach{Kooza, InBreadth, InDepth} {
+		m, err := Train(tr, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, 8)
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				if _, err := m.Synthesize(3000, rand.New(rand.NewSource(seed))); err != nil {
+					errs <- fmt.Errorf("%v seed %d: %w", a, seed, err)
+				}
+			}(int64(w))
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
 		}
 	}
 }

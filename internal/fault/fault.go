@@ -97,6 +97,21 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
+// MaxAttempts bounds one request's retry loop in the GFS simulator and in
+// replay; past it the request runs where it is regardless of faults — a
+// termination backstop far above any realistic retry count.
+const MaxAttempts = 256
+
+// RetryBackoff is the client's exponential backoff before attempt k+1,
+// Backoff * 2^k, with the exponent capped at 16 so pathological schedules
+// stay finite.
+func (c Config) RetryBackoff(attempt int) float64 {
+	if attempt > 16 {
+		attempt = 16
+	}
+	return c.Backoff * float64(int64(1)<<uint(attempt))
+}
+
 // Validate checks the scenario. All defects wrap errs.ErrBadConfig so
 // callers can branch with errors.Is.
 func (c Config) Validate() error {

@@ -140,12 +140,10 @@ type uniformPop struct{ n int }
 
 func (u uniformPop) Rand(r *rand.Rand) float64 { return float64(1 + r.Intn(u.n)) }
 
-// chunkserver holds one server's hardware and per-subsystem availability
-// times (flow-shop contention model: each subsystem serves requests FIFO).
+// chunkserver is one server's hardware and subsystem queues plus the next
+// free LBN for chunk placement.
 type chunkserver struct {
-	hw     *hw.Server
-	freeAt [4]float64 // indexed by trace.Subsystem
-	// nextAlloc is the next free LBN for chunk placement.
+	hw.Host
 	nextAlloc int64
 }
 
@@ -182,7 +180,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		if err := srv.Validate(); err != nil {
 			return nil, fmt.Errorf("gfs: server %d: %w", i, err)
 		}
-		c.servers = append(c.servers, &chunkserver{hw: srv})
+		c.servers = append(c.servers, &chunkserver{Host: hw.Host{Server: srv}})
 	}
 	// Place chunks round-robin with contiguous per-server extents.
 	m := &Master{chunkSize: cfg.ChunkSize}
@@ -196,7 +194,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			for rep := 0; rep < cfg.Replication; rep++ {
 				s := (next + rep) % cfg.Chunkservers
 				srv := c.servers[s]
-				if srv.nextAlloc+blocksPerChunk > srv.hw.Disk.NumBlocks {
+				if srv.nextAlloc+blocksPerChunk > srv.Disk.NumBlocks {
 					return nil, fmt.Errorf("gfs: server %d disk full after %d chunks", s, len(m.chunks))
 				}
 				ch.servers = append(ch.servers, s)
@@ -318,23 +316,9 @@ func (c *Cluster) schedule(cfg *fault.Config, stream uint64) (*fault.Schedule, e
 	return sched, nil
 }
 
-// maxFaultAttempts bounds the retry loop of one request; past it the
-// client gives up on fault handling and executes against the current
-// replica regardless — a termination backstop far above any realistic
-// retry count.
-const maxFaultAttempts = 256
-
-// retryBackoff is the client's exponential backoff before attempt k+1,
-// with the exponent capped so pathological schedules cannot overflow.
-func retryBackoff(base float64, attempt int) float64 {
-	if attempt > 16 {
-		attempt = 16
-	}
-	return base * float64(int64(1)<<uint(attempt))
-}
-
 // execute runs one request through a chunkserver following the Figure 1
-// phase structure. With a fault schedule armed, the client times out on a
+// phase structure: it builds the spans' features and times them on
+// hw.Host.Exec, the executor replay runs too. With a fault schedule armed, the client times out on a
 // down replica, backs off exponentially and fails over to the next replica
 // of the chunk; a replica that dies before the data phases complete costs
 // the attempt. The healthy path (sched == nil) is bit-identical to the
@@ -398,7 +382,7 @@ func (c *Cluster) execute(id int64, arrival float64, classIdx int, class workloa
 		if sched != nil && sched.DownAt(tgt, now) {
 			// Replica refused the connection: time out, back off, fail
 			// over to the next replica of the chunk.
-			now += fcfg.Timeout + retryBackoff(fcfg.Backoff, attempt)
+			now += fcfg.Timeout + fcfg.RetryBackoff(attempt)
 			attempt++
 			req.Retries++
 			rep = (rep + 1) % len(servers)
@@ -411,9 +395,9 @@ func (c *Cluster) execute(id int64, arrival float64, classIdx int, class workloa
 						up = u
 					}
 				}
-				now = maxf(now, up)
+				now = max(now, up)
 			}
-			if attempt >= maxFaultAttempts {
+			if attempt >= fault.MaxAttempts {
 				sched = nil
 			}
 			continue
@@ -429,7 +413,7 @@ func (c *Cluster) execute(id int64, arrival float64, classIdx int, class workloa
 		lbn := lbns[rep]
 		if seqWanted && st.valid {
 			lbn = st.lastEnd
-			if lbn >= srv.hw.Disk.NumBlocks {
+			if lbn >= srv.Disk.NumBlocks {
 				lbn = lbns[rep]
 			}
 		}
@@ -441,82 +425,47 @@ func (c *Cluster) execute(id int64, arrival float64, classIdx int, class workloa
 		// Snapshot for mid-attempt failure rollback: a lost attempt's spans
 		// are discarded and the (down) server's queues rewound, so the work
 		// dissipates with the crash.
-		saved := srv.freeAt
+		saved := srv.FreeAt
 		spanBase := len(req.Spans)
-		tryStart := now
-		var cpuBusy float64
-		end := now
 
-		// Phase 1: network in. Writes carry the payload in; reads carry a
-		// small header.
+		// Phases 1-4: network in (writes carry the payload in, reads a
+		// small header); CPU verify at header scale; memory
+		// metadata/buffer access scaling with the request (buffer
+		// descriptors, checksum pages), capped at 256 KiB; storage I/O on
+		// the serving replica. A cache hit serves the whole payload from
+		// memory and skips the storage phase; its memory row is then row 0,
+		// the convention for a request without storage.
 		inBytes := int64(256)
 		if class.Op == trace.OpWrite {
 			inBytes = size
 		}
-		end = c.span(srv, &req, trace.Network, end, srv.hw.Net.TransferTime(inBytes), func(s *trace.Span) {
-			s.Bytes = inBytes
-		})
-
-		// Phase 2: CPU verify (header-scale processing). CPU spans record
-		// the bytes processed so a replay engine can recompute their
-		// durations.
-		d := srv.hw.CPU.Time(256)
-		cpuBusy += d
-		end = c.span(srv, &req, trace.CPU, end, d, func(s *trace.Span) {
-			s.Bytes = 256
-		})
-
-		// Phase 3: memory metadata/buffer access. Access size scales with
-		// the request (buffer descriptors, checksum pages), capped at
-		// 256 KiB; a cache hit serves the whole payload from memory.
-		memBytes := size / 4
-		if memBytes < 4096 {
-			memBytes = 4096
-		}
-		if memBytes > 256<<10 {
-			memBytes = 256 << 10
-		}
-		bank := int(lbn) % srv.hw.Mem.Banks
-		row := (lbn * 4096) / srv.hw.Mem.RowBytes
+		memBytes := min(max(size/4, 4096), 256<<10)
+		storageLBN := lbn
 		if hit {
-			memBytes = size
-			// Cached data has no accompanying storage span; use the same
-			// row convention the replay engine applies to storage-less
-			// requests.
-			row = 0
+			memBytes, storageLBN = size, 0
 		}
-		d = srv.hw.Mem.Access(bank, row, memBytes)
-		memOp := class.Op
-		end = c.span(srv, &req, trace.Memory, end, d, func(s *trace.Span) {
-			s.Op = memOp
-			s.Bytes = memBytes
-			s.Bank = bank
-		})
-
-		// Phase 4: storage I/O on the serving replica (skipped on a cache
-		// hit).
+		req.Spans = append(req.Spans,
+			trace.Span{Subsystem: trace.Network, Bytes: inBytes},
+			trace.Span{Subsystem: trace.CPU, Bytes: 256},
+			trace.Span{Subsystem: trace.Memory, Op: class.Op, Bytes: memBytes, Bank: int(lbn) % srv.Mem.Banks})
 		if !hit {
-			d = srv.hw.Disk.Access(lbn, size)
-			end = c.span(srv, &req, trace.Storage, end, d, func(s *trace.Span) {
-				s.Op = class.Op
-				s.Bytes = size
-				s.LBN = lbn
-			})
+			req.Spans = append(req.Spans, trace.Span{Subsystem: trace.Storage, Op: class.Op, Bytes: size, LBN: lbn})
 		}
+		end, cpuBusy := srv.Exec(req.Spans[spanBase:], now, storageLBN)
 
 		// Mid-attempt failure: the replica dying before the data phases
 		// complete loses the attempt. Once the payload is durably stored,
 		// the request is considered served — a crash during the final
 		// aggregate/ack phases does not cost a retry.
 		if sched != nil {
-			if fail := sched.NextFailure(tgt, tryStart); fail < end {
+			if fail := sched.NextFailure(tgt, now); fail < end {
 				req.Spans = req.Spans[:spanBase]
-				srv.freeAt = saved
-				now = fail + fcfg.Timeout + retryBackoff(fcfg.Backoff, attempt)
+				srv.FreeAt = saved
+				now = fail + fcfg.Timeout + fcfg.RetryBackoff(attempt)
 				attempt++
 				req.Retries++
 				rep = (rep + 1) % len(servers)
-				if attempt >= maxFaultAttempts {
+				if attempt >= fault.MaxAttempts {
 					sched = nil
 				}
 				continue
@@ -524,11 +473,12 @@ func (c *Cluster) execute(id int64, arrival float64, classIdx int, class workloa
 		}
 		now = end
 
-		// Writes propagate to replicas: their disks and networks are kept
+		// Writes propagate to replicas: their networks and disks are kept
 		// busy, delaying later requests there, but the client is
 		// acknowledged after the slowest replica write (series pipeline).
-		// Down replicas are skipped; the master re-replicates their chunk
-		// from the serving copy afterwards.
+		// The replica writes record no spans. Down replicas are skipped;
+		// the master re-replicates their chunk from the serving copy
+		// afterwards.
 		var rereplBytes int64
 		if class.Op == trace.OpWrite {
 			for k := 1; k < len(servers); k++ {
@@ -537,35 +487,29 @@ func (c *Cluster) execute(id int64, arrival float64, classIdx int, class workloa
 					rereplBytes += fcfg.RereplBytes
 					continue
 				}
-				rsrv := c.servers[servers[ri]]
-				net := rsrv.hw.Net.TransferTime(size)
-				disk := rsrv.hw.Disk.Access(lbns[ri], size)
-				start := maxf(now, rsrv.freeAt[trace.Network])
-				rsrv.freeAt[trace.Network] = start + net
-				dstart := maxf(start+net, rsrv.freeAt[trace.Storage])
-				rsrv.freeAt[trace.Storage] = dstart + disk
-				if end := dstart + disk; end > now {
+				write := [2]trace.Span{
+					{Subsystem: trace.Network, Bytes: size},
+					{Subsystem: trace.Storage, Op: trace.OpWrite, Bytes: size, LBN: lbns[ri]},
+				}
+				if end, _ := c.servers[servers[ri]].Exec(write[:], now, 0); end > now {
 					now = end
 				}
 			}
 		}
 
-		// Phase 5: CPU aggregate (checksum + copy of the payload).
-		d = srv.hw.CPU.Time(size)
-		cpuBusy += d
-		now = c.span(srv, &req, trace.CPU, now, d, func(s *trace.Span) {
-			s.Bytes = size
-		})
-
-		// Phase 6: network out. Reads return the payload; writes return an
-		// ack.
+		// Phases 5-6: CPU aggregate (checksum + copy of the payload), then
+		// network out — reads return the payload, writes an ack.
 		outBytes := int64(256)
 		if class.Op == trace.OpRead {
 			outBytes = size
 		}
-		now = c.span(srv, &req, trace.Network, now, srv.hw.Net.TransferTime(outBytes), func(s *trace.Span) {
-			s.Bytes = outBytes
-		})
+		tail := len(req.Spans)
+		req.Spans = append(req.Spans,
+			trace.Span{Subsystem: trace.CPU, Bytes: size},
+			trace.Span{Subsystem: trace.Network, Bytes: outBytes})
+		var cpu float64
+		now, cpu = srv.Exec(req.Spans[tail:], now, storageLBN)
+		cpuBusy += cpu
 
 		req.Server = tgt
 		req.FailedOver = rep != 0
@@ -580,42 +524,12 @@ func (c *Cluster) execute(id int64, arrival float64, classIdx int, class workloa
 			// It emits no spans (it is master traffic, not client work) but
 			// delays later requests there — the degraded-mode load the
 			// healthy simulator never shows.
-			srv.freeAt[trace.Network] += srv.hw.Net.TransferTime(rereplBytes)
-			srv.freeAt[trace.Storage] += srv.hw.Disk.Access(lbn, rereplBytes)
+			srv.FreeAt[trace.Network] += srv.Net.TransferTime(rereplBytes)
+			srv.FreeAt[trace.Storage] += srv.Disk.Access(lbn, rereplBytes)
 		}
-
-		// Per-request CPU utilization: busy CPU time over the request's
-		// residence time, the quantity the paper's processor model
-		// captures. Retry and timeout delays count toward residence, so
-		// faulty-regime CPU utilization sinks as tails inflate.
-		latency := now - arrival
-		util := 0.0
-		if latency > 0 {
-			util = cpuBusy / latency
-		}
-		if util > 1 {
-			util = 1
-		}
-		for i := range req.Spans {
-			if req.Spans[i].Subsystem == trace.CPU {
-				req.Spans[i].Util = util
-			}
-		}
+		hw.SetUtil(req.Spans, cpuBusy, now-arrival)
 		return req, nil
 	}
-}
-
-// span appends a span in the given subsystem, applying FIFO contention on
-// that subsystem (flow-shop model), and returns the span's end time.
-func (c *Cluster) span(srv *chunkserver, req *trace.Request, sub trace.Subsystem, ready, dur float64, fill func(*trace.Span)) float64 {
-	start := maxf(ready, srv.freeAt[sub])
-	s := trace.Span{Subsystem: sub, Start: start, Duration: dur}
-	if fill != nil {
-		fill(&s)
-	}
-	req.Spans = append(req.Spans, s)
-	srv.freeAt[sub] = start + dur
-	return start + dur
 }
 
 // ClosedRunConfig drives a closed-loop (interactive) simulation: a fixed
@@ -746,13 +660,6 @@ func (h userHeap) down(i int) {
 		h[i], h[child] = h[child], h[i]
 		i = child
 	}
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // newZipfPop adapts stats.Zipf as a popularity source.

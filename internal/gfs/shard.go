@@ -2,6 +2,7 @@ package gfs
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 
 	"dcmodel/internal/par"
@@ -81,65 +82,28 @@ func SimulateSharded(cfg Config, rc RunConfig, shards, workers int, seed int64) 
 	if rc.Requests < shards {
 		return nil, fmt.Errorf("gfs: %d requests cannot cover %d shards", rc.Requests, shards)
 	}
-	quota := shardQuota(rc.Requests, shards)
-	traces := make([]*trace.Trace, shards)
-	err := par.Do(shards, workers, func(s int) error {
-		cluster, err := NewCluster(cfg)
-		if err != nil {
-			return fmt.Errorf("gfs: shard %d: %w", s, err)
-		}
-		src := rc
-		src.Requests = quota[s]
-		// Each shard's failure history comes from its own sub-stream, so
-		// faulty output is a fixed function of (cfg, rc, shards, seed) —
-		// independent of the worker count, exactly like the workload draws.
-		src.FaultStream = uint64(s)
-		tr, err := cluster.Run(src, prand.New(seed, uint64(s)))
-		if err != nil {
-			return fmt.Errorf("gfs: shard %d: %w", s, err)
-		}
-		traces[s] = tr
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	rcs := make([]RunConfig, shards)
+	for s, n := range shardQuota(rc.Requests, shards) {
+		rcs[s] = rc
+		rcs[s].Requests = n
 	}
-	return mergeShards(traces, cfg.Chunkservers), nil
+	return SimulateMulti(cfg, rcs, workers, seed)
 }
 
 // SimulateMulti is the heterogeneous sibling of SimulateSharded: partition
 // s runs its own RunConfig rcs[s] (its own mix, arrival process, request
 // count) against an independent instance of the configured cluster, and
-// the partition traces merge exactly like shards. Each partition's rand
-// and fault sub-streams are keyed by its index, never by the worker
-// count, so the merged trace is a fixed function of (cfg, rcs, seed). The
-// spec engine uses this to compose multi-client scenarios.
+// the partition traces merge exactly like shards. The spec engine uses
+// this to compose multi-client scenarios.
 func SimulateMulti(cfg Config, rcs []RunConfig, workers int, seed int64) (*trace.Trace, error) {
 	if len(rcs) == 0 {
 		return nil, fmt.Errorf("gfs: need >= 1 run config")
 	}
-	traces := make([]*trace.Trace, len(rcs))
-	err := par.Do(len(rcs), workers, func(s int) error {
-		if rcs[s].Requests < 1 {
-			return fmt.Errorf("gfs: partition %d: need >= 1 request, got %d", s, rcs[s].Requests)
-		}
-		cluster, err := NewCluster(cfg)
-		if err != nil {
-			return fmt.Errorf("gfs: partition %d: %w", s, err)
-		}
-		src := rcs[s]
-		src.FaultStream = uint64(s)
-		tr, err := cluster.Run(src, prand.New(seed, uint64(s)))
-		if err != nil {
-			return fmt.Errorf("gfs: partition %d: %w", s, err)
-		}
-		traces[s] = tr
-		return nil
+	return simulatePartitions(cfg, len(rcs), workers, seed, func(c *Cluster, s int, r *rand.Rand) (*trace.Trace, error) {
+		rc := rcs[s]
+		rc.FaultStream = uint64(s)
+		return c.Run(rc, r)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeShards(traces, cfg.Chunkservers), nil
 }
 
 // SimulateShardedClosed is the closed-loop counterpart of SimulateSharded:
@@ -160,21 +124,28 @@ func SimulateShardedClosed(cfg Config, rc ClosedRunConfig, shards, workers int, 
 	}
 	users := shardQuota(rc.Users, shards)
 	quota := shardQuota(rc.Requests, shards)
-	traces := make([]*trace.Trace, shards)
-	err := par.Do(shards, workers, func(s int) error {
-		cluster, err := NewCluster(cfg)
-		if err != nil {
-			return fmt.Errorf("gfs: shard %d: %w", s, err)
-		}
+	return simulatePartitions(cfg, shards, workers, seed, func(c *Cluster, s int, r *rand.Rand) (*trace.Trace, error) {
 		src := rc
-		src.Users = users[s]
-		src.Requests = quota[s]
-		src.FaultStream = uint64(s)
-		tr, err := cluster.RunClosed(src, prand.New(seed, uint64(s)))
-		if err != nil {
-			return fmt.Errorf("gfs: shard %d: %w", s, err)
+		src.Users, src.Requests, src.FaultStream = users[s], quota[s], uint64(s)
+		return c.RunClosed(src, r)
+	})
+}
+
+// simulatePartitions runs `parts` partitions on up to `workers` goroutines
+// and merges their traces. Partition s runs on a cluster of its own with
+// the rand stream prand.New(seed, s); run sets its fault stream to s. Every
+// partition's draws and failure history are thus keyed by its index, never
+// by the worker count, so the merged trace is the same for any workers.
+func simulatePartitions(cfg Config, parts, workers int, seed int64, run func(c *Cluster, s int, r *rand.Rand) (*trace.Trace, error)) (*trace.Trace, error) {
+	traces := make([]*trace.Trace, parts)
+	err := par.Do(parts, workers, func(s int) error {
+		cluster, err := NewCluster(cfg)
+		if err == nil {
+			traces[s], err = run(cluster, s, prand.New(seed, uint64(s)))
 		}
-		traces[s] = tr
+		if err != nil {
+			return fmt.Errorf("gfs: partition %d: %w", s, err)
+		}
 		return nil
 	})
 	if err != nil {

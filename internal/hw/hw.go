@@ -1,7 +1,10 @@
 // Package hw provides the parametric server-hardware models that both the
 // GFS application simulator and the replay engine are layered on: a disk
 // with positional seek state, a banked DRAM with row buffers, a CPU with a
-// cycles-per-byte cost model, and a network link.
+// cycles-per-byte cost model, and a network link. A Host adds a FIFO queue
+// per subsystem, and Host.Exec is the one request executor both engines
+// time spans with: it charges each span what its features cost on the
+// models, so the two engines cannot drift apart.
 //
 // The models are deterministic given their inputs and internal state;
 // workload-level variability comes from the request streams driving them.

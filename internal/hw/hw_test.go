@@ -3,6 +3,8 @@ package hw
 import (
 	"math"
 	"testing"
+
+	"dcmodel/internal/trace"
 )
 
 func approx(t *testing.T, got, want, tol float64, msg string) {
@@ -197,5 +199,42 @@ func TestServerValidate(t *testing.T) {
 	bad4.CPU.Frequency = 0
 	if err := bad4.Validate(); err == nil {
 		t.Error("invalid cpu should fail server validation")
+	}
+}
+
+// TestHostExecQueuesSpans: spans run back to back, each behind its
+// subsystem's queue, timed from features alone — a span's old timing is
+// overwritten, not read.
+func TestHostExecQueuesSpans(t *testing.T) {
+	h := &Host{Server: DefaultServer()}
+	h.FreeAt[trace.CPU] = 2
+	spans := []trace.Span{
+		{Subsystem: trace.Network, Bytes: 1000, Start: 9, Duration: 9},
+		{Subsystem: trace.CPU, Bytes: 1000},
+		{Subsystem: trace.CPU},
+	}
+	end, cpu := h.Exec(spans, 1, 0)
+	net, c1, c0 := h.Net.TransferTime(1000), h.CPU.Time(1000), h.CPU.Time(0)
+	want := []struct{ start, dur float64 }{{1, net}, {2, c1}, {2 + c1, c0}}
+	for i, w := range want {
+		if spans[i].Start != w.start || spans[i].Duration != w.dur {
+			t.Errorf("span %d runs [%g, +%g], want [%g, +%g]", i, spans[i].Start, spans[i].Duration, w.start, w.dur)
+		}
+	}
+	if end != 2+c1+c0 || cpu != c1+c0 {
+		t.Errorf("Exec = (%g, %g), want (%g, %g)", end, cpu, 2+c1+c0, c1+c0)
+	}
+	if h.FreeAt[trace.CPU] != end || h.FreeAt[trace.Network] != 1+net {
+		t.Errorf("queues free at %v", h.FreeAt)
+	}
+}
+
+func TestSetUtil(t *testing.T) {
+	spans := []trace.Span{{Subsystem: trace.CPU}, {Subsystem: trace.Network}}
+	for _, c := range []struct{ cpu, residence, want float64 }{{1, 4, 0.25}, {5, 4, 1}, {1, 0, 0}} {
+		SetUtil(spans, c.cpu, c.residence)
+		if spans[0].Util != c.want || spans[1].Util != 0 {
+			t.Errorf("SetUtil(%g, %g) = %v, want CPU util %g", c.cpu, c.residence, spans, c.want)
+		}
 	}
 }

@@ -15,52 +15,19 @@ import (
 // time-dependency queue with features emitted by the four subsystem
 // models. Span durations are zero — the synthetic workload describes what
 // to do, not how long it takes; timing comes from replaying it on a
-// (simulated) platform.
+// (simulated) platform. Span storage is reserved a slab of requests at a
+// time, so large n costs few allocations.
 //
 // A trained Model is read-only: Synthesize keeps all walk state in
 // per-call walkers and never mutates the model, so concurrent Synthesize
 // calls on one Model are safe as long as each call gets its own
 // *rand.Rand (see prand.New for derived streams).
 func (m *Model) Synthesize(n int, r *rand.Rand) (*trace.Trace, error) {
-	classAlias, walkers, gapState, err := m.synthSetup(n, r)
-	if err != nil {
-		return nil, err
-	}
-	tr := &trace.Trace{Requests: make([]trace.Request, 0, n)}
-	var arena trace.SpanArena
-	var now float64
-	for i := 0; i < n; i++ {
-		var gap float64
-		if gapState >= 0 {
-			// Semi-Markov arrivals: walk the gap-regime chain.
-			gapState = m.Network.GapChain.Step(gapState, r)
-			gap = m.Network.GapStates[gapState].Rand(r)
-		} else {
-			gap = m.Network.Interarrival.Rand(r)
-		}
-		if gap < 0 {
-			gap = 0
-		}
-		now += gap
-		ci := classAlias.Draw(r)
-		req := walkers[ci].next(int64(i), now, r, &arena)
-		tr.Requests = append(tr.Requests, req)
-	}
-	return tr, nil
-}
-
-// synthSetup validates the model and builds the per-call sampling state
-// shared by Synthesize and SynthesizeBatch: the class alias table, one
-// walker per class (walker construction consumes RNG — chain Start draws —
-// in class order), and the initial gap-regime state (-1 when arrivals come
-// from the fitted interarrival distribution instead of the semi-Markov gap
-// chain).
-func (m *Model) synthSetup(n int, r *rand.Rand) (stats.Alias, []*classWalker, int, error) {
 	if n < 1 {
-		return stats.Alias{}, nil, 0, fmt.Errorf("kooza: synthesize needs n >= 1, got %d", n)
+		return nil, fmt.Errorf("kooza: synthesize needs n >= 1, got %d", n)
 	}
 	if len(m.Classes) == 0 {
-		return stats.Alias{}, nil, 0, fmt.Errorf("kooza: model has no classes")
+		return nil, fmt.Errorf("kooza: model has no classes")
 	}
 	// Class picker: one alias build per call, then O(1) per request.
 	weights := make([]float64, len(m.Classes))
@@ -70,86 +37,60 @@ func (m *Model) synthSetup(n int, r *rand.Rand) (stats.Alias, []*classWalker, in
 		wsum += c.Weight
 	}
 	if wsum <= 0 {
-		return stats.Alias{}, nil, 0, fmt.Errorf("kooza: class weights sum to zero")
+		return nil, fmt.Errorf("kooza: class weights sum to zero")
 	}
 	classAlias, err := stats.NewAlias(weights)
 	if err != nil {
-		return stats.Alias{}, nil, 0, fmt.Errorf("kooza: class weights: %w", err)
+		return nil, fmt.Errorf("kooza: class weights: %w", err)
 	}
-	// Per-class walker state.
+	// Per-class walker state; construction draws each chain's start state,
+	// in class order. The widest phase path any class (or queue variant)
+	// can emit bounds the spans one request takes from the arena.
 	walkers := make([]*classWalker, len(m.Classes))
+	maxPhases := 0
 	for i, c := range m.Classes {
 		walkers[i] = newClassWalker(c, r)
-	}
-	gapState := -1
-	if m.Network.GapChain != nil {
-		gapState = m.Network.GapChain.Start(r)
-	}
-	return classAlias, walkers, gapState, nil
-}
-
-// synthSlabRequests is the granularity of the batch path's span-arena
-// reservations: one contiguous reservation covers this many requests'
-// spans, bounding both allocation count and the memory held per slab.
-const synthSlabRequests = 4096
-
-// SynthesizeBatch is the batch flavor of Synthesize: same draw order, same
-// seed in, byte-identical trace out — but the span arena is reserved a slab
-// of requests at a time (thousands of spans per reservation instead of one
-// chunk per ~170 spans) and the arrival-process branch is hoisted out of
-// the request loop. Use it for bulk generation; Synthesize remains for
-// one-off or incremental draws.
-func (m *Model) SynthesizeBatch(n int, r *rand.Rand) (*trace.Trace, error) {
-	classAlias, walkers, gapState, err := m.synthSetup(n, r)
-	if err != nil {
-		return nil, err
-	}
-	// The widest phase path any class (or queue variant) can emit bounds
-	// the spans one request can take from the arena.
-	maxPhases := 0
-	for _, c := range m.Classes {
-		p := len(c.Phases)
+		maxPhases = max(maxPhases, len(c.Phases))
 		for qi := range c.Queues {
-			if len(c.Queues[qi].Phases) > p {
-				p = len(c.Queues[qi].Phases)
-			}
+			maxPhases = max(maxPhases, len(c.Queues[qi].Phases))
 		}
-		if p > maxPhases {
-			maxPhases = p
-		}
+	}
+	// Semi-Markov arrivals walk the gap-regime chain when there is one;
+	// otherwise gaps come from the fitted interarrival distribution.
+	gapChain := m.Network.GapChain
+	gapState := 0
+	if gapChain != nil {
+		gapState = gapChain.Start(r)
 	}
 	tr := &trace.Trace{Requests: make([]trace.Request, 0, n)}
 	var arena trace.SpanArena
 	var now float64
-	useGapChain := gapState >= 0
-	gapChain := m.Network.GapChain
-	gapStates := m.Network.GapStates
-	inter := m.Network.Interarrival
 	for i := 0; i < n; i++ {
 		if i%synthSlabRequests == 0 {
-			slab := n - i
-			if slab > synthSlabRequests {
-				slab = synthSlabRequests
-			}
-			arena.Reserve(slab * maxPhases)
+			arena.Reserve(min(n-i, synthSlabRequests) * maxPhases)
 		}
 		var gap float64
-		if useGapChain {
-			// Semi-Markov arrivals: walk the gap-regime chain.
+		if gapChain != nil {
 			gapState = gapChain.Step(gapState, r)
-			gap = gapStates[gapState].Rand(r)
+			gap = m.Network.GapStates[gapState].Rand(r)
 		} else {
-			gap = inter.Rand(r)
+			gap = m.Network.Interarrival.Rand(r)
 		}
-		if gap < 0 {
-			gap = 0
-		}
-		now += gap
+		now += max(gap, 0)
 		ci := classAlias.Draw(r)
 		tr.Requests = append(tr.Requests, walkers[ci].next(int64(i), now, r, &arena))
 	}
 	return tr, nil
 }
+
+// synthSlabRequests is the granularity of Synthesize's span-arena
+// reservations: one contiguous reservation covers this many requests'
+// spans, bounding both allocation count and the memory held per slab.
+const synthSlabRequests = 4096
+
+// SynthesizeBatch is Synthesize under its former name, which the perf
+// record still calls.
+func (m *Model) SynthesizeBatch(n int, r *rand.Rand) (*trace.Trace, error) { return m.Synthesize(n, r) }
 
 // classWalker carries the Markov walk state of one class across requests.
 type classWalker struct {

@@ -42,7 +42,7 @@ func BenchmarkChainStep(b *testing.B) {
 }
 
 // BenchmarkChainStepN times the batched walk: per-step cost of StepN over
-// a 1024-step batch, the batch path SynthesizeBatch rides.
+// a 1024-step batch.
 func BenchmarkChainStepN(b *testing.B) {
 	for _, n := range []int{8, 32, 128, 1024} {
 		b.Run(fmt.Sprintf("states=%d", n), func(b *testing.B) {

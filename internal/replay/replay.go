@@ -7,9 +7,12 @@
 //
 // Replay consumes span features only (sizes, LBNs, banks, operation
 // types), never recorded durations: all timing is recomputed from the
-// platform models. For a trace produced by the GFS simulator on an
-// identical platform, replay reproduces the original timing exactly
-// (single-replica configurations), which is the engine's core invariant.
+// platform models. Each request runs through hw.Host.Exec, the executor
+// the GFS simulator times its own requests with, and failed attempts back
+// off by the same fault.Config.RetryBackoff. So a trace the simulator
+// produced on an identical platform replays bit for bit by construction —
+// except a replicated write, whose copy to the other replicas the trace
+// records no spans for, and which therefore replays faster than it ran.
 package replay
 
 import (
@@ -49,13 +52,6 @@ type Platform struct {
 	Recorder dapper.Recorder
 }
 
-// serverState is one server's hardware plus per-subsystem availability
-// (the same flow-shop contention model the GFS simulator uses).
-type serverState struct {
-	hw     *hw.Server
-	freeAt [4]float64
-}
-
 // Run replays tr on the platform and returns a new trace with identical
 // features but recomputed span timing and per-request CPU utilization.
 func Run(tr *trace.Trace, p Platform) (*trace.Trace, error) {
@@ -74,13 +70,13 @@ func Run(tr *trace.Trace, p Platform) (*trace.Trace, error) {
 			return nil, fmt.Errorf("replay: request %d has negative server", r.ID)
 		}
 	}
-	servers := make([]*serverState, nServers)
+	servers := make([]*hw.Host, nServers)
 	for i := range servers {
 		srv := p.NewServer()
 		if err := srv.Validate(); err != nil {
 			return nil, fmt.Errorf("replay: server %d: %w", i, err)
 		}
-		servers[i] = &serverState{hw: srv}
+		servers[i] = &hw.Host{Server: srv}
 	}
 	var sched *fault.Schedule
 	if p.Faults != nil {
@@ -175,122 +171,61 @@ func byServer(tr *trace.Trace, order []int, servers int) [][]int {
 	return lanes
 }
 
-// maxReplayAttempts bounds one request's requeue loop; past it the replay
-// proceeds on the current slot regardless — a termination backstop.
-const maxReplayAttempts = 256
-
 // replayRequest executes one request's spans in order on its server,
 // writing them into spans (empty, with room for every span of r). With
 // a fault schedule armed, a slot that is down at issue time — or dies
 // before the request's spans complete — costs the attempt: the in-flight
 // work is rolled back and requeued to re-execute once the server has
 // recovered and the client's timeout-plus-backoff has elapsed.
-func replayRequest(r trace.Request, spans []trace.Span, servers []*serverState, sched *fault.Schedule) (trace.Request, error) {
-	srv := servers[r.Server]
+func replayRequest(r trace.Request, spans []trace.Span, servers []*hw.Host, sched *fault.Schedule) (trace.Request, error) {
+	h := servers[r.Server]
 	out := trace.Request{
 		ID: r.ID, Class: r.Class, Server: r.Server, Arrival: r.Arrival,
 		Retries: r.Retries, FailedOver: r.FailedOver, Spans: spans,
 	}
-	// The memory row is derived from the request's storage target (buffer
-	// and checksum pages are tied to the accessed blocks), matching the
-	// trace generator's convention.
 	var storageLBN int64
+	found := false
 	for _, s := range r.Spans {
-		if s.Subsystem == trace.Storage {
-			storageLBN = s.LBN
-			break
+		if s.Subsystem < trace.Network || s.Subsystem > trace.Storage {
+			return trace.Request{}, fmt.Errorf("replay: request %d has invalid subsystem %d", r.ID, s.Subsystem)
 		}
-	}
-	var fcfg fault.Config
-	if sched != nil {
-		fcfg = sched.Config()
+		if s.Subsystem == trace.Storage && !found {
+			storageLBN, found = s.LBN, true
+		}
 	}
 	issue := r.Arrival
-	attempt := 0
-	for {
-		if sched != nil && sched.DownAt(r.Server, issue) {
-			// Slot down at issue: requeue behind the repair.
-			issue = requeueAt(sched, r.Server, issue, fcfg, attempt)
-			attempt++
-			out.Retries++
-			if attempt >= maxReplayAttempts {
-				sched = nil
+	for attempt := 0; ; attempt++ {
+		failedAt := issue // a slot down at issue refuses the attempt
+		if sched == nil || !sched.DownAt(r.Server, issue) {
+			saved := h.FreeAt
+			out.Spans = append(out.Spans[:0], r.Spans...)
+			end, cpu := h.Exec(out.Spans, issue, storageLBN)
+			if sched != nil {
+				failedAt = sched.NextFailure(r.Server, issue)
 			}
-			continue
-		}
-		saved := srv.freeAt
-		now := issue
-		var cpuBusy float64
-		out.Spans = out.Spans[:0]
-		for _, s := range r.Spans {
-			var dur float64
-			switch s.Subsystem {
-			case trace.Network:
-				dur = srv.hw.Net.TransferTime(s.Bytes)
-			case trace.CPU:
-				dur = srv.hw.CPU.Time(s.Bytes)
-				cpuBusy += dur
-			case trace.Memory:
-				row := (storageLBN * 4096) / srv.hw.Mem.RowBytes
-				dur = srv.hw.Mem.Access(s.Bank, row, s.Bytes)
-			case trace.Storage:
-				dur = srv.hw.Disk.Access(s.LBN, s.Bytes)
-			default:
-				return trace.Request{}, fmt.Errorf("replay: request %d has invalid subsystem %d", r.ID, s.Subsystem)
+			if sched == nil || failedAt >= end {
+				// Requeue delays count toward residence, as in the GFS
+				// simulator.
+				hw.SetUtil(out.Spans, cpu, end-r.Arrival)
+				return out, nil
 			}
-			start := now
-			if f := srv.freeAt[s.Subsystem]; f > start {
-				start = f
-			}
-			ns := s
-			ns.Start = start
-			ns.Duration = dur
-			srv.freeAt[s.Subsystem] = start + dur
-			now = start + dur
-			out.Spans = append(out.Spans, ns)
+			// The slot died before the spans completed: the attempt is
+			// lost and its work rolled back.
+			h.FreeAt = saved
 		}
-		// Mid-replay failure: the slot dying before the request's spans
-		// complete loses the attempt; the rolled-back work requeues.
-		if sched != nil {
-			if fail := sched.NextFailure(r.Server, issue); fail < now {
-				srv.freeAt = saved
-				issue = requeueAt(sched, r.Server, fail, fcfg, attempt)
-				attempt++
-				out.Retries++
-				if attempt >= maxReplayAttempts {
-					sched = nil
-				}
-				continue
-			}
+		issue = requeueAt(sched, r.Server, failedAt, attempt)
+		out.Retries++
+		if attempt+1 >= fault.MaxAttempts {
+			sched = nil
 		}
-		// Recompute the achieved per-request CPU utilization. Requeue
-		// delays count toward residence, mirroring the GFS simulator.
-		latency := now - r.Arrival
-		util := 0.0
-		if latency > 0 {
-			util = cpuBusy / latency
-		}
-		if util > 1 {
-			util = 1
-		}
-		for i := range out.Spans {
-			if out.Spans[i].Subsystem == trace.CPU {
-				out.Spans[i].Util = util
-			}
-		}
-		return out, nil
 	}
 }
 
 // requeueAt returns the instant a failed attempt re-issues: the server's
-// recovery or the client's timeout-plus-exponential-backoff, whichever is
-// later. The backoff exponent is capped to keep pathological schedules
-// finite.
-func requeueAt(sched *fault.Schedule, server int, failedAt float64, fcfg fault.Config, attempt int) float64 {
-	if attempt > 16 {
-		attempt = 16
-	}
-	wait := failedAt + fcfg.Timeout + fcfg.Backoff*float64(int64(1)<<uint(attempt))
+// recovery or the client's timeout-plus-backoff, whichever is later.
+func requeueAt(sched *fault.Schedule, server int, failedAt float64, attempt int) float64 {
+	fcfg := sched.Config()
+	wait := failedAt + fcfg.Timeout + fcfg.RetryBackoff(attempt)
 	if up := sched.NextUp(server, wait); up > wait {
 		return up
 	}

@@ -230,9 +230,9 @@ func serialRun(tr *trace.Trace, p Platform) (*trace.Trace, error) {
 	for _, r := range tr.Requests {
 		nServers = max(nServers, r.Server+1)
 	}
-	servers := make([]*serverState, nServers)
+	servers := make([]*hw.Host, nServers)
 	for i := range servers {
-		servers[i] = &serverState{hw: p.NewServer()}
+		servers[i] = &hw.Host{Server: p.NewServer()}
 	}
 	var sched *fault.Schedule
 	if p.Faults != nil {

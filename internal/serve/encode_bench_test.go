@@ -52,9 +52,9 @@ func BenchmarkEncodeAnswer(b *testing.B) {
 		name       string
 		synthesize func(int, *rand.Rand) (*trace.Trace, error)
 	}{
-		{"kooza", kz.SynthesizeBatch},
-		{"inbreadth", ib.SynthesizeBatch},
-		{"indepth", id.SynthesizeBatch},
+		{"kooza", kz.Synthesize},
+		{"inbreadth", ib.Synthesize},
+		{"indepth", id.Synthesize},
 		// The first n requests of the window itself, the ingest shape:
 		// every span has a start, a duration and a utilization of its own.
 		{"window", func(int, *rand.Rand) (*trace.Trace, error) {

@@ -388,8 +388,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 
 // synthesizer returns the batch synthesis of ms's named model, training a
 // comparison model if this is the first request of the generation to ask
-// for it. The daemon serves bulk traces, so it rides the batch synthesis
-// path (byte-identical to the scalar one at the same seed).
+// for it.
 func (s *Server) synthesizer(ms *modelSet, span *obs.LiveSpan, model string) (func(int, *rand.Rand) (*trace.Trace, error), error) {
 	switch model {
 	case "inbreadth":
@@ -397,15 +396,15 @@ func (s *Server) synthesizer(ms *modelSet, span *obs.LiveSpan, model string) (fu
 		if err != nil {
 			return nil, err
 		}
-		return ib.SynthesizeBatch, nil
+		return ib.Synthesize, nil
 	case "indepth":
 		id, err := s.inDepth(ms, span)
 		if err != nil {
 			return nil, err
 		}
-		return id.SynthesizeBatch, nil
+		return id.Synthesize, nil
 	}
-	return ms.Kooza.SynthesizeBatch, nil
+	return ms.Kooza.Synthesize, nil
 }
 
 // encoded recycles response bodies between requests, so a warm daemon
@@ -546,9 +545,9 @@ func (s *Server) characterize(span *obs.LiveSpan, n int, seed int64) (characteri
 		hit = false
 		snap := s.win.snapshot()
 		approaches := []crossexam.Approach{
-			{Name: "in-breadth", Knobs: 3, Synthesize: ib.SynthesizeBatch, NumParams: ib.NumParams()},
-			{Name: "in-depth", Knobs: 1, SelfTimed: true, Synthesize: id.SynthesizeBatch, NumParams: id.NumParams()},
-			{Name: "KOOZA", Knobs: 5, Synthesize: ms.Kooza.SynthesizeBatch, NumParams: ms.Kooza.NumParams()},
+			{Name: "in-breadth", Knobs: 3, Synthesize: ib.Synthesize, NumParams: ib.NumParams()},
+			{Name: "in-depth", Knobs: 1, SelfTimed: true, Synthesize: id.Synthesize, NumParams: id.NumParams()},
+			{Name: "KOOZA", Knobs: 5, Synthesize: ms.Kooza.Synthesize, NumParams: ms.Kooza.NumParams()},
 		}
 		// Workers=1: the daemon's parallelism budget belongs to the pool,
 		// not to nested fan-outs inside one job.

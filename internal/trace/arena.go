@@ -22,7 +22,7 @@ func (a *SpanArena) Reset() { a.chunk = a.chunk[:0] }
 
 // Reserve sizes the arena so the next n spans' worth of Take calls carve
 // from one contiguous chunk with no further allocation. Batch producers
-// (SynthesizeBatch, the trace-v2 block decoder) call it once per batch.
+// (model synthesis, the trace-v2 block decoder) call it once per batch.
 func (a *SpanArena) Reserve(n int) {
 	if n > cap(a.chunk)-len(a.chunk) {
 		a.chunk = make([]Span, 0, n)

@@ -84,9 +84,6 @@ func (foreignModel) Approach() Approach { return Approach(99) }
 func (foreignModel) Synthesize(int, *rand.Rand) (*Trace, error) {
 	return nil, errors.New("not implemented")
 }
-func (foreignModel) SynthesizeBatch(int, *rand.Rand) (*Trace, error) {
-	return nil, errors.New("not implemented")
-}
 func (foreignModel) Characterize() string { return "foreign model" }
 func (foreignModel) NumParams() int       { return 0 }
 func (foreignModel) Save(io.Writer) error { return errors.New("not implemented") }
