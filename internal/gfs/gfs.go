@@ -318,11 +318,12 @@ func (c *Cluster) schedule(cfg *fault.Config, stream uint64) (*fault.Schedule, e
 
 // execute runs one request through a chunkserver following the Figure 1
 // phase structure: it builds the spans' features and times them on
-// hw.Host.Exec, the executor replay runs too. With a fault schedule armed, the client times out on a
-// down replica, backs off exponentially and fails over to the next replica
-// of the chunk; a replica that dies before the data phases complete costs
-// the attempt. The healthy path (sched == nil) is bit-identical to the
-// fault-free simulator: fault handling draws nothing from r.
+// hw.Host.Exec, the executor replay runs too. With a fault schedule armed,
+// the client times out on a down replica, backs off exponentially and
+// fails over to the next replica of the chunk; a replica that dies before
+// the data phases complete costs the attempt. The healthy path
+// (sched == nil) is bit-identical to the fault-free simulator: fault
+// handling draws nothing from r.
 func (c *Cluster) execute(id int64, arrival float64, classIdx int, class workload.ClassSpec, states map[[2]int]*classState, r *rand.Rand, sched *fault.Schedule) (trace.Request, error) {
 	size := int64(class.Size.Rand(r))
 	if size < 1 {
