@@ -17,12 +17,13 @@ package replay
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dcmodel/internal/dapper"
 	"dcmodel/internal/fault"
 	"dcmodel/internal/hw"
 	"dcmodel/internal/par"
+	"dcmodel/internal/stats"
 	"dcmodel/internal/trace"
 )
 
@@ -91,8 +92,8 @@ func Run(tr *trace.Trace, p Platform) (*trace.Trace, error) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return tr.Requests[order[a]].Arrival < tr.Requests[order[b]].Arrival
+	slices.SortStableFunc(order, func(a, b int) int {
+		return stats.CompareLess(tr.Requests[a].Arrival, tr.Requests[b].Arrival)
 	})
 	// Servers share no hardware state, so each server's requests replay in
 	// arrival order on a lane of their own. An armed fault schedule is

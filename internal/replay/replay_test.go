@@ -335,6 +335,13 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 		shuffled.Requests[i], shuffled.Requests[j] = shuffled.Requests[j], shuffled.Requests[i]
 	})
 	matchSerial(t, "out of arrival order", shuffled, p)
+
+	// Coarse arrivals tie in runs, which the stable sort must keep in
+	// trace order, as sort.SliceStable did.
+	for i := range shuffled.Requests {
+		shuffled.Requests[i].Arrival = math.Floor(shuffled.Requests[i].Arrival * 4)
+	}
+	matchSerial(t, "ties out of arrival order", shuffled, p)
 }
 
 // TestRunReportsEarliestFailure: two servers each hold a request with an

@@ -17,9 +17,9 @@ import (
 	"dcmodel/internal/trace"
 )
 
-// nanTrace builds a trace whose arrivals are NaN: it streams through ingest
-// (the window does not re-validate) but every trainer rejects it, which is
-// the deterministic way to poison the retrain path.
+// nanTrace builds a trace whose arrivals are NaN: every trainer rejects it,
+// which is the deterministic way to poison the retrain path. Ingest and
+// POST /v1/ingest refuse it, so tests fold it in with ingestUnchecked.
 func nanTrace(n int, startID int64) *trace.Trace {
 	tr := &trace.Trace{}
 	for i := 0; i < n; i++ {
@@ -33,6 +33,16 @@ func nanTrace(n int, startID int64) *trace.Trace {
 		})
 	}
 	return tr
+}
+
+// ingestUnchecked is Ingest without the per-request validation that keeps
+// a poisoned trace out of the window: how a test puts into the window what
+// no trainer takes, to drive the retrain failure path on purpose.
+func ingestUnchecked(s *Server, tr *trace.Trace) (retrained bool, reason string, err error) {
+	s.ingestMu.Lock()
+	s.ingestLocked(tr.Requests)
+	s.ingestMu.Unlock()
+	return s.maybeRetrain(nil)
 }
 
 // metricsBody fetches /metrics through the handler.
@@ -71,7 +81,7 @@ func TestRetrainBreaker(t *testing.T) {
 	}
 
 	// Poison the whole window, then force retrains until the breaker trips.
-	if _, _, err := s.Ingest(nanTrace(8, 100)); err != nil {
+	if _, _, err := ingestUnchecked(s, nanTrace(8, 100)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= cfg.BreakerThreshold; i++ {
@@ -92,7 +102,7 @@ func TestRetrainBreaker(t *testing.T) {
 	// With the breaker open, poisoned ingests are quiet no-ops: no retrain
 	// attempt, no error, no new failures counted.
 	errsBefore := s.metrics.retrainErrors.Value()
-	retrained, _, err = s.Ingest(nanTrace(8, 200))
+	retrained, _, err = ingestUnchecked(s, nanTrace(8, 200))
 	if err != nil || retrained {
 		t.Fatalf("ingest with open breaker: retrained=%v err=%v, want quiet no-op", retrained, err)
 	}

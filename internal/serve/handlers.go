@@ -364,9 +364,18 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 				httpError(w, http.StatusInternalServerError, "train %s: %v", modelName, err)
 			}
 		}
+		// The generation keeps what it synthesized: a repeated query, in
+		// any format and with or without replay, only reads it.
 		stop := s.stage(span, "synthesize")
-		synth, err := synthesize(n, rand.New(rand.NewSource(seed)))
+		hit := true
+		synth, err := ms.synthesized(synthKey{modelName, n, seed}, func() (*trace.Trace, error) {
+			hit = false
+			return synthesize(n, rand.New(rand.NewSource(seed)))
+		})
 		stop()
+		if hit {
+			s.metrics.synthMemoHits.Add(1)
+		}
 		if err != nil {
 			return func(w http.ResponseWriter) {
 				httpError(w, http.StatusInternalServerError, "synthesize: %v", err)

@@ -48,8 +48,9 @@ func returns(t *testing.T, what string, f func()) {
 	}
 }
 
-// poisoned is regimeTrace with every arrival NaN: it streams through ingest
-// with its storage transitions counted, and no trainer accepts it.
+// poisoned is regimeTrace with every arrival NaN: folded in by
+// ingestUnchecked, its storage transitions are counted, and no trainer
+// accepts it.
 func poisoned(n int, startID int64) *trace.Trace {
 	tr := regimeTrace(n, []int{0, 1, 2}, startID)
 	for i := range tr.Requests {
@@ -146,7 +147,7 @@ func TestRetrainOffTheLock(t *testing.T) {
 	// Poison the window. The transitions it brings are the accumulator's
 	// state "before"; a failed retrain must leave them, plus what arrives
 	// while it is parked.
-	if _, _, err := s.Ingest(poisoned(64, 100)); err != nil {
+	if _, _, err := ingestUnchecked(s, poisoned(64, 100)); err != nil {
 		t.Fatal(err)
 	}
 	before := driftTransitions(s)
@@ -159,7 +160,7 @@ func TestRetrainOffTheLock(t *testing.T) {
 		if got := driftTransitions(s); got != 0 {
 			t.Fatalf("attempt %d: the accumulator beside a retrain holds %d transitions, want a fresh one", attempt, got)
 		}
-		if _, _, err := s.Ingest(poisoned(8, int64(200+8*attempt))); err != nil {
+		if _, _, err := ingestUnchecked(s, poisoned(8, int64(200+8*attempt))); err != nil {
 			t.Fatal(err)
 		}
 		release <- struct{}{}

@@ -43,6 +43,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -246,6 +247,11 @@ type modelSet struct {
 	charKey charKey
 	// prov is the last encoded /v1/provision answer of this generation.
 	prov *provEntry
+	// synths holds the traces /v1/synthesize synthesized from this
+	// generation, read-only once kept; synthKept is the requests they hold,
+	// at most synthMemoBudget.
+	synths    map[synthKey]func() (*trace.Trace, error)
+	synthKept int
 }
 
 // trainOnce returns the comparison model behind *get, trained from the
@@ -362,6 +368,46 @@ func (ms *modelSet) provision(key provKey, search func() (answer, bool)) answer 
 		ms.derivedMu.Unlock()
 	}
 	return ans
+}
+
+// synthKey is everything a synthesized trace depends on besides the
+// generation. The fault scenario is not part of it: faults degrade only the
+// replay of the trace, which runs afresh on every request.
+type synthKey struct {
+	model string
+	n     int
+	seed  int64
+}
+
+// synthMemoBudget is how many synthesized requests one generation keeps:
+// one default window, about 3.6 MB of chat requests and spans (80 B a
+// request, 64 B a span, 5.6 spans a request). Traces are kept first come,
+// first served; one that would overrun the budget is synthesized for its
+// request and not kept.
+const synthMemoBudget = 8192
+
+// synthesized returns the generation's trace for key, synthesized by the
+// first caller to ask for it and by nobody after, while the budget lasts.
+// Callers only read the trace: it answers every later request for key. A
+// failure is kept like a trace, since synthesis is a pure function of the
+// generation and the key and would fail again.
+func (ms *modelSet) synthesized(key synthKey, synthesize func() (*trace.Trace, error)) (*trace.Trace, error) {
+	ms.derivedMu.Lock()
+	get := ms.synths[key]
+	if get == nil {
+		if ms.synthKept+key.n > synthMemoBudget {
+			ms.derivedMu.Unlock()
+			return synthesize()
+		}
+		if ms.synths == nil {
+			ms.synths = make(map[synthKey]func() (*trace.Trace, error))
+		}
+		get = sync.OnceValues(synthesize)
+		ms.synths[key] = get
+		ms.synthKept += key.n
+	}
+	ms.derivedMu.Unlock()
+	return get()
 }
 
 // Server is the daemon: sliding window, warm models, bounded work queue.
@@ -576,13 +622,30 @@ func (s *Server) ingestLocked(reqs []trace.Request) {
 
 // Ingest folds a whole trace into the window (the programmatic sibling of
 // POST /v1/ingest, used by tests and embedders), then runs the online
-// training decision once.
+// training decision once. Like the handler it refuses the first request
+// Request.Validate refuses, keeping the requests before it: kept in the
+// window, such a request would fail every retrain until it aged out. The
+// refusal is returned, joined with any training error.
 func (s *Server) Ingest(tr *trace.Trace) (retrained bool, reason string, err error) {
 	if tr == nil || tr.Len() == 0 {
 		return false, "", trace.ErrEmptyTrace
 	}
-	s.ingestMu.Lock()
-	s.ingestLocked(tr.Requests)
-	s.ingestMu.Unlock()
-	return s.maybeRetrain(nil)
+	reqs := tr.Requests
+	var invalid error
+	for i := range reqs {
+		if invalid = reqs[i].Validate(); invalid != nil {
+			reqs = reqs[:i]
+			break
+		}
+	}
+	if len(reqs) > 0 {
+		s.ingestMu.Lock()
+		s.ingestLocked(reqs)
+		s.ingestMu.Unlock()
+		retrained, reason, err = s.maybeRetrain(nil)
+	}
+	if invalid != nil {
+		err = errors.Join(invalid, err)
+	}
+	return retrained, reason, err
 }

@@ -653,6 +653,36 @@ func TestIngestRefusesInvalidRequest(t *testing.T) {
 	}
 }
 
+// TestServerIngestRefusesInvalidRequest: Server.Ingest, the Go sibling of
+// POST /v1/ingest that dcmodeld -warm-spec calls, refuses a request that
+// Request.Validate refuses the way the handler does: the requests before it
+// are kept and trained on, and the error names it. It used to let it in,
+// and then the cold retrain and every retrain after it failed until the
+// request aged out of the window.
+func TestServerIngestRefusesInvalidRequest(t *testing.T) {
+	s := newTestServer(t, quietConfig())
+	bad := gfsTrace(t, 200, 1)
+	bad.Requests[120].Spans[1].Util = math.NaN()
+	retrained, reason, err := s.Ingest(bad)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("request %d span 1 has utilization NaN", bad.Requests[120].ID)) {
+		t.Fatalf("Ingest of a NaN utilization: err = %v, want it named", err)
+	}
+	if strings.Contains(err.Error(), "invalid training trace") || !retrained || reason != ReasonCold {
+		t.Fatalf("Ingest of a NaN utilization: retrained=%t reason=%q err=%v, want the 120 requests before it to train cold", retrained, reason, err)
+	}
+	if n, _, _, _ := s.win.stats(); n != 120 {
+		t.Fatalf("window holds %d requests, want the 120 before the refused one", n)
+	}
+
+	clean := gfsTrace(t, 300, 2)
+	if _, _, err := s.Ingest(clean); err != nil {
+		t.Fatalf("clean trace after the refusal: %v", err)
+	}
+	if err := s.Retrain(); err != nil {
+		t.Fatalf("retrain over the window: %v", err)
+	}
+}
+
 // TestConfigValidation pins the constructor's rejection surface.
 func TestConfigValidation(t *testing.T) {
 	bad := DefaultConfig()

@@ -273,7 +273,7 @@ func TestNoFormattedMapKeys(t *testing.T) {
 }
 
 // TestNoReflectionSorts is a source-level guard: no non-test file of the
-// trainers' packages sorts through sort.Slice, sort.SliceStable or
+// trainers' packages or of replay sorts through sort.Slice, sort.SliceStable or
 // sort.Sort. The first two swap elements through reflection and all three
 // call the comparison through an interface, which a retrain's profile showed
 // as 8 % of its time; slices.SortFunc and slices.SortStableFunc on the
@@ -283,7 +283,7 @@ func TestNoFormattedMapKeys(t *testing.T) {
 func TestNoReflectionSorts(t *testing.T) {
 	banned := map[string]bool{"Slice": true, "SliceStable": true, "Sort": true}
 	fset := token.NewFileSet()
-	for _, dir := range []string{"../kooza", "../inbreadth", "../indepth", "../stats", "."} {
+	for _, dir := range []string{"../kooza", "../inbreadth", "../indepth", "../stats", "../replay", "."} {
 		names, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil || len(names) == 0 {
 			t.Fatalf("%s: %d go files (%v)", dir, len(names), err)

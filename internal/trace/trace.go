@@ -286,10 +286,29 @@ func (t *Trace) SpanFeature(sub Subsystem, f func(Span) float64) []float64 {
 }
 
 // Validate checks trace invariants: every request valid on its own
-// (Request.Validate) and unique request IDs.
+// (Request.Validate) and unique request IDs. While IDs strictly increase,
+// as the daemon's window numbers them, none can repeat and no set of seen
+// IDs is built; from the first ID that does not, the set holds the IDs
+// before it and checks the rest, so every error keeps its text and order.
 func (t *Trace) Validate() error {
+	i := 0
+	for ; i < len(t.Requests); i++ {
+		r := &t.Requests[i]
+		if i > 0 && r.ID <= t.Requests[i-1].ID {
+			break
+		}
+		if err := r.Validate(); err != nil {
+			return err
+		}
+	}
+	if i == len(t.Requests) {
+		return nil
+	}
 	ids := make(map[int64]bool, len(t.Requests))
-	for i := range t.Requests {
+	for j := range t.Requests[:i] {
+		ids[t.Requests[j].ID] = true
+	}
+	for ; i < len(t.Requests); i++ {
 		r := &t.Requests[i]
 		if err := r.Validate(); err != nil {
 			return err

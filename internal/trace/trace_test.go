@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -166,6 +167,67 @@ func TestValidate(t *testing.T) {
 			tt.mutate(tr)
 			if err := tr.Validate(); err == nil {
 				t.Error("expected validation error")
+			}
+		})
+	}
+}
+
+// validateWithSet is Trace.Validate as it was before its strictly
+// increasing fast path: one set of seen IDs over the whole trace. It is the
+// oracle the fast path is held to, error text and order included.
+func validateWithSet(t *Trace) error {
+	ids := make(map[int64]bool, len(t.Requests))
+	for i := range t.Requests {
+		r := &t.Requests[i]
+		if err := r.Validate(); err != nil {
+			return err
+		}
+		if ids[r.ID] {
+			return fmt.Errorf("trace: duplicate request ID %d (index %d)", r.ID, i)
+		}
+		ids[r.ID] = true
+	}
+	return nil
+}
+
+// TestValidateMatchesSet: Trace.Validate builds no set of IDs while they
+// strictly increase and falls back to one at the first that does not; on
+// every ID order, with an invalid request placed anywhere, it returns the
+// error the one-set loop returns.
+func TestValidateMatchesSet(t *testing.T) {
+	tests := []struct {
+		name    string
+		ids     []int64
+		invalid int // index of a request with a NaN utilization, or -1
+		want    string
+	}{
+		{"increasing", []int64{1, 2, 5, 9}, -1, ""},
+		{"increasing, one invalid", []int64{1, 2, 5, 9}, 2, "request 5 span 0 has utilization NaN"},
+		{"invalid before a duplicate", []int64{1, 2, 2}, 1, "request 2 span 0 has utilization NaN"},
+		{"invalid after a decrease, before a duplicate", []int64{1, 3, 2, 3}, 2, "request 2 span 0 has utilization NaN"},
+		{"duplicate at the first non-increase", []int64{1, 2, 2}, -1, "duplicate request ID 2 (index 2)"},
+		{"duplicate after a decrease", []int64{5, 3, 4, 5}, -1, "duplicate request ID 5 (index 3)"},
+		{"duplicate of an ID from the increasing run", []int64{1, 4, 7, 2, 3, 4}, -1, "duplicate request ID 4 (index 5)"},
+		{"decreasing, no duplicate", []int64{9, 7, 8, 1}, -1, ""},
+		{"duplicate after an invalid one", []int64{3, 1, 3}, 0, "request 3 span 0 has utilization NaN"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			tr := &Trace{}
+			for i, id := range tt.ids {
+				util := 0.5
+				if i == tt.invalid {
+					util = math.NaN()
+				}
+				tr.Requests = append(tr.Requests, Request{ID: id, Class: "c", Arrival: float64(i),
+					Spans: []Span{{Subsystem: CPU, Start: float64(i), Duration: 0.001, Util: util}}})
+			}
+			got, want := tr.Validate(), validateWithSet(tr)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("Validate = %v, the one-set loop = %v", got, want)
+			}
+			if tt.want == "" && got != nil || tt.want != "" && (got == nil || !strings.Contains(got.Error(), tt.want)) {
+				t.Fatalf("Validate = %v, want an error naming %q", got, tt.want)
 			}
 		})
 	}
