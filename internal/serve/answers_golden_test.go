@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"dcmodel/internal/fault"
 	"dcmodel/internal/spec"
 	"dcmodel/internal/trace"
 )
@@ -54,13 +55,18 @@ func withoutWallClock(t *testing.T, body []byte) []byte {
 	return out
 }
 
-// TestComparisonAnswersGolden pins what the daemon answers from its
-// in-breadth and in-depth models, one 8192-request window per preset:
-// synthesized bytes in every format and replayed, the what-if answer, and
-// the characterize scorecard less its wall-clock column, each by status and
-// sha256. The answers are
-// pure functions of the window and the daemon's options, so however the
-// models come to be trained, the file must not change.
+// answersScenario is the fault scenario TestComparisonAnswersGolden replays
+// under once the healthy answers are recorded.
+var answersScenario = fault.Config{MTBF: 0.05, MTTR: 0.02, Seed: 9}
+
+// TestComparisonAnswersGolden pins what the daemon answers from KOOZA and
+// from its in-breadth and in-depth comparison models, one 8192-request
+// window per preset: synthesized bytes in every format, replayed on healthy
+// hardware and under answersScenario, the what-if answer, and the
+// characterize scorecard less its wall-clock column, each by status and
+// sha256. The answers are pure functions of the window and the daemon's
+// options, so however the models come to be trained and whatever the daemon
+// keeps between queries, the file must not change.
 func TestComparisonAnswersGolden(t *testing.T) {
 	var out bytes.Buffer
 	for _, name := range spec.Names() {
@@ -72,16 +78,29 @@ func TestComparisonAnswersGolden(t *testing.T) {
 		record := func(what string, code int, body []byte) {
 			fmt.Fprintf(&out, "%s %s %d %x\n", name, what, code, sha256.Sum256(body))
 		}
-		for _, model := range []string{"inbreadth", "indepth"} {
-			for _, query := range []string{"format=csv", "format=json", "format=binary", "format=csv&replay=1"} {
-				code, body := get(t, fmt.Sprintf("%s/v1/synthesize?n=500&seed=3&model=%s&%s", ts.URL, model, query))
-				record("synthesize?model="+model+"&"+query, code, body)
+		synthesize := func(what, model, query string) {
+			code, body := get(t, fmt.Sprintf("%s/v1/synthesize?n=500&seed=3&model=%s&%s", ts.URL, model, query))
+			record(what+"?model="+model+"&"+query, code, body)
+		}
+		models := []string{"inbreadth", "indepth", "kooza"}
+		for _, model := range models {
+			for _, query := range []string{"format=csv", "format=json", "format=binary",
+				"format=csv&replay=1", "format=json&replay=1", "format=binary&replay=1"} {
+				synthesize("synthesize", model, query)
 			}
 			resp, body := postWhatIf(t, ts, fmt.Sprintf(`{"model":%q,"query":{"load_factor":1.5}}`, model))
 			record("whatif?model="+model, resp.StatusCode, body)
 		}
 		code, body := get(t, ts.URL+"/v1/characterize?n=300&seed=3")
 		record("characterize", code, withoutWallClock(t, body))
+		if err := s.ArmFaults(answersScenario); err != nil {
+			t.Fatal(err)
+		}
+		for _, model := range models {
+			for _, format := range []string{"csv", "json", "binary"} {
+				synthesize("faulted synthesize", model, "format="+format+"&replay=1")
+			}
+		}
 		ts.Close()
 	}
 	golden := filepath.Join("testdata", "answers.golden")
