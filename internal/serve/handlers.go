@@ -114,24 +114,31 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	errorAnswer(code, format, args...).write(w)
 }
 
-// answer is an encoded JSON response: the status and the body that goes
-// with it, kept where a response outlives the request that computed it.
+// answer is an encoded response: the status, the content type and the body
+// that go with it, kept where a response outlives the request that computed
+// it.
 type answer struct {
-	code int
-	body []byte
+	code        int
+	contentType string
+	body        []byte
 }
 
 func (a answer) write(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", a.contentType)
 	w.WriteHeader(a.code)
 	w.Write(a.body)
 }
 
+// jsonAnswer is v as json.Encoder writes it, answered with code.
+func jsonAnswer(code int, v any) answer {
+	var b bytes.Buffer
+	json.NewEncoder(&b).Encode(v)
+	return answer{code: code, contentType: "application/json", body: b.Bytes()}
+}
+
 // errorAnswer is the answer httpError writes.
 func errorAnswer(code int, format string, args ...any) answer {
-	var b bytes.Buffer
-	json.NewEncoder(&b).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-	return answer{code: code, body: b.Bytes()}
+	return jsonAnswer(code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // queryInt parses an integer query parameter with a default.
@@ -164,7 +171,8 @@ func querySeed(r *http.Request) (int64, error) {
 // enqueue admits job to the bounded work queue and waits for it under the
 // per-request deadline. It owns the full backpressure contract: 429 +
 // Retry-After on a full queue, 503 while draining, 504 on deadline.
-// The job must send exactly one func on done (its response writer).
+// The job returns its response writer, or nil when it finds its context
+// done, which is answered like a deadline passed in the queue.
 func (s *Server) enqueue(w http.ResponseWriter, r *http.Request, job func(ctx context.Context) func(http.ResponseWriter)) bool {
 	if s.closed.Load() {
 		httpError(w, http.StatusServiceUnavailable, "draining")
@@ -192,7 +200,7 @@ func (s *Server) enqueue(w http.ResponseWriter, r *http.Request, job func(ctx co
 	case respond := <-done:
 		if respond == nil {
 			s.metrics.deadline.Add(1)
-			httpError(w, http.StatusGatewayTimeout, "deadline exceeded while queued")
+			httpError(w, http.StatusGatewayTimeout, "deadline exceeded")
 			return false
 		}
 		respond(w)
@@ -331,15 +339,15 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	if modelName == "" {
 		modelName = "kooza"
 	}
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "csv"
+	format, ok := csvFormat, true
+	if name := r.URL.Query().Get("format"); name != "" {
+		format, ok = formatNamed(name)
+		if !ok {
+			httpError(w, http.StatusBadRequest, "format must be csv, json or binary, got %q", name)
+			return
+		}
 	}
-	if format != "csv" && format != "json" && format != "binary" {
-		httpError(w, http.StatusBadRequest, "format must be csv, json or binary, got %q", format)
-		return
-	}
-	doReplay := r.URL.Query().Get("replay") == "1"
+	q := synthQuery{key: synthKey{modelName, n, seed}, format: format, replay: r.URL.Query().Get("replay") == "1"}
 
 	ms := s.model.Load()
 	if ms == nil {
@@ -358,41 +366,95 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	waitStop := s.stage(span, "queue.wait")
 	s.enqueue(w, r, func(ctx context.Context) func(http.ResponseWriter) {
 		waitStop()
-		synthesize, err := s.synthesizer(ms, span, modelName)
-		if err != nil {
-			return func(w http.ResponseWriter) {
-				httpError(w, http.StatusInternalServerError, "train %s: %v", modelName, err)
-			}
-		}
-		// The generation keeps what it synthesized: a repeated query, in
-		// any format and with or without replay, only reads it.
-		stop := s.stage(span, "synthesize")
-		hit := true
-		synth, err := ms.synthesized(synthKey{modelName, n, seed}, func() (*trace.Trace, error) {
-			hit = false
-			return synthesize(n, rand.New(rand.NewSource(seed)))
-		})
-		stop()
-		if hit {
-			s.metrics.synthMemoHits.Add(1)
-		}
-		if err != nil {
-			return func(w http.ResponseWriter) {
-				httpError(w, http.StatusInternalServerError, "synthesize: %v", err)
-			}
-		}
-		if doReplay && ctx.Err() == nil {
+		return s.synthesize(ctx, span, ms, p, q)
+	})
+}
+
+// synthQuery is one /v1/synthesize query: what to synthesize, the format of
+// the answer and whether to replay the trace first.
+type synthQuery struct {
+	key    synthKey
+	format int
+	replay bool
+}
+
+// synthesize is the queued job of /v1/synthesize: it answers q from
+// generation ms, replaying on p. The generation keeps what it synthesized as
+// trace-v2 bytes, and each answer encoded from them, so a repeated query
+// only reads bytes. The first ask of an answer encodes it from the trace the
+// ask synthesized, if it did, else from the kept bytes. A query past the
+// memo budget is answered from a pooled buffer and nothing of it is kept.
+func (s *Server) synthesize(ctx context.Context, span *obs.LiveSpan, ms *modelSet, p replay.Platform, q synthQuery) func(http.ResponseWriter) {
+	synthesize, err := s.synthesizer(ms, span, q.key.model)
+	if err != nil {
+		return errorAnswer(http.StatusInternalServerError, "train %s: %v", q.key.model, err).write
+	}
+	stop := s.stage(span, "synthesize")
+	hit, fresh := true, (*trace.Trace)(nil)
+	e, kept, err := ms.synthesized(q.key, func() (*trace.Trace, error) {
+		hit = false
+		var err error
+		fresh, err = synthesize(q.key.n, rand.New(rand.NewSource(q.key.seed)))
+		return fresh, err
+	})
+	stop()
+	if hit {
+		s.metrics.synthMemoHits.Add(1)
+	}
+	if err != nil {
+		return errorAnswer(http.StatusInternalServerError, "synthesize: %v", err).write
+	}
+	if ctx.Err() != nil {
+		// The deadline passed while the job ran; the client is answered 504
+		// and no answer is encoded, let alone kept.
+		return nil
+	}
+	if e == nil {
+		tr := fresh
+		if q.replay {
 			stop = s.stage(span, "replay")
-			synth, err = replay.Run(synth, p)
+			tr, err = replay.Run(fresh, p)
 			stop()
 			if err != nil {
-				return func(w http.ResponseWriter) {
-					httpError(w, http.StatusInternalServerError, "replay: %v", err)
-				}
+				return errorAnswer(http.StatusInternalServerError, "replay: %v", err).write
 			}
 		}
-		return s.encodeTrace(span, synth, format)
-	})
+		return s.encodeTrace(span, tr, q.format)
+	}
+	// A kept answer is read inside the encode stage; an answer encoded for
+	// the first time is encoded there too, and replayed in a replay stage
+	// of its own, which the closure below opens by closing encode.
+	stop = s.stage(span, "encode")
+	defer func() { stop() }()
+	if !q.replay && q.format == binaryFormat {
+		return answer{code: http.StatusOK, contentType: contentTypes[binaryFormat], body: kept}.write
+	}
+	return ms.synthAnswer(e, q.replay, q.format, p.Faults, func() answer {
+		tr, err := fresh, error(nil)
+		if tr == nil {
+			if tr, err = trace.ReadBinary(bytes.NewReader(kept)); err != nil {
+				return errorAnswer(http.StatusInternalServerError, "decode kept trace: %v", err)
+			}
+		}
+		if q.replay {
+			stop()
+			stop = s.stage(span, "replay")
+			tr, err = replay.Run(tr, p)
+			stop()
+			stop = s.stage(span, "encode")
+			if err != nil {
+				return errorAnswer(http.StatusInternalServerError, "replay: %v", err)
+			}
+		}
+		if s.onEncode != nil {
+			s.onEncode(q)
+		}
+		body, err := encodeExact(tr, q.format)
+		if err != nil {
+			return errorAnswer(http.StatusInternalServerError, "encode: %v", err)
+		}
+		return answer{code: http.StatusOK, contentType: contentTypes[q.format], body: body}
+	}).write
 }
 
 // synthesizer returns the batch synthesis of ms's named model, training a
@@ -416,6 +478,42 @@ func (s *Server) synthesizer(ms *modelSet, span *obs.LiveSpan, model string) (fu
 	return ms.Kooza.Synthesize, nil
 }
 
+// The encodings a trace answer comes in: they index contentTypes and a
+// synthEntry's answers.
+const (
+	csvFormat = iota
+	jsonFormat
+	binaryFormat
+	numFormats
+)
+
+// formatNames and contentTypes are each format's query name and media type.
+var (
+	formatNames  = [numFormats]string{"csv", "json", "binary"}
+	contentTypes = [numFormats]string{"text/csv", "application/json", trace.ContentTypeV2}
+)
+
+// formatNamed is the format a query names, if it names one.
+func formatNamed(name string) (int, bool) {
+	for f, n := range formatNames {
+		if n == name {
+			return f, true
+		}
+	}
+	return 0, false
+}
+
+// appendTrace appends tr encoded in format to dst.
+func appendTrace(dst []byte, tr *trace.Trace, format int) ([]byte, error) {
+	switch format {
+	case jsonFormat:
+		return trace.AppendJSON(dst, tr)
+	case binaryFormat:
+		return trace.AppendBinary(dst, tr.Requests)
+	}
+	return trace.AppendCSV(dst, tr), nil
+}
+
 // encoded recycles response bodies between requests, so a warm daemon
 // formats into memory it already owns instead of growing a fresh buffer
 // per answer.
@@ -425,45 +523,52 @@ var encoded = sync.Pool{New: func() any { return new([]byte) }}
 // MaxSynth-sized answer must not stay pinned in the pool.
 const maxPooledBody = 4 << 20
 
-// encodeTrace is the one encode step of the trace-returning handlers: it
-// encodes tr as "csv", "json" or "binary" (trace-v2) into a pooled slice
-// inside the encode stage and returns the response writer, which hands the
-// slice back once the body is written. The body is built before anything is
-// sent because enqueue decides the status only after the job ran.
-func (s *Server) encodeTrace(span *obs.LiveSpan, tr *trace.Trace, format string) func(http.ResponseWriter) {
-	stop := s.stage(span, "encode")
+// pooledBody is a slice from encoded, emptied.
+func pooledBody() *[]byte {
 	pooled := encoded.Get().(*[]byte)
-	body, contentType := (*pooled)[:0], "text/csv"
-	var err error
-	switch format {
-	case "json":
-		contentType = "application/json"
-		body, err = trace.AppendJSON(body, tr)
-	case "binary":
-		contentType = trace.ContentTypeV2
-		buf := bytes.NewBuffer(body)
-		err = trace.WriteBinary(buf, tr)
-		body = buf.Bytes()
-	default:
-		body = trace.AppendCSV(body, tr)
+	*pooled = (*pooled)[:0]
+	return pooled
+}
+
+// release hands body, grown from pooled, back to encoded.
+func release(pooled *[]byte, body []byte) {
+	if cap(body) <= maxPooledBody {
+		*pooled = body
+		encoded.Put(pooled)
 	}
+}
+
+// encodeExact encodes tr in format into a pooled slice and returns a copy
+// exactly the size of the body: what a memo keeps.
+func encodeExact(tr *trace.Trace, format int) ([]byte, error) {
+	pooled := pooledBody()
+	body, err := appendTrace(*pooled, tr, format)
+	var exact []byte
+	if err == nil {
+		exact = bytes.Clone(body)
+	}
+	release(pooled, body)
+	return exact, err
+}
+
+// encodeTrace is the encode step of an answer nobody keeps: it encodes tr
+// into a pooled slice inside the encode stage and returns the response
+// writer, which hands the slice back once the body is written. The body is
+// built before anything is sent because enqueue decides the status only
+// after the job ran.
+func (s *Server) encodeTrace(span *obs.LiveSpan, tr *trace.Trace, format int) func(http.ResponseWriter) {
+	stop := s.stage(span, "encode")
+	pooled := pooledBody()
+	body, err := appendTrace(*pooled, tr, format)
 	stop()
-	release := func() {
-		if cap(body) <= maxPooledBody {
-			*pooled = body
-			encoded.Put(pooled)
-		}
-	}
 	if err != nil {
-		release()
-		return func(w http.ResponseWriter) {
-			httpError(w, http.StatusInternalServerError, "encode: %v", err)
-		}
+		release(pooled, body)
+		return errorAnswer(http.StatusInternalServerError, "encode: %v", err).write
 	}
 	return func(w http.ResponseWriter) {
-		w.Header().Set("Content-Type", contentType)
+		w.Header().Set("Content-Type", contentTypes[format])
 		w.Write(body)
-		release()
+		release(pooled, body)
 	}
 }
 
@@ -507,23 +612,14 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 	waitStop := s.stage(span, "queue.wait")
 	s.enqueue(w, r, func(ctx context.Context) func(http.ResponseWriter) {
 		waitStop()
-		resp, err := s.characterize(span, n, seed)
-		if err != nil {
-			return func(w http.ResponseWriter) {
-				httpError(w, http.StatusInternalServerError, "characterize: %v", err)
-			}
-		}
-		return func(w http.ResponseWriter) {
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(resp)
-		}
+		return s.characterize(span, n, seed).write
 	})
 }
 
 // characterize scores the served generation against the current window, at
 // most once per input: the answer is a pure function of the generation and
 // of charKey, so a request that finds the last answer under its own key
-// takes it (waiting, if that evaluation is still running) instead of
+// takes its bytes (waiting, if that evaluation is still running) instead of
 // re-running the cross-examination. An ingest moves the window total, a
 // retrain brings a new modelSet and /v1/faults a new scenario pointer, so
 // each of them misses without anyone invalidating anything.
@@ -536,21 +632,22 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 // no later request can observe, because the total only grows. The
 // generation's comparison models are trained first, if nobody has yet, in
 // stages of their own ahead of the crossexam stage.
-func (s *Server) characterize(span *obs.LiveSpan, n int, seed int64) (characterizeResponse, error) {
+func (s *Server) characterize(span *obs.LiveSpan, n int, seed int64) answer {
 	ms := s.model.Load()
 	ib, err := s.inBreadth(ms, span)
 	if err != nil {
-		return characterizeResponse{}, fmt.Errorf("train inbreadth: %w", err)
+		return errorAnswer(http.StatusInternalServerError, "characterize: train inbreadth: %v", err)
 	}
 	id, err := s.inDepth(ms, span)
 	if err != nil {
-		return characterizeResponse{}, fmt.Errorf("train indepth: %w", err)
+		return errorAnswer(http.StatusInternalServerError, "characterize: train indepth: %v", err)
 	}
 	defer s.stage(span, "crossexam")()
 	p := s.replayPlatform()
 	_, _, total, _ := s.win.stats()
 	hit := true
-	resp, err := ms.characterize(charKey{total: total, n: n, seed: seed, faults: p.Faults}, func() (characterizeResponse, error) {
+	key := charKey{total: total, n: n, seed: seed, faults: p.Faults}
+	ans := lastByKey(ms, &ms.char, key, func() (answer, bool) {
 		hit = false
 		snap := s.win.snapshot()
 		approaches := []crossexam.Approach{
@@ -561,18 +658,22 @@ func (s *Server) characterize(span *obs.LiveSpan, n int, seed int64) (characteri
 		// Workers=1: the daemon's parallelism budget belongs to the pool,
 		// not to nested fan-outs inside one job.
 		scores, err := crossexam.Evaluate(snap, approaches, n, p, crossexam.Options{Seed: seed, Workers: 1})
-		return characterizeResponse{
+		if err != nil {
+			// Kept like an answer: the evaluation would fail again.
+			return errorAnswer(http.StatusInternalServerError, "characterize: %v", err), true
+		}
+		return jsonAnswer(http.StatusOK, characterizeResponse{
 			TrainedOn: ms.TrainedOn,
 			Window:    snap.Len(),
 			N:         n,
 			Seed:      seed,
 			Scores:    scores,
-		}, err
+		}), true
 	})
 	if hit {
 		s.metrics.charMemoHits.Add(1)
 	}
-	return resp, err
+	return ans
 }
 
 // handleReplay replays a streamed trace on the simulated platform and
@@ -617,9 +718,9 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 				httpError(w, http.StatusInternalServerError, "replay: %v", err)
 			}
 		}
-		format := "csv"
+		format := csvFormat
 		if binary {
-			format = "binary"
+			format = binaryFormat
 		}
 		return s.encodeTrace(span, timed, format)
 	})

@@ -164,6 +164,23 @@ func TestCharacterizeMemo(t *testing.T) {
 	}
 }
 
+// TestCharacterizeMemoKeepsBytes: a characterize hit answers the very bytes
+// the evaluation encoded, without encoding the scorecard again.
+func TestCharacterizeMemoKeepsBytes(t *testing.T) {
+	s := newTestServer(t, quietConfig())
+	if _, _, err := s.Ingest(gfsTrace(t, 300, 1)); err != nil {
+		t.Fatal(err)
+	}
+	first := s.characterize(nil, 150, 3)
+	again := s.characterize(nil, 150, 3)
+	if first.code != http.StatusOK || len(first.body) == 0 {
+		t.Fatalf("characterize = %d (%s)", first.code, first.body)
+	}
+	if &again.body[0] != &first.body[0] || len(again.body) != len(first.body) {
+		t.Fatal("a characterize hit answered a new encoding of the scorecard, not the kept bytes")
+	}
+}
+
 // TestCharacterizeSingleFlight: identical requests arriving together wait
 // for one evaluation instead of each running their own.
 func TestCharacterizeSingleFlight(t *testing.T) {

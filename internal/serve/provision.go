@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -170,19 +169,17 @@ func (s *Server) provision(ctx context.Context, span *obs.LiveSpan, ms *modelSet
 	_, _, total, _ := s.win.stats()
 	key := provKey{total: total, model: req.Model, request: string(canonical), faults: s.faults.Load()}
 	hit := true
-	ans := ms.provision(key, func() (answer, bool) {
+	ans := lastByKey(ms, &ms.prov, key, func() (answer, bool) {
 		hit = false
 		plan, err := s.runProvision(ctx, span, ms, req.Model, req.Request)
 		switch {
 		case err == nil || errors.Is(err, errs.ErrNoFeasibleConfig):
-			var b bytes.Buffer
-			json.NewEncoder(&b).Encode(provisionResponse{
+			return jsonAnswer(http.StatusOK, provisionResponse{
 				Model:     req.Model,
 				TrainedOn: ms.TrainedOn,
 				Request:   defaulted,
 				Plan:      plan,
-			})
-			return answer{code: http.StatusOK, body: b.Bytes()}, true
+			}), true
 		case errors.Is(err, errs.ErrBadConfig):
 			return errorAnswer(http.StatusBadRequest, "provision: %v", err), true
 		}

@@ -242,15 +242,14 @@ type modelSet struct {
 	inDepth   func() (*indepth.Model, error)
 	// twins holds the analytical twins compiled from this generation.
 	twins map[twinKey]func() (*twin.Twin, error)
-	// char is the last /v1/characterize answer of this generation.
-	char    func() (characterizeResponse, error)
-	charKey charKey
-	// prov is the last encoded /v1/provision answer of this generation.
-	prov *provEntry
-	// synths holds the traces /v1/synthesize synthesized from this
-	// generation, read-only once kept; synthKept is the requests they hold,
-	// at most synthMemoBudget.
-	synths    map[synthKey]func() (*trace.Trace, error)
+	// char and prov are the last encoded /v1/characterize and /v1/provision
+	// answers of this generation.
+	char *lastKept[charKey, answer]
+	prov *lastKept[provKey, answer]
+	// synths holds what /v1/synthesize synthesized from this generation, as
+	// trace-v2 bytes, with the answers encoded from them; synthKept is the
+	// requests they hold, at most synthMemoBudget.
+	synths    map[synthKey]*synthEntry
 	synthKept int
 }
 
@@ -304,6 +303,36 @@ func (ms *modelSet) twin(key twinKey, compile func() (*twin.Twin, error)) (*twin
 	return get()
 }
 
+// lastKept is the one value a memo of the last key keeps: the key it was
+// computed for, and the value, computed once.
+type lastKept[K comparable, V any] struct {
+	key K
+	get func() (v V, keep bool)
+}
+
+// lastByKey returns the value in *slot when it was computed for key
+// (waiting for it, if it is still being computed), else compute's, which
+// replaces it. A value compute marks as not to keep goes to the requests
+// already waiting on it and to no later one. ms.derivedMu guards *slot.
+func lastByKey[K comparable, V any](ms *modelSet, slot **lastKept[K, V], key K, compute func() (V, bool)) V {
+	ms.derivedMu.Lock()
+	e := *slot
+	if e == nil || e.key != key {
+		e = &lastKept[K, V]{key: key, get: sync.OnceValues(compute)}
+		*slot = e
+	}
+	ms.derivedMu.Unlock()
+	v, keep := e.get()
+	if !keep {
+		ms.derivedMu.Lock()
+		if *slot == e {
+			*slot = nil
+		}
+		ms.derivedMu.Unlock()
+	}
+	return v
+}
+
 // charKey is everything a characterize answer depends on besides the
 // generation: the window position (its monotone total), the synthetic
 // sample size, the seed and the armed fault scenario (by identity — every
@@ -314,19 +343,6 @@ type charKey struct {
 	n      int
 	seed   int64
 	faults *fault.Config
-}
-
-// characterize returns the generation's answer for key: the kept one when
-// the last request had the same key (waiting for it if it is still being
-// evaluated), else evaluate's, which replaces it.
-func (ms *modelSet) characterize(key charKey, evaluate func() (characterizeResponse, error)) (characterizeResponse, error) {
-	ms.derivedMu.Lock()
-	if ms.char == nil || ms.charKey != key {
-		ms.char, ms.charKey = sync.OnceValues(evaluate), key
-	}
-	get := ms.char
-	ms.derivedMu.Unlock()
-	return get()
 }
 
 // provKey is everything a provision answer depends on besides the
@@ -340,74 +356,90 @@ type provKey struct {
 	faults  *fault.Config
 }
 
-// provEntry is one memoized provision answer; keep reports whether it may
-// answer the next request with its key (a cancelled search may not).
-type provEntry struct {
-	key provKey
-	get func() (ans answer, keep bool)
-}
-
-// provision returns the generation's answer for key, as characterize does:
-// the kept one when the last request had the same key, else search's. An
-// answer search marks as not to keep goes to the requests already waiting
-// on it and to no later one.
-func (ms *modelSet) provision(key provKey, search func() (answer, bool)) answer {
-	ms.derivedMu.Lock()
-	e := ms.prov
-	if e == nil || e.key != key {
-		e = &provEntry{key: key, get: sync.OnceValues(search)}
-		ms.prov = e
-	}
-	ms.derivedMu.Unlock()
-	ans, keep := e.get()
-	if !keep {
-		ms.derivedMu.Lock()
-		if ms.prov == e {
-			ms.prov = nil
-		}
-		ms.derivedMu.Unlock()
-	}
-	return ans
-}
-
 // synthKey is everything a synthesized trace depends on besides the
 // generation. The fault scenario is not part of it: faults degrade only the
-// replay of the trace, which runs afresh on every request.
+// replay of the trace, and a synthEntry keys its replayed answers by
+// scenario.
 type synthKey struct {
 	model string
 	n     int
 	seed  int64
 }
 
+// synthEntry is one synthesis a generation keeps. The trace is kept as its
+// trace-v2 encoding, which is also its format=binary answer: the codec is
+// lossless, so every other answer can be encoded from it. Each of those is
+// encoded once, by the first request to ask, and kept with the entry.
+type synthEntry struct {
+	// binary is the trace-v2 encoding, in a slice of its own size, or the
+	// failure to synthesize or encode the trace.
+	binary func() ([]byte, error)
+	// answers holds the answers encoded from binary, by replay (0 or 1) and
+	// format, each keyed by the fault scenario it was replayed under (nil
+	// when it was not replayed, and on healthy hardware): one asked for
+	// under another scenario replaces it, so re-arming faults cannot grow
+	// the entry. The slot of the unreplayed binary answer stays empty.
+	answers [2][numFormats]*lastKept[*fault.Config, answer]
+}
+
 // synthMemoBudget is how many synthesized requests one generation keeps:
-// one default window, about 3.6 MB of chat requests and spans (80 B a
-// request, 64 B a span, 5.6 spans a request). Traces are kept first come,
-// first served; one that would overrun the budget is synthesized for its
-// request and not kept.
+// one default window. Entries are kept first come, first served; a query
+// whose trace would overrun the budget is synthesized for its request and
+// nothing of it is kept. What a kept request costs depends on the answers
+// asked for. A KOOZA request synthesized from a chat window keeps 93 B of
+// trace-v2, about 1.3 KB once its CSV (515 B) and JSON (690 B) answers are
+// asked for too, and 2.8 KB at worst, with the replayed answer in all three
+// formats (155, 590 and 766 B): 23 MB for a full budget.
 const synthMemoBudget = 8192
 
-// synthesized returns the generation's trace for key, synthesized by the
-// first caller to ask for it and by nobody after, while the budget lasts.
-// Callers only read the trace: it answers every later request for key. A
-// failure is kept like a trace, since synthesis is a pure function of the
-// generation and the key and would fail again.
-func (ms *modelSet) synthesized(key synthKey, synthesize func() (*trace.Trace, error)) (*trace.Trace, error) {
+// synthesized returns the generation's entry for key and its trace-v2
+// bytes, synthesized and encoded by the first caller to ask and by nobody
+// after, while the budget lasts. Past the budget the entry is nil, and
+// synthesize ran for this caller alone. A failure is kept like a trace,
+// since synthesis is a pure function of the generation and the key and
+// would fail again.
+func (ms *modelSet) synthesized(key synthKey, synthesize func() (*trace.Trace, error)) (*synthEntry, []byte, error) {
 	ms.derivedMu.Lock()
-	get := ms.synths[key]
-	if get == nil {
+	e := ms.synths[key]
+	if e == nil {
 		if ms.synthKept+key.n > synthMemoBudget {
 			ms.derivedMu.Unlock()
-			return synthesize()
+			_, err := synthesize()
+			return nil, nil, err
 		}
 		if ms.synths == nil {
-			ms.synths = make(map[synthKey]func() (*trace.Trace, error))
+			ms.synths = make(map[synthKey]*synthEntry)
 		}
-		get = sync.OnceValues(synthesize)
-		ms.synths[key] = get
+		e = &synthEntry{binary: sync.OnceValues(func() ([]byte, error) {
+			tr, err := synthesize()
+			if err != nil {
+				return nil, err
+			}
+			b, err := encodeExact(tr, binaryFormat)
+			if err != nil {
+				return nil, fmt.Errorf("encode: %w", err)
+			}
+			return b, nil
+		})}
+		ms.synths[key] = e
 		ms.synthKept += key.n
 	}
 	ms.derivedMu.Unlock()
-	return get()
+	b, err := e.binary()
+	return e, b, err
+}
+
+// synthAnswer returns e's answer in format, replayed or not,
+// under the armed scenario faults: the kept one, or encode's, which the
+// entry keeps from then on.
+func (ms *modelSet) synthAnswer(e *synthEntry, replayed bool, format int, faults *fault.Config, encode func() answer) answer {
+	r := 0
+	if replayed {
+		r = 1
+	} else {
+		faults = nil
+	}
+	return lastByKey(ms, &e.answers[r][format], faults, func() (answer, bool) { return encode(), true })
 }
 
 // Server is the daemon: sliding window, warm models, bounded work queue.
@@ -444,6 +476,9 @@ type Server struct {
 	// parkTrainer, when set (tests only, under ingestMu), is called by each
 	// retrain after its snapshot and before it trains, with no lock held.
 	parkTrainer func()
+	// onEncode, when set (tests only, before the first query), is called
+	// with the query each time a synthesize answer is encoded to be kept.
+	onEncode func(synthQuery)
 
 	// faults is the armed fault scenario for degraded replay (nil =
 	// healthy). Swapped atomically by the /v1/faults admin endpoint.

@@ -2,13 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -57,18 +58,29 @@ func kept(s *Server) int {
 	return len(ms.synths)
 }
 
-// keptTrace is the served generation's trace for key; the test fails if
-// the generation keeps none.
-func keptTrace(t *testing.T, s *Server, key synthKey) *trace.Trace {
+// keptBytes is the trace-v2 encoding the served generation keeps for key;
+// the test fails if the generation keeps none.
+func keptBytes(t *testing.T, s *Server, key synthKey) []byte {
 	t.Helper()
 	ms := s.model.Load()
 	ms.derivedMu.Lock()
-	get := ms.synths[key]
+	e := ms.synths[key]
 	ms.derivedMu.Unlock()
-	if get == nil {
+	if e == nil {
 		t.Fatalf("no trace kept for %+v", key)
 	}
-	tr, err := get()
+	b, err := e.binary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// keptTrace is the served generation's trace for key, decoded from the
+// bytes it keeps; the test fails if the generation keeps none.
+func keptTrace(t *testing.T, s *Server, key synthKey) *trace.Trace {
+	t.Helper()
+	tr, err := trace.ReadBinary(bytes.NewReader(keptBytes(t, s, key)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,12 +292,12 @@ func TestSynthesizeMemoKeepsFailure(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
 	for i := 0; i < 3; i++ {
-		tr, err := ms.synthesized(synthKey{"kooza", 10, 1}, func() (*trace.Trace, error) {
+		e, kept, err := ms.synthesized(synthKey{"kooza", 10, 1}, func() (*trace.Trace, error) {
 			calls++
 			return nil, boom
 		})
-		if tr != nil || !errors.Is(err, boom) {
-			t.Fatalf("ask %d: (%v, %v), want the kept failure", i, tr, err)
+		if e == nil || kept != nil || !errors.Is(err, boom) {
+			t.Fatalf("ask %d: (%v, %v, %v), want the kept failure", i, e, kept, err)
 		}
 	}
 	if calls != 1 || ms.synthKept != 10 {
@@ -293,10 +305,291 @@ func TestSynthesizeMemoKeepsFailure(t *testing.T) {
 	}
 }
 
-// BenchmarkSynthesizeRepeat prices /v1/synthesize?n=1000&format=binary
-// through the handler, in process, on a daemon trained on an 8192-request
-// chat window: "hit" asks for the same key every time and is answered from
-// the kept trace, "miss" asks with a fresh seed every time and synthesizes.
+// keptAnswers counts the answers the served generation keeps beside the
+// trace-v2 bytes of key, and reports whether every replayed one is keyed
+// by faults.
+func keptAnswers(t *testing.T, s *Server, key synthKey, faults *fault.Config) (n int, underFaults bool) {
+	t.Helper()
+	ms := s.model.Load()
+	ms.derivedMu.Lock()
+	defer ms.derivedMu.Unlock()
+	e := ms.synths[key]
+	if e == nil {
+		t.Fatalf("no trace kept for %+v", key)
+	}
+	underFaults = true
+	for r, byFormat := range e.answers {
+		for _, a := range byFormat {
+			if a == nil {
+				continue
+			}
+			n++
+			if r == 1 && a.key != faults {
+				underFaults = false
+			}
+		}
+	}
+	return n, underFaults
+}
+
+// countEncodes arms s to count, per query, the answers it encodes to keep.
+func countEncodes(s *Server) func(synthQuery) int {
+	var mu sync.Mutex
+	counts := map[synthQuery]int{}
+	s.onEncode = func(q synthQuery) {
+		mu.Lock()
+		counts[q]++
+		mu.Unlock()
+	}
+	return func(q synthQuery) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return counts[q]
+	}
+}
+
+// TestSynthesizeMemoKeepsTraceV2: for every preset and model at two seeds,
+// the bytes a generation keeps decode to exactly the trace the model
+// synthesizes, so every answer encoded from them is the answer of the
+// synthesized trace.
+func TestSynthesizeMemoKeepsTraceV2(t *testing.T) {
+	for _, preset := range spec.Names() {
+		s := newTestServer(t, quietConfig())
+		if _, _, err := s.Ingest(presetWindow(t, preset, 2048, 1)); err != nil {
+			t.Fatalf("%s: %v", preset, err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		for _, model := range []string{"kooza", "inbreadth", "indepth"} {
+			for _, seed := range []int64{1, 2} {
+				key := synthKey{model, 300, seed}
+				mustGet(t, synthURL(ts.URL, model, key.n, seed, "csv", false))
+				synthesize, err := s.synthesizer(s.model.Load(), nil, model)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := synthesize(key.n, rand.New(rand.NewSource(seed)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := keptTrace(t, s, key); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %+v: the kept bytes decode to another trace than the synthesized one", preset, key)
+				}
+			}
+		}
+		ts.Close()
+	}
+}
+
+// TestSynthesizeMemoEncodesOnce: each answer of a kept key — every format,
+// replayed or not — is encoded once, by the first ask, however often and in
+// whatever order it is asked for after; the unreplayed binary answer is
+// the kept bytes and is never encoded again. Every answer is a fresh
+// daemon's.
+func TestSynthesizeMemoEncodesOnce(t *testing.T) {
+	s, ts := memoDaemon(t)
+	_, fresh := memoDaemon(t)
+	encodes := countEncodes(s)
+	key := synthKey{"indepth", 250, 6}
+	var queries []synthQuery
+	for _, replay := range []bool{true, false} {
+		for _, format := range []int{jsonFormat, binaryFormat, csvFormat} {
+			queries = append(queries, synthQuery{key: key, format: format, replay: replay})
+		}
+	}
+	for round := 0; round < 3; round++ {
+		for _, q := range queries {
+			url := func(base string) string {
+				return synthURL(base, key.model, key.n, key.seed, formatNames[q.format], q.replay)
+			}
+			if !bytes.Equal(mustGet(t, url(ts.URL)), mustGet(t, url(fresh.URL))) {
+				t.Fatalf("round %d, %+v: the answer differs from a fresh daemon's", round, q)
+			}
+			want := 1
+			if !q.replay && q.format == binaryFormat {
+				want = 0
+			}
+			if got := encodes(q); got != want {
+				t.Fatalf("round %d, %+v: encoded %d times, want %d", round, q, got, want)
+			}
+		}
+	}
+	if n, _ := keptAnswers(t, s, key, nil); n != len(queries)-1 {
+		t.Fatalf("%d answers kept beside the trace, want %d", n, len(queries)-1)
+	}
+	if got, want := s.metrics.synthMemoHits.Value(), int64(3*len(queries)-1); got != want {
+		t.Fatalf("%d memo hits, want %d", got, want)
+	}
+}
+
+// TestSynthesizeMemoEncodeSingleFlight: 16 first asks for one CSV answer
+// arriving together encode it once, and all get its bytes.
+func TestSynthesizeMemoEncodeSingleFlight(t *testing.T) {
+	s, ts := memoDaemon(t)
+	encodes := countEncodes(s)
+	q := synthQuery{key: synthKey{"kooza", 500, 4}, format: csvFormat}
+	url := synthURL(ts.URL, q.key.model, q.key.n, q.key.seed, "csv", false)
+	mustGet(t, synthURL(ts.URL, q.key.model, q.key.n, q.key.seed, "binary", false))
+	const clients = 16
+	bodies := make([][]byte, clients)
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			code, body := get(t, url)
+			if code != http.StatusOK {
+				t.Errorf("client %d: status %d (%s)", i, code, body)
+			}
+			bodies[i] = body
+		}(i)
+	}
+	wg.Wait()
+	if got := encodes(q); got != 1 {
+		t.Fatalf("%d concurrent first asks encoded the CSV answer %d times, want once", clients, got)
+	}
+	for i := 1; i < clients; i++ {
+		if !bytes.Equal(bodies[i], bodies[0]) {
+			t.Fatalf("client %d got a different answer from client 0", i)
+		}
+	}
+}
+
+// TestSynthesizeMemoReplayScenarios: arming 50 fault scenarios in turn,
+// each replayed answer is a fresh daemon's under the same scenario, and a
+// kept key holds at most one replayed answer per format, the last
+// scenario's: re-arming faults cannot grow the memo.
+func TestSynthesizeMemoReplayScenarios(t *testing.T) {
+	s, ts := memoDaemon(t)
+	fresh, freshTS := memoDaemon(t)
+	encodes := countEncodes(s)
+	key := synthKey{"kooza", 120, 2}
+	formats := []string{"csv", "binary"}
+	for _, format := range formats {
+		mustGet(t, synthURL(ts.URL, key.model, key.n, key.seed, format, false))
+	}
+	var healthy [][]byte
+	for i := 0; i < 50; i++ {
+		scenario := fault.Config{MTBF: 0.05 + 0.01*float64(i%5), MTTR: 0.02, Seed: int64(i + 1)}
+		for _, d := range []*Server{s, fresh} {
+			if err := d.ArmFaults(scenario); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for f, format := range formats {
+			url := func(base string) string { return synthURL(base, key.model, key.n, key.seed, format, true) }
+			got := mustGet(t, url(ts.URL))
+			if !bytes.Equal(got, mustGet(t, url(freshTS.URL))) {
+				t.Fatalf("scenario %d, %s: the faulted answer differs from a fresh daemon's", i, format)
+			}
+			if !bytes.Equal(got, mustGet(t, url(ts.URL))) {
+				t.Fatalf("scenario %d, %s: a second ask answered other bytes", i, format)
+			}
+			if i == 0 {
+				healthy = append(healthy, got)
+			} else if i%5 == 0 && bytes.Equal(got, healthy[f]) {
+				t.Fatalf("scenario %d, %s: answered scenario 0's bytes", i, format)
+			}
+		}
+		n, underFaults := keptAnswers(t, s, key, s.faults.Load())
+		if n != 2*len(formats)-1 || !underFaults {
+			t.Fatalf("scenario %d: %d answers kept (replayed ones under the armed scenario: %t), want %d",
+				i, n, underFaults, 2*len(formats)-1)
+		}
+	}
+	for f := range formats {
+		q := synthQuery{key: key, format: []int{csvFormat, binaryFormat}[f], replay: true}
+		if got := encodes(q); got != 50 {
+			t.Fatalf("%s: %d replayed answers encoded across 50 scenarios, want 50", formats[f], got)
+		}
+	}
+}
+
+// overBudgetAnswers are the sha256 digests of memoDaemon's answers to a
+// KOOZA query one request past synthMemoBudget, seed 1, as daemons
+// answered them before the memo kept anything but traces.
+var overBudgetAnswers = []struct {
+	format string
+	replay bool
+	digest string
+}{
+	{"csv", false, "2769dfbed9b0faf26ff22a70d0108724723de6ba1ebb45a22b62236ac028c0e5"},
+	{"csv", true, "de4d77a72e67a73001d30895e8a672a568c211c2992e853e946af0eb7ed800f6"},
+	{"json", false, "159f45ddb162c792b784162cedc0950640602f50f7406e08a7acf9e2885b975b"},
+	{"json", true, "bc8a1473f32b102b70907fbb9e0ccf5d2f5b37dbcc27294ca95cd91e8337ba55"},
+	{"binary", false, "5feaab85612deebcb33647bf6d112d983d46bca1eb31436a02fd0ebe81e2f51f"},
+	{"binary", true, "d66e50dfe7a978e5257d201e695c8cbe8b71156641f20bbd59888d2c6df89daf"},
+}
+
+// TestSynthesizeMemoOverBudgetBytes: a query past the budget keeps nothing,
+// encodes nothing to keep, and answers the bytes it always answered.
+func TestSynthesizeMemoOverBudgetBytes(t *testing.T) {
+	s, ts := memoDaemon(t)
+	encodes := 0
+	s.onEncode = func(synthQuery) { encodes++ }
+	for _, a := range overBudgetAnswers {
+		body := mustGet(t, synthURL(ts.URL, "kooza", synthMemoBudget+1, 1, a.format, a.replay))
+		if got := fmt.Sprintf("%x", sha256.Sum256(body)); got != a.digest {
+			t.Fatalf("%s replay=%t: answer digest %s, want %s", a.format, a.replay, got, a.digest)
+		}
+	}
+	if got := kept(s); got != 0 || encodes != 0 {
+		t.Fatalf("over-budget queries kept %d traces and encoded %d answers to keep, want none", got, encodes)
+	}
+}
+
+// TestSynthesizeExpiredDeadline: a job that finds its deadline passed once
+// the trace is synthesized answers 504 and keeps no answer — it used to
+// skip the replay and answer the unreplayed trace as a 200.
+func TestSynthesizeExpiredDeadline(t *testing.T) {
+	s, _ := memoDaemon(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	q := synthQuery{key: synthKey{"kooza", 200, 3}, format: csvFormat, replay: true}
+	if respond := s.synthesize(ctx, nil, s.model.Load(), s.replayPlatform(), q); respond != nil {
+		rec := httptest.NewRecorder()
+		respond(rec)
+		t.Fatalf("a job past its deadline answered %d, want no answer (504)", rec.Code)
+	}
+	if n, _ := keptAnswers(t, s, q.key, nil); n != 0 {
+		t.Fatalf("a job past its deadline kept %d answers, want none", n)
+	}
+	rec := httptest.NewRecorder()
+	s.enqueue(rec, httptest.NewRequest(http.MethodGet, "/v1/synthesize", nil), func(context.Context) func(http.ResponseWriter) { return nil })
+	if rec.Code != http.StatusGatewayTimeout || s.metrics.deadline.Value() != 1 {
+		t.Fatalf("a job answering nil: status %d, %d deadlines counted; want 504 and 1", rec.Code, s.metrics.deadline.Value())
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps the status and drops the
+// body, so a benchmark counts what the handler allocates and not a copy of
+// its answer.
+type discardWriter struct {
+	header http.Header
+	code   int
+}
+
+func (w *discardWriter) Header() http.Header { return w.header }
+
+func (w *discardWriter) Write(b []byte) (int, error) {
+	if w.code == 0 {
+		w.code = http.StatusOK
+	}
+	return len(b), nil
+}
+
+func (w *discardWriter) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
+	}
+}
+
+// BenchmarkSynthesizeRepeat prices /v1/synthesize?n=1000 through the
+// handler, in process, on a daemon trained on an 8192-request chat window.
+// Each "hit" case asks for the same key and format every time and is
+// answered from the bytes the generation keeps; "miss" asks with a fresh
+// seed every time, so it synthesizes and encodes, keeping the first few
+// traces until the budget is full and none after. B/op of a hit does not
+// grow with n: the answer is not copied.
 func BenchmarkSynthesizeRepeat(b *testing.B) {
 	ps, err := spec.Preset("chat")
 	if err != nil {
@@ -319,24 +612,28 @@ func BenchmarkSynthesizeRepeat(b *testing.B) {
 		b.Fatal(err)
 	}
 	h := s.Handler()
-	ask := func(b *testing.B, seed int64) {
-		rw := httptest.NewRecorder()
-		h.ServeHTTP(rw, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/synthesize?n=1000&format=binary&seed=%d", seed), nil))
-		if rw.Code != http.StatusOK {
-			b.Fatalf("status %d: %s", rw.Code, strings.TrimSpace(rw.Body.String()))
+	ask := func(b *testing.B, query string, seed int64) {
+		w := &discardWriter{header: http.Header{}}
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/synthesize?n=1000&%s&seed=%d", query, seed), nil))
+		if w.code != http.StatusOK {
+			b.Fatalf("%s: status %d", query, w.code)
 		}
 	}
-	b.Run("hit", func(b *testing.B) {
-		ask(b, 1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ask(b, 1)
-		}
-	})
-	b.Run("miss", func(b *testing.B) {
+	for _, query := range []string{"format=csv", "format=json", "format=binary", "format=binary&replay=1"} {
+		b.Run("hit/"+query, func(b *testing.B) {
+			ask(b, query, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ask(b, query, 1)
+			}
+		})
+	}
+	b.Run("miss/format=binary", func(b *testing.B) {
 		seeds := rand.New(rand.NewSource(2))
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ask(b, seeds.Int63())
+			ask(b, "format=binary", seeds.Int63())
 		}
 	})
 }
