@@ -339,10 +339,10 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	if modelName == "" {
 		modelName = "kooza"
 	}
-	format, ok := csvFormat, true
+	format := csvFormat
 	if name := r.URL.Query().Get("format"); name != "" {
-		format, ok = formatNamed(name)
-		if !ok {
+		var ok bool
+		if format, ok = formatNamed(name); !ok {
 			httpError(w, http.StatusBadRequest, "format must be csv, json or binary, got %q", name)
 			return
 		}
@@ -523,13 +523,6 @@ var encoded = sync.Pool{New: func() any { return new([]byte) }}
 // MaxSynth-sized answer must not stay pinned in the pool.
 const maxPooledBody = 4 << 20
 
-// pooledBody is a slice from encoded, emptied.
-func pooledBody() *[]byte {
-	pooled := encoded.Get().(*[]byte)
-	*pooled = (*pooled)[:0]
-	return pooled
-}
-
 // release hands body, grown from pooled, back to encoded.
 func release(pooled *[]byte, body []byte) {
 	if cap(body) <= maxPooledBody {
@@ -541,8 +534,8 @@ func release(pooled *[]byte, body []byte) {
 // encodeExact encodes tr in format into a pooled slice and returns a copy
 // exactly the size of the body: what a memo keeps.
 func encodeExact(tr *trace.Trace, format int) ([]byte, error) {
-	pooled := pooledBody()
-	body, err := appendTrace(*pooled, tr, format)
+	pooled := encoded.Get().(*[]byte)
+	body, err := appendTrace((*pooled)[:0], tr, format)
 	var exact []byte
 	if err == nil {
 		exact = bytes.Clone(body)
@@ -558,8 +551,8 @@ func encodeExact(tr *trace.Trace, format int) ([]byte, error) {
 // after the job ran.
 func (s *Server) encodeTrace(span *obs.LiveSpan, tr *trace.Trace, format int) func(http.ResponseWriter) {
 	stop := s.stage(span, "encode")
-	pooled := pooledBody()
-	body, err := appendTrace(*pooled, tr, format)
+	pooled := encoded.Get().(*[]byte)
+	body, err := appendTrace((*pooled)[:0], tr, format)
 	stop()
 	if err != nil {
 		release(pooled, body)
