@@ -467,7 +467,7 @@ func TestSynthesizeMemoReplayScenarios(t *testing.T) {
 	for _, format := range formats {
 		mustGet(t, synthURL(ts.URL, key.model, key.n, key.seed, format, false))
 	}
-	var healthy [][]byte
+	var scenario0 [][]byte
 	for i := 0; i < 50; i++ {
 		scenario := fault.Config{MTBF: 0.05 + 0.01*float64(i%5), MTTR: 0.02, Seed: int64(i + 1)}
 		for _, d := range []*Server{s, fresh} {
@@ -485,8 +485,8 @@ func TestSynthesizeMemoReplayScenarios(t *testing.T) {
 				t.Fatalf("scenario %d, %s: a second ask answered other bytes", i, format)
 			}
 			if i == 0 {
-				healthy = append(healthy, got)
-			} else if i%5 == 0 && bytes.Equal(got, healthy[f]) {
+				scenario0 = append(scenario0, got)
+			} else if i%5 == 0 && bytes.Equal(got, scenario0[f]) {
 				t.Fatalf("scenario %d, %s: answered scenario 0's bytes", i, format)
 			}
 		}
