@@ -62,9 +62,11 @@ var answersScenario = fault.Config{MTBF: 0.05, MTTR: 0.02, Seed: 9}
 // TestComparisonAnswersGolden pins what the daemon answers from KOOZA and
 // from its in-breadth and in-depth comparison models, one 8192-request
 // window per preset: synthesized bytes in every format, replayed on healthy
-// hardware and under answersScenario, the what-if answer, and the
-// characterize scorecard less its wall-clock column, each by status and
-// sha256. The answers are pure functions of the window and the daemon's
+// hardware and under answersScenario, the what-if answer, the characterize
+// scorecard less its wall-clock column and the provision answer, each by
+// status and sha256. Every answer is asked for twice, and the second ask — a
+// memo hit wherever the daemon keeps the answer — must return the first's
+// bytes. The answers are pure functions of the window and the daemon's
 // options, so however the models come to be trained and whatever the daemon
 // keeps between queries, the file must not change.
 func TestComparisonAnswersGolden(t *testing.T) {
@@ -78,9 +80,21 @@ func TestComparisonAnswersGolden(t *testing.T) {
 		record := func(what string, code int, body []byte) {
 			fmt.Fprintf(&out, "%s %s %d %x\n", name, what, code, sha256.Sum256(body))
 		}
+		// twice asks twice and returns the first answer, once the second is
+		// found to be the same bytes.
+		twice := func(what string, ask func() (int, []byte)) (int, []byte) {
+			code, body := ask()
+			if again, repeat := ask(); again != code || !bytes.Equal(repeat, body) {
+				t.Errorf("%s %s: the second ask answered %d and other bytes than the first (%d)", name, what, again, code)
+			}
+			return code, body
+		}
 		synthesize := func(what, model, query string) {
-			code, body := get(t, fmt.Sprintf("%s/v1/synthesize?n=500&seed=3&model=%s&%s", ts.URL, model, query))
-			record(what+"?model="+model+"&"+query, code, body)
+			what += "?model=" + model + "&" + query
+			code, body := twice(what, func() (int, []byte) {
+				return get(t, fmt.Sprintf("%s/v1/synthesize?n=500&seed=3&model=%s&%s", ts.URL, model, query))
+			})
+			record(what, code, body)
 		}
 		models := []string{"inbreadth", "indepth", "kooza"}
 		for _, model := range models {
@@ -88,11 +102,20 @@ func TestComparisonAnswersGolden(t *testing.T) {
 				"format=csv&replay=1", "format=json&replay=1", "format=binary&replay=1"} {
 				synthesize("synthesize", model, query)
 			}
-			resp, body := postWhatIf(t, ts, fmt.Sprintf(`{"model":%q,"query":{"load_factor":1.5}}`, model))
-			record("whatif?model="+model, resp.StatusCode, body)
+			what := "whatif?model=" + model
+			code, body := twice(what, func() (int, []byte) {
+				resp, body := postWhatIf(t, ts, fmt.Sprintf(`{"model":%q,"query":{"load_factor":1.5}}`, model))
+				return resp.StatusCode, body
+			})
+			record(what, code, body)
 		}
-		code, body := get(t, ts.URL+"/v1/characterize?n=300&seed=3")
+		code, body := twice("characterize", func() (int, []byte) { return get(t, ts.URL+"/v1/characterize?n=300&seed=3") })
 		record("characterize", code, withoutWallClock(t, body))
+		code, body = twice("provision", func() (int, []byte) {
+			resp, body := postProvision(t, ts, provisionBody)
+			return resp.StatusCode, body
+		})
+		record("provision", code, body)
 		if err := s.ArmFaults(answersScenario); err != nil {
 			t.Fatal(err)
 		}
