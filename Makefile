@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test test-race cover cover-spec bench benchmark-check fuzz fuzz-smoke vulncheck examples artifacts serve loadtest clean help
+.PHONY: all build fmt-check vet test test-race stress cover cover-spec bench benchmark-check fuzz fuzz-smoke vulncheck examples artifacts serve loadtest clean help
 
 all: build vet test
 
@@ -15,6 +15,8 @@ help:
 	@echo "  test       go test ./..."
 	@echo "  test-race  go test -race ./... — the concurrency gate for the"
 	@echo "             parallel cross-examination engine and sharded simulator"
+	@echo "  stress     the daemon's single-flight, drain and randomized cache-budget"
+	@echo "             tests under -race, 20 times at -cpu 1 and 2"
 	@echo "  cover      go test -cover ./... + the internal/spec coverage floor"
 	@echo "  cover-spec enforce the $(SPEC_COVER_FLOOR)% statement-coverage floor on internal/spec"
 	@echo "  bench      regenerate every table/figure + ablations (-bench=. -benchmem)"
@@ -50,6 +52,13 @@ test: vet
 # simulation and concurrent synthesis all run under it in CI.
 test-race:
 	$(GO) test -race ./...
+
+# The tests whose failures show only under some interleavings: every
+# single-flight test of internal/serve, both drain tests and the randomized
+# cache-budget test, 40 race-detector passes in all.
+STRESS_TESTS = SingleFlight|TestServeGracefulDrain$$|TestFaultArmedDrainNoDrops|TestCacheBudgetRandomized
+stress:
+	$(GO) test -race -count=20 -cpu 1,2 -run '$(STRESS_TESTS)' ./internal/serve/
 
 cover: cover-spec
 	$(GO) test -cover ./...

@@ -336,18 +336,8 @@ func TestFaultArmedDrainNoDrops(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- s.Serve(ctx, ln) }()
+	// The listener is bound before Serve runs: no need to wait for it.
 	base := "http://" + ln.Addr().String()
-	for i := 0; ; i++ {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			break
-		}
-		if i > 100 {
-			t.Fatalf("server never came up: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 
 	resp, err := http.Post(base+"/v1/faults", "application/json",
 		strings.NewReader(`{"mtbf": 2, "mttr": 0.5, "rack_size": 2, "seed": 9}`))
@@ -414,17 +404,10 @@ func TestFaultArmedDrainNoDrops(t *testing.T) {
 
 	// SIGTERM once every request is in the daemon's hands — a client still
 	// connecting when the listener closes is refused, not dropped by the
-	// drain. Each request is one admitted job, and an admitted job is
-	// finished, running or queued; read in that order (a job only moves
-	// the other way) the sum never counts one twice.
-	admitted := func() int {
-		n := int(s.pool.Completed())
-		n += s.pool.Running()
-		return n + s.pool.Depth()
-	}
-	for deadline := time.Now().Add(10 * time.Second); admitted() < clients; {
+	// drain. Each request is one admitted job.
+	for deadline := time.Now().Add(10 * time.Second); admittedJobs(s) < clients; {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d requests admitted after 10s", admitted(), clients)
+			t.Fatalf("only %d of %d requests admitted after 10s", admittedJobs(s), clients)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}

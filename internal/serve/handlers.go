@@ -379,61 +379,60 @@ type synthQuery struct {
 }
 
 // synthesize is the queued job of /v1/synthesize: it answers q from
-// generation ms, replaying on p. The generation keeps what it synthesized as
-// trace-v2 bytes, and each answer encoded from them, so a repeated query
-// only reads bytes. The first ask of an answer encodes it from the trace the
-// ask synthesized, if it did, else from the kept bytes. A query past the
-// memo budget is answered from a pooled buffer and nothing of it is kept.
+// generation ms, replaying on p. The generation's cache keeps what it
+// synthesized as trace-v2 bytes, and each answer encoded from them, so a
+// repeated query only reads bytes. The first ask of an answer encodes it
+// from the trace the ask synthesized, if it did, else from the kept bytes. A
+// trace the cache does not keep is answered from a pooled buffer, and no
+// answer encoded from it is kept either.
 func (s *Server) synthesize(ctx context.Context, span *obs.LiveSpan, ms *modelSet, p replay.Platform, q synthQuery) func(http.ResponseWriter) {
 	synthesize, err := s.synthesizer(ms, span, q.key.model)
 	if err != nil {
 		return errorAnswer(http.StatusInternalServerError, "train %s: %v", q.key.model, err).write
 	}
 	stop := s.stage(span, "synthesize")
-	hit, fresh := true, (*trace.Trace)(nil)
-	e, kept, err := ms.synthesized(q.key, func() (*trace.Trace, error) {
-		hit = false
-		var err error
-		fresh, err = synthesize(q.key.n, rand.New(rand.NewSource(q.key.seed)))
-		return fresh, err
+	var fresh *trace.Trace
+	bin, hit, kept := ms.cache.answer(q.key, func() (answer, bool) {
+		tr, err := synthesize(q.key.n, rand.New(rand.NewSource(q.key.seed)))
+		if err != nil {
+			// Kept like a trace: synthesis is a pure function of the
+			// generation and the key, and would fail again.
+			return errorAnswer(http.StatusInternalServerError, "synthesize: %v", err), true
+		}
+		fresh = tr
+		b, err := encodeExact(tr, binaryFormat)
+		if err != nil {
+			return errorAnswer(http.StatusInternalServerError, "synthesize: encode: %v", err), true
+		}
+		return answer{code: http.StatusOK, contentType: contentTypes[binaryFormat], body: b}, true
 	})
 	stop()
 	if hit {
 		s.metrics.synthMemoHits.Add(1)
 	}
-	if err != nil {
-		return errorAnswer(http.StatusInternalServerError, "synthesize: %v", err).write
+	if bin.code != http.StatusOK {
+		return bin.write
 	}
 	if ctx.Err() != nil {
 		// The deadline passed while the job ran; the client is answered 504
 		// and no answer is encoded, let alone kept.
 		return nil
 	}
-	if e == nil {
-		tr := fresh
-		if q.replay {
-			stop = s.stage(span, "replay")
-			tr, err = replay.Run(fresh, p)
-			stop()
-			if err != nil {
-				return errorAnswer(http.StatusInternalServerError, "replay: %v", err).write
-			}
-		}
-		return s.encodeTrace(span, tr, q.format)
-	}
 	// A kept answer is read inside the encode stage; an answer encoded for
 	// the first time is encoded there too, and replayed in a replay stage
-	// of its own, which the closure below opens by closing encode.
+	// of its own, which traced opens by closing encode.
 	stop = s.stage(span, "encode")
 	defer func() { stop() }()
 	if !q.replay && q.format == binaryFormat {
-		return answer{code: http.StatusOK, contentType: contentTypes[binaryFormat], body: kept}.write
+		return bin.write
 	}
-	return ms.synthAnswer(e, q.replay, q.format, p.Faults, func() answer {
+	// traced is the trace to encode: the one this ask synthesized, if it
+	// did, else the kept bytes decoded, replayed if the query asks for it.
+	traced := func() (*trace.Trace, error) {
 		tr, err := fresh, error(nil)
 		if tr == nil {
-			if tr, err = trace.ReadBinary(bytes.NewReader(kept)); err != nil {
-				return errorAnswer(http.StatusInternalServerError, "decode kept trace: %v", err)
+			if tr, err = trace.ReadBinary(bytes.NewReader(bin.body)); err != nil {
+				return nil, fmt.Errorf("decode kept trace: %w", err)
 			}
 		}
 		if q.replay {
@@ -443,23 +442,43 @@ func (s *Server) synthesize(ctx context.Context, span *obs.LiveSpan, ms *modelSe
 			stop()
 			stop = s.stage(span, "encode")
 			if err != nil {
-				return errorAnswer(http.StatusInternalServerError, "replay: %v", err)
+				return nil, fmt.Errorf("replay: %w", err)
 			}
+		}
+		return tr, nil
+	}
+	if !kept {
+		tr, err := traced()
+		if err != nil {
+			return errorAnswer(http.StatusInternalServerError, "%v", err).write
+		}
+		return pooledAnswer(tr, q.format)
+	}
+	key := answerKey{synthQuery: q}
+	if q.replay {
+		key.faults = p.Faults
+	}
+	ans, _, _ := ms.cache.answer(key, func() (answer, bool) {
+		tr, err := traced()
+		if err != nil {
+			return errorAnswer(http.StatusInternalServerError, "%v", err), true
 		}
 		if s.onEncode != nil {
 			s.onEncode(q)
 		}
 		body, err := encodeExact(tr, q.format)
 		if err != nil {
-			return errorAnswer(http.StatusInternalServerError, "encode: %v", err)
+			return errorAnswer(http.StatusInternalServerError, "encode: %v", err), true
 		}
-		return answer{code: http.StatusOK, contentType: contentTypes[q.format], body: body}
-	}).write
+		return answer{code: http.StatusOK, contentType: contentTypes[q.format], body: body}, true
+	})
+	return ans.write
 }
 
 // synthesizer returns the batch synthesis of ms's named model, training a
 // comparison model if this is the first request of the generation to ask
-// for it.
+// for it. The what-if and provision paths call it for that training alone,
+// so that it is timed as a stage of its own ahead of theirs.
 func (s *Server) synthesizer(ms *modelSet, span *obs.LiveSpan, model string) (func(int, *rand.Rand) (*trace.Trace, error), error) {
 	switch model {
 	case "inbreadth":
@@ -478,8 +497,8 @@ func (s *Server) synthesizer(ms *modelSet, span *obs.LiveSpan, model string) (fu
 	return ms.Kooza.Synthesize, nil
 }
 
-// The encodings a trace answer comes in: they index contentTypes and a
-// synthEntry's answers.
+// The encodings a trace answer comes in: they index formatNames and
+// contentTypes.
 const (
 	csvFormat = iota
 	jsonFormat
@@ -544,16 +563,13 @@ func encodeExact(tr *trace.Trace, format int) ([]byte, error) {
 	return exact, err
 }
 
-// encodeTrace is the encode step of an answer nobody keeps: it encodes tr
-// into a pooled slice inside the encode stage and returns the response
-// writer, which hands the slice back once the body is written. The body is
-// built before anything is sent because enqueue decides the status only
-// after the job ran.
-func (s *Server) encodeTrace(span *obs.LiveSpan, tr *trace.Trace, format int) func(http.ResponseWriter) {
-	stop := s.stage(span, "encode")
+// pooledAnswer is the encode step of an answer nobody keeps: it encodes tr
+// into a pooled slice and returns the response writer, which hands the slice
+// back once the body is written. The body is built before anything is sent
+// because enqueue decides the status only after the job ran.
+func pooledAnswer(tr *trace.Trace, format int) func(http.ResponseWriter) {
 	pooled := encoded.Get().(*[]byte)
 	body, err := appendTrace((*pooled)[:0], tr, format)
-	stop()
 	if err != nil {
 		release(pooled, body)
 		return errorAnswer(http.StatusInternalServerError, "encode: %v", err).write
@@ -638,10 +654,8 @@ func (s *Server) characterize(span *obs.LiveSpan, n int, seed int64) answer {
 	defer s.stage(span, "crossexam")()
 	p := s.replayPlatform()
 	_, _, total, _ := s.win.stats()
-	hit := true
 	key := charKey{total: total, n: n, seed: seed, faults: p.Faults}
-	ans := lastByKey(ms, &ms.char, key, func() (answer, bool) {
-		hit = false
+	ans, hit, _ := ms.cache.answer(key, func() (answer, bool) {
 		snap := s.win.snapshot()
 		approaches := []crossexam.Approach{
 			{Name: "in-breadth", Knobs: 3, Synthesize: ib.Synthesize, NumParams: ib.NumParams()},
@@ -715,7 +729,8 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		if binary {
 			format = binaryFormat
 		}
-		return s.encodeTrace(span, timed, format)
+		defer s.stage(span, "encode")()
+		return pooledAnswer(timed, format)
 	})
 }
 
@@ -737,14 +752,6 @@ type whatifResponse struct {
 	Answer    twin.Answer `json:"answer"`
 }
 
-// compileTwin lowers one warm model generation to its analytical twin on
-// the daemon's configured platform hardware. Fault scenarios degrade only
-// the replay platform, so the twin always answers about healthy hardware —
-// what-if exploration stays meaningful while a degraded regime is armed.
-func (s *Server) compileTwin(ms *modelSet, model string) (*twin.Twin, error) {
-	return s.twinOn(ms, ownPlatform, s.cfg.Platform.NewServer, model)
-}
-
 // twinOn returns ms's model lowered onto one platform's hardware. A twin is
 // a pure function of the generation, the model and the hardware, and
 // queries only read it, so each (platform, model) is compiled once per
@@ -757,7 +764,7 @@ func (s *Server) twinOn(ms *modelSet, platform string, newServer func() *hw.Serv
 		// not become a key.
 		return nil, badRequestf("model must be kooza, inbreadth or indepth, got %q", model)
 	}
-	return ms.twin(twinKey{platform, model}, func() (*twin.Twin, error) {
+	return built(&ms.cache, twinKey{platform, model}, func() (*twin.Twin, error) {
 		s.metrics.twinCompiles.Add(1)
 		srv := newServer()
 		if srv == nil {
@@ -816,12 +823,15 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	span := obs.SpanFrom(r.Context())
 	// A comparison model nobody asked for yet is trained here, outside the
 	// work queue like the rest of a what-if, in its own stage.
-	if err := s.trainComparison(ms, span, req.Model); err != nil {
+	if _, err := s.synthesizer(ms, span, req.Model); err != nil {
 		httpError(w, http.StatusInternalServerError, "train %s: %v", req.Model, err)
 		return
 	}
+	// The twin of the daemon's own hardware. Fault scenarios degrade only
+	// the replay platform, so the twin always answers about healthy hardware
+	// — what-if exploration stays meaningful while a degraded regime is armed.
 	stop := s.stage(span, "whatif.compile")
-	tw, err := s.compileTwin(ms, req.Model)
+	tw, err := s.twinOn(ms, ownPlatform, s.cfg.Platform.NewServer, req.Model)
 	stop()
 	if err != nil {
 		code := http.StatusInternalServerError

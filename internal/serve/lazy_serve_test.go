@@ -75,14 +75,14 @@ func TestComparisonModelsTrainOnFirstAsk(t *testing.T) {
 		t.Fatalf("inbreadth synthesize = %d (%s)", code, body)
 	}
 	want("inbreadth synthesize", [4]int{2, 2, 1, 0})
-	if s.model.Load().prep == nil {
+	if s.model.Load().prep.Load() == nil {
 		t.Fatal("the prepared window was dropped while in-depth is untrained")
 	}
 	if resp, body := postWhatIf(t, ts, `{"model":"indepth","query":{"load_factor":1.5}}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("indepth whatif = %d (%s)", resp.StatusCode, body)
 	}
 	want("indepth whatif", [4]int{2, 2, 1, 1})
-	if s.model.Load().prep != nil {
+	if s.model.Load().prep.Load() != nil {
 		t.Fatal("the generation keeps its prepared window with both comparison models trained")
 	}
 	if code, body := get(t, ts.URL+"/v1/characterize?n=50"); code != http.StatusOK {

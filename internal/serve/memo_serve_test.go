@@ -86,15 +86,16 @@ func TestTwinsCompiledOncePerGeneration(t *testing.T) {
 	}
 	// An unknown model is refused without becoming a table entry.
 	resp, _ := postWhatIf(t, ts, `{"model":"bogus","query":{}}`)
-	if n := len(s.model.Load().twins); resp.StatusCode != http.StatusBadRequest || int64(n) != want {
+	if n := len(cachedKeys[twinKey](s)); resp.StatusCode != http.StatusBadRequest || int64(n) != want {
 		t.Fatalf("bogus model: status %d, %d table entries; want 400 and %d", resp.StatusCode, n, want)
 	}
 }
 
 // TestCharacterizeMemo: /v1/characterize repeats its answer byte for byte
 // while nothing it depends on changed, and evaluates again after each thing
-// that can change it — an ingest, a retrain, arming and disarming a fault
-// scenario, another n, another seed.
+// that can change it — an ingest, a retrain, arming a fault scenario,
+// another n, another seed. Disarming the scenario brings back the key of the
+// healthy answer before it, which the generation still keeps.
 func TestCharacterizeMemo(t *testing.T) {
 	s := newTestServer(t, quietConfig())
 	ts := httptest.NewServer(s.Handler())
@@ -121,23 +122,24 @@ func TestCharacterizeMemo(t *testing.T) {
 	steps := []struct {
 		name   string
 		change func()
+		kept   string // the earlier step whose answer the first request gets
 	}{
-		{"first request", func() {}},
+		{"first request", func() {}, ""},
 		{"ingest", func() {
 			// Below RetrainMin: the window moves, the generation stays.
 			if retrained, _, err := s.Ingest(gfsTrace(t, 10, 2)); err != nil || retrained {
 				t.Fatalf("ingest: retrained=%t err=%v", retrained, err)
 			}
-		}},
+		}, ""},
 		{"retrain", func() {
 			if err := s.Retrain(); err != nil {
 				t.Fatal(err)
 			}
-		}},
-		{"faults armed", func() { faults(http.MethodPost, `{"mtbf": 2, "mttr": 0.5, "rack_size": 2, "seed": 9}`) }},
-		{"faults disarmed", func() { faults(http.MethodDelete, "") }},
-		{"another n", func() { query = "n=151&seed=3" }},
-		{"another seed", func() { query = "n=151&seed=4" }},
+		}, ""},
+		{"faults armed", func() { faults(http.MethodPost, `{"mtbf": 2, "mttr": 0.5, "rack_size": 2, "seed": 9}`) }, ""},
+		{"faults disarmed", func() { faults(http.MethodDelete, "") }, "retrain"},
+		{"another n", func() { query = "n=151&seed=3" }, ""},
+		{"another seed", func() { query = "n=151&seed=4" }, ""},
 	}
 	ask := func() []byte {
 		t.Helper()
@@ -147,11 +149,18 @@ func TestCharacterizeMemo(t *testing.T) {
 		}
 		return body
 	}
+	answers := map[string][]byte{}
 	for _, step := range steps {
 		step.change()
 		hits := s.metrics.charMemoHits.Value()
 		first := ask()
-		if got := s.metrics.charMemoHits.Value(); got != hits {
+		answers[step.name] = first
+		if step.kept != "" {
+			if got := s.metrics.charMemoHits.Value(); got != hits+1 || !bytes.Equal(first, answers[step.kept]) {
+				t.Fatalf("%s: %d memo hits, want 1 answering the %s step's bytes", step.name, got-hits, step.kept)
+			}
+			hits++
+		} else if got := s.metrics.charMemoHits.Value(); got != hits {
 			t.Fatalf("%s: answered from the memo, want a fresh evaluation", step.name)
 		}
 		again := ask()
@@ -218,8 +227,10 @@ func TestCharacterizeSingleFlight(t *testing.T) {
 // TestProvisionMemo: POST /v1/provision searches once per input. An
 // identical request is answered from the memo with the same bytes and no
 // search, while nothing it depends on changed; an ingest, a retrain, arming
-// or disarming a fault scenario, another model and another request each
-// search again. A refused request is an answer too, kept like a plan.
+// a fault scenario, another model and another request each search again.
+// Disarming the scenario brings back the key of the healthy answer before
+// it, which the generation still keeps. A refused request is an answer too,
+// kept like a plan.
 func TestProvisionMemo(t *testing.T) {
 	s := newTestServer(t, quietConfig())
 	ts := httptest.NewServer(s.Handler())
@@ -246,30 +257,31 @@ func TestProvisionMemo(t *testing.T) {
 	steps := []struct {
 		name   string
 		change func()
-		search bool // whether the first request runs a search to the end
+		search bool   // whether the first request runs a search to the end
+		kept   string // the earlier step whose answer the first request gets
 	}{
-		{"first request", func() {}, true},
+		{"first request", func() {}, true, ""},
 		{"ingest", func() {
 			if retrained, _, err := s.Ingest(gfsTrace(t, 10, 2)); err != nil || retrained {
 				t.Fatalf("ingest: retrained=%t err=%v", retrained, err)
 			}
-		}, true},
+		}, true, ""},
 		{"retrain", func() {
 			if err := s.Retrain(); err != nil {
 				t.Fatal(err)
 			}
-		}, true},
-		{"faults armed", func() { faults(http.MethodPost, `{"mtbf": 2, "mttr": 0.5, "rack_size": 2, "seed": 9}`) }, true},
-		{"faults disarmed", func() { faults(http.MethodDelete, "") }, true},
+		}, true, ""},
+		{"faults armed", func() { faults(http.MethodPost, `{"mtbf": 2, "mttr": 0.5, "rack_size": 2, "seed": 9}`) }, true, ""},
+		{"faults disarmed", func() { faults(http.MethodDelete, "") }, false, "retrain"},
 		{"another model", func() {
 			body = `{"model":"indepth","request":{"objective":{"target_seconds":0.5},"space":{"max_servers":8},"validate_tasks":2000,"validate_samples":2000}}`
-		}, true},
+		}, true, ""},
 		{"another request", func() {
 			body = `{"request":{"objective":{"target_seconds":0.5},"space":{"max_servers":9},"validate_tasks":2000,"validate_samples":2000}}`
-		}, true},
+		}, true, ""},
 		{"refused request", func() {
 			body, wantCode = `{"request":{"objective":{"target_seconds":1},"space":{"platforms":["vax"]}}}`, http.StatusBadRequest
-		}, false},
+		}, false, ""},
 	}
 	ask := func() []byte {
 		t.Helper()
@@ -279,15 +291,26 @@ func TestProvisionMemo(t *testing.T) {
 		}
 		return b
 	}
+	answers := map[string][]byte{}
 	for _, step := range steps {
 		step.change()
 		hits, searches := s.metrics.provMemoHits.Value(), s.metrics.provisions.Value()
 		first := ask()
-		if got := s.metrics.provMemoHits.Value(); got != hits {
+		answers[step.name] = first
+		if step.kept != "" {
+			if got := s.metrics.provMemoHits.Value(); got != hits+1 || !bytes.Equal(first, answers[step.kept]) {
+				t.Fatalf("%s: %d memo hits, want 1 answering the %s step's bytes", step.name, got-hits, step.kept)
+			}
+			hits++
+		} else if got := s.metrics.provMemoHits.Value(); got != hits {
 			t.Fatalf("%s: answered from the memo, want a fresh search", step.name)
 		}
-		if step.search && s.metrics.provisions.Value() != searches+1 {
-			t.Fatalf("%s: %d searches completed, want 1", step.name, s.metrics.provisions.Value()-searches)
+		want := searches
+		if step.search {
+			want++
+		}
+		if got := s.metrics.provisions.Value(); got != want {
+			t.Fatalf("%s: %d searches completed, want %d", step.name, got-searches, want-searches)
 		}
 		searches = s.metrics.provisions.Value()
 		again := ask()

@@ -35,9 +35,9 @@ type provisionResponse struct {
 }
 
 // compileProvisionTwins lowers one warm model onto every platform of the
-// search space. Unlike compileTwin — which answers about the daemon's own
+// search space. Unlike a what-if — which answers about the daemon's own
 // configured hardware — the provisioning search explores the optimizer's
-// platform catalog. Both draw on the generation's compile-once table.
+// platform catalog. Both draw on the twins the generation's cache keeps.
 func (s *Server) compileProvisionTwins(ms *modelSet, model string, space optimize.Space) (map[string]*twin.Twin, error) {
 	space = optimize.SpaceDefaults(space)
 	twins := make(map[string]*twin.Twin, len(space.Platforms))
@@ -67,7 +67,7 @@ func badRequestf(format string, args ...any) error {
 // stage if the search is the generation's first use of it.
 func (s *Server) runProvision(ctx context.Context, span *obs.LiveSpan, ms *modelSet, model string, req optimize.Request) (optimize.Plan, error) {
 	req = req.WithDefaults()
-	if err := s.trainComparison(ms, span, model); err != nil {
+	if _, err := s.synthesizer(ms, span, model); err != nil {
 		return optimize.Plan{}, fmt.Errorf("train %s: %w", model, err)
 	}
 	stop := s.stage(span, "provision.compile")
@@ -168,9 +168,7 @@ func (s *Server) provision(ctx context.Context, span *obs.LiveSpan, ms *modelSet
 	}
 	_, _, total, _ := s.win.stats()
 	key := provKey{total: total, model: req.Model, request: string(canonical), faults: s.faults.Load()}
-	hit := true
-	ans := lastByKey(ms, &ms.prov, key, func() (answer, bool) {
-		hit = false
+	ans, hit, _ := ms.cache.answer(key, func() (answer, bool) {
 		plan, err := s.runProvision(ctx, span, ms, req.Model, req.Request)
 		switch {
 		case err == nil || errors.Is(err, errs.ErrNoFeasibleConfig):

@@ -61,7 +61,6 @@ import (
 	"dcmodel/internal/par"
 	"dcmodel/internal/replay"
 	"dcmodel/internal/trace"
-	"dcmodel/internal/twin"
 )
 
 // Config tunes the daemon. DefaultConfig returns the production defaults;
@@ -211,8 +210,8 @@ func (c Config) withDefaults() Config {
 
 // modelSet is one atomically swapped generation of warm models, together
 // with what the read path derives from it. The derived artefacts are pure
-// functions of the generation, so they live and die with it: a retrain
-// stores a fresh modelSet and nothing is ever invalidated by hand.
+// functions of the generation, so they live and die with it in its cache: a
+// retrain stores a fresh modelSet and nothing is ever invalidated by hand.
 //
 // The in-breadth and in-depth models are derived artefacts too. They are
 // the paper's comparison baselines: nothing the daemon decides by itself
@@ -228,54 +227,29 @@ type modelSet struct {
 	TrainedOn  int   // window requests trained on
 	TotalAt    int64 // window.total at training time
 
-	// derivedMu guards the fields below, never the work behind them: each
-	// entry is a sync.OnceValues, so concurrent requests for the same entry
-	// wait for one evaluation and requests for different entries do not
-	// wait for each other.
-	derivedMu sync.Mutex
 	// prep is the window the generation was trained on, prepared, kept for
 	// the comparison models; untrained counts those not trained yet, and
 	// the last of them to be trained drops prep.
-	prep      *trace.Prepared
-	untrained int
-	inBreadth func() (*inbreadth.Model, error)
-	inDepth   func() (*indepth.Model, error)
-	// twins holds the analytical twins compiled from this generation.
-	twins map[twinKey]func() (*twin.Twin, error)
-	// char and prov are the last encoded /v1/characterize and /v1/provision
-	// answers of this generation.
-	char *lastKept[charKey, answer]
-	prov *lastKept[provKey, answer]
-	// synths holds what /v1/synthesize synthesized from this generation, as
-	// trace-v2 bytes, with the answers encoded from them; synthKept is the
-	// requests they hold, at most synthMemoBudget.
-	synths    map[synthKey]*synthEntry
-	synthKept int
+	prep      atomic.Pointer[trace.Prepared]
+	untrained atomic.Int32
+	// cache holds every answer, model and twin derived from the generation.
+	cache genCache
 }
 
-// trainOnce returns the comparison model behind *get, trained from the
+// comparisonKey keys a comparison model in the generation's cache.
+type comparisonKey string
+
+// trainOnce returns the comparison model named model, trained from the
 // generation's prepared window by train, which the first caller to ask
-// supplies, and by nobody after. A failure is kept like a model: it answers
-// every request for that model of this generation.
-func trainOnce[M any](ms *modelSet, get *func() (M, error), train func(*trace.Prepared) (M, error)) (M, error) {
-	ms.derivedMu.Lock()
-	if *get == nil {
-		*get = sync.OnceValues(func() (M, error) {
-			ms.derivedMu.Lock()
-			prep := ms.prep
-			ms.derivedMu.Unlock()
-			m, err := train(prep)
-			ms.derivedMu.Lock()
-			if ms.untrained--; ms.untrained == 0 {
-				ms.prep = nil
-			}
-			ms.derivedMu.Unlock()
-			return m, err
-		})
-	}
-	g := *get
-	ms.derivedMu.Unlock()
-	return g()
+// supplies, and by nobody after.
+func trainOnce[M any](ms *modelSet, model string, train func(*trace.Prepared) (M, error)) (M, error) {
+	return built(&ms.cache, comparisonKey(model), func() (M, error) {
+		m, err := train(ms.prep.Load())
+		if ms.untrained.Add(-1) == 0 {
+			ms.prep.Store(nil)
+		}
+		return m, err
+	})
 }
 
 // twinKey names one compiled twin of a generation: a catalog platform (or
@@ -286,52 +260,6 @@ type twinKey struct{ platform, model string }
 // platform is named by the empty string (optimize.PlatformByName refuses
 // it), so the two cannot collide.
 const ownPlatform = ""
-
-// twin returns the generation's twin for key, compiled by the first caller
-// to ask for it and by nobody after.
-func (ms *modelSet) twin(key twinKey, compile func() (*twin.Twin, error)) (*twin.Twin, error) {
-	ms.derivedMu.Lock()
-	get := ms.twins[key]
-	if get == nil {
-		if ms.twins == nil {
-			ms.twins = make(map[twinKey]func() (*twin.Twin, error))
-		}
-		get = sync.OnceValues(compile)
-		ms.twins[key] = get
-	}
-	ms.derivedMu.Unlock()
-	return get()
-}
-
-// lastKept is the one value a memo of the last key keeps: the key it was
-// computed for, and the value, computed once.
-type lastKept[K comparable, V any] struct {
-	key K
-	get func() (v V, keep bool)
-}
-
-// lastByKey returns the value in *slot when it was computed for key
-// (waiting for it, if it is still being computed), else compute's, which
-// replaces it. A value compute marks as not to keep goes to the requests
-// already waiting on it and to no later one. ms.derivedMu guards *slot.
-func lastByKey[K comparable, V any](ms *modelSet, slot **lastKept[K, V], key K, compute func() (V, bool)) V {
-	ms.derivedMu.Lock()
-	e := *slot
-	if e == nil || e.key != key {
-		e = &lastKept[K, V]{key: key, get: sync.OnceValues(compute)}
-		*slot = e
-	}
-	ms.derivedMu.Unlock()
-	v, keep := e.get()
-	if !keep {
-		ms.derivedMu.Lock()
-		if *slot == e {
-			*slot = nil
-		}
-		ms.derivedMu.Unlock()
-	}
-	return v
-}
 
 // charKey is everything a characterize answer depends on besides the
 // generation: the window position (its monotone total), the synthetic
@@ -357,89 +285,21 @@ type provKey struct {
 }
 
 // synthKey is everything a synthesized trace depends on besides the
-// generation. The fault scenario is not part of it: faults degrade only the
-// replay of the trace, and a synthEntry keys its replayed answers by
-// scenario.
+// generation. The cache keeps the trace under it as its trace-v2 encoding,
+// which is also its format=binary answer: the codec is lossless, so every
+// other answer can be encoded from it.
 type synthKey struct {
 	model string
 	n     int
 	seed  int64
 }
 
-// synthEntry is one synthesis a generation keeps. The trace is kept as its
-// trace-v2 encoding, which is also its format=binary answer: the codec is
-// lossless, so every other answer can be encoded from it. Each of those is
-// encoded once, by the first request to ask, and kept with the entry.
-type synthEntry struct {
-	// binary is the trace-v2 encoding, in a slice of its own size, or the
-	// failure to synthesize or encode the trace.
-	binary func() ([]byte, error)
-	// answers holds the answers encoded from binary, by replay (0 or 1) and
-	// format, each keyed by the fault scenario it was replayed under (nil
-	// when it was not replayed, and on healthy hardware): one asked for
-	// under another scenario replaces it, so re-arming faults cannot grow
-	// the entry. The slot of the unreplayed binary answer stays empty.
-	answers [2][numFormats]*lastKept[*fault.Config, answer]
-}
-
-// synthMemoBudget is how many synthesized requests one generation keeps:
-// one default window. Entries are kept first come, first served; a query
-// whose trace would overrun the budget is synthesized for its request and
-// nothing of it is kept. What a kept request costs depends on the answers
-// asked for. A KOOZA request synthesized from a chat window keeps 93 B of
-// trace-v2, about 1.3 KB once its CSV (515 B) and JSON (690 B) answers are
-// asked for too, and 2.8 KB at worst, with the replayed answer in all three
-// formats (155, 590 and 766 B): 23 MB for a full budget.
-const synthMemoBudget = 8192
-
-// synthesized returns the generation's entry for key and its trace-v2
-// bytes, synthesized and encoded by the first caller to ask and by nobody
-// after, while the budget lasts. Past the budget the entry is nil, and
-// synthesize ran for this caller alone. A failure is kept like a trace,
-// since synthesis is a pure function of the generation and the key and
-// would fail again.
-func (ms *modelSet) synthesized(key synthKey, synthesize func() (*trace.Trace, error)) (*synthEntry, []byte, error) {
-	ms.derivedMu.Lock()
-	e := ms.synths[key]
-	if e == nil {
-		if ms.synthKept+key.n > synthMemoBudget {
-			ms.derivedMu.Unlock()
-			_, err := synthesize()
-			return nil, nil, err
-		}
-		if ms.synths == nil {
-			ms.synths = make(map[synthKey]*synthEntry)
-		}
-		e = &synthEntry{binary: sync.OnceValues(func() ([]byte, error) {
-			tr, err := synthesize()
-			if err != nil {
-				return nil, err
-			}
-			b, err := encodeExact(tr, binaryFormat)
-			if err != nil {
-				return nil, fmt.Errorf("encode: %w", err)
-			}
-			return b, nil
-		})}
-		ms.synths[key] = e
-		ms.synthKept += key.n
-	}
-	ms.derivedMu.Unlock()
-	b, err := e.binary()
-	return e, b, err
-}
-
-// synthAnswer returns e's answer in format, replayed or not,
-// under the armed scenario faults: the kept one, or encode's, which the
-// entry keeps from then on.
-func (ms *modelSet) synthAnswer(e *synthEntry, replayed bool, format int, faults *fault.Config, encode func() answer) answer {
-	r := 0
-	if replayed {
-		r = 1
-	} else {
-		faults = nil
-	}
-	return lastByKey(ms, &e.answers[r][format], faults, func() (answer, bool) { return encode(), true })
+// answerKey is a synthesize answer encoded from the trace of its query's
+// synthKey and, when replayed, the armed fault scenario (by identity, as in
+// charKey; nil on healthy hardware).
+type answerKey struct {
+	synthQuery
+	faults *fault.Config
 }
 
 // Server is the daemon: sliding window, warm models, bounded work queue.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -322,9 +323,19 @@ func TestBackpressureDeterministic(t *testing.T) {
 	}
 }
 
+// admittedJobs is how many jobs s's work queue has been handed: each is
+// finished, running or queued. Read in that order (a job only moves the other
+// way) the sum never counts one twice.
+func admittedJobs(s *Server) int {
+	n := int(s.pool.Completed())
+	n += s.pool.Running()
+	return n + s.pool.Depth()
+}
+
 // TestServeGracefulDrain exercises the SIGTERM path: cancel the serve
 // context while requests are in flight and assert every admitted request
-// completes with a full body — nothing is dropped mid-drain.
+// completes with a full body — nothing is dropped mid-drain — and that a
+// request dialled after the drain is refused at the dial.
 func TestServeGracefulDrain(t *testing.T) {
 	cfg := quietConfig()
 	cfg.QueueDepth = 64
@@ -337,6 +348,10 @@ func TestServeGracefulDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The listener is bound before Serve runs, so a client may dial at once:
+	// the kernel queues the connection until Serve accepts it. Nothing else
+	// talks to the daemon, so no idle keep-alive connection is left for the
+	// drain to close under a request.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -345,19 +360,8 @@ func TestServeGracefulDrain(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- s.Serve(ctx, ln) }()
 	base := "http://" + ln.Addr().String()
-
-	// Wait for the listener to answer.
-	for i := 0; ; i++ {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			break
-		}
-		if i > 100 {
-			t.Fatalf("server never came up: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
 
 	// In-flight load: big-enough syntheses that the drain overlaps them.
 	const clients = 8
@@ -370,7 +374,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	for i := 0; i < clients; i++ {
 		go func(i int) {
 			url := fmt.Sprintf("%s/v1/synthesize?n=5000&seed=%d", base, i+1)
-			resp, err := http.Get(url)
+			resp, err := client.Get(url)
 			if err != nil {
 				results <- result{err: err}
 				return
@@ -394,8 +398,13 @@ func TestServeGracefulDrain(t *testing.T) {
 		}(i)
 	}
 
-	// SIGTERM while the requests are in flight.
-	time.Sleep(20 * time.Millisecond)
+	// SIGTERM once every request is in the daemon's hands.
+	for deadline := time.Now().Add(10 * time.Second); admittedJobs(s) < clients; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d requests admitted after 10s", admittedJobs(s), clients)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 	cancel()
 
 	for i := 0; i < clients; i++ {
@@ -413,9 +422,12 @@ func TestServeGracefulDrain(t *testing.T) {
 	if err := <-serveErr; err != nil {
 		t.Fatalf("Serve returned %v after drain, want nil", err)
 	}
-	// New connections are refused after the drain.
-	if _, err := http.Get(base + "/healthz"); err == nil {
-		t.Fatal("listener still accepting after drain")
+	// A new connection is refused at the dial, not accepted and then reset.
+	fresh := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	_, err = fresh.Get(base + "/healthz")
+	var opErr *net.OpError
+	if !errors.As(err, &opErr) || opErr.Op != "dial" {
+		t.Fatalf("a request dialled after the drain: %v, want a refused dial", err)
 	}
 }
 

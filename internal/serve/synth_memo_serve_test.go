@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -51,29 +51,24 @@ func mustGet(t *testing.T, url string) []byte {
 }
 
 // kept is how many traces the served generation keeps.
-func kept(s *Server) int {
-	ms := s.model.Load()
-	ms.derivedMu.Lock()
-	defer ms.derivedMu.Unlock()
-	return len(ms.synths)
-}
+func kept(s *Server) int { return len(cachedKeys[synthKey](s)) }
 
 // keptBytes is the trace-v2 encoding the served generation keeps for key;
 // the test fails if the generation keeps none.
 func keptBytes(t *testing.T, s *Server, key synthKey) []byte {
 	t.Helper()
-	ms := s.model.Load()
-	ms.derivedMu.Lock()
-	e := ms.synths[key]
-	ms.derivedMu.Unlock()
+	c := &s.model.Load().cache
+	c.mu.Lock()
+	e := c.entries[key]
+	c.mu.Unlock()
 	if e == nil {
 		t.Fatalf("no trace kept for %+v", key)
 	}
-	b, err := e.binary()
-	if err != nil {
-		t.Fatal(err)
+	a := e.val.(answer)
+	if a.code != http.StatusOK {
+		t.Fatalf("the kept trace of %+v is a failure: %s", key, a.body)
 	}
-	return b
+	return a.body
 }
 
 // keptTrace is the served generation's trace for key, decoded from the
@@ -189,39 +184,54 @@ func TestSynthesizeMemoSingleFlight(t *testing.T) {
 	}
 }
 
-// TestSynthesizeMemoBudget: traces are kept first come, first served while
-// their requests fit in synthMemoBudget; a query past it synthesizes, answers
-// the same bytes, and keeps nothing.
+// TestSynthesizeMemoBudget: traces are kept while their bytes fit the
+// budget. A new key evicts the oldest trace never asked for again; one asked
+// for again is kept. A trace too large to keep beside those is synthesized,
+// answers the same bytes as a fresh daemon, evicts nothing and keeps nothing.
 func TestSynthesizeMemoBudget(t *testing.T) {
 	s, ts := memoDaemon(t)
 	_, fresh := memoDaemon(t)
-	over := synthURL(ts.URL, "kooza", synthMemoBudget+1, 1, "binary", false)
+	ask := func(n int, seed int64) {
+		t.Helper()
+		body := mustGet(t, synthURL(ts.URL, "kooza", n, seed, "binary", false))
+		if want := mustGet(t, synthURL(fresh.URL, "kooza", n, seed, "binary", false)); !bytes.Equal(body, want) {
+			t.Fatalf("n=%d seed=%d: the answer differs from a fresh daemon's", n, seed)
+		}
+	}
+	keys := func(want ...int64) {
+		t.Helper()
+		var seeds []int64
+		for _, k := range cachedKeys[synthKey](s) {
+			seeds = append(seeds, k.seed)
+		}
+		slices.Sort(seeds)
+		if !slices.Equal(seeds, want) {
+			t.Fatalf("traces of seeds %v kept, want %v", seeds, want)
+		}
+	}
+	ask(200, 1)
+	ask(200, 2)
+	full, _ := cachedBytes(s)
+	setBudget(s, full)
+	keys(1, 2)
+	ask(1, 3)
+	keys(2, 3)
+	ask(200, 2)
+	hits := s.metrics.synthMemoHits.Value()
+	if hits != 1 {
+		t.Fatalf("%d memo hits, want 1", hits)
+	}
+	ask(200, 1)
+	keys(1, 2)
 	for i := 0; i < 2; i++ {
-		body := mustGet(t, over)
-		if got := kept(s); got != 0 {
-			t.Fatalf("an over-budget n was kept (%d traces)", got)
-		}
-		if want := mustGet(t, synthURL(fresh.URL, "kooza", synthMemoBudget+1, 1, "binary", false)); !bytes.Equal(body, want) {
-			t.Fatal("the over-budget answer differs from a fresh daemon's")
-		}
+		ask(400, 4)
+		keys(1, 2)
 	}
-	if got := s.metrics.synthMemoHits.Value(); got != 0 {
-		t.Fatalf("over-budget queries counted %d memo hits, want 0", got)
+	if got := s.metrics.synthMemoHits.Value(); got != hits {
+		t.Fatalf("traces not kept counted %d memo hits", got-hits)
 	}
-	half := synthMemoBudget / 2
-	mustGet(t, synthURL(ts.URL, "kooza", half, 1, "csv", false))
-	mustGet(t, synthURL(ts.URL, "kooza", synthMemoBudget-half, 2, "csv", false))
-	if got := kept(s); got != 2 {
-		t.Fatalf("two traces filling the budget exactly: %d kept, want 2", got)
-	}
-	mustGet(t, synthURL(ts.URL, "kooza", 1, 3, "csv", false))
-	mustGet(t, synthURL(ts.URL, "kooza", 1, 3, "csv", false))
-	if got, hits := kept(s), s.metrics.synthMemoHits.Value(); got != 2 || hits != 0 {
-		t.Fatalf("a full budget: %d traces kept and %d hits, want 2 and 0", got, hits)
-	}
-	mustGet(t, synthURL(ts.URL, "kooza", half, 1, "json", false))
-	if hits := s.metrics.synthMemoHits.Value(); hits != 1 {
-		t.Fatalf("a trace admitted before the budget filled: %d hits, want 1", hits)
+	if kept, budget := cachedBytes(s); kept > budget {
+		t.Fatalf("%d bytes kept, past the %d-byte budget", kept, budget)
 	}
 }
 
@@ -288,48 +298,33 @@ func TestSynthesizeMemoReadOnly(t *testing.T) {
 // synthesis is a pure function of the generation and the key, so it would
 // fail again — and answers every later ask without a second attempt.
 func TestSynthesizeMemoKeepsFailure(t *testing.T) {
-	ms := &modelSet{}
-	boom := errors.New("boom")
+	c := &genCache{budget: cacheBudget}
+	failed := errorAnswer(http.StatusInternalServerError, "synthesize: boom")
 	calls := 0
 	for i := 0; i < 3; i++ {
-		e, kept, err := ms.synthesized(synthKey{"kooza", 10, 1}, func() (*trace.Trace, error) {
+		a, hit, kept := c.answer(synthKey{"kooza", 10, 1}, func() (answer, bool) {
 			calls++
-			return nil, boom
+			return failed, true
 		})
-		if e == nil || kept != nil || !errors.Is(err, boom) {
-			t.Fatalf("ask %d: (%v, %v, %v), want the kept failure", i, e, kept, err)
+		if !bytes.Equal(a.body, failed.body) || hit != (i > 0) || !kept {
+			t.Fatalf("ask %d: (%d %s, hit %t, kept %t), want the kept failure", i, a.code, a.body, hit, kept)
 		}
 	}
-	if calls != 1 || ms.synthKept != 10 {
-		t.Fatalf("%d syntheses and %d requests of budget taken, want 1 and 10", calls, ms.synthKept)
+	if want := len(failed.body) + entryBytes; calls != 1 || c.kept != want {
+		t.Fatalf("%d syntheses and %d bytes kept, want 1 and %d", calls, c.kept, want)
 	}
 }
 
-// keptAnswers counts the answers the served generation keeps beside the
-// trace-v2 bytes of key, and reports whether every replayed one is keyed
-// by faults.
-func keptAnswers(t *testing.T, s *Server, key synthKey, faults *fault.Config) (n int, underFaults bool) {
-	t.Helper()
-	ms := s.model.Load()
-	ms.derivedMu.Lock()
-	defer ms.derivedMu.Unlock()
-	e := ms.synths[key]
-	if e == nil {
-		t.Fatalf("no trace kept for %+v", key)
-	}
-	underFaults = true
-	for r, byFormat := range e.answers {
-		for _, a := range byFormat {
-			if a == nil {
-				continue
-			}
+// keptAnswers counts the answers the served generation keeps encoded from
+// the trace of key.
+func keptAnswers(s *Server, key synthKey) int {
+	n := 0
+	for _, k := range cachedKeys[answerKey](s) {
+		if k.key == key {
 			n++
-			if r == 1 && a.key != faults {
-				underFaults = false
-			}
 		}
 	}
-	return n, underFaults
+	return n
 }
 
 // countEncodes arms s to count, per query, the answers it encodes to keep.
@@ -413,7 +408,7 @@ func TestSynthesizeMemoEncodesOnce(t *testing.T) {
 			}
 		}
 	}
-	if n, _ := keptAnswers(t, s, key, nil); n != len(queries)-1 {
+	if n := keptAnswers(s, key); n != len(queries)-1 {
 		t.Fatalf("%d answers kept beside the trace, want %d", n, len(queries)-1)
 	}
 	if got, want := s.metrics.synthMemoHits.Value(), int64(3*len(queries)-1); got != want {
@@ -455,58 +450,84 @@ func TestSynthesizeMemoEncodeSingleFlight(t *testing.T) {
 }
 
 // TestSynthesizeMemoReplayScenarios: arming 50 fault scenarios in turn,
-// each replayed answer is a fresh daemon's under the same scenario, and a
-// kept key holds at most one replayed answer per format, the last
-// scenario's: re-arming faults cannot grow the memo.
+// each replayed answer is a fresh daemon's under the same scenario, a second
+// ask under a scenario answers its bytes, and re-arming never takes the
+// bytes the cache keeps past its budget. With the whole budget, each
+// scenario's answer is encoded once; with a budget a quarter of what the 50
+// scenarios take, the cache evicts and refuses answers, and every answer is
+// still a fresh daemon's.
 func TestSynthesizeMemoReplayScenarios(t *testing.T) {
-	s, ts := memoDaemon(t)
-	fresh, freshTS := memoDaemon(t)
-	encodes := countEncodes(s)
 	key := synthKey{"kooza", 120, 2}
 	formats := []string{"csv", "binary"}
-	for _, format := range formats {
-		mustGet(t, synthURL(ts.URL, key.model, key.n, key.seed, format, false))
+	run := func(budget int) (keptAtEnd int) {
+		s, ts := memoDaemon(t)
+		fresh, freshTS := memoDaemon(t)
+		setBudget(s, budget)
+		encodes := countEncodes(s)
+		withinBudget := func(when string) {
+			t.Helper()
+			if kept, budget := cachedBytes(s); kept > budget {
+				t.Fatalf("%s: %d bytes kept, past the %d-byte budget", when, kept, budget)
+			}
+		}
+		for _, format := range formats {
+			mustGet(t, synthURL(ts.URL, key.model, key.n, key.seed, format, false))
+		}
+		var scenario0 [][]byte
+		for i := 0; i < 50; i++ {
+			scenario := fault.Config{MTBF: 0.05 + 0.01*float64(i%5), MTTR: 0.02, Seed: int64(i + 1)}
+			for _, d := range []*Server{s, fresh} {
+				if err := d.ArmFaults(scenario); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for f, format := range formats {
+				url := func(base string) string { return synthURL(base, key.model, key.n, key.seed, format, true) }
+				got := mustGet(t, url(ts.URL))
+				withinBudget(fmt.Sprintf("scenario %d, %s", i, format))
+				if !bytes.Equal(got, mustGet(t, url(freshTS.URL))) {
+					t.Fatalf("scenario %d, %s: the faulted answer differs from a fresh daemon's", i, format)
+				}
+				if !bytes.Equal(got, mustGet(t, url(ts.URL))) {
+					t.Fatalf("scenario %d, %s: a second ask answered other bytes", i, format)
+				}
+				withinBudget(fmt.Sprintf("scenario %d, %s again", i, format))
+				if i == 0 {
+					scenario0 = append(scenario0, got)
+				} else if i%5 == 0 && bytes.Equal(got, scenario0[f]) {
+					t.Fatalf("scenario %d, %s: answered scenario 0's bytes", i, format)
+				}
+			}
+			underArmed := 0
+			for _, k := range cachedKeys[answerKey](s) {
+				if k.replay && k.faults == s.faults.Load() {
+					underArmed++
+				}
+			}
+			if budget == cacheBudget && underArmed != len(formats) {
+				t.Fatalf("scenario %d: %d replayed answers kept under the armed scenario, want %d", i, underArmed, len(formats))
+			}
+		}
+		for f := range formats {
+			q := synthQuery{key: key, format: []int{csvFormat, binaryFormat}[f], replay: true}
+			got := encodes(q)
+			if budget == cacheBudget && got != 50 {
+				t.Fatalf("%s: %d replayed answers encoded across 50 scenarios, want 50", formats[f], got)
+			}
+			if got < 50 || got > 100 {
+				t.Fatalf("%s: %d replayed answers encoded across 50 scenarios asked twice each, want 50 to 100", formats[f], got)
+			}
+		}
+		keptAtEnd, _ = cachedBytes(s)
+		return keptAtEnd
 	}
-	var scenario0 [][]byte
-	for i := 0; i < 50; i++ {
-		scenario := fault.Config{MTBF: 0.05 + 0.01*float64(i%5), MTTR: 0.02, Seed: int64(i + 1)}
-		for _, d := range []*Server{s, fresh} {
-			if err := d.ArmFaults(scenario); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for f, format := range formats {
-			url := func(base string) string { return synthURL(base, key.model, key.n, key.seed, format, true) }
-			got := mustGet(t, url(ts.URL))
-			if !bytes.Equal(got, mustGet(t, url(freshTS.URL))) {
-				t.Fatalf("scenario %d, %s: the faulted answer differs from a fresh daemon's", i, format)
-			}
-			if !bytes.Equal(got, mustGet(t, url(ts.URL))) {
-				t.Fatalf("scenario %d, %s: a second ask answered other bytes", i, format)
-			}
-			if i == 0 {
-				scenario0 = append(scenario0, got)
-			} else if i%5 == 0 && bytes.Equal(got, scenario0[f]) {
-				t.Fatalf("scenario %d, %s: answered scenario 0's bytes", i, format)
-			}
-		}
-		n, underFaults := keptAnswers(t, s, key, s.faults.Load())
-		if n != 2*len(formats)-1 || !underFaults {
-			t.Fatalf("scenario %d: %d answers kept (replayed ones under the armed scenario: %t), want %d",
-				i, n, underFaults, 2*len(formats)-1)
-		}
-	}
-	for f := range formats {
-		q := synthQuery{key: key, format: []int{csvFormat, binaryFormat}[f], replay: true}
-		if got := encodes(q); got != 50 {
-			t.Fatalf("%s: %d replayed answers encoded across 50 scenarios, want 50", formats[f], got)
-		}
-	}
+	all := run(cacheBudget)
+	run(all / 4)
 }
 
 // overBudgetAnswers are the sha256 digests of memoDaemon's answers to a
-// KOOZA query one request past synthMemoBudget, seed 1, as daemons
-// answered them before the memo kept anything but traces.
+// KOOZA query for 8193 requests, seed 1, as daemons answered them before the
+// memo kept anything but traces.
 var overBudgetAnswers = []struct {
 	format string
 	replay bool
@@ -520,14 +541,17 @@ var overBudgetAnswers = []struct {
 	{"binary", true, "d66e50dfe7a978e5257d201e695c8cbe8b71156641f20bbd59888d2c6df89daf"},
 }
 
-// TestSynthesizeMemoOverBudgetBytes: a query past the budget keeps nothing,
-// encodes nothing to keep, and answers the bytes it always answered.
+// TestSynthesizeMemoOverBudgetBytes: a query whose trace does not fit the
+// budget keeps nothing, encodes nothing to keep, and answers the bytes it
+// always answered.
 func TestSynthesizeMemoOverBudgetBytes(t *testing.T) {
 	s, ts := memoDaemon(t)
+	// Smaller than the trace-v2 bytes of any 8193 requests.
+	setBudget(s, 64<<10)
 	encodes := 0
 	s.onEncode = func(synthQuery) { encodes++ }
 	for _, a := range overBudgetAnswers {
-		body := mustGet(t, synthURL(ts.URL, "kooza", synthMemoBudget+1, 1, a.format, a.replay))
+		body := mustGet(t, synthURL(ts.URL, "kooza", 8193, 1, a.format, a.replay))
 		if got := fmt.Sprintf("%x", sha256.Sum256(body)); got != a.digest {
 			t.Fatalf("%s replay=%t: answer digest %s, want %s", a.format, a.replay, got, a.digest)
 		}
@@ -550,7 +574,7 @@ func TestSynthesizeExpiredDeadline(t *testing.T) {
 		respond(rec)
 		t.Fatalf("a job past its deadline answered %d, want no answer (504)", rec.Code)
 	}
-	if n, _ := keptAnswers(t, s, q.key, nil); n != 0 {
+	if n := keptAnswers(s, q.key); n != 0 {
 		t.Fatalf("a job past its deadline kept %d answers, want none", n)
 	}
 	rec := httptest.NewRecorder()

@@ -188,7 +188,9 @@ func (s *Server) train(job *retrainJob) (*modelSet, error) {
 		return nil, err
 	}
 	stopRef := s.stage(job.span, "train.ref")
-	ms := &modelSet{TrainedOn: job.snap.Len(), TotalAt: job.total, prep: prep, untrained: 2}
+	ms := &modelSet{TrainedOn: job.snap.Len(), TotalAt: job.total, cache: genCache{budget: cacheBudget}}
+	ms.prep.Store(prep)
+	ms.untrained.Store(2)
 	var errKooza, errRef error
 	done := make(chan struct{})
 	go func() {
@@ -224,7 +226,7 @@ func (s *Server) train(job *retrainJob) (*modelSet, error) {
 // KOOZA makes first, so an installed generation trains it
 // (TestComparisonTrainsWheneverKoozaDoes).
 func (s *Server) inBreadth(ms *modelSet, span *obs.LiveSpan) (*inbreadth.Model, error) {
-	return trainOnce(ms, &ms.inBreadth, func(prep *trace.Prepared) (*inbreadth.Model, error) {
+	return trainOnce(ms, "inbreadth", func(prep *trace.Prepared) (*inbreadth.Model, error) {
 		defer s.stage(span, "train.inbreadth")()
 		return inbreadth.TrainPrepared(prep, inbreadth.Options{
 			StorageRegions: s.cfg.StorageRegions,
@@ -236,24 +238,10 @@ func (s *Server) inBreadth(ms *modelSet, span *obs.LiveSpan) (*inbreadth.Model, 
 
 // inDepth is inBreadth for the in-depth model, under stage train.indepth.
 func (s *Server) inDepth(ms *modelSet, span *obs.LiveSpan) (*indepth.Model, error) {
-	return trainOnce(ms, &ms.inDepth, func(prep *trace.Prepared) (*indepth.Model, error) {
+	return trainOnce(ms, "indepth", func(prep *trace.Prepared) (*indepth.Model, error) {
 		defer s.stage(span, "train.indepth")()
 		return indepth.TrainPrepared(prep)
 	})
-}
-
-// trainComparison trains the named model of ms if it is a comparison model
-// nobody has trained yet, so that a handler can time the training as a
-// stage of its own before the stages that use the model.
-func (s *Server) trainComparison(ms *modelSet, span *obs.LiveSpan, model string) error {
-	var err error
-	switch model {
-	case "inbreadth":
-		_, err = s.inBreadth(ms, span)
-	case "indepth":
-		_, err = s.inDepth(ms, span)
-	}
-	return err
 }
 
 // retrain runs a begun job to its end. The third step, under ingestMu
