@@ -44,8 +44,9 @@ func (f *failingHosts) RoundTrip(r *http.Request) (*http.Response, error) {
 
 // startFlakyCluster is startCluster with the coordinator's worker RPCs going
 // through a failingHosts, automatic merges off and dead workers never probed
-// again, so that a test decides every merge and every death.
-func startFlakyCluster(t *testing.T, n int) (*testCluster, *failingHosts) {
+// again, so that a test decides every merge and every death. mutate, if not
+// nil, runs last, for a test that wants a clock or a cooldown of its own.
+func startFlakyCluster(t *testing.T, n int, mutate func(*CoordinatorConfig)) (*testCluster, *failingHosts) {
 	t.Helper()
 	fh := &failingHosts{index: map[string]int{}}
 	tc := startCluster(t, n, func(cfg *CoordinatorConfig) {
@@ -60,6 +61,9 @@ func startFlakyCluster(t *testing.T, n int) (*testCluster, *failingHosts) {
 		cfg.MergeEvery = -1
 		cfg.Cooldown = 1e9
 		cfg.FaultClock = func() float64 { return 0 }
+		if mutate != nil {
+			mutate(cfg)
+		}
 	})
 	return tc, fh
 }
@@ -141,7 +145,7 @@ func checkLogsCut(t *testing.T, stats ClusterStats) {
 // survivor, once.
 func TestFanOutTwoWorkersFail(t *testing.T) {
 	tr := testTrace(t, 1500, 41)
-	tc, fh := startFlakyCluster(t, 3)
+	tc, fh := startFlakyCluster(t, 3, nil)
 
 	if code, got := ingestV2(t, tc.front.URL, tr.Requests[:500]); code != 200 || got != (ingestReply{500, 500, 0}) {
 		t.Fatalf("first body: status %d, %+v", code, got)
@@ -190,7 +194,7 @@ func TestFanOutTwoWorkersFail(t *testing.T) {
 // and only the suffix is re-routed.
 func TestMergePullAndPushFailures(t *testing.T) {
 	tr := testTrace(t, 2000, 43)
-	tc, fh := startFlakyCluster(t, 3)
+	tc, fh := startFlakyCluster(t, 3, nil)
 	want := func(n int) []byte { return modelBytes(t, DefaultModelConfig(), tr.Requests[:n]) }
 	ingest := func(lo, hi int) {
 		t.Helper()
@@ -448,7 +452,7 @@ func TestUnencodableChunkBlamesNoWorker(t *testing.T) {
 // which goes negative when a death hands older requests to the coordinator.
 func TestRoutedCountsThisBody(t *testing.T) {
 	tr := testTrace(t, 301, 61)
-	tc, fh := startFlakyCluster(t, 3)
+	tc, fh := startFlakyCluster(t, 3, nil)
 	if code, got := ingestV2(t, tc.front.URL, tr.Requests[:300]); code != 200 || got != (ingestReply{300, 300, 0}) {
 		t.Fatalf("first body: status %d, %+v", code, got)
 	}
