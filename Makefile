@@ -16,7 +16,8 @@ help:
 	@echo "  test-race  go test -race ./... — the concurrency gate for the"
 	@echo "             parallel cross-examination engine and sharded simulator"
 	@echo "  stress     the daemon's single-flight, drain and randomized cache-budget"
-	@echo "             tests under -race, 20 times at -cpu 1 and 2"
+	@echo "             tests and the cluster's fan-out, merge-failure, concurrent-ingest,"
+	@echo "             kill and rejoin tests under -race, 20 times at -cpu 1 and 2"
 	@echo "  cover      go test -cover ./... + the internal/spec coverage floor"
 	@echo "  cover-spec enforce the $(SPEC_COVER_FLOOR)% statement-coverage floor on internal/spec"
 	@echo "  bench      regenerate every table/figure + ablations (-bench=. -benchmem)"
@@ -53,12 +54,15 @@ test: vet
 test-race:
 	$(GO) test -race ./...
 
-# The tests whose failures show only under some interleavings: every
-# single-flight test of internal/serve, both drain tests and the randomized
-# cache-budget test, 40 race-detector passes in all.
+# The tests whose failures show only under some interleavings, 40
+# race-detector passes each: every single-flight test of internal/serve, both
+# drain tests and the randomized cache-budget test; and the cluster tests
+# that run listeners, fan deliveries out side by side or kill workers.
 STRESS_TESTS = SingleFlight|TestServeGracefulDrain$$|TestFaultArmedDrainNoDrops|TestCacheBudgetRandomized
+CLUSTER_STRESS_TESTS = ^(TestFanOutTwoWorkersFail|TestMergePullAndPushFailures|TestConcurrentMixedCodecIngest|TestClusterKillMidRun|TestClusterTotalLossDegrades|TestRejoinedWorkerWaitsForMerge)$$
 stress:
 	$(GO) test -race -count=20 -cpu 1,2 -run '$(STRESS_TESTS)' ./internal/serve/
+	$(GO) test -race -count=20 -cpu 1,2 -run '$(CLUSTER_STRESS_TESTS)' ./internal/cluster/
 
 cover: cover-spec
 	$(GO) test -cover ./...

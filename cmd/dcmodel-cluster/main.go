@@ -16,8 +16,9 @@
 //
 // The merged model is byte-identical regardless of worker count and
 // routing interleaving, so any worker (or the coordinator itself, when
-// every worker is down) answers queries identically. -routing-scorers
-// picks the query-routing policy; -faults arms a kill schedule over the
+// every worker is down) answers queries identically. The coordinator sends
+// each query to the ring owner of its key among the live workers that hold
+// the newest merged generation; -faults arms a kill schedule over the
 // workers to rehearse mid-run failures.
 //
 // SIGTERM or SIGINT shuts the node down gracefully.
@@ -56,7 +57,6 @@ func main() {
 		// Coordinator flags.
 		workers    = flag.String("workers", "", "comma-separated worker base URLs (coordinator mode, required)")
 		vnodes     = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per worker on the hash ring")
-		scorers    = flag.String("routing-scorers", "", "comma-separated query-routing scorers: queue-depth, model-staleness, shard-affinity (empty = all)")
 		mergeEvery = flag.Int("merge-every", 4096, "routed requests between automatic merge+replicate cycles (<0 disables)")
 		cooldown   = flag.Duration("cooldown", time.Second, "how long a dead worker stays excluded before the half-open probe")
 		faultsJSON = flag.String("faults", "", "fault schedule to arm over the workers, as JSON (e.g. '{\"mtbf\":30,\"mttr\":5}')")
@@ -104,14 +104,9 @@ func main() {
 		if len(urls) == 0 {
 			cliflag.Check("-workers is required in coordinator mode")
 		}
-		sc, err := cluster.ParseScorers(*scorers)
-		if err != nil {
-			cliflag.Fatal(err)
-		}
 		cfg := cluster.CoordinatorConfig{
 			Workers:    urls,
 			VNodes:     *vnodes,
-			Scorers:    sc,
 			MergeEvery: *mergeEvery,
 			Model:      model,
 			Cooldown:   cooldown.Seconds(),
@@ -133,8 +128,7 @@ func main() {
 			cliflag.Fatal(err)
 		}
 		handler = c.Handler()
-		log.Printf("coordinator listening on %s over %d workers (scorers %s, merge-every %d)",
-			*addr, len(urls), cluster.ScorerNames(sc), *mergeEvery)
+		log.Printf("coordinator listening on %s over %d workers (merge-every %d)", *addr, len(urls), *mergeEvery)
 	default:
 		cliflag.Check(fmt.Sprintf("-mode must be coordinator or worker, got %q", *mode))
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"sync"
@@ -16,11 +15,6 @@ import (
 	"dcmodel/internal/obs"
 	"dcmodel/internal/trace"
 )
-
-// QueueDepthHeader lets workers piggyback their in-flight load on ingest
-// responses; the coordinator's queue-depth routing scorer consumes it
-// without extra RPCs.
-const QueueDepthHeader = "X-Dcmodel-Queue-Depth"
 
 // routeBatchSize is the chunk an ingest body is routed in: the most requests
 // one routeMu acquisition partitions, encodes once per owner and sends as one
@@ -39,9 +33,6 @@ type CoordinatorConfig struct {
 	// VNodes is the virtual-node count per worker on the hash ring
 	// (0 selects DefaultVNodes).
 	VNodes int
-	// Scorers pick the query-serving worker; nil selects all built-in
-	// scorers (ParseScorers("")).
-	Scorers []Scorer
 	// MergeEvery triggers an automatic merge+replicate cycle after this
 	// many routed requests (0 selects 4096; negative disables automatic
 	// merges — /v1/merge and lazy query merges still work).
@@ -73,9 +64,6 @@ type CoordinatorConfig struct {
 // withDefaults fills zero fields.
 func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	c.Model = c.Model.withDefaults()
-	if c.Scorers == nil {
-		c.Scorers, _ = ParseScorers("")
-	}
 	if c.MergeEvery == 0 {
 		c.MergeEvery = 4096
 	}
@@ -116,8 +104,6 @@ type member struct {
 	checkpoint *Model
 	// generation is the merge generation last installed on the worker.
 	generation int64
-	// queueDepth is the worker's last piggybacked in-flight load.
-	queueDepth int64
 }
 
 // share is one owner's part of a routing round. The shares are scratch of
@@ -131,17 +117,17 @@ type share struct {
 	// body is reqs as the trace-v2 stream that is logged and sent.
 	body []byte
 	span *obs.LiveSpan
-	// depth and err are the outcome of the delivery, written on the owner's
-	// goroutine and read after the join.
-	depth int64
-	err   error
+	// err is the outcome of the delivery, written on the owner's goroutine
+	// and read after the join.
+	err error
 }
 
 // Coordinator fronts the cluster: it consistent-hash-routes ingested
 // request streams to worker shards, assembles the exactly-merged global
-// model, replicates it to every worker, and routes queries to the best
-// worker by the configured scorers — or serves them itself from the
-// merged model when no worker is up (breaker-style degradation).
+// model, replicates it to every worker, and routes each query to the ring
+// owner of its key among the live workers holding the newest generation —
+// or serves it itself from the merged model when no worker is up
+// (breaker-style degradation).
 type Coordinator struct {
 	cfg    CoordinatorConfig
 	ring   *Ring
@@ -329,7 +315,6 @@ func (c *Coordinator) usable(i int, t float64) bool {
 	m.up = true
 	m.log, m.logged, m.checkpoint = nil, 0, nil
 	m.generation = 0
-	m.queueDepth = 0
 	return true
 }
 
@@ -523,9 +508,12 @@ func (c *Coordinator) routeLocked(mine, older []trace.Request, span *obs.LiveSpa
 			m.logged += len(sh.reqs)
 			sh.span = span.Child(m.spanName)
 		}
+		// This POST is the one way requests reach a worker, for routing and
+		// re-replication alike; it touches no coordinator state, so the
+		// deliveries of a round run side by side.
 		fanOut(owners, func(i int) {
 			sh := &c.shares[i]
-			sh.depth, sh.err = c.deliver(c.members[i].url, sh.body)
+			sh.err = c.post(c.members[i].url+"/v1/ingest", trace.ContentTypeV2, sh.body)
 			sh.span.End()
 		})
 
@@ -545,36 +533,11 @@ func (c *Coordinator) routeLocked(mine, older []trace.Request, span *obs.LiveSpa
 				continue
 			}
 			sh.span.Annotate("n=%d", len(sh.reqs))
-			if sh.depth >= 0 {
-				m.queueDepth = sh.depth
-			}
 			c.routed.Add(int64(len(sh.reqs)), strconv.Itoa(i))
 			c.sinceMerge += len(sh.reqs)
 			routed += sh.mine
 		}
 	}
-}
-
-// deliver POSTs one logged body to a worker and returns the queue depth the
-// worker piggybacks on its answer, or -1 without one. It is the one way
-// requests reach a worker, for routing and re-replication alike, and touches
-// no coordinator state, so the deliveries of a round run side by side.
-func (c *Coordinator) deliver(url string, body []byte) (depth int64, err error) {
-	resp, err := c.client.Post(url+"/v1/ingest", trace.ContentTypeV2, bytes.NewReader(body))
-	if err != nil {
-		return -1, err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return -1, fmt.Errorf("worker returned %d", resp.StatusCode)
-	}
-	if qd := resp.Header.Get(QueueDepthHeader); qd != "" {
-		if v, err := strconv.ParseInt(qd, 10, 64); err == nil {
-			return v, nil
-		}
-	}
-	return -1, nil
 }
 
 // post is a bodyless-or-blob POST helper returning an error on any
@@ -814,39 +777,24 @@ func (c *Coordinator) handleModel(w http.ResponseWriter, r *http.Request) {
 	w.Write(blob)
 }
 
-// pickWorker scores the usable workers for a query and returns the best
-// index, or -1 when none is usable. Callers hold routeMu.
+// pickWorker returns the worker that answers a query at ring position key:
+// the key's ring owner among the live workers that hold the newest
+// generation any live worker holds, or -1 when no worker is live at elapsed
+// t. A rejoined worker holds generation 0 until the next merge replicates
+// to it, so it answers no query before then; workers of one generation hold
+// the same replica and answer byte for byte alike. Callers hold routeMu.
 func (c *Coordinator) pickWorker(key uint64, t float64) int {
-	owner := c.ring.OwnerExcluding(key, func(w int) bool { return !c.usable(w, t) })
-	if owner < 0 {
-		return -1
+	newest := int64(-1)
+	for _, i := range c.liveLocked(t) {
+		newest = max(newest, c.members[i].generation)
 	}
-	best, bestScore := -1, 0.0
-	for i, m := range c.members {
-		if !c.usable(i, t) {
-			continue
-		}
-		info := WorkerInfo{
-			Index:         i,
-			QueueDepth:    m.queueDepth,
-			GenerationLag: c.generation - m.generation,
-			OwnsKey:       i == owner,
-		}
-		score := 0.0
-		for _, s := range c.cfg.Scorers {
-			score += s.Score(info)
-		}
-		if best < 0 || score > bestScore {
-			best, bestScore = i, score
-		}
-	}
-	return best
+	return c.ring.OwnerExcluding(key, func(w int) bool { return c.excluded(w) || c.members[w].generation < newest })
 }
 
-// handleQuery routes /v1/synthesize and /v1/characterize to the
-// best-scoring worker, or answers locally from the merged model when no
-// worker is up — the cluster's analogue of the single-node breaker
-// staying on the last good model.
+// handleQuery routes /v1/synthesize and /v1/characterize to the worker
+// pickWorker names, or answers locally from the merged model when no worker
+// is up — the cluster's analogue of the single-node breaker staying on the
+// last good model.
 func (c *Coordinator) handleQuery(endpoint string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
@@ -886,18 +834,7 @@ func (c *Coordinator) handleQuery(endpoint string) http.HandlerFunc {
 			return
 		}
 		c.degraded.Inc()
-		w.Header().Set(GenerationHeader, strconv.FormatInt(gen, 10))
-		switch endpoint {
-		case "characterize":
-			writeJSON(w, http.StatusOK, global.Characterize())
-		default:
-			tr, err := global.Synthesize(n, rand.New(rand.NewSource(seed)))
-			if err != nil {
-				httpError(w, http.StatusServiceUnavailable, "%v", err)
-				return
-			}
-			writeTrace(w, tr, format)
-		}
+		answerQuery(w, endpoint, global, gen, n, seed, format)
 	}
 }
 
@@ -924,7 +861,6 @@ type WorkerView struct {
 	URL        string `json:"url"`
 	Up         bool   `json:"up"`
 	Generation int64  `json:"generation"`
-	QueueDepth int64  `json:"queue_depth"`
 	Logged     int    `json:"logged_requests"`
 }
 
@@ -954,7 +890,6 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 			URL:        m.url,
 			Up:         m.up,
 			Generation: m.generation,
-			QueueDepth: m.queueDepth,
 			Logged:     m.logged,
 		})
 	}
@@ -967,20 +902,7 @@ func (c *Coordinator) handleTraces(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	dump := obs.TraceDump{Traces: []*obs.TreeDump{}}
-	if c.spanner != nil {
-		dump.Enabled = true
-		dump.SampleEvery = c.spanner.SampleEvery()
-		dump.Capacity = c.traces.Cap()
-		dump.Started, dump.Sampled = c.spanner.Stats()
-		for _, t := range c.traces.Snapshot() {
-			if td := obs.DumpTree(t); td != nil {
-				dump.Traces = append(dump.Traces, td)
-			}
-		}
-		dump.Held = len(dump.Traces)
-	}
-	writeJSON(w, http.StatusOK, dump)
+	writeJSON(w, http.StatusOK, obs.DumpTraces(c.spanner, c.traces))
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -115,8 +115,8 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	mux.HandleFunc("/v1/ingest", w.handleIngest)
 	mux.HandleFunc("/v1/model", w.handleModel)
 	mux.HandleFunc("/v1/reset", w.handleReset)
-	mux.HandleFunc("/v1/synthesize", w.handleSynthesize)
-	mux.HandleFunc("/v1/characterize", w.handleCharacterize)
+	mux.HandleFunc("/v1/synthesize", w.handleQuery("synthesize"))
+	mux.HandleFunc("/v1/characterize", w.handleQuery("characterize"))
 	mux.HandleFunc("/v1/stats", w.handleStats)
 	mux.HandleFunc("/healthz", w.handleHealthz)
 	mux.HandleFunc("/metrics", func(rw http.ResponseWriter, _ *http.Request) { w.reg.WriteText(rw) })
@@ -142,10 +142,6 @@ func (w *Worker) Generation() int64 {
 	}
 	return 0
 }
-
-// QueueDepth returns the worker's current in-flight ingest count — the
-// signal the queue-depth routing scorer consumes.
-func (w *Worker) QueueDepth() int64 { return w.inflight.Load() }
 
 // ingestScratch is what decoding one ingest body needs and nothing outlives:
 // a trace-v2 reader and the slice the requests are gathered in. Neither
@@ -282,61 +278,56 @@ func (w *Worker) handleReset(rw http.ResponseWriter, r *http.Request) {
 	writeJSON(rw, http.StatusOK, map[string]any{"reset": true})
 }
 
-// replica returns the installed global model or fails the request.
-func (w *Worker) replica(rw http.ResponseWriter) *installedModel {
-	im := w.installed.Load()
-	if im == nil {
-		httpError(rw, http.StatusServiceUnavailable, "%v: no replicated model installed yet", errs.ErrModelNotTrained)
-		return nil
+// handleQuery answers /v1/synthesize and /v1/characterize from the installed
+// replica, on the coordinator's query surface.
+func (w *Worker) handleQuery(endpoint string) http.HandlerFunc {
+	return func(rw http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			httpError(rw, http.StatusMethodNotAllowed, "GET only")
+			return
+		}
+		n, seed, format, err := synthParams(r, w.cfg.MaxSynth)
+		if err != nil {
+			httpError(rw, http.StatusBadRequest, "%v", err)
+			return
+		}
+		im := w.installed.Load()
+		if im == nil {
+			httpError(rw, http.StatusServiceUnavailable, "%v: no replicated model installed yet", errs.ErrModelNotTrained)
+			return
+		}
+		if answerQuery(rw, endpoint, im.model, im.generation, n, seed, format) {
+			w.queries.Add(1, endpoint)
+		}
 	}
-	return im
 }
 
-// handleSynthesize generates a trace from the installed replica. Output
-// is deterministic in (model bytes, seed), so every node of a converged
-// cluster returns the identical trace.
-func (w *Worker) handleSynthesize(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodPost {
-		httpError(rw, http.StatusMethodNotAllowed, "GET or POST")
-		return
+// answerQuery answers a synthesize or characterize query from m, the model
+// of merge generation gen, and reports whether the answer is a 200. It is
+// the one answer of a worker's replica and of the coordinator's merged model
+// alike: output is deterministic in (model bytes, seed), so every node of a
+// converged cluster answers identically.
+func answerQuery(w http.ResponseWriter, endpoint string, m *Model, gen int64, n int, seed int64, format string) bool {
+	if endpoint == "characterize" {
+		w.Header().Set(GenerationHeader, strconv.FormatInt(gen, 10))
+		writeJSON(w, http.StatusOK, m.Characterize())
+		return true
 	}
-	n, seed, format, err := synthParams(r, w.cfg.MaxSynth)
+	tr, err := m.Synthesize(n, rand.New(rand.NewSource(seed)))
 	if err != nil {
-		httpError(rw, http.StatusBadRequest, "%v", err)
-		return
+		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		return false
 	}
-	im := w.replica(rw)
-	if im == nil {
-		return
-	}
-	tr, err := im.model.Synthesize(n, rand.New(rand.NewSource(seed)))
-	if err != nil {
-		httpError(rw, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	w.queries.Add(1, "synthesize")
-	rw.Header().Set(GenerationHeader, strconv.FormatInt(im.generation, 10))
-	writeTrace(rw, tr, format)
+	w.Header().Set(GenerationHeader, strconv.FormatInt(gen, 10))
+	writeTrace(w, tr, format)
+	return true
 }
 
-// handleCharacterize summarizes the installed replica.
-func (w *Worker) handleCharacterize(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(rw, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	im := w.replica(rw)
-	if im == nil {
-		return
-	}
-	w.queries.Add(1, "characterize")
-	rw.Header().Set(GenerationHeader, strconv.FormatInt(im.generation, 10))
-	writeJSON(rw, http.StatusOK, im.model.Characterize())
-}
-
-// WorkerStats is the /v1/stats answer — the passive signals the
-// coordinator's routing scorers consume.
+// WorkerStats is the worker's /v1/stats answer. The coordinator routes on
+// none of it: a query goes to its key's ring owner among the live workers
+// holding the newest generation, as the coordinator last replicated it.
 type WorkerStats struct {
+	// QueueDepth is the ingest bodies in flight on the worker.
 	QueueDepth    int64 `json:"queue_depth"`
 	ShardRequests int64 `json:"shard_requests"`
 	Generation    int64 `json:"generation"`
@@ -351,7 +342,7 @@ func (w *Worker) handleStats(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(rw, http.StatusOK, WorkerStats{
-		QueueDepth:    w.QueueDepth(),
+		QueueDepth:    w.inflight.Load(),
 		ShardRequests: w.ShardRequests(),
 		Generation:    w.Generation(),
 		Ingested:      w.ingested.Value(),

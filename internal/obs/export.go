@@ -44,8 +44,30 @@ type TraceDump struct {
 	Traces      []*TreeDump `json:"traces"`
 }
 
-// DumpTree converts an assembled dapper tree into the wire schema.
-func DumpTree(t *dapper.Tree) *TreeDump {
+// DumpTraces is the GET /v1/traces answer of a process whose spanner sp
+// records into ring: the trees ring holds, oldest first. A nil sp (tracing
+// off) gives enabled=false and an empty forest rather than a 404, so probes
+// can tell "off" from "missing".
+func DumpTraces(sp *Spanner, ring *TraceRing) TraceDump {
+	dump := TraceDump{Traces: []*TreeDump{}}
+	if sp == nil {
+		return dump
+	}
+	dump.Enabled = true
+	dump.SampleEvery = sp.SampleEvery()
+	dump.Capacity = ring.Cap()
+	dump.Started, dump.Sampled = sp.Stats()
+	for _, t := range ring.Snapshot() {
+		if td := dumpTree(t); td != nil {
+			dump.Traces = append(dump.Traces, td)
+		}
+	}
+	dump.Held = len(dump.Traces)
+	return dump
+}
+
+// dumpTree converts an assembled dapper tree into the wire schema.
+func dumpTree(t *dapper.Tree) *TreeDump {
 	if t == nil || t.Root == nil || t.Root.Span == nil {
 		return nil
 	}

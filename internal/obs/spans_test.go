@@ -225,7 +225,7 @@ func TestDumpTreeWellFormed(t *testing.T) {
 	root.Child("b").End()
 	root.Finish()
 
-	d := DumpTree(c.Trees()[0])
+	d := dumpTree(c.Trees()[0])
 	if d == nil || d.Spans != 3 || d.Depth != 2 {
 		t.Fatalf("dump = %+v", d)
 	}
@@ -246,8 +246,8 @@ func TestDumpTreeWellFormed(t *testing.T) {
 	if len(d.Root.Children[0].Annotations) != 1 {
 		t.Fatalf("annotations lost: %+v", d.Root.Children[0])
 	}
-	if DumpTree(nil) != nil {
-		t.Fatal("DumpTree(nil) != nil")
+	if dumpTree(nil) != nil {
+		t.Fatal("dumpTree(nil) != nil")
 	}
 }
 

@@ -927,30 +927,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTraces dumps the sampled span trees held by the trace ring as a
-// JSON forest, oldest first — the live-tracing read path. A daemon
-// without Obs (or with sampling disabled) reports enabled=false and an
-// empty forest rather than a 404, so probes can distinguish "off" from
-// "missing".
+// JSON forest, oldest first — the live-tracing read path (obs.DumpTraces).
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	dump := obs.TraceDump{Traces: []*obs.TreeDump{}}
-	if s.spanner != nil {
-		dump.Enabled = true
-		dump.SampleEvery = s.spanner.SampleEvery()
-		dump.Capacity = s.traces.Cap()
-		dump.Started, dump.Sampled = s.spanner.Stats()
-		for _, t := range s.traces.Snapshot() {
-			if td := obs.DumpTree(t); td != nil {
-				dump.Traces = append(dump.Traces, td)
-			}
-		}
-		dump.Held = len(dump.Traces)
-	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(dump)
+	json.NewEncoder(w).Encode(obs.DumpTraces(s.spanner, s.traces))
 }
 
 // handleHealthz reports liveness and model warmth.

@@ -226,11 +226,11 @@ func TestCharacterizeSingleFlight(t *testing.T) {
 
 // TestProvisionMemo: POST /v1/provision searches once per input. An
 // identical request is answered from the memo with the same bytes and no
-// search, while nothing it depends on changed; an ingest, a retrain, arming
-// a fault scenario, another model and another request each search again.
-// Disarming the scenario brings back the key of the healthy answer before
-// it, which the generation still keeps. A refused request is an answer too,
-// kept like a plan.
+// search, while nothing it depends on changed; an ingest, a retrain,
+// another model and another request each search again. The search runs on
+// healthy hardware, so arming and disarming a fault scenario each answer
+// the retrain step's bytes with no search. A refused request is an answer
+// too, kept like a plan.
 func TestProvisionMemo(t *testing.T) {
 	s := newTestServer(t, quietConfig())
 	ts := httptest.NewServer(s.Handler())
@@ -271,7 +271,7 @@ func TestProvisionMemo(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, true, ""},
-		{"faults armed", func() { faults(http.MethodPost, `{"mtbf": 2, "mttr": 0.5, "rack_size": 2, "seed": 9}`) }, true, ""},
+		{"faults armed", func() { faults(http.MethodPost, `{"mtbf": 2, "mttr": 0.5, "rack_size": 2, "seed": 9}`) }, false, "retrain"},
 		{"faults disarmed", func() { faults(http.MethodDelete, "") }, false, "retrain"},
 		{"another model", func() {
 			body = `{"model":"indepth","request":{"objective":{"target_seconds":0.5},"space":{"max_servers":8},"validate_tasks":2000,"validate_samples":2000}}`

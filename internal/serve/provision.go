@@ -156,9 +156,9 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 // answer, plan or refusal, is a pure function of the generation and of
 // provKey, so a request that finds the last answer under its own key takes
 // its bytes (waiting, if that search is still running) instead of searching
-// again. As in characterize, an ingest, a retrain or a /v1/faults POST
-// misses without anyone invalidating anything, and the window position and
-// the scenario are read inside the job. A search cut off by its request's
+// again. As in characterize, an ingest or a retrain misses without anyone
+// invalidating anything, and the window position is read inside the job. A
+// /v1/faults POST does not miss: nothing the search runs reads the scenario. A search cut off by its request's
 // context, or failing inside the daemon, is answered once and not kept.
 func (s *Server) provision(ctx context.Context, span *obs.LiveSpan, ms *modelSet, req provisionRequest) answer {
 	defaulted := req.Request.WithDefaults()
@@ -167,7 +167,7 @@ func (s *Server) provision(ctx context.Context, span *obs.LiveSpan, ms *modelSet
 		return errorAnswer(http.StatusBadRequest, "provision: %v", err)
 	}
 	_, _, total, _ := s.win.stats()
-	key := provKey{total: total, model: req.Model, request: string(canonical), faults: s.faults.Load()}
+	key := provKey{total: total, model: req.Model, request: string(canonical)}
 	ans, hit, _ := ms.cache.answer(key, func() (answer, bool) {
 		plan, err := s.runProvision(ctx, span, ms, req.Model, req.Request)
 		switch {

@@ -14,7 +14,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"dcmodel/internal/obs"
 	"dcmodel/internal/optimize"
@@ -399,19 +398,14 @@ func TestAutoReprovisionOnDrift(t *testing.T) {
 		}
 	}
 
-	// The search runs on its own goroutine; poll until the plan publishes.
-	deadline := time.Now().Add(10 * time.Second)
-	var plan optimize.Plan
-	for {
-		if last := s.autoPlan.Load(); last != nil {
-			plan = last.Plan
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no auto-reprovision plan published within 10s of the drift retrain")
-		}
-		time.Sleep(10 * time.Millisecond)
+	// The search runs on its own goroutine, counted in provWG before the
+	// drift retrain's Ingest returned: once it is done, the plan is out.
+	s.provWG.Wait()
+	last := s.autoPlan.Load()
+	if last == nil {
+		t.Fatal("no auto-reprovision plan published by the drift retrain's search")
 	}
+	plan := last.Plan
 	if plan.TwinEvals == 0 || len(plan.Trail) == 0 {
 		t.Errorf("auto plan has no audit trail: twin_evals=%d trail=%d", plan.TwinEvals, len(plan.Trail))
 	}

@@ -274,14 +274,13 @@ type charKey struct {
 }
 
 // provKey is everything a provision answer depends on besides the
-// generation: the window position, the model, the defaulted request as
-// canonical JSON, and the armed fault scenario (by identity, as in
-// charKey).
+// generation: the window position, the model and the defaulted request as
+// canonical JSON. The search simulates healthy hardware, so the armed fault
+// scenario is not part of it.
 type provKey struct {
 	total   int64
 	model   string
 	request string
-	faults  *fault.Config
 }
 
 // synthKey is everything a synthesized trace depends on besides the
