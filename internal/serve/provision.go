@@ -158,8 +158,9 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 // its bytes (waiting, if that search is still running) instead of searching
 // again. As in characterize, an ingest or a retrain misses without anyone
 // invalidating anything, and the window position is read inside the job. A
-// /v1/faults POST does not miss: nothing the search runs reads the scenario. A search cut off by its request's
-// context, or failing inside the daemon, is answered once and not kept.
+// /v1/faults POST does not miss: nothing the search runs reads the scenario.
+// A search cut off by its request's context, or failing inside the daemon,
+// is answered once and not kept.
 func (s *Server) provision(ctx context.Context, span *obs.LiveSpan, ms *modelSet, req provisionRequest) answer {
 	defaulted := req.Request.WithDefaults()
 	canonical, err := json.Marshal(defaulted)
