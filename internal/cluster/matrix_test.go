@@ -24,8 +24,9 @@ const (
 // matrixBodies are the request counts of the bodies a matrix cell ingests,
 // in order: with routing chunks of a few hundred to a few thousand requests
 // they are a body inside one chunk, a body of about one and a body spanning
-// several.
-var matrixBodies = []int{37, 500, 5000, 500, 37}
+// several. In trace-v2 (blocks of 1024 requests) the 2500 and 5000 bodies
+// are three and five blocks long.
+var matrixBodies = []int{37, 500, 2500, 5000, 500, 37}
 
 // postBody POSTs one encoded ingest body and checks the count ingested.
 func postBody(t *testing.T, url, contentType string, body []byte, want int) {
