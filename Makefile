@@ -17,7 +17,8 @@ help:
 	@echo "             parallel cross-examination engine and sharded simulator"
 	@echo "  stress     the daemon's single-flight, drain and randomized cache-budget"
 	@echo "             tests and the cluster's fan-out, merge-failure, concurrent-ingest,"
-	@echo "             kill and rejoin tests under -race, 20 times at -cpu 1 and 2"
+	@echo "             kill, rejoin, block-routing and failed-query tests under -race,"
+	@echo "             20 times at -cpu 1 and 2"
 	@echo "  cover      go test -cover ./... + the internal/spec coverage floor"
 	@echo "  cover-spec enforce the $(SPEC_COVER_FLOOR)% statement-coverage floor on internal/spec"
 	@echo "  bench      regenerate every table/figure + ablations (-bench=. -benchmem)"
@@ -59,7 +60,7 @@ test-race:
 # drain tests and the randomized cache-budget test; and the cluster tests
 # that run listeners, fan deliveries out side by side or kill workers.
 STRESS_TESTS = SingleFlight|TestServeGracefulDrain$$|TestFaultArmedDrainNoDrops|TestCacheBudgetRandomized
-CLUSTER_STRESS_TESTS = ^(TestFanOutTwoWorkersFail|TestMergePullAndPushFailures|TestConcurrentMixedCodecIngest|TestClusterKillMidRun|TestClusterTotalLossDegrades|TestRejoinedWorkerWaitsForMerge)$$
+CLUSTER_STRESS_TESTS = ^(TestFanOutTwoWorkersFail|TestMergePullAndPushFailures|TestConcurrentMixedCodecIngest|TestClusterKillMidRun|TestClusterTotalLossDegrades|TestRejoinedWorkerWaitsForMerge|TestBlocksRouteWhole|TestFailedProxyMarksWorkerDown|TestRejoinedReplicaNeverAnswers)$$
 stress:
 	$(GO) test -race -count=20 -cpu 1,2 -run '$(STRESS_TESTS)' ./internal/serve/
 	$(GO) test -race -count=20 -cpu 1,2 -run '$(CLUSTER_STRESS_TESTS)' ./internal/cluster/

@@ -1,8 +1,8 @@
 // Command dcmodel-cluster runs one node of the distributed modeling
-// service: a coordinator that consistent-hash-routes ingested request
-// streams across worker shards and assembles the exactly-merged global
-// model, or a worker that trains its shard online and serves queries
-// from the replicated model.
+// service: a coordinator that consistent-hash-routes the trace-v2 blocks of
+// ingested request streams, whole, across worker shards and assembles the
+// exactly-merged global model, or a worker that trains its shard online and
+// serves queries from the replicated model.
 //
 // Usage:
 //
@@ -18,8 +18,8 @@
 // routing interleaving, so any worker (or the coordinator itself, when
 // every worker is down) answers queries identically. The coordinator sends
 // each query to the ring owner of its key among the live workers that hold
-// the newest merged generation; -faults arms a kill schedule over the
-// workers to rehearse mid-run failures.
+// its own merged generation; -faults arms a kill schedule over the workers
+// to rehearse mid-run failures.
 //
 // SIGTERM or SIGINT shuts the node down gracefully.
 package main

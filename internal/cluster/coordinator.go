@@ -2,10 +2,10 @@ package cluster
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -16,13 +16,50 @@ import (
 	"dcmodel/internal/trace"
 )
 
-// routeBatchSize is the chunk an ingest body is routed in: the most requests
-// one routeMu acquisition partitions, encodes once per owner and sends as one
-// POST per owner, so concurrent ingest bodies interleave at chunk granularity
-// (the determinism contract makes the interleaving unobservable in the merged
-// model). It also bounds what the merge cadence, checked once a chunk, can be
-// overrun by, and is the default MergeEvery for that reason.
+// routeBatchSize is the round an ingest body is routed in: the most requests,
+// in whole trace-v2 blocks, one routeMu acquisition assigns to owners and
+// sends as one POST per owner, so concurrent ingest bodies interleave at round
+// granularity (the determinism contract makes the interleaving unobservable
+// in the merged model). A block of more requests is a round of its own. It
+// also bounds what the merge cadence, checked once a round, can be overrun
+// by, and is the default MergeEvery for that reason.
 const routeBatchSize = 4096
+
+// block is the routing unit: one trace-v2 block as framed on the wire, its
+// ring position (the Key of its first request) and its request count. A block
+// goes whole to one owner, so its bytes are sent as the client sent them;
+// cluster.Model.Observe is per request and order-free, so which owner counts
+// which request leaves the merged model unchanged.
+type block struct {
+	frame []byte
+	key   uint64
+	n     int
+}
+
+// requests counts the requests of bs.
+func requests(bs []block) (n int) {
+	for _, b := range bs {
+		n += b.n
+	}
+	return n
+}
+
+// appendStream appends bs to dst as one trace-v2 stream, each frame verbatim
+// between the stream header and end marker, and points each block at its
+// copy.
+func appendStream(dst []byte, bs []block) []byte {
+	size := len(trace.BinaryStreamHeader) + len(trace.BinaryStreamEnd)
+	for _, b := range bs {
+		size += len(b.frame)
+	}
+	dst = append(slices.Grow(dst, size), trace.BinaryStreamHeader...)
+	for i := range bs {
+		off := len(dst)
+		dst = append(dst, bs[i].frame...)
+		bs[i].frame = dst[off:len(dst):len(dst)]
+	}
+	return append(dst, trace.BinaryStreamEnd...)
+}
 
 // CoordinatorConfig configures the cluster coordinator (the master
 // role).
@@ -90,12 +127,12 @@ type member struct {
 	up bool
 	// downUntil is the elapsed time before which no probe is attempted.
 	downUntil float64
-	// log holds the bodies delivered to this worker since its checkpoint,
-	// as the trace-v2 bytes that were sent, and logged counts the requests
-	// in them. It is the re-replication source when the worker dies (the
-	// GFS master's operation log): a body is appended before it is sent and
-	// decoded again only when a death makes its requests orphans.
-	log    [][]byte
+	// log holds the blocks delivered to this worker since its checkpoint,
+	// each cut from the stream that was sent, with its key; logged counts
+	// their requests. It is the re-replication source when the worker dies
+	// (the GFS master's operation log): a block is appended before it is
+	// sent and re-sent whole, by its key, when a death makes it an orphan.
+	log    []block
 	logged int
 	// checkpoint is the worker's shard as the last completed merge pulled
 	// it: every request delivered up to that merge, as counts. The merge
@@ -109,12 +146,13 @@ type member struct {
 // share is one owner's part of a routing round. The shares are scratch of
 // the coordinator, reused from round to round under routeMu.
 type share struct {
-	// reqs are the requests the round assigns to the owner: first the mine
-	// of them that belong to the body being ingested, then orphans of dead
-	// workers.
-	reqs []trace.Request
-	mine int
-	// body is reqs as the trace-v2 stream that is logged and sent.
+	// blocks are what the round assigns to the owner: first the mine of
+	// them that belong to the body being ingested, then orphans of dead
+	// workers; n counts their requests.
+	blocks  []block
+	mine, n int
+	// body is the stream that is sent: the blocks verbatim, which the log
+	// keeps cut from it.
 	body []byte
 	span *obs.LiveSpan
 	// err is the outcome of the delivery, written on the owner's goroutine
@@ -122,11 +160,11 @@ type share struct {
 	err error
 }
 
-// Coordinator fronts the cluster: it consistent-hash-routes ingested
-// request streams to worker shards, assembles the exactly-merged global
-// model, replicates it to every worker, and routes each query to the ring
-// owner of its key among the live workers holding the newest generation —
-// or serves it itself from the merged model when no worker is up
+// Coordinator fronts the cluster: it consistent-hash-routes the trace-v2
+// blocks of ingested streams to worker shards, assembles the exactly-merged
+// global model, replicates it to every worker, and routes each query to the
+// ring owner of its key among the live workers holding its own generation —
+// or serves it itself from the merged model when no worker does
 // (breaker-style degradation).
 type Coordinator struct {
 	cfg    CoordinatorConfig
@@ -147,13 +185,11 @@ type Coordinator struct {
 	sinceMerge  int
 
 	// Scratch of one routing round, guarded by routeMu: a share per member
-	// and a last one for the coordinator's own shard, which members are
-	// usable, and the buffer a share is encoded in before its exact copy is
-	// logged.
+	// and a last one for the coordinator's own shard, and which members are
+	// usable.
 	shares   []share
 	usableAt []bool
 	excluded func(worker int) bool
-	enc      []byte
 
 	reg           *obs.Registry
 	routed        *obs.LabeledCounter
@@ -219,8 +255,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 				up++
 			}
 			logged += m.logged
-			for _, body := range m.log {
-				logBytes += len(body)
+			for _, b := range m.log {
+				logBytes += len(b.frame)
 			}
 		}
 		gen := c.generation
@@ -239,13 +275,13 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/ingest", c.handleIngest)
-	mux.HandleFunc("/v1/merge", c.handleMerge)
-	mux.HandleFunc("/v1/model", c.handleModel)
-	mux.HandleFunc("/v1/synthesize", c.handleQuery("synthesize"))
-	mux.HandleFunc("/v1/characterize", c.handleQuery("characterize"))
-	mux.HandleFunc("/v1/stats", c.handleStats)
-	mux.HandleFunc("/v1/traces", c.handleTraces)
+	mux.HandleFunc("/v1/ingest", only(http.MethodPost, c.handleIngest))
+	mux.HandleFunc("/v1/merge", only(http.MethodPost, c.handleMerge))
+	mux.HandleFunc("/v1/model", only(http.MethodGet, c.handleModel))
+	mux.HandleFunc("/v1/synthesize", only(http.MethodGet, c.handleQuery("synthesize")))
+	mux.HandleFunc("/v1/characterize", only(http.MethodGet, c.handleQuery("characterize")))
+	mux.HandleFunc("/v1/stats", only(http.MethodGet, c.handleStats))
+	mux.HandleFunc("/v1/traces", only(http.MethodGet, c.handleTraces))
 	mux.HandleFunc("/healthz", c.handleHealthz)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) { c.reg.WriteText(w) })
 	c.mux = mux
@@ -308,7 +344,7 @@ func (c *Coordinator) usable(i int, t float64) bool {
 	// Half-open probe: a rejoining worker is reset before it is routed
 	// to again — its pre-death shard was already re-replicated to the
 	// survivors, so reusing it would double-count.
-	if err := c.post(m.url+"/v1/reset", "", nil); err != nil {
+	if _, err := c.rpc(http.MethodPost, m.url+"/v1/reset", "", 0, nil); err != nil {
 		m.downUntil = t + c.cfg.Cooldown
 		return false
 	}
@@ -322,39 +358,32 @@ func (c *Coordinator) usable(i int, t float64) bool {
 // schedule holds down at elapsed t is killed, and what it leaves to re-route
 // is returned. Callers hold routeMu and must call this, and re-route, before
 // trusting membership on a write path (routing or merging).
-func (c *Coordinator) reapLocked(t float64) (orphans []trace.Request) {
+func (c *Coordinator) reapLocked(t float64) (orphans []block) {
 	if c.sched == nil {
 		return nil
 	}
 	for i, m := range c.members {
 		if m.up && c.faultDown(i, t) {
-			c.kill(i, c.sched.NextUp(i, t))
-			orphans = append(orphans, c.orphansLocked(i)...)
+			orphans = append(orphans, c.killLocked(i, c.sched.NextUp(i, t))...)
 		}
 	}
 	return orphans
 }
 
-// kill marks worker i down until downUntil; the caller re-routes what
-// orphansLocked returns for it. Callers hold routeMu.
-func (c *Coordinator) kill(i int, downUntil float64) {
+// killLocked marks worker i down until downUntil and takes everything it
+// held out of it. Its checkpoint, the requests delivered up to the last
+// merge, is folded into the coordinator's own shard: a model is integer
+// counts, so the fold is exact, and every later generation counts those
+// requests there. Its log, the blocks delivered since, is returned for the
+// caller to re-route. A worker already down holds nothing. Callers hold
+// routeMu.
+func (c *Coordinator) killLocked(i int, downUntil float64) (orphans []block) {
 	m := c.members[i]
 	if !m.up {
-		return
+		return nil
 	}
-	m.up = false
-	m.downUntil = downUntil
+	m.up, m.downUntil = false, downUntil
 	c.deaths.Add(1, strconv.Itoa(i))
-}
-
-// orphansLocked takes everything a dead worker held out of it. Its
-// checkpoint, the requests delivered up to the last merge, is folded into
-// the coordinator's own shard: a model is integer counts, so the fold is
-// exact, and every later generation counts those requests there. Its log,
-// the bodies delivered since, is decoded back into the requests the caller
-// re-routes. Callers hold routeMu.
-func (c *Coordinator) orphansLocked(i int) (orphans []trace.Request) {
-	m := c.members[i]
 	if m.checkpoint != nil {
 		// The checkpoint went through global.Merge when it was taken, so
 		// its quantization is the coordinator's.
@@ -364,25 +393,24 @@ func (c *Coordinator) orphansLocked(i int) (orphans []trace.Request) {
 		m.checkpoint = nil
 		c.folds.Inc()
 	}
-	for _, body := range m.log {
-		tr, err := trace.ReadBinary(bytes.NewReader(body))
-		if err != nil { // bytes AppendBinary wrote and nobody else touched
-			panic(fmt.Sprintf("cluster: routing log of worker %d does not decode: %v", i, err))
-		}
-		orphans = append(orphans, tr.Requests...)
-	}
+	orphans = m.log
+	c.redistributed.Add(int64(m.logged))
 	m.log, m.logged = nil, 0
-	c.redistributed.Add(int64(len(orphans)))
 	return orphans
 }
 
-// absorbLocked trains the coordinator's own shard on requests no worker can
-// take (breaker-style degradation). Callers hold routeMu.
-func (c *Coordinator) absorbLocked(reqs []trace.Request) {
-	for i := range reqs {
-		c.local.Observe(reqs[i])
+// absorbLocked trains the coordinator's own shard on blocks no worker can
+// take (breaker-style degradation), the one place a routed block is decoded
+// again. Callers hold routeMu.
+func (c *Coordinator) absorbLocked(bs []block) {
+	tr, err := trace.ReadBinary(bytes.NewReader(appendStream(nil, bs)))
+	if err != nil { // blocks the coordinator decoded when they came in
+		panic(fmt.Sprintf("cluster: a routed block does not decode: %v", err))
 	}
-	c.degraded.Add(int64(len(reqs)))
+	for i := range tr.Requests {
+		c.local.Observe(tr.Requests[i])
+	}
+	c.degraded.Add(int64(len(tr.Requests)))
 }
 
 // fanOut runs do(i) for every listed member side by side and returns once
@@ -416,104 +444,93 @@ func (c *Coordinator) liveLocked(t float64) (live []int) {
 	return live
 }
 
-// routeBatch routes one chunk of an ingest body and runs the merge the
-// cadence asks for. It returns how many of the chunk's requests a worker
+// routeBatch routes one round of an ingest body and runs the merge the
+// cadence asks for. It returns how many of the round's requests a worker
 // took and how many the coordinator absorbed itself.
-func (c *Coordinator) routeBatch(batch []trace.Request, span *obs.LiveSpan) (routed, absorbed int, err error) {
+func (c *Coordinator) routeBatch(blocks []block, span *obs.LiveSpan) (routed, absorbed int) {
 	c.routeMu.Lock()
 	defer c.routeMu.Unlock()
-	routed, absorbed, err = c.routeLocked(batch, nil, span)
+	routed, absorbed = c.routeLocked(blocks, nil, span)
 	if c.cfg.MergeEvery > 0 && c.sinceMerge >= c.cfg.MergeEvery {
 		// Best-effort: a failed merge leaves the previous generation
 		// serving and the next cycle retries.
 		_ = c.mergeLocked()
 	}
-	return routed, absorbed, err
+	return routed, absorbed
 }
 
-// routeLocked is the one routing loop, for a chunk of an ingest body (mine)
+// routeLocked is the one routing loop, for a round of an ingest body (mine)
 // and for the orphans of dead workers (older) alike. A round reaps the fault
-// schedule, assigns every pending request to its ring owner among the usable
-// workers, encodes each owner's share once, appends those bytes to the
-// owner's log BEFORE sending them, sends all shares side by side and joins.
-// Then, in member order, an owner whose delivery failed (transport error or
-// a non-200) is killed and everything it held goes into the next round;
-// requests with no usable owner train the coordinator's own shard. It
-// returns how many of mine a worker took and how many were absorbed.
-//
-// The only error is a share that does not encode, which nothing a reader
-// accepts produces: it is reported before the round has logged or sent
-// anything and blames no worker, the round's orphans are absorbed, and what
-// is left of mine is dropped with the error. Callers hold routeMu.
-func (c *Coordinator) routeLocked(mine, older []trace.Request, span *obs.LiveSpan) (routed, absorbed int, err error) {
+// schedule, assigns every pending block whole to the ring owner of its key
+// among the usable workers, lays each owner's blocks verbatim into one
+// stream, appends them to the owner's log BEFORE sending it, sends all
+// streams side by side and joins. Then, in member order, an owner whose
+// delivery failed (transport error or a non-200) is killed and everything it
+// held goes into the next round; blocks with no usable owner train the
+// coordinator's own shard. It returns how many requests of mine a worker
+// took and how many were absorbed. Callers hold routeMu.
+func (c *Coordinator) routeLocked(mine, older []block, span *obs.LiveSpan) (routed, absorbed int) {
 	own := &c.shares[len(c.members)]
 	defer func() {
-		for i := range c.shares { // keep no request alive between calls
+		for i := range c.shares { // keep no block alive between calls
 			sh := &c.shares[i]
-			clear(sh.reqs)
-			sh.reqs, sh.body, sh.span = sh.reqs[:0], nil, nil
+			clear(sh.blocks)
+			sh.blocks, sh.body, sh.span = sh.blocks[:0], nil, nil
 		}
 	}()
 	for {
 		t := c.elapsed()
 		older = append(older, c.reapLocked(t)...)
 		if len(mine)+len(older) == 0 {
-			return routed, absorbed, nil
+			return routed, absorbed
 		}
 		live := c.liveLocked(t)
 		for i := range c.shares {
-			c.shares[i].reqs = c.shares[i].reqs[:0]
+			c.shares[i].blocks = c.shares[i].blocks[:0]
 		}
-		assign := func(reqs []trace.Request) {
-			for i := range reqs {
-				owner := c.ring.OwnerExcluding(Key(reqs[i].ID, reqs[i].Class), c.excluded)
+		assign := func(bs []block) {
+			for _, b := range bs {
+				owner := c.ring.OwnerExcluding(b.key, c.excluded)
 				if owner < 0 {
 					owner = len(c.members)
 				}
-				c.shares[owner].reqs = append(c.shares[owner].reqs, reqs[i])
+				c.shares[owner].blocks = append(c.shares[owner].blocks, b)
 			}
 		}
 		assign(mine)
 		for i := range c.shares {
-			c.shares[i].mine = len(c.shares[i].reqs)
+			c.shares[i].mine = len(c.shares[i].blocks)
 		}
 		assign(older)
-
-		// Encode every share before any is logged: the log holds exactly
-		// what is sent.
-		owners := live[:0]
-		for _, i := range live {
-			sh := &c.shares[i]
-			if len(sh.reqs) == 0 {
-				continue
-			}
-			if c.enc, err = trace.AppendBinary(c.enc[:0], sh.reqs); err != nil {
-				c.absorbLocked(older)
-				return routed, absorbed, err
-			}
-			sh.body = bytes.Clone(c.enc)
-			owners = append(owners, i)
+		if len(own.blocks) > 0 {
+			absorbed += requests(own.blocks[:own.mine])
+			c.absorbLocked(own.blocks)
 		}
-		c.absorbLocked(own.reqs)
-		absorbed += own.mine
 
 		// Log append precedes delivery: if the POST fails (or times out
-		// ambiguously) the worker is marked down and the log, this body
+		// ambiguously) the worker is marked down and the log, these blocks
 		// included, is re-replicated, so an acknowledged-but-unrecorded
 		// delivery cannot happen. The child spans open here, in member
 		// order, so a sampled tree does not depend on which POST wins.
-		for _, i := range owners {
+		owners := live[:0]
+		for _, i := range live {
 			m, sh := c.members[i], &c.shares[i]
-			m.log = append(m.log, sh.body)
-			m.logged += len(sh.reqs)
+			if len(sh.blocks) == 0 {
+				continue
+			}
+			sh.body = appendStream(nil, sh.blocks)
+			sh.n = requests(sh.blocks)
+			m.log = append(m.log, sh.blocks...)
+			m.logged += sh.n
 			sh.span = span.Child(m.spanName)
+			owners = append(owners, i)
 		}
 		// This POST is the one way requests reach a worker, for routing and
 		// re-replication alike; it touches no coordinator state, so the
 		// deliveries of a round run side by side.
 		fanOut(owners, func(i int) {
 			sh := &c.shares[i]
-			sh.err = c.post(c.members[i].url+"/v1/ingest", trace.ContentTypeV2, sh.body)
+			_, sh.err = c.rpc(http.MethodPost, c.members[i].url+"/v1/ingest", trace.ContentTypeV2, 0, sh.body)
 			sh.span.End()
 		})
 
@@ -522,37 +539,50 @@ func (c *Coordinator) routeLocked(mine, older []trace.Request, span *obs.LiveSpa
 			m, sh := c.members[i], &c.shares[i]
 			if sh.err != nil {
 				sh.span.Annotate("dead: %v", sh.err)
-				c.kill(i, c.elapsed()+c.cfg.Cooldown)
-				// The body just logged is at hand as requests, which tells
-				// mine from the rest; the log before it is not.
-				m.log, m.logged = m.log[:len(m.log)-1], m.logged-len(sh.reqs)
-				c.redistributed.Add(int64(len(sh.reqs)))
-				mine = append(mine, sh.reqs[:sh.mine]...)
-				older = append(older, sh.reqs[sh.mine:]...)
-				older = append(older, c.orphansLocked(i)...)
+				// The blocks just logged are at hand, which tells mine from
+				// the rest; the log before them is not.
+				m.log, m.logged = m.log[:len(m.log)-len(sh.blocks)], m.logged-sh.n
+				c.redistributed.Add(int64(sh.n))
+				mine = append(mine, sh.blocks[:sh.mine]...)
+				older = append(older, sh.blocks[sh.mine:]...)
+				older = append(older, c.killLocked(i, c.elapsed()+c.cfg.Cooldown)...)
 				continue
 			}
-			sh.span.Annotate("n=%d", len(sh.reqs))
-			c.routed.Add(int64(len(sh.reqs)), strconv.Itoa(i))
-			c.sinceMerge += len(sh.reqs)
-			routed += sh.mine
+			sh.span.Annotate("n=%d", sh.n)
+			c.routed.Add(int64(sh.n), strconv.Itoa(i))
+			c.sinceMerge += sh.n
+			routed += requests(sh.blocks[:sh.mine])
 		}
 	}
 }
 
-// post is a bodyless-or-blob POST helper returning an error on any
-// non-200.
-func (c *Coordinator) post(url, contentType string, body []byte) error {
-	resp, err := c.client.Post(url, contentType, bytes.NewReader(body))
+// rpc is every worker RPC: it sends body, with gen in GenerationHeader when
+// positive, and returns the answer, of at most maxModelBytes; any non-200 is
+// an error.
+func (c *Coordinator) rpc(method, url, contentType string, gen int64, body []byte) ([]byte, error) {
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return nil, err
+	}
+	req.Header.Set("Content-Type", contentType)
+	if gen > 0 {
+		req.Header.Set(GenerationHeader, strconv.FormatInt(gen, 10))
+	}
+	resp, err := c.client.Do(req)
+	if err != nil {
+		return nil, err
 	}
 	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s returned %d", url, resp.StatusCode)
+	answer, err := io.ReadAll(io.LimitReader(resp.Body, maxModelBytes+1))
+	switch {
+	case err != nil:
+		return nil, err
+	case resp.StatusCode != http.StatusOK:
+		return nil, fmt.Errorf("%s returned %d", url, resp.StatusCode)
+	case len(answer) > maxModelBytes:
+		return nil, fmt.Errorf("%s answered more than %d bytes", url, maxModelBytes)
 	}
-	return nil
+	return answer, nil
 }
 
 // mergeLocked assembles the global model from the coordinator's own
@@ -567,27 +597,29 @@ func (c *Coordinator) post(url, contentType string, body []byte) error {
 // as the member's checkpoint and the member's log is cut. Callers hold
 // routeMu.
 func (c *Coordinator) mergeLocked() error {
-	var orphans []trace.Request
+	var orphans []block
 	for {
 		// Reap, and re-route what the dead leave, before trusting
 		// membership: the workers live at t are those not reaped at t.
 		t := c.elapsed()
 		if orphans = append(orphans, c.reapLocked(t)...); len(orphans) > 0 {
-			if _, _, err := c.routeLocked(nil, orphans, nil); err != nil {
-				return err
-			}
+			c.routeLocked(nil, orphans, nil)
 			orphans = nil
 			continue
 		}
 		live := c.liveLocked(t)
 		shards := make([]*Model, len(c.members))
 		errs := make([]error, len(c.members))
-		fanOut(live, func(i int) { shards[i], errs[i] = c.pullModel(c.members[i].url) })
+		fanOut(live, func(i int) {
+			var blob []byte
+			if blob, errs[i] = c.rpc(http.MethodGet, c.members[i].url+"/v1/model", "", 0, nil); errs[i] == nil {
+				shards[i], errs[i] = UnmarshalModel(blob)
+			}
+		})
 		died := false
 		for _, i := range live {
 			if errs[i] != nil {
-				c.kill(i, c.elapsed()+c.cfg.Cooldown)
-				orphans = append(orphans, c.orphansLocked(i)...)
+				orphans = append(orphans, c.killLocked(i, c.elapsed()+c.cfg.Cooldown)...)
 				died = true
 			}
 		}
@@ -618,129 +650,141 @@ func (c *Coordinator) mergeLocked() error {
 			m := c.members[i]
 			m.checkpoint, m.log, m.logged = shards[i], nil, 0
 		}
-		fanOut(live, func(i int) { errs[i] = c.postModel(c.members[i].url, blob, c.generation) })
+		fanOut(live, func(i int) {
+			_, errs[i] = c.rpc(http.MethodPost, c.members[i].url+"/v1/model", ContentTypeModel, c.generation, blob)
+		})
 		for _, i := range live {
 			if errs[i] != nil {
 				// Its shard is already inside this generation, and is now
 				// its checkpoint: folded into the coordinator's own shard,
 				// it is inside the next one too, once.
-				c.kill(i, c.elapsed()+c.cfg.Cooldown)
-				orphans = append(orphans, c.orphansLocked(i)...)
+				orphans = append(orphans, c.killLocked(i, c.elapsed()+c.cfg.Cooldown)...)
 				continue
 			}
 			c.members[i].generation = c.generation
 		}
-		_, _, err = c.routeLocked(nil, orphans, nil)
-		return err
+		c.routeLocked(nil, orphans, nil)
+		return nil
 	}
 }
 
-// pullModel fetches and decodes one worker's shard model.
-func (c *Coordinator) pullModel(url string) (*Model, error) {
-	resp, err := c.client.Get(url + "/v1/model")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("%s/v1/model returned %d", url, resp.StatusCode)
-	}
-	blob, err := io.ReadAll(io.LimitReader(resp.Body, maxModelBytes+1))
-	if err != nil {
-		return nil, err
-	}
-	if len(blob) > maxModelBytes {
-		return nil, fmt.Errorf("%s shard model exceeds %d bytes", url, maxModelBytes)
-	}
-	return UnmarshalModel(blob)
-}
-
-// postModel replicates the merged model to one worker.
-func (c *Coordinator) postModel(url string, blob []byte, generation int64) error {
-	req, err := http.NewRequest(http.MethodPost, url+"/v1/model", bytes.NewReader(blob))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", ContentTypeModel)
-	req.Header.Set(GenerationHeader, strconv.FormatInt(generation, 10))
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s/v1/model returned %d", url, resp.StatusCode)
-	}
-	return nil
-}
-
-// handleIngest decodes a CSV or trace-v2 body and routes it across the
-// worker shards, a chunk of routeBatchSize requests at a time. The answer
-// counts this body's requests: routed to a worker, or absorbed by the
-// coordinator itself with no worker up. A body that stops decoding, or
-// holds a request that fails Request.Validate, is refused with 400 from
-// there on; the chunks before it stay ingested.
+// handleIngest routes a CSV or trace-v2 body across the worker shards, a
+// round of up to routeBatchSize requests at a time. The answer counts this
+// body's requests: routed to a worker, or absorbed by the coordinator itself
+// with no worker up. A body that stops decoding, or holds a request that
+// fails Request.Validate, is refused with 400 from there on: a trace-v2 body
+// from the block that holds it, a CSV body from that request. What came
+// before stays ingested.
 func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
+	in := &intake{c: c, sc: ingestScratches.Get().(*ingestScratch), span: c.spanner.StartRequest("cluster:ingest", 0)}
+	defer in.sc.release()
+	body, contentType := io.LimitReader(r.Body, maxIngestBytes), r.Header.Get("Content-Type")
+	var err error
+	if trace.IsBinaryMediaType(contentType) {
+		in.sc.v2.Reuse(body)
+		err = in.blocks()
+	} else {
+		err = in.csv(trace.NewRequestReader(body, contentType))
+	}
+	if err != nil {
+		in.span.Annotate("decode error: %v", err)
+		in.span.Finish()
+		httpError(w, http.StatusBadRequest, "decode: %v", err)
 		return
 	}
-	span := c.spanner.StartRequest("cluster:ingest", 0)
-	sc := ingestScratches.Get().(*ingestScratch)
-	defer sc.release()
-	dec := sc.reader(io.LimitReader(r.Body, maxIngestBytes), r.Header.Get("Content-Type"))
-	total, routed, absorbed := 0, 0, 0
-	for eof := false; !eof; {
+	in.span.Annotate("requests=%d degraded=%d", in.total, in.absorbed)
+	in.span.Finish()
+	writeJSON(w, http.StatusOK, map[string]any{"ingested": in.total, "routed": in.routed, "absorbed_locally": in.absorbed})
+}
+
+// intake is one ingest body on its way through the coordinator: the scratch
+// its rounds gather in, its span and its counts.
+type intake struct {
+	c                       *Coordinator
+	sc                      *ingestScratch
+	span                    *obs.LiveSpan
+	total, routed, absorbed int
+}
+
+// blocks reads sc.v2 to its end a block at a time, Validates every request
+// (a request the shard models cannot take, such as a NaN utilization, would
+// take down every worker it reached and then the coordinator absorbing it)
+// and routes the blocks verbatim, a round at a time. A block that does not
+// decode or holds a refused request ends the read with its error, after the
+// blocks before it are routed.
+func (in *intake) blocks() error {
+	sc, pending := in.sc, 0
+	for {
+		frame, reqs, err := sc.v2.NextBlock()
+		for i := 0; err == nil && i < len(reqs); i++ {
+			err = reqs[i].Validate()
+		}
+		if len(sc.blocks) > 0 && (err != nil || pending+len(reqs) > routeBatchSize) {
+			routed, absorbed := in.c.routeBatch(sc.blocks, in.span)
+			in.total, in.routed, in.absorbed = in.total+pending, in.routed+routed, in.absorbed+absorbed
+			clear(sc.blocks)
+			sc.blocks, sc.frames, pending = sc.blocks[:0], sc.frames[:0], 0
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		// A frame lives until the next read: the round keeps a copy. Earlier
+		// blocks keep theirs where frames grew, which append never rewrites.
+		sc.frames = append(sc.frames, frame...)
+		sc.blocks = append(sc.blocks, block{frame: sc.frames[len(sc.frames)-len(frame):], key: Key(reqs[0].ID, reqs[0].Class), n: len(reqs)})
+		pending += len(reqs)
+	}
+}
+
+// csv reads a CSV body a round of routeBatchSize requests at a time,
+// Validates each request and routes each round through encode. A request
+// that does not decode or is refused ends the read with its error, after the
+// requests before it are routed.
+func (in *intake) csv(dec trace.RequestReader) error {
+	sc := in.sc
+	for {
 		req, err := dec.Next()
 		if err == nil {
-			// A request the shard models cannot take (a NaN utilization
-			// indexes past their histograms) is refused before the hop:
-			// sent on, it would take down every worker it reached and then
-			// the coordinator absorbing it.
 			err = req.Validate()
 		}
-		switch {
-		case errors.Is(err, io.EOF):
-			eof = true
-		case err != nil:
-			span.Annotate("decode error: %v", err)
-			span.Finish()
-			httpError(w, http.StatusBadRequest, "decode: %v", err)
-			return
-		default:
-			sc.batch = append(sc.batch, req)
-		}
-		if len(sc.batch) == routeBatchSize || (eof && len(sc.batch) > 0) {
-			// The requests die with the call: the workers' logs keep the
-			// bytes sent, not these.
-			nr, na, err := c.routeBatch(sc.batch, span)
-			if err != nil {
-				span.Annotate("encode error: %v", err)
-				span.Finish()
-				httpError(w, http.StatusBadRequest, "encode: %v", err)
-				return
+		if err == nil {
+			if sc.batch = append(sc.batch, req); len(sc.batch) < routeBatchSize {
+				continue
 			}
-			total, routed, absorbed = total+len(sc.batch), routed+nr, absorbed+na
+		}
+		if len(sc.batch) > 0 {
+			if err := in.encode(sc.batch); err != nil {
+				return err
+			}
+			clear(sc.batch)
 			sc.batch = sc.batch[:0]
 		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
 	}
-	span.Annotate("requests=%d degraded=%d", total, absorbed)
-	span.Finish()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"ingested":         total,
-		"routed":           routed,
-		"absorbed_locally": absorbed,
-	})
+}
+
+// encode lays requests into trace-v2 blocks once and routes those as a
+// trace-v2 body's. A request the format cannot carry, which nothing Validate
+// passes is, is an error before anything is logged or sent, and blames no
+// worker.
+func (in *intake) encode(reqs []trace.Request) (err error) {
+	if in.sc.enc, err = trace.AppendBinary(in.sc.enc[:0], reqs); err != nil {
+		return err
+	}
+	in.sc.v2.Reuse(bytes.NewReader(in.sc.enc))
+	return in.blocks()
 }
 
 // handleMerge runs an explicit merge+replicate cycle.
 func (c *Coordinator) handleMerge(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	c.routeMu.Lock()
 	err := c.mergeLocked()
 	gen := c.generation
@@ -758,10 +802,6 @@ func (c *Coordinator) handleMerge(w http.ResponseWriter, r *http.Request) {
 
 // handleModel serves the merged global model bytes.
 func (c *Coordinator) handleModel(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	c.routeMu.Lock()
 	if c.global == nil {
 		_ = c.mergeLocked()
@@ -778,17 +818,15 @@ func (c *Coordinator) handleModel(w http.ResponseWriter, r *http.Request) {
 }
 
 // pickWorker returns the worker that answers a query at ring position key:
-// the key's ring owner among the live workers that hold the newest
-// generation any live worker holds, or -1 when no worker is live at elapsed
-// t. A rejoined worker holds generation 0 until the next merge replicates
-// to it, so it answers no query before then; workers of one generation hold
-// the same replica and answer byte for byte alike. Callers hold routeMu.
+// the key's ring owner among the workers live at elapsed t that hold the
+// coordinator's own generation, or -1 when none does and the coordinator
+// answers from its merged model. A rejoined worker holds generation 0 until
+// the next merge replicates to it, so it answers no query before then, from
+// its pre-death replica least of all; workers of one generation hold the
+// same replica and answer byte for byte alike. Callers hold routeMu.
 func (c *Coordinator) pickWorker(key uint64, t float64) int {
-	newest := int64(-1)
-	for _, i := range c.liveLocked(t) {
-		newest = max(newest, c.members[i].generation)
-	}
-	return c.ring.OwnerExcluding(key, func(w int) bool { return c.excluded(w) || c.members[w].generation < newest })
+	c.liveLocked(t)
+	return c.ring.OwnerExcluding(key, func(w int) bool { return c.excluded(w) || c.members[w].generation != c.generation })
 }
 
 // handleQuery routes /v1/synthesize and /v1/characterize to the worker
@@ -797,10 +835,6 @@ func (c *Coordinator) pickWorker(key uint64, t float64) int {
 // last good model.
 func (c *Coordinator) handleQuery(endpoint string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			httpError(w, http.StatusMethodNotAllowed, "GET only")
-			return
-		}
 		n, seed, format, err := synthParams(r, c.cfg.MaxSynth)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
@@ -810,24 +844,21 @@ func (c *Coordinator) handleQuery(endpoint string) http.HandlerFunc {
 		if c.generation == 0 {
 			_ = c.mergeLocked()
 		}
-		t := c.elapsed()
-		pick := c.pickWorker(Key(seed, endpoint), t)
-		var target string
-		if pick >= 0 {
-			target = c.members[pick].url
-		}
-		global := c.global
-		gen := c.generation
+		pick := c.pickWorker(Key(seed, endpoint), c.elapsed())
+		global, gen := c.global, c.generation
 		c.routeMu.Unlock()
 
-		if target != "" {
+		if pick >= 0 {
 			c.queryRouted.Add(1, strconv.Itoa(pick))
-			if c.proxy(w, target+r.URL.Path+"?"+r.URL.RawQuery) {
+			if c.proxy(w, c.members[pick].url+r.URL.Path+"?"+r.URL.RawQuery) {
 				return
 			}
-			// The pick died under us; fall through to the local answer
-			// rather than failing the query. The next routing pass will
-			// mark it down.
+			// The pick is unreachable: it is marked down and what it held
+			// is re-routed, as for a failed delivery, so no other query
+			// dials it before its cooldown; this one is answered here.
+			c.routeMu.Lock()
+			c.routeLocked(nil, c.killLocked(pick, c.elapsed()+c.cfg.Cooldown), nil)
+			c.routeMu.Unlock()
 		}
 		if global == nil || global.Requests() == 0 {
 			httpError(w, http.StatusServiceUnavailable, "%v: ingest a trace first", errs.ErrModelNotTrained)
@@ -874,10 +905,6 @@ type ClusterStats struct {
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	c.routeMu.Lock()
 	stats := ClusterStats{
 		Generation:    c.generation,
@@ -886,34 +913,17 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		LocalRequests: c.local.Requests(),
 	}
 	for _, m := range c.members {
-		stats.Workers = append(stats.Workers, WorkerView{
-			URL:        m.url,
-			Up:         m.up,
-			Generation: m.generation,
-			Logged:     m.logged,
-		})
+		stats.Workers = append(stats.Workers, WorkerView{URL: m.url, Up: m.up, Generation: m.generation, Logged: m.logged})
 	}
 	c.routeMu.Unlock()
 	writeJSON(w, http.StatusOK, stats)
 }
 
 func (c *Coordinator) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	writeJSON(w, http.StatusOK, obs.DumpTraces(c.spanner, c.traces))
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	up := c.WorkersUp()
-	c.routeMu.Lock()
-	gen := c.generation
-	c.routeMu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"ok":         true,
-		"workers_up": up,
-		"degraded":   up == 0,
-		"generation": gen,
-	})
+	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "workers_up": up, "degraded": up == 0, "generation": c.Generation()})
 }

@@ -31,6 +31,16 @@ func FuzzCoordinatorIngest(f *testing.F) {
 	f.Add(nanBody(f, func(sp *trace.Span) { sp.Util = math.NaN() }), true)
 	f.Add(nanBody(f, func(sp *trace.Span) { sp.Duration = math.NaN() }), true)
 	f.Add(valid[:len(valid)/2], true)
+	// Three blocks of 20: whole, with a NaN in block 2, cut inside block 2.
+	three := testTrace(f, 60, 97).Requests
+	f.Add(blockBody(f, three, 20), true)
+	poisoned := append([]trace.Request{}, three...)
+	poisoned[30].Spans = append([]trace.Span{}, poisoned[30].Spans...)
+	poisoned[30].Spans[0].Util = math.NaN()
+	f.Add(blockBody(f, poisoned, 20), true)
+	body := blockBody(f, three, 20)
+	blocks := bodyBlocks(f, body)
+	f.Add(body[:len(trace.BinaryStreamHeader)+len(blocks[0].frame)+len(blocks[1].frame)/2], true)
 
 	transport := handlerTransport{}
 	var urls []string

@@ -85,6 +85,50 @@ func ingestV2(t *testing.T, url string, reqs []trace.Request) (int, ingestReply)
 	return ingestRaw(t, url, trace.ContentTypeV2, body)
 }
 
+// blockBody encodes reqs as one trace-v2 body of blocks of per requests
+// (the writer's own blocks hold up to 1024), so that a small trace makes a
+// body whose blocks reach several owners.
+func blockBody(t testing.TB, reqs []trace.Request, per int) []byte {
+	t.Helper()
+	body := []byte(trace.BinaryStreamHeader)
+	for lo := 0; lo < len(reqs); lo += per {
+		one, err := trace.AppendBinary(nil, reqs[lo:min(lo+per, len(reqs))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		body = append(body, one[len(trace.BinaryStreamHeader):len(one)-len(trace.BinaryStreamEnd)]...)
+	}
+	return append(body, trace.BinaryStreamEnd...)
+}
+
+// bodyBlocks reads a trace-v2 body's blocks as the coordinator routes them.
+func bodyBlocks(t testing.TB, body []byte) []block {
+	t.Helper()
+	d := trace.NewBinarySpanReader(bytes.NewReader(body))
+	var out []block
+	for {
+		frame, reqs, err := d.NextBlock()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, block{frame: bytes.Clone(frame), key: Key(reqs[0].ID, reqs[0].Class), n: len(reqs)})
+	}
+}
+
+// owners lists, in member order, the ring owners of a body's blocks with
+// every worker of ring up.
+func owners(ring *Ring, blocks []block) []int {
+	var out []int
+	for _, b := range blocks {
+		out = append(out, ring.Owner(b.key))
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
 func ingestRaw(t *testing.T, url, contentType string, body []byte) (int, ingestReply) {
 	t.Helper()
 	resp, err := http.Post(url+"/v1/ingest", contentType, bytes.NewReader(body))
@@ -146,13 +190,21 @@ func checkLogsCut(t *testing.T, stats ClusterStats) {
 func TestFanOutTwoWorkersFail(t *testing.T) {
 	tr := testTrace(t, 1500, 41)
 	tc, fh := startFlakyCluster(t, 3, nil)
+	ring, err := NewRing(3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := [][]byte{blockBody(t, tr.Requests[:500], 50), blockBody(t, tr.Requests[500:1000], 50), blockBody(t, tr.Requests[1000:], 50)}
+	if got := owners(ring, bodyBlocks(t, bodies[1])); !slices.Equal(got, []int{0, 1, 2}) {
+		t.Fatalf("the second body's blocks reach workers %v, the test needs all three", got)
+	}
 
-	if code, got := ingestV2(t, tc.front.URL, tr.Requests[:500]); code != 200 || got != (ingestReply{500, 500, 0}) {
+	if code, got := ingestRaw(t, tc.front.URL, trace.ContentTypeV2, bodies[0]); code != 200 || got != (ingestReply{500, 500, 0}) {
 		t.Fatalf("first body: status %d, %+v", code, got)
 	}
 	before := clusterStats(t, tc.front.URL)
 	fh.set(func(w int, r *http.Request) bool { return w != 1 && r.URL.Path == "/v1/ingest" })
-	if code, got := ingestV2(t, tc.front.URL, tr.Requests[500:1000]); code != 200 || got != (ingestReply{500, 500, 0}) {
+	if code, got := ingestRaw(t, tc.front.URL, trace.ContentTypeV2, bodies[1]); code != 200 || got != (ingestReply{500, 500, 0}) {
 		t.Fatalf("body with two owners failing: status %d, %+v", code, got)
 	}
 	stats := clusterStats(t, tc.front.URL)
@@ -162,15 +214,11 @@ func TestFanOutTwoWorkersFail(t *testing.T) {
 	if stats.Workers[1].Logged != 1000 || stats.Workers[0].Logged != 0 || stats.Workers[2].Logged != 0 {
 		t.Errorf("logged = %d %d %d, want 0 1000 0", stats.Workers[0].Logged, stats.Workers[1].Logged, stats.Workers[2].Logged)
 	}
-	// Re-replicated: everything the two held, and their shares of the body.
-	ring, err := NewRing(3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Re-replicated: everything the two held, and their blocks of the body.
 	want := int64(before.Workers[0].Logged + before.Workers[2].Logged)
-	for _, req := range tr.Requests[500:1000] {
-		if ring.Owner(Key(req.ID, req.Class)) != 1 {
-			want++
+	for _, b := range bodyBlocks(t, bodies[1]) {
+		if ring.Owner(b.key) != 1 {
+			want += int64(b.n)
 		}
 	}
 	if stats.Redistributed != want {
@@ -179,7 +227,7 @@ func TestFanOutTwoWorkersFail(t *testing.T) {
 	if got := shardRequests(t, tc.workers[1].URL); got != 1000 {
 		t.Errorf("survivor's shard holds %d requests, want 1000", got)
 	}
-	if code, got := ingestV2(t, tc.front.URL, tr.Requests[1000:]); code != 200 || got != (ingestReply{500, 500, 0}) {
+	if code, got := ingestRaw(t, tc.front.URL, trace.ContentTypeV2, bodies[2]); code != 200 || got != (ingestReply{500, 500, 0}) {
 		t.Fatalf("last body: status %d, %+v", code, got)
 	}
 	if got := mergedModel(t, tc.front.URL); !bytes.Equal(got, modelBytes(t, DefaultModelConfig(), tr.Requests)) {
@@ -198,7 +246,8 @@ func TestMergePullAndPushFailures(t *testing.T) {
 	want := func(n int) []byte { return modelBytes(t, DefaultModelConfig(), tr.Requests[:n]) }
 	ingest := func(lo, hi int) {
 		t.Helper()
-		if code, got := ingestV2(t, tc.front.URL, tr.Requests[lo:hi]); code != 200 || got != (ingestReply{hi - lo, hi - lo, 0}) {
+		body := blockBody(t, tr.Requests[lo:hi], 50)
+		if code, got := ingestRaw(t, tc.front.URL, trace.ContentTypeV2, body); code != 200 || got != (ingestReply{hi - lo, hi - lo, 0}) {
 			t.Fatalf("body %d..%d: status %d, %+v", lo, hi, code, got)
 		}
 	}
@@ -423,15 +472,16 @@ func TestIngestRefusesNaN(t *testing.T) {
 }
 
 // TestUnencodableChunkBlamesNoWorker reaches the coordinator's own guard
-// behind the readers': a chunk that does not encode is an error before
-// anything is logged or sent, and no worker is killed for it.
+// behind the readers': a CSV round that does not encode into blocks is an
+// error before anything is logged or sent, and no worker is killed for it.
 func TestUnencodableChunkBlamesNoWorker(t *testing.T) {
 	tc := startCluster(t, 3, nil)
 	chunk := append([]trace.Request{}, testTrace(t, 50, 59).Requests...)
 	chunk[20].Retries = -1
-	routed, absorbed, err := tc.coord.routeBatch(chunk, nil)
-	if err == nil || routed != 0 || absorbed != 0 {
-		t.Fatalf("routeBatch = %d routed, %d absorbed, err %v; want an encode error and nothing routed", routed, absorbed, err)
+	in := &intake{c: tc.coord, sc: ingestScratches.Get().(*ingestScratch)}
+	defer in.sc.release()
+	if err := in.encode(chunk); err == nil || in.total != 0 || in.routed != 0 || in.absorbed != 0 {
+		t.Fatalf("encode = %d ingested, %d routed, %d absorbed, err %v; want an encode error and nothing routed", in.total, in.routed, in.absorbed, err)
 	}
 	stats := clusterStats(t, tc.front.URL)
 	for i, w := range stats.Workers {
@@ -479,15 +529,25 @@ func TestLogGaugesAndRouteSpans(t *testing.T) {
 		cfg.Obs = &obs.Options{SampleEvery: 1}
 	})
 	var logBytes int
+	var wantChildren []string // each body's route:worker-N spans, one per owner of its blocks
 	for _, chunk := range chunks(tr.Requests, 4) {
-		if code, _ := ingestV2(t, tc.front.URL, chunk); code != 200 {
+		body := blockBody(t, chunk, 15)
+		var names []string
+		for _, w := range owners(tc.coord.ring, bodyBlocks(t, body)) {
+			names = append(names, fmt.Sprintf("route:worker-%d", w))
+		}
+		wantChildren = append(wantChildren, strings.Join(names, " "))
+		if code, _ := ingestRaw(t, tc.front.URL, trace.ContentTypeV2, body); code != 200 {
 			t.Fatalf("ingest status %d", code)
 		}
 	}
+	if !slices.Contains(wantChildren, "route:worker-0 route:worker-1 route:worker-2") {
+		t.Fatalf("no body's blocks reach all three workers (%q); the test would not bite", wantChildren)
+	}
 	tc.coord.routeMu.Lock()
 	for _, m := range tc.coord.members {
-		for _, body := range m.log {
-			logBytes += len(body)
+		for _, b := range m.log {
+			logBytes += len(b.frame)
 		}
 	}
 	tc.coord.routeMu.Unlock()
@@ -516,13 +576,13 @@ func TestLogGaugesAndRouteSpans(t *testing.T) {
 	if len(dump.Traces) != 4 {
 		t.Fatalf("%d sampled trees, want 4", len(dump.Traces))
 	}
-	for _, tree := range dump.Traces {
+	for i, tree := range dump.Traces {
 		var names []string
 		for _, child := range tree.Root.Children {
 			names = append(names, child.Name)
 		}
-		if got := strings.Join(names, " "); tree.Root.Name != "cluster:ingest" || got != "route:worker-0 route:worker-1 route:worker-2" {
-			t.Errorf("tree %d: root %q with children %q", tree.TraceID, tree.Root.Name, got)
+		if got := strings.Join(names, " "); tree.Root.Name != "cluster:ingest" || got != wantChildren[i] {
+			t.Errorf("tree %d: root %q with children %q, want %q", tree.TraceID, tree.Root.Name, got, wantChildren[i])
 		}
 	}
 }

@@ -1,14 +1,14 @@
 // Package cluster scales the serving daemon past one process: a
 // coordinator/worker topology deliberately mirroring the paper's own GFS
 // master/chunkserver structure. The coordinator fronts /v1/ingest,
-// consistent-hash-routes request streams to N window shards over HTTP,
-// and each worker trains its shard online with markov.Accumulator
-// sufficient statistics. Because every model statistic is an exactly
-// mergeable count (markov.Accumulator.Merge sums integer-valued
-// transition counts), the coordinator can assemble a global model that is
-// byte-identical regardless of routing interleaving and worker count —
-// the cluster's determinism contract — and replicate it to every worker
-// so any node answers /v1/synthesize and /v1/characterize.
+// consistent-hash-routes request streams, whole trace-v2 blocks at a time,
+// to N window shards over HTTP, and each worker trains its shard online
+// with markov.Accumulator sufficient statistics. Because every model
+// statistic is an exactly mergeable count (markov.Accumulator.Merge sums
+// integer-valued transition counts), the coordinator can assemble a global
+// model that is byte-identical regardless of routing interleaving and worker
+// count — the cluster's determinism contract — and replicate it to every
+// worker so any node answers /v1/synthesize and /v1/characterize.
 //
 // Failure handling mirrors the single-node daemon's breaker: a worker
 // that stops answering (or is killed by an armed internal/fault schedule)

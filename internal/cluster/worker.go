@@ -112,12 +112,12 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	})
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/ingest", w.handleIngest)
+	mux.HandleFunc("/v1/ingest", only(http.MethodPost, w.handleIngest))
 	mux.HandleFunc("/v1/model", w.handleModel)
-	mux.HandleFunc("/v1/reset", w.handleReset)
-	mux.HandleFunc("/v1/synthesize", w.handleQuery("synthesize"))
-	mux.HandleFunc("/v1/characterize", w.handleQuery("characterize"))
-	mux.HandleFunc("/v1/stats", w.handleStats)
+	mux.HandleFunc("/v1/reset", only(http.MethodPost, w.handleReset))
+	mux.HandleFunc("/v1/synthesize", only(http.MethodGet, w.handleQuery("synthesize")))
+	mux.HandleFunc("/v1/characterize", only(http.MethodGet, w.handleQuery("characterize")))
+	mux.HandleFunc("/v1/stats", only(http.MethodGet, w.handleStats))
 	mux.HandleFunc("/healthz", w.handleHealthz)
 	mux.HandleFunc("/metrics", func(rw http.ResponseWriter, _ *http.Request) { w.reg.WriteText(rw) })
 	w.mux = mux
@@ -144,35 +144,31 @@ func (w *Worker) Generation() int64 {
 }
 
 // ingestScratch is what decoding one ingest body needs and nothing outlives:
-// a trace-v2 reader and the slice the requests are gathered in. Neither
-// ingest handler keeps a request past its answer (a worker folds them into
-// counts, the coordinator logs and forwards bytes), so both are recycled.
+// a trace-v2 reader and the slice the requests are gathered in, and on the
+// coordinator the round of blocks (frames holds their bytes) and the
+// trace-v2 encoding of a CSV round. Neither ingest handler keeps a request
+// past its answer (a worker folds them into counts, the coordinator logs and
+// forwards bytes), so all of it is recycled.
 type ingestScratch struct {
-	v2    *trace.BinarySpanReader
-	batch []trace.Request
+	v2          *trace.BinarySpanReader
+	batch       []trace.Request
+	blocks      []block
+	frames, enc []byte
 }
 
 var ingestScratches = sync.Pool{New: func() any {
 	return &ingestScratch{v2: trace.NewBinarySpanReader(nil)}
 }}
 
-// reader returns the decoder for a body: the recycled reader for trace-v2,
-// whatever trace.NewRequestReader picks (a CSV reader of its own) otherwise.
-func (s *ingestScratch) reader(body io.Reader, contentType string) trace.RequestReader {
-	if trace.IsBinaryMediaType(contentType) {
-		s.v2.Reuse(body)
-		return s.v2
-	}
-	return trace.NewRequestReader(body, contentType)
-}
-
 // release returns the scratch to the pool, holding on to no body and no
-// request, and to no slice grown by a body far past a routing chunk.
+// request, and to no buffer grown by a body far past a routing round.
 func (s *ingestScratch) release() {
 	s.v2.Reuse(nil)
 	clear(s.batch)
-	if s.batch = s.batch[:0]; cap(s.batch) > 4*routeBatchSize {
-		s.batch = nil
+	clear(s.blocks)
+	s.batch, s.blocks, s.frames, s.enc = s.batch[:0], s.blocks[:0], s.frames[:0], s.enc[:0]
+	if cap(s.batch) > 4*routeBatchSize || cap(s.frames)+cap(s.enc) > 4<<20 {
+		*s = ingestScratch{v2: s.v2} // a round of writer-sized blocks takes about 1 MiB
 	}
 	ingestScratches.Put(s)
 }
@@ -180,10 +176,6 @@ func (s *ingestScratch) release() {
 // handleIngest absorbs a CSV or trace-v2 body into the shard model. A body
 // with a request that fails Request.Validate is refused whole with 400.
 func (w *Worker) handleIngest(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(rw, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	if n := w.inflight.Add(1); n > int64(w.cfg.MaxInflight) {
 		w.inflight.Add(-1)
 		w.rejected.Inc()
@@ -195,7 +187,12 @@ func (w *Worker) handleIngest(rw http.ResponseWriter, r *http.Request) {
 
 	sc := ingestScratches.Get().(*ingestScratch)
 	defer sc.release()
-	dec := sc.reader(io.LimitReader(r.Body, maxIngestBytes), r.Header.Get("Content-Type"))
+	// The recycled reader decodes trace-v2, a CSV reader of its own the rest.
+	body, contentType := io.LimitReader(r.Body, maxIngestBytes), r.Header.Get("Content-Type")
+	var dec trace.RequestReader = sc.v2
+	if sc.v2.Reuse(body); !trace.IsBinaryMediaType(contentType) {
+		dec = trace.NewRequestReader(body, contentType)
+	}
 	for {
 		req, err := dec.Next()
 		if errors.Is(err, io.EOF) {
@@ -262,10 +259,6 @@ func (w *Worker) handleModel(rw http.ResponseWriter, r *http.Request) {
 // rejoining worker before routing to it again so requests already
 // re-replicated to the survivors are never double-counted.
 func (w *Worker) handleReset(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(rw, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	fresh, err := NewModel(w.cfg.Model)
 	if err != nil {
 		httpError(rw, http.StatusInternalServerError, "reset: %v", err)
@@ -282,10 +275,6 @@ func (w *Worker) handleReset(rw http.ResponseWriter, r *http.Request) {
 // replica, on the coordinator's query surface.
 func (w *Worker) handleQuery(endpoint string) http.HandlerFunc {
 	return func(rw http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			httpError(rw, http.StatusMethodNotAllowed, "GET only")
-			return
-		}
 		n, seed, format, err := synthParams(r, w.cfg.MaxSynth)
 		if err != nil {
 			httpError(rw, http.StatusBadRequest, "%v", err)
@@ -325,7 +314,7 @@ func answerQuery(w http.ResponseWriter, endpoint string, m *Model, gen int64, n 
 
 // WorkerStats is the worker's /v1/stats answer. The coordinator routes on
 // none of it: a query goes to its key's ring owner among the live workers
-// holding the newest generation, as the coordinator last replicated it.
+// holding the coordinator's generation, as the coordinator last replicated it.
 type WorkerStats struct {
 	// QueueDepth is the ingest bodies in flight on the worker.
 	QueueDepth    int64 `json:"queue_depth"`
@@ -337,18 +326,8 @@ type WorkerStats struct {
 }
 
 func (w *Worker) handleStats(rw http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(rw, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	writeJSON(rw, http.StatusOK, WorkerStats{
-		QueueDepth:    w.inflight.Load(),
-		ShardRequests: w.ShardRequests(),
-		Generation:    w.Generation(),
-		Ingested:      w.ingested.Value(),
-		Rejected:      w.rejected.Value(),
-		Resets:        w.resets.Value(),
-	})
+	writeJSON(rw, http.StatusOK, WorkerStats{QueueDepth: w.inflight.Load(), ShardRequests: w.ShardRequests(), Generation: w.Generation(),
+		Ingested: w.ingested.Value(), Rejected: w.rejected.Value(), Resets: w.resets.Value()})
 }
 
 func (w *Worker) handleHealthz(rw http.ResponseWriter, _ *http.Request) {
@@ -356,6 +335,17 @@ func (w *Worker) handleHealthz(rw http.ResponseWriter, _ *http.Request) {
 		"ok":   true,
 		"warm": w.installed.Load() != nil,
 	})
+}
+
+// only hands h the requests of one method and answers every other with 405.
+func only(method string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != method {
+			httpError(w, http.StatusMethodNotAllowed, "%s only", method)
+			return
+		}
+		h(w, r)
+	}
 }
 
 // httpError writes a JSON error body, mirroring the serving daemon.

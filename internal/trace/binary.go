@@ -52,6 +52,14 @@ const (
 // the daemon's ingest/replay endpoints (CSV remains the default).
 const ContentTypeV2 = "application/x-dcmodel-trace-v2"
 
+// BinaryStreamHeader and BinaryStreamEnd open and close a trace-v2 stream.
+// Block frames that BinarySpanReader.NextBlock returned, laid verbatim
+// between them in any number and order, make a stream of those blocks.
+const (
+	BinaryStreamHeader = binaryMagic + string(rune(binaryVersion))
+	BinaryStreamEnd    = string(rune(markerEnd))
+)
+
 // Writer-side flush thresholds: a block closes when either is reached, so
 // blocks stay small enough to stream but large enough to amortize the
 // header and dictionary.
@@ -366,7 +374,8 @@ type BinarySpanReader struct {
 	r       io.Reader
 	started bool
 	err     error
-	head    [5]byte // the stream header, then one byte at a time
+	// head holds the stream header, then each block's marker and length.
+	head [1 + binary.MaxVarintLen64]byte
 
 	// bufs holds the block buffers, drawn from blockBufPool at the first
 	// block. A reader made per stream hands them back at the end marker or
@@ -374,6 +383,9 @@ type BinarySpanReader struct {
 	bufs *blockBufs
 	own  bool
 	next int // the next request of bufs.pending to hand out
+	// framed is the length of the current block as framed on the wire,
+	// which starts bufs.payload.
+	framed int
 
 	// arena carves the spans; they outlive the reader (and, unless Reuse is
 	// called, the buffers), since the requests handed out keep them.
@@ -383,7 +395,7 @@ type BinarySpanReader struct {
 // blockBufs are the buffers decoding a block needs and no request it hands
 // out keeps.
 type blockBufs struct {
-	payload []byte    // the block read buffer
+	payload []byte    // the block read buffer: marker, length, payload
 	pending []Request // the decoded requests of the current block
 	vals    []uint64  // one column's varints, before zigzag, delta and checks
 	classes []string  // the block's class dictionary
@@ -435,6 +447,7 @@ func (d *BinarySpanReader) Reuse(r io.Reader) {
 	d.started, d.err = false, nil
 	d.own = true
 	if d.bufs != nil {
+		clear(d.bufs.pending[d.next:]) // what Next did not hand out, or NextBlock lent
 		d.bufs.pending = d.bufs.pending[:0]
 	}
 	d.next = 0
@@ -476,9 +489,37 @@ func (d *BinarySpanReader) Next() (Request, error) {
 	return req, nil
 }
 
+// NextBlock returns the next block of the stream whole: frame, its bytes as
+// framed on the wire (marker, length, payload), and reqs, its decoded
+// requests. Both are valid until the next call; the spans of reqs live as
+// long as those Next hands out. It returns io.EOF after the end marker, and
+// errors exactly where Next would, in the same words. A stream is read with
+// Next or with NextBlock, not both.
+func (d *BinarySpanReader) NextBlock() (frame []byte, reqs []Request, err error) {
+	if d.err != nil {
+		return nil, nil, d.err
+	}
+	if !d.started {
+		if err := d.readHeader(); err != nil {
+			_, err = d.fail(err)
+			return nil, nil, err
+		}
+		d.started = true
+	}
+	if err := d.readBlock(); err != nil {
+		if d.bufs != nil {
+			clear(d.bufs.pending) // the block lent last
+		}
+		_, err = d.fail(err)
+		return nil, nil, err
+	}
+	b := d.bufs
+	return b.payload[:d.framed], b.pending, nil
+}
+
 func (d *BinarySpanReader) readHeader() error {
-	hdr := &d.head
-	if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
+	hdr := d.head[:len(BinaryStreamHeader)]
+	if _, err := io.ReadFull(d.r, hdr); err != nil {
 		return fmt.Errorf("trace: read binary header: %w", err)
 	}
 	if string(hdr[:4]) != binaryMagic {
@@ -490,24 +531,24 @@ func (d *BinarySpanReader) readHeader() error {
 	return nil
 }
 
-// readBlock reads and decodes the next block into d.bufs.pending, or
-// returns io.EOF at the end marker.
+// readBlock reads the next block, framed as on the wire, into d.bufs.payload
+// and decodes it into d.bufs.pending, or returns io.EOF at the end marker.
 func (d *BinarySpanReader) readBlock() error {
-	one := d.head[:1]
-	if _, err := io.ReadFull(d.r, one); err != nil {
+	head := d.head[:]
+	if _, err := io.ReadFull(d.r, head[:1]); err != nil {
 		if err == io.EOF {
 			return fmt.Errorf("trace: binary stream truncated before end marker: %w", io.ErrUnexpectedEOF)
 		}
 		return fmt.Errorf("trace: read block marker: %w", err)
 	}
-	switch one[0] {
+	switch head[0] {
 	case markerEnd:
 		return io.EOF
 	case markerBlock:
 	default:
-		return fmt.Errorf("trace: bad block marker 0x%02x", one[0])
+		return fmt.Errorf("trace: bad block marker 0x%02x", head[0])
 	}
-	size, err := readUvarint(d.r, one)
+	size, n, err := readUvarint(d.r, head[1:])
 	if err != nil {
 		return fmt.Errorf("trace: read block length: %w", err)
 	}
@@ -518,14 +559,17 @@ func (d *BinarySpanReader) readBlock() error {
 		d.bufs = blockBufPool.Get().(*blockBufs)
 	}
 	b := d.bufs
-	if cap(b.payload) < int(size) {
-		b.payload = make([]byte, size)
+	n++ // the marker
+	d.framed = n + int(size)
+	if cap(b.payload) < d.framed {
+		b.payload = make([]byte, d.framed)
 	}
-	p := b.payload[:size]
-	if _, err := io.ReadFull(d.r, p); err != nil {
+	frame := b.payload[:d.framed]
+	copy(frame, head[:n])
+	if _, err := io.ReadFull(d.r, frame[n:]); err != nil {
 		return fmt.Errorf("trace: read block payload: %w", err)
 	}
-	return d.decodeBlock(b, p)
+	return d.decodeBlock(b, frame[n:])
 }
 
 // cursor walks a block payload.
@@ -832,24 +876,25 @@ func (d *BinarySpanReader) decodeBlock(b *blockBufs, p []byte) error {
 	return nil
 }
 
-// readUvarint reads one uvarint directly from r, a byte at a time through
-// b (used only for the block length prefix; everything else decodes from the
-// in-memory payload).
-func readUvarint(r io.Reader, b []byte) (uint64, error) {
+// readUvarint reads one uvarint directly from r, a byte at a time into b,
+// which has room for binary.MaxVarintLen64, and returns it with the number
+// of its bytes (used only for the block length prefix; everything else
+// decodes from the in-memory payload).
+func readUvarint(r io.Reader, b []byte) (uint64, int, error) {
 	var x uint64
 	var s uint
 	for i := 0; i < binary.MaxVarintLen64; i++ {
-		if _, err := io.ReadFull(r, b[:1]); err != nil {
-			return 0, err
+		if _, err := io.ReadFull(r, b[i:i+1]); err != nil {
+			return 0, 0, err
 		}
-		if b[0] < 0x80 {
-			if i == binary.MaxVarintLen64-1 && b[0] > 1 {
-				return 0, fmt.Errorf("uvarint overflows 64 bits")
+		if b[i] < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b[i] > 1 {
+				return 0, 0, fmt.Errorf("uvarint overflows 64 bits")
 			}
-			return x | uint64(b[0])<<s, nil
+			return x | uint64(b[i])<<s, i + 1, nil
 		}
-		x |= uint64(b[0]&0x7f) << s
+		x |= uint64(b[i]&0x7f) << s
 		s += 7
 	}
-	return 0, fmt.Errorf("uvarint overflows 64 bits")
+	return 0, 0, fmt.Errorf("uvarint overflows 64 bits")
 }

@@ -1430,9 +1430,9 @@ func oracleReadUvarint(r io.Reader, b []byte) (uint64, error) {
 func checkBinaryReaderMatchesOracle(t *testing.T, data []byte, reused *BinarySpanReader) {
 	t.Helper()
 	want, wantErr := decodeAll(newOracleBinaryReader(bytes.NewReader(data)).Next, maxOracleRequests)
-	check := func(name string, d *BinarySpanReader) {
+	check := func(name string, next func() (Request, error)) {
 		t.Helper()
-		got, gotErr := decodeAll(d.Next, maxOracleRequests)
+		got, gotErr := decodeAll(next, maxOracleRequests)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d requests before %v, oracle %d before %v", name, len(got), gotErr, len(want), wantErr)
 		}
@@ -1445,18 +1445,47 @@ func checkBinaryReaderMatchesOracle(t *testing.T, data []byte, reused *BinarySpa
 			t.Fatalf("%s: after %d requests err = %v, oracle %v", name, len(got), gotErr, wantErr)
 		}
 		if gotErr != nil {
-			if _, again := d.Next(); again != gotErr {
+			if _, again := next(); again != gotErr {
 				t.Fatalf("%s: error not sticky: %v then %v", name, gotErr, again)
 			}
 		}
 	}
-	check("fresh", NewBinarySpanReader(bytes.NewReader(data)))
+	// blocks reads d through NextBlock and hands the blocks' requests out one
+	// by one, failing unless each frame is the next run of data's bytes and
+	// the end marker follows the last.
+	blocks := func(name string, d *BinarySpanReader) func() (Request, error) {
+		var pending []Request
+		off := len(BinaryStreamHeader)
+		return func() (Request, error) {
+			for len(pending) == 0 {
+				frame, reqs, err := d.NextBlock()
+				if err == io.EOF && (off >= len(data) || data[off] != BinaryStreamEnd[0]) {
+					t.Fatalf("%s: io.EOF without the end marker at offset %d", name, off)
+				}
+				if err != nil {
+					return Request{}, err
+				}
+				if off+len(frame) > len(data) || !bytes.Equal(frame, data[off:off+len(frame)]) {
+					t.Fatalf("%s: a frame of %d bytes is not the stream's bytes at offset %d", name, len(frame), off)
+				}
+				off += len(frame)
+				pending = reqs
+			}
+			req := pending[0]
+			pending = pending[1:]
+			return req, nil
+		}
+	}
+	check("fresh", NewBinarySpanReader(bytes.NewReader(data)).Next)
+	check("fresh blocks", blocks("fresh blocks", NewBinarySpanReader(bytes.NewReader(data))))
 	if len(data) <= 4<<10 {
-		check("fresh one-byte", NewBinarySpanReader(iotest.OneByteReader(bytes.NewReader(data))))
+		check("fresh one-byte", NewBinarySpanReader(iotest.OneByteReader(bytes.NewReader(data))).Next)
 	}
 	// Compared before the next Reuse takes the spans back.
 	reused.Reuse(bytes.NewReader(data))
-	check("reused", reused)
+	check("reused", reused.Next)
+	reused.Reuse(bytes.NewReader(data))
+	check("reused blocks", blocks("reused blocks", reused))
 }
 
 // binaryOracleStreams are the valid streams the reader is held to the
