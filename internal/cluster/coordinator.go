@@ -371,12 +371,11 @@ func (c *Coordinator) reapLocked(t float64) (orphans []block) {
 }
 
 // killLocked marks worker i down until downUntil and takes everything it
-// held out of it. Its checkpoint, the requests delivered up to the last
-// merge, is folded into the coordinator's own shard: a model is integer
-// counts, so the fold is exact, and every later generation counts those
-// requests there. Its log, the blocks delivered since, is returned for the
-// caller to re-route. A worker already down holds nothing. Callers hold
-// routeMu.
+// held out of it (a worker already down holds nothing). Its checkpoint, the
+// requests delivered up to the last merge, is folded into the coordinator's
+// own shard: a model is integer counts, so the fold is exact, and every later
+// generation counts those requests there. Its log, the blocks delivered
+// since, is returned for the caller to re-route. Callers hold routeMu.
 func (c *Coordinator) killLocked(i int, downUntil float64) (orphans []block) {
 	m := c.members[i]
 	if !m.up {
@@ -772,9 +771,8 @@ func (in *intake) csv(dec trace.RequestReader) error {
 }
 
 // encode lays requests into trace-v2 blocks once and routes those as a
-// trace-v2 body's. A request the format cannot carry, which nothing Validate
-// passes is, is an error before anything is logged or sent, and blames no
-// worker.
+// trace-v2 body's. A request the format cannot carry (Validate passes none)
+// is an error before anything is logged or sent, and blames no worker.
 func (in *intake) encode(reqs []trace.Request) (err error) {
 	if in.sc.enc, err = trace.AppendBinary(in.sc.enc[:0], reqs); err != nil {
 		return err

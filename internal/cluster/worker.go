@@ -187,10 +187,11 @@ func (w *Worker) handleIngest(rw http.ResponseWriter, r *http.Request) {
 
 	sc := ingestScratches.Get().(*ingestScratch)
 	defer sc.release()
-	// The recycled reader decodes trace-v2, a CSV reader of its own the rest.
 	body, contentType := io.LimitReader(r.Body, maxIngestBytes), r.Header.Get("Content-Type")
-	var dec trace.RequestReader = sc.v2
-	if sc.v2.Reuse(body); !trace.IsBinaryMediaType(contentType) {
+	var dec trace.RequestReader = sc.v2 // the recycled reader, for trace-v2
+	if trace.IsBinaryMediaType(contentType) {
+		sc.v2.Reuse(body)
+	} else {
 		dec = trace.NewRequestReader(body, contentType)
 	}
 	for {
