@@ -15,10 +15,10 @@ help:
 	@echo "  test       go test ./..."
 	@echo "  test-race  go test -race ./... — the concurrency gate for the"
 	@echo "             parallel cross-examination engine and sharded simulator"
-	@echo "  stress     the daemon's single-flight, drain and randomized cache-budget"
-	@echo "             tests and the cluster's fan-out, merge-failure, concurrent-ingest,"
-	@echo "             kill, rejoin, block-routing and failed-query tests under -race,"
-	@echo "             20 times at -cpu 1 and 2"
+	@echo "  stress     the daemon's single-flight, drain, backpressure, trace-sampling"
+	@echo "             and randomized cache-budget tests and the cluster's fan-out,"
+	@echo "             merge-failure, concurrent-ingest, kill, rejoin, block-routing"
+	@echo "             and failed-query tests under -race, 20 times at -cpu 1 and 2"
 	@echo "  cover      go test -cover ./... + the internal/spec coverage floor"
 	@echo "  cover-spec enforce the $(SPEC_COVER_FLOOR)% statement-coverage floor on internal/spec"
 	@echo "  bench      regenerate every table/figure + ablations (-bench=. -benchmem)"
@@ -57,9 +57,10 @@ test-race:
 
 # The tests whose failures show only under some interleavings, 40
 # race-detector passes each: every single-flight test of internal/serve, both
-# drain tests and the randomized cache-budget test; and the cluster tests
-# that run listeners, fan deliveries out side by side or kill workers.
-STRESS_TESTS = SingleFlight|TestServeGracefulDrain$$|TestFaultArmedDrainNoDrops|TestCacheBudgetRandomized
+# drain tests, the backpressure and trace-sampling tests (a listener and the
+# worker pool each) and the randomized cache-budget test; and the cluster
+# tests that run listeners, fan deliveries out side by side or kill workers.
+STRESS_TESTS = SingleFlight|TestServeGracefulDrain$$|TestFaultArmedDrainNoDrops|TestBackpressureDeterministic$$|TestTracesDeterministicSampling$$|TestCacheBudgetRandomized
 CLUSTER_STRESS_TESTS = ^(TestFanOutTwoWorkersFail|TestMergePullAndPushFailures|TestConcurrentMixedCodecIngest|TestClusterKillMidRun|TestClusterTotalLossDegrades|TestRejoinedWorkerWaitsForMerge|TestBlocksRouteWhole|TestFailedProxyMarksWorkerDown|TestRejoinedReplicaNeverAnswers)$$
 stress:
 	$(GO) test -race -count=20 -cpu 1,2 -run '$(STRESS_TESTS)' ./internal/serve/
@@ -71,9 +72,12 @@ cover: cover-spec
 # The spec engine is the repo's configuration surface; its statement
 # coverage must not sink below the floor.
 SPEC_COVER_FLOOR = 85
+# Each run writes its profile to a file of its own, so two runs side by side
+# never read each other's.
 cover-spec:
-	@$(GO) test -coverprofile=/tmp/spec_cover.out ./internal/spec/ > /dev/null
-	@pct=$$($(GO) tool cover -func=/tmp/spec_cover.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}'); \
+	@prof=$$(mktemp); trap 'rm -f "$$prof"' EXIT; \
+	$(GO) test -coverprofile="$$prof" ./internal/spec/ > /dev/null || exit 1; \
+	pct=$$($(GO) tool cover -func="$$prof" | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}'); \
 	echo "internal/spec coverage: $$pct% (floor $(SPEC_COVER_FLOOR)%)"; \
 	ok=$$(echo "$$pct $(SPEC_COVER_FLOOR)" | awk '{print ($$1 >= $$2) ? 1 : 0}'); \
 	if [ "$$ok" != "1" ]; then \

@@ -43,10 +43,8 @@ type cacheEntry struct {
 	key  any
 	once sync.Once
 	val  any
-	// admitted reports whether the value was kept when it was computed.
-	admitted bool
-	size     int
-	hit      bool
+	size int
+	hit  bool
 	// onProbation is the entry's element of the probation list, while it
 	// is in it.
 	onProbation *list.Element
@@ -54,9 +52,8 @@ type cacheEntry struct {
 
 // get returns the value c keeps for key — waiting for it, if it is still
 // being computed — or compute's, which c keeps if compute says to and it
-// fits. hit reports whether this caller found the entry, kept whether the
-// value was kept when it was computed.
-func (c *genCache) get(key any, compute func() (v any, size int, keep bool)) (v any, hit, kept bool) {
+// fits. hit reports whether this caller found the entry.
+func (c *genCache) get(key any, compute func() (v any, size int, keep bool)) (v any, hit bool) {
 	c.mu.Lock()
 	e := c.entries[key]
 	if hit = e != nil; hit {
@@ -78,7 +75,7 @@ func (c *genCache) get(key any, compute func() (v any, size int, keep bool)) (v 
 		e.val = v
 		c.admit(e, size, keep)
 	})
-	return e.val, hit, e.admitted
+	return e.val, hit
 }
 
 // admit keeps e, charged size, evicting probation entries to make room, or
@@ -97,7 +94,7 @@ func (c *genCache) admit(e *cacheEntry, size int, keep bool) {
 		delete(c.entries, old.key)
 		c.kept, c.onProbation = c.kept-old.size, c.onProbation-old.size
 	}
-	e.admitted, e.size = true, size
+	e.size = size
 	c.kept += size
 	if !e.hit && size > 0 {
 		e.onProbation = c.probation.PushBack(e)
@@ -111,12 +108,12 @@ func (c *genCache) admit(e *cacheEntry, size int, keep bool) {
 const entryBytes = 256
 
 // answer is get for an encoded answer, charged its body and entryBytes.
-func (c *genCache) answer(key any, compute func() (a answer, keep bool)) (a answer, hit, kept bool) {
-	v, hit, kept := c.get(key, func() (any, int, bool) {
+func (c *genCache) answer(key any, compute func() (a answer, keep bool)) (a answer, hit bool) {
+	v, hit := c.get(key, func() (any, int, bool) {
 		a, keep := compute()
 		return a, len(a.body) + entryBytes, keep
 	})
-	return v.(answer), hit, kept
+	return v.(answer), hit
 }
 
 // built is get for a model or a twin, charged nothing: a value built from
@@ -127,7 +124,7 @@ func built[V any](c *genCache, key any, build func() (V, error)) (V, error) {
 		v   V
 		err error
 	}
-	r, _, _ := c.get(key, func() (any, int, bool) {
+	r, _ := c.get(key, func() (any, int, bool) {
 		v, err := build()
 		return result{v, err}, 0, true
 	})

@@ -92,8 +92,11 @@ func TestSynthesizeMemoHitProtects(t *testing.T) {
 				t.Fatalf("n=%d, before one-shot seed %d: %d memo hits, want %d", n, seed, got, want)
 			}
 			oneShot(seed)
-			keys := cachedKeys[synthKey](s)
-			if len(keys) != 2 || !slices.Contains(keys, synthKey{"kooza", n, 1}) || !slices.Contains(keys, synthKey{"kooza", n, seed}) {
+			keys := cachedKeys[answerKey](s)
+			key := func(seed int64) answerKey {
+				return answerKey{synthQuery: synthQuery{model: "kooza", n: n, seed: seed, format: binaryFormat}}
+			}
+			if len(keys) != 2 || !slices.Contains(keys, key(1)) || !slices.Contains(keys, key(seed)) {
 				t.Fatalf("n=%d, after one-shot seed %d: keys %v kept, want the repeated one and the last one-shot", n, seed, keys)
 			}
 			if kept, budget := cachedBytes(s); kept > budget {

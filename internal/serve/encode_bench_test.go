@@ -15,7 +15,7 @@ import (
 // shape the daemon writes them: a 1000-request synthesis of each model,
 // trained as the daemon trains on an 8192-request window of the chat
 // preset, encoded to CSV and to JSON by trace.AppendCSV and AppendJSON into
-// a reused buffer, as pooledAnswer does; and, for scale, the window's own
+// a reused buffer, as encodeExact does; and, for scale, the window's own
 // first 1000 requests. ns/req is the cost per encoded request.
 func BenchmarkEncodeAnswer(b *testing.B) {
 	ps, err := spec.Preset("chat")

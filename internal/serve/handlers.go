@@ -115,8 +115,9 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // answer is an encoded response: the status, the content type and the body
-// that go with it, kept where a response outlives the request that computed
-// it.
+// that go with it. A queued job returns one for enqueue to write, and the
+// generation's cache keeps one where a response outlives the request that
+// computed it.
 type answer struct {
 	code        int
 	contentType string
@@ -168,48 +169,46 @@ func querySeed(r *http.Request) (int64, error) {
 	return n, nil
 }
 
-// enqueue admits job to the bounded work queue and waits for it under the
-// per-request deadline. It owns the full backpressure contract: 429 +
-// Retry-After on a full queue, 503 while draining, 504 on deadline.
-// The job returns its response writer, or nil when it finds its context
-// done, which is answered like a deadline passed in the queue.
-func (s *Server) enqueue(w http.ResponseWriter, r *http.Request, job func(ctx context.Context) func(http.ResponseWriter)) bool {
+// enqueue admits job to the bounded work queue, waits for it under the
+// per-request deadline and writes its answer. It owns the full backpressure
+// contract: 429 + Retry-After on a full queue, 503 while draining, 504 on
+// deadline. A job reports false when it finds its context done, which is
+// answered like a deadline passed in the queue.
+func (s *Server) enqueue(w http.ResponseWriter, r *http.Request, job func(ctx context.Context) (answer, bool)) {
 	if s.closed.Load() {
 		httpError(w, http.StatusServiceUnavailable, "draining")
-		return false
+		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	done := make(chan func(http.ResponseWriter), 1)
+	done := make(chan answer, 1)
 	admitted := s.pool.TrySubmit(func() {
-		if ctx.Err() != nil {
-			// The client gave up (or the deadline passed) while the job
-			// was queued; skip the work.
-			done <- nil
-			return
+		// A job whose client gave up (or whose deadline passed) while it was
+		// queued is skipped; a zero answer stands for no answer.
+		var a answer
+		if ctx.Err() == nil {
+			if ans, ok := job(ctx); ok {
+				a = ans
+			}
 		}
-		done <- job(ctx)
+		done <- a
 	})
 	if !admitted {
 		s.metrics.rejected.Add(1)
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests, "work queue full (%d deep)", s.cfg.QueueDepth)
-		return false
+		return
 	}
 	select {
-	case respond := <-done:
-		if respond == nil {
-			s.metrics.deadline.Add(1)
-			httpError(w, http.StatusGatewayTimeout, "deadline exceeded")
-			return false
+	case a := <-done:
+		if a.code != 0 {
+			a.write(w)
+			return
 		}
-		respond(w)
-		return true
 	case <-ctx.Done():
-		s.metrics.deadline.Add(1)
-		httpError(w, http.StatusGatewayTimeout, "deadline exceeded")
-		return false
 	}
+	s.metrics.deadline.Add(1)
+	httpError(w, http.StatusGatewayTimeout, "deadline exceeded")
 }
 
 // isBinaryTrace reports whether the request body is a trace-v2 stream
@@ -339,6 +338,10 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	if modelName == "" {
 		modelName = "kooza"
 	}
+	if err := checkModel(modelName); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	format := csvFormat
 	if name := r.URL.Query().Get("format"); name != "" {
 		var ok bool
@@ -347,132 +350,87 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	q := synthQuery{key: synthKey{modelName, n, seed}, format: format, replay: r.URL.Query().Get("replay") == "1"}
+	q := synthQuery{model: modelName, n: n, seed: seed, format: format, replay: r.URL.Query().Get("replay") == "1"}
 
 	ms := s.model.Load()
 	if ms == nil {
 		httpError(w, http.StatusServiceUnavailable, "%v: ingest a trace first", errs.ErrModelNotTrained)
 		return
 	}
-	switch modelName {
-	case "kooza", "inbreadth", "indepth":
-	default:
-		httpError(w, http.StatusBadRequest, "model must be kooza, inbreadth or indepth, got %q", modelName)
-		return
-	}
 
 	p := s.replayPlatform()
 	span := obs.SpanFrom(r.Context())
 	waitStop := s.stage(span, "queue.wait")
-	s.enqueue(w, r, func(ctx context.Context) func(http.ResponseWriter) {
+	s.enqueue(w, r, func(ctx context.Context) (answer, bool) {
 		waitStop()
 		return s.synthesize(ctx, span, ms, p, q)
 	})
 }
 
+// checkModel refuses a model name the daemon does not serve. Every handler
+// that takes a model name asks it first, warm or cold, so that a name no
+// retrain can make valid is a 400 and never a 503 worth retrying.
+func checkModel(name string) error {
+	switch name {
+	case "kooza", "inbreadth", "indepth":
+		return nil
+	}
+	return badRequestf("model must be kooza, inbreadth or indepth, got %q", name)
+}
+
 // synthQuery is one /v1/synthesize query: what to synthesize, the format of
 // the answer and whether to replay the trace first.
 type synthQuery struct {
-	key    synthKey
+	model  string
+	n      int
+	seed   int64
 	format int
 	replay bool
 }
 
 // synthesize is the queued job of /v1/synthesize: it answers q from
-// generation ms, replaying on p. The generation's cache keeps what it
-// synthesized as trace-v2 bytes, and each answer encoded from them, so a
-// repeated query only reads bytes. The first ask of an answer encodes it
-// from the trace the ask synthesized, if it did, else from the kept bytes. A
-// trace the cache does not keep is answered from a pooled buffer, and no
-// answer encoded from it is kept either.
-func (s *Server) synthesize(ctx context.Context, span *obs.LiveSpan, ms *modelSet, p replay.Platform, q synthQuery) func(http.ResponseWriter) {
-	synthesize, err := s.synthesizer(ms, span, q.key.model)
+// generation ms, replaying on p. Each answer is one entry of the generation's
+// cache, under its answerKey: the first ask synthesizes, replays if the query
+// asks for it and encodes, single-flight, and every later ask reads the kept
+// bytes. A failure is kept the same way, since it would fail again. A job
+// whose context is done by the time its answer is computed answers 504 and
+// keeps nothing; requests waiting on that computation still get the answer.
+func (s *Server) synthesize(ctx context.Context, span *obs.LiveSpan, ms *modelSet, p replay.Platform, q synthQuery) (answer, bool) {
+	synthesize, err := s.synthesizer(ms, span, q.model)
 	if err != nil {
-		return errorAnswer(http.StatusInternalServerError, "train %s: %v", q.key.model, err).write
-	}
-	stop := s.stage(span, "synthesize")
-	var fresh *trace.Trace
-	bin, hit, kept := ms.cache.answer(q.key, func() (answer, bool) {
-		tr, err := synthesize(q.key.n, rand.New(rand.NewSource(q.key.seed)))
-		if err != nil {
-			// Kept like a trace: synthesis is a pure function of the
-			// generation and the key, and would fail again.
-			return errorAnswer(http.StatusInternalServerError, "synthesize: %v", err), true
-		}
-		fresh = tr
-		b, err := encodeExact(tr, binaryFormat)
-		if err != nil {
-			return errorAnswer(http.StatusInternalServerError, "synthesize: encode: %v", err), true
-		}
-		return answer{code: http.StatusOK, contentType: contentTypes[binaryFormat], body: b}, true
-	})
-	stop()
-	if hit {
-		s.metrics.synthMemoHits.Add(1)
-	}
-	if bin.code != http.StatusOK {
-		return bin.write
-	}
-	if ctx.Err() != nil {
-		// The deadline passed while the job ran; the client is answered 504
-		// and no answer is encoded, let alone kept.
-		return nil
-	}
-	// A kept answer is read inside the encode stage; an answer encoded for
-	// the first time is encoded there too, and replayed in a replay stage
-	// of its own, which traced opens by closing encode.
-	stop = s.stage(span, "encode")
-	defer func() { stop() }()
-	if !q.replay && q.format == binaryFormat {
-		return bin.write
-	}
-	// traced is the trace to encode: the one this ask synthesized, if it
-	// did, else the kept bytes decoded, replayed if the query asks for it.
-	traced := func() (*trace.Trace, error) {
-		tr, err := fresh, error(nil)
-		if tr == nil {
-			if tr, err = trace.ReadBinary(bytes.NewReader(bin.body)); err != nil {
-				return nil, fmt.Errorf("decode kept trace: %w", err)
-			}
-		}
-		if q.replay {
-			stop()
-			stop = s.stage(span, "replay")
-			tr, err = replay.Run(tr, p)
-			stop()
-			stop = s.stage(span, "encode")
-			if err != nil {
-				return nil, fmt.Errorf("replay: %w", err)
-			}
-		}
-		return tr, nil
-	}
-	if !kept {
-		tr, err := traced()
-		if err != nil {
-			return errorAnswer(http.StatusInternalServerError, "%v", err).write
-		}
-		return pooledAnswer(tr, q.format)
+		return errorAnswer(http.StatusInternalServerError, "train %s: %v", q.model, err), true
 	}
 	key := answerKey{synthQuery: q}
 	if q.replay {
 		key.faults = p.Faults
 	}
-	ans, _, _ := ms.cache.answer(key, func() (answer, bool) {
-		tr, err := traced()
+	// A hit is read inside the synthesize stage; a miss replays and encodes
+	// in stages of their own.
+	stop := s.stage(span, "synthesize")
+	defer func() { stop() }()
+	ans, hit := ms.cache.answer(key, func() (answer, bool) {
+		tr, err := synthesize(q.n, rand.New(rand.NewSource(q.seed)))
 		if err != nil {
-			return errorAnswer(http.StatusInternalServerError, "%v", err), true
+			return errorAnswer(http.StatusInternalServerError, "synthesize: %v", err), true
 		}
+		if q.replay {
+			stop()
+			stop = s.stage(span, "replay")
+			if tr, err = replay.Run(tr, p); err != nil {
+				return errorAnswer(http.StatusInternalServerError, "replay: %v", err), true
+			}
+		}
+		stop()
+		stop = s.stage(span, "encode")
 		if s.onEncode != nil {
 			s.onEncode(q)
 		}
-		body, err := encodeExact(tr, q.format)
-		if err != nil {
-			return errorAnswer(http.StatusInternalServerError, "encode: %v", err), true
-		}
-		return answer{code: http.StatusOK, contentType: contentTypes[q.format], body: body}, true
+		return encodeExact(tr, q.format), ctx.Err() == nil
 	})
-	return ans.write
+	if hit {
+		s.metrics.synthMemoHits.Add(1)
+	}
+	return ans, ctx.Err() == nil
 }
 
 // synthesizer returns the batch synthesis of ms's named model, training a
@@ -533,52 +491,28 @@ func appendTrace(dst []byte, tr *trace.Trace, format int) ([]byte, error) {
 	return trace.AppendCSV(dst, tr), nil
 }
 
-// encoded recycles response bodies between requests, so a warm daemon
-// formats into memory it already owns instead of growing a fresh buffer
-// per answer.
+// encoded recycles the buffers answers are encoded into, so a warm daemon
+// formats into memory it already owns instead of growing a fresh buffer per
+// answer. A buffer grown past maxPooledBody is dropped: a MaxSynth-sized
+// answer must not stay pinned in the pool.
 var encoded = sync.Pool{New: func() any { return new([]byte) }}
 
-// maxPooledBody is the largest response body kept for reuse; a
-// MaxSynth-sized answer must not stay pinned in the pool.
 const maxPooledBody = 4 << 20
 
-// release hands body, grown from pooled, back to encoded.
-func release(pooled *[]byte, body []byte) {
+// encodeExact is tr encoded in format as a 200 answer whose body is a copy
+// exactly the size of the encoding: what the cache keeps.
+func encodeExact(tr *trace.Trace, format int) answer {
+	pooled := encoded.Get().(*[]byte)
+	body, err := appendTrace((*pooled)[:0], tr, format)
+	exact := bytes.Clone(body)
 	if cap(body) <= maxPooledBody {
 		*pooled = body
 		encoded.Put(pooled)
 	}
-}
-
-// encodeExact encodes tr in format into a pooled slice and returns a copy
-// exactly the size of the body: what a memo keeps.
-func encodeExact(tr *trace.Trace, format int) ([]byte, error) {
-	pooled := encoded.Get().(*[]byte)
-	body, err := appendTrace((*pooled)[:0], tr, format)
-	var exact []byte
-	if err == nil {
-		exact = bytes.Clone(body)
-	}
-	release(pooled, body)
-	return exact, err
-}
-
-// pooledAnswer is the encode step of an answer nobody keeps: it encodes tr
-// into a pooled slice and returns the response writer, which hands the slice
-// back once the body is written. The body is built before anything is sent
-// because enqueue decides the status only after the job ran.
-func pooledAnswer(tr *trace.Trace, format int) func(http.ResponseWriter) {
-	pooled := encoded.Get().(*[]byte)
-	body, err := appendTrace((*pooled)[:0], tr, format)
 	if err != nil {
-		release(pooled, body)
-		return errorAnswer(http.StatusInternalServerError, "encode: %v", err).write
+		return errorAnswer(http.StatusInternalServerError, "encode: %v", err)
 	}
-	return func(w http.ResponseWriter) {
-		w.Header().Set("Content-Type", contentTypes[format])
-		w.Write(body)
-		release(pooled, body)
-	}
+	return answer{code: http.StatusOK, contentType: contentTypes[format], body: exact}
 }
 
 // characterizeResponse is the JSON shape of /v1/characterize; the Scores
@@ -619,9 +553,9 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 	}
 	span := obs.SpanFrom(r.Context())
 	waitStop := s.stage(span, "queue.wait")
-	s.enqueue(w, r, func(ctx context.Context) func(http.ResponseWriter) {
+	s.enqueue(w, r, func(ctx context.Context) (answer, bool) {
 		waitStop()
-		return s.characterize(span, n, seed).write
+		return s.characterize(span, n, seed), true
 	})
 }
 
@@ -655,7 +589,7 @@ func (s *Server) characterize(span *obs.LiveSpan, n int, seed int64) answer {
 	p := s.replayPlatform()
 	_, _, total, _ := s.win.stats()
 	key := charKey{total: total, n: n, seed: seed, faults: p.Faults}
-	ans, hit, _ := ms.cache.answer(key, func() (answer, bool) {
+	ans, hit := ms.cache.answer(key, func() (answer, bool) {
 		snap := s.win.snapshot()
 		approaches := []crossexam.Approach{
 			{Name: "in-breadth", Knobs: 3, Synthesize: ib.Synthesize, NumParams: ib.NumParams()},
@@ -715,22 +649,20 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	span.Annotate("requests=%d", tr.Len())
 	p := s.replayPlatform()
 	waitStop := s.stage(span, "queue.wait")
-	s.enqueue(w, r, func(ctx context.Context) func(http.ResponseWriter) {
+	s.enqueue(w, r, func(ctx context.Context) (answer, bool) {
 		waitStop()
 		stop := s.stage(span, "replay")
 		timed, err := replay.Run(tr, p)
 		stop()
 		if err != nil {
-			return func(w http.ResponseWriter) {
-				httpError(w, http.StatusInternalServerError, "replay: %v", err)
-			}
+			return errorAnswer(http.StatusInternalServerError, "replay: %v", err), true
 		}
 		format := csvFormat
 		if binary {
 			format = binaryFormat
 		}
 		defer s.stage(span, "encode")()
-		return pooledAnswer(timed, format)
+		return encodeExact(timed, format), true
 	})
 }
 
@@ -757,12 +689,10 @@ type whatifResponse struct {
 // queries only read it, so each (platform, model) is compiled once per
 // generation, by whichever request asks first, and shared from then on.
 func (s *Server) twinOn(ms *modelSet, platform string, newServer func() *hw.Server, model string) (*twin.Twin, error) {
-	switch model {
-	case "kooza", "inbreadth", "indepth":
-	default:
-		// Refused before the table is touched: a name nobody compiles must
-		// not become a key.
-		return nil, badRequestf("model must be kooza, inbreadth or indepth, got %q", model)
+	// Refused before the table is touched: a name nobody compiles must not
+	// become a key.
+	if err := checkModel(model); err != nil {
+		return nil, err
 	}
 	return built(&ms.cache, twinKey{platform, model}, func() (*twin.Twin, error) {
 		s.metrics.twinCompiles.Add(1)
@@ -814,6 +744,10 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Model == "" {
 		req.Model = "kooza"
+	}
+	if err := checkModel(req.Model); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	ms := s.model.Load()
 	if ms == nil {

@@ -39,7 +39,7 @@ type metrics struct {
 	twinCompiles  *obs.Counter // analytical twins compiled (once per generation, platform and model)
 	charMemoHits  *obs.Counter // characterize requests answered by an earlier, identical evaluation
 	provMemoHits  *obs.Counter // provision requests answered by an earlier, identical search
-	synthMemoHits *obs.Counter // synthesize requests answered from a trace the generation kept
+	synthMemoHits *obs.Counter // synthesize requests answered from an answer the generation kept
 
 	retrainBusySkips *obs.Counter // automatic triggers that found a retrain in flight
 
@@ -91,7 +91,7 @@ func newMetrics() *metrics {
 		provMemoHits: reg.Counter("dcmodeld_provision_memo_hits_total",
 			"Provision requests answered from an identical search (same generation, window, model, request and fault scenario)."),
 		synthMemoHits: reg.Counter("dcmodeld_synth_memo_hits_total",
-			"Synthesize requests answered from a kept trace (same generation, model, n and seed)."),
+			"Synthesize requests answered from a kept answer (same generation, model, n, seed, format, replay and, for a replay, fault scenario)."),
 		retrainBusySkips: reg.Counter("dcmodeld_retrain_busy_skips_total",
 			"Automatic retrain triggers that found a retrain in flight and left it to finish."),
 		driftStat: reg.Gauge("dcmodeld_drift_stat",

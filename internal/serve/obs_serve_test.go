@@ -10,8 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
+	"dcmodel/internal/dapper"
 	"dcmodel/internal/obs"
 )
 
@@ -174,6 +174,12 @@ func TestObsLifecycle(t *testing.T) {
 	}
 }
 
+// signalRecorder is a Recorder that sends on its channel for each tree it
+// is handed.
+type signalRecorder chan<- struct{}
+
+func (r signalRecorder) Record(*dapper.Tree) { r <- struct{}{} }
+
 // TestTracesDeterministicSampling pins the deterministic head-sampling
 // contract of GET /v1/traces: a fixed request sequence against a fixed
 // SampleEvery always samples the same requests with the same tree
@@ -182,7 +188,8 @@ func TestTracesDeterministicSampling(t *testing.T) {
 	run := func() []string {
 		cfg := quietConfig()
 		cfg.Window = 2048
-		cfg.Obs = &obs.Options{SampleEvery: 3, TraceCapacity: 32}
+		recorded := make(chan struct{}, 32)
+		cfg.Obs = &obs.Options{SampleEvery: 3, TraceCapacity: 32, Recorder: signalRecorder(recorded)}
 		s := newTestServer(t, cfg)
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
@@ -210,12 +217,11 @@ func TestTracesDeterministicSampling(t *testing.T) {
 			}
 		}
 		// 1 ingest + 8 synthesize; head sampling keeps 1, 4, 7. The ring is
-		// polled until it holds all three rather than read once.
-		dump := getTraces(t, ts.URL)
-		for deadline := time.Now().Add(5 * time.Second); len(dump.Traces) < 3 && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
-			dump = getTraces(t, ts.URL)
+		// read once the recorder beside it has seen all three trees.
+		for i := 0; i < 3; i++ {
+			<-recorded
 		}
+		dump := getTraces(t, ts.URL)
 		if dump.Started != 9 || dump.Sampled != 3 || len(dump.Traces) != 3 {
 			t.Fatalf("started=%d sampled=%d held=%d, want 9, 3 and 3", dump.Started, dump.Sampled, len(dump.Traces))
 		}

@@ -139,6 +139,10 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 			"spec/model are offline-only fields: the daemon provisions for its ingested window (select the model with the top-level model field)")
 		return
 	}
+	if err := checkModel(req.Model); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	ms := s.model.Load()
 	if ms == nil {
 		httpError(w, http.StatusServiceUnavailable, "%v: ingest a trace first", errs.ErrModelNotTrained)
@@ -146,9 +150,9 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 	}
 	span := obs.SpanFrom(r.Context())
 	waitStop := s.stage(span, "queue.wait")
-	s.enqueue(w, r, func(ctx context.Context) func(http.ResponseWriter) {
+	s.enqueue(w, r, func(ctx context.Context) (answer, bool) {
 		waitStop()
-		return s.provision(ctx, span, ms, req).write
+		return s.provision(ctx, span, ms, req), true
 	})
 }
 
@@ -169,7 +173,7 @@ func (s *Server) provision(ctx context.Context, span *obs.LiveSpan, ms *modelSet
 	}
 	_, _, total, _ := s.win.stats()
 	key := provKey{total: total, model: req.Model, request: string(canonical)}
-	ans, hit, _ := ms.cache.answer(key, func() (answer, bool) {
+	ans, hit := ms.cache.answer(key, func() (answer, bool) {
 		plan, err := s.runProvision(ctx, span, ms, req.Model, req.Request)
 		switch {
 		case err == nil || errors.Is(err, errs.ErrNoFeasibleConfig):

@@ -283,19 +283,9 @@ type provKey struct {
 	request string
 }
 
-// synthKey is everything a synthesized trace depends on besides the
-// generation. The cache keeps the trace under it as its trace-v2 encoding,
-// which is also its format=binary answer: the codec is lossless, so every
-// other answer can be encoded from it.
-type synthKey struct {
-	model string
-	n     int
-	seed  int64
-}
-
-// answerKey is a synthesize answer encoded from the trace of its query's
-// synthKey and, when replayed, the armed fault scenario (by identity, as in
-// charKey; nil on healthy hardware).
+// answerKey is everything a synthesize answer depends on besides the
+// generation: the query and, when it replays, the armed fault scenario (by
+// identity, as in charKey; nil on healthy hardware).
 type answerKey struct {
 	synthQuery
 	faults *fault.Config
@@ -336,7 +326,7 @@ type Server struct {
 	// retrain after its snapshot and before it trains, with no lock held.
 	parkTrainer func()
 	// onEncode, when set (tests only, before the first query), is called
-	// with the query each time a synthesize answer is encoded to be kept.
+	// with the query each time a synthesize answer is encoded.
 	onEncode func(synthQuery)
 
 	// faults is the armed fault scenario for degraded replay (nil =

@@ -287,7 +287,8 @@ func TestBackpressureDeterministic(t *testing.T) {
 		t.Fatal("could not submit the wedge job")
 	}
 	<-running
-	if !s.pool.TrySubmit(func() {}) {
+	filled := make(chan struct{})
+	if !s.pool.TrySubmit(func() { close(filled) }) {
 		t.Fatal("could not fill the queue slot")
 	}
 
@@ -304,22 +305,57 @@ func TestBackpressureDeterministic(t *testing.T) {
 		t.Fatalf("Retry-After = %q, want \"1\"", resp.Header.Get("Retry-After"))
 	}
 
+	// Once the job that filled the slot runs, a worker has taken it off the
+	// queue: the slot is free, and the next request is admitted and served.
 	close(block)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(ts.URL + "/v1/synthesize?n=10")
-		if err != nil {
-			t.Fatal(err)
+	<-filled
+	resp, err = http.Get(ts.URL + "/v1/synthesize?n=10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status once the queue drained = %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestUnknownModelRefusedCold: a model name the daemon does not serve is a
+// 400 from every handler that takes one, on a cold daemon as on a warm one.
+// On a cold daemon it used to be a 503 ("ingest a trace first"), which a
+// client retries forever.
+func TestUnknownModelRefusedCold(t *testing.T) {
+	s := newTestServer(t, quietConfig())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	asks := []struct {
+		name string
+		do   func(model string) (int, []byte)
+	}{
+		{"synthesize", func(model string) (int, []byte) {
+			return get(t, ts.URL+"/v1/synthesize?n=10&model="+model)
+		}},
+		{"whatif", func(model string) (int, []byte) {
+			return post(t, ts.URL+"/v1/whatif", `{"model":"`+model+`","query":{}}`)
+		}},
+		{"provision", func(model string) (int, []byte) {
+			return post(t, ts.URL+"/v1/provision", `{"model":"`+model+`","request":{"objective":{"target_seconds":0.2}}}`)
+		}},
+	}
+	for _, warm := range []bool{false, true} {
+		if warm {
+			if _, _, err := s.Ingest(gfsTrace(t, 100, 1)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			break
+		for _, a := range asks {
+			if code, body := a.do("bogus"); code != http.StatusBadRequest {
+				t.Fatalf("warm=%t %s model=bogus: status %d (%s), want 400", warm, a.name, code, body)
+			}
+			if code, body := a.do("kooza"); !warm && code != http.StatusServiceUnavailable {
+				t.Fatalf("cold %s model=kooza: status %d (%s), want 503", a.name, code, body)
+			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("queue never drained: last status %d", resp.StatusCode)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -50,49 +50,32 @@ func mustGet(t *testing.T, url string) []byte {
 	return body
 }
 
-// kept is how many traces the served generation keeps.
-func kept(s *Server) int { return len(cachedKeys[synthKey](s)) }
+// kept is how many synthesize answers the served generation keeps.
+func kept(s *Server) int { return len(cachedKeys[answerKey](s)) }
 
-// keptBytes is the trace-v2 encoding the served generation keeps for key;
-// the test fails if the generation keeps none.
-func keptBytes(t *testing.T, s *Server, key synthKey) []byte {
+// keptAnswer is the body the served generation keeps for key; the test fails
+// if the generation keeps none, or keeps a failure.
+func keptAnswer(t *testing.T, s *Server, key answerKey) []byte {
 	t.Helper()
 	c := &s.model.Load().cache
 	c.mu.Lock()
 	e := c.entries[key]
 	c.mu.Unlock()
 	if e == nil {
-		t.Fatalf("no trace kept for %+v", key)
+		t.Fatalf("no answer kept for %+v", key)
 	}
 	a := e.val.(answer)
 	if a.code != http.StatusOK {
-		t.Fatalf("the kept trace of %+v is a failure: %s", key, a.body)
+		t.Fatalf("the kept answer of %+v is a failure: %s", key, a.body)
 	}
 	return a.body
 }
 
-// keptTrace is the served generation's trace for key, decoded from the
-// bytes it keeps; the test fails if the generation keeps none.
-func keptTrace(t *testing.T, s *Server, key synthKey) *trace.Trace {
-	t.Helper()
-	tr, err := trace.ReadBinary(bytes.NewReader(keptBytes(t, s, key)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
-}
-
-// traceDigest covers every field of every request and span; %v prints each
-// float in the shortest form that reads back to the same bits.
-func traceDigest(tr *trace.Trace) [sha256.Size]byte {
-	return sha256.Sum256([]byte(fmt.Sprint(tr.Requests)))
-}
-
-// TestSynthesizeMemo: the first query of a generation for a (model, n,
-// seed) synthesizes and keeps the trace; every later one, in any format and
-// with or without replay, synthesizes nothing and answers the bytes a fresh
-// daemon answers. Another model, n or seed, and a retrain, each synthesize
-// again.
+// TestSynthesizeMemo: each query of a generation — model, n, seed, format
+// and replay — is one answer. Its first ask computes and keeps it, and every
+// later ask is a hit; each answers the bytes a fresh daemon answers. Another
+// model, n, seed, format or replay flag is an answer of its own, and a
+// retrain starts afresh.
 func TestSynthesizeMemo(t *testing.T) {
 	s, ts := memoDaemon(t)
 	_, fresh := memoDaemon(t)
@@ -115,7 +98,7 @@ func TestSynthesizeMemo(t *testing.T) {
 			t.Fatalf("%+v: memo hits %d -> %d, want %d", q, hits, got, wantHits)
 		}
 		if got := kept(s); got != wantKept {
-			t.Fatalf("%+v: %d traces kept, want %d", q, got, wantKept)
+			t.Fatalf("%+v: %d answers kept, want %d", q, got, wantKept)
 		}
 		if want := mustGet(t, synthURL(fresh.URL, q.model, q.n, q.seed, q.format, q.replay)); !bytes.Equal(body, want) {
 			t.Fatalf("%+v: the answer differs from a fresh daemon's", q)
@@ -123,11 +106,11 @@ func TestSynthesizeMemo(t *testing.T) {
 	}
 
 	first := query{"kooza", 200, 3, "csv", false}
-	ask(first, false)
 	for _, format := range []string{"csv", "json", "binary"} {
 		for _, replay := range []bool{false, true} {
 			q := first
 			q.format, q.replay = format, replay
+			ask(q, false)
 			ask(q, true)
 		}
 	}
@@ -145,25 +128,32 @@ func TestSynthesizeMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := kept(s); got != 0 {
-		t.Fatalf("a fresh generation keeps %d traces, want none", got)
+		t.Fatalf("a fresh generation keeps %d answers, want none", got)
 	}
 	ask(first, false)
 	ask(first, true)
 }
 
 // TestSynthesizeMemoSingleFlight: identical first asks arriving together
-// wait for one synthesis, and all get the same bytes.
+// wait for one computation of their answer, and all get the same bytes.
+// Sixteen clients asking four queries compute four answers, each encoded
+// once.
 func TestSynthesizeMemoSingleFlight(t *testing.T) {
 	s, ts := memoDaemon(t)
-	const clients = 16
+	encodes := countEncodes(s)
+	const clients, queries = 16, 4
+	formats := []int{csvFormat, jsonFormat, binaryFormat, csvFormat}
+	query := func(i int) synthQuery {
+		return synthQuery{model: "inbreadth", n: 500, seed: 5, format: formats[i%queries], replay: i%queries == 3}
+	}
 	bodies := make([][]byte, clients)
 	var wg sync.WaitGroup
 	for i := range bodies {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			format := []string{"csv", "json", "binary", "csv"}[i%4]
-			code, body := get(t, synthURL(ts.URL, "inbreadth", 500, 5, format, i%4 == 3))
+			q := query(i)
+			code, body := get(t, synthURL(ts.URL, q.model, q.n, q.seed, formatNames[q.format], q.replay))
 			if code != http.StatusOK {
 				t.Errorf("client %d: status %d (%s)", i, code, body)
 			}
@@ -171,22 +161,27 @@ func TestSynthesizeMemoSingleFlight(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := s.metrics.synthMemoHits.Value(); got != clients-1 {
-		t.Fatalf("%d concurrent first asks: %d memo hits, want %d (one synthesis)", clients, got, clients-1)
+	if got := s.metrics.synthMemoHits.Value(); got != clients-queries {
+		t.Fatalf("%d concurrent first asks of %d answers: %d memo hits, want %d", clients, queries, got, clients-queries)
 	}
-	if got := kept(s); got != 1 {
-		t.Fatalf("%d traces kept, want 1", got)
+	if got := kept(s); got != queries {
+		t.Fatalf("%d answers kept, want %d", got, queries)
 	}
-	for i := 4; i < clients; i++ {
-		if !bytes.Equal(bodies[i], bodies[i%4]) {
-			t.Fatalf("client %d got a different answer from client %d", i, i%4)
+	for i := 0; i < queries; i++ {
+		if got := encodes(query(i)); got != 1 {
+			t.Fatalf("%+v: encoded %d times, want once", query(i), got)
+		}
+	}
+	for i := queries; i < clients; i++ {
+		if !bytes.Equal(bodies[i], bodies[i%queries]) {
+			t.Fatalf("client %d got a different answer from client %d", i, i%queries)
 		}
 	}
 }
 
-// TestSynthesizeMemoBudget: traces are kept while their bytes fit the
-// budget. A new key evicts the oldest trace never asked for again; one asked
-// for again is kept. A trace too large to keep beside those is synthesized,
+// TestSynthesizeMemoBudget: answers are kept while their bytes fit the
+// budget. A new answer evicts the oldest one never asked for again; one asked
+// for again is kept. An answer too large to keep beside those is computed,
 // answers the same bytes as a fresh daemon, evicts nothing and keeps nothing.
 func TestSynthesizeMemoBudget(t *testing.T) {
 	s, ts := memoDaemon(t)
@@ -201,12 +196,12 @@ func TestSynthesizeMemoBudget(t *testing.T) {
 	keys := func(want ...int64) {
 		t.Helper()
 		var seeds []int64
-		for _, k := range cachedKeys[synthKey](s) {
+		for _, k := range cachedKeys[answerKey](s) {
 			seeds = append(seeds, k.seed)
 		}
 		slices.Sort(seeds)
 		if !slices.Equal(seeds, want) {
-			t.Fatalf("traces of seeds %v kept, want %v", seeds, want)
+			t.Fatalf("answers of seeds %v kept, want %v", seeds, want)
 		}
 	}
 	ask(200, 1)
@@ -228,31 +223,30 @@ func TestSynthesizeMemoBudget(t *testing.T) {
 		keys(1, 2)
 	}
 	if got := s.metrics.synthMemoHits.Value(); got != hits {
-		t.Fatalf("traces not kept counted %d memo hits", got-hits)
+		t.Fatalf("answers not kept counted %d memo hits", got-hits)
 	}
 	if kept, budget := cachedBytes(s); kept > budget {
 		t.Fatalf("%d bytes kept, past the %d-byte budget", kept, budget)
 	}
 }
 
-// TestSynthesizeMemoReadOnly: replay reads the kept trace and copies its
-// spans before it times them, so a replayed answer — healthy or under an
-// armed fault scenario — leaves the kept trace bit for bit as it was, and a
-// faulted replay still follows the faults: it answers what a fresh daemon
-// with the same scenario answers, retries included.
+// TestSynthesizeMemoReadOnly: a replayed answer — healthy or under an armed
+// fault scenario — leaves the kept unreplayed answer of its key bit for bit
+// as it was, and a faulted replay still follows the faults: it answers what
+// a fresh daemon with the same scenario answers, retries included.
 func TestSynthesizeMemoReadOnly(t *testing.T) {
 	s, ts := memoDaemon(t)
 	fresh, freshTS := memoDaemon(t)
-	key := synthKey{"kooza", 400, 7}
+	q := synthQuery{model: "kooza", n: 400, seed: 7, format: csvFormat}
 	url := func(base string, replay bool) string {
-		return synthURL(base, key.model, key.n, key.seed, "csv", replay)
+		return synthURL(base, q.model, q.n, q.seed, "csv", replay)
 	}
 	plain := mustGet(t, url(ts.URL, false))
-	want := traceDigest(keptTrace(t, s, key))
+	want := sha256.Sum256(keptAnswer(t, s, answerKey{synthQuery: q}))
 
 	healthy := mustGet(t, url(ts.URL, true))
-	if traceDigest(keptTrace(t, s, key)) != want {
-		t.Fatal("a healthy replay wrote into the kept trace")
+	if sha256.Sum256(keptAnswer(t, s, answerKey{synthQuery: q})) != want {
+		t.Fatal("a healthy replay wrote into the kept answer")
 	}
 	if bytes.Equal(healthy, plain) {
 		t.Fatal("the replayed answer is the synthesized one: replay did not run")
@@ -265,14 +259,14 @@ func TestSynthesizeMemoReadOnly(t *testing.T) {
 		}
 	}
 	faulted := mustGet(t, url(ts.URL, true))
-	if traceDigest(keptTrace(t, s, key)) != want {
-		t.Fatal("a faulted replay wrote into the kept trace")
+	if sha256.Sum256(keptAnswer(t, s, answerKey{synthQuery: q})) != want {
+		t.Fatal("a faulted replay wrote into the kept answer")
 	}
 	if !bytes.Equal(faulted, mustGet(t, url(freshTS.URL, true))) {
 		t.Fatal("the faulted replay differs from a fresh daemon's under the same scenario")
 	}
 	if bytes.Equal(faulted, healthy) {
-		t.Fatal("the faulted replay answers the healthy bytes: the kept trace hid the faults")
+		t.Fatal("the faulted replay answers the healthy bytes: the kept answer hid the faults")
 	}
 	tr, err := trace.ReadCSV(bytes.NewReader(faulted))
 	if err != nil {
@@ -289,25 +283,29 @@ func TestSynthesizeMemoReadOnly(t *testing.T) {
 	if again := mustGet(t, url(ts.URL, true)); !bytes.Equal(again, healthy) {
 		t.Fatal("after disarming, the replay differs from the first healthy one")
 	}
-	if got := s.metrics.synthMemoHits.Value(); got != 3 {
-		t.Fatalf("%d memo hits, want 3 (every query after the first)", got)
+	if again := mustGet(t, url(ts.URL, false)); !bytes.Equal(again, plain) {
+		t.Fatal("after the replays, the unreplayed answer differs from the first one")
+	}
+	if got := s.metrics.synthMemoHits.Value(); got != 2 {
+		t.Fatalf("%d memo hits, want 2 (the healthy replay and the unreplayed answer, asked again)", got)
 	}
 }
 
-// TestSynthesizeMemoKeepsFailure: a failed synthesis is kept like a trace —
-// synthesis is a pure function of the generation and the key, so it would
+// TestSynthesizeMemoKeepsFailure: a failed answer is kept like any other —
+// synthesis is a pure function of the generation and the query, so it would
 // fail again — and answers every later ask without a second attempt.
 func TestSynthesizeMemoKeepsFailure(t *testing.T) {
 	c := &genCache{budget: cacheBudget}
 	failed := errorAnswer(http.StatusInternalServerError, "synthesize: boom")
+	key := answerKey{synthQuery: synthQuery{model: "kooza", n: 10, seed: 1}}
 	calls := 0
 	for i := 0; i < 3; i++ {
-		a, hit, kept := c.answer(synthKey{"kooza", 10, 1}, func() (answer, bool) {
+		a, hit := c.answer(key, func() (answer, bool) {
 			calls++
 			return failed, true
 		})
-		if !bytes.Equal(a.body, failed.body) || hit != (i > 0) || !kept {
-			t.Fatalf("ask %d: (%d %s, hit %t, kept %t), want the kept failure", i, a.code, a.body, hit, kept)
+		if !bytes.Equal(a.body, failed.body) || hit != (i > 0) {
+			t.Fatalf("ask %d: (%d %s, hit %t), want the kept failure", i, a.code, a.body, hit)
 		}
 	}
 	if want := len(failed.body) + entryBytes; calls != 1 || c.kept != want {
@@ -315,19 +313,7 @@ func TestSynthesizeMemoKeepsFailure(t *testing.T) {
 	}
 }
 
-// keptAnswers counts the answers the served generation keeps encoded from
-// the trace of key.
-func keptAnswers(s *Server, key synthKey) int {
-	n := 0
-	for _, k := range cachedKeys[answerKey](s) {
-		if k.key == key {
-			n++
-		}
-	}
-	return n
-}
-
-// countEncodes arms s to count, per query, the answers it encodes to keep.
+// countEncodes arms s to count, per query, the answers it encodes.
 func countEncodes(s *Server) func(synthQuery) int {
 	var mu sync.Mutex
 	counts := map[synthQuery]int{}
@@ -344,9 +330,8 @@ func countEncodes(s *Server) func(synthQuery) int {
 }
 
 // TestSynthesizeMemoKeepsTraceV2: for every preset and model at two seeds,
-// the bytes a generation keeps decode to exactly the trace the model
-// synthesizes, so every answer encoded from them is the answer of the
-// synthesized trace.
+// the format=binary answer a generation keeps decodes to exactly the trace
+// the model synthesizes.
 func TestSynthesizeMemoKeepsTraceV2(t *testing.T) {
 	for _, preset := range spec.Names() {
 		s := newTestServer(t, quietConfig())
@@ -356,18 +341,22 @@ func TestSynthesizeMemoKeepsTraceV2(t *testing.T) {
 		ts := httptest.NewServer(s.Handler())
 		for _, model := range []string{"kooza", "inbreadth", "indepth"} {
 			for _, seed := range []int64{1, 2} {
-				key := synthKey{model, 300, seed}
-				mustGet(t, synthURL(ts.URL, model, key.n, seed, "csv", false))
+				q := synthQuery{model: model, n: 300, seed: seed, format: binaryFormat}
+				mustGet(t, synthURL(ts.URL, model, q.n, seed, "binary", false))
 				synthesize, err := s.synthesizer(s.model.Load(), nil, model)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := synthesize(key.n, rand.New(rand.NewSource(seed)))
+				want, err := synthesize(q.n, rand.New(rand.NewSource(seed)))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := keptTrace(t, s, key); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s %+v: the kept bytes decode to another trace than the synthesized one", preset, key)
+				got, err := trace.ReadBinary(bytes.NewReader(keptAnswer(t, s, answerKey{synthQuery: q})))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %+v: the kept bytes decode to another trace than the synthesized one", preset, q)
 				}
 			}
 		}
@@ -375,43 +364,36 @@ func TestSynthesizeMemoKeepsTraceV2(t *testing.T) {
 	}
 }
 
-// TestSynthesizeMemoEncodesOnce: each answer of a kept key — every format,
+// TestSynthesizeMemoEncodesOnce: each answer of a key — every format,
 // replayed or not — is encoded once, by the first ask, however often and in
-// whatever order it is asked for after; the unreplayed binary answer is
-// the kept bytes and is never encoded again. Every answer is a fresh
-// daemon's.
+// whatever order it is asked for after. Every answer is a fresh daemon's.
 func TestSynthesizeMemoEncodesOnce(t *testing.T) {
 	s, ts := memoDaemon(t)
 	_, fresh := memoDaemon(t)
 	encodes := countEncodes(s)
-	key := synthKey{"indepth", 250, 6}
 	var queries []synthQuery
 	for _, replay := range []bool{true, false} {
 		for _, format := range []int{jsonFormat, binaryFormat, csvFormat} {
-			queries = append(queries, synthQuery{key: key, format: format, replay: replay})
+			queries = append(queries, synthQuery{model: "indepth", n: 250, seed: 6, format: format, replay: replay})
 		}
 	}
 	for round := 0; round < 3; round++ {
 		for _, q := range queries {
 			url := func(base string) string {
-				return synthURL(base, key.model, key.n, key.seed, formatNames[q.format], q.replay)
+				return synthURL(base, q.model, q.n, q.seed, formatNames[q.format], q.replay)
 			}
 			if !bytes.Equal(mustGet(t, url(ts.URL)), mustGet(t, url(fresh.URL))) {
 				t.Fatalf("round %d, %+v: the answer differs from a fresh daemon's", round, q)
 			}
-			want := 1
-			if !q.replay && q.format == binaryFormat {
-				want = 0
-			}
-			if got := encodes(q); got != want {
-				t.Fatalf("round %d, %+v: encoded %d times, want %d", round, q, got, want)
+			if got := encodes(q); got != 1 {
+				t.Fatalf("round %d, %+v: encoded %d times, want once", round, q, got)
 			}
 		}
 	}
-	if n := keptAnswers(s, key); n != len(queries)-1 {
-		t.Fatalf("%d answers kept beside the trace, want %d", n, len(queries)-1)
+	if n := kept(s); n != len(queries) {
+		t.Fatalf("%d answers kept, want %d", n, len(queries))
 	}
-	if got, want := s.metrics.synthMemoHits.Value(), int64(3*len(queries)-1); got != want {
+	if got, want := s.metrics.synthMemoHits.Value(), int64(2*len(queries)); got != want {
 		t.Fatalf("%d memo hits, want %d", got, want)
 	}
 }
@@ -421,9 +403,8 @@ func TestSynthesizeMemoEncodesOnce(t *testing.T) {
 func TestSynthesizeMemoEncodeSingleFlight(t *testing.T) {
 	s, ts := memoDaemon(t)
 	encodes := countEncodes(s)
-	q := synthQuery{key: synthKey{"kooza", 500, 4}, format: csvFormat}
-	url := synthURL(ts.URL, q.key.model, q.key.n, q.key.seed, "csv", false)
-	mustGet(t, synthURL(ts.URL, q.key.model, q.key.n, q.key.seed, "binary", false))
+	q := synthQuery{model: "kooza", n: 500, seed: 4, format: csvFormat}
+	url := synthURL(ts.URL, q.model, q.n, q.seed, "csv", false)
 	const clients = 16
 	bodies := make([][]byte, clients)
 	var wg sync.WaitGroup
@@ -457,7 +438,7 @@ func TestSynthesizeMemoEncodeSingleFlight(t *testing.T) {
 // scenarios take, the cache evicts and refuses answers, and every answer is
 // still a fresh daemon's.
 func TestSynthesizeMemoReplayScenarios(t *testing.T) {
-	key := synthKey{"kooza", 120, 2}
+	key := synthQuery{model: "kooza", n: 120, seed: 2}
 	formats := []string{"csv", "binary"}
 	run := func(budget int) (keptAtEnd int) {
 		s, ts := memoDaemon(t)
@@ -509,7 +490,8 @@ func TestSynthesizeMemoReplayScenarios(t *testing.T) {
 			}
 		}
 		for f := range formats {
-			q := synthQuery{key: key, format: []int{csvFormat, binaryFormat}[f], replay: true}
+			q := key
+			q.format, q.replay = []int{csvFormat, binaryFormat}[f], true
 			got := encodes(q)
 			if budget == cacheBudget && got != 50 {
 				t.Fatalf("%s: %d replayed answers encoded across 50 scenarios, want 50", formats[f], got)
@@ -541,9 +523,9 @@ var overBudgetAnswers = []struct {
 	{"binary", true, "d66e50dfe7a978e5257d201e695c8cbe8b71156641f20bbd59888d2c6df89daf"},
 }
 
-// TestSynthesizeMemoOverBudgetBytes: a query whose trace does not fit the
-// budget keeps nothing, encodes nothing to keep, and answers the bytes it
-// always answered.
+// TestSynthesizeMemoOverBudgetBytes: an answer that does not fit the budget
+// is computed for its ask, answers the bytes it always answered and is not
+// kept, so each ask of it is a miss.
 func TestSynthesizeMemoOverBudgetBytes(t *testing.T) {
 	s, ts := memoDaemon(t)
 	// Smaller than the trace-v2 bytes of any 8193 requests.
@@ -556,31 +538,33 @@ func TestSynthesizeMemoOverBudgetBytes(t *testing.T) {
 			t.Fatalf("%s replay=%t: answer digest %s, want %s", a.format, a.replay, got, a.digest)
 		}
 	}
-	if got := kept(s); got != 0 || encodes != 0 {
-		t.Fatalf("over-budget queries kept %d traces and encoded %d answers to keep, want none", got, encodes)
+	mustGet(t, synthURL(ts.URL, "kooza", 8193, 1, "binary", false))
+	if got, hits := kept(s), s.metrics.synthMemoHits.Value(); got != 0 || hits != 0 || encodes != len(overBudgetAnswers)+1 {
+		t.Fatalf("over-budget asks kept %d answers, hit %d times and encoded %d answers; want none, none and %d",
+			got, hits, encodes, len(overBudgetAnswers)+1)
 	}
 }
 
 // TestSynthesizeExpiredDeadline: a job that finds its deadline passed once
-// the trace is synthesized answers 504 and keeps no answer — it used to
-// skip the replay and answer the unreplayed trace as a 200.
+// its answer is computed answers 504 and keeps no answer — it used to skip
+// the replay and answer the unreplayed trace as a 200.
 func TestSynthesizeExpiredDeadline(t *testing.T) {
 	s, _ := memoDaemon(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	q := synthQuery{key: synthKey{"kooza", 200, 3}, format: csvFormat, replay: true}
-	if respond := s.synthesize(ctx, nil, s.model.Load(), s.replayPlatform(), q); respond != nil {
-		rec := httptest.NewRecorder()
-		respond(rec)
-		t.Fatalf("a job past its deadline answered %d, want no answer (504)", rec.Code)
+	q := synthQuery{model: "kooza", n: 200, seed: 3, format: csvFormat, replay: true}
+	if a, ok := s.synthesize(ctx, nil, s.model.Load(), s.replayPlatform(), q); ok {
+		t.Fatalf("a job past its deadline answered %d, want no answer (504)", a.code)
 	}
-	if n := keptAnswers(s, q.key); n != 0 {
+	if n := kept(s); n != 0 {
 		t.Fatalf("a job past its deadline kept %d answers, want none", n)
 	}
 	rec := httptest.NewRecorder()
-	s.enqueue(rec, httptest.NewRequest(http.MethodGet, "/v1/synthesize", nil), func(context.Context) func(http.ResponseWriter) { return nil })
+	s.enqueue(rec, httptest.NewRequest(http.MethodGet, "/v1/synthesize", nil), func(context.Context) (answer, bool) {
+		return errorAnswer(http.StatusInternalServerError, "unused"), false
+	})
 	if rec.Code != http.StatusGatewayTimeout || s.metrics.deadline.Value() != 1 {
-		t.Fatalf("a job answering nil: status %d, %d deadlines counted; want 504 and 1", rec.Code, s.metrics.deadline.Value())
+		t.Fatalf("a job answering false: status %d, %d deadlines counted; want 504 and 1", rec.Code, s.metrics.deadline.Value())
 	}
 }
 
@@ -609,11 +593,11 @@ func (w *discardWriter) WriteHeader(code int) {
 
 // BenchmarkSynthesizeRepeat prices /v1/synthesize?n=1000 through the
 // handler, in process, on a daemon trained on an 8192-request chat window.
-// Each "hit" case asks for the same key and format every time and is
-// answered from the bytes the generation keeps; "miss" asks with a fresh
-// seed every time, so it synthesizes and encodes, keeping the first few
-// traces until the budget is full and none after. B/op of a hit does not
-// grow with n: the answer is not copied.
+// Each "hit" case asks for the same query every time and is answered from
+// the bytes the generation keeps; "miss" asks with a fresh seed every time,
+// so it synthesizes and encodes, and its answers, never asked for again,
+// evict each other once the budget is full. B/op of a hit does not grow
+// with n: the answer is not copied.
 func BenchmarkSynthesizeRepeat(b *testing.B) {
 	ps, err := spec.Preset("chat")
 	if err != nil {
