@@ -11,7 +11,7 @@
 //
 //	gfstrace -requests 8000 -rate 200 | provision -target 0.05
 //	provision -spec webtier -target 0.1 -max 64
-//	provision -spec mapreduce -target 0.02 -strategy evolve -json
+//	provision -spec mapreduce -target 0.02 -max 32 -json
 //	provision -in trace.csv -model in-breadth -target 0.1 -platforms big-core,small-core -dvfs P0,P1,P2
 package main
 
@@ -46,11 +46,10 @@ func main() {
 		maxRepl   = flag.Int("max-replicas", 1, "largest replication factor to consider")
 		srvCost   = flag.Float64("server-cost", 1, "fixed per-server hourly cost")
 		wattCost  = flag.Float64("watt-cost", 0.01, "hourly cost of one predicted watt")
-		strategy  = flag.String("strategy", "coordinate", "search strategy: coordinate or evolve")
 		tasks     = flag.Int("tasks", 20000, "tasks simulated per DES validation run")
 		samples   = flag.Int("samples", 10000, "characterization sample budget of the validation runs")
 		valMax    = flag.Int("validate-max", 3, "most frontier configurations to DES-validate, cheapest first")
-		seed      = flag.Int64("seed", 1, "random seed (search sub-streams, validation runs and -spec generation)")
+		seed      = flag.Int64("seed", 1, "random seed (validation runs and -spec generation)")
 		workers   = flag.Int("workers", 0, "evaluation and -spec generation concurrency (0 = GOMAXPROCS); never changes the plan")
 		jsonOut   = flag.Bool("json", false, "emit the plan as JSON (the same bytes POST /v1/provision serves)")
 	)
@@ -81,7 +80,6 @@ func main() {
 			MaxServers:  *maxSrv,
 			MaxReplicas: *maxRepl,
 		},
-		Strategy:        *strategy,
 		Workers:         *workers,
 		ValidateTasks:   *tasks,
 		ValidateSamples: *samples,
@@ -134,8 +132,8 @@ func main() {
 // configuration, and the DES validation verdicts.
 func report(plan dcmodel.Plan) {
 	qn := quantileName(plan.Objective.Quantile)
-	fmt.Printf("%s provisioning search: %s <= %.0f ms, %d-%d servers, platforms %s, dvfs %s, replicas %d-%d\n",
-		plan.Strategy, qn, 1000*plan.Objective.TargetSeconds,
+	fmt.Printf("provisioning search: %s <= %.0f ms, %d-%d servers, platforms %s, dvfs %s, replicas %d-%d\n",
+		qn, 1000*plan.Objective.TargetSeconds,
 		plan.Space.MinServers, plan.Space.MaxServers,
 		strings.Join(plan.Space.Platforms, ","), strings.Join(plan.Space.DVFSStates, ","),
 		plan.Space.MinReplicas, plan.Space.MaxReplicas)

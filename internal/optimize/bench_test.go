@@ -14,7 +14,6 @@ func BenchmarkProvisionSearch(b *testing.B) {
 	req := Request{
 		Objective: Objective{TargetSeconds: 0.05},
 		Space:     wideSpace(),
-		Strategy:  StrategyEvolve,
 	}
 	var evals, desRuns int
 	b.ResetTimer()

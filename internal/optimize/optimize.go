@@ -6,16 +6,17 @@
 // The search is twin-first: every candidate is evaluated in closed form
 // against the analytical twin (microseconds, no sampling), and only the
 // Pareto frontier of the feasible set is validated by discrete-event
-// simulation of the SQS farm. Two interchangeable strategies implement the
-// Strategy interface — deterministic coordinate descent and a (μ+λ)
-// evolutionary loop on SplitMix64 sub-streams — and both share one
-// determinism contract: the resulting Plan is byte-identical for any
-// worker count and any ordering of the seed population.
+// simulation of the SQS farm. The search is a deterministic coordinate
+// descent: a farm's predicted latency falls monotonically in its server
+// count, so one sweep of that coordinate at a fixed point finds the
+// cheapest feasible size there. The resulting Plan is byte-identical for
+// any worker count.
 package optimize
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -133,16 +134,7 @@ func (s Space) contains(c Config) bool {
 	if c.Replicas < s.MinReplicas || c.Replicas > s.MaxReplicas {
 		return false
 	}
-	return indexOf(s.Platforms, c.Platform) >= 0 && indexOf(s.DVFSStates, c.DVFS) >= 0
-}
-
-func indexOf(xs []string, x string) int {
-	for i, v := range xs {
-		if v == x {
-			return i
-		}
-	}
-	return -1
+	return slices.Contains(s.Platforms, c.Platform) && slices.Contains(s.DVFSStates, c.DVFS)
 }
 
 // Objective is the fitness function: feasibility is the latency quantile

@@ -59,76 +59,27 @@ func planJSON(t *testing.T, p Plan) []byte {
 }
 
 // TestPlanByteIdenticalAcrossWorkers is the package determinism contract:
-// for both strategies, the serialized Plan must not change with the worker
-// count or with the order of the caller's seed population.
+// the serialized Plan must not change with the worker count.
 func TestPlanByteIdenticalAcrossWorkers(t *testing.T) {
-	pop := []Config{
-		{Servers: 20, Platform: "big-core", DVFS: "P0", Replicas: 1},
-		{Servers: 3, Platform: "small-core", DVFS: "P2", Replicas: 2},
-		{Servers: 12, Platform: "big-core", DVFS: "P1", Replicas: 1},
-		{Servers: 7, Platform: "small-core", DVFS: "P0", Replicas: 2},
-	}
-	for _, strategy := range []string{StrategyCoordinate, StrategyEvolve} {
-		var want []byte
-		for _, workers := range []int{1, 4, 8} {
-			for shuffle := 0; shuffle < 3; shuffle++ {
-				shuffled := append([]Config(nil), pop...)
-				r := rand.New(rand.NewSource(int64(shuffle + 7)))
-				r.Shuffle(len(shuffled), func(i, j int) {
-					shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-				})
-				plan, err := Search(context.Background(), Input{Twins: testTwins(120)}, Request{
-					Objective:         Objective{TargetSeconds: 0.05},
-					Space:             wideSpace(),
-					Strategy:          strategy,
-					Seed:              42,
-					Workers:           workers,
-					InitialPopulation: shuffled,
-				})
-				if err != nil {
-					t.Fatalf("%s workers=%d: %v", strategy, workers, err)
-				}
-				got := planJSON(t, plan)
-				if want == nil {
-					want = got
-					continue
-				}
-				if string(got) != string(want) {
-					t.Fatalf("%s: plan bytes differ at workers=%d shuffle=%d", strategy, workers, shuffle)
-				}
-			}
-		}
-	}
-}
-
-// TestStrategiesAgreeOnOptimum checks both strategies land on the same
-// chosen configuration when the space has a single platform — there the
-// shared polish pass makes the server count exactly the cheapest feasible
-// one, independent of the search path. (On multi-platform spaces the two
-// local searches may settle in different basins; only the per-strategy
-// determinism is contractual there.)
-func TestStrategiesAgreeOnOptimum(t *testing.T) {
-	var chosen []Config
-	for _, strategy := range []string{StrategyCoordinate, StrategyEvolve} {
+	var want []byte
+	for _, workers := range []int{1, 4, 8} {
 		plan, err := Search(context.Background(), Input{Twins: testTwins(120)}, Request{
 			Objective: Objective{TargetSeconds: 0.05},
-			Space:     Space{MaxServers: 32},
-			Strategy:  strategy,
-			Seed:      1,
+			Space:     wideSpace(),
+			Seed:      42,
+			Workers:   workers,
 		})
 		if err != nil {
-			t.Fatalf("%s: %v", strategy, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if !plan.Feasible {
-			t.Fatalf("%s: infeasible plan for a feasible space", strategy)
+		got := planJSON(t, plan)
+		if want == nil {
+			want = got
+			continue
 		}
-		if plan.Strategy != strategy {
-			t.Fatalf("plan.Strategy = %q, want %q", plan.Strategy, strategy)
+		if string(got) != string(want) {
+			t.Fatalf("plan bytes differ at workers=%d", workers)
 		}
-		chosen = append(chosen, plan.Chosen)
-	}
-	if chosen[0] != chosen[1] {
-		t.Fatalf("strategies disagree: coordinate chose %+v, evolve chose %+v", chosen[0], chosen[1])
 	}
 }
 
@@ -138,7 +89,6 @@ func TestPlanAuditTrail(t *testing.T) {
 	plan, err := Search(context.Background(), Input{Twins: testTwins(120)}, Request{
 		Objective: Objective{TargetSeconds: 0.05},
 		Space:     wideSpace(),
-		Strategy:  StrategyEvolve,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -146,8 +96,8 @@ func TestPlanAuditTrail(t *testing.T) {
 	if len(plan.Trail) < 2 {
 		t.Fatalf("trail has %d steps, want >= 2", len(plan.Trail))
 	}
-	if plan.Trail[len(plan.Trail)-1].Note != "polish servers" {
-		t.Fatalf("last trail step = %q, want polish servers", plan.Trail[len(plan.Trail)-1].Note)
+	if last := plan.Trail[len(plan.Trail)-1]; last.Best != plan.Predicted {
+		t.Fatalf("last trail step %q ends at %+v, want the chosen %+v", last.Note, last.Best.Config, plan.Chosen)
 	}
 	if plan.TwinEvals <= 0 {
 		t.Fatalf("TwinEvals = %d, want > 0", plan.TwinEvals)
@@ -191,7 +141,6 @@ func TestNoFeasibleConfig(t *testing.T) {
 // solver runs.
 func TestSearchValidation(t *testing.T) {
 	cases := []Request{
-		{Objective: Objective{TargetSeconds: 0.05}, Strategy: "anneal"},
 		{Objective: Objective{TargetSeconds: -1}},
 		{Objective: Objective{TargetSeconds: 0.05, Quantile: 0.9}},
 		{Objective: Objective{TargetSeconds: 0.05}, Space: Space{Platforms: []string{"quantum"}}},
@@ -320,11 +269,75 @@ func TestSearchCancellation(t *testing.T) {
 	}
 }
 
+// countingCtx is a context whose Err answers nil limit times, counting
+// them, and reports it cancelled after that; a negative limit never does.
+type countingCtx struct {
+	context.Context
+	calls, limit int
+}
+
+func (c *countingCtx) Err() error {
+	if c.limit >= 0 && c.calls >= c.limit {
+		return context.Canceled
+	}
+	c.calls++
+	return nil
+}
+
+// TestSearchCancelledBeforeValidation: a context that ends once the descent
+// is over stops the search before its first DES run.
+func TestSearchCancelledBeforeValidation(t *testing.T) {
+	des, _ := desModel(t)
+	req := Request{
+		Objective: Objective{TargetSeconds: 0.2},
+		Space:     Space{MaxServers: 16},
+		Seed:      3,
+	}
+	twins := testTwins(40)
+	// How often the descent looks at its context, counted on a twin-only
+	// search of the same space.
+	descent := &countingCtx{Context: context.Background(), limit: -1}
+	if _, err := Search(descent, Input{Twins: twins}, req); err != nil {
+		t.Fatal(err)
+	}
+	ctx := &countingCtx{Context: context.Background(), limit: descent.calls}
+	plan, err := Search(ctx, Input{Twins: twins, DES: des}, req)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if plan.DESRuns != 0 || len(plan.Validations) != 0 {
+		t.Fatalf("DESRuns = %d, %d validations after the context ended, want 0", plan.DESRuns, len(plan.Validations))
+	}
+	if len(plan.Trail) == 0 {
+		t.Fatal("the descent should have run before the context ended")
+	}
+}
+
+// TestPlatformCatalog: the catalog backs the space's platform names, with
+// big-core, the default, first.
+func TestPlatformCatalog(t *testing.T) {
+	cat := Platforms()
+	if len(cat) < 2 {
+		t.Fatalf("catalog has %d platforms, want >= 2", len(cat))
+	}
+	if cat[0].Name != "big-core" {
+		t.Fatalf("catalog[0] = %q, want big-core", cat[0].Name)
+	}
+	for _, p := range cat {
+		if p.NewServer == nil || p.NewServer() == nil {
+			t.Fatalf("platform %s has no hardware constructor", p.Name)
+		}
+		if got, ok := PlatformByName(p.Name); !ok || got.Name != p.Name {
+			t.Fatalf("PlatformByName(%q) = %q, %t", p.Name, got.Name, ok)
+		}
+	}
+}
+
 // TestRequestDefaults pins the documented zero-value behavior.
 func TestRequestDefaults(t *testing.T) {
 	req := Request{}.WithDefaults()
-	if req.Strategy != StrategyCoordinate || req.Seed != 1 {
-		t.Fatalf("defaults: strategy %q seed %d", req.Strategy, req.Seed)
+	if req.Seed != 1 {
+		t.Fatalf("defaults: seed %d", req.Seed)
 	}
 	if req.ValidateTasks != 20000 || req.ValidateSamples != 10000 || req.MaxValidate != 3 {
 		t.Fatalf("validation defaults: %d/%d/%d", req.ValidateTasks, req.ValidateSamples, req.MaxValidate)

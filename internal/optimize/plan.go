@@ -34,18 +34,12 @@ type Request struct {
 	// Space bounds the search (zero value: 1–64 big-core P0 servers,
 	// unreplicated).
 	Space Space `json:"space,omitempty"`
-	// Strategy picks the search algorithm: "coordinate" (default) or
-	// "evolve".
-	Strategy string `json:"strategy,omitempty"`
-	// Seed drives every stochastic part — the evolutionary sub-streams
-	// and the DES validation runs (default 1).
+	// Seed drives the DES characterizer and the validation runs (default
+	// 1).
 	Seed int64 `json:"seed,omitempty"`
 	// Workers bounds evaluation concurrency (0 = GOMAXPROCS). The Plan is
 	// byte-identical for any value.
 	Workers int `json:"workers,omitempty"`
-	// InitialPopulation optionally seeds the search. Order is irrelevant:
-	// it is canonicalized before use.
-	InitialPopulation []Config `json:"initial_population,omitempty"`
 	// ValidateTasks is the DES task count per validation run (default
 	// 20000).
 	ValidateTasks int `json:"validate_tasks,omitempty"`
@@ -63,9 +57,6 @@ type Request struct {
 func (r Request) WithDefaults() Request {
 	r.Objective = r.Objective.withDefaults()
 	r.Space = r.Space.withDefaults()
-	if r.Strategy == "" {
-		r.Strategy = StrategyCoordinate
-	}
 	if r.Seed == 0 {
 		r.Seed = 1
 	}
@@ -110,9 +101,8 @@ type DESResult struct {
 // from Search, mirroring the what-if convention that saturation is a
 // result, not an error.
 type Plan struct {
-	// Strategy and Seed echo the search that produced the plan.
-	Strategy string `json:"strategy"`
-	Seed     int64  `json:"seed"`
+	// Seed echoes the seed of the validation runs.
+	Seed int64 `json:"seed"`
 	// Objective and Space echo the (defaulted) inputs.
 	Objective Objective `json:"objective"`
 	Space     Space     `json:"space"`
@@ -178,53 +168,27 @@ func NewDESModel(tr *trace.Trace, req Request) (*sqs.Model, error) {
 // Search runs the provisioning search and assembles the Plan. On an
 // exhausted space it returns the best-effort Plan (audit trail included)
 // together with an error wrapping errs.ErrNoFeasibleConfig; on structural
-// problems it returns errors wrapping errs.ErrBadConfig. ctx cancellation
-// is honored between evaluation batches.
+// problems it returns errors wrapping errs.ErrBadConfig. ctx is checked
+// before each sweep of the descent and before each DES validation run; a
+// cancelled search returns ctx.Err().
 func Search(ctx context.Context, in Input, req Request) (Plan, error) {
 	req = req.WithDefaults()
-	strat, err := StrategyByName(req.Strategy)
-	if err != nil {
-		return Plan{}, err
-	}
 	ev, err := NewEvaluator(in.Twins, req.Objective, req.Space)
 	if err != nil {
 		return Plan{}, err
 	}
 	plan := Plan{
-		Strategy:  strat.Name(),
 		Seed:      req.Seed,
 		Objective: ev.Objective(),
 		Space:     ev.Space(),
 	}
-	steps, err := strat.Search(ctx, ev, req.Seed, req.Workers, req.InitialPopulation)
+	steps, best, err := coordinateDescent(ctx, ev, req.Workers)
 	plan.Trail = steps
 	if err != nil {
 		return plan, err
 	}
-	// Polish: a final full sweep of the server coordinate at the best
-	// configuration found, shared by both strategies — it guarantees the
-	// chosen farm size is the exact cheapest feasible count, not just the
-	// best point the strategy happened to visit.
-	best := bestOf(mustEvals(ev))
-	polish := coordinateCandidates(ev.Space(), best.Config, "servers")
-	if len(polish) > 1 {
-		if err := ctx.Err(); err != nil {
-			return plan, err
-		}
-		evs, err := ev.EvalBatch(polish, req.Workers)
-		if err != nil {
-			return plan, err
-		}
-		if top := bestOf(evs); better(top, best) {
-			best = top
-		}
-		plan.Trail = append(plan.Trail, Step{
-			Step: len(plan.Trail), Note: "polish servers",
-			Evaluated: len(polish), Best: best,
-		})
-	}
 	plan.TwinEvals = ev.Unique()
-	all := mustEvals(ev)
+	all := ev.evaluations()
 	feasible := make([]Evaluation, 0, len(all))
 	for _, e := range all {
 		if e.Feasible {
@@ -249,6 +213,10 @@ func Search(ctx context.Context, in Input, req Request) (Plan, error) {
 		for _, cand := range plan.Frontier {
 			if len(plan.Validations) >= req.MaxValidate {
 				break
+			}
+			if err := ctx.Err(); err != nil {
+				plan.DESRuns = len(plan.Validations)
+				return plan, err
 			}
 			res := validateDES(in.DES, ev.Objective(), cand.Config, req)
 			plan.Validations = append(plan.Validations, res)
@@ -275,10 +243,6 @@ func Search(ctx context.Context, in Input, req Request) (Plan, error) {
 	plan.Sweep = sweep(ev, chosen.Config, req.Workers)
 	return plan, nil
 }
-
-// mustEvals reads the evaluator memo; the error-free variant is safe
-// because every entry was already evaluated successfully.
-func mustEvals(ev *Evaluator) []Evaluation { return ev.evaluations() }
 
 // pareto filters the feasible set down to its cost/latency Pareto
 // frontier and sorts it cheapest-first.

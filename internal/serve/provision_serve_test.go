@@ -78,6 +78,8 @@ func TestProvisionEndpoint(t *testing.T) {
 		`{"request":{"objective":{"target_seconds":-1}}}`,                               // invalid objective
 		`{"request":{"objective":{"target_seconds":1},"space":{"platforms":["vax"]}}}`,  // unknown platform
 		`{"request":{"objective":{"target_seconds":1},"space":{"dvfs_states":["P7"]}}}`, // unknown DVFS state
+		`{"request":{"objective":{"target_seconds":1},"strategy":"coordinate"}}`,        // no search to pick
+		`{"request":{"objective":{"target_seconds":1},"initial_population":[]}}`,        // no population to seed
 	} {
 		resp, body := postProvision(t, ts, bad)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -93,8 +95,7 @@ func TestProvisionEndpoint(t *testing.T) {
 		Model     string `json:"model"`
 		TrainedOn int    `json:"trained_on"`
 		Request   struct {
-			Strategy string `json:"strategy"`
-			Seed     int64  `json:"seed"`
+			Seed int64 `json:"seed"`
 		} `json:"request"`
 		Plan optimize.Plan `json:"plan"`
 	}
@@ -104,7 +105,7 @@ func TestProvisionEndpoint(t *testing.T) {
 	if out.Model != "kooza" || out.TrainedOn != 400 {
 		t.Errorf("provision envelope header = %q/%d, want kooza/400", out.Model, out.TrainedOn)
 	}
-	if out.Request.Strategy != optimize.StrategyCoordinate || out.Request.Seed != 1 {
+	if out.Request.Seed != 1 {
 		t.Errorf("provision echoed request not defaulted: %+v", out.Request)
 	}
 	if !out.Plan.Feasible || out.Plan.Chosen.Servers < 1 {
@@ -150,7 +151,6 @@ func TestProvisionByteStable(t *testing.T) {
 	}
 	for _, body := range []string{
 		provisionBody,
-		`{"request":{"objective":{"target_seconds":0.5},"space":{"max_servers":8},"strategy":"evolve","validate_tasks":2000,"validate_samples":2000}}`,
 		`{"request":{"objective":{"target_seconds":0.5},"space":{"max_servers":8},"workers":4,"validate_tasks":2000,"validate_samples":2000}}`,
 	} {
 		var first []byte

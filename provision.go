@@ -15,8 +15,8 @@ import (
 // serialized by any of the three deserializes in the others.
 type (
 	// ProvisionRequest describes one provisioning search: the workload,
-	// the latency/cost objective, the configuration space to search, and
-	// the search strategy. Zero fields take the documented defaults.
+	// the latency/cost objective and the configuration space to search.
+	// Zero fields take the documented defaults.
 	ProvisionRequest = optimize.Request
 	// Plan is the provisioning answer: chosen configuration, predicted
 	// and DES-validated performance, cost, and the full search audit
@@ -41,19 +41,6 @@ type (
 	ProvisionDESResult = optimize.DESResult
 )
 
-// Provisioning strategy wire names, accepted in ProvisionRequest.Strategy.
-const (
-	// StrategyCoordinate is deterministic coordinate descent (default).
-	StrategyCoordinate = optimize.StrategyCoordinate
-	// StrategyEvolve is the (μ+λ) evolutionary search on SplitMix64
-	// sub-streams.
-	StrategyEvolve = optimize.StrategyEvolve
-)
-
-// ProvisionPlatforms returns the hardware catalog the optimizer searches
-// over (referenced by name in ProvisionSpace.Platforms).
-func ProvisionPlatforms() []optimize.PlatformSpec { return optimize.Platforms() }
-
 // Provision runs the closed-loop provisioning search: train a workload
 // model on the request's trace (or spec-generated workload), compile its
 // analytical twin on every candidate platform, search the configuration
@@ -61,11 +48,11 @@ func ProvisionPlatforms() []optimize.PlatformSpec { return optimize.Platforms() 
 // and validate the Pareto frontier with discrete-event simulation of the
 // SQS farm.
 //
-// The returned Plan is byte-identical for any Workers value and any
-// ordering of InitialPopulation. When no configuration in the space meets
-// the objective, Provision returns the best-effort Plan (audit trail
-// included, Feasible false) together with an error wrapping
-// ErrNoFeasibleConfig; structural problems wrap ErrBadConfig.
+// The returned Plan is byte-identical for any Workers value. When no
+// configuration in the space meets the objective, Provision returns the
+// best-effort Plan (audit trail included, Feasible false) together with an
+// error wrapping ErrNoFeasibleConfig; structural problems wrap
+// ErrBadConfig.
 //
 //	plan, err := dcmodel.Provision(ctx, dcmodel.ProvisionRequest{
 //		Spec:      "mapreduce",
@@ -95,36 +82,21 @@ func Provision(ctx context.Context, req ProvisionRequest) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	twins, err := ProvisionTwins(m, req.Space)
-	if err != nil {
-		return Plan{}, err
+	twins := make(map[string]*twin.Twin, len(req.Space.Platforms))
+	for _, name := range req.Space.Platforms {
+		pspec, ok := optimize.PlatformByName(name)
+		if !ok {
+			return Plan{}, fmt.Errorf("dcmodel: unknown platform %q: %w", name, ErrBadConfig)
+		}
+		if twins[name], err = BuildTwin(m, Platform{NewServer: pspec.NewServer}); err != nil {
+			return Plan{}, err
+		}
 	}
 	des, err := optimize.NewDESModel(tr, req)
 	if err != nil {
 		return Plan{}, err
 	}
 	return optimize.Search(ctx, optimize.Input{Twins: twins, DES: des}, req)
-}
-
-// ProvisionTwins compiles the trained model's analytical twin on every
-// platform of the (defaulted) space — the per-platform twin table
-// optimize.Search runs against. Exported for callers that drive
-// optimize.Search directly with a model they already trained.
-func ProvisionTwins(m Model, space ProvisionSpace) (map[string]*twin.Twin, error) {
-	space = optimize.SpaceDefaults(space)
-	twins := make(map[string]*twin.Twin, len(space.Platforms))
-	for _, name := range space.Platforms {
-		pspec, ok := optimize.PlatformByName(name)
-		if !ok {
-			return nil, fmt.Errorf("dcmodel: unknown platform %q: %w", name, ErrBadConfig)
-		}
-		tw, err := BuildTwin(m, Platform{NewServer: pspec.NewServer})
-		if err != nil {
-			return nil, err
-		}
-		twins[name] = tw
-	}
-	return twins, nil
 }
 
 func modelOrDefault(name string) string {

@@ -22,40 +22,37 @@ func mapreduceRequest() dcmodel.ProvisionRequest {
 
 // TestProvisionMapreduce is the PR acceptance criterion: the optimizer
 // reproduces the manual 21-server answer, byte-identical across worker
-// counts, and both strategies agree on it.
+// counts.
 func TestProvisionMapreduce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spec generation + DES validation in -short mode")
 	}
-	for _, strategy := range []string{dcmodel.StrategyCoordinate, dcmodel.StrategyEvolve} {
-		var want []byte
-		for _, workers := range []int{1, 4, 8} {
-			req := mapreduceRequest()
-			req.Strategy = strategy
-			req.Workers = workers
-			plan, err := dcmodel.Provision(context.Background(), req)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", strategy, workers, err)
-			}
-			if plan.Chosen.Servers != 21 {
-				t.Fatalf("%s workers=%d: chose %d servers, want 21", strategy, workers, plan.Chosen.Servers)
-			}
-			if !plan.Feasible || plan.Validated == nil || !plan.Validated.Passed {
-				t.Fatalf("%s workers=%d: plan not DES-validated: feasible=%v validated=%+v",
-					strategy, workers, plan.Feasible, plan.Validated)
-			}
-			if plan.TwinEvals <= plan.DESRuns {
-				t.Fatalf("twin-first contract: %d twin evals vs %d DES runs", plan.TwinEvals, plan.DESRuns)
-			}
-			got, err := json.Marshal(plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want == nil {
-				want = got
-			} else if string(got) != string(want) {
-				t.Fatalf("%s: plan bytes differ at workers=%d", strategy, workers)
-			}
+	var want []byte
+	for _, workers := range []int{1, 4, 8} {
+		req := mapreduceRequest()
+		req.Workers = workers
+		plan, err := dcmodel.Provision(context.Background(), req)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if plan.Chosen.Servers != 21 {
+			t.Fatalf("workers=%d: chose %d servers, want 21", workers, plan.Chosen.Servers)
+		}
+		if !plan.Feasible || plan.Validated == nil || !plan.Validated.Passed {
+			t.Fatalf("workers=%d: plan not DES-validated: feasible=%v validated=%+v",
+				workers, plan.Feasible, plan.Validated)
+		}
+		if plan.TwinEvals <= plan.DESRuns {
+			t.Fatalf("twin-first contract: %d twin evals vs %d DES runs", plan.TwinEvals, plan.DESRuns)
+		}
+		got, err := json.Marshal(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if string(got) != string(want) {
+			t.Fatalf("plan bytes differ at workers=%d", workers)
 		}
 	}
 }
@@ -97,22 +94,5 @@ func TestProvisionNoFeasibleConfig(t *testing.T) {
 	}
 	if plan.Feasible || len(plan.Trail) == 0 {
 		t.Fatalf("best-effort plan missing its audit trail: feasible=%v steps=%d", plan.Feasible, len(plan.Trail))
-	}
-}
-
-// TestProvisionPlatformCatalog: the exported catalog backs the space's
-// platform names.
-func TestProvisionPlatformCatalog(t *testing.T) {
-	cat := dcmodel.ProvisionPlatforms()
-	if len(cat) < 2 {
-		t.Fatalf("catalog has %d platforms, want >= 2", len(cat))
-	}
-	if cat[0].Name != "big-core" {
-		t.Fatalf("catalog[0] = %q, want big-core", cat[0].Name)
-	}
-	for _, p := range cat {
-		if p.NewServer == nil || p.NewServer() == nil {
-			t.Fatalf("platform %s has no hardware constructor", p.Name)
-		}
 	}
 }
