@@ -36,6 +36,9 @@ type genCache struct {
 	// kept is the bytes charged to the kept entries, onProbation those of
 	// the entries in probation.
 	kept, onProbation int
+	// onJoin, when set (tests only, before the generation is queried), is
+	// called with the key of each get that finds its entry already there.
+	onJoin func(key any)
 }
 
 // cacheEntry is one key's value, computed once.
@@ -70,6 +73,9 @@ func (c *genCache) get(key any, compute func() (v any, size int, keep bool)) (v 
 		c.entries[key] = e
 	}
 	c.mu.Unlock()
+	if hit && c.onJoin != nil {
+		c.onJoin(key)
+	}
 	e.once.Do(func() {
 		v, size, keep := compute()
 		e.val = v

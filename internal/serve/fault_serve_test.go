@@ -325,6 +325,10 @@ func TestFaultArmedDrainNoDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Each request the test sends is one job the work queue admits.
+	const clients = 8
+	admitted := make(chan struct{}, clients)
+	s.onAdmit = func() { admitted <- struct{}{} }
 	if _, _, err := s.Ingest(gfsTrace(t, 200, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +355,6 @@ func TestFaultArmedDrainNoDrops(t *testing.T) {
 	}
 
 	// Bodies are prebuilt: goroutines must not touch testing.T helpers.
-	const clients = 8
 	const replayN, synthN = 400, 3000
 	replayBodies := make([][]byte, clients)
 	for i := 0; i < clients; i += 2 {
@@ -405,11 +408,13 @@ func TestFaultArmedDrainNoDrops(t *testing.T) {
 	// SIGTERM once every request is in the daemon's hands — a client still
 	// connecting when the listener closes is refused, not dropped by the
 	// drain. Each request is one admitted job.
-	for deadline := time.Now().Add(10 * time.Second); admittedJobs(s) < clients; {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d requests admitted after 10s", admittedJobs(s), clients)
+	deadline := time.After(10 * time.Second)
+	for i := 0; i < clients; i++ {
+		select {
+		case <-admitted:
+		case <-deadline:
+			t.Fatalf("only %d of %d requests admitted after 10s", i, clients)
 		}
-		time.Sleep(100 * time.Microsecond)
 	}
 	cancel()
 

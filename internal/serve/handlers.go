@@ -199,6 +199,9 @@ func (s *Server) enqueue(w http.ResponseWriter, r *http.Request, job func(ctx co
 		httpError(w, http.StatusTooManyRequests, "work queue full (%d deep)", s.cfg.QueueDepth)
 		return
 	}
+	if s.onAdmit != nil {
+		s.onAdmit()
+	}
 	select {
 	case a := <-done:
 		if a.code != 0 {

@@ -163,8 +163,9 @@ func (s *Server) handleProvision(w http.ResponseWriter, r *http.Request) {
 // again. As in characterize, an ingest or a retrain misses without anyone
 // invalidating anything, and the window position is read inside the job. A
 // /v1/faults POST does not miss: nothing the search runs reads the scenario.
-// A search cut off by its request's context, or failing inside the daemon,
-// is answered once and not kept.
+// A search failing inside the daemon is answered once and not kept. A search
+// cut off by its request's context answers no one: that request is gone,
+// and each request that waited on the search and is still alive asks again.
 func (s *Server) provision(ctx context.Context, span *obs.LiveSpan, ms *modelSet, req provisionRequest) answer {
 	defaulted := req.Request.WithDefaults()
 	canonical, err := json.Marshal(defaulted)
@@ -173,25 +174,31 @@ func (s *Server) provision(ctx context.Context, span *obs.LiveSpan, ms *modelSet
 	}
 	_, _, total, _ := s.win.stats()
 	key := provKey{total: total, model: req.Model, request: string(canonical)}
-	ans, hit := ms.cache.answer(key, func() (answer, bool) {
-		plan, err := s.runProvision(ctx, span, ms, req.Model, req.Request)
-		switch {
-		case err == nil || errors.Is(err, errs.ErrNoFeasibleConfig):
-			return jsonAnswer(http.StatusOK, provisionResponse{
-				Model:     req.Model,
-				TrainedOn: ms.TrainedOn,
-				Request:   defaulted,
-				Plan:      plan,
-			}), true
-		case errors.Is(err, errs.ErrBadConfig):
-			return errorAnswer(http.StatusBadRequest, "provision: %v", err), true
+	for {
+		ans, hit := ms.cache.answer(key, func() (answer, bool) {
+			plan, err := s.runProvision(ctx, span, ms, req.Model, req.Request)
+			switch {
+			case err == nil || errors.Is(err, errs.ErrNoFeasibleConfig):
+				return jsonAnswer(http.StatusOK, provisionResponse{
+					Model:     req.Model,
+					TrainedOn: ms.TrainedOn,
+					Request:   defaulted,
+					Plan:      plan,
+				}), true
+			case errors.Is(err, errs.ErrBadConfig):
+				return errorAnswer(http.StatusBadRequest, "provision: %v", err), true
+			case ctx.Err() != nil:
+				return answer{}, false
+			}
+			return errorAnswer(http.StatusInternalServerError, "provision: %v", err), false
+		})
+		if ans.code != 0 || ctx.Err() != nil {
+			if hit {
+				s.metrics.provMemoHits.Add(1)
+			}
+			return ans
 		}
-		return errorAnswer(http.StatusInternalServerError, "provision: %v", err), false
-	})
-	if hit {
-		s.metrics.provMemoHits.Add(1)
 	}
-	return ans
 }
 
 // maybeAutoProvision fires the closed-loop reprovisioning hook: when the

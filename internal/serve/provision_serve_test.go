@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -166,6 +167,60 @@ func TestProvisionByteStable(t *testing.T) {
 			if !bytes.Equal(b, first) {
 				t.Fatalf("provision %s response drifted between calls:\n%s\nvs\n%s", body, first, b)
 			}
+		}
+	}
+}
+
+// cutCtx is the context of a request cancelled while its search runs: its
+// first Err, which the search asks inside the cache's flight, calls during
+// and then, like every later one, reports the request cancelled.
+type cutCtx struct {
+	context.Context
+	once   sync.Once
+	during func()
+}
+
+func (c *cutCtx) Err() error {
+	c.once.Do(c.during)
+	return context.Canceled
+}
+
+// TestProvisionFlightCancelled: a search cut off by its request's context
+// is no answer for a live request waiting on the same search. Each round, on
+// a fresh generation, the cut request starts the search and a live request
+// with the same body joins it before the cut request's context ends; the
+// live request must answer 200.
+func TestProvisionFlightCancelled(t *testing.T) {
+	s := newTestServer(t, quietConfig())
+	if _, _, err := s.Ingest(whatifTrace(t, 400)); err != nil {
+		t.Fatal(err)
+	}
+	req := provisionRequest{Model: "kooza"}
+	if err := json.Unmarshal([]byte(provisionBody), &req); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 10; round++ {
+		if err := s.Retrain(); err != nil {
+			t.Fatal(err)
+		}
+		ms := s.model.Load()
+		joined := make(chan struct{})
+		ms.cache.onJoin = func(key any) {
+			if _, ok := key.(provKey); ok {
+				close(joined)
+			}
+		}
+		live := make(chan answer, 1)
+		cut := &cutCtx{Context: context.Background(), during: func() {
+			go func() { live <- s.provision(context.Background(), nil, ms, req) }()
+			<-joined
+		}}
+		cutAnswer := s.provision(cut, nil, ms, req)
+		if a := <-live; a.code != http.StatusOK {
+			t.Fatalf("round %d: the live request answered %d (%s), want 200", round, a.code, a.body)
+		}
+		if cutAnswer.code != 0 {
+			t.Fatalf("round %d: the cut request answered %d (%s), want no answer", round, cutAnswer.code, cutAnswer.body)
 		}
 	}
 }

@@ -328,6 +328,9 @@ type Server struct {
 	// onEncode, when set (tests only, before the first query), is called
 	// with the query each time a synthesize answer is encoded.
 	onEncode func(synthQuery)
+	// onAdmit, when set (tests only, before the first query), is called
+	// each time the work queue admits a job.
+	onAdmit func()
 
 	// faults is the armed fault scenario for degraded replay (nil =
 	// healthy). Swapped atomically by the /v1/faults admin endpoint.

@@ -362,15 +362,6 @@ func TestUnknownModelRefusedCold(t *testing.T) {
 	}
 }
 
-// admittedJobs is how many jobs s's work queue has been handed: each is
-// finished, running or queued. Read in that order (a job only moves the other
-// way) the sum never counts one twice.
-func admittedJobs(s *Server) int {
-	n := int(s.pool.Completed())
-	n += s.pool.Running()
-	return n + s.pool.Depth()
-}
-
 // TestServeGracefulDrain exercises the SIGTERM path: cancel the serve
 // context while requests are in flight and assert every admitted request
 // completes with a full body — nothing is dropped mid-drain — and that a
@@ -383,6 +374,10 @@ func TestServeGracefulDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Each request the test sends is one job the work queue admits.
+	const clients = 8
+	admitted := make(chan struct{}, clients)
+	s.onAdmit = func() { admitted <- struct{}{} }
 	if _, _, err := s.Ingest(gfsTrace(t, 200, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +398,6 @@ func TestServeGracefulDrain(t *testing.T) {
 	defer client.CloseIdleConnections()
 
 	// In-flight load: big-enough syntheses that the drain overlaps them.
-	const clients = 8
 	type result struct {
 		code int
 		n    int
@@ -438,11 +432,13 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 
 	// SIGTERM once every request is in the daemon's hands.
-	for deadline := time.Now().Add(10 * time.Second); admittedJobs(s) < clients; {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d requests admitted after 10s", admittedJobs(s), clients)
+	deadline := time.After(10 * time.Second)
+	for i := 0; i < clients; i++ {
+		select {
+		case <-admitted:
+		case <-deadline:
+			t.Fatalf("only %d of %d requests admitted after 10s", i, clients)
 		}
-		time.Sleep(100 * time.Microsecond)
 	}
 	cancel()
 
