@@ -1,8 +1,6 @@
 package optimize
 
-import (
-	"context"
-)
+import "context"
 
 // Step is one entry of a Plan's audit trail: which coordinate the descent
 // swept, how many twin evaluations it asked for, and the best evaluation

@@ -101,7 +101,7 @@ type DESResult struct {
 // from Search, mirroring the what-if convention that saturation is a
 // result, not an error.
 type Plan struct {
-	// Seed echoes the seed of the validation runs.
+	// Seed echoes the request's seed, which drove the DES validation.
 	Seed int64 `json:"seed"`
 	// Objective and Space echo the (defaulted) inputs.
 	Objective Objective `json:"objective"`

@@ -51,9 +51,6 @@ func TestPlanDigestsGolden(t *testing.T) {
 	}
 	golden := filepath.Join("testdata", "plan_digests.golden")
 	if *updatePlans {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -88,9 +88,11 @@ func Provision(ctx context.Context, req ProvisionRequest) (Plan, error) {
 		if !ok {
 			return Plan{}, fmt.Errorf("dcmodel: unknown platform %q: %w", name, ErrBadConfig)
 		}
-		if twins[name], err = BuildTwin(m, Platform{NewServer: pspec.NewServer}); err != nil {
+		tw, err := BuildTwin(m, Platform{NewServer: pspec.NewServer})
+		if err != nil {
 			return Plan{}, err
 		}
+		twins[name] = tw
 	}
 	des, err := optimize.NewDESModel(tr, req)
 	if err != nil {
