@@ -192,6 +192,8 @@ func (s *Server) provision(ctx context.Context, span *obs.LiveSpan, ms *modelSet
 			}
 			return errorAnswer(http.StatusInternalServerError, "provision: %v", err), false
 		})
+		// A zero answer is a search whose request's context ended: the
+		// queue answers that request 504, and a live one searches again.
 		if ans.code != 0 || ctx.Err() != nil {
 			if hit {
 				s.metrics.provMemoHits.Add(1)
