@@ -218,7 +218,11 @@ func Search(ctx context.Context, in Input, req Request) (Plan, error) {
 				plan.DESRuns = len(plan.Validations)
 				return plan, err
 			}
-			res := validateDES(in.DES, ev.Objective(), cand.Config, req)
+			res, err := validateDES(ctx, in.DES, ev.Objective(), cand.Config, req)
+			if err != nil {
+				plan.DESRuns = len(plan.Validations)
+				return plan, err
+			}
 			plan.Validations = append(plan.Validations, res)
 			if res.Passed {
 				chosen = cand
@@ -270,14 +274,18 @@ func pareto(feasible []Evaluation) []Evaluation {
 
 // validateDES runs one discrete-event validation of a configuration's
 // server count against the empirical farm model. The run seed derives
-// from the configuration fingerprint, never from attempt order.
-func validateDES(m *sqs.Model, obj Objective, c Config, req Request) DESResult {
+// from the configuration fingerprint, never from attempt order. A run that
+// ctx cut off is no verdict: it returns ctx.Err().
+func validateDES(ctx context.Context, m *sqs.Model, obj Objective, c Config, req Request) (DESResult, error) {
 	r := rand.New(rand.NewSource(prand.Derive(req.Seed, fingerprint(c))))
 	out := DESResult{Servers: c.Servers, Tasks: req.ValidateTasks}
-	res, err := m.Evaluate(c.Servers, req.ValidateTasks, r)
+	res, err := m.Evaluate(ctx, c.Servers, req.ValidateTasks, r)
 	if err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return out, ctxErr
+		}
 		out.Error = err.Error()
-		return out
+		return out, nil
 	}
 	out.Utilization = res.Utilization
 	out.MeanSeconds = res.MeanResponse
@@ -293,7 +301,7 @@ func validateDES(m *sqs.Model, obj Objective, c Config, req Request) DESResult {
 		out.QuantileSeconds = res.P95
 	}
 	out.Passed = out.QuantileSeconds <= obj.TargetSeconds
-	return out
+	return out, nil
 }
 
 // fingerprint hashes a configuration into a SplitMix64 stream key (FNV-1a

@@ -1,6 +1,7 @@
 package queueing
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -219,6 +220,17 @@ func (s *desStation) account(now float64) {
 // all randomness. It validates the configuration and returns per-job and
 // per-station statistics.
 func Simulate(cfg Config, r *rand.Rand) (Result, error) {
+	return SimulateContext(context.Background(), cfg, r)
+}
+
+// ctxCheckJobs is how many completed jobs SimulateContext runs between two
+// looks at its context.
+const ctxCheckJobs = 4096
+
+// SimulateContext is Simulate, abandoned with ctx.Err() once ctx is done: it
+// looks every ctxCheckJobs completed jobs, so a cancelled caller waits for a
+// few thousand jobs at most. A run that is not cancelled is Simulate's.
+func SimulateContext(ctx context.Context, cfg Config, r *rand.Rand) (Result, error) {
 	if err := validate(cfg); err != nil {
 		return Result{}, err
 	}
@@ -332,6 +344,11 @@ func Simulate(cfg Config, r *rand.Rand) (Result, error) {
 				push(event{time: now, kind: evArrival, job: j, station: path[j.step]})
 			} else {
 				completed++
+				if completed%ctxCheckJobs == 0 {
+					if err := ctx.Err(); err != nil {
+						return Result{}, err
+					}
+				}
 				if completed > cfg.Warmup {
 					result.Jobs = append(result.Jobs, JobRecord{
 						ID: j.id, Class: j.class, Arrival: j.arrival,

@@ -9,6 +9,7 @@
 package sqs
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -125,8 +126,9 @@ type Result struct {
 // Evaluate runs the queueing phase: the empirical workload against a farm
 // of identical servers (one shared FIFO queue, k servers — the
 // router-with-central-queue abstraction), simulating the given number of
-// tasks.
-func (m *Model) Evaluate(servers, tasks int, r *rand.Rand) (Result, error) {
+// tasks. A run abandoned because ctx is done returns ctx.Err(); ctx is
+// looked at every few thousand tasks.
+func (m *Model) Evaluate(ctx context.Context, servers, tasks int, r *rand.Rand) (Result, error) {
 	if servers < 1 {
 		return Result{}, fmt.Errorf("sqs: need >= 1 server, got %d", servers)
 	}
@@ -147,7 +149,7 @@ func (m *Model) Evaluate(servers, tasks int, r *rand.Rand) (Result, error) {
 		NumJobs:      tasks,
 		Warmup:       tasks / 10,
 	}
-	res, err := queueing.Simulate(cfg, r)
+	res, err := queueing.SimulateContext(ctx, cfg, r)
 	if err != nil {
 		return Result{}, err
 	}

@@ -1,6 +1,8 @@
 package sqs
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -93,7 +95,7 @@ func TestEvaluateMatchesMMc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Evaluate(8, 50000, r)
+	res, err := m.Evaluate(context.Background(), 8, 50000, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +123,14 @@ func TestEvaluateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Evaluate(0, 100, r); err == nil {
+	if _, err := m.Evaluate(context.Background(), 0, 100, r); err == nil {
 		t.Error("zero servers should fail")
 	}
-	if _, err := m.Evaluate(5, 5, r); err == nil {
+	if _, err := m.Evaluate(context.Background(), 5, 5, r); err == nil {
 		t.Error("tiny task count should fail")
 	}
 	// rho = 10 * 0.5 / 4 = 1.25 >= 1.
-	if _, err := m.Evaluate(4, 1000, r); err == nil {
+	if _, err := m.Evaluate(context.Background(), 4, 1000, r); err == nil {
 		t.Error("unstable configuration should fail")
 	}
 }
@@ -166,7 +168,7 @@ func TestSQSOnGFSTrace(t *testing.T) {
 		t.Errorf("characterized service = %g", m.MeanService)
 	}
 	// DC-level evaluation scales to many servers cheaply.
-	res, err := m.Evaluate(100, 20000, r)
+	res, err := m.Evaluate(context.Background(), 100, 20000, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +176,69 @@ func TestSQSOnGFSTrace(t *testing.T) {
 		t.Errorf("100-server farm utilization = %g, want tiny", res.Utilization)
 	}
 	// More servers can only help response time.
-	res1, err := m.Evaluate(1, 20000, r)
+	res1, err := m.Evaluate(context.Background(), 1, 20000, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res1.MeanResponse < res.MeanResponse {
 		t.Error("1 server should be slower than 100")
+	}
+}
+
+// countingCtx is a context that is done from its cut-th look at Err on, and
+// counts the looks.
+type countingCtx struct {
+	context.Context
+	looks, cut int
+}
+
+func (c *countingCtx) Err() error {
+	if c.looks++; c.cut > 0 && c.looks >= c.cut {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestEvaluateHonoursContext: Evaluate looks at its context every 4096
+// tasks, a run cut off mid-way returns ctx.Err(), and a run never cut off
+// is the one a background context gives, to the bit.
+func TestEvaluateHonoursContext(t *testing.T) {
+	r := rand.New(rand.NewSource(1204))
+	c, _ := NewCharacterizer(1000, r)
+	var now float64
+	for i := 0; i < 5000; i++ {
+		now += r.ExpFloat64() / 20
+		_ = c.Observe(now, r.ExpFloat64()*0.2)
+	}
+	m, err := c.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tasks = 20000
+	want, err := m.Evaluate(context.Background(), 8, tasks, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	watched := &countingCtx{Context: context.Background()}
+	got, err := m.Evaluate(watched, 8, tasks, rand.New(rand.NewSource(7)))
+	if err != nil || got != want {
+		t.Fatalf("uncancelled run = %+v, %v; want %+v as with a background context", got, err, want)
+	}
+	if watched.looks != tasks/4096 {
+		t.Errorf("looked at the context %d times over %d tasks, want %d", watched.looks, tasks, tasks/4096)
+	}
+
+	cut := &countingCtx{Context: context.Background(), cut: 2}
+	if _, err := m.Evaluate(cut, 8, tasks, rand.New(rand.NewSource(7))); !errors.Is(err, context.Canceled) {
+		t.Fatalf("run cancelled after %d tasks returned %v, want context.Canceled", 2*4096, err)
+	}
+	if cut.looks != 2 {
+		t.Errorf("cancelled run looked at the context %d times, want 2 (it stops at the first done look)", cut.looks)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := m.Evaluate(ctx, 8, tasks, rand.New(rand.NewSource(7))); !errors.Is(err, context.Canceled) {
+		t.Fatalf("run on a cancelled context returned %v, want context.Canceled", err)
 	}
 }
