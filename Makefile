@@ -16,10 +16,10 @@ help:
 	@echo "  test-race  go test -race ./... — the concurrency gate for the"
 	@echo "             parallel cross-examination engine and sharded simulator"
 	@echo "  stress     the daemon's single-flight, cancelled provision flight, drain,"
-	@echo "             backpressure, trace-sampling and randomized cache-budget tests"
-	@echo "             and the cluster's fan-out, merge-failure, concurrent-ingest, kill,"
-	@echo "             rejoin, block-routing and failed-query tests under -race, 20 times"
-	@echo "             at -cpu 1 and 2"
+	@echo "             backpressure, trace-sampling, snapshot-ownership and randomized"
+	@echo "             cache-budget tests and the cluster's fan-out, merge-failure,"
+	@echo "             concurrent-ingest, kill, rejoin, block-routing and failed-query"
+	@echo "             tests under -race, 20 times at -cpu 1 and 2"
 	@echo "  cover      go test -cover ./... + the internal/spec coverage floor"
 	@echo "  cover-spec enforce the $(SPEC_COVER_FLOOR)% statement-coverage floor on internal/spec"
 	@echo "  bench      regenerate every table/figure + ablations (-bench=. -benchmem)"
@@ -59,9 +59,10 @@ test-race:
 # The tests whose failures show only under some interleavings, 40
 # race-detector passes each: every single-flight test of internal/serve, the
 # provision flight its first request's cancellation cuts off, both drain tests, the backpressure and trace-sampling tests (a listener and the
-# worker pool each) and the randomized cache-budget test; and the cluster
+# worker pool each), the test that ingests over the window while retrains and
+# characterize read their snapshots, and the randomized cache-budget test; and the cluster
 # tests that run listeners, fan deliveries out side by side or kill workers.
-STRESS_TESTS = SingleFlight|TestProvisionFlightCancelled$$|TestServeGracefulDrain$$|TestFaultArmedDrainNoDrops|TestBackpressureDeterministic$$|TestTracesDeterministicSampling$$|TestCacheBudgetRandomized
+STRESS_TESTS = SingleFlight|TestProvisionFlightCancelled$$|TestServeGracefulDrain$$|TestFaultArmedDrainNoDrops|TestBackpressureDeterministic$$|TestTracesDeterministicSampling$$|TestSnapshotsOutliveIngest$$|TestCacheBudgetRandomized
 CLUSTER_STRESS_TESTS = ^(TestFanOutTwoWorkersFail|TestMergePullAndPushFailures|TestConcurrentMixedCodecIngest|TestClusterKillMidRun|TestClusterTotalLossDegrades|TestRejoinedWorkerWaitsForMerge|TestBlocksRouteWhole|TestFailedProxyMarksWorkerDown|TestRejoinedReplicaNeverAnswers)$$
 stress:
 	$(GO) test -race -count=20 -cpu 1,2 -run '$(STRESS_TESTS)' ./internal/serve/

@@ -683,7 +683,8 @@ func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 		in.sc.v2.Reuse(body)
 		err = in.blocks()
 	} else {
-		err = in.csv(trace.NewRequestReader(body, contentType))
+		in.sc.csv.Reuse(body)
+		err = in.csv()
 	}
 	if err != nil {
 		in.span.Annotate("decode error: %v", err)
@@ -738,14 +739,14 @@ func (in *intake) blocks() error {
 	}
 }
 
-// csv reads a CSV body a round of routeBatchSize requests at a time,
+// csv reads sc.csv to its end a round of routeBatchSize requests at a time,
 // Validates each request and routes each round through encode. A request
 // that does not decode or is refused ends the read with its error, after the
 // requests before it are routed.
-func (in *intake) csv(dec trace.RequestReader) error {
+func (in *intake) csv() error {
 	sc := in.sc
 	for {
-		req, err := dec.Next()
+		req, err := sc.csv.Next()
 		if err == nil {
 			err = req.Validate()
 		}

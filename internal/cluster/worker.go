@@ -144,12 +144,13 @@ func (w *Worker) Generation() int64 {
 }
 
 // ingestScratch is what decoding one ingest body needs and nothing outlives:
-// a trace-v2 reader and the slice the requests are gathered in, and on the
+// a reader for each codec and the slice the requests are gathered in, and on the
 // coordinator the round of blocks (frames holds their bytes) and the
 // trace-v2 encoding of a CSV round. Neither ingest handler keeps a request
 // past its answer (a worker folds them into counts, the coordinator logs and
 // forwards bytes), so all of it is recycled.
 type ingestScratch struct {
+	csv         *trace.SpanReader
 	v2          *trace.BinarySpanReader
 	batch       []trace.Request
 	blocks      []block
@@ -157,18 +158,29 @@ type ingestScratch struct {
 }
 
 var ingestScratches = sync.Pool{New: func() any {
-	return &ingestScratch{v2: trace.NewBinarySpanReader(nil)}
+	return &ingestScratch{csv: trace.NewSpanReader(nil), v2: trace.NewBinarySpanReader(nil)}
 }}
+
+// reader re-arms the scratch's reader for contentType on body.
+func (s *ingestScratch) reader(body io.Reader, contentType string) trace.RequestReader {
+	if trace.IsBinaryMediaType(contentType) {
+		s.v2.Reuse(body)
+		return s.v2
+	}
+	s.csv.Reuse(body)
+	return s.csv
+}
 
 // release returns the scratch to the pool, holding on to no body and no
 // request, and to no buffer grown by a body far past a routing round.
 func (s *ingestScratch) release() {
+	s.csv.Reuse(nil)
 	s.v2.Reuse(nil)
 	clear(s.batch)
 	clear(s.blocks)
 	s.batch, s.blocks, s.frames, s.enc = s.batch[:0], s.blocks[:0], s.frames[:0], s.enc[:0]
 	if cap(s.batch) > 4*routeBatchSize || cap(s.frames)+cap(s.enc) > 4<<20 {
-		*s = ingestScratch{v2: s.v2} // a round of writer-sized blocks takes about 1 MiB
+		*s = ingestScratch{csv: s.csv, v2: s.v2} // a round of writer-sized blocks takes about 1 MiB
 	}
 	ingestScratches.Put(s)
 }
@@ -187,13 +199,7 @@ func (w *Worker) handleIngest(rw http.ResponseWriter, r *http.Request) {
 
 	sc := ingestScratches.Get().(*ingestScratch)
 	defer sc.release()
-	body, contentType := io.LimitReader(r.Body, maxIngestBytes), r.Header.Get("Content-Type")
-	var dec trace.RequestReader = sc.v2 // the recycled reader, for trace-v2
-	if trace.IsBinaryMediaType(contentType) {
-		sc.v2.Reuse(body)
-	} else {
-		dec = trace.NewRequestReader(body, contentType)
-	}
+	dec := sc.reader(io.LimitReader(r.Body, maxIngestBytes), r.Header.Get("Content-Type"))
 	for {
 		req, err := dec.Next()
 		if errors.Is(err, io.EOF) {

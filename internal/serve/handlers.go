@@ -229,13 +229,52 @@ func isBinaryTrace(r *http.Request) bool {
 // behind one slow client.
 const ingestBatchRequests = 256
 
+// ingestScratch is what decoding one ingest body needs and nothing outlives:
+// a reader for each codec and the batch the decoded requests gather in. The
+// window copies every request it takes, so no decoded span outlives the
+// body and all of it is recycled.
+type ingestScratch struct {
+	csv   *trace.SpanReader
+	v2    *trace.BinarySpanReader
+	batch []trace.Request
+}
+
+var ingestScratches = sync.Pool{New: func() any {
+	return &ingestScratch{
+		csv:   trace.NewSpanReader(nil),
+		v2:    trace.NewBinarySpanReader(nil),
+		batch: make([]trace.Request, 0, ingestBatchRequests),
+	}
+}}
+
+// reader re-arms the scratch's reader for contentType on body.
+func (sc *ingestScratch) reader(body io.Reader, contentType string) trace.RequestReader {
+	if trace.IsBinaryMediaType(contentType) {
+		sc.v2.Reuse(body)
+		return sc.v2
+	}
+	sc.csv.Reuse(body)
+	return sc.csv
+}
+
+// release returns the scratch to the pool, holding on to no body and no
+// request.
+func (sc *ingestScratch) release() {
+	sc.csv.Reuse(nil)
+	sc.v2.Reuse(nil)
+	clear(sc.batch[:cap(sc.batch)]) // flush left it empty, not cleared
+	sc.batch = sc.batch[:0]
+	ingestScratches.Put(sc)
+}
+
 // handleIngest streams trace spans from the request body into the sliding
 // window, running the online-training decision once the batch is in. The
 // body is CSV by default; Content-Type: application/x-dcmodel-trace-v2
 // selects the binary columnar codec. Decoding runs OUTSIDE ingestMu — a
 // batch of requests is decoded from the (possibly slow) client stream,
 // then applied under a short lock — so one stalled uploader cannot block
-// concurrent ingests or the metrics scrape path.
+// concurrent ingests or the metrics scrape path. The body is decoded through
+// a pooled reader, so steady-state ingest allocates no span.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
@@ -246,21 +285,21 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	span := obs.SpanFrom(r.Context())
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxIngestBytes)
-	dec := trace.NewRequestReader(body, r.Header.Get("Content-Type"))
+	sc := ingestScratches.Get().(*ingestScratch)
+	defer sc.release()
+	dec := sc.reader(http.MaxBytesReader(w, r.Body, s.cfg.MaxIngestBytes), r.Header.Get("Content-Type"))
 	var ingested int
 	var decodeErr error
 	stop := s.stage(span, "ingest.decode")
-	batch := make([]trace.Request, 0, ingestBatchRequests)
 	flush := func() {
-		if len(batch) == 0 {
+		if len(sc.batch) == 0 {
 			return
 		}
 		s.ingestMu.Lock()
-		s.ingestLocked(batch)
+		s.ingestLocked(sc.batch)
 		s.ingestMu.Unlock()
-		ingested += len(batch)
-		batch = batch[:0]
+		ingested += len(sc.batch)
+		sc.batch = sc.batch[:0]
 	}
 	for {
 		req, err := dec.Next()
@@ -277,8 +316,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			decodeErr = err
 			break
 		}
-		batch = append(batch, req)
-		if len(batch) == ingestBatchRequests {
+		sc.batch = append(sc.batch, req)
+		if len(sc.batch) == ingestBatchRequests {
 			flush()
 		}
 	}
@@ -286,35 +325,40 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// batched path: the trailing partial batch flushes here.
 	flush()
 	stop()
-	span.Annotate("ingested=%d", ingested)
-	retrained, reason, trainErr := false, "", error(nil)
+	if span != nil { // boxing a count past 255 allocates, traced or not
+		span.Annotate("ingested=%d", ingested)
+	}
+	resp := ingestResponse{Ingested: ingested}
 	if ingested > 0 {
-		retrained, reason, trainErr = s.maybeRetrain(span)
+		var trainErr error
+		resp.Retrained, resp.RetrainReason, trainErr = s.maybeRetrain(span)
+		if trainErr != nil {
+			resp.TrainError = trainErr.Error()
+		}
 	}
-
-	n, capacity, total, _ := s.win.stats()
-	resp := map[string]any{
-		"ingested":  ingested,
-		"window":    n,
-		"capacity":  capacity,
-		"total":     total,
-		"retrained": retrained,
-	}
-	if reason != "" {
-		resp["retrain_reason"] = reason
-	}
-	if trainErr != nil {
-		resp["train_error"] = trainErr.Error()
-	}
+	resp.Window, resp.Capacity, resp.Total, _ = s.win.stats()
 	code := http.StatusOK
 	if decodeErr != nil {
 		// Everything decoded before the defect was kept; report both.
-		resp["error"] = decodeErr.Error()
+		resp.Error = decodeErr.Error()
 		code = http.StatusBadRequest
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(resp)
+	json.NewEncoder(w).Encode(&resp)
+}
+
+// ingestResponse is the answer of /v1/ingest. Its fields are in name order,
+// the order encoding/json gives the keys of a map.
+type ingestResponse struct {
+	Capacity      int    `json:"capacity"`
+	Error         string `json:"error,omitempty"`
+	Ingested      int    `json:"ingested"`
+	RetrainReason string `json:"retrain_reason,omitempty"`
+	Retrained     bool   `json:"retrained"`
+	Total         int64  `json:"total"`
+	TrainError    string `json:"train_error,omitempty"`
+	Window        int    `json:"window"`
 }
 
 // handleSynthesize generates a synthetic workload from a warm model.

@@ -512,7 +512,8 @@ func (s *Server) ingestLocked(reqs []trace.Request) {
 // training decision once. Like the handler it refuses the first request
 // Request.Validate refuses, keeping the requests before it: kept in the
 // window, such a request would fail every retrain until it aged out. The
-// refusal is returned, joined with any training error.
+// refusal is returned, joined with any training error. The window copies
+// what it keeps, so the caller may change or reuse tr afterwards.
 func (s *Server) Ingest(tr *trace.Trace) (retrained bool, reason string, err error) {
 	if tr == nil || tr.Len() == 0 {
 		return false, "", trace.ErrEmptyTrace

@@ -23,7 +23,7 @@ import (
 )
 
 // gfsTrace simulates a small GFS workload for ingest bodies.
-func gfsTrace(t *testing.T, n int, seed int64) *trace.Trace {
+func gfsTrace(t testing.TB, n int, seed int64) *trace.Trace {
 	t.Helper()
 	cluster, err := gfs.NewCluster(gfs.DefaultConfig())
 	if err != nil {

@@ -9,6 +9,8 @@ package trace
 // that knows the requests it backed are dead.
 type SpanArena struct {
 	chunk []Span
+	// taken counts the spans carved since the last Reset, across chunks.
+	taken int
 }
 
 // arenaChunkSpans is the default chunk size: large enough that a typical
@@ -16,9 +18,26 @@ type SpanArena struct {
 // (~100 KB) that an abandoned tail wastes little.
 const arenaChunkSpans = 1024
 
-// Reset makes the current chunk available again from its start: the spans
-// carved from it so far are overwritten by the Takes that follow.
-func (a *SpanArena) Reset() { a.chunk = a.chunk[:0] }
+// maxResetSpans bounds the chunk Reset keeps (4 MiB of spans): an owner that
+// recycles its arena must not pin what one outsized stream took.
+const maxResetSpans = 1 << 16
+
+// Reset makes the arena's memory available again from its start: the spans
+// carved so far are overwritten by the Takes that follow. The chunk kept is
+// sized to what was taken since the last Reset (up to maxResetSpans), so an
+// owner that decodes stream after stream of one size settles to allocating
+// no span, however many chunks the first stream spread over.
+func (a *SpanArena) Reset() {
+	switch {
+	case a.taken > cap(a.chunk) && a.taken <= maxResetSpans:
+		a.chunk = make([]Span, 0, a.taken)
+	case cap(a.chunk) > maxResetSpans:
+		a.chunk = nil
+	default:
+		a.chunk = a.chunk[:0]
+	}
+	a.taken = 0
+}
 
 // Reserve sizes the arena so the next n spans' worth of Take calls carve
 // from one contiguous chunk with no further allocation. Batch producers
@@ -46,5 +65,6 @@ func (a *SpanArena) Take(n int) []Span {
 	}
 	start := len(a.chunk)
 	a.chunk = a.chunk[:start+n]
+	a.taken += n
 	return a.chunk[start:start:(start + n)]
 }

@@ -58,3 +58,38 @@ func TestSpanArenaChunkRollover(t *testing.T) {
 		}
 	}
 }
+
+// TestSpanArenaResetSettles: a stream that spread over several chunks is
+// taken again after Reset with no allocation at all, and a stream past
+// maxResetSpans leaves no chunk larger than that behind.
+func TestSpanArenaResetSettles(t *testing.T) {
+	var a SpanArena
+	stream := func() {
+		a.Reserve(700) // a block, as the trace-v2 decoder reserves one
+		for i := 0; i < 700; i++ {
+			a.Take(1)
+		}
+		for i := 0; i < 3*arenaChunkSpans/7; i++ {
+			a.Take(7)
+		}
+		a.Take(2 * arenaChunkSpans)
+		a.Reset()
+	}
+	stream() // sizes the chunk
+	if allocs := testing.AllocsPerRun(20, stream); allocs != 0 {
+		t.Errorf("a second identical stream after Reset allocated %.0f times, want 0", allocs)
+	}
+
+	a.Take(maxResetSpans + 1)
+	a.Reset()
+	if c := cap(a.chunk); c > maxResetSpans {
+		t.Errorf("after an outsized stream Reset kept a chunk of %d spans, want at most %d", c, maxResetSpans)
+	}
+	for i := 0; i < 3; i++ {
+		a.Take(maxResetSpans / 2)
+	}
+	a.Reset()
+	if c := cap(a.chunk); c > maxResetSpans {
+		t.Errorf("after a stream of %d spans Reset kept a chunk of %d, want at most %d", 3*maxResetSpans/2, c, maxResetSpans)
+	}
+}

@@ -257,8 +257,8 @@ func BenchmarkWriteBinary(b *testing.B) {
 
 // BenchmarkReadBinary decodes the 1000-request codec trace with ReadBinary,
 // and a body shaped like an ingest POST (500 requests of 6 spans) with a
-// reader made for it (fresh, the daemon's path) and with one reader re-armed
-// by Reuse (reuse, the cluster's path).
+// reader made for it (fresh, as ReadBinary makes one) and with one reader
+// re-armed by Reuse (reuse, the ingest handlers' path).
 func BenchmarkReadBinary(b *testing.B) {
 	tr := benchCodecTrace()
 	var buf bytes.Buffer
@@ -381,9 +381,9 @@ func TestBinaryReaderReuseAllocs(t *testing.T) {
 }
 
 // TestBinarySpanReaderAllocs: a reader made for each 500-request body, as
-// the daemon's ingest makes one, allocates itself, the block's class labels
-// and the block's span arena; its block buffers come back from the pool.
-// Nothing else grows with the payload or the requests.
+// ReadBinary and NewRequestReader make one, allocates itself, the block's
+// class labels and the block's span arena; its block buffers come back from
+// the pool. Nothing else grows with the payload or the requests.
 func TestBinarySpanReaderAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled buffers at random")

@@ -597,17 +597,32 @@ const maxOracleRequests = 1 << 16
 // the first error, the same error by sameDecodeError, and that error sticky.
 // SpanReader is run three times — on the bytes as they are, one byte per
 // Read, and with the last bytes arriving together with io.EOF — and has to
-// give the one answer each time.
-func checkSpanReaderMatchesOracle(t *testing.T, input string) {
+// give the one answer each time. reused, a reader already taken through other
+// streams, is then re-armed on the input with Reuse twice, so that the second
+// run follows the first one's mid-stream error whenever the input has one.
+func checkSpanReaderMatchesOracle(t *testing.T, input string, reused *SpanReader) {
 	t.Helper()
 	want, wantErr := decodeAll(newOracleSpanReader(strings.NewReader(input)).Next, maxOracleRequests)
-	wrappers := map[string]func(io.Reader) io.Reader{
-		"plain":    func(r io.Reader) io.Reader { return r },
-		"one-byte": iotest.OneByteReader,
-		"data-err": iotest.DataErrReader,
+	fresh := func(wrap func(io.Reader) io.Reader) func() *SpanReader {
+		return func() *SpanReader { return NewSpanReader(wrap(strings.NewReader(input))) }
 	}
-	for name, wrap := range wrappers {
-		d := NewSpanReader(wrap(strings.NewReader(input)))
+	rearm := func() *SpanReader {
+		reused.Reuse(strings.NewReader(input))
+		return reused
+	}
+	readers := []struct {
+		name string
+		arm  func() *SpanReader
+	}{
+		{"plain", fresh(func(r io.Reader) io.Reader { return r })},
+		{"one-byte", fresh(iotest.OneByteReader)},
+		{"data-err", fresh(iotest.DataErrReader)},
+		// Each compared before the next Reuse takes its spans back.
+		{"reused", rearm},
+		{"reused again", rearm},
+	}
+	for _, r := range readers {
+		name, d := r.name, r.arm()
 		got, gotErr := decodeAll(d.Next, maxOracleRequests)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d requests before %v, oracle %d before %v", name, len(got), gotErr, len(want), wantErr)
@@ -988,7 +1003,7 @@ func TestReadersRefuseNegativeRetries(t *testing.T) {
 	if _, err := decodeAll(newOracleSpanReader(strings.NewReader(row)).Next, 10); err == nil || err.Error() != want {
 		t.Errorf("oracle reader err = %v, want %q", err, want)
 	}
-	checkSpanReaderMatchesOracle(t, row)
+	checkSpanReaderMatchesOracle(t, row, NewSpanReader(nil))
 	_, err := ReadJSON(strings.NewReader(`{"Requests":[{"ID":4},{"ID":5,"Retries":-2}]}`))
 	if err == nil || !strings.Contains(err.Error(), "request 5 (index 1) has negative retries -2") {
 		t.Errorf("ReadJSON err = %v, want request 5 at index 1 refused", err)
@@ -1009,7 +1024,7 @@ func TestReadersRefuseOutOfRangeRetries(t *testing.T) {
 	if _, err := decodeAll(newOracleSpanReader(strings.NewReader(row)).Next, 10); err == nil || err.Error() != want {
 		t.Errorf("oracle reader err = %v, want %q", err, want)
 	}
-	checkSpanReaderMatchesOracle(t, row)
+	checkSpanReaderMatchesOracle(t, row, NewSpanReader(nil))
 	_, err := ReadJSON(strings.NewReader(`{"Requests":[{"ID":4,"Retries":2147483647},{"ID":5,"Retries":2200000000}]}`))
 	if err == nil || !strings.Contains(err.Error(), "request 5 (index 1) has retries 2200000000 above 2147483647") {
 		t.Errorf("ReadJSON err = %v, want request 5 at index 1 refused", err)

@@ -44,15 +44,17 @@ const (
 // RequestReader is the streaming decode contract shared by the CSV
 // SpanReader and the trace-v2 BinarySpanReader: one complete request per
 // Next, io.EOF at the clean end of the stream, any other error sticky.
-// The serving daemon and the cluster coordinator/worker ingest paths all
-// consume this interface, so a new wire codec only has to implement Next.
+// The ingest handlers of the daemon and of the cluster worker consume this
+// interface, so a new wire codec only has to implement Next.
 type RequestReader interface {
 	Next() (Request, error)
 }
 
-// NewRequestReader returns the streaming decoder matching an HTTP
+// NewRequestReader returns a fresh streaming decoder matching an HTTP
 // Content-Type: the trace-v2 binary reader for IsBinaryMediaType types,
-// the CSV reader (the default interchange format) for everything else.
+// the CSV reader (the default interchange format) for everything else. Its
+// requests keep their spans for good; an ingest handler, which keeps none,
+// re-arms a pooled reader with Reuse instead.
 func NewRequestReader(r io.Reader, contentType string) RequestReader {
 	if IsBinaryMediaType(contentType) {
 		return NewBinarySpanReader(r)
@@ -123,14 +125,56 @@ type SpanReader struct {
 	spans []Span
 	arena SpanArena
 	// classes interns class names: a trace has a handful of them, repeated
-	// on every request.
-	classes map[string]string
+	// on every request. classBytes is the length of the names in it.
+	classes    map[string]string
+	classBytes int
 }
+
+// Past these sizes Reuse drops a buffer rather than keep it: a writer's
+// stream never needs more, and one outsized stream must not pin its buffers.
+const (
+	maxKeptLineBytes  = spanReaderBufBytes // long, unquoted
+	maxKeptCuts       = 64                 // a record's commas and its end
+	maxKeptSpans      = 1 << 10            // one request's spans
+	maxKeptClassBytes = 4 << 10            // the interned class names
+)
 
 // NewSpanReader returns a streaming decoder reading from r. The header row
 // is consumed and checked on the first call to Next.
 func NewSpanReader(r io.Reader) *SpanReader {
 	return &SpanReader{br: bufio.NewReaderSize(r, spanReaderBufBytes)}
+}
+
+// Reuse re-arms the reader on a new stream and keeps its read buffer, its
+// record buffers, its class table and its span arena, so a reader that
+// decodes body after body settles to allocating no span. The stream decodes
+// to the same requests and the same error as with a fresh reader. Every
+// request handed out before the call dies with it: its spans are overwritten
+// by the next stream. Only an owner that has let go of all of them may call
+// Reuse; a reader whose requests are kept needs no Reuse.
+func (d *SpanReader) Reuse(r io.Reader) {
+	d.br.Reset(r)
+	kept := SpanReader{br: d.br, arena: d.arena, classes: d.classes, classBytes: d.classBytes}
+	if cap(d.long) <= maxKeptLineBytes {
+		kept.long = d.long[:0]
+	}
+	if cap(d.unquoted) <= maxKeptLineBytes {
+		kept.unquoted = d.unquoted[:0]
+	}
+	if cap(d.cuts) <= maxKeptCuts {
+		kept.cuts = d.cuts[:0]
+	}
+	if cap(d.spans) <= maxKeptSpans {
+		kept.spans = d.spans[:0]
+	}
+	if cap(d.prefix) <= maxKeptLineBytes {
+		kept.prefix = d.prefix[:0]
+	}
+	if d.classBytes > maxKeptClassBytes {
+		kept.classes, kept.classBytes = nil, 0
+	}
+	*d = kept
+	d.arena.Reset()
 }
 
 // fail records the first error and makes it sticky.
@@ -410,6 +454,7 @@ func (d *SpanReader) intern(b []byte) string {
 			d.classes = make(map[string]string)
 		}
 		d.classes[s] = s
+		d.classBytes += len(s)
 	}
 	return s
 }

@@ -185,7 +185,7 @@ func spanReaderSeeds() []string {
 
 // FuzzSpanReader is the differential target of the CSV reader: whatever the
 // bytes, SpanReader and the encoding/csv-based reader it replaced agree (see
-// checkSpanReaderMatchesOracle), and neither panics.
+// checkSpanReaderMatchesOracle), fresh and reused, and neither panics.
 func FuzzSpanReader(f *testing.F) {
 	for _, seed := range spanReaderSeeds() {
 		f.Add(seed)
@@ -197,5 +197,21 @@ func FuzzSpanReader(f *testing.F) {
 		}
 		f.Add(string(data))
 	}
-	f.Fuzz(checkSpanReaderMatchesOracle)
+	reused := NewSpanReader(nil)
+	f.Fuzz(func(t *testing.T, input string) {
+		checkSpanReaderMatchesOracle(t, input, reused)
+	})
+}
+
+// TestSpanReaderReuseAcrossStreams: one reader re-armed with Reuse on every
+// seed cut short at several places, so that most runs follow a stream that
+// ended mid-request or failed mid-stream, decodes each to the oracle's
+// requests and error (see checkSpanReaderMatchesOracle).
+func TestSpanReaderReuseAcrossStreams(t *testing.T) {
+	reused := NewSpanReader(nil)
+	for _, seed := range spanReaderSeeds() {
+		for _, cut := range []int{len(seed), len(seed) / 3, len(seed) / 2, len(seed) - 1, 2 * len(seed) / 3} {
+			checkSpanReaderMatchesOracle(t, seed[:max(cut, 0)], reused)
+		}
+	}
 }
