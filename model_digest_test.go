@@ -96,9 +96,10 @@ func multiExtentTrace(t testing.TB) *Trace {
 
 // TestTrainedModelDigests pins "same model": the sha256 of every trainer's
 // saved model on the six presets and on a multi-extent trace with tied
-// phase paths, and of what each preset model synthesizes. The golden file was generated before the trainers were
-// rebuilt around one prepared input; a trainer change that moves one digest
-// changed a model.
+// phase paths, of what each preset model synthesizes, and of each preset
+// in-breadth model's standalone storage stream. The golden file was
+// generated before the trainers were rebuilt around one prepared input; a
+// trainer change that moves one digest changed a model.
 func TestTrainedModelDigests(t *testing.T) {
 	type entrant struct {
 		name string
@@ -135,6 +136,16 @@ func TestTrainedModelDigests(t *testing.T) {
 			}
 			buf := fmt.Appendf(trace.AppendCSV(nil, syn), "next draw %d\n", r.Int63())
 			fmt.Fprintf(&b, "%s/%s/synth %x\n", name, e.name, sha256.Sum256(buf))
+			if ib, ok := m.(inBreadthTrained); ok {
+				// The standalone storage stream walks the storage model alone.
+				r := rand.New(rand.NewSource(6))
+				var buf []byte
+				for _, ev := range ib.GenerateIOStream(synthN, r) {
+					buf = fmt.Appendf(buf, "%d %d %d\n", ev.LBN, ev.Bytes, ev.Op)
+				}
+				buf = fmt.Appendf(buf, "next draw %d\n", r.Int63())
+				fmt.Fprintf(&b, "%s/%s/iostream %x\n", name, e.name, sha256.Sum256(buf))
+			}
 		}
 	}
 	multi := multiExtentTrace(t)
