@@ -26,8 +26,8 @@ help:
 	@echo "  benchmark-check  vet + smoke-test the perf record (benchmark/ is a module"
 	@echo "             of its own that go build/test ./... never compiles; the test"
 	@echo "             also fails when BENCHMARK.json drifts from the benchmark)"
-	@echo "  fuzz       run the codec, float-print, float-parse, sharded-simulator, float-sort, spec and"
-	@echo "             cluster-ingest fuzz targets (30s each)"
+	@echo "  fuzz       run the codec, float-print, float-parse, sharded-simulator, float-sort, spec,"
+	@echo "             cluster-ingest and model-file fuzz targets (30s each)"
 	@echo "  fuzz-smoke quick CI fuzz pass over the same targets (10s each)"
 	@echo "  vulncheck  govulncheck over the whole module (installed on demand)"
 	@echo "  examples   run every example program"
@@ -117,6 +117,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzSpecRoundTrip -fuzztime=$(FUZZTIME) -run '^$$' ./internal/spec/
 # Arbitrary bodies through the cluster coordinator's ingest, workers in process.
 	$(GO) test -fuzz=FuzzCoordinatorIngest -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run '^$$' ./internal/cluster/
+# Arbitrary model files through every approach's LoadModel, then a synthesis.
+	$(GO) test -fuzz=FuzzLoadModel -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run '^$$' .
 
 # The CI smoke pass: same targets, 10 seconds each.
 fuzz-smoke:

@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"dcmodel/internal/errs"
+	"dcmodel/internal/kooza"
 	"dcmodel/internal/markov"
 	"dcmodel/internal/trace"
 )
@@ -84,8 +85,8 @@ func (c ModelConfig) withDefaults() ModelConfig {
 // use; the worker guards its shard with a lock, and installed (replicated)
 // models are treated as immutable.
 type Model struct {
-	cfg             ModelConfig
-	blocksPerRegion int64
+	cfg     ModelConfig
+	regions kooza.Regions
 
 	requests   int64
 	maxArrival float64
@@ -118,33 +119,17 @@ func NewModel(cfg ModelConfig) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	bpr := cfg.DiskBlocks / int64(cfg.StorageRegions)
-	if bpr < 1 {
-		bpr = 1
-	}
 	return &Model{
-		cfg:             cfg,
-		blocksPerRegion: bpr,
-		classes:         make(map[string]int64),
-		phase:           phase,
-		storage:         storage,
+		cfg:     cfg,
+		regions: kooza.NewRegions(cfg.DiskBlocks, cfg.StorageRegions),
+		classes: make(map[string]int64),
+		phase:   phase,
+		storage: storage,
 	}, nil
 }
 
 // Requests returns how many requests the model has absorbed.
 func (m *Model) Requests() int64 { return m.requests }
-
-// regionOf maps an LBN into the fixed storage quantization.
-func (m *Model) regionOf(lbn int64) int {
-	if lbn < 0 {
-		return 0
-	}
-	st := int(lbn / m.blocksPerRegion)
-	if st >= m.cfg.StorageRegions {
-		st = m.cfg.StorageRegions - 1
-	}
-	return st
-}
 
 // log2Bucket maps a non-negative value into a log2 histogram: 0 for v<=0,
 // else 1+floor(log2(v)), clamped to buckets-1.
@@ -214,7 +199,7 @@ func (m *Model) Observe(req trace.Request) {
 			m.banks[b]++
 		case trace.Storage:
 			if sn < maxPhases {
-				storageSeq[sn] = m.regionOf(sp.LBN)
+				storageSeq[sn] = m.regions.Of(sp.LBN)
 				sn++
 			}
 		}

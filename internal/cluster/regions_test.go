@@ -19,7 +19,7 @@ func TestRegionEdges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := m.regionOf(c.lbn); got != c.want {
+		if got := m.regions.Of(c.lbn); got != c.want {
 			t.Errorf("disk %d, %d regions: lbn %d in region %d, want %d", c.diskBlocks, c.regions, c.lbn, got, c.want)
 		}
 	}

@@ -167,7 +167,7 @@ func (s *synthesizer) synthesize(n int, rng *rand.Rand) (*trace.Trace, error) {
 					}
 					region = storageState
 				}
-				sp.LBN = int64(region)*m.blocksPerRegion + rng.Int63n(m.blocksPerRegion)
+				sp.LBN = int64(region)*m.regions.Width + rng.Int63n(m.regions.Width)
 			}
 			start += sp.Duration
 			req.Spans = append(req.Spans, sp)

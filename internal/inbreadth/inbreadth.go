@@ -39,11 +39,9 @@ type Options struct {
 // (class-blind), plus the marginal span-count statistics needed to emit
 // event streams.
 type Model struct {
-	// Storage, CPU and Memory are the three Markov subsystem models,
-	// trained on the union of all classes.
-	Storage *kooza.StorageModel
-	CPU     *kooza.CPUModel
-	Memory  *kooza.MemoryModel
+	// Subsystems holds the storage, CPU and memory Markov models, trained
+	// on the union of all classes.
+	kooza.Subsystems
 	// Interarrival is the fitted arrival-process distribution.
 	Interarrival stats.Dist
 	// NetBytes is the marginal network-transfer-size distribution (all
@@ -104,7 +102,7 @@ func TrainPrepared(p *trace.Prepared, opts Options) (*Model, error) {
 		}
 	}
 	var err error
-	m.Storage, m.CPU, m.Memory, err = samples.Train(kooza.Options{
+	m.Subsystems, err = samples.Train(kooza.Options{
 		StorageRegions: opts.StorageRegions,
 		CPUStates:      opts.CPUStates,
 		Smoothing:      opts.Smoothing,
@@ -124,8 +122,7 @@ func TrainPrepared(p *trace.Prepared, opts Options) (*Model, error) {
 
 // NumParams reports the model complexity.
 func (m *Model) NumParams() int {
-	return m.Storage.NumParams() + m.CPU.NumParams() + m.Memory.NumParams() +
-		len(m.Interarrival.Params()) + len(m.SpansPerRequest)
+	return m.Subsystems.NumParams() + len(m.Interarrival.Params()) + len(m.SpansPerRequest)
 }
 
 // assumedOrder is the arbitrary serial phase order the model must assume
@@ -143,7 +140,7 @@ func (m *Model) Synthesize(n int, r *rand.Rand) (*trace.Trace, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("inbreadth: synthesize needs n >= 1, got %d", n)
 	}
-	st := newWalker(m, r)
+	w := kooza.NewWalk(m.Subsystems, r)
 	tr := &trace.Trace{Requests: make([]trace.Request, 0, n)}
 	// The per-request span counts are a model constant, so each arena
 	// reservation covers a slab of requests exactly.
@@ -156,15 +153,13 @@ func (m *Model) Synthesize(n int, r *rand.Rand) (*trace.Trace, error) {
 	var arena trace.SpanArena
 	var now float64
 	for i := 0; i < n; i++ {
-		if i%synthSlabRequests == 0 {
-			arena.Reserve(min(n-i, synthSlabRequests) * total)
-		}
+		arena.ReserveSlab(i, n, total)
 		now += max(m.Interarrival.Rand(r), 0)
 		req := trace.Request{ID: int64(i), Class: "all", Arrival: now}
 		req.Spans = arena.Take(total)
 		for j, sub := range assumedOrder {
 			for k := 0; k < counts[j]; k++ {
-				req.Spans = append(req.Spans, st.span(sub, now, r))
+				req.Spans = append(req.Spans, m.span(&w, sub, now, r))
 			}
 		}
 		tr.Requests = append(tr.Requests, req)
@@ -172,116 +167,30 @@ func (m *Model) Synthesize(n int, r *rand.Rand) (*trace.Trace, error) {
 	return tr, nil
 }
 
-// synthSlabRequests mirrors kooza's slab: each span-arena reservation
-// covers this many requests at once.
-const synthSlabRequests = 4096
-
 // SynthesizeBatch is Synthesize under its former name, which the perf
 // record still calls.
 func (m *Model) SynthesizeBatch(n int, r *rand.Rand) (*trace.Trace, error) { return m.Synthesize(n, r) }
 
-// walker carries the Markov walk state across the synthetic stream.
-type walker struct {
-	m            *Model
-	storageState int
-	cpuState     int
-	memBank      int
-	lastEnd      int64
-	hasLast      bool
-}
-
-func newWalker(m *Model, r *rand.Rand) *walker {
-	w := &walker{m: m}
-	if m.Storage.Chain != nil {
-		w.storageState = m.Storage.Chain.Start(r)
-	}
-	w.cpuState = m.CPU.Chain.Start(r)
-	w.memBank = m.Memory.Chain.Start(r)
-	return w
-}
-
-func (w *walker) span(sub trace.Subsystem, start float64, r *rand.Rand) trace.Span {
+// span draws one span of subsystem sub: the subsystem models' walk gives
+// storage, memory and utilization, the pooled marginals the byte counts of
+// network and CPU spans.
+func (m *Model) span(w *kooza.Walk, sub trace.Subsystem, start float64, r *rand.Rand) trace.Span {
 	s := trace.Span{Subsystem: sub, Start: start}
 	switch sub {
 	case trace.Network:
-		s.Bytes = int64(w.m.NetBytes.Rand(r))
+		s.Bytes = int64(m.NetBytes.Rand(r))
 	case trace.CPU:
-		s.Bytes = int64(w.m.CPUBytes.Rand(r))
-		s.Util = w.nextUtil(r)
+		s.Bytes = int64(m.CPUBytes.Rand(r))
+		s.Util = w.Util(r)
 	case trace.Memory:
-		w.memBank = w.m.Memory.Chain.Step(w.memBank, r)
-		s.Bank = w.memBank
-		s.Bytes = int64(w.m.Memory.Sizes.Rand(r))
-		if r.Float64() < w.m.Memory.ReadProb {
-			s.Op = trace.OpRead
-		} else {
-			s.Op = trace.OpWrite
-		}
+		s.Bank, s.Bytes, s.Op = w.Access(r)
 	case trace.Storage:
-		lbn, bytes := w.nextIO(r)
-		s.LBN = lbn
-		s.Bytes = bytes
-		if r.Float64() < w.m.Storage.ReadProb {
-			s.Op = trace.OpRead
-		} else {
-			s.Op = trace.OpWrite
-		}
+		s.LBN, s.Bytes, s.Op = w.IO(r)
 	}
 	if s.Bytes < 0 {
 		s.Bytes = 0
 	}
 	return s
-}
-
-func (w *walker) nextUtil(r *rand.Rand) float64 {
-	c := w.m.CPU
-	w.cpuState = c.Chain.Step(w.cpuState, r)
-	if c.Levels[w.cpuState] == nil {
-		mid := c.Lo + (c.Hi-c.Lo)*(float64(w.cpuState)+0.5)/float64(c.Chain.N)
-		return clamp01(mid)
-	}
-	return clamp01(c.Levels[w.cpuState].Rand(r))
-}
-
-func (w *walker) nextIO(r *rand.Rand) (int64, int64) {
-	s := w.m.Storage
-	bytes := int64(s.Sizes.Rand(r))
-	if bytes < 1 {
-		bytes = 1
-	}
-	if w.hasLast && r.Float64() < s.SeqProb {
-		lbn := w.lastEnd
-		w.lastEnd = lbn + (bytes+4095)/4096
-		return lbn, bytes
-	}
-	w.storageState = s.Chain.Step(w.storageState, r)
-	lbn := w.sampleLBN(w.storageState, r)
-	w.hasLast = true
-	w.lastEnd = lbn + (bytes+4095)/4096
-	return lbn, bytes
-}
-
-func (w *walker) sampleLBN(state int, r *rand.Rand) int64 {
-	s := w.m.Storage
-	if state >= 0 && state < len(s.StateLBNs) && s.StateLBNs[state] != nil {
-		lbn := int64(s.StateLBNs[state].Rand(r))
-		if lbn < 0 {
-			lbn = 0
-		}
-		return lbn
-	}
-	lo := int64(state) * s.BlocksPerRegion
-	return lo + int64(r.Float64()*float64(s.BlocksPerRegion))
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
 }
 
 // IOEvent is one storage I/O of a standalone storage stream.
@@ -295,15 +204,11 @@ type IOEvent struct {
 // strength: a single subsystem model reused for storage studies (the SSD
 // caching / defragmentation use cases of the paper's §5).
 func (m *Model) GenerateIOStream(n int, r *rand.Rand) []IOEvent {
-	w := newWalker(m, r)
+	w := kooza.NewWalk(m.Subsystems, r)
 	out := make([]IOEvent, n)
 	for i := range out {
-		lbn, bytes := w.nextIO(r)
-		op := trace.OpWrite
-		if r.Float64() < m.Storage.ReadProb {
-			op = trace.OpRead
-		}
-		out[i] = IOEvent{LBN: lbn, Bytes: bytes, Op: op}
+		ev := &out[i]
+		ev.LBN, ev.Bytes, ev.Op = w.IO(r)
 	}
 	return out
 }

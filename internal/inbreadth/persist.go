@@ -16,19 +16,13 @@ import (
 // or an empirical distribution except the fitted interarrival Dist, which
 // is stored as a (family, parameters) spec.
 
-// distSpec is the serialized form of a parametric distribution.
-type distSpec struct {
-	Name   string    `json:"name"`
-	Params []float64 `json:"params"`
-}
-
 // modelJSON is the serialized model envelope.
 type modelJSON struct {
 	Version         int                         `json:"version"`
 	Storage         *kooza.StorageModel         `json:"storage"`
 	CPU             *kooza.CPUModel             `json:"cpu"`
 	Memory          *kooza.MemoryModel          `json:"memory"`
-	Interarrival    distSpec                    `json:"interarrival"`
+	Interarrival    stats.DistSpec              `json:"interarrival"`
 	NetBytes        *stats.Empirical            `json:"net_bytes"`
 	CPUBytes        *stats.Empirical            `json:"cpu_bytes"`
 	SpansPerRequest map[trace.Subsystem]float64 `json:"spans_per_request"`
@@ -45,14 +39,11 @@ func Save(w io.Writer, m *Model) error {
 		return fmt.Errorf("inbreadth: cannot save model: %w", errs.ErrModelNotTrained)
 	}
 	env := modelJSON{
-		Version: persistVersion,
-		Storage: m.Storage,
-		CPU:     m.CPU,
-		Memory:  m.Memory,
-		Interarrival: distSpec{
-			Name:   m.Interarrival.Name(),
-			Params: m.Interarrival.Params(),
-		},
+		Version:         persistVersion,
+		Storage:         m.Storage,
+		CPU:             m.CPU,
+		Memory:          m.Memory,
+		Interarrival:    stats.SpecOf(m.Interarrival),
 		NetBytes:        m.NetBytes,
 		CPUBytes:        m.CPUBytes,
 		SpansPerRequest: m.SpansPerRequest,
@@ -65,8 +56,9 @@ func Save(w io.Writer, m *Model) error {
 	return nil
 }
 
-// Load reads a model written by Save and refreezes its Markov chains so
-// synthesis from the loaded model is bit-identical to the fresh one.
+// Load reads a model written by Save. Its Markov chains freeze as they
+// decode, so synthesis from the loaded model is bit-identical to the fresh
+// one.
 func Load(r io.Reader) (*Model, error) {
 	var env modelJSON
 	if err := json.NewDecoder(r).Decode(&env); err != nil {
@@ -75,14 +67,12 @@ func Load(r io.Reader) (*Model, error) {
 	if env.Version != persistVersion {
 		return nil, fmt.Errorf("inbreadth: model version %d, want %d", env.Version, persistVersion)
 	}
-	inter, err := stats.DistFromSpec(env.Interarrival.Name, env.Interarrival.Params)
+	inter, err := env.Interarrival.Dist()
 	if err != nil {
 		return nil, fmt.Errorf("inbreadth: interarrival spec: %w", err)
 	}
 	m := &Model{
-		Storage:         env.Storage,
-		CPU:             env.CPU,
-		Memory:          env.Memory,
+		Subsystems:      kooza.Subsystems{Storage: env.Storage, CPU: env.CPU, Memory: env.Memory},
 		Interarrival:    inter,
 		NetBytes:        env.NetBytes,
 		CPUBytes:        env.CPUBytes,
@@ -93,33 +83,26 @@ func Load(r io.Reader) (*Model, error) {
 	if err := m.validateLoaded(); err != nil {
 		return nil, err
 	}
-	if m.Storage.Chain != nil {
-		m.Storage.Chain.Freeze()
-	}
-	if m.Storage.Hier != nil {
-		m.Storage.Hier.Freeze()
-	}
-	m.CPU.Chain.Freeze()
-	m.Memory.Chain.Freeze()
 	return m, nil
 }
 
-// validateLoaded checks the structural invariants synthesis needs.
+// maxSpansPerRequest bounds a loaded model's mean span count per
+// subsystem, which sizes every synthetic request.
+const maxSpansPerRequest = 1 << 8
+
+// validateLoaded checks the structural invariants synthesis needs; the
+// chains checked their own shapes as they decoded.
 func (m *Model) validateLoaded() error {
-	if m.Storage == nil || m.CPU == nil || m.Memory == nil {
-		return fmt.Errorf("inbreadth: loaded model missing subsystem models")
+	if err := m.Subsystems.Check(); err != nil {
+		return fmt.Errorf("inbreadth: loaded model: %w", err)
 	}
-	if m.Storage.Chain == nil && m.Storage.Hier == nil {
-		return fmt.Errorf("inbreadth: loaded storage model has no chain")
+	if m.NetBytes == nil || m.CPUBytes == nil || len(m.SpansPerRequest) == 0 {
+		return fmt.Errorf("inbreadth: loaded model missing byte distributions or span counts")
 	}
-	if m.CPU.Chain == nil || m.Memory.Chain == nil {
-		return fmt.Errorf("inbreadth: loaded model missing cpu/memory chain")
-	}
-	if m.NetBytes == nil || m.CPUBytes == nil || m.Storage.Sizes == nil {
-		return fmt.Errorf("inbreadth: loaded model missing feature distributions")
-	}
-	if len(m.SpansPerRequest) == 0 {
-		return fmt.Errorf("inbreadth: loaded model has no span-count statistics")
+	for sub, v := range m.SpansPerRequest {
+		if !(v >= 0 && v <= maxSpansPerRequest) {
+			return fmt.Errorf("inbreadth: loaded model has %g %s spans per request", v, sub)
+		}
 	}
 	return nil
 }

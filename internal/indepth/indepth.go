@@ -134,15 +134,10 @@ func (m *Model) Synthesize(n int, r *rand.Rand) (*trace.Trace, error) {
 		return nil, fmt.Errorf("indepth: model has no classes")
 	}
 	weights := make([]float64, len(m.Classes))
-	var wsum float64
 	maxPhases := 0
 	for i, c := range m.Classes {
 		weights[i] = c.Weight
-		wsum += c.Weight
 		maxPhases = max(maxPhases, len(c.Phases))
-	}
-	if wsum <= 0 {
-		return nil, fmt.Errorf("indepth: class weights sum to zero")
 	}
 	classAlias, err := stats.NewAlias(weights)
 	if err != nil {
@@ -153,9 +148,7 @@ func (m *Model) Synthesize(n int, r *rand.Rand) (*trace.Trace, error) {
 	var now float64
 	var freeAt [4]float64 // per-subsystem FIFO stations
 	for i := 0; i < n; i++ {
-		if i%synthSlabRequests == 0 {
-			arena.Reserve(min(n-i, synthSlabRequests) * maxPhases)
-		}
+		arena.ReserveSlab(i, n, maxPhases)
 		now += max(m.Interarrival.Rand(r), 0)
 		c := m.Classes[classAlias.Draw(r)]
 		req := trace.Request{ID: int64(i), Class: c.Name, Arrival: now}
@@ -180,10 +173,6 @@ func (m *Model) Synthesize(n int, r *rand.Rand) (*trace.Trace, error) {
 	}
 	return tr, nil
 }
-
-// synthSlabRequests mirrors kooza's slab: each span-arena reservation
-// covers this many requests at once, sized by the widest class phase path.
-const synthSlabRequests = 4096
 
 // SynthesizeBatch is Synthesize under its former name, which the perf
 // record still calls.

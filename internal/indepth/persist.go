@@ -8,25 +8,20 @@ import (
 
 	"dcmodel/internal/errs"
 	"dcmodel/internal/stats"
+	"dcmodel/internal/trace"
 )
 
 // Model persistence, following the kooza pattern: the per-class flow
 // models are plain data; the fitted interarrival Dist is stored as a
 // (family, parameters) spec.
 
-// distSpec is the serialized form of a parametric distribution.
-type distSpec struct {
-	Name   string    `json:"name"`
-	Params []float64 `json:"params"`
-}
-
 // modelJSON is the serialized model envelope.
 type modelJSON struct {
-	Version      int           `json:"version"`
-	Interarrival distSpec      `json:"interarrival"`
-	FitKS        float64       `json:"fit_ks"`
-	Classes      []*ClassModel `json:"classes"`
-	TrainedOn    int           `json:"trained_on"`
+	Version      int            `json:"version"`
+	Interarrival stats.DistSpec `json:"interarrival"`
+	FitKS        float64        `json:"fit_ks"`
+	Classes      []*ClassModel  `json:"classes"`
+	TrainedOn    int            `json:"trained_on"`
 }
 
 // persistVersion guards against loading incompatible files.
@@ -38,14 +33,11 @@ func Save(w io.Writer, m *Model) error {
 		return fmt.Errorf("indepth: cannot save model: %w", errs.ErrModelNotTrained)
 	}
 	env := modelJSON{
-		Version: persistVersion,
-		Interarrival: distSpec{
-			Name:   m.Interarrival.Name(),
-			Params: m.Interarrival.Params(),
-		},
-		FitKS:     m.FitKS,
-		Classes:   m.Classes,
-		TrainedOn: m.TrainedOn,
+		Version:      persistVersion,
+		Interarrival: stats.SpecOf(m.Interarrival),
+		FitKS:        m.FitKS,
+		Classes:      m.Classes,
+		TrainedOn:    m.TrainedOn,
 	}
 	if err := json.NewEncoder(w).Encode(env); err != nil {
 		return fmt.Errorf("indepth: encode model: %w", err)
@@ -62,7 +54,7 @@ func Load(r io.Reader) (*Model, error) {
 	if env.Version != persistVersion {
 		return nil, fmt.Errorf("indepth: model version %d, want %d", env.Version, persistVersion)
 	}
-	inter, err := stats.DistFromSpec(env.Interarrival.Name, env.Interarrival.Params)
+	inter, err := env.Interarrival.Dist()
 	if err != nil {
 		return nil, fmt.Errorf("indepth: interarrival spec: %w", err)
 	}
@@ -83,9 +75,16 @@ func (m *Model) validateLoaded() error {
 	if len(m.Classes) == 0 {
 		return fmt.Errorf("indepth: loaded model has no classes")
 	}
-	for _, c := range m.Classes {
+	weights := make([]float64, len(m.Classes))
+	for i, c := range m.Classes {
 		if c == nil {
 			return fmt.Errorf("indepth: loaded model has a nil class")
+		}
+		weights[i] = c.Weight
+		for _, p := range c.Phases {
+			if p < trace.Network || p > trace.Storage {
+				return fmt.Errorf("indepth: class %q has a phase of subsystem %d", c.Name, p)
+			}
 		}
 		if len(c.Phases) != len(c.Service) {
 			return fmt.Errorf("indepth: class %q has %d phases but %d service distributions",
@@ -96,6 +95,9 @@ func (m *Model) validateLoaded() error {
 				return fmt.Errorf("indepth: class %q phase %d has no service distribution", c.Name, i)
 			}
 		}
+	}
+	if _, err := stats.NewAlias(weights); err != nil {
+		return fmt.Errorf("indepth: class weights: %w", err)
 	}
 	return nil
 }

@@ -140,6 +140,20 @@ type MemoryModel struct {
 // NumParams reports the model complexity.
 func (m *MemoryModel) NumParams() int { return m.Chain.NumParams() + 1 }
 
+// Subsystems is the three Markov subsystem models: storage, processor and
+// memory. KOOZA trains one set per class, in-breadth one for the whole
+// trace; a Walk draws from either.
+type Subsystems struct {
+	Storage *StorageModel
+	CPU     *CPUModel
+	Memory  *MemoryModel
+}
+
+// NumParams reports the complexity of the three models.
+func (s Subsystems) NumParams() int {
+	return s.Storage.NumParams() + s.CPU.NumParams() + s.Memory.NumParams()
+}
+
 // NetworkModel is the queueing model of request arrivals: the fitted
 // interarrival distribution (selected by Kolmogorov-Smirnov distance over
 // the parametric families) and the implied arrival rate. With
@@ -197,10 +211,8 @@ type ClassModel struct {
 	// Queues holds every retained control-flow path with its weight,
 	// modal first. Synthesis draws a path per request.
 	Queues []PhaseQueue
-	// Storage, CPU and Memory are the three Markov models.
-	Storage *StorageModel
-	CPU     *CPUModel
-	Memory  *MemoryModel
+	// Subsystems holds the storage, CPU and memory Markov models.
+	Subsystems
 	// NetIn and NetOut are the request/response transfer sizes.
 	NetIn, NetOut *stats.Empirical
 	// ServerWeights is the empirical distribution of servers that
@@ -210,7 +222,7 @@ type ClassModel struct {
 
 // NumParams reports the model complexity.
 func (c *ClassModel) NumParams() int {
-	n := 1 + c.Storage.NumParams() + c.CPU.NumParams() + c.Memory.NumParams() + 2
+	n := 1 + c.Subsystems.NumParams() + 2
 	for _, q := range c.Queues {
 		n += len(q.Phases) + 1
 	}

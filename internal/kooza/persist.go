@@ -8,6 +8,7 @@ import (
 	"dcmodel/internal/errs"
 	"dcmodel/internal/markov"
 	"dcmodel/internal/stats"
+	"dcmodel/internal/trace"
 )
 
 // Model persistence: a trained KOOZA model serializes to JSON so it can be
@@ -17,15 +18,9 @@ import (
 // value — the fitted interarrival distribution — is stored as a
 // (family, parameters) spec.
 
-// distSpec is the serialized form of a parametric distribution.
-type distSpec struct {
-	Name   string    `json:"name"`
-	Params []float64 `json:"params"`
-}
-
 // networkJSON mirrors NetworkModel with the interface field replaced.
 type networkJSON struct {
-	Interarrival distSpec           `json:"interarrival"`
+	Interarrival stats.DistSpec     `json:"interarrival"`
 	FitKS        float64            `json:"fit_ks"`
 	Rate         float64            `json:"rate"`
 	GapChain     *markov.Chain      `json:"gap_chain,omitempty"`
@@ -53,14 +48,11 @@ func Save(w io.Writer, m *Model) error {
 		Version: persistVersion,
 		Classes: m.Classes,
 		Network: networkJSON{
-			Interarrival: distSpec{
-				Name:   m.Network.Interarrival.Name(),
-				Params: m.Network.Interarrival.Params(),
-			},
-			FitKS:     m.Network.FitKS,
-			Rate:      m.Network.Rate,
-			GapChain:  m.Network.GapChain,
-			GapStates: m.Network.GapStates,
+			Interarrival: stats.SpecOf(m.Network.Interarrival),
+			FitKS:        m.Network.FitKS,
+			Rate:         m.Network.Rate,
+			GapChain:     m.Network.GapChain,
+			GapStates:    m.Network.GapStates,
 		},
 		Opts:      m.Opts,
 		TrainedOn: m.TrainedOn,
@@ -75,92 +67,82 @@ func Save(w io.Writer, m *Model) error {
 // Load reads a model written by Save.
 func Load(r io.Reader) (*Model, error) {
 	var env modelJSON
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&env); err != nil {
+	if err := json.NewDecoder(r).Decode(&env); err != nil {
 		return nil, fmt.Errorf("kooza: decode model: %w", err)
 	}
 	if env.Version != persistVersion {
 		return nil, fmt.Errorf("kooza: model version %d, want %d", env.Version, persistVersion)
 	}
-	inter, err := stats.DistFromSpec(env.Network.Interarrival.Name, env.Network.Interarrival.Params)
+	inter, err := env.Network.Interarrival.Dist()
 	if err != nil {
 		return nil, fmt.Errorf("kooza: interarrival spec: %w", err)
 	}
+	n := env.Network
 	m := &Model{
-		Classes: env.Classes,
-		Network: &NetworkModel{
-			Interarrival: inter,
-			FitKS:        env.Network.FitKS,
-			Rate:         env.Network.Rate,
-			GapChain:     env.Network.GapChain,
-			GapStates:    env.Network.GapStates,
-		},
+		Classes:   env.Classes,
+		Network:   &NetworkModel{Interarrival: inter, FitKS: n.FitKS, Rate: n.Rate, GapChain: n.GapChain, GapStates: n.GapStates},
 		Opts:      env.Opts,
 		TrainedOn: env.TrainedOn,
 	}
 	if err := m.validateLoaded(); err != nil {
 		return nil, err
 	}
-	m.freezeChains()
 	return m, nil
 }
 
-// Refreeze rebuilds the O(1) alias tables of every Markov chain in the
-// model. Load calls it automatically; long-running servers that assemble or
-// mutate a model's transition matrices out-of-band (e.g. the online
-// training loop swapping in updated chains) call it before serving the
-// model, after which the model must be treated as read-only.
-func (m *Model) Refreeze() { m.freezeChains() }
-
-// freezeChains rebuilds the O(1) alias tables of every Markov chain in the
-// model. JSON only carries the exported probability matrices, so a loaded
-// chain arrives unfrozen; freezing here makes synthesis from a loaded model
-// bit-identical to synthesis from the freshly trained one.
-func (m *Model) freezeChains() {
-	if m.Network.GapChain != nil {
-		m.Network.GapChain.Freeze()
-	}
-	for _, c := range m.Classes {
-		if c.Storage.Chain != nil {
-			c.Storage.Chain.Freeze()
-		}
-		if c.Storage.Hier != nil {
-			c.Storage.Hier.Freeze()
-		}
-		c.CPU.Chain.Freeze()
-		c.Memory.Chain.Freeze()
-	}
-}
-
 // validateLoaded checks the structural invariants a loaded model needs for
-// synthesis to be safe.
+// synthesis to be safe; its chains checked their own shapes as they
+// decoded.
 func (m *Model) validateLoaded() error {
 	if len(m.Classes) == 0 {
 		return fmt.Errorf("kooza: loaded model has no classes")
 	}
-	for _, c := range m.Classes {
+	weights := make([]float64, len(m.Classes))
+	for i, c := range m.Classes {
 		if c == nil {
 			return fmt.Errorf("kooza: loaded model has a nil class")
 		}
-		if c.Storage == nil || c.CPU == nil || c.Memory == nil {
-			return fmt.Errorf("kooza: class %q missing subsystem models", c.Name)
+		weights[i] = c.Weight
+		if err := c.Subsystems.Check(); err != nil {
+			return fmt.Errorf("kooza: class %q: %w", c.Name, err)
 		}
-		if c.Storage.Chain == nil && c.Storage.Hier == nil {
-			return fmt.Errorf("kooza: class %q storage model has no chain", c.Name)
+		if len(c.Queues) == 0 || c.NetIn == nil || c.NetOut == nil {
+			return fmt.Errorf("kooza: class %q has no time-dependency queue or network sizes", c.Name)
 		}
-		if c.CPU.Chain == nil || c.Memory.Chain == nil {
-			return fmt.Errorf("kooza: class %q missing cpu/memory chain", c.Name)
+		paths := [][]trace.Subsystem{c.Phases}
+		queueWeights := make([]float64, len(c.Queues))
+		for i, q := range c.Queues {
+			queueWeights[i] = q.Weight
+			paths = append(paths, q.Phases)
 		}
-		if len(c.Queues) == 0 {
-			return fmt.Errorf("kooza: class %q has no time-dependency queue", c.Name)
+		for _, path := range paths {
+			for _, p := range path {
+				if p < trace.Network || p > trace.Storage {
+					return fmt.Errorf("kooza: class %q has a phase of subsystem %d", c.Name, p)
+				}
+			}
 		}
-		if c.NetIn == nil || c.NetOut == nil || c.Storage.Sizes == nil || c.Memory.Sizes == nil {
-			return fmt.Errorf("kooza: class %q missing feature distributions", c.Name)
+		if _, err := stats.NewAlias(queueWeights); err != nil {
+			return fmt.Errorf("kooza: class %q queue weights: %w", c.Name, err)
+		}
+		servers := make([]float64, 0, len(c.ServerWeights))
+		for _, w := range c.ServerWeights {
+			servers = append(servers, w)
+		}
+		if _, err := stats.NewAlias(servers); len(servers) > 0 && err != nil {
+			return fmt.Errorf("kooza: class %q server weights: %w", c.Name, err)
 		}
 	}
-	if m.Network.GapChain != nil && len(m.Network.GapStates) != m.Network.GapChain.N {
-		return fmt.Errorf("kooza: gap chain has %d states but %d gap distributions",
-			m.Network.GapChain.N, len(m.Network.GapStates))
+	if _, err := stats.NewAlias(weights); err != nil {
+		return fmt.Errorf("kooza: class weights: %w", err)
+	}
+	if gc := m.Network.GapChain; gc != nil && len(m.Network.GapStates) != gc.N {
+		return fmt.Errorf("kooza: gap chain has %d states but %d gap distributions", gc.N, len(m.Network.GapStates))
+	}
+	for _, g := range m.Network.GapStates {
+		if g == nil {
+			return fmt.Errorf("kooza: gap chain state has no gap distribution")
+		}
 	}
 	return nil
 }

@@ -28,10 +28,14 @@ var regionEdges = []struct {
 	{5, 8, 8, 7},
 }
 
-// TestRegionEdges trains a storage model on one I/O at each edge LBN and
-// checks which region's LBN distribution received it.
+// TestRegionEdges checks Regions.Of at each edge LBN, and trains a storage
+// model on one I/O there to check which region's LBN distribution
+// received it.
 func TestRegionEdges(t *testing.T) {
 	for _, c := range regionEdges {
+		if got := NewRegions(c.diskBlocks, c.regions).Of(c.lbn); got != c.want {
+			t.Errorf("disk %d, %d regions: lbn %d in region %d, want %d", c.diskBlocks, c.regions, c.lbn, got, c.want)
+		}
 		m, err := trainStorage([]storageIO{{lbn: c.lbn, bytes: 4096}}, Options{
 			StorageRegions: c.regions,
 			DiskBlocks:     c.diskBlocks,

@@ -31,13 +31,8 @@ func (m *Model) Synthesize(n int, r *rand.Rand) (*trace.Trace, error) {
 	}
 	// Class picker: one alias build per call, then O(1) per request.
 	weights := make([]float64, len(m.Classes))
-	var wsum float64
 	for i, c := range m.Classes {
 		weights[i] = c.Weight
-		wsum += c.Weight
-	}
-	if wsum <= 0 {
-		return nil, fmt.Errorf("kooza: class weights sum to zero")
 	}
 	classAlias, err := stats.NewAlias(weights)
 	if err != nil {
@@ -66,9 +61,7 @@ func (m *Model) Synthesize(n int, r *rand.Rand) (*trace.Trace, error) {
 	var arena trace.SpanArena
 	var now float64
 	for i := 0; i < n; i++ {
-		if i%synthSlabRequests == 0 {
-			arena.Reserve(min(n-i, synthSlabRequests) * maxPhases)
-		}
+		arena.ReserveSlab(i, n, maxPhases)
 		var gap float64
 		if gapChain != nil {
 			gapState = gapChain.Step(gapState, r)
@@ -83,28 +76,15 @@ func (m *Model) Synthesize(n int, r *rand.Rand) (*trace.Trace, error) {
 	return tr, nil
 }
 
-// synthSlabRequests is the granularity of Synthesize's span-arena
-// reservations: one contiguous reservation covers this many requests'
-// spans, bounding both allocation count and the memory held per slab.
-const synthSlabRequests = 4096
-
 // SynthesizeBatch is Synthesize under its former name, which the perf
 // record still calls.
 func (m *Model) SynthesizeBatch(n int, r *rand.Rand) (*trace.Trace, error) { return m.Synthesize(n, r) }
 
-// classWalker carries the Markov walk state of one class across requests.
+// classWalker carries the Markov walk state of one class across requests:
+// its subsystem walk and its server and control-flow-path draws.
 type classWalker struct {
+	Walk
 	c *ClassModel
-	// storageState is the current LBN-region state.
-	storageState int
-	// cpuState is the current utilization level.
-	cpuState int
-	// memBank is the current bank state.
-	memBank int
-	// lastEnd is the block after the previous synthetic I/O (sequential
-	// continuation).
-	lastEnd int64
-	hasLast bool
 	// servers and serverAlias implement the server-instancing draw.
 	servers     []int
 	serverAlias stats.Alias
@@ -113,12 +93,7 @@ type classWalker struct {
 }
 
 func newClassWalker(c *ClassModel, r *rand.Rand) *classWalker {
-	w := &classWalker{c: c}
-	if c.Storage.Chain != nil {
-		w.storageState = c.Storage.Chain.Start(r)
-	}
-	w.cpuState = c.CPU.Chain.Start(r)
-	w.memBank = c.Memory.Chain.Start(r)
+	w := &classWalker{Walk: NewWalk(c.Subsystems, r), c: c}
 	// Stable server order for determinism.
 	for s := range c.ServerWeights {
 		w.servers = append(w.servers, s)
@@ -175,7 +150,7 @@ func (w *classWalker) next(id int64, arrival float64, r *rand.Rand, arena *trace
 	var (
 		sawNetwork int
 		sawCPU     int
-		cpuUtil    = w.nextCPUUtil(r)
+		cpuUtil    = w.Util(r)
 	)
 	for _, phase := range phases {
 		span := trace.Span{Subsystem: phase, Start: arrival}
@@ -194,15 +169,9 @@ func (w *classWalker) next(id int64, arrival float64, r *rand.Rand, arena *trace
 			}
 			sawCPU++
 		case trace.Memory:
-			w.memBank = c.Memory.Chain.Step(w.memBank, r)
-			span.Bank = w.memBank
-			span.Bytes = int64(c.Memory.Sizes.Rand(r))
-			span.Op = opFromProb(c.Memory.ReadProb, r)
+			span.Bank, span.Bytes, span.Op = w.Access(r)
 		case trace.Storage:
-			lbn, bytes := w.nextIO(r)
-			span.LBN = lbn
-			span.Bytes = bytes
-			span.Op = opFromProb(c.Storage.ReadProb, r)
+			span.LBN, span.Bytes, span.Op = w.IO(r)
 		}
 		if span.Bytes < 0 {
 			span.Bytes = 0
@@ -210,78 +179,4 @@ func (w *classWalker) next(id int64, arrival float64, r *rand.Rand, arena *trace
 		req.Spans = append(req.Spans, span)
 	}
 	return req
-}
-
-// nextCPUUtil advances the utilization-level chain and emits a value from
-// the level's empirical distribution.
-func (w *classWalker) nextCPUUtil(r *rand.Rand) float64 {
-	c := w.c.CPU
-	w.cpuState = c.Chain.Step(w.cpuState, r)
-	state := w.cpuState
-	if c.Levels[state] == nil {
-		// Never-observed level (reachable only through smoothing): fall
-		// back to the level midpoint.
-		n := c.Chain.N
-		mid := c.Lo + (c.Hi-c.Lo)*(float64(state)+0.5)/float64(n)
-		return clampUtil(mid)
-	}
-	return clampUtil(c.Levels[state].Rand(r))
-}
-
-// nextIO advances the storage chain and emits (LBN, size).
-func (w *classWalker) nextIO(r *rand.Rand) (int64, int64) {
-	s := w.c.Storage
-	bytes := int64(s.Sizes.Rand(r))
-	if bytes < 1 {
-		bytes = 1
-	}
-	// Sequential continuation reproduces spatial locality.
-	if w.hasLast && r.Float64() < s.SeqProb {
-		lbn := w.lastEnd
-		w.lastEnd = lbn + (bytes+4095)/4096
-		return lbn, bytes
-	}
-	if s.Chain != nil {
-		w.storageState = s.Chain.Step(w.storageState, r)
-	} else {
-		// Hierarchical one-step walk: simulate a length-2 fragment so the
-		// walk continues from the current state's group.
-		seq := s.Hier.Simulate(2, r)
-		w.storageState = seq[len(seq)-1]
-	}
-	lbn := w.sampleLBN(w.storageState, r)
-	w.hasLast = true
-	w.lastEnd = lbn + (bytes+4095)/4096
-	return lbn, bytes
-}
-
-func (w *classWalker) sampleLBN(state int, r *rand.Rand) int64 {
-	s := w.c.Storage
-	if state >= 0 && state < len(s.StateLBNs) && s.StateLBNs[state] != nil {
-		lbn := int64(s.StateLBNs[state].Rand(r))
-		if lbn < 0 {
-			lbn = 0
-		}
-		return lbn
-	}
-	// Unobserved region: uniform within the region.
-	lo := int64(state) * s.BlocksPerRegion
-	return lo + int64(r.Float64()*float64(s.BlocksPerRegion))
-}
-
-func opFromProb(readProb float64, r *rand.Rand) trace.Op {
-	if r.Float64() < readProb {
-		return trace.OpRead
-	}
-	return trace.OpWrite
-}
-
-func clampUtil(u float64) float64 {
-	if u < 0 {
-		return 0
-	}
-	if u > 1 {
-		return 1
-	}
-	return u
 }

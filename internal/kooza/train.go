@@ -180,7 +180,7 @@ func trainClass(pc *trace.PreparedClass, weight float64, opts Options) (*ClassMo
 			outBytes = append(outBytes, float64(netOut))
 		}
 	}
-	if cm.Storage, cm.CPU, cm.Memory, err = samples.Train(opts); err != nil {
+	if cm.Subsystems, err = samples.Train(opts); err != nil {
 		return nil, err
 	}
 	if cm.NetIn, err = stats.NewEmpiricalOwning(inBytes); err != nil {
@@ -287,21 +287,18 @@ func (c *SubsystemSamples) Add(s *trace.Span) {
 }
 
 // Train fits the storage, CPU and memory models to the collected spans.
-func (c *SubsystemSamples) Train(opts Options) (*StorageModel, *CPUModel, *MemoryModel, error) {
+func (c *SubsystemSamples) Train(opts Options) (m Subsystems, err error) {
 	opts = opts.withDefaults()
-	storage, err := trainStorage(c.ios, opts)
-	if err != nil {
-		return nil, nil, nil, err
+	if m.Storage, err = trainStorage(c.ios, opts); err != nil {
+		return Subsystems{}, err
 	}
-	cpu, err := trainCPU(c.utils, opts)
-	if err != nil {
-		return nil, nil, nil, err
+	if m.CPU, err = trainCPU(c.utils, opts); err != nil {
+		return Subsystems{}, err
 	}
-	memory, err := trainMemory(c.accs, c.maxBank, opts)
-	if err != nil {
-		return nil, nil, nil, err
+	if m.Memory, err = trainMemory(c.accs, c.maxBank, opts); err != nil {
+		return Subsystems{}, err
 	}
-	return storage, cpu, memory, nil
+	return m, nil
 }
 
 func trainStorage(ios []storageIO, opts Options) (*StorageModel, error) {
@@ -315,34 +312,19 @@ func trainStorage(ios []storageIO, opts Options) (*StorageModel, error) {
 	if diskBlocks <= 0 {
 		var maxLBN int64
 		for _, x := range ios {
-			if x.lbn > maxLBN {
-				maxLBN = x.lbn
-			}
+			maxLBN = max(maxLBN, x.lbn)
 		}
 		diskBlocks = maxLBN + 1
 	}
-	blocksPerRegion := diskBlocks / int64(opts.StorageRegions)
-	if blocksPerRegion < 1 {
-		blocksPerRegion = 1
-	}
+	regions := NewRegions(diskBlocks, opts.StorageRegions)
 	m := &StorageModel{
-		Regions:         opts.StorageRegions,
-		BlocksPerRegion: blocksPerRegion,
-		StateLBNs:       make([]*stats.Empirical, opts.StorageRegions),
-	}
-	stateOf := func(lbn int64) int {
-		s := int(lbn / blocksPerRegion)
-		if s < 0 {
-			return 0
-		}
-		if s >= opts.StorageRegions {
-			return opts.StorageRegions - 1
-		}
-		return s
+		Regions:         regions.N,
+		BlocksPerRegion: regions.Width,
+		StateLBNs:       make([]*stats.Empirical, regions.N),
 	}
 	seq := make([]int, len(ios))
 	for i := range ios {
-		seq[i] = stateOf(ios[i].lbn)
+		seq[i] = regions.Of(ios[i].lbn)
 	}
 	perState := carveByState(seq, opts.StorageRegions)
 	sizes := make([]float64, len(ios))

@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 
@@ -23,8 +24,6 @@ type Hierarchical struct {
 	Sub []*Chain
 	// Members lists the states of each group, in local-index order.
 	Members [][]int
-
-	local []int // state -> local index within its group
 }
 
 // TrainHierarchical trains a two-level model from state sequences, a state
@@ -47,7 +46,7 @@ func TrainHierarchical(seqs [][]int, n int, groups []int, smoothing float64) (*H
 		return nil, ErrNoData
 	}
 	members := make([][]int, ngroups)
-	local := make([]int, n)
+	local := make([]int, n) // state -> index within its group
 	for s, g := range groups {
 		local[s] = len(members[g])
 		members[g] = append(members[g], s)
@@ -100,35 +99,44 @@ func TrainHierarchical(seqs [][]int, n int, groups []int, smoothing float64) (*H
 		}
 		subs[g] = sub
 	}
-	return &Hierarchical{Groups: groups, Top: top, Sub: subs, Members: members, local: local}, nil
+	return &Hierarchical{Groups: groups, Top: top, Sub: subs, Members: members}, nil
 }
 
 func uniformChain(n int) *Chain {
-	c := &Chain{
-		N:       n,
-		Trans:   stats.NewMatrix(n, n),
-		Initial: make([]float64, n),
-		Visits:  make([]int64, n),
-	}
+	c := &Chain{N: n, Trans: stats.NewMatrix(n, n), Initial: make([]float64, n), Visits: make([]int64, n)}
+	// No counts normalize to uniform.
+	normalize(c.Initial, c.Initial, 0)
 	for i := 0; i < n; i++ {
-		row := c.Trans.Row(i)
-		for j := range row {
-			row[j] = 1 / float64(n)
-		}
-		c.Initial[i] = 1 / float64(n)
+		normalize(c.Trans.Row(i), c.Trans.Row(i), 0)
 	}
-	c.Freeze()
+	_ = c.freeze() // uniform rows always build
 	return c
 }
 
-// Freeze rebuilds the alias tables of the top chain and every sub-chain.
-// TrainHierarchical produces frozen chains already; this exists for models
-// reconstructed from serialized form.
-func (h *Hierarchical) Freeze() {
-	h.Top.Freeze()
-	for _, s := range h.Sub {
-		s.Freeze()
+// UnmarshalJSON decodes a hierarchy encoding/json wrote; its chains
+// freeze as they decode. A hierarchy whose groups, members and sub-chains
+// disagree is refused.
+func (h *Hierarchical) UnmarshalJSON(data []byte) error {
+	type fields Hierarchical // the exported fields, without this method
+	var f fields
+	if err := json.Unmarshal(data, &f); err != nil {
+		return err
 	}
+	if f.Top == nil || len(f.Sub) != f.Top.N || len(f.Members) != f.Top.N {
+		return fmt.Errorf("markov: hierarchy needs one sub-chain and member list per group")
+	}
+	for g, members := range f.Members {
+		if f.Sub[g] == nil || f.Sub[g].N != len(members) {
+			return fmt.Errorf("markov: hierarchy group %d has %d members but no sub-chain over them", g, len(members))
+		}
+		for _, s := range members {
+			if s < 0 || s >= len(f.Groups) || f.Groups[s] != g {
+				return fmt.Errorf("markov: hierarchy group %d lists state %d of another group", g, s)
+			}
+		}
+	}
+	*h = Hierarchical(f)
+	return nil
 }
 
 // Simulate generates a state sequence of the given length: the top chain

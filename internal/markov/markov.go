@@ -7,6 +7,7 @@
 package markov
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -36,91 +37,68 @@ type Chain struct {
 
 	// rowAlias holds the frozen per-row alias tables of Trans and
 	// initAlias the one for Initial, making Step and Start O(1) in N.
-	// They are built by Freeze (called from Train); chains deserialized
-	// or assembled by hand fall back to a linear scan until frozen.
+	// Every chain this package trains or decodes is frozen; a chain
+	// assembled by hand falls back to a linear scan.
 	rowAlias  stats.AliasMatrix
 	initAlias stats.Alias
 }
 
-// Freeze builds the per-row alias tables that make Step and Start O(1)
-// draws. Train calls it automatically; it must be re-invoked on chains
-// reconstructed from serialized form (the tables are derived state and are
-// not persisted). After Freeze the chain must be treated as read-only.
-func (c *Chain) Freeze() {
-	c.rowAlias = stats.MustAliasMatrix(c.Trans.Data, c.N, c.N)
-	c.initAlias = stats.MustAlias(c.Initial)
+// freeze builds the per-row alias tables that make Step and Start O(1)
+// draws, refusing rows that are no distribution. After freeze the chain
+// must be treated as read-only.
+func (c *Chain) freeze() error {
+	rows, err := stats.NewAliasMatrix(c.Trans.Data, c.N, c.N)
+	if err != nil {
+		return err
+	}
+	initial, err := stats.NewAlias(c.Initial)
+	if err != nil {
+		return fmt.Errorf("initial distribution: %w", err)
+	}
+	c.rowAlias, c.initAlias = rows, initial
+	return nil
 }
 
-// Train estimates a Chain with n states from one or more state sequences.
-// smoothing is an additive (Laplace) pseudo-count applied to every
-// transition, which keeps the chain irreducible when some transitions are
-// unobserved; 0 disables smoothing (rows with no observations fall back to
-// uniform).
+// UnmarshalJSON decodes a chain encoding/json wrote and freezes it, so a
+// loaded chain draws exactly as the trained one did. A chain whose
+// matrices do not have N states, or whose rows are no distribution, is
+// refused.
+func (c *Chain) UnmarshalJSON(data []byte) error {
+	type fields Chain // the exported fields, without this method
+	var f fields
+	if err := json.Unmarshal(data, &f); err != nil {
+		return err
+	}
+	ch := (*Chain)(&f)
+	n := ch.N
+	if n < 1 || ch.Trans == nil || ch.Trans.Rows != n || ch.Trans.Cols != n ||
+		len(ch.Trans.Data)/n != n || len(ch.Trans.Data)%n != 0 ||
+		len(ch.Initial) != n || len(ch.Visits) != n {
+		return fmt.Errorf("markov: chain matrices do not fit %d states", n)
+	}
+	if err := ch.freeze(); err != nil {
+		return fmt.Errorf("markov: chain: %w", err)
+	}
+	*c = *ch
+	return nil
+}
+
+// Train estimates a Chain with n states from one or more state sequences:
+// an Accumulator that observes each sequence once. smoothing is an
+// additive (Laplace) pseudo-count applied to every transition, which keeps
+// the chain irreducible when some transitions are unobserved; 0 disables
+// smoothing (rows with no observations fall back to uniform).
 func Train(seqs [][]int, n int, smoothing float64) (*Chain, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("markov: need at least one state, got %d", n)
+	a, err := NewAccumulator(n, smoothing)
+	if err != nil {
+		return nil, err
 	}
-	if smoothing < 0 {
-		return nil, fmt.Errorf("markov: smoothing must be non-negative, got %g", smoothing)
-	}
-	var total int
-	for _, s := range seqs {
-		total += len(s)
-	}
-	if total == 0 {
-		return nil, ErrNoData
-	}
-	counts := stats.NewMatrix(n, n)
-	initial := make([]float64, n)
-	visits := make([]int64, n)
 	for _, seq := range seqs {
-		if len(seq) == 0 {
-			continue
-		}
-		for i, s := range seq {
-			if s < 0 || s >= n {
-				return nil, fmt.Errorf("markov: state %d out of range 0..%d", s, n-1)
-			}
-			visits[s]++
-			if i == 0 {
-				initial[s]++
-			} else {
-				counts.Data[seq[i-1]*n+s]++
-			}
+		if err := a.Observe(seq); err != nil {
+			return nil, err
 		}
 	}
-	c := &Chain{N: n, Trans: stats.NewMatrix(n, n), Initial: initial, Visits: visits}
-	var initTotal float64
-	for _, v := range initial {
-		initTotal += v
-	}
-	// Smoothing also applies to the initial distribution, so a smoothed
-	// chain assigns positive likelihood to any start state.
-	initDenom := initTotal + smoothing*float64(n)
-	for i := range initial {
-		initial[i] = (initial[i] + smoothing) / initDenom
-	}
-	for i := 0; i < n; i++ {
-		row := counts.Row(i)
-		var rowSum float64
-		for _, v := range row {
-			rowSum += v
-		}
-		out := c.Trans.Row(i)
-		denom := rowSum + smoothing*float64(n)
-		if denom == 0 {
-			// Unvisited state: uniform fallback.
-			for j := range out {
-				out[j] = 1 / float64(n)
-			}
-			continue
-		}
-		for j := range out {
-			out[j] = (row[j] + smoothing) / denom
-		}
-	}
-	c.Freeze()
-	return c, nil
+	return a.Chain()
 }
 
 // Step draws the successor of state using r: O(1) via the frozen alias

@@ -9,9 +9,10 @@ import (
 // Accumulator gathers Markov transition counts incrementally, one state
 // sequence at a time, so a long-running process can keep a model's
 // sufficient statistics warm without retaining the raw observations. It is
-// the online counterpart of Train: Chain() normalizes the accumulated
-// counts into a frozen Chain at any point, and Drift compares the counts
-// against a previously served chain to detect distribution shift.
+// the one chain estimator — Train is an Accumulator fed every sequence at
+// once: Chain() normalizes the accumulated counts into a frozen Chain at
+// any point, and Drift compares the counts against a previously served
+// chain to detect distribution shift.
 //
 // Concurrency contract: an Accumulator is not safe for concurrent use —
 // Observe, Reset, Merge, Chain and MarshalBinary on one accumulator must
@@ -85,23 +86,17 @@ func (a *Accumulator) Sequences() int64 { return a.seqs }
 
 // Reset zeroes the counts, starting a fresh observation window.
 func (a *Accumulator) Reset() {
-	for i := range a.counts {
-		a.counts[i] = 0
-	}
-	for i := range a.initial {
-		a.initial[i] = 0
-	}
-	for i := range a.visits {
-		a.visits[i] = 0
-	}
+	clear(a.counts)
+	clear(a.initial)
+	clear(a.visits)
 	a.trans, a.seqs = 0, 0
 }
 
-// Chain normalizes the accumulated counts into a frozen Chain, exactly as
-// Train would have produced from the same sequences (same smoothing, same
-// uniform fallback for unvisited rows). The accumulator keeps its counts
-// and can continue observing; this is the periodic-refreeze hook of the
-// online-training loop.
+// Chain normalizes the accumulated counts into a frozen Chain: this is the
+// one estimator, which Train runs over its sequences. Smoothing applies to
+// the initial distribution and every row; an unvisited row with no
+// smoothing falls back to uniform. The accumulator keeps its counts and
+// can continue observing.
 func (a *Accumulator) Chain() (*Chain, error) {
 	var total int64
 	for _, v := range a.visits {
@@ -117,34 +112,31 @@ func (a *Accumulator) Chain() (*Chain, error) {
 		Initial: make([]float64, n),
 		Visits:  append([]int64(nil), a.visits...),
 	}
-	var initTotal float64
-	for _, v := range a.initial {
-		initTotal += v
-	}
-	initDenom := initTotal + a.smoothing*float64(n)
-	for i := range c.Initial {
-		c.Initial[i] = (a.initial[i] + a.smoothing) / initDenom
-	}
+	normalize(c.Initial, a.initial, a.smoothing)
 	for i := 0; i < n; i++ {
-		row := a.counts[i*n : (i+1)*n]
-		var rowSum float64
-		for _, v := range row {
-			rowSum += v
-		}
-		out := c.Trans.Row(i)
-		denom := rowSum + a.smoothing*float64(n)
+		normalize(c.Trans.Row(i), a.counts[i*n:(i+1)*n], a.smoothing)
+	}
+	if err := c.freeze(); err != nil {
+		return nil, fmt.Errorf("markov: %w", err)
+	}
+	return c, nil
+}
+
+// normalize writes the smoothed distribution of counts to dst: each count
+// plus smoothing over their total, or uniform when both are zero.
+func normalize(dst, counts []float64, smoothing float64) {
+	var total float64
+	for _, v := range counts {
+		total += v
+	}
+	denom := total + smoothing*float64(len(counts))
+	for j := range dst {
 		if denom == 0 {
-			for j := range out {
-				out[j] = 1 / float64(n)
-			}
-			continue
-		}
-		for j := range out {
-			out[j] = (row[j] + a.smoothing) / denom
+			dst[j] = 1 / float64(len(dst))
+		} else {
+			dst[j] = (counts[j] + smoothing) / denom
 		}
 	}
-	c.Freeze()
-	return c, nil
 }
 
 // driftMinExpected is the smallest expected cell count a chi-square cell

@@ -18,7 +18,7 @@ func TestRegionEdges(t *testing.T) {
 		cfg := quietConfig()
 		cfg.DiskBlocks, cfg.StorageRegions = c.diskBlocks, c.regions
 		s := newTestServer(t, cfg)
-		if got := s.regionOf(c.lbn); got != c.want {
+		if got := s.regions.Of(c.lbn); got != c.want {
 			t.Errorf("disk %d, %d regions: lbn %d in region %d, want %d", c.diskBlocks, c.regions, c.lbn, got, c.want)
 		}
 	}

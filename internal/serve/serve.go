@@ -2,9 +2,8 @@
 // stdlib-only HTTP service that keeps the paper's workload models warm
 // under live traffic. It ingests trace spans over a streaming POST
 // endpoint into a sliding window, maintains the KOOZA model with an
-// online-training loop (incremental Markov transition counts, periodic
-// alias-table refreeze, and a chi-square drift trigger that forces
-// retrains) and the in-breadth / in-depth comparison models of each
+// online-training loop (incremental Markov transition counts and a
+// chi-square drift trigger that forces retrains) and the in-breadth / in-depth comparison models of each
 // generation on first use, and answers synthesis,
 // characterization and replay queries from a bounded work queue with
 // explicit backpressure: a full queue is a 429 with Retry-After, never an
@@ -293,8 +292,8 @@ type answerKey struct {
 
 // Server is the daemon: sliding window, warm models, bounded work queue.
 type Server struct {
-	cfg             Config
-	blocksPerRegion int64
+	cfg     Config
+	regions kooza.Regions
 
 	win     *window
 	pool    *par.Pool
@@ -367,24 +366,20 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Window < 3 {
 		return nil, fmt.Errorf("serve: window must hold >= 3 requests, got %d", cfg.Window)
 	}
-	bpr := cfg.DiskBlocks / int64(cfg.StorageRegions)
-	if bpr < 1 {
-		bpr = 1
-	}
 	acc, err := markov.NewAccumulator(cfg.StorageRegions, cfg.Smoothing)
 	if err != nil {
 		return nil, fmt.Errorf("serve: drift accumulator: %w", err)
 	}
 	spare, _ := markov.NewAccumulator(cfg.StorageRegions, cfg.Smoothing) // same arguments
 	s := &Server{
-		cfg:             cfg,
-		blocksPerRegion: bpr,
-		win:             newWindow(cfg.Window),
-		pool:            par.NewPool(cfg.Workers, cfg.QueueDepth),
-		metrics:         newMetrics(),
-		drift:           acc,
-		spareDrift:      spare,
-		stopPoll:        make(chan struct{}),
+		cfg:        cfg,
+		regions:    kooza.NewRegions(cfg.DiskBlocks, cfg.StorageRegions),
+		win:        newWindow(cfg.Window),
+		pool:       par.NewPool(cfg.Workers, cfg.QueueDepth),
+		metrics:    newMetrics(),
+		drift:      acc,
+		spareDrift: spare,
+		stopPoll:   make(chan struct{}),
 	}
 	s.retrainIdle = sync.NewCond(&s.ingestMu)
 	if cfg.Platform.Faults != nil {
@@ -479,18 +474,6 @@ func (s *Server) Models() (kz *kooza.Model, ib *inbreadth.Model, id *indepth.Mod
 	ib, _ = s.inBreadth(ms, nil)
 	id, _ = s.inDepth(ms, nil)
 	return ms.Kooza, ib, id, ms.TrainedOn
-}
-
-// regionOf maps an LBN into the fixed drift/storage quantization.
-func (s *Server) regionOf(lbn int64) int {
-	if lbn < 0 {
-		return 0
-	}
-	st := int(lbn / s.blocksPerRegion)
-	if st >= s.cfg.StorageRegions {
-		return s.cfg.StorageRegions - 1
-	}
-	return st
 }
 
 // ingestLocked folds decoded requests into the drift accumulator and the

@@ -211,12 +211,6 @@ func (s *Server) train(job *retrainJob) (*modelSet, error) {
 	if errRef != nil {
 		return nil, errRef
 	}
-	// The refreeze hook: trained chains arrive frozen, but freezing again
-	// here guarantees the invariant for model generations assembled any
-	// other way (e.g. loaded from disk in a future snapshot-restore path).
-	stop := s.stage(job.span, "refreeze")
-	ms.Kooza.Refreeze()
-	stop()
 	return ms, nil
 }
 
@@ -286,7 +280,7 @@ func (s *Server) retrain(job *retrainJob) (bool, error) {
 func (s *Server) storageRegions(dst []int, spans []trace.Span) []int {
 	for i := range spans {
 		if spans[i].Subsystem == trace.Storage {
-			dst = append(dst, s.regionOf(spans[i].LBN))
+			dst = append(dst, s.regions.Of(spans[i].LBN))
 		}
 	}
 	return dst
@@ -303,10 +297,8 @@ func (s *Server) pooledStorageChain(tr *trace.Trace) (*markov.Chain, error) {
 	seq := make([]int, 0, 8)
 	for i := range tr.Requests {
 		seq = s.storageRegions(seq[:0], tr.Requests[i].Spans)
-		if len(seq) > 0 {
-			if err := acc.Observe(seq); err != nil {
-				return nil, err
-			}
+		if err := acc.Observe(seq); err != nil {
+			return nil, err
 		}
 	}
 	ch, err := acc.Chain()

@@ -580,75 +580,85 @@ func (e *Empirical) UnmarshalJSON(data []byte) error {
 	if len(raw.Sample) == 0 {
 		return ErrEmpty
 	}
-	e.sorted = sortedCopy(raw.Sample)
+	sorted := sortedCopy(raw.Sample)
+	if math.IsInf(sorted[len(sorted)-1]-sorted[0], 0) {
+		// Interpolating across a range wider than a float64 gives NaN.
+		return fmt.Errorf("stats: empirical sample spans more than the float64 range")
+	}
+	e.sorted = sorted
 	e.freeze()
 	return nil
 }
 
+// DistSpec is the serialized form of a parametric distribution: its
+// family and parameters, as Name and Params report them.
+type DistSpec struct {
+	Name   string    `json:"name"`
+	Params []float64 `json:"params"`
+}
+
+// SpecOf returns the spec of d.
+func SpecOf(d Dist) DistSpec { return DistSpec{Name: d.Name(), Params: d.Params()} }
+
+// Dist rebuilds the distribution the spec names; see DistFromSpec.
+func (s DistSpec) Dist() (Dist, error) { return DistFromSpec(s.Name, s.Params) }
+
+// maxZipfN bounds the support of a Zipf distribution rebuilt from a spec:
+// NewZipf tabulates its whole CDF.
+const maxZipfN = 1 << 20
+
 // DistFromSpec reconstructs a parametric distribution from its Name() and
 // Params() values — the inverse of the Dist accessors, used when loading
-// persisted models. The empirical family is not parametric and is rejected.
+// persisted models. The empirical family is not parametric and is rejected,
+// and so are parameters outside a family's domain: where a draw could be
+// NaN or never return.
 func DistFromSpec(name string, params []float64) (Dist, error) {
-	need := func(n int) error {
-		if len(params) != n {
-			return fmt.Errorf("stats: %s needs %d parameters, got %d", name, n, len(params))
-		}
-		return nil
+	arity := map[string]int{
+		"uniform": 2, "exponential": 1, "normal": 2, "lognormal": 2, "pareto": 2,
+		"weibull": 2, "gamma": 2, "deterministic": 1, "poisson": 1, "zipf": 2,
 	}
-	switch name {
-	case "uniform":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return Uniform{A: params[0], B: params[1]}, nil
-	case "exponential":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return Exponential{Rate: params[0]}, nil
-	case "normal":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return Normal{Mu: params[0], Sigma: params[1]}, nil
-	case "lognormal":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return LogNormal{Mu: params[0], Sigma: params[1]}, nil
-	case "pareto":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return Pareto{Xm: params[0], Alpha: params[1]}, nil
-	case "weibull":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return Weibull{K: params[0], Lambda: params[1]}, nil
-	case "gamma":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return Gamma{Shape: params[0], Rate: params[1]}, nil
-	case "deterministic":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return Deterministic{Value: params[0]}, nil
-	case "poisson":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return Poisson{Lambda: params[0]}, nil
-	case "zipf":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return NewZipf(params[0], int(params[1])), nil
-	default:
+	n, ok := arity[name]
+	if !ok {
 		return nil, fmt.Errorf("stats: unknown distribution family %q", name)
 	}
+	if len(params) != n {
+		return nil, fmt.Errorf("stats: %s needs %d parameters, got %d", name, n, len(params))
+	}
+	for _, p := range params {
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			return nil, fmt.Errorf("stats: %s parameters %v not finite", name, params)
+		}
+	}
+	a, b := params[0], params[n-1]
+	var d Dist
+	switch name {
+	case "uniform":
+		d, ok = Uniform{A: a, B: b}, a <= b && !math.IsInf(b-a, 0)
+	case "exponential":
+		d, ok = Exponential{Rate: a}, a > 0
+	case "normal":
+		d, ok = Normal{Mu: a, Sigma: b}, b >= 0
+	case "lognormal":
+		d, ok = LogNormal{Mu: a, Sigma: b}, b >= 0
+	case "pareto":
+		d, ok = Pareto{Xm: a, Alpha: b}, a > 0 && b > 0
+	case "weibull":
+		d, ok = Weibull{K: a, Lambda: b}, a > 0 && b > 0
+	case "gamma":
+		d, ok = Gamma{Shape: a, Rate: b}, a > 0 && b > 0
+	case "deterministic":
+		d = Deterministic{Value: a}
+	case "poisson":
+		d, ok = Poisson{Lambda: a}, a >= 0
+	case "zipf":
+		if ok = a >= 0 && b >= 1 && b <= maxZipfN; ok {
+			d = NewZipf(a, int(b))
+		}
+	}
+	if !ok {
+		return nil, fmt.Errorf("stats: %s parameters %v outside the family's domain", name, params)
+	}
+	return d, nil
 }
 
 // Sample draws n variates from d using r.

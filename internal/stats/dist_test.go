@@ -272,3 +272,41 @@ func TestDescribeDist(t *testing.T) {
 		t.Errorf("DescribeDist = %q", got)
 	}
 }
+
+// TestDistFromSpecRefusesDomain wants every spec whose draws could be NaN
+// or never return refused, and a DistSpec to round-trip a distribution.
+func TestDistFromSpecRefusesDomain(t *testing.T) {
+	for _, s := range []DistSpec{
+		{"uniform", []float64{2, 1}},
+		{"uniform", []float64{-1e308, 1e308}},
+		{"exponential", []float64{0}},
+		{"normal", []float64{0, -1}},
+		{"lognormal", []float64{0, math.NaN()}},
+		{"pareto", []float64{0, 1}},
+		{"weibull", []float64{1, 0}},
+		{"gamma", []float64{-5, 1}},
+		{"deterministic", []float64{math.Inf(1)}},
+		{"poisson", []float64{-1}},
+		{"zipf", []float64{1.1, 0}},
+		{"zipf", []float64{1.1, 1 << 40}},
+		{"zipf", []float64{-2, 10}},
+	} {
+		if _, err := s.Dist(); err == nil {
+			t.Errorf("%s%v accepted", s.Name, s.Params)
+		}
+	}
+	d := Gamma{Shape: 2, Rate: 3}
+	back, err := SpecOf(d).Dist()
+	if err != nil || back != d {
+		t.Errorf("gamma round trip: %v, %v", back, err)
+	}
+}
+
+// TestEmpiricalJSONRefusesOverflowingSpread wants a sample whose range
+// overflows a float64, where interpolation gives NaN, refused.
+func TestEmpiricalJSONRefusesOverflowingSpread(t *testing.T) {
+	var e Empirical
+	if err := json.Unmarshal([]byte(`{"sample":[-1e308,1e308]}`), &e); err == nil {
+		t.Fatal("decoded a sample spanning more than the float64 range")
+	}
+}
