@@ -54,7 +54,7 @@ func Load(r io.Reader) (*Model, error) {
 	if env.Version != persistVersion {
 		return nil, fmt.Errorf("indepth: model version %d, want %d", env.Version, persistVersion)
 	}
-	inter, err := env.Interarrival.Dist()
+	inter, err := stats.DistFromSpec(env.Interarrival.Name, env.Interarrival.Params)
 	if err != nil {
 		return nil, fmt.Errorf("indepth: interarrival spec: %w", err)
 	}

@@ -73,7 +73,7 @@ func Load(r io.Reader) (*Model, error) {
 	if env.Version != persistVersion {
 		return nil, fmt.Errorf("kooza: model version %d, want %d", env.Version, persistVersion)
 	}
-	inter, err := env.Network.Interarrival.Dist()
+	inter, err := stats.DistFromSpec(env.Network.Interarrival.Name, env.Network.Interarrival.Params)
 	if err != nil {
 		return nil, fmt.Errorf("kooza: interarrival spec: %w", err)
 	}

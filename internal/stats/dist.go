@@ -600,9 +600,6 @@ type DistSpec struct {
 // SpecOf returns the spec of d.
 func SpecOf(d Dist) DistSpec { return DistSpec{Name: d.Name(), Params: d.Params()} }
 
-// Dist rebuilds the distribution the spec names; see DistFromSpec.
-func (s DistSpec) Dist() (Dist, error) { return DistFromSpec(s.Name, s.Params) }
-
 // maxZipfN bounds the support of a Zipf distribution rebuilt from a spec:
 // NewZipf tabulates its whole CDF.
 const maxZipfN = 1 << 20

@@ -291,12 +291,13 @@ func TestDistFromSpecRefusesDomain(t *testing.T) {
 		{"zipf", []float64{1.1, 1 << 40}},
 		{"zipf", []float64{-2, 10}},
 	} {
-		if _, err := s.Dist(); err == nil {
+		if _, err := DistFromSpec(s.Name, s.Params); err == nil {
 			t.Errorf("%s%v accepted", s.Name, s.Params)
 		}
 	}
 	d := Gamma{Shape: 2, Rate: 3}
-	back, err := SpecOf(d).Dist()
+	spec := SpecOf(d)
+	back, err := DistFromSpec(spec.Name, spec.Params)
 	if err != nil || back != d {
 		t.Errorf("gamma round trip: %v, %v", back, err)
 	}

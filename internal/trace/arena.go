@@ -48,17 +48,17 @@ func (a *SpanArena) Reserve(n int) {
 	}
 }
 
-// SlabRequests is how many synthetic requests' spans one reservation of a
+// slabRequests is how many synthetic requests' spans one reservation of a
 // model's synthesis loop covers, bounding both its allocation count and
 // the memory it holds per slab.
-const SlabRequests = 4096
+const slabRequests = 4096
 
 // ReserveSlab is the synthesis loops' Reserve: before request i of n it
 // reserves, once per slab, room for the slab's requests at perRequest
 // spans each.
 func (a *SpanArena) ReserveSlab(i, n, perRequest int) {
-	if i%SlabRequests == 0 {
-		a.Reserve(min(n-i, SlabRequests) * perRequest)
+	if i%slabRequests == 0 {
+		a.Reserve(min(n-i, slabRequests) * perRequest)
 	}
 }
 
