@@ -470,7 +470,7 @@ func TestServeGracefulDrain(t *testing.T) {
 // walk the given LBN regions in a cycle, under the 8-region / 8000-block
 // quantization of the drift tests.
 func regimeTrace(n int, regions []int, startID int64) *trace.Trace {
-	const blocksPerRegion = 1000
+	const perRegion = 1000
 	tr := &trace.Trace{}
 	at := float64(startID) * 0.01
 	ri := 0
@@ -495,7 +495,7 @@ func regimeTrace(n int, regions []int, startID int64) *trace.Trace {
 				Duration:  0.002,
 				Op:        trace.OpRead,
 				Bytes:     64 << 10,
-				LBN:       int64(region*blocksPerRegion) + int64(i%blocksPerRegion),
+				LBN:       int64(region*perRegion) + int64(i%perRegion),
 			})
 			off += 0.002
 		}
